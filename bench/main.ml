@@ -766,7 +766,7 @@ let run_hub_fleet () =
     hub_resume_digest_identical = resume_identical;
   }
 
-(* --- corpus scheduling and compiled generators --------------------------- *)
+(* --- corpus scheduling ----------------------------------------------------- *)
 
 type schedule_stats = {
   sched_iterations : int;  (** per OS per schedule *)
@@ -776,9 +776,6 @@ type schedule_stats = {
   sched_energy_found : (int * float) list;
   sched_uniform_median_ttb : float option;  (** over bugs both schedules found *)
   sched_energy_median_ttb : float option;
-  sched_interp_ns : float;
-  sched_compiled_ns : float;
-  sched_divergence : int;  (** byte-differing programs, compiled vs interp *)
 }
 
 (* Step one native-backend campaign to its budget, stamping the virtual
@@ -829,58 +826,8 @@ let median = function
     let a = List.nth sorted ((n - 1) / 2) and b = List.nth sorted (n / 2) in
     Some ((a +. b) /. 2.)
 
-(* Generator cost: ns per generated program, spec walking vs compiled
-   candidate sets, plus the divergence gate — the two modes must emit
-   byte-identical streams per seed. *)
-let generator_comparison () =
-  let build =
-    Eof_os.Osbuild.make ~board_profile:Eof_hw.Profiles.stm32f4_disco Eof_os.Zephyr.spec
-  in
-  let table = Eof_os.Osbuild.api_signatures build in
-  let spec =
-    match Eof_spec.Synth.validated_of_api table with
-    | Ok s -> s
-    | Error e -> failwith e
-  in
-  let mk mode seed =
-    Eof_core.Gen.create ~dep_aware:true ~mode ~rng:(Eof_util.Rng.create seed) ~spec
-      ~table ()
-  in
-  let time mode =
-    let n = Runner.scaled 30_000 in
-    let gen = mk mode 1L in
-    (* warm the memoized compile before the clock starts *)
-    ignore (Eof_core.Gen.generate gen ~max_len:12 : Eof_core.Prog.t);
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to n do
-      ignore (Eof_core.Gen.generate gen ~max_len:12 : Eof_core.Prog.t)
-    done;
-    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int (max 1 n)
-  in
-  let interp_ns = time Eof_core.Gen.Interp in
-  let compiled_ns = time Eof_core.Gen.Compiled in
-  let divergence = ref 0 in
-  let encode p =
-    match Eof_agent.Wire.encode ~endianness:Eof_hw.Arch.Little (Eof_core.Prog.to_wire p) with
-    | Ok s -> s
-    | Error e -> failwith e
-  in
-  List.iter
-    (fun seed ->
-      let gi = mk Eof_core.Gen.Interp seed and gc = mk Eof_core.Gen.Compiled seed in
-      for i = 1 to 200 do
-        let pi = Eof_core.Gen.generate gi ~max_len:(2 + (i mod 12)) in
-        let pc = Eof_core.Gen.generate gc ~max_len:(2 + (i mod 12)) in
-        if not (String.equal (encode pi) (encode pc)) then incr divergence;
-        let mi = Eof_core.Gen.mutate gi pi ~max_len:16 in
-        let mc = Eof_core.Gen.mutate gc pc ~max_len:16 in
-        if not (String.equal (encode mi) (encode mc)) then incr divergence
-      done)
-    [ 1L; 7L; 11L; 42L; 1337L ];
-  (interp_ns, compiled_ns, !divergence)
-
 let run_schedule () =
-  section "Corpus scheduling: time-to-bug, uniform vs energy, and compiled generators";
+  section "Corpus scheduling: time-to-bug, uniform vs energy";
   let iterations = Runner.scaled 4000 in
   Printf.printf
     "[%d native payloads per OS per schedule, seed 11, %d-bug catalog...]\n%!"
@@ -925,13 +872,6 @@ let run_schedule () =
     (List.length uniform) (List.length energy) (List.length common)
     (match u_median with Some m -> Printf.sprintf "%.3fs" m | None -> "n/a")
     (match e_median with Some m -> Printf.sprintf "%.3fs" m | None -> "n/a");
-  let interp_ns, compiled_ns, divergence = generator_comparison () in
-  Printf.printf
-    "[generator: interp %.0f ns/prog, compiled %.0f ns/prog (%.2fx); %d divergent programs%s]\n"
-    interp_ns compiled_ns
-    (interp_ns /. Float.max 1e-9 compiled_ns)
-    divergence
-    (if divergence = 0 then "" else " — BUG, modes must be byte-identical");
   {
     sched_iterations = iterations;
     sched_oses = oses;
@@ -940,9 +880,6 @@ let run_schedule () =
     sched_energy_found = energy;
     sched_uniform_median_ttb = u_median;
     sched_energy_median_ttb = e_median;
-    sched_interp_ns = interp_ns;
-    sched_compiled_ns = compiled_ns;
-    sched_divergence = divergence;
   }
 
 (* --- machine-readable results ------------------------------------------ *)
@@ -1215,13 +1152,7 @@ let write_bench_json ~micro ~link ~scaling ~resilience ~native ~snapshot ~hub
     Buffer.add_string b (found_json s.sched_uniform_found s.sched_energy_found);
     Buffer.add_string b "    ],\n    \"energy_bugs\": [\n";
     Buffer.add_string b (found_json s.sched_energy_found s.sched_uniform_found);
-    Buffer.add_string b "    ],\n";
-    Buffer.add_string b
-      (Printf.sprintf
-         "    \"generator\": { \"interp_ns_per_prog\": %.1f, \"compiled_ns_per_prog\": %.1f, \"speedup\": %.3f, \"divergence\": %d }\n"
-         s.sched_interp_ns s.sched_compiled_ns
-         (s.sched_interp_ns /. Float.max 1e-9 s.sched_compiled_ns)
-         s.sched_divergence);
+    Buffer.add_string b "    ]\n";
     Buffer.add_string b "  }");
   Buffer.add_string b "\n}\n";
   let oc = open_out path in

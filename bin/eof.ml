@@ -42,7 +42,7 @@ let farm_digest = Eof_core.Report.farm_digest
    differential oracle comparing them. *)
 type exec_mode = Single of Eof_agent.Machine.backend | Differential
 
-let exec_mode_of_name s =
+let exec_backend_of_name s =
   match String.lowercase_ascii s with
   | "diff" | "differential" -> Ok Differential
   | _ -> Result.map (fun b -> Single b) (Eof_agent.Machine.backend_of_name s)
@@ -56,27 +56,26 @@ let console_level_of_string s =
 
 let fuzz os seed iterations boards sync_every exec_backend farm_backend digest
     no_feedback no_dep no_watchdog irq verbose crash_dir save_corpus load_corpus
-    log_level trace_file fault_rate fault_seed reset_policy schedule gen_mode =
+    log_level trace_file fault_rate fault_seed reset_policy schedule =
   match
     (target_of os, Eof_core.Farm.backend_of_name farm_backend,
-     console_level_of_string log_level, exec_mode_of_name exec_backend,
+     console_level_of_string log_level, exec_backend_of_name exec_backend,
      Campaign.reset_policy_of_name reset_policy,
-     Eof_core.Corpus.schedule_of_name schedule, Eof_core.Gen.mode_of_name gen_mode)
+     Eof_core.Corpus.schedule_of_name schedule)
   with
-  | Error e, _, _, _, _, _, _
-  | _, Error e, _, _, _, _, _
-  | _, _, Error e, _, _, _, _
-  | _, _, _, Error e, _, _, _
-  | _, _, _, _, Error e, _, _
-  | _, _, _, _, _, Error e, _
-  | _, _, _, _, _, _, Error e ->
+  | Error e, _, _, _, _, _
+  | _, Error e, _, _, _, _
+  | _, _, Error e, _, _, _
+  | _, _, _, Error e, _, _
+  | _, _, _, _, Error e, _
+  | _, _, _, _, _, Error e ->
     prerr_endline e;
     1
   | _ when not (fault_rate >= 0. && fault_rate <= 1.) ->
     prerr_endline "eof fuzz: --fault-rate must be within [0, 1]";
     1
   | ( Ok target, Ok backend, Ok console_level, Ok exec_mode, Ok reset_policy,
-      Ok schedule, Ok gen_mode ) ->
+      Ok schedule ) ->
     let obs = Obs.create () in
     (match console_level with
      | Some min_level -> Obs.add_sink obs (Obs.console_sink ~min_level ())
@@ -147,7 +146,6 @@ let fuzz os seed iterations boards sync_every exec_backend farm_backend digest
         fault_seed = Int64.of_int fault_seed;
         reset_policy;
         schedule;
-        gen_mode;
       }
     in
     if fault_rate > 0. then
@@ -353,21 +351,13 @@ let fuzz_cmd =
                    rare-edge frontier, first picks and crash finds earn \
                    exponentially larger mutation budgets).")
   in
-  let gen_mode =
-    Arg.(value & opt string "interp"
-         & info [ "gen-mode" ] ~docv:"MODE"
-             ~doc:"Generator engine: $(b,interp) walks the specification per \
-                   argument; $(b,compiled) generates through pre-resolved candidate \
-                   sets memoized per API table. Both emit byte-identical programs \
-                   for the same seed — $(b,compiled) is purely faster.")
-  in
   Cmd.v
     (Cmd.info "fuzz" ~doc:"Run an EOF campaign against a simulated board")
     Term.(
       const fuzz $ os_arg $ seed_arg $ iterations_arg $ boards $ sync_every
       $ exec_backend $ farm_backend $ digest $ no_feedback $ no_dep $ no_watchdog
       $ irq $ verbose $ crash_dir $ save_corpus $ load_corpus $ log_level $ trace
-      $ fault_rate $ fault_seed $ reset_policy $ schedule $ gen_mode)
+      $ fault_rate $ fault_seed $ reset_policy $ schedule)
 
 (* --- eof trace ---------------------------------------------------------- *)
 
@@ -638,7 +628,7 @@ let serve_cmd =
              ~doc:"Submit a tenant campaign (repeatable, --inproc mode): comma-separated \
                    $(b,key=value) pairs over defaults — keys $(b,name), $(b,os), $(b,seed), \
                    $(b,iterations), $(b,boards), $(b,farms), $(b,sync), $(b,backend), \
-                   $(b,reset), $(b,schedule), $(b,gen). \
+                   $(b,reset), $(b,schedule). \
                    Example: $(b,name=alice,os=Zephyr,seed=7,iterations=400,farms=2).")
   in
   let trace_dir =

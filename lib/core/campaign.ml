@@ -37,27 +37,32 @@ let reset_policy_of_name s =
          "unknown reset policy %S (expected ladder|snapshot|fresh-per-program)"
          other)
 
+(* Ceiling for P(mutate a corpus seed); the actual split tracks how
+   often fresh generation still finds new coverage. *)
+let mutation_bias = 0.8
+
+(* Preventive reboot period: without it a long-lived boot slowly
+   exhausts kernel tables and the heap (objects accumulate across test
+   cases), starving every later test case. *)
+let reboot_every = 150
+
 type config = {
   seed : int64;
   iterations : int;
   feedback : bool;
   dep_aware : bool;
   stall_watchdog : bool;
-  stall_threshold : int;
   max_prog_len : int;
-  mutation_bias : float;
   snapshot_every : int;
   api_filter : string list option;
   irq_injection : bool;
   initial_seeds : Prog.t list;
-  reboot_every : int;
   batch_link : bool;
   fault_rate : float;
   fault_seed : int64;
   backend : Machine.backend;
   reset_policy : reset_policy;
   schedule : Corpus.schedule;
-  gen_mode : Gen.mode;
 }
 
 let default_config =
@@ -67,21 +72,17 @@ let default_config =
     feedback = true;
     dep_aware = true;
     stall_watchdog = true;
-    stall_threshold = Liveness.default_stall_threshold;
     max_prog_len = 12;
-    mutation_bias = 0.8;
     snapshot_every = 10;
     api_filter = None;
     irq_injection = false;
     initial_seeds = [];
-    reboot_every = 150;
     batch_link = true;
     fault_rate = 0.;
     fault_seed = 0xFA0175EEDL;
     backend = Machine.Link;
     reset_policy = Ladder;
     schedule = Corpus.Uniform;
-    gen_mode = Gen.Interp;
   }
 
 type sample = { iteration : int; virtual_s : float; coverage : int }
@@ -813,7 +814,7 @@ let choose_program st =
          shift budget to corpus mutation as they stop (mutation_bias is
          the ceiling the split approaches). This self-scales to any
          iteration budget, unlike a wall-clock ramp. *)
-      let bias = st.config.mutation_bias *. (1. -. st.fresh_yield) in
+      let bias = mutation_bias *. (1. -. st.fresh_yield) in
       st.last_was_fresh <- false;
       if (not (Corpus.is_empty st.corpus)) && Rng.chance st.rng bias then begin
         (* An active energy grant spends its remaining budget on the
@@ -944,8 +945,7 @@ let init ?machine ?obs config build =
        let obs = match obs with Some o -> o | None -> Machine.obs machine in
        let rng = Rng.create config.seed in
        let gen =
-         Gen.create ~dep_aware:config.dep_aware ~mode:config.gen_mode
-           ~rng:(Rng.split rng) ~spec ~table ()
+         Gen.create ~dep_aware:config.dep_aware ~rng:(Rng.split rng) ~spec ~table ()
        in
        (* The scheduling target is the fuzzed API surface, not the full
           table: an api_filter'd campaign is a different target, so its
@@ -1012,7 +1012,7 @@ let init ?machine ?obs config build =
            last_was_child = false;
            fresh_yield = 1.0;
            last_was_fresh = false;
-           liveness = Liveness.create ~obs ~stall_threshold:config.stall_threshold ();
+           liveness = Liveness.create ~obs ();
            pend_rec = Array.make 256 0;
            pend_rec_len = 0;
            pend_cmp_a = Array.make 64 0L;
@@ -1100,8 +1100,8 @@ let step st =
           | Error e ->
             note_failure st (Eof_error.with_context "fresh-per-program restore" e))
        | Ladder | Snapshot ->
-         if config.reboot_every > 0 && st.iteration mod config.reboot_every = 0
-         then ignore (reboot st : (unit, Eof_error.t) result));
+         if st.iteration mod reboot_every = 0 then
+           ignore (reboot st : (unit, Eof_error.t) result));
       (match goto_ready st ~budget:50 with
        | Error e -> note_failure st e
        | Ok () ->

@@ -41,14 +41,7 @@ type config = {
   feedback : bool;
   dep_aware : bool;
   stall_watchdog : bool;
-  stall_threshold : int;
-      (** consecutive identical PC samples before the stall watchdog
-          fires (see {!Liveness.default_stall_threshold}) *)
   max_prog_len : int;
-  mutation_bias : float;
-      (** ceiling for P(mutate a corpus seed); the actual split tracks
-          how often fresh generation still finds new coverage, shifting
-          budget to mutation as random exploration dries up *)
   snapshot_every : int;  (** iterations between coverage samples *)
   api_filter : string list option;
       (** restrict generation to these calls (the Table-4 setup, where
@@ -60,10 +53,6 @@ type config = {
   initial_seeds : Prog.t list;
       (** corpus programs to replay before fuzzing starts (resuming a
           saved corpus) *)
-  reboot_every : int;
-      (** preventive reboot period: without it a long-lived boot slowly
-          exhausts kernel tables and the heap (objects accumulate across
-          test cases), starving every later test case *)
   batch_link : bool;
       (** use the vectored debug link (default true): every continue is
           fused with the coverage/cmp/UART drain into a single [vBatch]
@@ -106,10 +95,6 @@ type config = {
           the pre-scheduler corpus: one pick, one mutation). [Energy]
           grants power-schedule mutation budgets judged against the
           campaign target's rare-edge frontier. *)
-  gen_mode : Gen.mode;
-      (** generator engine (default [Interp]). [Compiled] emits
-          byte-identical programs through pre-resolved candidate sets —
-          a pure speedup. *)
 }
 
 val default_config : config

@@ -1,37 +1,11 @@
 open Eof_spec
 module Rng = Eof_util.Rng
 
-type mode = Interp | Compiled
-
-let mode_name = function Interp -> "interp" | Compiled -> "compiled"
-
-let mode_of_name s =
-  match String.lowercase_ascii s with
-  | "interp" -> Ok Interp
-  | "compiled" -> Ok Compiled
-  | other -> Error (Printf.sprintf "unknown gen mode %S (expected interp|compiled)" other)
-
-(* Compiled generation artifact: everything the interpreter re-derives
-   from the spec on every argument — boundary candidate sets,
-   powers-of-two tables, each call's required resource kinds — resolved
-   once per (spec, table). The candidate lists are the exact values the
-   interpreter's walks produce, in the same order, so every RNG draw is
-   identical and compiled generation emits byte-for-byte the same
-   programs per seed. *)
-type int_plan = { boundaries : int64 list; powers : int64 list }
-
-type compiled = {
-  int_plans : (int64 * int64, int_plan) Hashtbl.t;  (* keyed (min, max) *)
-  req_kinds : string list array;
-      (* parallel to [calls]: distinct resource kinds each call consumes *)
-}
-
 type t = {
   rng : Rng.t;
   spec : Ast.t;
   calls : (Ast.call * int) array;  (* spec call, api-table index *)
   dep_aware : bool;
-  plans : compiled option;  (* [Some] iff mode is [Compiled] *)
   (* Comparison operands harvested from the target's trace_cmp ring:
      the constants kernel code compares fuzz inputs against. *)
   int_hints : (int64, unit) Hashtbl.t;
@@ -79,66 +53,12 @@ let powers_of_two_in min max =
   in
   go [] 1L
 
-(* The interpreter's boundary candidate walk, verbatim: the compiled
-   plan must store exactly this list for the choose_list draw to land on
-   the same value. *)
 let boundary_candidates ~min ~max =
   List.filter
     (fun v -> Int64.compare v min >= 0 && Int64.compare v max <= 0)
     [ min; max; 0L; 1L; Int64.add min 1L; Int64.sub max 1L ]
 
-let compile spec (calls : (Ast.call * int) array) =
-  let int_plans = Hashtbl.create 16 in
-  let note_int ~min ~max =
-    if not (Hashtbl.mem int_plans (min, max)) then
-      Hashtbl.replace int_plans (min, max)
-        { boundaries = boundary_candidates ~min ~max; powers = powers_of_two_in min max }
-  in
-  List.iter
-    (fun (c : Ast.call) ->
-      List.iter
-        (fun (_, ty) ->
-          match ty with Ast.Ty_int { min; max } -> note_int ~min ~max | _ -> ())
-        c.Ast.args)
-    spec.Ast.calls;
-  let req_kinds =
-    Array.map
-      (fun ((c : Ast.call), _) ->
-        List.filter_map
-          (fun (_, ty) -> match ty with Ast.Ty_res k -> Some k | _ -> None)
-          c.Ast.args
-        |> List.sort_uniq compare)
-      calls
-  in
-  { int_plans; req_kinds }
-
-(* Compilation is memoized per (spec, table) the way Synth memoizes
-   validated specs: every campaign over the same personality shares one
-   artifact. The key covers the table's entry names because the call
-   array is the spec filtered through the table. The artifact is
-   read-only after construction, so sharing across domains is sound;
-   the mutex covers racing builds. *)
-let compiled_lock = Stdlib.Mutex.create ()
-
-let compiled_memo : (string, compiled) Hashtbl.t = Hashtbl.create 8
-
-let compiled_of ~spec ~(table : Eof_rtos.Api.table) calls =
-  let key =
-    Ast.to_syzlang spec ^ "#"
-    ^ String.concat ","
-        (List.map (fun (e : Eof_rtos.Api.entry) -> e.Eof_rtos.Api.name)
-           table.Eof_rtos.Api.entries)
-  in
-  Stdlib.Mutex.protect compiled_lock (fun () ->
-      match Hashtbl.find_opt compiled_memo key with
-      | Some c -> c
-      | None ->
-        if Hashtbl.length compiled_memo >= 32 then Hashtbl.reset compiled_memo;
-        let c = compile spec calls in
-        Hashtbl.replace compiled_memo key c;
-        c)
-
-let create ?(dep_aware = true) ?(mode = Interp) ~rng ~spec ~table () =
+let create ?(dep_aware = true) ~rng ~spec ~table () =
   let calls = Array.of_list (Synth.index_map spec table) in
   if Array.length calls = 0 then invalid_arg "Gen.create: empty call set";
   {
@@ -146,13 +66,10 @@ let create ?(dep_aware = true) ?(mode = Interp) ~rng ~spec ~table () =
     spec;
     calls;
     dep_aware;
-    plans = (match mode with Interp -> None | Compiled -> Some (compiled_of ~spec ~table calls));
     int_hints = Hashtbl.create 128;
     hint_list = [||];
     hints_dirty = false;
   }
-
-let mode t = match t.plans with None -> Interp | Some _ -> Compiled
 
 let add_int_hint t v =
   if Hashtbl.length t.int_hints < max_hints && not (Hashtbl.mem t.int_hints v) then begin
@@ -171,24 +88,10 @@ let hints t =
 
 let dep_aware t = t.dep_aware
 
-(* Compiled plan lookup for an int range; [None] means interpret (the
-   range always comes from a spec type, so compiled lookups only miss
-   for ranges outside this spec's tables — recompute then, identical
-   lists either way). *)
-let int_plan_of t ~min ~max =
-  match t.plans with
-  | Some p -> Hashtbl.find_opt p.int_plans (min, max)
-  | None -> None
-
 let gen_int t ~min ~max =
   let rng = t.rng in
   let pick_boundary () =
-    let candidates =
-      match int_plan_of t ~min ~max with
-      | Some plan -> plan.boundaries
-      | None -> boundary_candidates ~min ~max
-    in
-    match candidates with [] -> min | cs -> Rng.choose_list rng cs
+    match boundary_candidates ~min ~max with [] -> min | cs -> Rng.choose_list rng cs
   in
   let pick_hint () =
     let hs = hints t in
@@ -214,12 +117,7 @@ let gen_int t ~min ~max =
     (* input-to-state: replay a constant the target compared against *)
     pick_hint ()
   | n when n < 80 ->
-    let powers =
-      match int_plan_of t ~min ~max with
-      | Some plan -> plan.powers
-      | None -> powers_of_two_in min max
-    in
-    (match powers with
+    (match powers_of_two_in min max with
      | [] -> pick_boundary ()
      | ps -> Rng.choose_list rng ps)
   | n when n < 95 ->
@@ -295,41 +193,21 @@ let missing_kinds t produced =
 let pick_call t ~pos ~produced =
   let missing = missing_kinds t produced in
   let candidates =
-    match t.plans with
-    | Some p when t.dep_aware ->
-      (* Compiled: each call's required kinds were resolved at compile
-         time, so satisfiability is a lookup instead of an argument
-         walk. Candidate order, weights and the single weighted draw are
-         identical to the interpreted path. *)
-      let acc = ref [] in
-      Array.iteri
-        (fun i ((call : Ast.call), idx) ->
-          if List.for_all (fun kind -> produced kind <> []) p.req_kinds.(i) then begin
-            let boost =
-              match call.Ast.ret with
-              | Some kind when List.mem kind missing -> 3
-              | _ -> 1
-            in
-            acc := ((call, idx), call.Ast.weight * boost) :: !acc
-          end)
-        t.calls;
-      List.rev !acc
-    | _ ->
-      Array.to_list t.calls
-      |> List.filter_map (fun (call, idx) ->
-             if t.dep_aware then
-               if satisfiable produced call then
-                 let boost =
-                   match call.Ast.ret with
-                   | Some kind when List.mem kind missing -> 3
-                   | _ -> 1
-                 in
-                 Some ((call, idx), call.Ast.weight * boost)
-               else None
-             else if pos = 0 && has_res_args call then None
-               (* even blind generation cannot emit a backward reference
-                  from the first call; the wire format forbids it *)
-             else Some ((call, idx), call.Ast.weight))
+    Array.to_list t.calls
+    |> List.filter_map (fun (call, idx) ->
+           if t.dep_aware then
+             if satisfiable produced call then
+               let boost =
+                 match call.Ast.ret with
+                 | Some kind when List.mem kind missing -> 3
+                 | _ -> 1
+               in
+               Some ((call, idx), call.Ast.weight * boost)
+             else None
+           else if pos = 0 && has_res_args call then None
+             (* even blind generation cannot emit a backward reference
+                from the first call; the wire format forbids it *)
+           else Some ((call, idx), call.Ast.weight))
   in
   match candidates with
   | [] -> None
@@ -351,29 +229,20 @@ let generate t ~max_len =
   let target = 1 + Rng.int t.rng (max max_len 1) in
   let acc = ref [] in
   let n = ref 0 in
-  (* Compiled: producer positions tracked incrementally per kind —
-     appended as calls are emitted — instead of rescanning the whole
-     prefix (O(n^2) over program length) on every resource argument.
-     Both paths yield the same ascending position lists, so the RNG
-     stream is untouched. *)
+  (* Producer positions per kind, appended as calls are emitted: the
+     same ascending lists [Prog.producers_of] would find by rescanning
+     the prefix, without the O(n^2) rescan on every resource argument. *)
   let producers : (string, int list) Hashtbl.t = Hashtbl.create 8 in
-  let produced =
-    match t.plans with
-    | Some _ ->
-      fun kind ->
-        (match Hashtbl.find_opt producers kind with Some ps -> ps | None -> [])
-    | None -> fun kind -> Prog.producers_of (List.rev !acc) kind
-  in
+  let produced kind = Option.value (Hashtbl.find_opt producers kind) ~default:[] in
   for pos = 0 to target - 1 do
     match pick_call t ~pos ~produced with
     | None -> ()
     | Some (call, idx) ->
       let args = gen_args t ~pos ~produced call in
       acc := { Prog.spec = call; api_index = idx; args } :: !acc;
-      (match call.Ast.ret with
-       | Some kind when Option.is_some t.plans ->
-         Hashtbl.replace producers kind (produced kind @ [ !n ])
-       | _ -> ());
+      Option.iter
+        (fun kind -> Hashtbl.replace producers kind (produced kind @ [ !n ]))
+        call.Ast.ret;
       incr n
   done;
   List.rev !acc

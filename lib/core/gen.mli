@@ -19,26 +19,9 @@ open Eof_spec
 
 type t
 
-type mode =
-  | Interp  (** walk the spec on every argument, as always *)
-  | Compiled
-      (** generate through a compiled artifact: pre-resolved boundary and
-          powers-of-two candidate sets per integer range, per-call
-          required-resource-kind lists, and incremental producer tracking
-          instead of per-argument prefix rescans. Memoized per
-          (spec, table). Emits byte-identical programs to [Interp] for
-          the same seed — only faster. *)
-
-val mode_name : mode -> string
-
-val mode_of_name : string -> (mode, string) result
-
 val create :
-  ?dep_aware:bool -> ?mode:mode -> rng:Eof_util.Rng.t -> spec:Ast.t ->
-  table:Eof_rtos.Api.table -> unit -> t
-(** [mode] defaults to [Interp]. *)
-
-val mode : t -> mode
+  ?dep_aware:bool -> rng:Eof_util.Rng.t -> spec:Ast.t -> table:Eof_rtos.Api.table ->
+  unit -> t
 
 val dep_aware : t -> bool
 

@@ -51,10 +51,13 @@ let run ?obs ?corpus_sync ?journal ?heartbeat_timeout ?kill ?halt_after ~farms
           { Hub.spec = tg.Worker.spec; table = tg.Worker.table })
         (resolve os)
     in
-    let hub =
+    (* An unreadable journal is the caller's error, not a crash. *)
+    match
       Hub.create ~obs ?corpus_sync ?journal ?heartbeat_timeout
         ~resolve:hub_resolve ()
-    in
+    with
+    | exception Invalid_argument msg -> Error msg
+    | hub ->
     let timeout = Hub.heartbeat_timeout hub in
     let workers =
       Array.init farms (fun i ->

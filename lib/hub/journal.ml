@@ -15,9 +15,12 @@ let close t = close_out t.oc
    is the torn write of a killed hub — stop there and keep the prefix.
    A bad frame *followed by more data* would indicate real corruption,
    but distinguishing it buys nothing: replay semantics only promise a
-   prefix of history, and the CRC already localises the damage. *)
+   prefix of history, and the CRC already localises the damage. A
+   complete, CRC-clean frame of another protocol version is no torn
+   write: it is a journal this hub cannot read, and replaying the prefix
+   before it would silently restart every campaign. *)
 let replay path =
-  match
+  try
     let ic = open_in_bin path in
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)
@@ -25,17 +28,19 @@ let replay path =
         let len = in_channel_length ic in
         let buf = really_input_string ic len in
         let rec go off acc =
-          if off >= len then List.rev acc
+          if off >= len then Ok (List.rev acc)
           else
             let rest = String.sub buf off (len - off) in
             match Protocol.frame_size rest with
             | Ok (Some n) when off + n <= len -> (
               match Protocol.decode (String.sub buf off n) with
               | Ok msg -> go (off + n) (msg :: acc)
-              | Error _ -> List.rev acc)
-            | Ok _ | Error _ -> List.rev acc
+              | Error (Protocol.Bad_version v) ->
+                Error
+                  (Printf.sprintf "journal written by protocol v%d; this hub speaks v%d" v
+                     Protocol.version)
+              | Error _ -> Ok (List.rev acc))
+            | Ok _ | Error _ -> Ok (List.rev acc)
         in
         go 0 [])
-  with
-  | msgs -> Ok msgs
-  | exception Sys_error msg -> Error msg
+  with Sys_error msg -> Error msg

@@ -25,4 +25,6 @@ val close : t -> unit
 val replay : string -> (Protocol.t list, string) result
 (** Read every complete, well-formed frame from the start of [path], in
     order. A truncated or corrupt tail ends the replay silently (the
-    frames before it are returned); a missing file is an error. *)
+    frames before it are returned); a missing file is an error, and so
+    is a complete frame of another {!Protocol.version} (the journal was
+    written by an incompatible hub). *)

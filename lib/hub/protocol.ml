@@ -8,14 +8,18 @@ module Campaign = Eof_core.Campaign
 let magic = 0x454F4648l
 
 (* v2: tenant configs and shard assignments carry a reset-policy byte.
-   v3: they additionally carry a schedule byte and a gen-mode byte, so
-   the hub can dial per-tenant seed scheduling and generator engines.
+   v3: they additionally carry a schedule byte and a generator-mode
+   byte, so the hub can dial per-tenant seed scheduling and generator
+   engines.
    v4: workers are remote endpoints — Worker_hello/Worker_welcome
    register a farm process, Shard_revoke retracts a lease, Worker_ping/
    Heartbeat_ack carry liveness both ways, Shard_assign and all
    farm-to-hub traffic carry a lease epoch (the fencing token), and
-   Status reports worker liveness next to the tenant rows. *)
-let version = 4
+   Status reports worker liveness next to the tenant rows.
+   v5: the generator-mode byte is gone (there is one program
+   generator); a journal written by an older version is refused, not
+   replayed. *)
+let version = 5
 
 let header_bytes = 12 (* magic u32, version u16, kind u8, reserved u8, payload_len u32 *)
 
@@ -169,10 +173,6 @@ let put_schedule b = function
   | Eof_core.Corpus.Uniform -> put_u8 b 0
   | Eof_core.Corpus.Energy -> put_u8 b 1
 
-let put_gen_mode b = function
-  | Eof_core.Gen.Interp -> put_u8 b 0
-  | Eof_core.Gen.Compiled -> put_u8 b 1
-
 let crash_kind_code = function
   | Crash.Kernel_panic -> 0
   | Crash.Kernel_assertion -> 1
@@ -256,12 +256,6 @@ let schedule c =
   | 1 -> Eof_core.Corpus.Energy
   | n -> raise (Fail (Printf.sprintf "bad schedule code %d" n))
 
-let gen_mode c =
-  match u8 c with
-  | 0 -> Eof_core.Gen.Interp
-  | 1 -> Eof_core.Gen.Compiled
-  | n -> raise (Fail (Printf.sprintf "bad gen mode code %d" n))
-
 let crash_kind c =
   match u8 c with
   | 0 -> Crash.Kernel_panic
@@ -291,8 +285,7 @@ let put_tenant_config b (c : Tenant.config) =
   put_u32 b c.Tenant.sync_every;
   put_backend b c.Tenant.backend;
   put_reset_policy b c.Tenant.reset_policy;
-  put_schedule b c.Tenant.schedule;
-  put_gen_mode b c.Tenant.gen_mode
+  put_schedule b c.Tenant.schedule
 
 let tenant_config c =
   let tenant = str c in
@@ -305,9 +298,8 @@ let tenant_config c =
   let backend = backend c in
   let reset_policy = reset_policy c in
   let schedule = schedule c in
-  let gen_mode = gen_mode c in
   { Tenant.tenant; os; seed; iterations; boards; farms; sync_every; backend;
-    reset_policy; schedule; gen_mode }
+    reset_policy; schedule }
 
 let put_assignment b (a : Shard.assignment) =
   put_u32 b a.Shard.campaign;
@@ -322,8 +314,7 @@ let put_assignment b (a : Shard.assignment) =
   put_u32 b a.Shard.sync_every;
   put_backend b a.Shard.backend;
   put_reset_policy b a.Shard.reset_policy;
-  put_schedule b a.Shard.schedule;
-  put_gen_mode b a.Shard.gen_mode
+  put_schedule b a.Shard.schedule
 
 let assignment c =
   let campaign = u32 c in
@@ -339,9 +330,8 @@ let assignment c =
   let backend = backend c in
   let reset_policy = reset_policy c in
   let schedule = schedule c in
-  let gen_mode = gen_mode c in
   { Shard.campaign; tenant; os; shard; shards; epoch; seed; iterations; boards;
-    sync_every; backend; reset_policy; schedule; gen_mode }
+    sync_every; backend; reset_policy; schedule }
 
 let put_crash b (cr : Crash.t) =
   put_str b cr.Crash.os;

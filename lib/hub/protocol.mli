@@ -121,4 +121,7 @@ val header_bytes : int
 
 val version : int
 (** Current wire version (v4 added the worker lifecycle messages and
-    lease epochs). Decoding any other version is [Bad_version]. *)
+    lease epochs; v5 dropped the generator-mode byte from tenant
+    configs and shard assignments). Decoding any other version is
+    [Bad_version], and {!Journal.replay} refuses a journal holding such
+    a frame. *)

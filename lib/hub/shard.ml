@@ -14,7 +14,6 @@ type assignment = {
   backend : Eof_agent.Machine.backend;
   reset_policy : Eof_core.Campaign.reset_policy;
   schedule : Eof_core.Corpus.schedule;
-  gen_mode : Eof_core.Gen.mode;
 }
 
 (* Shard 0 keeps the tenant's seed (a one-farm campaign is exactly the
@@ -49,5 +48,4 @@ let plan ~campaign (c : Tenant.config) =
         backend = c.Tenant.backend;
         reset_policy = c.Tenant.reset_policy;
         schedule = c.Tenant.schedule;
-        gen_mode = c.Tenant.gen_mode;
       })

@@ -25,7 +25,6 @@ type assignment = {
   backend : Eof_agent.Machine.backend;
   reset_policy : Eof_core.Campaign.reset_policy;
   schedule : Eof_core.Corpus.schedule;
-  gen_mode : Eof_core.Gen.mode;
 }
 
 val shard_seed : int64 -> int -> int64

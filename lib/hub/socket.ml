@@ -116,10 +116,13 @@ let serve ?obs ?corpus_sync ?max_campaigns ?journal ?heartbeat_timeout ~socket
         { Hub.spec = tg.Worker.spec; table = tg.Worker.table })
       (resolve os)
   in
-  let hub =
+  (* An unreadable journal is the caller's error, not a crash. *)
+  match
     Hub.create ~obs ?corpus_sync ?journal ?heartbeat_timeout
       ~resolve:hub_resolve ()
-  in
+  with
+  | exception Invalid_argument msg -> Error msg
+  | hub ->
   (match Unix.lstat socket with
   | { Unix.st_kind = Unix.S_SOCK; _ } -> Unix.unlink socket
   | _ -> ()

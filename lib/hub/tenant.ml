@@ -9,7 +9,6 @@ type config = {
   backend : Eof_agent.Machine.backend;
   reset_policy : Eof_core.Campaign.reset_policy;
   schedule : Eof_core.Corpus.schedule;
-  gen_mode : Eof_core.Gen.mode;
 }
 
 let default =
@@ -24,7 +23,6 @@ let default =
     backend = Eof_agent.Machine.Native;
     reset_policy = Eof_core.Campaign.Ladder;
     schedule = Eof_core.Corpus.Uniform;
-    gen_mode = Eof_core.Gen.Interp;
   }
 
 let name_ok name =
@@ -52,12 +50,11 @@ let validate c =
 let to_string c =
   Printf.sprintf
     "%s: os=%s seed=%Ld iterations=%d farms=%d boards=%d backend=%s reset=%s \
-     schedule=%s gen=%s"
+     schedule=%s"
     c.tenant c.os c.seed c.iterations c.farms c.boards
     (Eof_agent.Machine.backend_name c.backend)
     (Eof_core.Campaign.reset_policy_name c.reset_policy)
     (Eof_core.Corpus.schedule_name c.schedule)
-    (Eof_core.Gen.mode_name c.gen_mode)
 
 (* key=value[,key=value...] — the CLI's compact one-flag-per-tenant
    submission syntax. *)
@@ -101,10 +98,6 @@ let of_spec s =
             Result.map
               (fun schedule -> { c with schedule })
               (Eof_core.Corpus.schedule_of_name v)
-          | "gen" | "gen_mode" ->
-            Result.map
-              (fun gen_mode -> { c with gen_mode })
-              (Eof_core.Gen.mode_of_name v)
           | k -> Error (Printf.sprintf "tenant spec: unknown key %S" k)))
   in
   match List.fold_left parse_kv (Ok default) (String.split_on_char ',' s) with

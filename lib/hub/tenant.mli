@@ -18,8 +18,6 @@ type config = {
       (** board reset policy for every farm in this campaign *)
   schedule : Eof_core.Corpus.schedule;
       (** seed scheduling for every board (default uniform) *)
-  gen_mode : Eof_core.Gen.mode;
-      (** generator engine for every board (default interp) *)
 }
 
 val default : config
@@ -38,5 +36,4 @@ val of_spec : string -> (config, string) result
 (** Parse the CLI's [key=value,key=value] submission syntax over
     {!default} — keys: [name]/[tenant], [os], [seed], [iterations]/[n],
     [boards], [farms], [sync]/[sync_every], [backend],
-    [reset]/[reset_policy], [schedule], [gen]/[gen_mode]. The result is
-    {!validate}d. *)
+    [reset]/[reset_policy], [schedule]. The result is {!validate}d. *)

@@ -84,7 +84,6 @@ let assign t (a : Shard.assignment) =
       backend = a.Shard.backend;
       reset_policy = a.Shard.reset_policy;
       schedule = a.Shard.schedule;
-      gen_mode = a.Shard.gen_mode;
     }
   in
   let config =

@@ -8,9 +8,9 @@ module Crash = Eof_core.Crash
 module Campaign = Eof_core.Campaign
 module Liveness = Eof_core.Liveness
 
-let zephyr_env =
+let os_env os_spec =
   lazy
-    (let build = Osbuild.make ~board_profile:Eof_hw.Profiles.stm32f4_disco Zephyr.spec in
+    (let build = Osbuild.make ~board_profile:Eof_hw.Profiles.stm32f4_disco os_spec in
      let table = Osbuild.api_signatures build in
      let spec =
        match Eof_spec.Synth.validated_of_api table with
@@ -18,6 +18,8 @@ let zephyr_env =
        | Error e -> failwith e
      in
      (build, table, spec))
+
+let zephyr_env = os_env Zephyr.spec
 
 let make_gen ?(dep_aware = true) seed =
   let _, table, spec = Lazy.force zephyr_env in
@@ -1101,20 +1103,9 @@ let suite =
         test_campaign_obs_does_not_perturb;
     ]
 
-(* --- corpus scheduling, transplantation, compiled generators --------- *)
+(* --- corpus scheduling, transplantation, golden generator stream ----- *)
 
-let freertos_env =
-  lazy
-    (let build =
-       Osbuild.make ~board_profile:Eof_hw.Profiles.stm32f4_disco Freertos.spec
-     in
-     let table = Osbuild.api_signatures build in
-     let spec =
-       match Eof_spec.Synth.validated_of_api table with
-       | Ok s -> s
-       | Error e -> failwith e
-     in
-     (build, table, spec))
+let freertos_env = os_env Freertos.spec
 
 let zephyr_target () =
   let build, table, _ = Lazy.force zephyr_env in
@@ -1315,33 +1306,42 @@ let test_transplant_deterministic () =
       | _ -> Alcotest.fail "retype nondeterministic accept/reject")
     (seed_progs 30 14L)
 
-let test_compiled_equals_interp () =
-  (* The compiled generator pre-resolves candidate sets but must draw
-     from the RNG identically: same seed, byte-identical program
-     streams, generation and mutation both. *)
-  let _, table, spec = Lazy.force zephyr_env in
-  let stream mode seed =
-    let gen =
-      Gen.create ~dep_aware:true ~mode ~rng:(Eof_util.Rng.create seed) ~spec ~table ()
-    in
+let test_golden_generator_stream () =
+  (* Pinned program streams: any change to how the generator or the
+     mutator draws from the RNG moves these CRCs, and with them every
+     same-seed digest. Each CRC covers the little-endian wire encoding of
+     40 generated programs followed by one mutation of each. *)
+  let stream env seed =
+    let _, table, spec = Lazy.force env in
+    let gen = Gen.create ~dep_aware:true ~rng:(Eof_util.Rng.create seed) ~spec ~table () in
     let progs = List.init 40 (fun i -> Gen.generate gen ~max_len:(2 + (i mod 10))) in
-    let mutated =
-      List.map (fun p -> Gen.mutate gen p ~max_len:12) progs
-    in
-    List.map
-      (fun p ->
-        match Eof_agent.Wire.encode ~endianness:Eof_hw.Arch.Little (Prog.to_wire p) with
-        | Ok s -> s
-        | Error e -> Alcotest.fail ("wire: " ^ e))
-      (progs @ mutated)
+    let mutated = List.map (fun p -> Gen.mutate gen p ~max_len:12) progs in
+    String.concat ""
+      (List.map
+         (fun p ->
+           match Eof_agent.Wire.encode ~endianness:Eof_hw.Arch.Little (Prog.to_wire p) with
+           | Ok s -> s
+           | Error e -> Alcotest.fail ("wire: " ^ e))
+         (progs @ mutated))
   in
+  let seeds = [ 1L; 2L; 3L; 17L; 99L; 12345L ] in
   List.iter
-    (fun seed ->
-      let i = stream Gen.Interp seed and c = stream Gen.Compiled seed in
-      Alcotest.(check bool)
-        (Printf.sprintf "seed %Ld streams byte-identical" seed)
-        true (i = c))
-    [ 1L; 2L; 3L; 17L; 99L; 12345L ]
+    (fun (os, env, crcs) ->
+      List.iter2
+        (fun seed crc ->
+          Alcotest.(check int32)
+            (Printf.sprintf "%s seed %Ld stream CRC" os seed)
+            crc
+            (Eof_util.Crc32.digest_string (stream env seed)))
+        seeds crcs)
+    [
+      ( "Zephyr", zephyr_env,
+        [ 0x16cc5bbfl; 0x11afd5eel; 0x84f3c2efl; 0x260e188fl; 0xec9943fal; 0x35d8d99dl ] );
+      ( "FreeRTOS", freertos_env,
+        [ 0x5793694al; 0xa0a3c8f6l; 0x9e4d33a3l; 0xc484263bl; 0x9dc6b354l; 0x8632330al ] );
+      ( "RT-Thread", os_env Rtthread.spec,
+        [ 0xb77729c2l; 0x2300df94l; 0x9255b16bl; 0x6c2e7fc1l; 0x64cf80f6l; 0x615ea6fdl ] );
+    ]
 
 let test_energy_campaign_deterministic () =
   let build, _, _ = Lazy.force zephyr_env in
@@ -1352,7 +1352,6 @@ let test_energy_campaign_deterministic () =
         iterations = 150;
         seed = 21L;
         schedule = Corpus.Energy;
-        gen_mode = Gen.Compiled;
       }
     in
     match Campaign.run config build with
@@ -1365,7 +1364,7 @@ let test_energy_campaign_deterministic () =
         Eof_util.Bitset.to_list o.Campaign.coverage_bitmap )
   in
   let a = run () and b = run () in
-  Alcotest.(check bool) "energy+compiled campaign deterministic" true (a = b);
+  Alcotest.(check bool) "energy campaign deterministic" true (a = b);
   let cov, _, ex, _, _ = a in
   Alcotest.(check int) "ran the full budget" 150 ex;
   Alcotest.(check bool) "found coverage" true (cov > 0)
@@ -1383,7 +1382,7 @@ let suite =
       Alcotest.test_case "transplant round-trip stable" `Quick
         test_transplant_roundtrip_stable;
       Alcotest.test_case "transplant deterministic" `Quick test_transplant_deterministic;
-      Alcotest.test_case "compiled equals interp" `Quick test_compiled_equals_interp;
+      Alcotest.test_case "golden generator stream" `Quick test_golden_generator_stream;
       Alcotest.test_case "energy campaign deterministic" `Quick
         test_energy_campaign_deterministic;
     ]

@@ -70,7 +70,6 @@ let every_kind =
         backend = Eof_agent.Machine.Native;
         reset_policy = Eof_core.Campaign.Snapshot;
         schedule = Eof_core.Corpus.Energy;
-        gen_mode = Eof_core.Gen.Compiled;
       };
     Protocol.Corpus_push
       { campaign = 3; shard = 0; epoch = 1; progs = [ "\x00\x01\xffwire"; "" ] };
@@ -151,6 +150,15 @@ let check_error name expected = function
     Alcotest.fail (Printf.sprintf "%s: got %s" name (Protocol.error_to_string e))
   | Ok _ -> Alcotest.fail (Printf.sprintf "%s: decoded a corrupt frame" name)
 
+(* Patch a frame's version field and re-sign it, so only the version
+   check can object. *)
+let with_version frame v =
+  let b = Bytes.of_string frame in
+  Bytes.set_uint16_le b 4 v;
+  Bytes.set_int32_le b (Bytes.length b - 4)
+    (Crc32.digest_string (Bytes.sub_string b 4 (Bytes.length b - 8)));
+  Bytes.to_string b
+
 let test_codec_rejections () =
   (* every strict prefix of every message kind is Truncated, never a
      parse and never a crash *)
@@ -180,17 +188,9 @@ let test_codec_rejections () =
   (match Protocol.decode (frame ^ "\x00") with
   | Error (Protocol.Malformed _) -> ()
   | _ -> Alcotest.fail "trailing byte accepted");
-  (* future version: patch the version field and re-sign the frame, so
-     only the version check can object *)
-  let future = Bytes.of_string frame in
-  Bytes.set future 4 (Char.chr (Protocol.version + 1));
-  let crc =
-    Crc32.digest_string (Bytes.sub_string future 4 (Bytes.length future - 8))
-  in
-  Bytes.set_int32_le future (Bytes.length future - 4) crc;
   check_error "future version"
     (Protocol.Bad_version (Protocol.version + 1))
-    (Protocol.decode (Bytes.to_string future))
+    (Protocol.decode (with_version frame (Protocol.version + 1)))
 
 (* Adversarial input sweep: seeded random bytes through [frame_size] and
    [decode] — pure noise, noise behind a genuine magic, and re-signed
@@ -253,7 +253,11 @@ let test_tenant_spec () =
   | Ok _ -> Alcotest.fail "space in tenant name accepted");
   (match Tenant.of_spec "nonsense" with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "non key=value accepted")
+  | Ok _ -> Alcotest.fail "non key=value accepted");
+  match Tenant.of_spec "name=a,os=Zephyr,gen=compiled" with
+  | Error e ->
+    Alcotest.(check string) "gen key rejected" "tenant spec: unknown key \"gen\"" e
+  | Ok _ -> Alcotest.fail "gen= accepted"
 
 (* --- sharding ----------------------------------------------------------- *)
 
@@ -568,6 +572,29 @@ let test_journal_double_restart () =
     Alcotest.(check string) "summary survives two restarts"
       (Inproc.summary base) (Inproc.summary resumed)
 
+(* A complete frame of another protocol version is an unreadable
+   journal, not a torn tail: replaying the prefix before it would
+   silently restart every campaign. *)
+let test_journal_old_version () =
+  with_temp_journal @@ fun path ->
+  let frame = Protocol.encode (Protocol.Submit sample_tenant) in
+  let write s = Out_channel.with_open_bin path (fun oc -> output_string oc s) in
+  write (frame ^ String.sub frame 0 5);
+  (match Eof_hub.Journal.replay path with
+  | Ok [ _ ] -> ()
+  | _ -> Alcotest.fail "torn tail not tolerated");
+  write (frame ^ with_version frame 4);
+  (match Eof_hub.Journal.replay path with
+  | Error e ->
+    Alcotest.(check string) "version error"
+      (Printf.sprintf "journal written by protocol v4; this hub speaks v%d"
+         Protocol.version)
+      e
+  | Ok _ -> Alcotest.fail "v4 journal replayed");
+  match Hub.create ~journal:path ~resolve:hub_resolve () with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "hub started on a v4 journal"
+
 let suite =
   [
     Alcotest.test_case "codec round-trips every kind" `Quick test_codec_roundtrip;
@@ -593,4 +620,6 @@ let suite =
       test_journal_resume;
     Alcotest.test_case "journal: survives a double restart" `Quick
       test_journal_double_restart;
+    Alcotest.test_case "journal: older protocol version is refused" `Quick
+      test_journal_old_version;
   ]
