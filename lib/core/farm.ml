@@ -328,10 +328,20 @@ let run_domains t =
     in
     loop ()
   in
-  let domains =
-    Array.init workers (fun w -> Domain.spawn (fun () -> try worker (group w) with _ -> ()))
+  let domains = Array.init workers (fun w -> Domain.spawn (fun () -> worker (group w))) in
+  (* Join every domain before re-raising the first failure, so a fault in
+     one shard group surfaces to the caller without orphaning the rest. *)
+  let joined =
+    Array.map
+      (fun d ->
+        match Domain.join d with
+        | () -> None
+        | exception e -> Some (e, Printexc.get_raw_backtrace ()))
+      domains
   in
-  Array.iter Domain.join domains;
+  Array.iter
+    (function Some (e, bt) -> Printexc.raise_with_backtrace e bt | None -> ())
+    joined;
   (* Each worker ran every shard's final sync; a farm-level closing
      epoch would add a spurious sample. *)
   t.finalized <- true

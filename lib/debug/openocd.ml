@@ -182,7 +182,7 @@ let execute t (cmd : Rsp.command) : Rsp.reply =
     (* Sub-operations run in order; a failing one yields its error slot
        and execution continues, so the client always gets positionally
        matched sub-replies. *)
-    Rsp.Raw ("b" ^ Rsp.render_batch_replies (List.map (execute_batch_op t) ops))
+    Rsp.Raw (Rsp.render_batch_replies ~prefix:"b" (List.map (execute_batch_op t) ops))
   | Rsp.Snapshot_save ->
     let snap = Board.snapshot t.board in
     t.snapshot <- Some snap;

@@ -1,24 +1,62 @@
 open Eof_util
 
+(* The codecs below sit on every debug-link exchange, so they write into
+   one buffer per packet and parse in place: no Printf, no per-field
+   substrings, no option per hex digit. The wire bytes are exactly what
+   the [Printf] formats "%x" / "%02x" / "%08x" would produce. *)
+
 let checksum s =
   let acc = ref 0 in
-  String.iter (fun c -> acc := (!acc + Char.code c) land 0xFF) s;
+  for i = 0 to String.length s - 1 do
+    acc := (!acc + Char.code (String.unsafe_get s i)) land 0xFF
+  done;
   !acc
 
-let make_frame payload = Printf.sprintf "$%s#%02x" payload (checksum payload)
+let hex_digit n = String.unsafe_get "0123456789abcdef" (n land 0xF)
+
+(* [Printf "%0*x" width n]; negative values (a raw target counter can be
+   one) keep Printf's two's-complement rendering. *)
+let rec add_hex_digits buf n =
+  if n >= 16 then add_hex_digits buf (n lsr 4);
+  Buffer.add_char buf (hex_digit n)
+
+let rec hex_width n = if n >= 16 then 1 + hex_width (n lsr 4) else 1
+
+let add_hex ?(width = 0) buf n =
+  if n < 0 then Buffer.add_string buf (Printf.sprintf "%0*x" width n)
+  else begin
+    for _ = hex_width n + 1 to width do
+      Buffer.add_char buf '0'
+    done;
+    add_hex_digits buf n
+  end
+
+let make_frame payload =
+  let n = String.length payload in
+  let b = Bytes.create (n + 4) in
+  let c = checksum payload in
+  Bytes.unsafe_set b 0 '$';
+  Bytes.unsafe_blit_string payload 0 b 1 n;
+  Bytes.unsafe_set b (n + 1) '#';
+  Bytes.unsafe_set b (n + 2) (hex_digit (c lsr 4));
+  Bytes.unsafe_set b (n + 3) (hex_digit c);
+  Bytes.unsafe_to_string b
 
 let must_escape c = c = '$' || c = '#' || c = '}' || c = '*'
 
+let add_escaped buf s =
+  for i = 0 to String.length s - 1 do
+    let c = String.unsafe_get s i in
+    if must_escape c then begin
+      Buffer.add_char buf '}';
+      Buffer.add_char buf (Char.unsafe_chr (Char.code c lxor 0x20))
+    end
+    else Buffer.add_char buf c
+  done
+
 let escape_binary s =
   let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      if must_escape c then begin
-        Buffer.add_char buf '}';
-        Buffer.add_char buf (Char.chr (Char.code c lxor 0x20))
-      end
-      else Buffer.add_char buf c)
-    s;
+  add_escaped buf s;
   Buffer.contents buf
 
 let unescape_binary s =
@@ -82,30 +120,6 @@ module Decoder = struct
       bytes;
     List.rev !events
 end
-
-(* Scan [rawlen] logical (unescaped) bytes of }-escaped data starting at
-   [i]; return the decoded bytes and the index just past the segment.
-   Length-prefixed segments are what make the batch wire format
-   self-delimiting: raw separator bytes inside binary data are harmless
-   because the parser consumes by count, not by delimiter. *)
-let scan_escaped s i rawlen =
-  let n = String.length s in
-  let buf = Buffer.create rawlen in
-  let rec go i k =
-    if k = 0 then Ok (Buffer.contents buf, i)
-    else if i >= n then Error "truncated binary segment"
-    else if s.[i] = '}' then
-      if i + 1 >= n then Error "dangling escape in binary segment"
-      else begin
-        Buffer.add_char buf (Char.chr (Char.code s.[i + 1] lxor 0x20));
-        go (i + 2) (k - 1)
-      end
-    else begin
-      Buffer.add_char buf s.[i];
-      go (i + 1) (k - 1)
-    end
-  in
-  go i rawlen
 
 type batch_op =
   | B_continue
@@ -199,156 +213,267 @@ let parse_breakpoint s =
    standard }-escaping, so one framed exchange can carry arbitrary
    binary both ways. *)
 
-let parse_hex_at s i =
+(* A parse position over one packet payload. Section parsers raise
+   [Bad] internally and return it as [Error] at their boundary, so the
+   hot path allocates no result per field. [base] is where the parsed
+   section starts: error offsets are reported relative to it. *)
+type cursor = { s : string; mutable i : int; base : int }
+
+exception Bad of string
+
+let nibble = function
+  | '0' .. '9' as c -> Char.code c - Char.code '0'
+  | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+  | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+  | _ -> -1
+
+let hex_at c =
+  let n = String.length c.s and start = c.i in
+  let acc = ref 0 in
+  while c.i < n && nibble c.s.[c.i] >= 0 do
+    acc := (!acc lsl 4) lor nibble c.s.[c.i];
+    c.i <- c.i + 1
+  done;
+  if c.i = start then raise (Bad "expected hex number");
+  !acc
+
+let expect c ch =
+  if c.i < String.length c.s && c.s.[c.i] = ch then c.i <- c.i + 1
+  else raise (Bad (Printf.sprintf "expected '%c' at offset %d" ch (c.i - c.base)))
+
+let rec no_escape_in s i stop = i >= stop || (s.[i] <> '}' && no_escape_in s (i + 1) stop)
+
+(* [rawlen] logical (unescaped) bytes of }-escaped data at the cursor.
+   Length-prefixed segments are what make the batch wire format
+   self-delimiting: raw separator bytes inside binary data are harmless
+   because the parser consumes by count, not by delimiter. *)
+let escaped_at c rawlen =
+  let s = c.s and n = String.length c.s in
+  if rawlen >= 0 && c.i + rawlen <= n && no_escape_in s c.i (c.i + rawlen) then begin
+    (* No escape in the segment: it is a plain substring. *)
+    let data = String.sub s c.i rawlen in
+    c.i <- c.i + rawlen;
+    data
+  end
+  else begin
+    let buf = Buffer.create (max 0 rawlen) in
+    let k = ref rawlen in
+    while !k <> 0 do
+      if c.i >= n then raise (Bad "truncated binary segment");
+      if s.[c.i] = '}' then begin
+        if c.i + 1 >= n then raise (Bad "dangling escape in binary segment");
+        Buffer.add_char buf (Char.chr (Char.code s.[c.i + 1] lxor 0x20));
+        c.i <- c.i + 2
+      end
+      else begin
+        Buffer.add_char buf s.[c.i];
+        c.i <- c.i + 1
+      end;
+      decr k
+    done;
+    Buffer.contents buf
+  end
+
+(* [;]-separated items from [base] to the end of [s]. *)
+let parse_items ~empty ~empty_item item s base =
   let n = String.length s in
-  let rec go i acc any =
-    if i < n then
-      match Hex.to_nibble s.[i] with
-      | Some v -> go (i + 1) ((acc lsl 4) lor v) true
-      | None -> if any then Ok (acc, i) else Error "expected hex number"
-    else if any then Ok (acc, i)
-    else Error "expected hex number"
-  in
-  go i 0 false
+  if base >= n then Error empty
+  else begin
+    let c = { s; i = base; base } in
+    let rec items acc =
+      if c.i >= n then raise (Bad empty_item);
+      let x = item c in
+      if c.i = n then List.rev (x :: acc)
+      else begin
+        expect c ';';
+        items (x :: acc)
+      end
+    in
+    match items [] with xs -> Ok xs | exception Bad e -> Error e
+  end
 
-let expect_char s i c =
-  if i < String.length s && s.[i] = c then Ok (i + 1)
-  else Error (Printf.sprintf "expected '%c' at offset %d" c i)
-
-let render_batch_op = function
-  | B_continue -> "c"
-  | B_read { addr; len } -> Printf.sprintf "r%x,%x" addr len
+let add_batch_op buf = function
+  | B_continue -> Buffer.add_char buf 'c'
+  | B_read { addr; len } ->
+    Buffer.add_char buf 'r';
+    add_hex buf addr;
+    Buffer.add_char buf ',';
+    add_hex buf len
   | B_write { addr; data } ->
-    Printf.sprintf "w%x,%x:%s" addr (String.length data) (escape_binary data)
+    Buffer.add_char buf 'w';
+    add_hex buf addr;
+    Buffer.add_char buf ',';
+    add_hex buf (String.length data);
+    Buffer.add_char buf ':';
+    add_escaped buf data
   | B_read_counted { count_addr; data_addr; stride; max_count; reset } ->
-    Printf.sprintf "k%x,%x,%x,%x,%c" count_addr data_addr stride max_count
-      (if reset then 'r' else 'n')
+    Buffer.add_char buf 'k';
+    add_hex buf count_addr;
+    Buffer.add_char buf ',';
+    add_hex buf data_addr;
+    Buffer.add_char buf ',';
+    add_hex buf stride;
+    Buffer.add_char buf ',';
+    add_hex buf max_count;
+    Buffer.add_char buf ',';
+    Buffer.add_char buf (if reset then 'r' else 'n')
   | B_monitor cmd ->
-    Printf.sprintf "m%x:%s" (String.length cmd) (escape_binary cmd)
+    Buffer.add_char buf 'm';
+    add_hex buf (String.length cmd);
+    Buffer.add_char buf ':';
+    add_escaped buf cmd
 
-let render_batch_ops ops = String.concat ";" (List.map render_batch_op ops)
+let rec add_separated add buf = function
+  | [] -> ()
+  | [ x ] -> add buf x
+  | x :: rest ->
+    add buf x;
+    Buffer.add_char buf ';';
+    add_separated add buf rest
 
-let parse_batch_ops s =
-  let n = String.length s in
-  let rec items i acc =
-    if i >= n then Error "empty batch item"
-    else
-      let* op, i =
-        match s.[i] with
-        | 'c' -> Ok (B_continue, i + 1)
-        | 'r' ->
-          let* addr, i = parse_hex_at s (i + 1) in
-          let* i = expect_char s i ',' in
-          let* len, i = parse_hex_at s i in
-          Ok (B_read { addr; len }, i)
-        | 'w' ->
-          let* addr, i = parse_hex_at s (i + 1) in
-          let* i = expect_char s i ',' in
-          let* len, i = parse_hex_at s i in
-          let* i = expect_char s i ':' in
-          let* data, i = scan_escaped s i len in
-          Ok (B_write { addr; data }, i)
-        | 'k' ->
-          let* count_addr, i = parse_hex_at s (i + 1) in
-          let* i = expect_char s i ',' in
-          let* data_addr, i = parse_hex_at s i in
-          let* i = expect_char s i ',' in
-          let* stride, i = parse_hex_at s i in
-          let* i = expect_char s i ',' in
-          let* max_count, i = parse_hex_at s i in
-          let* i = expect_char s i ',' in
-          let* reset =
-            if i < n && s.[i] = 'r' then Ok true
-            else if i < n && s.[i] = 'n' then Ok false
-            else Error "counted read: expected 'r' or 'n'"
-          in
-          Ok (B_read_counted { count_addr; data_addr; stride; max_count; reset }, i + 1)
-        | 'm' ->
-          let* len, i = parse_hex_at s (i + 1) in
-          let* i = expect_char s i ':' in
-          let* cmd, i = scan_escaped s i len in
-          Ok (B_monitor cmd, i)
-        | c -> Error (Printf.sprintf "unknown batch op '%c'" c)
-      in
-      if i = n then Ok (List.rev (op :: acc))
-      else
-        let* i = expect_char s i ';' in
-        items i (op :: acc)
-  in
-  if n = 0 then Error "empty batch" else items 0 []
+let render_ops ~prefix ops =
+  let buf = Buffer.create 128 in
+  Buffer.add_string buf prefix;
+  add_separated add_batch_op buf ops;
+  Buffer.contents buf
 
-let render_batch_reply = function
-  | Br_ok -> "K"
-  | Br_error n -> Printf.sprintf "E%02x" (n land 0xFF)
+let render_batch_ops ops = render_ops ~prefix:"" ops
+
+let batch_op_at c =
+  let ch = c.s.[c.i] in
+  c.i <- c.i + 1;
+  match ch with
+  | 'c' -> B_continue
+  | 'r' ->
+    let addr = hex_at c in
+    expect c ',';
+    let len = hex_at c in
+    B_read { addr; len }
+  | 'w' ->
+    let addr = hex_at c in
+    expect c ',';
+    let len = hex_at c in
+    expect c ':';
+    let data = escaped_at c len in
+    B_write { addr; data }
+  | 'k' ->
+    let count_addr = hex_at c in
+    expect c ',';
+    let data_addr = hex_at c in
+    expect c ',';
+    let stride = hex_at c in
+    expect c ',';
+    let max_count = hex_at c in
+    expect c ',';
+    let reset =
+      match if c.i < String.length c.s then c.s.[c.i] else ' ' with
+      | 'r' -> true
+      | 'n' -> false
+      | _ -> raise (Bad "counted read: expected 'r' or 'n'")
+    in
+    c.i <- c.i + 1;
+    B_read_counted { count_addr; data_addr; stride; max_count; reset }
+  | 'm' ->
+    let len = hex_at c in
+    expect c ':';
+    let cmd = escaped_at c len in
+    B_monitor cmd
+  | ch -> raise (Bad (Printf.sprintf "unknown batch op '%c'" ch))
+
+let parse_batch_ops_at s base =
+  parse_items ~empty:"empty batch" ~empty_item:"empty batch item" batch_op_at s base
+
+let parse_batch_ops s = parse_batch_ops_at s 0
+
+let add_batch_reply buf = function
+  | Br_ok -> Buffer.add_char buf 'K'
+  | Br_error n ->
+    Buffer.add_char buf 'E';
+    add_hex ~width:2 buf (n land 0xFF)
   | Br_data data ->
-    Printf.sprintf "d%x:%s" (String.length data) (escape_binary data)
+    Buffer.add_char buf 'd';
+    add_hex buf (String.length data);
+    Buffer.add_char buf ':';
+    add_escaped buf data
   | Br_counted { count; data } ->
-    Printf.sprintf "k%x,%x:%s" count (String.length data) (escape_binary data)
+    Buffer.add_char buf 'k';
+    add_hex buf count;
+    Buffer.add_char buf ',';
+    add_hex buf (String.length data);
+    Buffer.add_char buf ':';
+    add_escaped buf data
   | Br_stop payload ->
-    Printf.sprintf "s%x:%s" (String.length payload) (escape_binary payload)
+    Buffer.add_char buf 's';
+    add_hex buf (String.length payload);
+    Buffer.add_char buf ':';
+    add_escaped buf payload
 
-let render_batch_replies replies =
-  String.concat ";" (List.map render_batch_reply replies)
+let render_batch_replies ?(prefix = "") replies =
+  let buf = Buffer.create 128 in
+  Buffer.add_string buf prefix;
+  add_separated add_batch_reply buf replies;
+  Buffer.contents buf
 
-let parse_batch_replies s =
-  let n = String.length s in
-  let rec items i acc =
-    if i >= n then Error "empty batch reply item"
-    else
-      let* reply, i =
-        match s.[i] with
-        | 'K' -> Ok (Br_ok, i + 1)
-        | 'E' ->
-          if i + 3 <= n then
-            let* code = parse_hex_int (String.sub s (i + 1) 2) in
-            Ok (Br_error code, i + 3)
-          else Error "truncated error reply"
-        | 'd' ->
-          let* len, i = parse_hex_at s (i + 1) in
-          let* i = expect_char s i ':' in
-          let* data, i = scan_escaped s i len in
-          Ok (Br_data data, i)
-        | 'k' ->
-          let* count, i = parse_hex_at s (i + 1) in
-          let* i = expect_char s i ',' in
-          let* len, i = parse_hex_at s i in
-          let* i = expect_char s i ':' in
-          let* data, i = scan_escaped s i len in
-          Ok (Br_counted { count; data }, i)
-        | 's' ->
-          let* len, i = parse_hex_at s (i + 1) in
-          let* i = expect_char s i ':' in
-          let* payload, i = scan_escaped s i len in
-          Ok (Br_stop payload, i)
-        | c -> Error (Printf.sprintf "unknown batch reply '%c'" c)
-      in
-      if i = n then Ok (List.rev (reply :: acc))
-      else
-        let* i = expect_char s i ';' in
-        items i (reply :: acc)
-  in
-  if n = 0 then Error "empty batch reply" else items 0 []
+let batch_reply_at c =
+  let ch = c.s.[c.i] in
+  c.i <- c.i + 1;
+  match ch with
+  | 'K' -> Br_ok
+  | 'E' ->
+    if c.i + 2 > String.length c.s then raise (Bad "truncated error reply");
+    (match parse_hex_int (String.sub c.s c.i 2) with
+     | Ok code ->
+       c.i <- c.i + 2;
+       Br_error code
+     | Error e -> raise (Bad e))
+  | 'd' ->
+    let len = hex_at c in
+    expect c ':';
+    Br_data (escaped_at c len)
+  | 'k' ->
+    let count = hex_at c in
+    expect c ',';
+    let len = hex_at c in
+    expect c ':';
+    let data = escaped_at c len in
+    Br_counted { count; data }
+  | 's' ->
+    let len = hex_at c in
+    expect c ':';
+    Br_stop (escaped_at c len)
+  | ch -> raise (Bad (Printf.sprintf "unknown batch reply '%c'" ch))
+
+let parse_batch_replies ?(pos = 0) s =
+  parse_items ~empty:"empty batch reply" ~empty_item:"empty batch reply item" batch_reply_at s pos
+
+(* [String.sub payload 0 (String.length p) = p], without the copy. *)
+let has_prefix payload p =
+  let k = String.length p in
+  String.length payload >= k
+  &&
+  let rec go i = i >= k || (payload.[i] = p.[i] && go (i + 1)) in
+  go 0
 
 let parse_command payload =
   if payload = "" then Error "empty packet"
   else
-    let rest = String.sub payload 1 (String.length payload - 1) in
+    let rest () = String.sub payload 1 (String.length payload - 1) in
     match payload.[0] with
     | 'q' ->
       if payload = "qSupported" then Ok (Q_supported "")
-      else if String.length payload >= 11 && String.sub payload 0 11 = "qSupported:" then
+      else if has_prefix payload "qSupported:" then
         Ok (Q_supported (String.sub payload 11 (String.length payload - 11)))
-      else if String.length payload >= 6 && String.sub payload 0 6 = "qRcmd," then
+      else if has_prefix payload "qRcmd," then
         let hex = String.sub payload 6 (String.length payload - 6) in
         (match Hex.decode hex with
          | Ok cmd -> Ok (Monitor cmd)
          | Error e -> Error ("qRcmd: " ^ e))
       else Error (Printf.sprintf "unsupported query %S" payload)
     | 'm' ->
-      let* addr, len = parse_addr_len rest in
+      let* addr, len = parse_addr_len (rest ()) in
       Ok (Read_mem { addr; len })
     | 'M' ->
-      (match split2 ':' rest with
+      (match split2 ':' (rest ()) with
        | None -> Error "M: missing data"
        | Some (range, hexdata) ->
          let* addr, len = parse_addr_len range in
@@ -358,7 +483,7 @@ let parse_command payload =
             if String.length data <> len then Error "M: length mismatch"
             else Ok (Write_mem { addr; data })))
     | 'X' ->
-      (match split2 ':' rest with
+      (match split2 ':' (rest ()) with
        | None -> Error "X: missing data"
        | Some (range, escaped) ->
          let* addr, len = parse_addr_len range in
@@ -368,10 +493,10 @@ let parse_command payload =
             if String.length data <> len then Error "X: length mismatch"
             else Ok (Write_mem_bin { addr; data })))
     | 'Z' ->
-      let* addr = parse_breakpoint rest in
+      let* addr = parse_breakpoint (rest ()) in
       Ok (Insert_breakpoint addr)
     | 'z' ->
-      let* addr = parse_breakpoint rest in
+      let* addr = parse_breakpoint (rest ()) in
       Ok (Remove_breakpoint addr)
     | 'Q' ->
       (* QSnapshot extension: the stub holds one board-side snapshot.
@@ -387,10 +512,10 @@ let parse_command payload =
     | '?' when payload = "?" -> Ok Halt_reason
     | 'k' when payload = "k" -> Ok Kill
     | 'v' ->
-      if String.length payload >= 12 && String.sub payload 0 12 = "vFlashErase:" then
+      if has_prefix payload "vFlashErase:" then
         let* addr, len = parse_addr_len (String.sub payload 12 (String.length payload - 12)) in
         Ok (Flash_erase { addr; len })
-      else if String.length payload >= 12 && String.sub payload 0 12 = "vFlashWrite:" then
+      else if has_prefix payload "vFlashWrite:" then
         let body = String.sub payload 12 (String.length payload - 12) in
         (match split2 ':' body with
          | None -> Error "vFlashWrite: missing data"
@@ -400,8 +525,8 @@ let parse_command payload =
             | Error e -> Error ("vFlashWrite: " ^ e)
             | Ok data -> Ok (Flash_write { addr; data })))
       else if payload = "vFlashDone" then Ok Flash_done
-      else if String.length payload >= 7 && String.sub payload 0 7 = "vBatch:" then
-        let* ops = parse_batch_ops (String.sub payload 7 (String.length payload - 7)) in
+      else if has_prefix payload "vBatch:" then
+        let* ops = parse_batch_ops_at payload 7 in
         Ok (Batch ops)
       else Error (Printf.sprintf "unsupported v-packet %S" payload)
     | _ -> Error (Printf.sprintf "unsupported packet %S" payload)
@@ -426,7 +551,7 @@ let render_command = function
     Printf.sprintf "vFlashWrite:%x:%s" addr (escape_binary data)
   | Flash_done -> "vFlashDone"
   | Monitor cmd -> "qRcmd," ^ Hex.encode cmd
-  | Batch ops -> "vBatch:" ^ render_batch_ops ops
+  | Batch ops -> render_ops ~prefix:"vBatch:" ops
   | Snapshot_save -> "QSnapshot:save"
   | Snapshot_restore -> "QSnapshot:restore"
 
@@ -446,7 +571,16 @@ let render_reply ~pc_reg = function
   | Error_reply n -> Printf.sprintf "E%02x" (n land 0xFF)
   | Hex_data raw -> Hex.encode raw
   | Stop { signal; pc; detail } ->
-    Printf.sprintf "T%02x%02x:%08x;%s;" (signal land 0xFF) pc_reg pc detail
+    let buf = Buffer.create (16 + String.length detail) in
+    Buffer.add_char buf 'T';
+    add_hex ~width:2 buf (signal land 0xFF);
+    add_hex ~width:2 buf pc_reg;
+    Buffer.add_char buf ':';
+    add_hex ~width:8 buf pc;
+    Buffer.add_char buf ';';
+    Buffer.add_string buf detail;
+    Buffer.add_char buf ';';
+    Buffer.contents buf
   | Exited code -> Printf.sprintf "W%02x" (code land 0xFF)
   | Supported s -> s
   | Raw s -> s
@@ -495,7 +629,7 @@ let unescape_binary s = typed (unescape_binary s)
 
 let parse_batch_ops s = typed (parse_batch_ops s)
 
-let parse_batch_replies s = typed (parse_batch_replies s)
+let parse_batch_replies ?pos s = typed (parse_batch_replies ?pos s)
 
 let parse_command payload = typed (parse_command payload)
 

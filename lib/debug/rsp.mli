@@ -75,9 +75,14 @@ val render_batch_ops : batch_op list -> string
 
 val parse_batch_ops : string -> (batch_op list, Eof_util.Eof_error.t) result
 
-val render_batch_replies : batch_reply list -> string
+val render_batch_replies : ?prefix:string -> batch_reply list -> string
+(** The sub-replies, [;]-separated, after [prefix] (default empty; the
+    stub passes the reply packet's leading ["b"]). *)
 
-val parse_batch_replies : string -> (batch_reply list, Eof_util.Eof_error.t) result
+val parse_batch_replies :
+  ?pos:int -> string -> (batch_reply list, Eof_util.Eof_error.t) result
+(** Parse the sub-replies starting at offset [pos] (default 0), so a
+    caller can skip a packet prefix without copying the payload. *)
 
 (** Host-to-target commands, parsed from packet payloads. *)
 type command =

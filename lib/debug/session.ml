@@ -145,7 +145,7 @@ let batch t ops =
   let* reply = request t (Rsp.render_command (Rsp.Batch ops)) in
   match reply with
   | Rsp.Raw s when String.length s >= 1 && s.[0] = 'b' ->
-    (match Rsp.parse_batch_replies (String.sub s 1 (String.length s - 1)) with
+    (match Rsp.parse_batch_replies ~pos:1 s with
      | Error e -> Error (Eof_error.with_context "batch" e)
      | Ok replies ->
        if List.length replies <> List.length ops then

@@ -60,17 +60,7 @@ let install t image =
 
 let partition_table t = t.table
 
-let corrupted_partitions t =
-  List.filter_map
-    (fun (name, expected) ->
-      match Partition.find t.table name with
-      | None -> Some name
-      | Some e ->
-        let actual =
-          Flash.crc_range t.flash ~addr:(Flash.base t.flash + e.offset) ~len:e.size
-        in
-        if Int32.equal actual expected then None else Some name)
-    t.manifest
+let corrupted_partitions t = Image.corrupted ~table:t.table ~manifest:t.manifest t.flash
 
 let boot_ok t = t.manifest <> [] && corrupted_partitions t = []
 

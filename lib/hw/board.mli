@@ -51,7 +51,9 @@ val partition_table : t -> Partition.t
 
 val boot_ok : t -> bool
 (** The simulated bootloader's integrity check: every partition CRC must
-    match the manifest recorded at {!install}/reflash time. *)
+    match the manifest recorded at {!install}/reflash time. The CRCs are
+    memoized in the flash and recomputed only after flash changed, so a
+    boot that follows no flash write costs O(partitions), not O(image). *)
 
 val corrupted_partitions : t -> string list
 

@@ -1,11 +1,26 @@
-type t = { mem : Memory.t; sector_size : int; mutable erase_count : int }
+(* One memoized CRC per [(addr, len)] range, valid while the backing
+   region's mutation count still equals [at]. Boot verification asks for
+   the same few partition ranges on every boot, and flash only changes
+   on install, reflash or a restore of dirty flash pages. *)
+type crc_memo = { addr : int; len : int; mutable at : int; mutable crc : int32 }
+
+type t = {
+  mem : Memory.t;
+  sector_size : int;
+  mutable erase_count : int;
+  mutable crcs : crc_memo list;
+}
+
+(* A few partitions per image; a caller sweeping arbitrary ranges must
+   not grow the list without bound. *)
+let max_crc_memos = 16
 
 let create ~base ~size ~sector_size ~endianness =
   if sector_size <= 0 || size <= 0 || size mod sector_size <> 0 then
     invalid_arg "Flash.create: size must be a positive multiple of sector_size";
   let mem = Memory.create ~base ~size ~endianness in
   Memory.fill mem ~addr:base ~len:size '\xFF';
-  { mem; sector_size; erase_count = 0 }
+  { mem; sector_size; erase_count = 0; crcs = [] }
 
 let base t = Memory.base t.mem
 
@@ -56,9 +71,23 @@ let write_image t ~addr data =
 
 let read t ~addr ~len = Bytes.unsafe_to_string (Memory.read_bytes t.mem ~addr ~len)
 
-let crc_range t ~addr ~len =
-  let b = Memory.read_bytes t.mem ~addr ~len in
-  Eof_util.Crc32.digest_bytes b ~pos:0 ~len
+let rec memo_crc t ~addr ~len ~now = function
+  | m :: rest ->
+    if m.addr <> addr || m.len <> len then memo_crc t ~addr ~len ~now rest
+    else begin
+      if m.at <> now then begin
+        m.crc <- Memory.crc_range t.mem ~addr ~len;
+        m.at <- now
+      end;
+      m.crc
+    end
+  | [] ->
+    let crc = Memory.crc_range t.mem ~addr ~len in
+    let m = { addr; len; at = now; crc } in
+    t.crcs <- (if List.length t.crcs >= max_crc_memos then [ m ] else m :: t.crcs);
+    crc
+
+let crc_range t ~addr ~len = memo_crc t ~addr ~len ~now:(Memory.mutations t.mem) t.crcs
 
 let erase_count t = t.erase_count
 

@@ -38,6 +38,10 @@ val write_image : t -> addr:int -> string -> unit
 val read : t -> addr:int -> len:int -> string
 
 val crc_range : t -> addr:int -> len:int -> int32
+(** CRC-32 of [\[addr, addr+len)], memoized per range. A memo is reused
+    only while {!Memory.mutations} of the backing region is unchanged, so
+    any write, erase, program or snapshot restore forces a fresh CRC,
+    computed in place. @raise Fault.Trap if out of range. *)
 
 val erase_count : t -> int
 (** Total sector erases since creation — a cheap wear metric used by the

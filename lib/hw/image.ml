@@ -93,14 +93,16 @@ let flash_one t flash name =
     Flash.write_image flash ~addr:(Flash.base flash + e.offset) (padded_blob e blob);
     Ok ()
 
-let verify t flash =
+let corrupted ~table ~manifest flash =
   List.filter_map
     (fun (name, expected) ->
-      let e = Option.get (Partition.find t.table name) in
-      let actual =
-        Flash.crc_range flash ~addr:(Flash.base flash + e.offset) ~len:e.size
-      in
-      if Int32.equal actual expected then None else Some name)
-    (manifest t)
+      match Partition.find table name with
+      | None -> Some name
+      | Some (e : Partition.entry) ->
+        let actual = Flash.crc_range flash ~addr:(Flash.base flash + e.offset) ~len:e.size in
+        if Int32.equal actual expected then None else Some name)
+    manifest
+
+let verify t flash = corrupted ~table:t.table ~manifest:(manifest t) flash
 
 let total_bytes t = List.fold_left (fun acc (_, b) -> acc + String.length b) 0 t.blobs

@@ -32,9 +32,15 @@ val flash_all : t -> Flash.t -> unit
 val flash_one : t -> Flash.t -> string -> (unit, string) result
 (** Reflash a single partition by name. *)
 
+val corrupted :
+  table:Partition.t -> manifest:(string * int32) list -> Flash.t -> string list
+(** The boot check: names in [manifest] whose partition is missing from
+    [table] or whose flash CRC ({!Flash.crc_range}, memoized) differs
+    from the recorded one, in manifest order. *)
+
 val verify : t -> Flash.t -> string list
-(** Names of partitions whose flash contents no longer match the
-    manifest (empty list = image intact). *)
+(** {!corrupted} against the image's own table and manifest (empty list
+    = image intact). *)
 
 val total_bytes : t -> int
 (** Sum of blob sizes: the "binary size" used by the memory-overhead

@@ -17,6 +17,10 @@ type t = {
      resets O(dirty pages) instead of O(region size). *)
   nz : Bytes.t;
   mutable generation : int;
+  (* Bumped by every mutator, including snapshot restores that rewind a
+     page's stamp. Content caches (the flash boot-CRC memo) key on it:
+     an unchanged count proves no byte changed. *)
+  mutable mutations : int;
 }
 
 let pages_of_size size = (size + page_size - 1) / page_size
@@ -32,6 +36,7 @@ let create ~base ~size ~endianness =
     stamps = Array.make n_pages 0;
     nz = Bytes.make n_pages '\000';
     generation = 1;
+    mutations = 0;
   }
 
 let base t = t.base
@@ -44,17 +49,22 @@ let page_count t = Array.length t.stamps
 
 let generation t = t.generation
 
+let mutations t = t.mutations
+
 let touch t off =
   let p = off lsr page_shift in
+  t.mutations <- t.mutations + 1;
   Array.unsafe_set t.stamps p t.generation;
   Bytes.unsafe_set t.nz p '\001'
 
 let touch_range t off len =
-  if len > 0 then
+  if len > 0 then begin
+    t.mutations <- t.mutations + 1;
     for p = off lsr page_shift to (off + len - 1) lsr page_shift do
       Array.unsafe_set t.stamps p t.generation;
       Bytes.unsafe_set t.nz p '\001'
     done
+  end
 
 let in_range t ~addr ~len =
   len >= 0 && addr >= t.base && addr + len <= t.base + Bytes.length t.data
@@ -126,6 +136,10 @@ let blit_to t ~addr ~dst ~dst_pos ~len =
   check t addr len;
   Bytes.blit t.data (addr - t.base) dst dst_pos len
 
+let crc_range t ~addr ~len =
+  check t addr len;
+  Eof_util.Crc32.digest_bytes t.data ~pos:(addr - t.base) ~len
+
 let fill t ~addr ~len c =
   check t addr len;
   let off = addr - t.base in
@@ -142,6 +156,7 @@ let clear t =
     if Bytes.unsafe_get t.nz p <> '\000' then begin
       Bytes.fill t.data (p lsl page_shift) (page_len t p) '\000';
       (* Content changed, so the page is dirty relative to any snapshot. *)
+      t.mutations <- t.mutations + 1;
       Array.unsafe_set t.stamps p t.generation;
       Bytes.unsafe_set t.nz p '\000'
     end
@@ -170,12 +185,13 @@ let restore_pages t ~baseline ~since =
       Bytes.blit baseline off t.data off len;
       (* The page now provably matches the capture, so it is clean with
          respect to this snapshot; conservatively flag it nonzero so a
-         later [clear] rewrites it. *)
+         later [clear] rewrites it. Its stamp goes back in time but its
+         bytes may differ from what a content cache last saw, so the
+         mutation count still moves forward. *)
+      t.mutations <- t.mutations + 1;
       Array.unsafe_set t.stamps p since;
       Bytes.unsafe_set t.nz p '\001';
       incr copied
     end
   done;
   !copied
-
-let unsafe_backing t = t.data

@@ -45,6 +45,10 @@ val write_bytes : t -> addr:int -> Bytes.t -> unit
 
 val blit_to : t -> addr:int -> dst:Bytes.t -> dst_pos:int -> len:int -> unit
 
+val crc_range : t -> addr:int -> len:int -> int32
+(** CRC-32 of [\[addr, addr+len)], computed over the backing store in
+    place (no copy). @raise Fault.Trap if out of range. *)
+
 val fill : t -> addr:int -> len:int -> char -> unit
 
 val clear : t -> unit
@@ -58,6 +62,13 @@ val page_count : t -> int
 
 val generation : t -> int
 (** Current write generation. Monotonic; bumped by {!mark_generation}. *)
+
+val mutations : t -> int
+(** Monotone count of content mutations: every write, every page
+    {!clear} zeroes and every page {!restore_pages} copies back bumps
+    it. If it is unchanged between two points, no byte of the region
+    changed in between — unlike page stamps, which {!restore_pages}
+    rewinds, so a stamp cannot vouch for a page's bytes. *)
 
 val mark_generation : t -> int
 (** Return the current generation and advance to the next one. Pages
@@ -78,8 +89,3 @@ val restore_pages : t -> baseline:Bytes.t -> since:int -> int
     number of pages copied — the cost of the restore. Restoring an older
     snapshot invalidates dirty accounting of snapshots captured later;
     keep one live snapshot per region. *)
-
-val unsafe_backing : t -> Bytes.t
-(** Direct access to the backing store for target-side code that would,
-    on real hardware, access memory without going through the debugger.
-    Offsets into the backing store are [addr - base]. *)

@@ -328,3 +328,130 @@ let suite =
         test_memory_clear_dirty;
       Alcotest.test_case "board snapshot roundtrip" `Quick test_board_snapshot_roundtrip;
     ]
+
+(* --- boot-CRC memo ------------------------------------------------------ *)
+
+let boot_table =
+  [
+    { Partition.name = "bootloader"; offset = 0; size = 0x4000 };
+    { Partition.name = "kernel"; offset = 0x4000; size = 0x8000 };
+  ]
+
+let boot_image = Image.synthesize ~table:boot_table ~seed:5L ()
+
+let reflash_corrupted board =
+  List.iter
+    (fun name ->
+      match Board.reflash_partition board boot_image name with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail e)
+    (Board.corrupted_partitions board)
+
+(* Every way flash bytes can change must invalidate the memoized boot
+   CRCs. Each case prepares on a blank board (before install) and
+   returns the mutation to apply to the installed, verified image. *)
+let flash_mutators : (string * (Board.t -> Board.t -> unit)) list =
+  let kernel board = (Board.profile board).Board.flash_base + 0x5000 in
+  let mem board = Flash.mem (Board.flash board) in
+  let now f _ board = f board in
+  [
+    ("write_u8", now (fun b -> Memory.write_u8 (mem b) (kernel b)
+                                 (lnot (Memory.read_u8 (mem b) (kernel b)))));
+    ("write_u16", now (fun b -> Memory.write_u16 (mem b) (kernel b)
+                                  (lnot (Memory.read_u16 (mem b) (kernel b)))));
+    ("write_u32", now (fun b -> Memory.write_u32 (mem b) (kernel b)
+                                  (Int32.lognot (Memory.read_u32 (mem b) (kernel b)))));
+    ("write_bytes", now (fun b -> Memory.write_bytes (mem b) ~addr:(kernel b)
+                                    (Bytes.of_string "\x00\x11\x22\x33\x44")));
+    ("fill", now (fun b -> Memory.fill (mem b) ~addr:(kernel b) ~len:64 'x'));
+    ("erase_sector", now (fun b -> Flash.erase_sector (Board.flash b) ~addr:(kernel b)));
+    ("program", now (fun b -> Flash.program (Board.flash b) ~addr:(kernel b) "\x00\x00\x00\x00"));
+    ("write_image", now (fun b -> Flash.write_image (Board.flash b) ~addr:(kernel b) "junk"));
+    ("corrupt", now (fun b -> Flash.corrupt (Board.flash b) ~addr:(kernel b) "junk"));
+    ( "restore_pages",
+      (* A snapshot of the erased device: restoring it rewinds every
+         page the install programmed. *)
+      fun blank ->
+        let snap = Board.snapshot blank in
+        fun b -> ignore (Board.restore_snapshot b snap : int) );
+  ]
+
+let test_boot_crc_invalidated_by_every_mutator () =
+  List.iter
+    (fun (name, prepare) ->
+      let board = Board.create Profiles.stm32f4_disco in
+      let mutate = prepare board in
+      Board.install board boot_image;
+      Alcotest.(check bool) (name ^ ": boots") true (Board.boot_ok board);
+      Alcotest.(check bool) (name ^ ": boots again (memo hit)") true (Board.boot_ok board);
+      mutate board;
+      Alcotest.(check bool) (name ^ ": refuses after mutation") false (Board.boot_ok board);
+      reflash_corrupted board;
+      Alcotest.(check bool) (name ^ ": boots after reflash") true (Board.boot_ok board))
+    flash_mutators
+
+(* Restore rewinds page stamps to the capture generation; a memo keyed on
+   stamps would take the restored (corrupted) pages for the clean ones it
+   CRC'd after the reflash. *)
+let test_boot_crc_stamp_rewind () =
+  let board = Board.create Profiles.stm32f4_disco in
+  Board.install board boot_image;
+  let kernel = (Board.profile board).Board.flash_base + 0x5000 in
+  Flash.corrupt (Board.flash board) ~addr:kernel "junk";
+  let snap = Board.snapshot board in
+  Alcotest.(check bool) "corrupted image refused" false (Board.boot_ok board);
+  reflash_corrupted board;
+  Alcotest.(check bool) "reflashed image boots" true (Board.boot_ok board);
+  Alcotest.(check bool) "memoized verdict" true (Board.boot_ok board);
+  Alcotest.(check bool) "restore copied pages" true (Board.restore_snapshot board snap > 0);
+  Alcotest.(check bool) "restored corruption refused" false (Board.boot_ok board);
+  Alcotest.(check (list string)) "which" [ "kernel" ] (Board.corrupted_partitions board)
+
+(* Random interleavings of every mutator with CRC queries over a few
+   recurring ranges (so memo hits happen) and arbitrary ones. *)
+let prop_crc_memo_matches_fresh =
+  let size = 0x2000 and sector = 0x800 in
+  let ranges = [| (0, size); (0x100, 0x300); (sector, sector); (0x7F0, 0x20) |] in
+  QCheck.Test.make ~name:"memoized flash CRC equals a fresh CRC" ~count:200
+    QCheck.(list_of_size Gen.(1 -- 40) (triple (int_bound 9) (int_bound (size - 1)) (int_bound 255)))
+    (fun ops ->
+      let flash = Flash.create ~base:0 ~size ~sector_size:sector ~endianness:Arch.Little in
+      let mem = Flash.mem flash in
+      let baseline = ref (Memory.baseline mem) and since = ref (Memory.mark_generation mem) in
+      let fresh ~addr ~len = Eof_util.Crc32.digest_string (Flash.read flash ~addr ~len) in
+      List.for_all
+        (fun (op, off, v) ->
+          let clamp len = min len (size - off) in
+          match op with
+          | 0 -> Memory.write_u8 mem off v; true
+          | 1 -> Memory.fill mem ~addr:off ~len:(clamp 40) (Char.chr v); true
+          | 2 -> Flash.erase_sector flash ~addr:off; true
+          | 3 -> Flash.program flash ~addr:off (String.make (clamp 3) (Char.chr v)); true
+          | 4 -> Flash.corrupt flash ~addr:off (String.make (clamp 2) (Char.chr v)); true
+          | 5 ->
+            baseline := Memory.baseline mem;
+            since := Memory.mark_generation mem;
+            true
+          | 6 ->
+            ignore (Memory.restore_pages mem ~baseline:!baseline ~since:!since : int);
+            true
+          | 7 ->
+            let len = clamp (1 + v) in
+            Int32.equal (Flash.crc_range flash ~addr:off ~len) (fresh ~addr:off ~len)
+          | _ ->
+            let addr, len = ranges.(v mod Array.length ranges) in
+            Int32.equal (Flash.crc_range flash ~addr ~len) (fresh ~addr ~len))
+        ops
+      && Array.for_all
+           (fun (addr, len) -> Int32.equal (Flash.crc_range flash ~addr ~len) (fresh ~addr ~len))
+           ranges)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "boot CRC memo invalidated by every flash mutator" `Quick
+        test_boot_crc_invalidated_by_every_mutator;
+      Alcotest.test_case "boot CRC memo sees through stamp rewind" `Quick
+        test_boot_crc_stamp_rewind;
+      QCheck_alcotest.to_alcotest prop_crc_memo_matches_fresh;
+    ]
