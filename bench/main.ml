@@ -408,7 +408,7 @@ let run_scaling () =
   section "Board-farm scaling: one campaign budget across 1/2/4/8 boards";
   let iterations = Runner.scaled 1200 in
   Printf.printf
-    "[Zephyr campaign, seed 11, %d payloads total per point, Domain backend...]\n%!"
+    "[Zephyr campaign, seed 11, %d payloads total per point...]\n%!"
     iterations;
   let points = Scaling.run ~iterations () in
   if points = [] then failwith "scaling experiment produced no points";
@@ -990,7 +990,7 @@ let write_bench_json ~micro ~link ~scaling ~resilience ~native ~snapshot ~hub
   | Some (iterations, points) ->
     Buffer.add_string b "{\n";
     Buffer.add_string b
-      (Printf.sprintf "    \"backend\": \"domains\",\n    \"iterations\": %d,\n    \"series\": [\n"
+      (Printf.sprintf "    \"iterations\": %d,\n    \"series\": [\n"
          iterations);
     let n = List.length points in
     List.iteri

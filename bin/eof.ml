@@ -54,28 +54,25 @@ let console_level_of_string s =
   | "off" | "none" | "quiet" -> Ok None
   | s -> Result.map Option.some (Obs.Level.of_string s)
 
-let fuzz os seed iterations boards sync_every exec_backend farm_backend digest
+let fuzz os seed iterations boards sync_every exec_backend digest
     no_feedback no_dep no_watchdog irq verbose crash_dir save_corpus load_corpus
     log_level trace_file fault_rate fault_seed reset_policy schedule =
   match
-    (target_of os, Eof_core.Farm.backend_of_name farm_backend,
-     console_level_of_string log_level, exec_backend_of_name exec_backend,
-     Campaign.reset_policy_of_name reset_policy,
+    (target_of os, console_level_of_string log_level,
+     exec_backend_of_name exec_backend, Campaign.reset_policy_of_name reset_policy,
      Eof_core.Corpus.schedule_of_name schedule)
   with
-  | Error e, _, _, _, _, _
-  | _, Error e, _, _, _, _
-  | _, _, Error e, _, _, _
-  | _, _, _, Error e, _, _
-  | _, _, _, _, Error e, _
-  | _, _, _, _, _, Error e ->
+  | Error e, _, _, _, _
+  | _, Error e, _, _, _
+  | _, _, Error e, _, _
+  | _, _, _, Error e, _
+  | _, _, _, _, Error e ->
     prerr_endline e;
     1
   | _ when not (fault_rate >= 0. && fault_rate <= 1.) ->
     prerr_endline "eof fuzz: --fault-rate must be within [0, 1]";
     1
-  | ( Ok target, Ok backend, Ok console_level, Ok exec_mode, Ok reset_policy,
-      Ok schedule ) ->
+  | Ok target, Ok console_level, Ok exec_mode, Ok reset_policy, Ok schedule ->
     let obs = Obs.create () in
     (match console_level with
      | Some min_level -> Obs.add_sink obs (Obs.console_sink ~min_level ())
@@ -105,10 +102,7 @@ let fuzz os seed iterations boards sync_every exec_backend farm_backend digest
                | _ -> "")
           | Single Eof_agent.Machine.Native -> "in-process (native backend)")
          iterations seed
-         (if boards = 1 then ""
-          else
-            Printf.sprintf ", %d boards, %s backend" boards
-              (Eof_core.Farm.backend_name backend)));
+         (if boards = 1 then "" else Printf.sprintf ", %d boards" boards));
     let table = Eof_os.Osbuild.api_signatures build in
     let initial_seeds =
       match load_corpus with
@@ -196,7 +190,7 @@ let fuzz os seed iterations boards sync_every exec_backend farm_backend digest
         else
           let module Farm = Eof_core.Farm in
           Diff.run_farm ~obs
-            { Farm.boards; sync_every; backend; base = config }
+            { Farm.boards; sync_every; base = config }
             (fun _board -> Targets.build_hw target)
       in
       (match verdict with
@@ -227,7 +221,7 @@ let fuzz os seed iterations boards sync_every exec_backend farm_backend digest
         end)
     else begin
       let module Farm = Eof_core.Farm in
-      let farm_config = { Farm.boards; sync_every; backend; base = config } in
+      let farm_config = { Farm.boards; sync_every; base = config } in
       match Farm.run ~obs farm_config (fun _board -> Targets.build_hw target) with
       | Error e ->
         prerr_endline ("farm campaign failed: " ^ Eof_util.Eof_error.to_string e);
@@ -274,11 +268,6 @@ let fuzz_cmd =
                    cost), $(b,diff) runs both on the same seed schedule and fails if any \
                    observable differs.")
   in
-  let farm_backend =
-    Arg.(value & opt string "cooperative"
-         & info [ "farm-backend" ] ~docv:"BACKEND"
-             ~doc:"Farm scheduler: $(b,cooperative) (deterministic) or $(b,domains) (one OCaml domain per board).")
-  in
   let digest =
     Arg.(value & flag
          & info [ "digest" ]
@@ -319,7 +308,7 @@ let fuzz_cmd =
   let trace =
     Arg.(value & opt (some string) None
          & info [ "trace" ] ~docv:"FILE"
-             ~doc:"Write every telemetry event to $(docv) as JSONL, timestamped in virtual time. With the cooperative farm backend, rerunning the same command produces a byte-identical trace.")
+             ~doc:"Write every telemetry event to $(docv) as JSONL, timestamped in virtual time. Rerunning the same command (farms included) produces a byte-identical trace.")
   in
   let fault_rate =
     Arg.(value & opt float 0.
@@ -355,7 +344,7 @@ let fuzz_cmd =
     (Cmd.info "fuzz" ~doc:"Run an EOF campaign against a simulated board")
     Term.(
       const fuzz $ os_arg $ seed_arg $ iterations_arg $ boards $ sync_every
-      $ exec_backend $ farm_backend $ digest $ no_feedback $ no_dep $ no_watchdog
+      $ exec_backend $ digest $ no_feedback $ no_dep $ no_watchdog
       $ irq $ verbose $ crash_dir $ save_corpus $ load_corpus $ log_level $ trace
       $ fault_rate $ fault_seed $ reset_policy $ schedule)
 

@@ -135,7 +135,7 @@ val virtual_elapsed_s : t -> float
 val cpu_elapsed_s : t -> float
 (** Target CPU time only, excluding any link latency. Identical on
     both backends for the same payload schedule, so schedulers that
-    must interleave boards backend-invariantly (the farm's cooperative
+    must interleave boards backend-invariantly (the farm's min-CPU
     scheduler, hence the differential farm oracle) key on this rather
     than on {!virtual_elapsed_s}. *)
 

@@ -58,9 +58,11 @@ type config = {
           fused with the coverage/cmp/UART drain into a single [vBatch]
           exchange and program delivery uses binary [X] packets, cutting
           link round trips per stop from six-plus to one. [false] keeps
-          the legacy one-request-per-read path — the cost model the
-          baseline comparisons are calibrated against. Coverage and
-          crash outcomes are identical either way; only link traffic
+          the one-request-per-read path. No baseline or experiment uses
+          it: it is the independent reference the fused drain is tested
+          against (test_core's "batched equals unbatched") and the
+          "before" side of the bench's debug-link comparison. Coverage and crash
+          outcomes are identical either way; only link traffic
           differs. *)
   fault_rate : float;
       (** probability that any one debug-link exchange starts a fault
@@ -204,7 +206,7 @@ val virtual_s : state -> float
 
 val cpu_s : state -> float
 (** The board's CPU time alone. Backend-invariant for a given payload
-    schedule, so the cooperative farm scheduler keys on it: board
+    schedule, so the farm's min-CPU scheduler keys on it: board
     interleaving (and therefore corpus cross-pollination order) is then
     identical whether the shards run over the link or natively, which
     is what lets the differential farm oracle demand digest equality. *)

@@ -6,31 +6,18 @@ module Obs = Eof_obs.Obs
 module Inject = Eof_debug.Inject
 module Eof_error = Eof_util.Eof_error
 
-type backend = Cooperative | Domains
-
-let backend_name = function Cooperative -> "cooperative" | Domains -> "domains"
-
-let backend_of_name s =
-  match String.lowercase_ascii s with
-  | "cooperative" -> Ok Cooperative
-  | "domains" -> Ok Domains
-  | other -> Error (Printf.sprintf "unknown farm backend %S (cooperative|domains)" other)
-
 type config = {
   boards : int;
   sync_every : int;
-  backend : backend;
   base : Campaign.config;
 }
 
-let default_config =
-  { boards = 1; sync_every = 25; backend = Cooperative; base = Campaign.default_config }
+let default_config = { boards = 1; sync_every = 25; base = Campaign.default_config }
 
 type sync_sample = { executed : int; virtual_s : float; coverage : int }
 
 type outcome = {
   boards : int;
-  backend : backend;
   coverage : int;
   coverage_bitmap : Bitset.t;
   crashes : Crash.t list;
@@ -96,8 +83,8 @@ let make_shared ?obs ~edge_capacity ~boards ~seed () =
       obs;
     }
   in
-  (* Farm-level events are timestamped by the merge high-water mark —
-     deterministic under the cooperative backend. *)
+  (* Farm-level events are timestamped by the merge high-water mark,
+     which the deterministic schedule makes a pure function of the seed. *)
   Obs.set_clock obs (fun () -> s.virtual_max);
   s
 
@@ -108,11 +95,10 @@ let make_shared ?obs ~edge_capacity ~boards ~seed () =
    crash-event counter only increments, and the shared exchange corpus
    likewise. A cursor remembers each monotone counter at the shard's
    last merge, so an unchanged counter proves the corresponding merge
-   would import nothing and the whole walk can be elided. This is what
-   keeps the Domains backend's critical section near-empty on quiet
-   epochs: three integer compares instead of a bitmap union plus two
-   full corpus walks under the lock. The elisions are pure no-op
-   removals, so cooperative results stay bit-identical. *)
+   would import nothing and the whole walk can be elided: a board with
+   nothing new since its last epoch costs three integer compares instead
+   of a bitmap union plus two full corpus walks. The elisions are pure
+   no-op removals, so results are bit-identical to merging every walk. *)
 type cursor = {
   mutable cov : int;  (* shard coverage count at last push *)
   mutable added : int;  (* shard corpus total_added at last push/pull *)
@@ -192,7 +178,6 @@ type t = {
   states : Campaign.state array;
   cursors : cursor array;
   mutable since : int;  (* payloads executed since the last epoch *)
-  mutable finalized : bool;  (* the final epoch merge has run *)
   mutable paused : bool;  (* lease revoked: the scheduler skips this farm *)
   mutable result : outcome option;
   t0 : float;
@@ -208,7 +193,7 @@ let epoch t =
     Array.iteri (fun i st -> pull_board t.shared st t.cursors.(i)) t.states;
   record_sample t.shared
 
-(* --- deterministic cooperative backend --------------------------------- *)
+(* --- deterministic min-CPU scheduler ------------------------------------ *)
 
 let finished t = Array.for_all Campaign.finished t.states
 
@@ -242,9 +227,6 @@ let next_cpu_s t =
   | Some i -> Some (Campaign.cpu_s t.states.(i))
 
 let step t =
-  (match t.config.backend with
-   | Cooperative -> ()
-   | Domains -> invalid_arg "Farm.step: only cooperative farms are steppable");
   match next_board t with
   | None -> ()
   | Some i ->
@@ -256,95 +238,6 @@ let step t =
       epoch t;
       t.since <- 0
     end
-
-let run_cooperative t =
-  while not (finished t) do
-    step t
-  done
-
-(* --- OCaml 5 Domain backend -------------------------------------------- *)
-
-(* Shards are grouped onto at most [Domain.recommended_domain_count]
-   domains — one shard per domain when the host has the cores, several
-   shards interleaved cooperatively per domain when it does not.
-   Spawning a domain per board regardless of core count is what the old
-   BENCH.json regression was: OCaml 5 minor collections are
-   stop-the-world barriers across every running domain, so oversubscribed
-   domains spend their wall time waiting for descheduled peers to reach
-   the barrier instead of fuzzing. Every shard-local structure is owned
-   by its domain; the only shared state is [shared], guarded by one
-   mutex taken once per epoch boundary — contention is amortized over
-   [sync_every] payloads of lock-free fuzzing, and the merge-cursor
-   elisions keep the held section to integer compares when a shard has
-   nothing new. *)
-let run_domains t =
-  let n = Array.length t.states in
-  let lock = Mutex.create () in
-  let sync i =
-    let st = t.states.(i) and cur = t.cursors.(i) in
-    Mutex.lock lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock lock)
-      (fun () ->
-        merge_board t.shared st cur;
-        if n > 1 then pull_board t.shared st cur;
-        record_sample t.shared)
-  in
-  let workers = min n (max 1 (Domain.recommended_domain_count ())) in
-  (* Round-robin shard assignment; within a group the worker interleaves
-     its shards by the cooperative min-CPU rule, so a one-core host runs
-     the whole farm as one cooperative schedule instead of eight
-     barrier-thrashing domains. *)
-  let group w = List.filter (fun i -> i mod workers = w) (List.init n Fun.id) in
-  let worker shards =
-    let since = Hashtbl.create 8 in
-    List.iter (fun i -> Hashtbl.replace since i 0) shards;
-    let pick () =
-      List.fold_left
-        (fun best i ->
-          if Campaign.finished t.states.(i) then best
-          else
-            let time = Campaign.cpu_s t.states.(i) in
-            match best with
-            | Some (_, bt) when bt <= time -> best
-            | _ -> Some (i, time))
-        None (List.rev shards)
-    in
-    let rec loop () =
-      match pick () with
-      | None -> ()
-      | Some (i, _) ->
-        let st = t.states.(i) in
-        let before = Campaign.executed_programs_so_far st in
-        Campaign.step st;
-        if Campaign.executed_programs_so_far st > before then
-          Hashtbl.replace since i (Hashtbl.find since i + 1);
-        if Campaign.finished st then sync i
-        else if Hashtbl.find since i >= t.config.sync_every then begin
-          sync i;
-          Hashtbl.replace since i 0
-        end;
-        loop ()
-    in
-    loop ()
-  in
-  let domains = Array.init workers (fun w -> Domain.spawn (fun () -> worker (group w))) in
-  (* Join every domain before re-raising the first failure, so a fault in
-     one shard group surfaces to the caller without orphaning the rest. *)
-  let joined =
-    Array.map
-      (fun d ->
-        match Domain.join d with
-        | () -> None
-        | exception e -> Some (e, Printexc.get_raw_backtrace ()))
-      domains
-  in
-  Array.iter
-    (function Some (e, bt) -> Printexc.raise_with_backtrace e bt | None -> ())
-    joined;
-  (* Each worker ran every shard's final sync; a farm-level closing
-     epoch would add a spurious sample. *)
-  t.finalized <- true
 
 (* --- top level ---------------------------------------------------------- *)
 
@@ -422,7 +315,6 @@ let init ?obs ?inject_for (config : config) mk_build =
               states;
               cursors = Array.init (Array.length states) (fun _ -> make_cursor ());
               since = 0;
-              finalized = false;
               paused = false;
               result = None;
               t0;
@@ -470,10 +362,7 @@ let finish t =
   match t.result with
   | Some outcome -> outcome
   | None ->
-    if not t.finalized then begin
-      epoch t;
-      t.finalized <- true
-    end;
+    epoch t;
     let per_board = Array.map Campaign.finish t.states in
     (* The reported corpus is re-merged from the final shard corpora
        (shard order): unlike the exchange corpus it never contains seeds
@@ -490,7 +379,6 @@ let finish t =
     let outcome =
       {
         boards = t.config.boards;
-        backend = t.config.backend;
         coverage = Feedback.covered t.shared.fb;
         coverage_bitmap = Feedback.snapshot t.shared.fb;
         crashes = List.rev t.shared.crashes_rev;
@@ -518,7 +406,7 @@ let run ?obs ?inject_for (config : config) mk_build =
   match init ?obs ?inject_for config mk_build with
   | Error e -> Error e
   | Ok t ->
-    (match config.backend with
-     | Cooperative -> run_cooperative t
-     | Domains -> run_domains t);
+    while not (finished t) do
+      step t
+    done;
     Ok (finish t)

@@ -14,38 +14,19 @@ open Eof_os
     the shards — amortizing synchronisation the way the vBatch link
     amortizes round trips, instead of contending on every payload.
 
-    Two execution backends sit behind the same configuration:
-
-    - {!Cooperative} — a deterministic scheduler interleaving
-      single-board {!Campaign.step}s, always advancing the board whose
-      target CPU clock is furthest behind (ties to the lowest index).
-      The key is CPU time, not full virtual time, so the interleaving
-      is identical on the link and native execution backends. Same
-      config, same result, every run; and with [boards = 1] the
-      schedule degenerates to the plain loop, so the outcome is
-      bit-identical to {!Campaign.run}.
-    - {!Domains} — real wall-clock parallelism on at most
-      [Domain.recommended_domain_count] OCaml 5 domains; when boards
-      outnumber cores each domain interleaves its shard group
-      cooperatively (oversubscribed domains would stall each other at
-      every minor-GC barrier). Shards sync through a mutex at their own
-      epoch boundaries. Throughput-deterministic in virtual time, but
-      merge order (hence exact corpus cross-pollination) depends on
-      domain scheduling. *)
-
-type backend = Cooperative | Domains
-
-val backend_name : backend -> string
-
-val backend_of_name : string -> (backend, string) result
-(** ["cooperative"] or ["domains"] (case-insensitive). *)
+    One deterministic scheduler interleaves single-board
+    {!Campaign.step}s, always advancing the board whose target CPU clock
+    is furthest behind (ties to the lowest index). The key is CPU time,
+    not full virtual time, so the interleaving is identical on the link
+    and native execution backends. Same config, same result, every run;
+    and with [boards = 1] the schedule degenerates to the plain loop, so
+    the outcome is bit-identical to {!Campaign.run}. Parallelism is
+    modelled, not executed: the farm clock is the slowest board's
+    virtual time, as for N physical boards running side by side. *)
 
 type config = {
   boards : int;  (** shard count; 1 reduces to a plain campaign *)
-  sync_every : int;
-      (** payloads between epoch merges (farm-wide in cooperative mode,
-          per shard in domain mode) *)
-  backend : backend;
+  sync_every : int;  (** farm-wide payloads between epoch merges *)
   base : Campaign.config;
       (** the campaign being sharded. [base.iterations] is the {e total}
           payload budget, split across boards round-robin; board 0 keeps
@@ -54,8 +35,7 @@ type config = {
 }
 
 val default_config : config
-(** 1 board, sync every 25 payloads, cooperative backend, on
-    {!Campaign.default_config}. *)
+(** 1 board, sync every 25 payloads, on {!Campaign.default_config}. *)
 
 type sync_sample = {
   executed : int;  (** payloads merged into the global map so far *)
@@ -65,7 +45,6 @@ type sync_sample = {
 
 type outcome = {
   boards : int;
-  backend : backend;
   coverage : int;  (** distinct edges in the global map *)
   coverage_bitmap : Eof_util.Bitset.t;
   crashes : Crash.t list;
@@ -80,7 +59,7 @@ type outcome = {
   virtual_s : float;
       (** campaign duration on the farm clock: the slowest board's
           virtual time — boards run in parallel, physically *)
-  wall_s : float;  (** host wall-clock (meaningful for {!Domains}) *)
+  wall_s : float;  (** host wall-clock *)
   syncs : int;  (** epoch merges performed *)
   sync_series : sync_sample list;  (** chronological, for time-to-coverage *)
   per_board : Campaign.outcome array;  (** each shard's own outcome *)
@@ -108,11 +87,10 @@ val init :
     the arguments) without executing anything. *)
 
 val step : t -> unit
-(** Advance the cooperative scheduler by one campaign step: pick the
+(** Advance the scheduler by one campaign step: pick the
     board whose CPU clock is furthest behind (ties to the lowest index)
     and step it, merging an epoch every [sync_every] executed payloads.
-    No-op when every board is finished. Raises [Invalid_argument] on a
-    {!Domains} farm — only cooperative farms are externally steppable. *)
+    No-op when every board is finished. *)
 
 val finished : t -> bool
 
@@ -122,13 +100,12 @@ val next_cpu_s : t -> float option
     [None] when the farm is finished. *)
 
 val finish : t -> outcome
-(** Run the closing epoch merge (unless the backend already did) and
-    assemble the outcome. Idempotent: the outcome is computed once and
+(** Run the closing epoch merge and assemble the outcome. Idempotent: the outcome is computed once and
     cached. *)
 
 (** {2 Mid-run observers}
 
-    Safe while stepping cooperatively; they read the shared structures
+    Safe between {!step}s; they read the shared structures
     as of the last epoch merge. The hub worker uses these to ship
     discoveries to the fleet between epochs. *)
 
@@ -157,7 +134,7 @@ val adopt : t -> Prog.t list -> int
     applies). *)
 
 val pause : t -> unit
-(** Freeze a cooperative farm whose shard lease was revoked: run one
+(** Freeze a farm whose shard lease was revoked: run one
     off-cycle epoch merge (so the mid-run observers reflect everything
     executed) and stop the scheduler — {!step} becomes a no-op and
     {!next_cpu_s} returns [None]. Terminal for this instance; the hub
@@ -188,6 +165,5 @@ val run :
     With [obs], each board emits on a {!Eof_obs.Obs.for_board}-derived
     handle of the same bus (events carry the board index, timestamped by
     that board's virtual clock) and the farm itself emits an
-    [Epoch_sync] event per merge, timestamped by the farm clock. Under
-    the {!Cooperative} backend the full event stream is deterministic;
-    under {!Domains} the interleaving follows domain scheduling. *)
+    [Epoch_sync] event per merge, timestamped by the farm clock. The
+    full event stream is deterministic. *)

@@ -74,9 +74,7 @@ let campaign_digest (o : Campaign.outcome) =
 
 let farm_digest (o : Farm.outcome) =
   digest_line
-    ~label:
-      (Printf.sprintf "farm boards=%d backend=%s" o.Farm.boards
-         (Farm.backend_name o.Farm.backend))
+    ~label:(Printf.sprintf "farm boards=%d" o.Farm.boards)
     ~coverage:o.Farm.coverage ~bitmap:o.Farm.coverage_bitmap
     ~corpus:o.Farm.final_corpus ~crashes:o.Farm.crashes
     ~crash_events:o.Farm.crash_events ~executed:o.Farm.executed_programs

@@ -19,8 +19,6 @@ type drained = {
   log : string;
 }
 
-let empty_drained = { n_records = 0; records_raw = ""; n_cmp = 0; cmp_raw = ""; log = "" }
-
 let create ~session ~layout =
   let obs = Session.obs session in
   { session; layout; obs;

@@ -23,8 +23,6 @@ type drained = {
   log : string;  (** UART output drained at this stop *)
 }
 
-val empty_drained : drained
-
 val create : session:Session.t -> layout:Eof_cov.Sancov.Layout.t -> t
 (** The session must have negotiated [vBatch+] ({!Session.supports_batch}). *)
 

@@ -23,7 +23,6 @@ type t = {
   cfg : config;
   rng : Rng.t;
   mutable exchanges : int;
-  mutable faults : int;
   mutable burst_left : int;  (* further exchanges of the current burst *)
   mutable reset_armed : bool;  (* a reset happened; next fault is garbage *)
   mutable forced : fault option;
@@ -38,7 +37,6 @@ let create cfg =
     cfg;
     rng = Rng.create cfg.seed;
     exchanges = 0;
-    faults = 0;
     burst_left = 0;
     reset_armed = false;
     forced = None;
@@ -63,7 +61,6 @@ let draw_kind t =
     | _ -> Nak_storm
 
 let record t fault =
-  t.faults <- t.faults + 1;
   t.history_rev <- (t.exchanges, fault) :: t.history_rev;
   Fault fault
 
@@ -106,9 +103,5 @@ let mangle t fault response =
 let note_reset t = if t.cfg.rate > 0. then t.reset_armed <- true
 
 let force_next t fault = t.forced <- Some fault
-
-let exchanges_seen t = t.exchanges
-
-let faults_injected t = t.faults
 
 let history t = List.rev t.history_rev

@@ -66,10 +66,6 @@ val force_next : t -> fault -> unit
 (** Queue one forced fault for the next exchange (tests aim a specific
     fault at a specific exchange type with this). *)
 
-val exchanges_seen : t -> int
-
-val faults_injected : t -> int
-
 val history : t -> (int * fault) list
 (** Every injected fault as [(exchange index, kind)], chronological —
     the determinism test compares two histories. *)

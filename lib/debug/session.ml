@@ -34,8 +34,6 @@ let error_to_string = Eof_error.to_string
 
 let set_retry t budget = t.retry <- budget
 
-let retry_budget t = t.retry
-
 (* One logical request: frame, exchange, decode, parse — retried under
    the session's budget. Only link-level failures (timeout, desync) are
    retried; [Remote]/[Protocol] replies are deterministic answers.
@@ -309,12 +307,6 @@ let last_fault t = monitor t "fault"
 let boot_ok t =
   let* text = monitor t "bootok" in
   Ok (text = "1")
-
-let target_cycles t =
-  let* text = monitor t "cycles" in
-  match Int64.of_string_opt text with
-  | Some v -> Ok v
-  | None -> Error (Eof_error.protocol ("bad cycles reply: " ^ text))
 
 let requests t = t.requests
 

@@ -38,8 +38,6 @@ val set_retry : t -> Eof_util.Eof_error.Retry.budget -> unit
     {!Eof_util.Eof_error.Retry.default}). [no_retry] restores
     fail-on-first-loss behaviour. *)
 
-val retry_budget : t -> Eof_util.Eof_error.Retry.budget
-
 val resync : t -> (unit, error) result
 (** Recover from a desynced link without touching the target: discard
     the decoder's partial-frame state and confirm the stub answers a
@@ -120,8 +118,6 @@ val drain_uart : t -> (string, error) result
 val last_fault : t -> (string, error) result
 
 val boot_ok : t -> (bool, error) result
-
-val target_cycles : t -> (int64, error) result
 
 val requests : t -> int
 

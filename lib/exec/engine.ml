@@ -57,8 +57,6 @@ let set_breakpoint t addr = Hashtbl.replace t.breakpoints addr ()
 
 let remove_breakpoint t addr = Hashtbl.remove t.breakpoints addr
 
-let clear_breakpoints t = Hashtbl.reset t.breakpoints
-
 let breakpoints t = Hashtbl.fold (fun k () acc -> k :: acc) t.breakpoints []
 
 let handler t : (unit, outcome) Effect.Deep.handler =

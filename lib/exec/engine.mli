@@ -38,8 +38,6 @@ val set_breakpoint : t -> int -> unit
 
 val remove_breakpoint : t -> int -> unit
 
-val clear_breakpoints : t -> unit
-
 val breakpoints : t -> int list
 
 val run : t -> fuel:int -> stop_reason

@@ -104,11 +104,3 @@ let hours_of_series ~iterations samples =
     (fun (s : Campaign.sample) ->
       (float_of_int s.Campaign.iteration /. float_of_int iterations *. 24., s.Campaign.coverage))
     samples
-
-let coverage_at_hours ~iterations ~hours (outcome : Campaign.outcome) =
-  let series = hours_of_series ~iterations outcome.Campaign.series in
-  let rec go best = function
-    | [] -> best
-    | (h, cov) :: rest -> if h <= hours then go cov rest else best
-  in
-  go 0 series

@@ -52,7 +52,3 @@ val union_crashes : Eof_core.Campaign.outcome list -> Eof_core.Crash.t list
 val hours_of_series :
   iterations:int -> Eof_core.Campaign.sample list -> (float * int) list
 (** Map an outcome's sample series onto the 0..24h axis. *)
-
-val coverage_at_hours :
-  iterations:int -> hours:float -> Eof_core.Campaign.outcome -> int
-(** Interpolated coverage at a virtual-hour mark. *)

@@ -24,7 +24,7 @@ let time_to_coverage ~target (o : Farm.outcome) =
       if s.Farm.coverage >= target then Some s.Farm.virtual_s else None)
     o.Farm.sync_series
 
-let run ?(backend = Farm.Domains) ?(board_counts = [ 1; 2; 4; 8 ]) ?iterations
+let run ?(board_counts = [ 1; 2; 4; 8 ]) ?iterations
     ?(sync_every = 25) ?(seed = 11L) () =
   let iterations =
     match iterations with Some i -> i | None -> Runner.scaled 1200
@@ -39,7 +39,6 @@ let run ?(backend = Farm.Domains) ?(board_counts = [ 1; 2; 4; 8 ]) ?iterations
             {
               Farm.boards;
               sync_every;
-              backend = (if boards = 1 then Farm.Cooperative else backend);
               base = { Campaign.default_config with seed; iterations };
             }
           in

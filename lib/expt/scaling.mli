@@ -6,9 +6,8 @@
     regardless of the host, so this is the quantity a real board farm
     scales — the single-probe round-trip budget that PR 2's batching
     attacked is here multiplied by the number of probes. Host wall time
-    is also recorded; with the {!Eof_core.Farm.Domains} backend it
-    additionally reflects host-side parallelism when cores are
-    available. *)
+    is also recorded; the farm steps its boards one at a time on the
+    host, so it grows with the total budget, not the board count. *)
 
 type point = {
   boards : int;
@@ -26,7 +25,6 @@ type point = {
 }
 
 val run :
-  ?backend:Eof_core.Farm.backend ->
   ?board_counts:int list ->
   ?iterations:int ->
   ?sync_every:int ->
@@ -36,10 +34,8 @@ val run :
 (** Runs the Zephyr/STM32F4 campaign once per board count (default
     [1;2;4;8], total budget [iterations] each, default
     [Runner.scaled 1200], seed 11) and returns one point per count, in
-    the given order. The boards=1 point always uses the cooperative
-    backend (it {e is} the plain campaign); multi-board points use
-    [backend] (default {!Eof_core.Farm.Domains}). The boards=1 point
-    anchors [speedup] and the coverage target. *)
+    the given order. The boards=1 point anchors [speedup] and the
+    coverage target. *)
 
 val render : point list -> string
 (** An aligned text table of the scaling curve. *)

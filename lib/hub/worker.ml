@@ -90,7 +90,6 @@ let assign t (a : Shard.assignment) =
     {
       Farm.boards = a.Shard.boards;
       sync_every = a.Shard.sync_every;
-      backend = Farm.Cooperative;
       base;
     }
   in
@@ -245,34 +244,26 @@ let handle t msg =
       (Printf.sprintf "worker %d: unexpected message %s" t.id
          (Protocol.kind_name other))
 
-let next_cpu_s t =
+(* The unfinished shard whose next board is earliest on its own clock
+   (ties to the first shard) — the same min-CPU pick the farm applies
+   one level down. *)
+let earliest t =
   List.fold_left
     (fun acc st ->
       if st.finished then acc
       else
         match (Farm.next_cpu_s st.farm, acc) with
         | None, _ -> acc
-        | Some v, None -> Some v
-        | Some v, Some a -> Some (Float.min v a))
+        | Some v, Some (_, bv) when bv <= v -> acc
+        | Some v, _ -> Some (st, v))
     None t.shards
+
+let next_cpu_s t = Option.map snd (earliest t)
 
 let idle t = List.for_all (fun st -> st.finished) t.shards
 
 let step t =
-  (* Advance the shard whose next board is earliest on its own clock —
-     the same min-CPU pick the farm applies one level down. *)
-  let best =
-    List.fold_left
-      (fun acc st ->
-        if st.finished then acc
-        else
-          match (Farm.next_cpu_s st.farm, acc) with
-          | None, _ -> acc
-          | Some v, Some (_, bv) when bv <= v -> acc
-          | Some v, _ -> Some (st, v))
-      None t.shards
-  in
-  match best with
+  match earliest t with
   | None -> []
   | Some (st, _) ->
     let syncs_before = Farm.syncs_so_far st.farm in

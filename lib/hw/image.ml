@@ -62,8 +62,8 @@ let compute_manifest t =
    synthesized image across a whole fleet (see Osbuild), cache them per
    image identity so N boards pay the walk once. Keyed by physical
    equality — the blobs are immutable strings, so an [==]-equal image
-   always has the same manifest. The mutex covers recovery-ladder
-   verifies racing from farm domains. *)
+   always has the same manifest. The mutex keeps the memo safe when
+   images are verified from several domains. *)
 let manifest_lock = Mutex.create ()
 
 let manifest_memo : (t * (string * int32) list) list ref = ref []
@@ -104,5 +104,3 @@ let corrupted ~table ~manifest flash =
     manifest
 
 let verify t flash = corrupted ~table:t.table ~manifest:(manifest t) flash
-
-let total_bytes t = List.fold_left (fun acc (_, b) -> acc + String.length b) 0 t.blobs

@@ -41,7 +41,3 @@ val corrupted :
 val verify : t -> Flash.t -> string list
 (** {!corrupted} against the image's own table and manifest (empty list
     = image intact). *)
-
-val total_bytes : t -> int
-(** Sum of blob sizes: the "binary size" used by the memory-overhead
-    experiment. *)

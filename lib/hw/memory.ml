@@ -132,10 +132,6 @@ let write_bytes t ~addr b =
   touch_range t off (Bytes.length b);
   Bytes.blit b 0 t.data off (Bytes.length b)
 
-let blit_to t ~addr ~dst ~dst_pos ~len =
-  check t addr len;
-  Bytes.blit t.data (addr - t.base) dst dst_pos len
-
 let crc_range t ~addr ~len =
   check t addr len;
   Eof_util.Crc32.digest_bytes t.data ~pos:(addr - t.base) ~len

@@ -43,8 +43,6 @@ val read_bytes : t -> addr:int -> len:int -> Bytes.t
 
 val write_bytes : t -> addr:int -> Bytes.t -> unit
 
-val blit_to : t -> addr:int -> dst:Bytes.t -> dst_pos:int -> len:int -> unit
-
 val crc_range : t -> addr:int -> len:int -> int32
 (** CRC-32 of [\[addr, addr+len)], computed over the backing store in
     place (no copy). @raise Fault.Trap if out of range. *)

@@ -51,10 +51,6 @@ let capture ~ram ~flash ~clock =
 
 let pages t = Memory.page_count t.ram.mem + Memory.page_count t.flash.mem
 
-let dirty_region r = Memory.dirty_page_count r.mem ~since:r.since
-
-let dirty_pages t = dirty_region t.ram + dirty_region t.flash
-
 let restore_region r = Memory.restore_pages r.mem ~baseline:r.baseline ~since:r.since
 
 let restore t ~clock =

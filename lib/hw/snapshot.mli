@@ -28,9 +28,6 @@ val capture : ram:Memory.t -> flash:Flash.t -> clock:Clock.t -> t
 val pages : t -> int
 (** Total device pages covered (RAM + flash). *)
 
-val dirty_pages : t -> int
-(** Pages a {!restore} would copy right now, without restoring. *)
-
 val restore : t -> clock:Clock.t -> int
 (** Copy dirty pages back, charge [clock] proportionally, and return the
     number of pages copied. Flash contents are rewound host-side without

@@ -173,9 +173,9 @@ type sink = {
 }
 
 (* The shared half of a bus: every handle derived with {!for_board}
-   points at the same sinks and counters. The lock only matters under
-   the farm's Domains backend, where several boards may emit
-   concurrently; the cooperative/single-board paths never contend. *)
+   points at the same sinks and counters. The lock keeps a bus safe to
+   share across OCaml domains; every in-tree producer emits from one
+   domain, so it is never contended. *)
 type core = {
   mutable sinks : sink list;
   mutable active : bool;

@@ -11,9 +11,9 @@
 
     {b Determinism.} Events are timestamped by the bus clock, which the
     machine layer binds to the board's {e virtual} time (CPU cycles +
-    modelled link latency) — never the host wall clock. Under the
-    cooperative farm backend the emission order is a pure function of
-    the campaign seed, so two runs of the same command produce
+    modelled link latency) — never the host wall clock. The farm
+    schedules its boards deterministically, so the emission order is a
+    pure function of the campaign seed, so two runs of the same command produce
     bit-identical JSONL traces ([cmp] clean).
 
     {b Cost.} A bus with no sinks is inert: {!emit} is one mutable-flag
@@ -150,8 +150,8 @@ val add_sink : t -> sink -> unit
 
 val emit : t -> Event.t -> unit
 (** No-op (one flag check) when no sink is attached. Thread-safe: sink
-    dispatch is serialized through an internal mutex for the farm's
-    Domains backend. *)
+    dispatch is serialized through an internal mutex, so a bus may be
+    shared across domains. *)
 
 val message : t -> Level.t -> string -> unit
 

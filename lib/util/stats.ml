@@ -40,8 +40,6 @@ let improvement_pct ~baseline ~subject =
   if baseline = 0. then invalid_arg "Stats.improvement_pct: zero baseline";
   (subject -. baseline) /. baseline *. 100.
 
-let meani xs = mean (List.map float_of_int xs)
-
 let fmt1 x = Printf.sprintf "%.1f" x
 
 let fmt_pct x = Printf.sprintf "%+.2f%%" x

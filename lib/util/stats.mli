@@ -17,8 +17,6 @@ val percentile : float -> float list -> float
 val improvement_pct : baseline:float -> subject:float -> float
 (** [(subject - baseline) / baseline * 100]. *)
 
-val meani : int list -> float
-
 val fmt1 : float -> string
 (** One decimal place, as the paper prints branch counts. *)
 

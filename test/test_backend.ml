@@ -112,7 +112,6 @@ let test_diff_runner_verdict () =
 let test_diff_farm () =
   let config =
     {
-      Farm.default_config with
       Farm.boards = 3;
       sync_every = 10;
       base = { Campaign.default_config with Campaign.seed = 9L; iterations = 120 };

@@ -140,8 +140,7 @@ let test_ladder_exercised () =
 
 let test_farm_fault_soak () =
   let config =
-    { Farm.default_config with
-      boards = 2;
+    { Farm.boards = 2;
       sync_every = 20;
       base =
         { Campaign.default_config with
@@ -243,8 +242,7 @@ let test_snapshot_policy_under_faults () =
 
 let test_dead_board_farm () =
   let config =
-    { Farm.default_config with
-      boards = 2;
+    { Farm.boards = 2;
       sync_every = 10;
       base = { Campaign.default_config with iterations = 240; seed = 5L }
     }
