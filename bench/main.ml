@@ -1,7 +1,8 @@
 (* The benchmark harness: regenerates every table and figure of the
    paper's evaluation (Tables 1-4, Figures 7-8, the §5.5 overhead
-   numbers, plus the DESIGN.md ablations), then runs bechamel
-   micro-benchmarks over the performance-critical primitives.
+   numbers, plus the DESIGN.md ablations), then the virtual-clock model
+   sections of BENCH.json. Wall-clock per-layer timing lives in
+   perfbench.
 
    Budgets scale with EOF_BENCH_SCALE (default 1.0). *)
 
@@ -65,166 +66,6 @@ let run_artifacts () =
   print_endline (Ablation.render_irq ());
 
   Printf.printf "\n[artifact regeneration took %.1f s]\n%!" (Unix.gettimeofday () -. t0)
-
-(* --- micro-benchmarks -------------------------------------------------- *)
-
-let micro_tests () =
-  let open Bechamel in
-  let open Eof_hw in
-  (* RSP frame round-trip. *)
-  let rsp_payload = Eof_debug.Rsp.render_command (Eof_debug.Rsp.Read_mem { addr = 0x20000000; len = 64 }) in
-  let rsp_frame = Eof_debug.Rsp.make_frame rsp_payload in
-  let t_rsp =
-    Test.make ~name:"rsp_decode" (Staged.stage (fun () ->
-        let d = Eof_debug.Rsp.Decoder.create () in
-        ignore (Eof_debug.Rsp.Decoder.feed d rsp_frame : Eof_debug.Rsp.Decoder.event list)))
-  in
-  (* CRC over a 4 KiB sector. *)
-  let sector = String.make 4096 '\x5A' in
-  let t_crc =
-    Test.make ~name:"crc32_4k" (Staged.stage (fun () ->
-        ignore (Eof_util.Crc32.digest_string sector : int32)))
-  in
-  (* Wire encode/decode of a mid-size program. *)
-  let prog =
-    List.init 12 (fun i ->
-        { Eof_agent.Wire.api_index = i; args = [ Eof_agent.Wire.W_int 42L; Eof_agent.Wire.W_str "payload" ] })
-  in
-  let encoded =
-    match Eof_agent.Wire.encode ~endianness:Arch.Little prog with
-    | Ok s -> s
-    | Error e -> failwith e
-  in
-  let t_wire_enc =
-    Test.make ~name:"wire_encode" (Staged.stage (fun () ->
-        ignore (Eof_agent.Wire.encode ~endianness:Arch.Little prog : (string, string) result)))
-  in
-  let t_wire_dec =
-    Test.make ~name:"wire_decode" (Staged.stage (fun () ->
-        ignore
-          (Eof_agent.Wire.decode ~endianness:Arch.Little encoded
-            : (Eof_agent.Wire.program, string) result)))
-  in
-  (* Spec parse of the synthesized Zephyr spec. *)
-  let zephyr_build =
-    Eof_os.Osbuild.make ~board_profile:Profiles.stm32f4_disco Eof_os.Zephyr.spec
-  in
-  let spec_text =
-    Eof_spec.Synth.syzlang_of_api (Eof_os.Osbuild.api_signatures zephyr_build)
-  in
-  let t_spec =
-    Test.make ~name:"spec_parse" (Staged.stage (fun () ->
-        ignore (Eof_spec.Parser.parse spec_text : (Eof_spec.Ast.t, string) result)))
-  in
-  (* Program generation. *)
-  let table = Eof_os.Osbuild.api_signatures zephyr_build in
-  let spec = match Eof_spec.Synth.validated_of_api table with Ok s -> s | Error e -> failwith e in
-  let gen = Eof_core.Gen.create ~rng:(Eof_util.Rng.create 1L) ~spec ~table () in
-  let t_gen =
-    Test.make ~name:"prog_generate" (Staged.stage (fun () ->
-        ignore (Eof_core.Gen.generate gen ~max_len:12 : Eof_core.Prog.t)))
-  in
-  (* Heap allocator churn. *)
-  let ram = Memory.create ~base:0x2000_0000 ~size:65536 ~endianness:Arch.Little in
-  let heap =
-    match Eof_rtos.Heap.init ~mem:ram ~base:0x2000_1000 ~size:8192 with
-    | Ok h -> h
-    | Error e -> failwith e
-  in
-  let t_heap =
-    Test.make ~name:"heap_alloc_free" (Staged.stage (fun () ->
-        match Eof_rtos.Heap.alloc heap 64 with
-        | Some a -> ignore (Eof_rtos.Heap.free heap a : (unit, string) result)
-        | None -> ()))
-  in
-  (* JSON parse. *)
-  let json_text = "{\"s\":\"v\",\"n\":-3.5e2,\"b\":true,\"a\":[1,2,3],\"o\":{\"k\":null}}" in
-  let null_instr = Eof_rtos.Instr.null ~count:64 in
-  let t_json =
-    Test.make ~name:"json_parse" (Staged.stage (fun () ->
-        ignore
-          (Eof_exec.Target.run_silent (fun () -> Eof_apps.Json.parse ~instr:null_instr json_text)
-            : (Eof_apps.Json.t, string) result)))
-  in
-  (* Coverage record decode (a full buffer's worth). *)
-  let raw_records = String.init 4096 (fun i -> Char.chr (i land 0xFF)) in
-  let t_cov =
-    Test.make ~name:"cov_decode_1k" (Staged.stage (fun () ->
-        ignore
-          (Eof_cov.Sancov.decode_records ~endianness:Arch.Little ~count:1024 raw_records
-            : int list)))
-  in
-  (* The same decode through the allocation-free hot path: straight into
-     a reused scratch array, no per-record list cells. *)
-  let scratch = Array.make 1024 0 in
-  let t_cov_into =
-    Test.make ~name:"cov_decode_into_1k" (Staged.stage (fun () ->
-        ignore
-          (Eof_cov.Sancov.decode_records_into ~endianness:Arch.Little ~count:1024
-             raw_records scratch
-            : int)))
-  in
-  (* vBatch codec round-trip for a full fused drain request. *)
-  let batch_ops =
-    [
-      Eof_debug.Rsp.B_continue;
-      Eof_debug.Rsp.B_read_counted
-        { count_addr = 0x2000_0000; data_addr = 0x2000_0004; stride = 4;
-          max_count = 1024; reset = true };
-      Eof_debug.Rsp.B_read_counted
-        { count_addr = 0x2000_2000; data_addr = 0x2000_2004; stride = 8;
-          max_count = 1024; reset = true };
-      Eof_debug.Rsp.B_monitor "uart";
-    ]
-  in
-  let batch_wire = Eof_debug.Rsp.render_batch_ops batch_ops in
-  let t_batch =
-    Test.make ~name:"vbatch_codec" (Staged.stage (fun () ->
-        ignore
-          (Eof_debug.Rsp.parse_batch_ops batch_wire
-            : (Eof_debug.Rsp.batch_op list, Eof_util.Eof_error.t) result)))
-  in
-  [ t_rsp; t_crc; t_wire_enc; t_wire_dec; t_spec; t_gen; t_heap; t_json; t_cov;
-    t_cov_into; t_batch ]
-
-let run_micro () =
-  let open Bechamel in
-  let open Toolkit in
-  section "Micro-benchmarks (bechamel, monotonic clock)";
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) () in
-  let raw =
-    Benchmark.all cfg [ Instance.monotonic_clock ]
-      (Test.make_grouped ~name:"eof" ~fmt:"%s/%s" (micro_tests ()))
-  in
-  let results =
-    Analyze.all
-      (Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |])
-      Instance.monotonic_clock raw
-  in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols ->
-      let ns =
-        match Analyze.OLS.estimates ols with Some (e :: _) -> e | _ -> Float.nan
-      in
-      rows := (name, ns) :: !rows)
-    results;
-  let rows = List.sort compare !rows in
-  print_endline
-    (Text_table.render
-       ~align:[ Text_table.Left; Text_table.Right ]
-       ~header:[ "operation"; "time/run" ]
-       (List.map
-          (fun (name, ns) ->
-            let time =
-              if Float.is_nan ns then "n/a"
-              else if ns > 1_000_000. then Printf.sprintf "%.2f ms" (ns /. 1e6)
-              else if ns > 1_000. then Printf.sprintf "%.2f us" (ns /. 1e3)
-              else Printf.sprintf "%.1f ns" ns
-            in
-            [ name; time ])
-          rows));
-  rows
 
 (* --- debug-link batching comparison ------------------------------------ *)
 
@@ -783,19 +624,25 @@ let run_hub_fleet () =
 
 (* --- corpus scheduling ----------------------------------------------------- *)
 
+(* When a bug first showed up: the executed-payload count, which is
+   exact, and the virtual clock, which on the native backend rounds to
+   0.000 s at small budgets. *)
+type hit = { ttb_payloads : int; ttb_virtual_s : float }
+
 type schedule_stats = {
   sched_iterations : int;  (** per OS per schedule *)
   sched_oses : string list;
   sched_catalog : int;
-  sched_uniform_found : (int * float) list;  (** bug id, virtual s to first hit *)
-  sched_energy_found : (int * float) list;
-  sched_uniform_median_ttb : float option;  (** over bugs both schedules found *)
-  sched_energy_median_ttb : float option;
+  sched_uniform_found : (int * hit) list;  (** bug id, first hit *)
+  sched_energy_found : (int * hit) list;
+  sched_uniform_median : (float * float) option;
+      (** median payloads and virtual s over bugs both schedules found *)
+  sched_energy_median : (float * float) option;
 }
 
-(* Step one native-backend campaign to its budget, stamping the virtual
-   clock the first time each Table-2 bug shows up in the dedup'd crash
-   list. *)
+(* Step one native-backend campaign to its budget, stamping the payload
+   count and the virtual clock the first time each Table-2 bug shows up
+   in the dedup'd crash list. *)
 let time_to_bugs ~schedule ~iterations (target : Targets.hw_target) =
   let config =
     {
@@ -818,7 +665,12 @@ let time_to_bugs ~schedule ~iterations (target : Targets.hw_target) =
     let crashes = Eof_core.Campaign.crashes_so_far st in
     let n = List.length crashes in
     if n > !seen then begin
-      let now = Eof_core.Campaign.virtual_s st in
+      let now =
+        {
+          ttb_payloads = Eof_core.Campaign.executed_programs_so_far st;
+          ttb_virtual_s = Eof_core.Campaign.virtual_s st;
+        }
+      in
       List.iteri
         (fun i crash ->
           if i >= !seen then
@@ -833,13 +685,19 @@ let time_to_bugs ~schedule ~iterations (target : Targets.hw_target) =
   ignore (Eof_core.Campaign.finish st : Eof_core.Campaign.outcome);
   List.rev !found
 
-let median = function
+let median l =
+  let sorted = List.sort compare l in
+  let n = List.length sorted in
+  (List.nth sorted ((n - 1) / 2) +. List.nth sorted (n / 2)) /. 2.
+
+(* Median payload count and median virtual time, each taken on its own
+   over the same bugs; the payload median may fall between two counts. *)
+let median_hit = function
   | [] -> None
-  | l ->
-    let sorted = List.sort compare l in
-    let n = List.length sorted in
-    let a = List.nth sorted ((n - 1) / 2) and b = List.nth sorted (n / 2) in
-    Some ((a +. b) /. 2.)
+  | hits ->
+    Some
+      ( median (List.map (fun h -> float_of_int h.ttb_payloads) hits),
+        median (List.map (fun h -> h.ttb_virtual_s) hits) )
 
 let run_schedule () =
   section "Corpus scheduling: time-to-bug, uniform vs energy";
@@ -859,42 +717,44 @@ let run_schedule () =
   let uniform = sweep Eof_core.Corpus.Uniform in
   let energy = sweep Eof_core.Corpus.Energy in
   let common = List.filter (fun (id, _) -> List.mem_assoc id energy) uniform in
-  let u_median = median (List.map snd common) in
+  let u_median = median_hit (List.map snd common) in
   let e_median =
-    median (List.map (fun (id, _) -> List.assoc id energy) common)
+    median_hit (List.map (fun (id, _) -> List.assoc id energy) common)
   in
-  let bug_row (id, ttb) other =
-    [
-      string_of_int id;
-      Printf.sprintf "%.3f" ttb;
-      (match List.assoc_opt id other with
-       | Some t -> Printf.sprintf "%.3f" t
-       | None -> "-");
-    ]
+  let cells = function
+    | Some h -> [ string_of_int h.ttb_payloads; Printf.sprintf "%.3f" h.ttb_virtual_s ]
+    | None -> [ "-"; "-" ]
+  in
+  let ids =
+    List.map fst uniform
+    @ List.filter (fun id -> not (List.mem_assoc id uniform)) (List.map fst energy)
   in
   print_endline
     (Text_table.render
-       ~align:Text_table.[ Right; Right; Right ]
-       ~header:[ "bug id"; "uniform ttb (virt s)"; "energy ttb (virt s)" ]
-       (List.map (fun b -> bug_row b energy) uniform
-       @ List.filter_map
-           (fun (id, ttb) ->
-             if List.mem_assoc id uniform then None
-             else Some [ string_of_int id; "-"; Printf.sprintf "%.3f" ttb ])
-           energy));
+       ~align:Text_table.[ Right; Right; Right; Right; Right ]
+       ~header:
+         [ "bug id"; "uniform payloads"; "uniform virt s"; "energy payloads"; "energy virt s" ]
+       (List.map
+          (fun id ->
+            (string_of_int id :: cells (List.assoc_opt id uniform))
+            @ cells (List.assoc_opt id energy))
+          ids));
+  let med = function
+    | Some (p, v) -> Printf.sprintf "%.1f payloads (%.3fs)" p v
+    | None -> "n/a"
+  in
   Printf.printf
     "[uniform found %d bugs, energy %d; median ttb on the %d common bugs: uniform %s, energy %s]\n"
     (List.length uniform) (List.length energy) (List.length common)
-    (match u_median with Some m -> Printf.sprintf "%.3fs" m | None -> "n/a")
-    (match e_median with Some m -> Printf.sprintf "%.3fs" m | None -> "n/a");
+    (med u_median) (med e_median);
   {
     sched_iterations = iterations;
     sched_oses = oses;
     sched_catalog = List.length Targets.catalog;
     sched_uniform_found = uniform;
     sched_energy_found = energy;
-    sched_uniform_median_ttb = u_median;
-    sched_energy_median_ttb = e_median;
+    sched_uniform_median = u_median;
+    sched_energy_median = e_median;
   }
 
 (* --- machine-readable results ------------------------------------------ *)
@@ -914,23 +774,10 @@ let json_escape s =
 
 (* Every section is optional: a failed stage becomes a JSON null, never
    a missing BENCH.json. *)
-let write_bench_json ~micro ~link ~scaling ~resilience ~native ~snapshot ~hub
-    ~schedule path =
+let write_bench_json ~link ~scaling ~resilience ~native ~snapshot ~hub ~schedule
+    path =
   let b = Buffer.create 2048 in
-  Buffer.add_string b "{\n  \"micro_ns_per_run\": ";
-  (match micro with
-  | None -> Buffer.add_string b "null"
-  | Some micro ->
-    Buffer.add_string b "{\n";
-    List.iteri
-      (fun i (name, ns) ->
-        Buffer.add_string b
-          (Printf.sprintf "    \"%s\": %s%s\n" (json_escape name)
-             (if Float.is_nan ns then "null" else Printf.sprintf "%.1f" ns)
-             (if i < List.length micro - 1 then "," else "")))
-      micro;
-    Buffer.add_string b "  }");
-  Buffer.add_string b ",\n  \"debug_link\": ";
+  Buffer.add_string b "{\n  \"debug_link\": ";
   (match link with
   | None -> Buffer.add_string b "null"
   | Some (unbatched, batched) ->
@@ -1132,19 +979,27 @@ let write_bench_json ~micro ~link ~scaling ~resilience ~native ~snapshot ~hub
       let n = List.length found in
       String.concat ""
         (List.mapi
-           (fun i (id, ttb) ->
+           (fun i (id, h) ->
+             let other_payloads, other_virtual_s =
+               match List.assoc_opt id other with
+               | Some o -> (string_of_int o.ttb_payloads, Printf.sprintf "%.4f" o.ttb_virtual_s)
+               | None -> ("null", "null")
+             in
              Printf.sprintf
-               "      { \"id\": %d, \"ttb_virtual_s\": %.4f, \"other_ttb_virtual_s\": %s }%s\n"
-               id ttb
-               (match List.assoc_opt id other with
-                | Some t -> Printf.sprintf "%.4f" t
-                | None -> "null")
+               "      { \"id\": %d, \"ttb_payloads\": %d, \"ttb_virtual_s\": %.4f, \"other_ttb_payloads\": %s, \"other_ttb_virtual_s\": %s }%s\n"
+               id h.ttb_payloads h.ttb_virtual_s other_payloads other_virtual_s
                (if i < n - 1 then "," else ""))
            found)
     in
-    let med = function
-      | Some m -> Printf.sprintf "%.4f" m
-      | None -> "null"
+    let summary found median =
+      let p, v =
+        match median with
+        | Some (p, v) -> (Printf.sprintf "%.1f" p, Printf.sprintf "%.4f" v)
+        | None -> ("null", "null")
+      in
+      Printf.sprintf
+        "{ \"bugs_found\": %d, \"median_ttb_payloads\": %s, \"median_ttb_virtual_s\": %s }"
+        (List.length found) p v
     in
     Buffer.add_string b "{\n";
     Buffer.add_string b
@@ -1155,15 +1010,11 @@ let write_bench_json ~micro ~link ~scaling ~resilience ~native ~snapshot ~hub
             (List.map (fun os -> Printf.sprintf "\"%s\"" (json_escape os)) s.sched_oses))
          s.sched_catalog);
     Buffer.add_string b
-      (Printf.sprintf
-         "    \"uniform\": { \"bugs_found\": %d, \"median_ttb_virtual_s\": %s },\n"
-         (List.length s.sched_uniform_found)
-         (med s.sched_uniform_median_ttb));
+      (Printf.sprintf "    \"uniform\": %s,\n"
+         (summary s.sched_uniform_found s.sched_uniform_median));
     Buffer.add_string b
-      (Printf.sprintf
-         "    \"energy\": { \"bugs_found\": %d, \"median_ttb_virtual_s\": %s },\n"
-         (List.length s.sched_energy_found)
-         (med s.sched_energy_median_ttb));
+      (Printf.sprintf "    \"energy\": %s,\n"
+         (summary s.sched_energy_found s.sched_energy_median));
     Buffer.add_string b "    \"uniform_bugs\": [\n";
     Buffer.add_string b (found_json s.sched_uniform_found s.sched_energy_found);
     Buffer.add_string b "    ],\n    \"energy_bugs\": [\n";
@@ -1192,6 +1043,5 @@ let () =
   let snapshot = guarded "snapshot" run_snapshot in
   let hub = guarded "hub-fleet" run_hub_fleet in
   let schedule = guarded "schedule" run_schedule in
-  let micro = guarded "micro-benchmark" run_micro in
-  write_bench_json ~micro ~link ~scaling ~resilience ~native ~snapshot ~hub
-    ~schedule "BENCH.json"
+  write_bench_json ~link ~scaling ~resilience ~native ~snapshot ~hub ~schedule
+    "BENCH.json"

@@ -197,11 +197,6 @@ let decode_from_ram ~mem ~endianness ~base =
         { read_u8 = (fun i -> Memory.read_u8 mem (base + header_bytes + i)); len; pos = 0 }
   end
 
-let mailbox_bytes_for program =
-  match encode ~endianness:Arch.Little program with
-  | Ok s -> header_bytes + String.length s
-  | Error _ -> header_bytes
-
 let write_to_ram ~mem ~endianness ~base ~limit program =
   match encode ~endianness program with
   | Error _ as e -> e
@@ -248,18 +243,3 @@ module Results = struct
       end
     end
 end
-
-let pp_arg fmt = function
-  | W_int v -> Format.fprintf fmt "%Ld" v
-  | W_str s -> Format.fprintf fmt "%S" s
-  | W_res k -> Format.fprintf fmt "r%d" k
-
-let pp_program fmt program =
-  List.iteri
-    (fun i call ->
-      Format.fprintf fmt "%d: api#%d(%a)@." i call.api_index
-        (Format.pp_print_list
-           ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ", ")
-           pp_arg)
-        call.args)
-    program

@@ -54,8 +54,6 @@ val write_to_ram :
 (** Host-side helper used by tests and the emulation-based baselines
     (which bypass the debug link): place [magic]+len+payload at [base]. *)
 
-val mailbox_bytes_for : program -> int
-
 val results_magic : int32
 
 (** Result summary the agent writes back after executing a program. *)
@@ -71,5 +69,3 @@ module Results : sig
   val byte_size : int -> int
   (** Bytes occupied by a summary of [n] calls. *)
 end
-
-val pp_program : Format.formatter -> program -> unit

@@ -183,8 +183,6 @@ type state = {
          per-crash progress lookup is O(1) instead of O(n^2) List.nth *)
   mutable consecutive_failures : int;
       (* unrecoverable link failures in a row; 5 aborts the campaign *)
-  mutable aborted : bool;
-      (* an exception escaped an iteration: stop, keep what we have *)
   mutable rung : int;
       (* current height on the recovery escalation ladder; 0 = healthy,
          reset by any clean stop, climbed by each link failure *)
@@ -1023,7 +1021,6 @@ let init ?machine ?obs config build =
            img_buf = Buffer.create 1024;
            current_ops = [||];
            consecutive_failures = 0;
-           aborted = false;
            rung = 0;
            dead = false;
            abort_cause = None;
@@ -1078,114 +1075,108 @@ let note_failure st e =
     st.abort_cause <- Some (Eof_error.with_context "5 consecutive failed iterations" e)
 
 let finished st =
-  st.aborted || st.dead
+  st.dead
   || st.iteration >= st.config.iterations
   || st.consecutive_failures >= 5
 
 let step st =
   if not (finished st) then begin
     let config = st.config in
-    try
-      st.iteration <- st.iteration + 1;
-      (match config.reset_policy with
-       | Fresh_per_program ->
-         (* Every payload starts from the pristine snapshot: rewind the
-            dirty pages, then reboot (which also discards the host's
-            pending accumulators, exactly as a ladder reboot does). A
-            failed restore is a failed iteration, not a crash — the
-            ladder still guards actual link trouble. *)
-         (match Machine.snapshot_restore st.machine with
-          | Ok (_dirty : int) ->
-            ignore (reboot st : (unit, Eof_error.t) result)
-          | Error e ->
-            note_failure st (Eof_error.with_context "fresh-per-program restore" e))
-       | Ladder | Snapshot ->
-         if st.iteration mod reboot_every = 0 then
-           ignore (reboot st : (unit, Eof_error.t) result));
-      (match goto_ready st ~budget:50 with
-       | Error e -> note_failure st e
-       | Ok () ->
-         let before = Feedback.covered st.fb in
-         let distinct_before = Hashtbl.length st.crash_table in
-         let prog = choose_program st in
-         st.current_prog <- prog;
-         st.current_ops <-
-           Array.of_list
-             (List.map (fun c -> c.Prog.spec.Eof_spec.Ast.name) prog);
-         if config.irq_injection && Rng.chance st.rng 0.4 then begin
-           let pin = Rng.int st.rng 16 in
-           ignore
-             (Machine.inject_gpio st.machine ~pin ~level:(Rng.bool st.rng)
-               : (unit, Eof_error.t) result)
-         end;
-         (match write_program st prog with
-          | Error e -> note_failure st e
-          | Ok () ->
-            let payload_span = Obs.span_begin st.obs "campaign.payload" in
-            (match run_program st ~budget:200 ~crashed:false with
-             | Error e ->
-               Obs.span_end st.obs payload_span;
-               note_failure st e
-             | Ok (status, crashed) ->
-               Obs.span_end st.obs payload_span;
-               Obs.Counter.incr st.c_payloads;
-               st.consecutive_failures <- 0;
-               (match status with
-                | `Completed | `Crashed ->
-                  st.executed_programs <- st.executed_programs + 1
-                | `Rejected | `Aborted -> ());
-               let new_edges = Feedback.covered st.fb - before in
-               if Obs.active st.obs then begin
-                 let status_name =
-                   match status with
-                   | `Completed -> "completed"
-                   | `Crashed -> "crashed"
-                   | `Rejected -> "rejected"
-                   | `Aborted -> "aborted"
-                 in
-                 Obs.emit st.obs
-                   (Obs.Event.Payload
-                      { iteration = st.iteration; status = status_name; new_edges })
-               end;
-               if st.last_was_fresh then
-                 st.fresh_yield <-
-                   (0.95 *. st.fresh_yield)
-                   +. (0.05 *. if new_edges > 0 then 1. else 0.);
-               (* Crashing inputs are interesting the first time a
-                  bug is seen; re-triggers of a known bug are not. *)
-               let fresh_crash =
-                 crashed && Hashtbl.length st.crash_table > distinct_before
+    st.iteration <- st.iteration + 1;
+    (match config.reset_policy with
+     | Fresh_per_program ->
+       (* Every payload starts from the pristine snapshot: rewind the
+          dirty pages, then reboot (which also discards the host's
+          pending accumulators, exactly as a ladder reboot does). A
+          failed restore is a failed iteration, not a crash — the
+          ladder still guards actual link trouble. *)
+       (match Machine.snapshot_restore st.machine with
+        | Ok (_dirty : int) ->
+          ignore (reboot st : (unit, Eof_error.t) result)
+        | Error e ->
+          note_failure st (Eof_error.with_context "fresh-per-program restore" e))
+     | Ladder | Snapshot ->
+       if st.iteration mod reboot_every = 0 then
+         ignore (reboot st : (unit, Eof_error.t) result));
+    (match goto_ready st ~budget:50 with
+     | Error e -> note_failure st e
+     | Ok () ->
+       let before = Feedback.covered st.fb in
+       let distinct_before = Hashtbl.length st.crash_table in
+       let prog = choose_program st in
+       st.current_prog <- prog;
+       st.current_ops <-
+         Array.of_list
+           (List.map (fun c -> c.Prog.spec.Eof_spec.Ast.name) prog);
+       if config.irq_injection && Rng.chance st.rng 0.4 then begin
+         let pin = Rng.int st.rng 16 in
+         ignore
+           (Machine.inject_gpio st.machine ~pin ~level:(Rng.bool st.rng)
+             : (unit, Eof_error.t) result)
+       end;
+       (match write_program st prog with
+        | Error e -> note_failure st e
+        | Ok () ->
+          let payload_span = Obs.span_begin st.obs "campaign.payload" in
+          (match run_program st ~budget:200 ~crashed:false with
+           | Error e ->
+             Obs.span_end st.obs payload_span;
+             note_failure st e
+           | Ok (status, crashed) ->
+             Obs.span_end st.obs payload_span;
+             Obs.Counter.incr st.c_payloads;
+             st.consecutive_failures <- 0;
+             (match status with
+              | `Completed | `Crashed ->
+                st.executed_programs <- st.executed_programs + 1
+              | `Rejected | `Aborted -> ());
+             let new_edges = Feedback.covered st.fb - before in
+             if Obs.active st.obs then begin
+               let status_name =
+                 match status with
+                 | `Completed -> "completed"
+                 | `Crashed -> "crashed"
+                 | `Rejected -> "rejected"
+                 | `Aborted -> "aborted"
                in
-               (* Exploitation (input-to-state children, focus
-                  bursts) only pays once cheap exploration has
-                  dried up; before that it just starves the fresh
-                  sampling that is still finding edges. *)
-               let exploit_worthwhile = st.fresh_yield < 0.3 in
-               (* Children are globally deduplicated, so each
-                  unique patch runs once; no flooding. *)
-               if exploit_worthwhile then queue_i2s_children st;
-               if config.feedback && (new_edges > 0 || fresh_crash) then begin
-                 ignore
-                   (Corpus.add st.corpus ~prog ~new_edges ~crashed:fresh_crash
-                     : bool);
-                 Obs.Counter.incr st.c_corpus_admits;
-                 if Obs.active st.obs then
-                   Obs.emit st.obs
-                     (Obs.Event.Corpus_admit
-                        { new_edges; size = Corpus.size st.corpus });
-                 (* Focused exploitation pays on narrow finds —
-                    a fresh comparison bucket worth hill-climbing.
-                    Broad hauls come from fresh exploration, which
-                    a burst would only starve. *)
-                 if new_edges > 0 && new_edges <= 4 && exploit_worthwhile
-                 then st.focus <- Some (prog, 12)
-               end)));
-      if st.iteration mod config.snapshot_every = 0 then sample st
-    with e ->
-      (* Defensive: a campaign must never take the harness down. *)
-      st.aborted <- true;
-      if st.abort_cause = None then
-        st.abort_cause <- Some (Eof_error.agent (Printexc.to_string e))
+               Obs.emit st.obs
+                 (Obs.Event.Payload
+                    { iteration = st.iteration; status = status_name; new_edges })
+             end;
+             if st.last_was_fresh then
+               st.fresh_yield <-
+                 (0.95 *. st.fresh_yield)
+                 +. (0.05 *. if new_edges > 0 then 1. else 0.);
+             (* Crashing inputs are interesting the first time a
+                bug is seen; re-triggers of a known bug are not. *)
+             let fresh_crash =
+               crashed && Hashtbl.length st.crash_table > distinct_before
+             in
+             (* Exploitation (input-to-state children, focus
+                bursts) only pays once cheap exploration has
+                dried up; before that it just starves the fresh
+                sampling that is still finding edges. *)
+             let exploit_worthwhile = st.fresh_yield < 0.3 in
+             (* Children are globally deduplicated, so each
+                unique patch runs once; no flooding. *)
+             if exploit_worthwhile then queue_i2s_children st;
+             if config.feedback && (new_edges > 0 || fresh_crash) then begin
+               ignore
+                 (Corpus.add st.corpus ~prog ~new_edges ~crashed:fresh_crash
+                   : bool);
+               Obs.Counter.incr st.c_corpus_admits;
+               if Obs.active st.obs then
+                 Obs.emit st.obs
+                   (Obs.Event.Corpus_admit
+                      { new_edges; size = Corpus.size st.corpus });
+               (* Focused exploitation pays on narrow finds —
+                  a fresh comparison bucket worth hill-climbing.
+                  Broad hauls come from fresh exploration, which
+                  a burst would only starve. *)
+               if new_edges > 0 && new_edges <= 4 && exploit_worthwhile
+               then st.focus <- Some (prog, 12)
+             end)));
+    if st.iteration mod config.snapshot_every = 0 then sample st
   end
 
 let finish st =

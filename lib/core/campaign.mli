@@ -123,9 +123,8 @@ type outcome = {
   final_corpus : Prog.t list;  (** seeds at campaign end, for persistence *)
   abort_cause : Eof_util.Eof_error.t option;
       (** why the campaign stopped early, when it did: the ladder's
-          [Board_dead] verdict, the fifth consecutive unrecoverable
-          failure, or an escaped exception. [None] means the iteration
-          budget was reached. *)
+          [Board_dead] verdict or the fifth consecutive unrecoverable
+          failure. [None] means the iteration budget was reached. *)
 }
 
 val filter_spec : Eof_spec.Ast.t -> string list -> Eof_spec.Ast.t
@@ -151,9 +150,10 @@ val run :
     The loop above, opened up for external schedulers (the board farm):
     [init] wires one board and returns its explicit campaign state,
     [step] runs exactly one iteration (one payload attempt, including
-    recovery), and [finish] seals the outcome. A [step] never raises;
-    an escaping exception marks the state aborted and [finished]
-    becomes true. *)
+    recovery), and [finish] seals the outcome. An exception from any
+    layer (a harness bug, or an observer sink that raises) propagates
+    out of [step] and {!run} unchanged: a broken harness never looks
+    like a dead board. *)
 
 type state
 (** All per-board campaign state: generator, corpus, coverage map,
@@ -173,9 +173,8 @@ val step : state -> unit
     no-op once {!finished}. *)
 
 val finished : state -> bool
-(** Budget exhausted, five unrecoverable link failures in a row, an
-    aborted iteration, or a board the escalation ladder gave up for
-    dead. *)
+(** Budget exhausted, five unrecoverable link failures in a row, or a
+    board the escalation ladder gave up for dead. *)
 
 val finish : state -> outcome
 (** Take the final coverage sample and seal the outcome. Call once. *)

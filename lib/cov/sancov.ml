@@ -129,8 +129,6 @@ let records_written t = t.records_written
 
 let wraps t = t.wraps
 
-let reset_buffer t = set_write_index t 0
-
 let decode_records ~endianness ~count raw =
   if String.length raw < 4 * count then invalid_arg "Sancov.decode_records: short buffer";
   let b = Bytes.unsafe_of_string raw in

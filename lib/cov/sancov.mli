@@ -75,9 +75,6 @@ val records_written : t -> int64
 val wraps : t -> int
 (** Times the buffer self-wrapped because no host drained it. *)
 
-val reset_buffer : t -> unit
-(** Target-side reset (also used at boot). *)
-
 (** Host-side helpers: interpreting a raw dump of the coverage buffer.
     These are pure so the host can apply them to bytes read over the
     debug link. *)

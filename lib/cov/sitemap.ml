@@ -29,15 +29,7 @@ let index_of_addr t addr =
     let idx = off / 4 in
     if idx < t.next_index then Some idx else None
 
-let addr_of_index t idx =
-  if idx < 0 || idx >= t.next_index then None else Some (t.text_base + (4 * idx))
-
 let block_of_addr t addr =
   List.find_opt (fun b -> addr >= b.base && addr < b.base + (4 * b.count)) t.blocks_rev
 
 let blocks t = List.rev t.blocks_rev
-
-let symbol_of_addr t addr =
-  match block_of_addr t addr with
-  | Some b -> Printf.sprintf "%s+0x%x" b.name (addr - b.base)
-  | None -> Printf.sprintf "0x%08x" addr

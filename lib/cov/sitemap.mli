@@ -31,13 +31,8 @@ val index_of_addr : t -> int -> int option
 (** Dense site index of a site address ([None] if the address is not an
     allocated site). *)
 
-val addr_of_index : t -> int -> int option
-
 val block_of_addr : t -> int -> block option
 (** Which module owns this site (for crash-report symbolization). *)
 
 val blocks : t -> block list
 (** Allocation order. *)
-
-val symbol_of_addr : t -> int -> string
-(** ["module+0xoff"]-style label, or a raw hex address if unknown. *)

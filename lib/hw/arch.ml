@@ -22,9 +22,6 @@ let xtensa =
 let powerpc =
   { family = Powerpc; endianness = Big; word_bits = 32; register_count = 32; pc_register = 64 }
 
-let mips =
-  { family = Mips; endianness = Big; word_bits = 32; register_count = 38; pc_register = 37 }
-
 let family_name = function
   | Arm_cortex_m -> "ARM"
   | Riscv32 -> "RISC-V"

@@ -21,7 +21,6 @@ val arm_cortex_m : t
 val riscv32 : t
 val xtensa : t
 val powerpc : t
-val mips : t
 
 val family_name : family -> string
 

@@ -146,11 +146,6 @@ let used_bytes t =
 let free_bytes t =
   fold_blocks t (fun acc ~addr:_ ~payload ~used -> if used then acc else acc + payload) 0
 
-let largest_free t =
-  fold_blocks t
-    (fun acc ~addr:_ ~payload ~used -> if (not used) && payload > acc then payload else acc)
-    0
-
 let block_count t = fold_blocks t (fun acc ~addr:_ ~payload:_ ~used:_ -> acc + 1) 0
 
 let check t =

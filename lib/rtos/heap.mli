@@ -55,8 +55,6 @@ val used_bytes : t -> int
 
 val free_bytes : t -> int
 
-val largest_free : t -> int
-
 val block_count : t -> int
 
 val check : t -> (unit, string) result

@@ -27,5 +27,3 @@ let name code =
   else if Int64.equal code enospc then "ENOSPC"
   else if Int64.equal code eperm then "EPERM"
   else Printf.sprintf "ERR%Ld" code
-
-let is_error code = Int64.compare code 0L < 0

@@ -25,5 +25,3 @@ val eperm : int64
 
 val name : int64 -> string
 (** ["OK"], ["EINVAL"], ... or ["ERR<n>"] for unknown codes. *)
-
-val is_error : int64 -> bool

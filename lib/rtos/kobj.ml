@@ -40,13 +40,6 @@ let fold t f init =
 
 let active_count t = fold t (fun acc obj -> if obj.state = Active then acc + 1 else acc) 0
 
-let total_count t = Hashtbl.length t.objects
-
-let iter_active t f =
-  Hashtbl.iter (fun _ obj -> if obj.state = Active then f obj) t.objects
-
 let of_kind t kind =
   fold t (fun acc obj -> if obj.state = Active && obj.kind = kind then obj :: acc else acc) []
   |> List.sort (fun a b -> compare a.handle b.handle)
-
-let state_name = function Active -> "active" | Detached -> "detached" | Deleted -> "deleted"

@@ -40,11 +40,5 @@ val delete : obj -> unit
 
 val active_count : t -> int
 
-val total_count : t -> int
-
-val iter_active : t -> (obj -> unit) -> unit
-
 val of_kind : t -> string -> obj list
 (** Active objects of a kind, oldest first. *)
-
-val state_name : state -> string

@@ -148,8 +148,3 @@ let unlink t ~path =
     Ok ()
 
 let size_of t ~path = Option.map (fun f -> f.size) (find_file t path)
-
-let file_count t = List.length t.files
-
-let open_fds t =
-  Hashtbl.fold (fun _ st acc -> if st.closed then acc else acc + 1) t.fds 0

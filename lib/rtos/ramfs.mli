@@ -32,7 +32,3 @@ val unlink : t -> path:string -> (unit, int64) result
     subsequent reads/writes fail with [Kerr.enoent]. *)
 
 val size_of : t -> path:string -> int option
-
-val file_count : t -> int
-
-val open_fds : t -> int

@@ -101,9 +101,6 @@ let set_priority tcb priority =
     Ok ()
   end
 
-let ready_count t =
-  List.length (List.filter (fun (tcb, _) -> tcb.state = Ready) t.tasks)
-
 let ticks t = t.tick_count
 
 let of_obj (obj : Kobj.obj) = match obj.Kobj.payload with Task tcb -> Some tcb | _ -> None

@@ -49,8 +49,6 @@ val finish : tcb -> unit
 
 val set_priority : tcb -> int -> (unit, int64) result
 
-val ready_count : t -> int
-
 val ticks : t -> int
 
 val of_obj : Kobj.obj -> tcb option

@@ -2,8 +2,7 @@
    32-bit, so it fits native ints on every platform OCaml 5 supports);
    [int32] appears only at the public boundary. The 256-entry table is
    built eagerly at module init — it costs ~2k shift/xor ops once,
-   versus a [Lazy.force] branch per byte on the 4 KiB-sector hot path
-   (crc32_4k in the micro-bench). *)
+   versus a [Lazy.force] branch per byte on the 4 KiB-sector hot path. *)
 
 let table =
   let t = Array.make 256 0 in

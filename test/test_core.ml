@@ -1050,6 +1050,28 @@ let test_restore_emits_reflash_events () =
   Alcotest.(check bool) "reset event present" true
     (List.exists (function _, _, Obs.Event.Reset_board -> true | _ -> false) evs)
 
+(* A harness bug must not look like a dead board: an exception raised
+   mid-iteration (here by an observer sink on the first payload event)
+   escapes [Campaign.run] instead of becoming a quiet abort. *)
+exception Sink_failed
+
+let test_step_exception_escapes () =
+  let build = Osbuild.make ~board_profile:Eof_hw.Profiles.stm32f4_disco Zephyr.spec in
+  let bus = Obs.create () in
+  Obs.add_sink bus
+    (Obs.sink (fun ~t:_ ~board:_ ~tenant:_ -> function
+       | Obs.Event.Payload _ -> raise Sink_failed
+       | _ -> ()));
+  let config = { Campaign.default_config with iterations = 20; seed = 7L } in
+  match Campaign.run ~obs:bus config build with
+  | exception Sink_failed -> ()
+  | Ok o ->
+    Alcotest.failf "exception swallowed (abort_cause %s)"
+      (match o.Campaign.abort_cause with
+       | Some e -> Eof_util.Eof_error.to_string e
+       | None -> "none")
+  | Error e -> Alcotest.fail (Eof_util.Eof_error.to_string e)
+
 let test_campaign_obs_does_not_perturb () =
   let build = Osbuild.make ~board_profile:Eof_hw.Profiles.stm32f4_disco Zephyr.spec in
   let config = { Campaign.default_config with iterations = 80; seed = 7L } in
@@ -1101,6 +1123,8 @@ let suite =
         test_restore_emits_reflash_events;
       Alcotest.test_case "obs does not perturb campaign" `Quick
         test_campaign_obs_does_not_perturb;
+      Alcotest.test_case "step exception escapes run" `Quick
+        test_step_exception_escapes;
     ]
 
 (* --- corpus scheduling, transplantation, golden generator stream ----- *)
