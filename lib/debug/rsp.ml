@@ -256,7 +256,9 @@ let escaped_at c rawlen =
     data
   end
   else begin
-    let buf = Buffer.create (max 0 rawlen) in
+    (* Each logical byte takes at least one input byte, so the input
+       left bounds the capacity: a forged length must not allocate. *)
+    let buf = Buffer.create (min (max 0 rawlen) (n - c.i)) in
     let k = ref rawlen in
     while !k <> 0 do
       if c.i >= n then raise (Bad "truncated binary segment");

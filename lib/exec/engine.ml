@@ -24,12 +24,9 @@ type t = {
   board : Board.t;
   fault_vector : int;
   mutable entry : unit -> unit;
-  mutable pc : int;
   mutable status : status;
-  breakpoints : (int, unit) Hashtbl.t;
   mutable last_fault : Fault.t option;
-  mutable sites_executed : int64;
-  site_cost : int;  (** cycles charged per crossed site *)
+  q : Target.quantum;  (** pc, site count, fuel: shared with in-place crossings *)
 }
 
 let create ~board ~fault_vector ~entry =
@@ -37,27 +34,32 @@ let create ~board ~fault_vector ~entry =
     board;
     fault_vector;
     entry;
-    pc = (Board.profile board).Board.flash_base;
     status = Ready;
-    breakpoints = Hashtbl.create 16;
     last_fault = None;
-    sites_executed = 0L;
-    site_cost = 2;
+    q =
+      {
+        Target.clock = Board.clock board;
+        breakpoints = Hashtbl.create 16;
+        site_cost = 2;
+        pc = (Board.profile board).Board.flash_base;
+        sites = 0;
+        fuel = 0;
+      };
   }
 
 let board t = t.board
 
-let pc t = t.pc
+let pc t = t.q.pc
 
 let running t = match t.status with Terminal _ -> false | Ready | Parked _ -> true
 
 let last_fault t = t.last_fault
 
-let set_breakpoint t addr = Hashtbl.replace t.breakpoints addr ()
+let set_breakpoint t addr = Hashtbl.replace t.q.breakpoints addr ()
 
-let remove_breakpoint t addr = Hashtbl.remove t.breakpoints addr
+let remove_breakpoint t addr = Hashtbl.remove t.q.breakpoints addr
 
-let breakpoints t = Hashtbl.fold (fun k () acc -> k :: acc) t.breakpoints []
+let breakpoints t = Hashtbl.fold (fun k () acc -> k :: acc) t.q.breakpoints []
 
 let handler t : (unit, outcome) Effect.Deep.handler =
   {
@@ -88,9 +90,12 @@ let handler t : (unit, outcome) Effect.Deep.handler =
 
 let start t = Effect.Deep.match_with t.entry () (handler t)
 
-let settle t outcome ~fuel_left =
-  (* Process outcomes until we must stop; returns the stop reason. *)
-  let rec go outcome fuel_left =
+let settle t outcome =
+  (* Process outcomes until we must stop; returns the stop reason. The
+     fuel left is the engine's, shared with {!Target.site}'s in-place
+     crossings. *)
+  let q = t.q in
+  let rec go outcome =
     match outcome with
     | O_done ->
       t.status <- Terminal Exited;
@@ -99,56 +104,56 @@ let settle t outcome ~fuel_left =
       t.status <- Terminal Exited;
       Exited
     | O_fault f ->
-      t.pc <- t.fault_vector;
+      q.pc <- t.fault_vector;
       t.last_fault <- Some f;
       let reason = Faulted f in
       t.status <- Terminal reason;
       reason
     | O_site (addr, k) ->
-      t.pc <- addr;
-      t.sites_executed <- Int64.add t.sites_executed 1L;
-      Clock.advance (Board.clock t.board) t.site_cost;
+      q.pc <- addr;
+      q.sites <- q.sites + 1;
+      Clock.advance q.clock q.site_cost;
+      q.fuel <- q.fuel - 1;
       t.status <- Parked k;
-      if Hashtbl.mem t.breakpoints addr then Breakpoint_hit addr
-      else if fuel_left <= 0 then Fuel_exhausted
-      else go (Effect.Deep.continue k ()) (fuel_left - 1)
+      if Hashtbl.mem q.breakpoints addr then Breakpoint_hit addr
+      else if q.fuel <= 0 then Fuel_exhausted
+      else go (Effect.Deep.continue k ())
   in
-  go outcome fuel_left
+  go outcome
+
+(* One quantum of up to [fuel] sites, the first included; [resume]
+   starts or continues the target. *)
+let quantum t ~fuel resume =
+  t.q.fuel <- fuel;
+  Target.with_live (Some t.q) (fun () -> settle t (resume ()))
 
 let run t ~fuel =
   if fuel <= 0 then invalid_arg "Engine.run: fuel must be positive";
   match t.status with
   | Terminal reason -> reason
-  | Ready ->
-    (* First quantum of this boot: the first crossed site also consumes
-       fuel, hence fuel - 1 left after it. *)
-    settle t (start t) ~fuel_left:(fuel - 1)
+  | Ready -> quantum t ~fuel (fun () -> start t)
   | Parked k ->
     t.status <- Ready;
     (* placeholder; settle overwrites *)
-    settle t (Effect.Deep.continue k ()) ~fuel_left:(fuel - 1)
+    quantum t ~fuel (fun () -> Effect.Deep.continue k ())
 
 let step_one t = run t ~fuel:1
 
 let reset t =
   (match t.status with
    | Parked k ->
-     (* Unwind the suspended target so its resources are released. *)
-     (match Effect.Deep.discontinue k Engine_reset with
-      | O_aborted | O_done | O_fault _ -> ()
-      | O_site (_, k') ->
-        (* A handler in target code swallowed the reset and kept running;
-           force the chain down. This cannot recurse unboundedly because
-           each discontinue consumes a continuation. *)
-        let rec drain k =
-          match Effect.Deep.discontinue k Engine_reset with
-          | O_site (_, k') -> drain k'
-          | O_aborted | O_done | O_fault _ -> ()
-        in
-        drain k')
+     (* Unwind the suspended target so its resources are released. A
+        handler in target code may swallow the reset and keep running:
+        with no quantum live, each site it crosses suspends here and is
+        unwound in turn. Each discontinue consumes a continuation. *)
+     let rec drain = function
+       | O_site (_, k) -> drain (Effect.Deep.discontinue k Engine_reset)
+       | O_aborted | O_done | O_fault _ -> ()
+     in
+     Target.with_live None (fun () -> drain (Effect.Deep.discontinue k Engine_reset))
    | Ready | Terminal _ -> ());
   t.status <- Ready;
-  t.pc <- (Board.profile t.board).Board.flash_base;
+  t.q.pc <- (Board.profile t.board).Board.flash_base;
   t.last_fault <- None
 
-let sites_executed t = t.sites_executed
+let sites_executed t = Int64.of_int t.q.sites

@@ -43,7 +43,9 @@ val breakpoints : t -> int list
 val run : t -> fuel:int -> stop_reason
 (** Execute up to [fuel] instrumentation sites. Resuming after a
     [Breakpoint_hit] steps past the breakpointed site first. [run] on a
-    terminal engine returns the terminal reason again.
+    terminal engine returns the terminal reason again. The target
+    suspends only at the site it stops on; the sites before it are
+    crossed in place ({!Target.site}).
     @raise Invalid_argument if [fuel <= 0]. *)
 
 val step_one : t -> stop_reason

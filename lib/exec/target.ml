@@ -1,16 +1,49 @@
+open Eof_hw
+
 type _ Effect.t +=
   | Site : int -> unit Effect.t
   | Cycles : int -> unit Effect.t
   | Uart_tx : string -> unit Effect.t
   | Read_cycles : int64 Effect.t
 
-let site addr = Effect.perform (Site addr)
+type quantum = {
+  clock : Clock.t;
+  breakpoints : (int, unit) Hashtbl.t;
+  site_cost : int;
+  mutable pc : int;
+  mutable sites : int;
+  mutable fuel : int;
+}
 
-let cycles n = Effect.perform (Cycles n)
+(* The quantum whose engine handler is the innermost handler of the
+   running code, if any. Module-level, not per domain: one engine
+   quantum runs at a time. *)
+let live : quantum option ref = ref None
+
+let with_live q f =
+  let saved = !live in
+  live := q;
+  Fun.protect ~finally:(fun () -> live := saved) f
+
+let site addr =
+  match !live with
+  | Some q when q.fuel > 1 && not (Hashtbl.mem q.breakpoints addr) ->
+    (* Not the quantum's last site and no breakpoint: nothing outside
+       can observe this crossing, so do the engine's bookkeeping here
+       instead of suspending. *)
+    q.pc <- addr;
+    q.sites <- q.sites + 1;
+    Clock.advance q.clock q.site_cost;
+    q.fuel <- q.fuel - 1
+  | _ -> Effect.perform (Site addr)
+
+let cycles n =
+  match !live with Some q -> Clock.advance q.clock n | None -> Effect.perform (Cycles n)
 
 let uart_tx s = Effect.perform (Uart_tx s)
 
-let current_cycles () = Effect.perform Read_cycles
+let current_cycles () =
+  match !live with Some q -> Clock.cycles q.clock | None -> Effect.perform Read_cycles
 
 let run_silent f =
   let handler : ('a, 'a) Effect.Deep.handler =
@@ -27,4 +60,4 @@ let run_silent f =
           | _ -> None);
     }
   in
-  Effect.Deep.match_with f () handler
+  with_live None (fun () -> Effect.Deep.match_with f () handler)

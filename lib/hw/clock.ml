@@ -1,19 +1,19 @@
-type t = { mhz : int; mutable cycles : int64 }
+type t = { mhz : int; mutable cycles : int }
 
 let create ~mhz =
   if mhz <= 0 then invalid_arg "Clock.create: mhz";
-  { mhz; cycles = 0L }
+  { mhz; cycles = 0 }
 
 let mhz t = t.mhz
 
-let cycles t = t.cycles
+let cycles t = Int64.of_int t.cycles
 
 let advance t n =
   if n < 0 then invalid_arg "Clock.advance: negative";
-  t.cycles <- Int64.add t.cycles (Int64.of_int n)
+  t.cycles <- t.cycles + n
 
-let now_us t = Int64.to_float t.cycles /. float_of_int t.mhz
+let now_us t = float_of_int t.cycles /. float_of_int t.mhz
 
 let now_s t = now_us t /. 1_000_000.
 
-let reset t = t.cycles <- 0L
+let reset t = t.cycles <- 0

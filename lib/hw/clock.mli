@@ -1,8 +1,8 @@
 (** Virtual time.
 
     The simulation measures time in CPU cycles; campaigns convert cycles
-    to virtual seconds with the board's clock frequency. Every effect the
-    target performs charges cycles, so instrumentation overhead shows up
+    to virtual seconds with the board's clock frequency. Every site the
+    target crosses charges cycles, so instrumentation overhead shows up
     as reduced payload throughput exactly as in the paper's §5.5.2. *)
 
 type t

@@ -148,6 +148,158 @@ let test_infinite_loop_bounded () =
   | Engine.Fuel_exhausted -> Alcotest.(check int) "still stuck" 0x200 (Engine.pc e)
   | _ -> Alcotest.fail "expected fuel stop again"
 
+(* The fast/slow boundary: a site is crossed in place unless a debugger
+   could see it. Each case pins pc, sites, board cycles and the stop. *)
+
+let check_state e board ~pc ~sites ~cycles =
+  Alcotest.(check int) "pc" pc (Engine.pc e);
+  Alcotest.(check int64) "sites" sites (Engine.sites_executed e);
+  Alcotest.(check int64) "cycles" cycles (Clock.cycles (Board.clock board))
+
+let stop_name = function
+  | Engine.Breakpoint_hit pc -> Printf.sprintf "breakpoint %#x" pc
+  | Engine.Fuel_exhausted -> "fuel"
+  | Engine.Faulted _ -> "fault"
+  | Engine.Exited -> "exited"
+
+let check_stop expected got = Alcotest.(check string) "stop" expected (stop_name got)
+
+let straight_line n base () =
+  for i = 0 to n - 1 do
+    Target.site (base + (4 * i))
+  done
+
+let test_breakpoint_on_last_site () =
+  let board, e = make_engine (straight_line 6 0x100) in
+  Engine.set_breakpoint e 0x108;
+  (* The third site is both the quantum's last and a breakpoint. *)
+  check_stop "breakpoint 0x108" (Engine.run e ~fuel:3);
+  check_state e board ~pc:0x108 ~sites:3L ~cycles:6L;
+  check_stop "fuel" (Engine.run e ~fuel:2);
+  check_state e board ~pc:0x110 ~sites:5L ~cycles:10L;
+  check_stop "exited" (Engine.run e ~fuel:10);
+  check_state e board ~pc:0x114 ~sites:6L ~cycles:12L
+
+let test_step_one_plain_sites () =
+  let board, e = make_engine (straight_line 5 0x100) in
+  for i = 1 to 5 do
+    check_stop "fuel" (Engine.step_one e);
+    check_state e board ~pc:(0x100 + (4 * (i - 1))) ~sites:(Int64.of_int i)
+      ~cycles:(Int64.of_int (2 * i))
+  done;
+  check_stop "exited" (Engine.step_one e);
+  check_state e board ~pc:0x110 ~sites:5L ~cycles:10L
+
+let swallowing_entry ~unwound () =
+  (try
+     Target.site 0x100;
+     Target.site 0x104
+   with _ -> ());
+  (* Only reached while the reset unwinds: these crossings must suspend
+     into the reset's drain and count nothing. *)
+  incr unwound;
+  Target.cycles 100;
+  Target.site 0x200;
+  Target.site 0x204
+
+let test_reset_swallowed_slow_path () =
+  let unwound = ref 0 in
+  let board, e = make_engine (swallowing_entry ~unwound) in
+  let flash_base = (Board.profile board).Board.flash_base in
+  check_stop "fuel" (Engine.run e ~fuel:1);
+  check_state e board ~pc:0x100 ~sites:1L ~cycles:2L;
+  Engine.reset e;
+  Alcotest.(check int) "handler ran" 1 !unwound;
+  (* The handler's Cycles effect is still charged, its sites are not. *)
+  check_state e board ~pc:flash_base ~sites:1L ~cycles:102L;
+  check_stop "fuel" (Engine.run e ~fuel:2);
+  check_state e board ~pc:0x104 ~sites:3L ~cycles:106L
+
+let test_reset_inside_other_quantum () =
+  (* Resetting a parked engine from inside another engine's quantum: the
+     unwinding sites belong to neither quantum. *)
+  let unwound = ref 0 in
+  let board_a, a = make_engine (swallowing_entry ~unwound) in
+  check_stop "fuel" (Engine.run a ~fuel:1);
+  let board_b, b =
+    make_engine (fun () ->
+        Target.site 0x900;
+        Engine.reset a;
+        Target.site 0x904)
+  in
+  check_stop "exited" (Engine.run b ~fuel:10);
+  Alcotest.(check int) "handler ran" 1 !unwound;
+  check_state b board_b ~pc:0x904 ~sites:2L ~cycles:4L;
+  check_state a board_a ~pc:(Board.profile board_a).Board.flash_base ~sites:1L ~cycles:102L
+
+let test_trap_mid_quantum () =
+  let board, e =
+    make_engine (fun () ->
+        Target.site 0x100;
+        Target.cycles 10;
+        Target.site 0x104;
+        if Target.current_cycles () > 0L then Fault.usage "bad instruction";
+        Target.site 0x108)
+  in
+  check_stop "fault" (Engine.run e ~fuel:100);
+  check_state e board ~pc:0xDEAD ~sites:2L ~cycles:14L;
+  check_stop "fault" (Engine.run e ~fuel:100);
+  check_state e board ~pc:0xDEAD ~sites:2L ~cycles:14L
+
+let test_run_silent_under_quantum () =
+  let silent_clock = ref (-1L) and live_clock = ref (-1L) in
+  let board, e =
+    make_engine (fun () ->
+        Target.site 0x100;
+        Target.run_silent (fun () ->
+            Target.site 0x300;
+            Target.cycles 1000;
+            silent_clock := Target.current_cycles ();
+            Target.site 0x304);
+        live_clock := Target.current_cycles ();
+        Target.site 0x104)
+  in
+  check_stop "exited" (Engine.run e ~fuel:100);
+  Alcotest.(check int64) "silent clock reads zero" 0L !silent_clock;
+  Alcotest.(check int64) "live clock after run_silent" 2L !live_clock;
+  check_state e board ~pc:0x104 ~sites:2L ~cycles:4L
+
+let test_two_engines_alternate () =
+  let spin base extra () =
+    let rec go i =
+      Target.site (base + (4 * (i mod 8)));
+      if extra > 0 then Target.cycles extra;
+      go (i + 1)
+    in
+    go 0
+  in
+  let board_a, a = make_engine (spin 0x100 0) in
+  let board_b, b = make_engine (spin 0x800 3) in
+  for round = 1 to 4 do
+    check_stop "fuel" (Engine.run a ~fuel:10);
+    check_stop "fuel" (Engine.run b ~fuel:5);
+    let sa = 10 * round and sb = 5 * round in
+    check_state a board_a ~pc:(0x100 + (4 * ((sa - 1) mod 8))) ~sites:(Int64.of_int sa)
+      ~cycles:(Int64.of_int (2 * sa));
+    (* Each of b's sites but the parked one has also charged its 3. *)
+    check_state b board_b ~pc:(0x800 + (4 * ((sb - 1) mod 8))) ~sites:(Int64.of_int sb)
+      ~cycles:(Int64.of_int ((2 * sb) + (3 * (sb - 1))))
+  done
+
+let test_escaping_exception_clears_quantum () =
+  let board, e =
+    make_engine (fun () ->
+        Target.site 0x100;
+        Target.site 0x104;
+        raise Exit)
+  in
+  Alcotest.check_raises "escapes run" Exit (fun () -> ignore (Engine.run e ~fuel:100));
+  check_state e board ~pc:0x104 ~sites:2L ~cycles:4L;
+  (match Target.site 0x500 with
+   | () -> Alcotest.fail "site crossed on a dead engine"
+   | exception Effect.Unhandled _ -> ());
+  check_state e board ~pc:0x104 ~sites:2L ~cycles:4L
+
 let suite =
   [
     Alcotest.test_case "run to exit" `Quick test_run_to_exit;
@@ -160,4 +312,13 @@ let suite =
     Alcotest.test_case "reset unwinds parked target" `Quick test_reset_unwinds_parked;
     Alcotest.test_case "single step" `Quick test_step_one;
     Alcotest.test_case "infinite loop bounded by fuel" `Quick test_infinite_loop_bounded;
+    Alcotest.test_case "breakpoint on last site" `Quick test_breakpoint_on_last_site;
+    Alcotest.test_case "step_one through plain sites" `Quick test_step_one_plain_sites;
+    Alcotest.test_case "reset swallowed: slow path" `Quick test_reset_swallowed_slow_path;
+    Alcotest.test_case "reset inside other quantum" `Quick test_reset_inside_other_quantum;
+    Alcotest.test_case "trap mid-quantum" `Quick test_trap_mid_quantum;
+    Alcotest.test_case "run_silent under quantum" `Quick test_run_silent_under_quantum;
+    Alcotest.test_case "two engines alternate" `Quick test_two_engines_alternate;
+    Alcotest.test_case "escaping exception clears quantum" `Quick
+      test_escaping_exception_clears_quantum;
   ]

@@ -17,5 +17,6 @@ let () =
       ("baselines", Test_baselines.suite);
       ("expt", Test_expt.suite);
       ("hub", Test_hub.suite);
+      ("decoders", Test_decoders.suite);
       ("bugs", Test_bugs.suite);
     ]
