@@ -820,8 +820,7 @@ let write_bench_json ~link ~scaling ~resilience ~native ~snapshot ~hub ~schedule
     Buffer.add_string b
       (Printf.sprintf
          "    \"drain_spans\": { \"count\": %d, \"total_us\": %d },\n"
-         (c "span.covlink.exchange.count" + c "span.covlink.drain.count")
-         (c "span.covlink.exchange.us" + c "span.covlink.drain.us"));
+         (c "span.covlink.exchange.count") (c "span.covlink.exchange.us"));
     Buffer.add_string b "    \"counters\": {\n";
     let n = List.length batched.counters in
     List.iteri

@@ -21,7 +21,7 @@ type stop = Eof_debug.Session.stop =
   | Stopped_fault of int
   | Target_exited
 
-type drained = {
+type drained = Eof_debug.Covlink.drained = {
   n_records : int;
   records_raw : string;
   n_cmp : int;
@@ -33,6 +33,7 @@ type link_state = {
   server : Eof_debug.Openocd.t;
   transport : Eof_debug.Transport.t;
   session : Session.t;
+  covlink : Eof_debug.Covlink.t;
 }
 
 type native_state = {
@@ -83,8 +84,12 @@ let create ?obs ?(continue_quantum = 200_000) ?transport ?inject build =
    | None -> ());
   match Eof_debug.Session.connect ?obs ~transport ~server () with
   | Ok session ->
+    let covlink =
+      Eof_debug.Covlink.create ~session ~layout:(Osbuild.covbuf_layout build)
+    in
     let t =
-      { build; board; engine; impl = L { server; transport; session }; snapshot_armed = false }
+      { build; board; engine; impl = L { server; transport; session; covlink };
+        snapshot_armed = false }
     in
     (* Timestamps on this machine's bus handle come from its own virtual
        clock, never the host wall clock — the trace-determinism
@@ -307,17 +312,14 @@ let inject_gpio t ~pin ~level =
      | Ok () -> Ok ()
      | Error e -> Error (Eof_error.agent ("gpio injection: " ^ e)))
 
-let supports_batch t =
-  match t.impl with L l -> Session.supports_batch l.session | N _ -> false
-
-(* --- native fused continue + drain ------------------------------------- *)
+(* --- fused continue + drain --------------------------------------------- *)
 
 (* Mirrors the probe server's [B_read_counted] semantics bit-for-bit:
    read the counter word, clamp to capacity, read that many entries from
    the start of the buffer, then reset the counter — so the raw byte
    stream handed to the campaign's decoders is identical to what the
    vBatch drain returns over the link. A failed read yields the zero
-   result (nothing was reset, nothing is lost), matching Covlink. *)
+   result (nothing was reset, nothing is lost), matching the link. *)
 let read_counted t ~count_addr ~data_addr ~stride ~max_count =
   match Board.read_mem t.board ~addr:count_addr ~len:4 with
   | Error _ -> (0, "")
@@ -365,10 +367,7 @@ let native_drain t n ~want_cmp =
 
 let continue_and_drain ?write t ~want_cmp =
   match t.impl with
-  | L _ ->
-    Error
-      (Eof_error.protocol
-         "Machine.continue_and_drain: link machines fuse drains through Covlink")
+  | L l -> Eof_debug.Covlink.continue_and_drain ?write l.covlink ~want_cmp
   | N n ->
     let deliver =
       match write with

@@ -40,7 +40,7 @@ type stop = Eof_debug.Session.stop =
     drain returns them. The native backend fills the same shape by
     direct memory reads so the campaign's decode path is shared
     bit-for-bit between backends. *)
-type drained = {
+type drained = Eof_debug.Covlink.drained = {
   n_records : int;
   records_raw : string;
   n_cmp : int;
@@ -155,16 +155,16 @@ val continue_and_drain :
   t ->
   want_cmp:bool ->
   (stop * drained, Eof_util.Eof_error.t) result
-(** Native backend's hot path: deliver the optional staged mailbox
-    image, resume one quantum, then drain coverage records, the cmp
-    ring (when [want_cmp]) and UART by direct memory access —
-    mirroring the link's fused [vBatch] continue+drain semantics
-    (clamp to capacity, reset the target-side counter) so the byte
-    stream entering the campaign's decoders is identical.
+(** The fused hot path, on both backends: deliver the optional staged
+    mailbox image, resume one quantum, then drain coverage records, the
+    cmp ring (when [want_cmp]) and UART, clamping each counter to
+    capacity and resetting it target-side.
 
-    On the link backend this is an error: batched link drains go
-    through {!Eof_debug.Covlink} (which owns the vBatch framing), and
-    the campaign selects that path instead. *)
+    Link: one [vBatch] exchange through {!Eof_debug.Covlink}, bumping
+    the [covlink.*] counters. Native: direct memory access with the
+    same clamp-and-reset semantics, bumping the [native.*] counters.
+    The byte stream entering the campaign's decoders is identical
+    either way. *)
 
 val read_u32 : t -> addr:int -> (int32, Eof_util.Eof_error.t) result
 
@@ -192,12 +192,6 @@ val resync : t -> (unit, Eof_util.Eof_error.t) result
     no-op success — there is no link to desynchronize. *)
 
 val inject_gpio : t -> pin:int -> level:bool -> (unit, Eof_util.Eof_error.t) result
-
-val supports_batch : t -> bool
-(** Whether the campaign may fuse drains through {!Eof_debug.Covlink}:
-    the link stub's [vBatch+] capability. Always [false] on native —
-    the native backend has its own fused path
-    ({!continue_and_drain}). *)
 
 val flash_erase : t -> addr:int -> len:int -> (unit, Eof_util.Eof_error.t) result
 

@@ -2,7 +2,6 @@ open Eof_hw
 open Eof_os
 module Rng = Eof_util.Rng
 module Session = Eof_debug.Session
-module Covlink = Eof_debug.Covlink
 module Wire = Eof_agent.Wire
 module Agent = Eof_agent.Agent
 module Machine = Eof_agent.Machine
@@ -107,18 +106,17 @@ type outcome = {
 }
 
 (* How target-side evidence (coverage records, cmp ring, UART) reaches
-   the host. [Per_request]: legacy unbatched link — one RSP exchange per
-   read, performed at the loop's consumption points. [Batched]: fused
-   link — every continue carries the full drain in one vBatch exchange
-   and data parks in the pend_* accumulators. [Direct]: native backend —
-   same fused drain-every-stop discipline, but by direct memory access
-   with no link at all. Batched and Direct share the accumulator path
-   bit-for-bit; that shared path is what makes the two backends
-   digest-identical. *)
+   the host, chosen by [config.batch_link] alone. [Per_request]: one
+   machine read per word or buffer, performed at the loop's consumption
+   points — the reference the fused path is tested against. [Fused]:
+   every continue carries the full drain ({!Machine.continue_and_drain},
+   one vBatch exchange on the link, direct memory reads natively) and
+   the data parks in the pend_* accumulators until those same points.
+   Both backends share the accumulator path bit-for-bit; that shared
+   path is what makes them digest-identical. *)
 type drain_mode =
   | Per_request
-  | Batched of Covlink.t
-  | Direct
+  | Fused
 
 type state = {
   config : config;
@@ -202,9 +200,9 @@ type state = {
 
 (* --- small helpers ---------------------------------------------------- *)
 
-(* Fused modes (Batched link, Direct native): park one stop's drained
-   data in the pending accumulators. Committing happens separately, at
-   exactly the loop points where the unbatched path performs its reads.
+(* Fused mode: park one stop's drained data in the pending accumulators.
+   Committing happens separately, at exactly the loop points where the
+   unbatched path performs its reads.
    Because every fused drain resets the target-side counters, the
    pending data is always exactly what the unbatched host would still
    find in target RAM — so a board reset, which clears RAM and the UART
@@ -242,25 +240,14 @@ let absorb_drained st (d : Machine.drained) =
   end;
   if d.Machine.log <> "" then Buffer.add_string st.pend_log d.Machine.log
 
-(* The link's fused drain and the native one return the same shape under
-   different record types; bridge the Covlink one over. *)
-let drained_of_covlink (d : Covlink.drained) : Machine.drained =
-  {
-    Machine.n_records = d.Covlink.n_records;
-    records_raw = d.Covlink.records_raw;
-    n_cmp = d.Covlink.n_cmp;
-    cmp_raw = d.Covlink.cmp_raw;
-    log = d.Covlink.log;
-  }
-
 (* UART output as the unbatched path would see it at this point: either
-   drained now over the link, or accumulated stop-by-stop since the last
-   consumption point. *)
+   drained now, or accumulated stop-by-stop since the last consumption
+   point. *)
 let take_log st =
   match st.mode with
   | Per_request ->
     (match Machine.drain_uart st.machine with Ok s -> s | Error _ -> "")
-  | Batched _ | Direct ->
+  | Fused ->
     let log = Buffer.contents st.pend_log in
     Buffer.clear st.pend_log;
     log
@@ -270,7 +257,7 @@ let drain_cmp_hints st =
      from it — EOF-nf ignores feedback by definition. *)
   if st.config.feedback then begin
     match st.mode with
-    | Batched _ | Direct ->
+    | Fused ->
       if st.pend_cmp_len > 0 then begin
         let pairs =
           List.init st.pend_cmp_len (fun i -> (st.pend_cmp_a.(i), st.pend_cmp_b.(i)))
@@ -316,7 +303,7 @@ let drain_cmp_hints st =
 
 let drain_coverage st =
   match st.mode with
-  | Batched _ | Direct ->
+  | Fused ->
     let merged = Feedback.merge_array st.fb st.pend_rec ~len:st.pend_rec_len in
     st.pend_rec_len <- 0;
     merged
@@ -489,74 +476,62 @@ let rec recover st (cause : Eof_error.t) =
     st.abort_cause <- Some e;
     Error e
 
-(* One continue plus full interpretation of the stop. *)
-type event =
-  | Ev_ready
-  | Ev_done
-  | Ev_buf_full
-  | Ev_panic_bp
-  | Ev_fault
-  | Ev_quantum of int
-  | Ev_other_bp
-  | Ev_exited
-  | Ev_link_failed of Eof_error.t
+(* One continue plus full interpretation of the stop. Both drive loops
+   handle a [stop_event] alike (see {!on_stop}); [`Ready] and [`Done]
+   mean something different to each. *)
+type stop_event =
+  [ `Buf_full
+  | `Panic_bp
+  | `Fault
+  | `Quantum of int
+  | `Other_bp
+  | `Exited
+  | `Link_failed of Eof_error.t ]
 
-let classify_stop st stop =
+type event = [ `Ready | `Done | stop_event ]
+
+let classify_stop st stop : event =
   (* Any cleanly decoded stop proves the link healthy: drop back to the
      bottom of the escalation ladder. *)
   st.rung <- 0;
   match stop with
   | Machine.Stopped_breakpoint pc ->
     Liveness.reset st.liveness;
-    if pc = st.syms.Osbuild.sym_executor_main then Ev_ready
-    else if pc = st.syms.Osbuild.sym_loop_back then Ev_done
-    else if pc = st.syms.Osbuild.sym_buf_full then Ev_buf_full
-    else if pc = st.syms.Osbuild.sym_handle_exception then Ev_panic_bp
-    else Ev_other_bp
-  | Machine.Stopped_fault _ -> Ev_fault
-  | Machine.Stopped_quantum pc -> Ev_quantum pc
-  | Machine.Target_exited -> Ev_exited
+    if pc = st.syms.Osbuild.sym_executor_main then `Ready
+    else if pc = st.syms.Osbuild.sym_loop_back then `Done
+    else if pc = st.syms.Osbuild.sym_buf_full then `Buf_full
+    else if pc = st.syms.Osbuild.sym_handle_exception then `Panic_bp
+    else `Other_bp
+  | Machine.Stopped_fault _ -> `Fault
+  | Machine.Stopped_quantum pc -> `Quantum pc
+  | Machine.Target_exited -> `Exited
 
 let advance st =
   match st.mode with
   | Per_request ->
     (match Machine.continue_ st.machine with
-     | Error e -> Ev_link_failed e
+     | Error e -> `Link_failed e
      | Ok stop -> classify_stop st stop)
-  | Batched cl ->
+  | Fused ->
     (* The hot-path fusion: the continue, the whole coverage drain and
-       any staged mailbox delivery are one vBatch exchange, so each stop
-       costs one link round trip instead of six-plus. *)
-    let write = st.pend_write in
-    st.pend_write <- None;
-    (match Covlink.continue_and_drain ?write cl ~want_cmp:st.config.feedback with
-     | Error e -> Ev_link_failed e
-     | Ok (stop, d) ->
-       absorb_drained st (drained_of_covlink d);
-       classify_stop st stop)
-  | Direct ->
-    (* The same fusion with the link removed entirely: mailbox delivery,
-       continue and full drain are direct calls into board memory. *)
+       any staged mailbox delivery are one machine operation — one
+       vBatch round trip on the link instead of six-plus. *)
     let write = st.pend_write in
     st.pend_write <- None;
     (match Machine.continue_and_drain ?write st.machine ~want_cmp:st.config.feedback with
-     | Error e -> Ev_link_failed e
+     | Error e -> `Link_failed e
      | Ok (stop, d) ->
        absorb_drained st d;
        classify_stop st stop)
 
 (* A continue whose stop is deliberately ignored (letting a fault
-   unwind). The fused paths still drain, so nothing the unbatched
-   path would later find in RAM is lost. *)
+   unwind). The fused path still drains, so nothing the unbatched path
+   would later find in RAM is lost. *)
 let blind_continue st =
   match st.mode with
   | Per_request ->
     ignore (Machine.continue_ st.machine : (Machine.stop, Eof_error.t) result)
-  | Batched cl ->
-    (match Covlink.continue_and_drain cl ~want_cmp:st.config.feedback with
-     | Ok (_, d) -> absorb_drained st (drained_of_covlink d)
-     | Error _ -> ())
-  | Direct ->
+  | Fused ->
     (match Machine.continue_and_drain st.machine ~want_cmp:st.config.feedback with
      | Ok (_, d) -> absorb_drained st d
      | Error _ -> ())
@@ -619,68 +594,59 @@ let handle_stall st pc =
        ~backtrace:[] ~monitor:Crash.Liveness_watchdog);
   reboot st
 
+(* The stop arms both drive loops share. [`Running]: keep driving.
+   [`Crashed]: a crash was recorded and the board rebooted.
+   [`Restarted]: the board is back without a crash — the target exited,
+   or the ladder cured a lost connection or a link failure. *)
+let on_stop st (ev : stop_event) =
+  match ev with
+  | `Buf_full ->
+    ignore (drain_coverage st : int);
+    Ok `Running
+  | `Other_bp -> Ok `Running
+  | `Panic_bp -> Result.map (fun () -> `Crashed) (handle_panic_bp st)
+  | `Fault -> Result.map (fun () -> `Crashed) (handle_fault st)
+  | `Exited -> Result.map (fun () -> `Restarted) (reboot st)
+  | `Quantum _ when not st.config.stall_watchdog ->
+    (* Ablation A1: no stall watchdog; burn budget continuing. *)
+    Ok `Running
+  | `Quantum _ ->
+    (match Liveness.check st.liveness st.machine with
+     | Liveness.Pc_stalled pc ->
+       Liveness.reset st.liveness;
+       Result.map (fun () -> `Crashed) (handle_stall st pc)
+     | Liveness.Connection_lost ->
+       st.timeouts <- st.timeouts + 1;
+       Result.map
+         (fun () -> `Restarted)
+         (recover st (Eof_error.with_context "liveness connection-lost" Eof_error.timeout))
+     | Liveness.Alive | Liveness.First_observation -> Ok `Running)
+  | `Link_failed cause ->
+    st.timeouts <- st.timeouts + 1;
+    Result.map (fun () -> `Restarted) (recover st cause)
+
 (* Drive until the agent waits at executor_main. *)
 let rec goto_ready st ~budget =
   if budget <= 0 then Error (Eof_error.agent "target failed to reach executor_main")
   else
+    let next = function
+      | Ok _ -> goto_ready st ~budget:(budget - 1)
+      | Error e -> Error e
+    in
     match advance st with
-    | Ev_ready -> Ok ()
-    | Ev_done ->
+    | `Ready -> Ok ()
+    | `Done ->
       ignore (drain_coverage st : int);
       ignore (scan_log_for_crashes st (take_log st) : Monitor.detection list);
       goto_ready st ~budget:(budget - 1)
-    | Ev_buf_full ->
-      ignore (drain_coverage st : int);
-      goto_ready st ~budget:(budget - 1)
-    | Ev_other_bp -> goto_ready st ~budget:(budget - 1)
-    | Ev_panic_bp ->
-      (match handle_panic_bp st with
-       | Ok () -> goto_ready st ~budget:(budget - 1)
-       | Error e -> Error e)
-    | Ev_fault ->
-      (match handle_fault st with
-       | Ok () -> goto_ready st ~budget:(budget - 1)
-       | Error e -> Error e)
-    | Ev_exited ->
-      (match reboot st with
-       | Ok () -> goto_ready st ~budget:(budget - 1)
-       | Error e -> Error e)
-    | Ev_quantum pc ->
-      if pc = st.syms.Osbuild.sym_boot then begin
-        (* Stuck at the boot vector: the image is damaged; reflash. *)
-        ignore (scan_log_for_crashes st (take_log st) : Monitor.detection list);
-        record_crash st ~kind:Crash.Boot_failure ~operation:"boot" ~scope:"bootloader"
-          ~message:"image integrity check failed at boot" ~backtrace:[]
-          ~monitor:Crash.Liveness_watchdog;
-        match reflash st with
-        | Ok () -> goto_ready st ~budget:(budget - 1)
-        | Error e -> Error e
-      end
-      else if not st.config.stall_watchdog then
-        (* Ablation A1: no stall watchdog; burn budget continuing. *)
-        goto_ready st ~budget:(budget - 1)
-      else begin
-        match Liveness.check st.liveness st.machine with
-        | Liveness.Pc_stalled pc ->
-          Liveness.reset st.liveness;
-          (match handle_stall st pc with
-           | Ok () -> goto_ready st ~budget:(budget - 1)
-           | Error e -> Error e)
-        | Liveness.Connection_lost ->
-          st.timeouts <- st.timeouts + 1;
-          (match
-             recover st (Eof_error.with_context "liveness connection-lost" Eof_error.timeout)
-           with
-           | Ok () -> goto_ready st ~budget:(budget - 1)
-           | Error e -> Error e)
-        | Liveness.Alive | Liveness.First_observation ->
-          goto_ready st ~budget:(budget - 1)
-      end
-    | Ev_link_failed cause ->
-      st.timeouts <- st.timeouts + 1;
-      (match recover st cause with
-       | Ok () -> goto_ready st ~budget:(budget - 1)
-       | Error e -> Error e)
+    | `Quantum pc when pc = st.syms.Osbuild.sym_boot ->
+      (* Stuck at the boot vector: the image is damaged; reflash. *)
+      ignore (scan_log_for_crashes st (take_log st) : Monitor.detection list);
+      record_crash st ~kind:Crash.Boot_failure ~operation:"boot" ~scope:"bootloader"
+        ~message:"image integrity check failed at boot" ~backtrace:[]
+        ~monitor:Crash.Liveness_watchdog;
+      next (reflash st)
+    | #stop_event as ev -> next (on_stop st ev)
 
 let write_program st prog =
   let wire = Prog.to_wire prog in
@@ -706,13 +672,13 @@ let write_program st prog =
       Buffer.blit st.img_buf 0 image 8 plen;
       let image = Bytes.unsafe_to_string image in
       let addr = Osbuild.mailbox_base st.build in
-      (* Fused modes stage the image: it is delivered inside the next
-         fused continue (a binary write op in the vBatch, or a direct
-         memory write), costing zero extra exchanges. The unbatched
-         baseline keeps the hex M packet so its per-request cost model
-         stays what it was. *)
+      (* The fused mode stages the image: it is delivered inside the
+         next fused continue (a binary write op in the vBatch, or a
+         direct memory write), costing zero extra exchanges. The
+         unbatched baseline keeps the hex M packet so its per-request
+         cost model stays what it was. *)
       match st.mode with
-      | Batched _ | Direct ->
+      | Fused ->
         st.pend_write <- Some (addr, image);
         Ok ()
       | Per_request ->
@@ -726,53 +692,20 @@ let rec run_program st ~budget ~crashed =
   if budget <= 0 then Ok (`Aborted, crashed)
   else
     match advance st with
-    | Ev_done ->
+    | `Done ->
       ignore (drain_coverage st : int);
       drain_cmp_hints st;
       ignore (scan_log_for_crashes st (take_log st) : Monitor.detection list);
       Ok (`Completed, crashed)
-    | Ev_buf_full ->
-      ignore (drain_coverage st : int);
-      run_program st ~budget:(budget - 1) ~crashed
-    | Ev_other_bp -> run_program st ~budget:(budget - 1) ~crashed
-    | Ev_ready ->
+    | `Ready ->
       (* Came back around without hitting loop_back: the mailbox held
          garbage (undecodable program) — treat as completed-empty. *)
       Ok (`Rejected, crashed)
-    | Ev_panic_bp ->
-      (match handle_panic_bp st with
-       | Ok () -> Ok (`Crashed, true)
-       | Error e -> Error e)
-    | Ev_fault ->
-      (match handle_fault st with
-       | Ok () -> Ok (`Crashed, true)
-       | Error e -> Error e)
-    | Ev_exited ->
-      (match reboot st with Ok () -> Ok (`Aborted, crashed) | Error e -> Error e)
-    | Ev_quantum pc ->
-      if not st.config.stall_watchdog then run_program st ~budget:(budget - 1) ~crashed
-      else begin
-        match Liveness.check st.liveness st.machine with
-        | Liveness.Pc_stalled pc' ->
-          Liveness.reset st.liveness;
-          (match handle_stall st pc' with
-           | Ok () -> Ok (`Crashed, true)
-           | Error e -> Error e)
-        | Liveness.Connection_lost ->
-          st.timeouts <- st.timeouts + 1;
-          (match
-             recover st (Eof_error.with_context "liveness connection-lost" Eof_error.timeout)
-           with
-           | Ok () -> Ok (`Aborted, crashed)
-           | Error e -> Error e)
-        | Liveness.Alive | Liveness.First_observation ->
-          ignore pc;
-          run_program st ~budget:(budget - 1) ~crashed
-      end
-    | Ev_link_failed cause ->
-      st.timeouts <- st.timeouts + 1;
-      (match recover st cause with
-       | Ok () -> Ok (`Aborted, crashed)
+    | #stop_event as ev ->
+      (match on_stop st ev with
+       | Ok `Running -> run_program st ~budget:(budget - 1) ~crashed
+       | Ok `Crashed -> Ok (`Crashed, true)
+       | Ok `Restarted -> Ok (`Aborted, crashed)
        | Error e -> Error e)
 
 let mutate_seed st seed =
@@ -967,22 +900,12 @@ let init ?machine ?obs config build =
          in
          Corpus.target_of ~os:(Osbuild.os_name build) ~table:table_for_target
        in
-       let mode =
-         match Machine.backend machine with
-         | Machine.Native -> Direct
-         | Machine.Link ->
-           if config.batch_link && Machine.supports_batch machine then
-             Batched
-               (Covlink.create ~session:(Machine.session machine)
-                  ~layout:(Osbuild.covbuf_layout build))
-           else Per_request
-       in
        let st =
          {
            config;
            build;
            machine;
-           mode;
+           mode = (if config.batch_link then Fused else Per_request);
            syms = Osbuild.syms build;
            endianness = (Board.profile (Osbuild.board build)).Board.arch.Arch.endianness;
            gen;

@@ -54,14 +54,15 @@ type config = {
       (** corpus programs to replay before fuzzing starts (resuming a
           saved corpus) *)
   batch_link : bool;
-      (** use the vectored debug link (default true): every continue is
-          fused with the coverage/cmp/UART drain into a single [vBatch]
-          exchange and program delivery uses binary [X] packets, cutting
-          link round trips per stop from six-plus to one. [false] keeps
-          the one-request-per-read path. No baseline or experiment uses
-          it: it is the independent reference the fused drain is tested
-          against (test_core's "batched equals unbatched") and the
-          "before" side of the bench's debug-link comparison. Coverage and crash
+      (** fuse every continue with the coverage/cmp/UART drain and the
+          staged program delivery (default true), on either backend:
+          one [vBatch] exchange per stop on the link, cutting round
+          trips from six-plus to one, and direct memory reads natively.
+          [false] selects the one-read-per-request path on both
+          backends. No baseline or experiment uses it: it is the
+          independent reference the fused drain is tested against
+          (test_core's "batched equals unbatched") and the "before"
+          side of the bench's debug-link comparison. Coverage and crash
           outcomes are identical either way; only link traffic
           differs. *)
   fault_rate : float;

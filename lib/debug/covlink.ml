@@ -26,7 +26,7 @@ let create ~session ~layout =
     c_records = Obs.Counter.make obs "covlink.records";
     c_cmp = Obs.Counter.make obs "covlink.cmp" }
 
-let observe_drained t ~fused d =
+let observe_drained t d =
   Obs.Counter.incr t.c_drains;
   Obs.Counter.add t.c_records d.n_records;
   Obs.Counter.add t.c_cmp d.n_cmp;
@@ -34,9 +34,7 @@ let observe_drained t ~fused d =
     Obs.emit t.obs
       (Obs.Event.Drain
          { records = d.n_records; cmp = d.n_cmp;
-           log_bytes = String.length d.log; fused })
-
-let session t = t.session
+           log_bytes = String.length d.log; fused = true })
 
 let records_op t =
   Rsp.B_read_counted
@@ -64,8 +62,8 @@ let drain_ops t ~want_cmp =
 
 (* A failed drain sub-operation yields its zero result, mirroring the
    per-stage "ignore the error, retry at the next stop" behaviour of the
-   unbatched drain helpers; the counter was not reset server-side, so
-   nothing is lost. *)
+   per-request drain; the counter was not reset server-side, so nothing
+   is lost. *)
 let counted ~max_count = function
   | Rsp.Br_counted { count; data } -> (min count max_count, data)
   | _ -> (0, "")
@@ -86,17 +84,6 @@ let interpret t ~want_cmp replies =
     in
     Ok { n_records; records_raw; n_cmp = 0; cmp_raw = ""; log = text_of uart_r }
   | _ -> Error (Eof_error.protocol "covlink: unexpected drain reply shape")
-
-let drain t ~want_cmp =
-  let span = Obs.span_begin t.obs "covlink.drain" in
-  let result =
-    match Session.batch t.session (drain_ops t ~want_cmp) with
-    | Error e -> Error e
-    | Ok replies -> interpret t ~want_cmp replies
-  in
-  Obs.span_end t.obs span;
-  (match result with Ok d -> observe_drained t ~fused:false d | Error _ -> ());
-  result
 
 let continue_replies t ~want_cmp = function
   | stop_r :: rest ->
@@ -134,6 +121,6 @@ let continue_and_drain ?write t ~want_cmp =
   in
   Obs.span_end t.obs span;
   (match result with
-   | Ok (_, d) -> observe_drained t ~fused:true d
+   | Ok (_, d) -> observe_drained t d
    | Error _ -> ());
   result

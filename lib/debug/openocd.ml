@@ -9,7 +9,6 @@ type t = {
   pc_reg : int;
   reg_dump_words : int;
   mutable last_stop : Rsp.reply;
-  mutable packets_served : int;
   (* Board-side snapshot served by the QSnapshot extension; the host only
      ever holds a handle, the saved pages stay on this side of the link. *)
   mutable snapshot : Snapshot.t option;
@@ -25,13 +24,10 @@ let create ?(continue_quantum = 200_000) ~board ~engine () =
     pc_reg = arch.Arch.pc_register;
     reg_dump_words = max arch.Arch.register_count (arch.Arch.pc_register + 1);
     last_stop = Rsp.Stop { signal = 5; pc = Engine.pc engine; detail = "initial" };
-    packets_served = 0;
     snapshot = None;
   }
 
 let board t = t.board
-
-let engine t = t.engine
 
 let stop_of_reason t (reason : Engine.stop_reason) : Rsp.reply =
   match reason with
@@ -204,7 +200,6 @@ let feed t bytes =
     (fun event ->
       match event with
       | Rsp.Decoder.Packet payload ->
-        t.packets_served <- t.packets_served + 1;
         Buffer.add_char out '+';
         let reply =
           match Rsp.parse_command payload with
@@ -217,5 +212,3 @@ let feed t bytes =
       | Rsp.Decoder.Ack | Rsp.Decoder.Nak | Rsp.Decoder.Break -> ())
     events;
   Buffer.contents out
-
-let packets_served t = t.packets_served

@@ -19,16 +19,12 @@ val create : ?continue_quantum:int -> board:Board.t -> engine:Engine.t -> unit -
 
 val board : t -> Board.t
 
-val engine : t -> Engine.t
-
 val feed : t -> string -> string
 (** Process raw bytes from the host; return the raw bytes to send back
     (acks plus reply frames). [vBatch] packets execute their
     sub-operations in order server-side and return one combined reply
     frame; [X] packets are binary-escaped memory writes. Both are
     advertised in the [qSupported] reply ([vBatch+;X+]). *)
-
-val packets_served : t -> int
 
 (** Monitor ([qRcmd]) commands understood, all returning hex-encoded
     text per OpenOCD convention:

@@ -89,9 +89,6 @@ val flash_write : t -> addr:int -> string -> (unit, error) result
 
 val flash_done : t -> (unit, error) result
 
-val supports_snapshot : t -> bool
-(** Whether the connected stub advertised [QSnapshot+]. *)
-
 val snapshot_save : t -> (int, error) result
 (** Ask the stub to capture a board-side copy-on-write snapshot; returns
     the number of device pages it covers. The saved pages never cross

@@ -31,8 +31,6 @@ let create ?obs ?rng ?injector ?(byte_latency_us = 1.0) ?(exchange_overhead_us =
 
 let set_failure_mode t mode = t.mode <- mode
 
-let failure_mode t = t.mode
-
 let set_injector t injector = t.injector <- injector
 
 let injector t = t.injector

@@ -36,8 +36,6 @@ val create :
 
 val set_failure_mode : t -> failure_mode -> unit
 
-val failure_mode : t -> failure_mode
-
 val set_injector : t -> Inject.t option -> unit
 
 val injector : t -> Inject.t option
@@ -59,9 +57,6 @@ val exchange : t -> server:(string -> string) -> string -> (string, Eof_util.Eof
     (server {e did} execute). Response-mangling faults
     (truncate/NAK-storm/garbage) return [Ok] with the mangled bytes;
     the session's decoder surfaces those as [Link_desync]. *)
-
-val timeout_cost_us : float
-(** What one timed-out exchange costs on the virtual clock (500 ms). *)
 
 val elapsed_us : t -> float
 (** Accumulated link latency (host-side wall model). *)

@@ -30,8 +30,10 @@ let replay path =
         let rec go off acc =
           if off >= len then Ok (List.rev acc)
           else
-            let rest = String.sub buf off (len - off) in
-            match Protocol.frame_size rest with
+            (* frame_size reads only the header: copy just that much,
+               not the rest of the journal once per frame. *)
+            let header = String.sub buf off (min Protocol.header_bytes (len - off)) in
+            match Protocol.frame_size header with
             | Ok (Some n) when off + n <= len -> (
               match Protocol.decode (String.sub buf off n) with
               | Ok msg -> go (off + n) (msg :: acc)

@@ -239,7 +239,6 @@ let test_native_machine_has_no_link () =
   | Error e -> Alcotest.fail (Eof_error.to_string e)
   | Ok m ->
     Alcotest.(check bool) "backend native" true (Machine.backend m = Machine.Native);
-    Alcotest.(check bool) "no vBatch capability" false (Machine.supports_batch m);
     (match Machine.session m with
      | exception Invalid_argument _ -> ()
      | _ -> Alcotest.fail "session must raise on native");

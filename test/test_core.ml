@@ -794,21 +794,43 @@ let run_linked ~batch_link ~iterations ~seed =
       Dsession.requests (Eof_agent.Machine.session machine),
       Transport.elapsed_us transport )
 
+let run_native ~batch_link ~iterations ~seed =
+  let build = Osbuild.make ~board_profile:Eof_hw.Profiles.stm32f4_disco Zephyr.spec in
+  let config =
+    { Campaign.default_config with
+      iterations; seed; batch_link; backend = Eof_agent.Machine.Native }
+  in
+  match Campaign.run config build with
+  | Error e -> Alcotest.fail (Eof_util.Eof_error.to_string e)
+  | Ok o -> o
+
 let test_batched_equals_unbatched () =
   (* The tentpole invariant: batching changes link traffic, not fuzzing
-     behaviour. Same seed, bit-identical coverage and crashes. *)
+     behaviour. Same seed, bit-identical coverage and crashes — and the
+     native backend, where [batch_link] picks between the same two drain
+     modes, must agree with both. *)
   let ob, exb, rqb, elb = run_linked ~batch_link:true ~iterations:120 ~seed:11L in
   let ou, exu, rqu, elu = run_linked ~batch_link:false ~iterations:120 ~seed:11L in
-  Alcotest.(check int) "same coverage" ou.Campaign.coverage ob.Campaign.coverage;
-  Alcotest.(check bool) "same coverage bitmap" true
-    (Eof_util.Bitset.to_list ou.Campaign.coverage_bitmap
-    = Eof_util.Bitset.to_list ob.Campaign.coverage_bitmap);
-  Alcotest.(check int) "same executed programs" ou.Campaign.executed_programs
-    ob.Campaign.executed_programs;
-  Alcotest.(check int) "same crash events" ou.Campaign.crash_events ob.Campaign.crash_events;
-  Alcotest.(check bool) "same deduplicated crashes" true
-    (ou.Campaign.crashes = ob.Campaign.crashes);
-  Alcotest.(check int) "same iterations" ou.Campaign.iterations_done ob.Campaign.iterations_done;
+  List.iter
+    (fun (mode, o) ->
+      let label what = Printf.sprintf "%s: same %s" mode what in
+      Alcotest.(check int) (label "coverage") ou.Campaign.coverage o.Campaign.coverage;
+      Alcotest.(check bool) (label "coverage bitmap") true
+        (Eof_util.Bitset.to_list ou.Campaign.coverage_bitmap
+        = Eof_util.Bitset.to_list o.Campaign.coverage_bitmap);
+      Alcotest.(check int) (label "executed programs") ou.Campaign.executed_programs
+        o.Campaign.executed_programs;
+      Alcotest.(check int) (label "crash events") ou.Campaign.crash_events
+        o.Campaign.crash_events;
+      Alcotest.(check bool) (label "deduplicated crashes") true
+        (ou.Campaign.crashes = o.Campaign.crashes);
+      Alcotest.(check int) (label "iterations") ou.Campaign.iterations_done
+        o.Campaign.iterations_done)
+    [
+      ("link batched", ob);
+      ("native fused", run_native ~batch_link:true ~iterations:120 ~seed:11L);
+      ("native per-request", run_native ~batch_link:false ~iterations:120 ~seed:11L);
+    ];
   (* And the link got dramatically quieter: the acceptance bar is >= 3x
      fewer exchanges and requests for the same campaign. *)
   Alcotest.(check bool)

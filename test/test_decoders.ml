@@ -160,9 +160,99 @@ let test_forged_segment_length () =
   Alcotest.(check bool) "batch ops" true
     (Result.is_error (Rsp.parse_batch_ops "w20000040,7fffffffffff:}]"))
 
+(* --- files: the hub journal and saved corpora -------------------------- *)
+
+module Protocol = Eof_hub.Protocol
+
+let journal_msgs =
+  Protocol.
+    [
+      Accept { campaign = 3; tenant = "alice" };
+      Reject { tenant = "bob"; reason = "tenant already has a campaign" };
+      Corpus_push { campaign = 3; shard = 1; epoch = 2; progs = [ "\x01\x02\xff"; "" ] };
+      Status_req;
+      Cancel { campaign = 3 };
+      Worker_hello { name = "wa" };
+      Campaign_done { campaign = 3; tenant = "alice"; digest = "crc=0a324d6a" };
+    ]
+
+let rec is_prefix got full =
+  match (got, full) with
+  | [], _ -> true
+  | x :: got, y :: full -> x = y && is_prefix got full
+  | _ :: _, [] -> false
+
+let with_temp_file f =
+  let path = Filename.temp_file "eof-decoders" ".bin" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
+      f (fun bytes ->
+          Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+          path))
+
+(* A torn tail at any byte offset replays a prefix that only grows with
+   the offset, and is the whole history only at full length; a
+   corrupted byte anywhere replays a prefix or refuses the journal. *)
+let test_journal_replay_total () =
+  let full = String.concat "" (List.map Protocol.encode journal_msgs) in
+  let n = List.length journal_msgs in
+  with_temp_file @@ fun write ->
+  let replay bytes = Eof_hub.Journal.replay (write bytes) in
+  let last = ref 0 in
+  for cut = 0 to String.length full do
+    match replay (String.sub full 0 cut) with
+    | Error e -> Alcotest.failf "cut at %d: %s" cut e
+    | Ok got ->
+      let k = List.length got in
+      if not (is_prefix got journal_msgs) then Alcotest.failf "cut at %d: not a prefix" cut;
+      if k < !last then Alcotest.failf "cut at %d: prefix shrank from %d to %d" cut !last k;
+      if (k = n) <> (cut = String.length full) then
+        Alcotest.failf "cut at %d: %d of %d frames" cut k n;
+      last := k
+  done;
+  List.iter
+    (fun mask ->
+      String.iteri
+        (fun i c ->
+          let flipped = Bytes.of_string full in
+          Bytes.set flipped i (Char.chr (Char.code c lxor mask));
+          match replay (Bytes.to_string flipped) with
+          | Error _ -> ()
+          | Ok got ->
+            if not (is_prefix got journal_msgs) then
+              Alcotest.failf "flip 0x%02x at %d: not a prefix" mask i)
+        full)
+    [ 0x01; 0xff ]
+
+(* A saved corpus loads back to the programs saved, and random or
+   byte-mutated corpus files load to a result, never an exception. *)
+let test_corpus_io_total () =
+  let _, table, spec = Lazy.force Test_core.zephyr_env in
+  let gen = Test_core.make_gen 33L in
+  let progs = List.init 6 (fun _ -> Eof_core.Gen.generate gen ~max_len:6) in
+  with_temp_file @@ fun write ->
+  let path = write "" in
+  (match Eof_core.Corpus_io.save ~path progs with
+   | Ok () -> ()
+   | Error e -> Alcotest.fail e);
+  (match Eof_core.Corpus_io.load ~path ~spec ~table with
+   | Error e -> Alcotest.fail e
+   | Ok (loaded, skipped) ->
+     Alcotest.(check int) "none skipped" 0 skipped;
+     Alcotest.(check (list int)) "programs round-trip"
+       (List.map Eof_core.Prog.hash progs)
+       (List.map Eof_core.Prog.hash loaded));
+  let saved = In_channel.with_open_bin path In_channel.input_all in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~name:"total: Corpus_io.load" ~count:2_000 (input_arb [ saved ])
+       (fun text ->
+         match Eof_core.Corpus_io.load ~path:(write text) ~spec ~table with
+         | Ok _ | Error _ -> true))
+
 let suite =
   [
     Alcotest.test_case "forged segment length" `Quick test_forged_segment_length;
+    Alcotest.test_case "Journal.replay at every offset" `Quick test_journal_replay_total;
+    Alcotest.test_case "Corpus_io save, load and mutations" `Quick test_corpus_io_total;
     prop "Rsp.parse_command" rendered_commands (total Rsp.parse_command);
     prop "Rsp.parse_reply" rendered_replies (total (Rsp.parse_reply ~pc_reg));
     prop "Rsp.parse_batch_ops" [ Rsp.render_batch_ops batch_ops ] (total Rsp.parse_batch_ops);
