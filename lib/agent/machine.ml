@@ -4,6 +4,7 @@ module Eof_error = Eof_util.Eof_error
 module Session = Eof_debug.Session
 module Sancov = Eof_cov.Sancov
 module Obs = Eof_obs.Obs
+module Openocd = Eof_debug.Openocd
 
 type backend = Link | Native
 
@@ -30,16 +31,12 @@ type drained = Eof_debug.Covlink.drained = {
 }
 
 type link_state = {
-  server : Eof_debug.Openocd.t;
   transport : Eof_debug.Transport.t;
   session : Session.t;
   covlink : Eof_debug.Covlink.t;
 }
 
 type native_state = {
-  continue_quantum : int;
-  (* In-process twin of the stub's board-side snapshot slot. *)
-  mutable n_snapshot : Snapshot.t option;
   n_obs : Obs.t;
   c_stops : Obs.Counter.t;
   c_drains : Obs.Counter.t;
@@ -54,23 +51,26 @@ type t = {
   build : Osbuild.t;
   board : Board.t;
   engine : Eof_exec.Engine.t;
+  probe : Openocd.t;
+      (* the board-side debug server: the link session's far end, or the
+         native backend's direct callee *)
   impl : impl;
-  (* Host-side knowledge that a pristine snapshot is in place (stub-side
-     on the link backend, in-process on native): gates the O(dirty pages)
-     fast path in Liveness.restore. *)
+  (* Host-side knowledge that a pristine snapshot is in the probe's slot:
+     gates the O(dirty pages) fast path in Liveness.restore. *)
   mutable snapshot_armed : bool;
 }
 
-let make_engine build =
+let make_probe ~continue_quantum build =
   let board = Osbuild.board build in
   let syms = Osbuild.syms build in
-  Eof_exec.Engine.create ~board ~fault_vector:syms.Osbuild.sym_handle_exception
-    ~entry:(Agent.entry build)
+  let engine =
+    Eof_exec.Engine.create ~board ~fault_vector:syms.Osbuild.sym_handle_exception
+      ~entry:(Agent.entry build)
+  in
+  (board, engine, Openocd.create ~continue_quantum ~board ~engine ())
 
 let create ?obs ?(continue_quantum = 200_000) ?transport ?inject build =
-  let board = Osbuild.board build in
-  let engine = make_engine build in
-  let server = Eof_debug.Openocd.create ~continue_quantum ~board ~engine () in
+  let board, engine, probe = make_probe ~continue_quantum build in
   let transport =
     match transport with
     | Some t -> t
@@ -82,13 +82,13 @@ let create ?obs ?(continue_quantum = 200_000) ?transport ?inject build =
   (match inject with
    | Some cfg -> Eof_debug.Transport.set_injector transport (Some (Eof_debug.Inject.create cfg))
    | None -> ());
-  match Eof_debug.Session.connect ?obs ~transport ~server () with
+  match Session.connect ?obs ~transport ~server:probe () with
   | Ok session ->
     let covlink =
       Eof_debug.Covlink.create ~session ~layout:(Osbuild.covbuf_layout build)
     in
     let t =
-      { build; board; engine; impl = L { server; transport; session; covlink };
+      { build; board; engine; probe; impl = L { transport; session; covlink };
         snapshot_armed = false }
     in
     (* Timestamps on this machine's bus handle come from its own virtual
@@ -104,8 +104,7 @@ let create ?obs ?(continue_quantum = 200_000) ?transport ?inject build =
   | Error e -> Error (Eof_error.with_context "link bring-up" e)
 
 let create_native ?obs ?(continue_quantum = 200_000) build =
-  let board = Osbuild.board build in
-  let engine = make_engine build in
+  let board, engine, probe = make_probe ~continue_quantum build in
   (* The native clock is board CPU time alone: no transport exists to
      contribute latency, and binding anything else would break the
      backend's "pay only for execution" cost model. *)
@@ -118,12 +117,11 @@ let create_native ?obs ?(continue_quantum = 200_000) build =
       build;
       board;
       engine;
+      probe;
       snapshot_armed = false;
       impl =
         N
           {
-            continue_quantum;
-            n_snapshot = None;
             n_obs;
             c_stops = Obs.Counter.make n_obs "native.stops";
             c_drains = Obs.Counter.make n_obs "native.drains";
@@ -132,32 +130,6 @@ let create_native ?obs ?(continue_quantum = 200_000) build =
             c_flash_ops = Obs.Counter.make n_obs "native.flash_ops";
           };
     }
-
-let create_fleet ?obs ?continue_quantum ?inject_for ?(backend = Link) ~boards mk_build =
-  if boards < 1 then Error (Eof_error.config "fleet: boards must be >= 1")
-  else begin
-    let rec go i acc =
-      if i >= boards then Ok (Array.of_list (List.rev acc))
-      else
-        let build = mk_build i in
-        let obs = Option.map (fun bus -> Eof_obs.Obs.for_board bus i) obs in
-        let inject = match inject_for with Some f -> f i | None -> None in
-        let made =
-          match backend with
-          | Link -> create ?obs ?continue_quantum ?inject build
-          | Native ->
-            if inject <> None then
-              Error
-                (Eof_error.config
-                   "fault injection is link-only: the native backend has no link to fault")
-            else create_native ?obs ?continue_quantum build
-        in
-        match made with
-        | Ok m -> go (i + 1) ((build, m) :: acc)
-        | Error e -> Error (Eof_error.with_context (Printf.sprintf "board %d" i) e)
-    in
-    go 0 []
-  end
 
 let backend t = match t.impl with L _ -> Link | N _ -> Native
 
@@ -171,8 +143,6 @@ let link_only t name =
 let session t = (link_only t "session").session
 
 let transport t = (link_only t "transport").transport
-
-let server t = (link_only t "server").server
 
 let obs t =
   match t.impl with L l -> Session.obs l.session | N n -> n.n_obs
@@ -194,16 +164,6 @@ let fault_error f = Eof_error.agent ("native memory access faulted: " ^ Fault.to
 
 let endianness t = (Board.profile t.board).Board.arch.Arch.endianness
 
-(* The native stop mapping is copied from the probe server's
-   [stop_of_reason]: the two backends must classify identically for the
-   differential oracle to hold. *)
-let native_stop t (reason : Eof_exec.Engine.stop_reason) =
-  match reason with
-  | Eof_exec.Engine.Breakpoint_hit pc -> Stopped_breakpoint pc
-  | Eof_exec.Engine.Fuel_exhausted -> Stopped_quantum (Eof_exec.Engine.pc t.engine)
-  | Eof_exec.Engine.Faulted _ -> Stopped_fault (Eof_exec.Engine.pc t.engine)
-  | Eof_exec.Engine.Exited -> Target_exited
-
 let stop_kind = function
   | Stopped_breakpoint _ -> "breakpoint"
   | Stopped_quantum _ -> "quantum"
@@ -219,13 +179,15 @@ let observe_stop n stop =
   if Obs.active n.n_obs then
     Obs.emit n.n_obs (Obs.Event.Stop { kind = stop_kind stop; pc = stop_pc stop })
 
+let native_resume t n =
+  let stop = Openocd.resume t.probe in
+  observe_stop n stop;
+  stop
+
 let continue_ t =
   match t.impl with
   | L l -> Session.continue_ l.session
-  | N n ->
-    let stop = native_stop t (Eof_exec.Engine.run t.engine ~fuel:n.continue_quantum) in
-    observe_stop n stop;
-    Ok stop
+  | N n -> Ok (native_resume t n)
 
 let read_mem t ~addr ~len =
   match t.impl with
@@ -277,25 +239,18 @@ let read_pc t =
 let drain_uart t =
   match t.impl with
   | L l -> Session.drain_uart l.session
-  | N _ -> Ok (Uart.drain (Board.uart t.board))
+  | N _ -> Ok (Openocd.drain_uart t.probe)
 
 let last_fault t =
   match t.impl with
   | L l -> Session.last_fault l.session
-  | N _ ->
-    Ok
-      (match Eof_exec.Engine.last_fault t.engine with
-       | None -> ""
-       | Some f -> Fault.to_string f)
+  | N _ -> Ok (Openocd.fault_text t.probe)
 
 let reset_target t =
   match t.impl with
   | L l -> Session.reset_target l.session
   | N n ->
-    (* Exactly the probe server's reset path: board first (RAM, UART,
-       GPIO cleared; clock and flash persist), then re-arm the engine. *)
-    Board.reset t.board;
-    Eof_exec.Engine.reset t.engine;
+    Openocd.reset t.probe;
     if Obs.active n.n_obs then Obs.emit n.n_obs Obs.Event.Reset_board;
     Ok ()
 
@@ -308,53 +263,59 @@ let inject_gpio t ~pin ~level =
   match t.impl with
   | L l -> Session.inject_gpio l.session ~pin ~level
   | N _ ->
-    (match Gpio.set_level (Board.gpio t.board) ~pin ~level with
-     | Ok () -> Ok ()
-     | Error e -> Error (Eof_error.agent ("gpio injection: " ^ e)))
+    Result.map_error
+      (fun e -> Eof_error.agent ("gpio injection: " ^ e))
+      (Openocd.set_gpio t.probe ~pin ~level)
 
-(* --- fused continue + drain --------------------------------------------- *)
+(* --- counted reads and the fused drain ----------------------------------- *)
 
-(* Mirrors the probe server's [B_read_counted] semantics bit-for-bit:
-   read the counter word, clamp to capacity, read that many entries from
-   the start of the buffer, then reset the counter — so the raw byte
-   stream handed to the campaign's decoders is identical to what the
-   vBatch drain returns over the link. A failed read yields the zero
-   result (nothing was reset, nothing is lost), matching the link. *)
+(* The host-side counted read, one request per step: read the counter
+   word, clamp it, and only when the clamped count is positive read the
+   entries and zero the counter. A failed read yields nothing and leaves
+   the counter alone, so nothing is lost; a failed zeroing write is
+   ignored, as the next read simply sees the entries again. *)
 let read_counted t ~count_addr ~data_addr ~stride ~max_count =
-  match Board.read_mem t.board ~addr:count_addr ~len:4 with
-  | Error _ -> (0, "")
-  | Ok raw ->
-    let count = Int32.to_int (word_of t raw) in
-    let n = max 0 (min count max_count) in
-    let data =
-      if n = 0 then Ok ""
-      else Board.read_mem t.board ~addr:data_addr ~len:(n * stride)
-    in
-    (match data with
-     | Error _ -> (0, "")
-     | Ok data ->
-       (match Board.write_ram t.board ~addr:count_addr (String.make 4 '\x00') with
-        | Ok () -> (n, data)
-        | Error _ -> (0, "")))
+  match read_u32 t ~addr:count_addr with
+  | Error _ -> ""
+  | Ok count ->
+    let n = min (Int32.to_int count) max_count in
+    if n <= 0 then ""
+    else
+      (match read_mem t ~addr:data_addr ~len:(n * stride) with
+       | Error _ -> ""
+       | Ok data ->
+         ignore (write_u32 t ~addr:count_addr 0l : (unit, Eof_error.t) result);
+         data)
+
+(* The probe's own counted read, as its vBatch op runs it. A failed read
+   yields the zero result, exactly as the link drain treats a failed
+   sub-op. *)
+let board_counted t ~count_addr ~data_addr ~stride ~max_count =
+  match Board.read_counted t.board ~count_addr ~data_addr ~stride ~max_count ~reset:true with
+  | Ok (_, data) -> data
+  | Error _ -> ""
 
 let native_drain t n ~want_cmp =
   let layout = Osbuild.covbuf_layout t.build in
-  let n_records, records_raw =
-    read_counted t
+  let records_raw =
+    board_counted t
       ~count_addr:(Sancov.Layout.write_index_addr layout)
       ~data_addr:(Sancov.Layout.records_addr layout)
       ~stride:4 ~max_count:layout.Sancov.Layout.capacity_records
   in
-  let n_cmp, cmp_raw =
+  let cmp_raw =
     if want_cmp then
-      read_counted t
+      board_counted t
         ~count_addr:(Sancov.Layout.cmp_count_addr layout)
         ~data_addr:(Sancov.Layout.cmp_ring_addr layout)
         ~stride:8 ~max_count:Sancov.Layout.cmp_ring_entries
-    else (0, "")
+    else ""
   in
-  let log = Uart.drain (Board.uart t.board) in
-  let d = { n_records; records_raw; n_cmp; cmp_raw; log } in
+  let d =
+    { n_records = String.length records_raw / 4; records_raw;
+      n_cmp = String.length cmp_raw / 8; cmp_raw;
+      log = Openocd.drain_uart t.probe }
+  in
   Obs.Counter.incr n.c_drains;
   Obs.Counter.add n.c_records d.n_records;
   Obs.Counter.add n.c_cmp d.n_cmp;
@@ -378,8 +339,7 @@ let continue_and_drain ?write t ~want_cmp =
     (match deliver with
      | Error e -> Error (Eof_error.with_context "program delivery" e)
      | Ok () ->
-       let stop = native_stop t (Eof_exec.Engine.run t.engine ~fuel:n.continue_quantum) in
-       observe_stop n stop;
+       let stop = native_resume t n in
        Ok (stop, native_drain t n ~want_cmp))
 
 (* --- flash (state restoration) ----------------------------------------- *)
@@ -388,32 +348,28 @@ let observe_flash n ~op ~addr ~len =
   Obs.Counter.incr n.c_flash_ops;
   if Obs.active n.n_obs then Obs.emit n.n_obs (Obs.Event.Flash_op { op; addr; len })
 
+let native_flash n ~op ~addr ~len = function
+  | Ok () ->
+    observe_flash n ~op ~addr ~len;
+    Ok ()
+  | Error f -> Error (Eof_error.flash (Fault.to_string f))
+
 let flash_erase t ~addr ~len =
   match t.impl with
   | L l -> Session.flash_erase l.session ~addr ~len
-  | N n ->
-    (match Flash.erase_range (Board.flash t.board) ~addr ~len with
-     | () ->
-       observe_flash n ~op:"erase" ~addr ~len;
-       Ok ()
-     | exception Fault.Trap f -> Error (Eof_error.flash (Fault.to_string f)))
+  | N n -> native_flash n ~op:"erase" ~addr ~len (Openocd.flash_erase t.probe ~addr ~len)
 
 let flash_write t ~addr data =
   match t.impl with
   | L l -> Session.flash_write l.session ~addr data
   | N n ->
-    (match Flash.program (Board.flash t.board) ~addr data with
-     | () ->
-       observe_flash n ~op:"write" ~addr ~len:(String.length data);
-       Ok ()
-     | exception Fault.Trap f -> Error (Eof_error.flash (Fault.to_string f)))
+    native_flash n ~op:"write" ~addr ~len:(String.length data)
+      (Openocd.flash_program t.probe ~addr data)
 
 let flash_done t =
   match t.impl with
   | L l -> Session.flash_done l.session
-  | N n ->
-    observe_flash n ~op:"done" ~addr:0 ~len:0;
-    Ok ()
+  | N n -> native_flash n ~op:"done" ~addr:0 ~len:0 (Ok ())
 
 (* --- copy-on-write snapshots ------------------------------------------- *)
 
@@ -427,10 +383,7 @@ let snapshot_save t =
   let result =
     match t.impl with
     | L l -> Session.snapshot_save l.session
-    | N n ->
-      let snap = Board.snapshot t.board in
-      n.n_snapshot <- Some snap;
-      Ok (Snapshot.pages snap)
+    | N _ -> Ok (Openocd.snapshot_save t.probe)
   in
   match result with
   | Ok pages ->
@@ -445,13 +398,13 @@ let snapshot_restore t =
   let result =
     match t.impl with
     | L l -> Session.snapshot_restore l.session
-    | N n ->
-      (match n.n_snapshot with
+    | N _ ->
+      (match Openocd.snapshot_restore t.probe with
        | None ->
          Error
            (Eof_error.with_context "snapshot restore"
               (Eof_error.config "no snapshot saved on this machine"))
-       | Some snap -> Ok (Board.restore_snapshot t.board snap))
+       | Some dirty -> Ok dirty)
   in
   match result with
   | Ok dirty ->

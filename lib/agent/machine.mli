@@ -8,12 +8,16 @@ open Eof_os
     modelled link latency and can fail like a real probe.
 
     {b Native} is the transplant path (EmbedFuzz-style): the same board,
-    engine and agent run in-process with no RSP framing and no
-    transport. Operations are direct function calls into the engine and
-    board memory, virtual time is charged from board CPU cost only, and
-    the only failures left are the target's own. The debug-link backend
-    stays the oracle: a differential campaign run on both backends must
-    produce identical digests (see {!Eof_core.Diff}).
+    engine, agent {e and probe} run in-process with no RSP framing and
+    no transport. Operations call the probe's typed board-side
+    operations ({!Eof_debug.Openocd.resume}, [reset], the snapshot slot,
+    ...) and {!Eof_hw.Board.read_counted} directly, so stop
+    classification, reset, flash and snapshot behaviour have one
+    implementation on both backends. Virtual time is charged from board
+    CPU cost only, and the only failures left are the target's own. The
+    debug-link backend stays the oracle: a differential campaign run on
+    both backends must produce identical digests (see {!Eof_core.Diff}),
+    so the link checks the wire encoding of those shared operations.
 
     The campaign and farm layers drive either backend through the
     backend-neutral operations below; nothing above this module needs to
@@ -26,9 +30,9 @@ val backend_name : backend -> string
 val backend_of_name : string -> (backend, string) result
 (** ["link"] or ["native"] (case-insensitive). *)
 
-(** Stop classification, shared vocabulary with the debug session (the
-    native backend maps engine stop reasons onto the same constructors
-    the RSP stop decoder produces). *)
+(** Stop classification: the probe's own ({!Eof_debug.Openocd.stop}),
+    decoded from its stop reply on the link and returned directly
+    natively. *)
 type stop = Eof_debug.Session.stop =
   | Stopped_breakpoint of int
   | Stopped_quantum of int
@@ -37,8 +41,8 @@ type stop = Eof_debug.Session.stop =
 
 (** One drained batch of target-side evidence: raw coverage records, raw
     cmp-ring bytes and UART output, exactly as the link's fused vBatch
-    drain returns them. The native backend fills the same shape by
-    direct memory reads so the campaign's decode path is shared
+    drain returns them. The native backend fills the same shape from the
+    probe's own counted read, so the campaign's decode path is shared
     bit-for-bit between backends. *)
 type drained = Eof_debug.Covlink.drained = {
   n_records : int;
@@ -75,36 +79,15 @@ val create_native :
   ?continue_quantum:int ->
   Osbuild.t ->
   (t, Eof_util.Eof_error.t) result
-(** The native transplant backend: agent + personality in-process, no
-    server, no transport, no session. [continue_quantum] bounds each
-    {!continue_} in instrumentation sites exactly as the link backend's
-    server does, so stop schedules match. There is no fault injector to
-    attach — link faults cannot exist off the link.
+(** The native transplant backend: agent, personality and probe
+    in-process, no transport, no session. [continue_quantum] is the
+    probe's continue quantum, as on the link backend, so stop schedules
+    match. There is no fault injector to attach — link faults cannot
+    exist off the link.
 
     With [obs], the bus clock is bound to board CPU time only (the
     native {!virtual_elapsed_s}), preserving the virtual-clock
     determinism guarantee without any transport term. *)
-
-val create_fleet :
-  ?obs:Eof_obs.Obs.t ->
-  ?continue_quantum:int ->
-  ?inject_for:(int -> Eof_debug.Inject.config option) ->
-  ?backend:backend ->
-  boards:int ->
-  (int -> Osbuild.t) ->
-  ((Osbuild.t * t) array, Eof_util.Eof_error.t) result
-(** Construct [boards] fully independent targets from a per-board build
-    factory: each gets its own board, flashed image and backend stack —
-    nothing is shared, exactly as N physical dev boards on N probes
-    share nothing. Boards are built sequentially (factories need not be
-    thread-safe); the instances may then be driven from separate
-    domains.
-
-    [backend] (default {!Link}) selects the stack per board.
-    [inject_for i] supplies board [i]'s fault schedule (each board gets
-    its own independently seeded injector, as each physical probe
-    glitches independently); supplying one for a {!Native} board is a
-    [Config] error — faults are link-only. *)
 
 val backend : t -> backend
 
@@ -121,11 +104,6 @@ val session : t -> Eof_debug.Session.t
 
 val transport : t -> Eof_debug.Transport.t
 (** Link backend only. @raise Invalid_argument on a native machine. *)
-
-val server : t -> Eof_debug.Openocd.t
-(** Link backend only; exposed for tests and the emulation-based
-    baselines that read board state directly (Tardis-style shared
-    memory). @raise Invalid_argument on a native machine. *)
 
 val virtual_elapsed_s : t -> float
 (** Virtual wall time — the clock campaign budgets are measured
@@ -147,8 +125,8 @@ val cpu_elapsed_s : t -> float
     are simply unreachable. *)
 
 val continue_ : t -> (stop, Eof_util.Eof_error.t) result
-(** Resume for one quantum. Native: [Engine.run ~fuel:continue_quantum]
-    with the stop mapped exactly as the probe server maps it. *)
+(** Resume for one quantum. Native: {!Eof_debug.Openocd.resume}, the
+    same call the probe's [c] packet makes. *)
 
 val continue_and_drain :
   ?write:int * string ->
@@ -161,10 +139,19 @@ val continue_and_drain :
     capacity and resetting it target-side.
 
     Link: one [vBatch] exchange through {!Eof_debug.Covlink}, bumping
-    the [covlink.*] counters. Native: direct memory access with the
-    same clamp-and-reset semantics, bumping the [native.*] counters.
-    The byte stream entering the campaign's decoders is identical
-    either way. *)
+    the [covlink.*] counters. Native: {!Eof_hw.Board.read_counted}, the
+    routine the [vBatch] counted op runs, bumping the [native.*]
+    counters. The byte stream entering the campaign's decoders is
+    identical either way. *)
+
+val read_counted :
+  t -> count_addr:int -> data_addr:int -> stride:int -> max_count:int -> string
+(** The per-request counted read, built from {!read_u32}, {!read_mem}
+    and {!write_u32}: read the counter word, clamp it to [max_count],
+    and only when the clamped count [n] is positive read [n] entries of
+    [stride] bytes from [data_addr] and zero the counter. Returns the
+    entries ([n = String.length result / stride]); any failed read
+    returns [""] and leaves the counter alone. *)
 
 val read_u32 : t -> addr:int -> (int32, Eof_util.Eof_error.t) result
 
@@ -184,8 +171,9 @@ val last_fault : t -> (string, Eof_util.Eof_error.t) result
 (** Empty string when no fault is latched. *)
 
 val reset_target : t -> (unit, Eof_util.Eof_error.t) result
-(** Board reset + engine re-arm (native), or the RSP reset monitor
-    command (link). Emits a [Reset_board] event either way. *)
+(** {!Eof_debug.Openocd.reset} (native), or the RSP reset monitor
+    command that runs it (link). Emits a [Reset_board] event either
+    way. *)
 
 val resync : t -> (unit, Eof_util.Eof_error.t) result
 (** Link: flush the decoder and confirm the stub answers. Native: a
@@ -201,11 +189,12 @@ val flash_done : t -> (unit, Eof_util.Eof_error.t) result
 
 (** {2 Copy-on-write snapshots}
 
-    The O(dirty pages) alternative to partition reflash. Link: the
-    [QSnapshot] RSP extension, with the saved pages held stub-side.
-    Native: a {!Eof_hw.Snapshot} held in-process. Both charge the same
-    save/restore cost model to the board clock, so CPU-time digests
-    stay backend-invariant. *)
+    The O(dirty pages) alternative to partition reflash, held in the
+    probe's single snapshot slot on both backends. Link: the
+    [QSnapshot] RSP extension. Native: {!Eof_debug.Openocd.snapshot_save}
+    and [snapshot_restore] called directly. The save/restore cost model
+    is charged to the board clock either way, so CPU-time digests stay
+    backend-invariant. *)
 
 val has_snapshot : t -> bool
 (** A successful {!snapshot_save} happened on this machine — the signal

@@ -184,14 +184,6 @@ let parse_request ~instr raw =
              end)
         | _ -> fail instr 7 "malformed request line"))
 
-let render_response r =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf (Printf.sprintf "HTTP/1.1 %d %s\r\n" r.status r.reason);
-  List.iter (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "%s: %s\r\n" k v)) r.headers;
-  Buffer.add_string buf (Printf.sprintf "Content-Length: %d\r\n\r\n" (String.length r.body));
-  Buffer.add_string buf r.body;
-  Buffer.contents buf
-
 let header (req : request) name = List.assoc_opt (String.lowercase_ascii name) req.headers
 
 let text_response status reason body =

@@ -22,8 +22,6 @@ val site_count : int
 
 val parse_request : instr:Eof_rtos.Instr.t -> string -> (request, string) result
 
-val render_response : response -> string
-
 val meth_to_string : meth -> string
 
 val header : request -> string -> string option

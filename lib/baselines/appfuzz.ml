@@ -34,6 +34,7 @@ type state = {
   bufgen : Bufgen.t;
   rng : Rng.t;
   fb : Feedback.t;  (* ground-truth coverage, for reporting *)
+  records : int array;  (* drain scratch, one coverage buffer's worth *)
   corpus : Bufgen.Corpus.store;
   crash_table : (string, Crash.t) Hashtbl.t;
   mutable crash_order : Crash.t list;
@@ -50,25 +51,17 @@ type state = {
 
 let drain_coverage st =
   let layout = Osbuild.covbuf_layout st.build in
-  match Session.read_u32 st.session ~addr:(Sancov.Layout.write_index_addr layout) with
-  | Error _ -> 0
-  | Ok widx ->
-    let widx = min (Int32.to_int widx) layout.Sancov.Layout.capacity_records in
-    if widx <= 0 then 0
-    else begin
-      match
-        Session.read_mem st.session
-          ~addr:(Sancov.Layout.records_addr layout)
-          ~len:(4 * widx)
-      with
-      | Error _ -> 0
-      | Ok raw ->
-        ignore
-          (Session.write_u32 st.session ~addr:(Sancov.Layout.write_index_addr layout) 0l
-            : (unit, Session.error) result);
-        Feedback.merge st.fb
-          (Sancov.decode_records ~endianness:st.endianness ~count:widx raw)
-    end
+  let raw =
+    Machine.read_counted st.machine
+      ~count_addr:(Sancov.Layout.write_index_addr layout)
+      ~data_addr:(Sancov.Layout.records_addr layout)
+      ~stride:4 ~max_count:layout.Sancov.Layout.capacity_records
+  in
+  let len =
+    Sancov.decode_records_into ~endianness:st.endianness ~count:(String.length raw / 4)
+      raw st.records
+  in
+  Feedback.merge_array st.fb st.records ~len
 
 let record_crash st ~kind ~message =
   st.crash_events <- st.crash_events + 1;
@@ -268,6 +261,8 @@ let run config build =
            bufgen = Bufgen.create ~rng:(Rng.split rng) ~max_len:config.max_buf;
            rng;
            fb = Feedback.create ~edge_capacity:(Osbuild.edge_capacity build);
+           records =
+             Array.make (Osbuild.covbuf_layout build).Sancov.Layout.capacity_records 0;
            corpus = Bufgen.Corpus.create ~rng:(Rng.split rng);
            crash_table = Hashtbl.create 16;
            crash_order = [];

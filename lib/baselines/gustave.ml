@@ -90,22 +90,20 @@ let run ~seed ~iterations ?(snapshot_every = 10) build =
   let series = ref [] in
   let iteration = ref 0 in
   let layout = Osbuild.covbuf_layout build in
-  let ram = Board.ram board in
+  let records = Array.make layout.Sancov.Layout.capacity_records 0 in
   let drain_coverage () =
-    let widx =
-      min
-        (Int32.to_int (Memory.read_u32 ram (Sancov.Layout.write_index_addr layout)))
-        layout.Sancov.Layout.capacity_records
-    in
-    if widx <= 0 then 0
-    else begin
-      let raw =
-        Bytes.unsafe_to_string
-          (Memory.read_bytes ram ~addr:(Sancov.Layout.records_addr layout) ~len:(4 * widx))
+    match
+      Board.read_counted board
+        ~count_addr:(Sancov.Layout.write_index_addr layout)
+        ~data_addr:(Sancov.Layout.records_addr layout)
+        ~stride:4 ~max_count:layout.Sancov.Layout.capacity_records ~reset:true
+    with
+    | Error _ -> 0
+    | Ok (_, raw) ->
+      let len =
+        Sancov.decode_records_into ~endianness ~count:(String.length raw / 4) raw records
       in
-      Memory.write_u32 ram (Sancov.Layout.write_index_addr layout) 0l;
-      Feedback.merge fb (Sancov.decode_records ~endianness ~count:widx raw)
-    end
+      Feedback.merge_array fb records ~len
   in
   let record_crash message =
     incr crash_events;
@@ -172,8 +170,8 @@ let run ~seed ~iterations ?(snapshot_every = 10) build =
        let before = Feedback.covered fb in
        let program = decode_genome ~table genome in
        (match
-          Wire.write_to_ram ~mem:ram ~endianness ~base:(Osbuild.mailbox_base build)
-            ~limit:(Agent.max_program_bytes build)
+          Wire.write_to_ram ~mem:(Board.ram board) ~endianness
+            ~base:(Osbuild.mailbox_base build) ~limit:(Agent.max_program_bytes build)
             program
         with
         | Error _ -> ()

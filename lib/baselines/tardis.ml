@@ -54,6 +54,7 @@ type state = {
   endianness : Arch.endianness;
   syms : Osbuild.syms;
   fb : Feedback.t;
+  records : int array;  (* drain scratch, one coverage buffer's worth *)
   gen : Gen.t;
   rng : Rng.t;
   corpus : Eof_core.Corpus.t;
@@ -68,25 +69,23 @@ type state = {
   mutable current_prog : Prog.t;
 }
 
-(* Shared-memory coverage drain: read the KCOV-style buffer straight
-   out of guest RAM. *)
+(* Shared-memory coverage drain: the board's own counted read of the
+   KCOV-style buffer, straight out of guest RAM. *)
 let drain_coverage st =
   let layout = Osbuild.covbuf_layout st.build in
-  let ram = Board.ram st.board in
-  let widx =
-    min
-      (Int32.to_int (Memory.read_u32 ram (Sancov.Layout.write_index_addr layout)))
-      layout.Sancov.Layout.capacity_records
-  in
-  if widx <= 0 then 0
-  else begin
-    let raw =
-      Bytes.unsafe_to_string
-        (Memory.read_bytes ram ~addr:(Sancov.Layout.records_addr layout) ~len:(4 * widx))
+  match
+    Board.read_counted st.board
+      ~count_addr:(Sancov.Layout.write_index_addr layout)
+      ~data_addr:(Sancov.Layout.records_addr layout)
+      ~stride:4 ~max_count:layout.Sancov.Layout.capacity_records ~reset:true
+  with
+  | Error _ -> 0
+  | Ok (_, raw) ->
+    let len =
+      Sancov.decode_records_into ~endianness:st.endianness ~count:(String.length raw / 4)
+        raw st.records
     in
-    Memory.write_u32 ram (Sancov.Layout.write_index_addr layout) 0l;
-    Feedback.merge st.fb (Sancov.decode_records ~endianness:st.endianness ~count:widx raw)
-  end
+    Feedback.merge_array st.fb st.records ~len
 
 let last_call_name st =
   let idx =
@@ -181,6 +180,8 @@ let run ~seed ~iterations ?(snapshot_every = 10) build =
         endianness = (Board.profile board).Board.arch.Arch.endianness;
         syms;
         fb = Feedback.create ~edge_capacity:(Osbuild.edge_capacity build);
+        records =
+          Array.make (Osbuild.covbuf_layout build).Sancov.Layout.capacity_records 0;
         gen = Gen.create ~rng:(Rng.split rng) ~spec ~table ();
         rng;
         corpus = Eof_core.Corpus.create ~rng:(Rng.split rng) ();

@@ -107,12 +107,13 @@ type outcome = {
 
 (* How target-side evidence (coverage records, cmp ring, UART) reaches
    the host, chosen by [config.batch_link] alone. [Per_request]: one
-   machine read per word or buffer, performed at the loop's consumption
-   points — the reference the fused path is tested against. [Fused]:
-   every continue carries the full drain ({!Machine.continue_and_drain},
-   one vBatch exchange on the link, direct memory reads natively) and
-   the data parks in the pend_* accumulators until those same points.
-   Both backends share the accumulator path bit-for-bit; that shared
+   {!Machine.read_counted} (or UART drain) per buffer, performed at the
+   loop's consumption points — the reference the fused path is tested
+   against. [Fused]: every continue carries the full drain
+   ({!Machine.continue_and_drain}: one vBatch exchange on the link, the
+   probe's own counted reads natively) and the data parks in the pend_*
+   accumulators until those same points. Both modes and both backends
+   decode and commit through the same accumulator path; that shared
    path is what makes them digest-identical. *)
 type drain_mode =
   | Per_request
@@ -200,18 +201,20 @@ type state = {
 
 (* --- small helpers ---------------------------------------------------- *)
 
-(* Fused mode: park one stop's drained data in the pending accumulators.
-   Committing happens separately, at exactly the loop points where the
-   unbatched path performs its reads.
+(* Park drained data in the pending accumulators. Fused mode absorbs
+   every stop's drain here and commits at exactly the loop points where
+   the per-request path performs its reads; the per-request path
+   absorbs what it just read and commits at once, so both share one
+   decode-and-commit path.
    Because every fused drain resets the target-side counters, the
-   pending data is always exactly what the unbatched host would still
+   pending data is always exactly what the per-request host would still
    find in target RAM — so a board reset, which clears RAM and the UART
    FIFO, must discard the pending accumulators too (see {!reboot}).
    Decoding goes straight into the reusable scratch arrays: nothing
    proportional to the record count is allocated on this path. *)
-let absorb_drained st (d : Machine.drained) =
-  if d.Machine.n_records > 0 then begin
-    let need = st.pend_rec_len + d.Machine.n_records in
+let absorb_records st ~count raw =
+  if count > 0 then begin
+    let need = st.pend_rec_len + count in
     if Array.length st.pend_rec < need then begin
       let grown = Array.make (max need (2 * Array.length st.pend_rec)) 0 in
       Array.blit st.pend_rec 0 grown 0 st.pend_rec_len;
@@ -219,11 +222,13 @@ let absorb_drained st (d : Machine.drained) =
     end;
     st.pend_rec_len <-
       st.pend_rec_len
-      + Sancov.decode_records_into ~pos:st.pend_rec_len ~endianness:st.endianness
-          ~count:d.Machine.n_records d.Machine.records_raw st.pend_rec
-  end;
-  if d.Machine.n_cmp > 0 then begin
-    let need = st.pend_cmp_len + d.Machine.n_cmp in
+      + Sancov.decode_records_into ~pos:st.pend_rec_len ~endianness:st.endianness ~count
+          raw st.pend_rec
+  end
+
+let absorb_cmp st ~count raw =
+  if count > 0 then begin
+    let need = st.pend_cmp_len + count in
     if Array.length st.pend_cmp_a < need then begin
       let grow a =
         let g = Array.make (max need (2 * Array.length a)) 0L in
@@ -235,14 +240,18 @@ let absorb_drained st (d : Machine.drained) =
     end;
     st.pend_cmp_len <-
       st.pend_cmp_len
-      + Sancov.decode_cmp_ring_into ~pos:st.pend_cmp_len ~endianness:st.endianness
-          ~count:d.Machine.n_cmp d.Machine.cmp_raw ~a:st.pend_cmp_a ~b:st.pend_cmp_b
-  end;
+      + Sancov.decode_cmp_ring_into ~pos:st.pend_cmp_len ~endianness:st.endianness ~count
+          raw ~a:st.pend_cmp_a ~b:st.pend_cmp_b
+  end
+
+let absorb_drained st (d : Machine.drained) =
+  absorb_records st ~count:d.Machine.n_records d.Machine.records_raw;
+  absorb_cmp st ~count:d.Machine.n_cmp d.Machine.cmp_raw;
   if d.Machine.log <> "" then Buffer.add_string st.pend_log d.Machine.log
 
-(* UART output as the unbatched path would see it at this point: either
-   drained now, or accumulated stop-by-stop since the last consumption
-   point. *)
+(* UART output as the per-request path would see it at this point:
+   either drained now, or accumulated stop-by-stop since the last
+   consumption point. *)
 let take_log st =
   match st.mode with
   | Per_request ->
@@ -256,78 +265,46 @@ let drain_cmp_hints st =
   (* Only feedback-guided campaigns read the ring, and only they learn
      from it — EOF-nf ignores feedback by definition. *)
   if st.config.feedback then begin
-    match st.mode with
-    | Fused ->
-      if st.pend_cmp_len > 0 then begin
-        let pairs =
-          List.init st.pend_cmp_len (fun i -> (st.pend_cmp_a.(i), st.pend_cmp_b.(i)))
-        in
-        st.pend_cmp_len <- 0;
-        st.last_cmp_pairs <- pairs;
-        List.iter
-          (fun (a, b) ->
-            Gen.add_int_hint st.gen a;
-            Gen.add_int_hint st.gen b)
-          pairs
-      end
-    | Per_request ->
-      let layout = Osbuild.covbuf_layout st.build in
-      (match Machine.read_u32 st.machine ~addr:(Sancov.Layout.cmp_count_addr layout) with
-       | Error _ -> ()
-       | Ok count ->
-         let count = min (Int32.to_int count) Sancov.Layout.cmp_ring_entries in
-         if count > 0 then begin
-           match
-             Machine.read_mem st.machine
-               ~addr:(Sancov.Layout.cmp_ring_addr layout)
-               ~len:(8 * count)
-           with
-           | Error _ -> ()
-           | Ok raw ->
-             ignore
-               (Machine.write_u32 st.machine ~addr:(Sancov.Layout.cmp_count_addr layout) 0l
-                 : (unit, Eof_error.t) result);
-             let pairs =
-               List.map
-                 (fun (a, b) -> (Int64.of_int32 a, Int64.of_int32 b))
-                 (Sancov.decode_cmp_ring ~endianness:st.endianness ~count raw)
-             in
-             st.last_cmp_pairs <- pairs;
-             List.iter
-               (fun (a, b) ->
-                 Gen.add_int_hint st.gen a;
-                 Gen.add_int_hint st.gen b)
-               pairs
-         end)
+    (match st.mode with
+     | Fused -> ()
+     | Per_request ->
+       let layout = Osbuild.covbuf_layout st.build in
+       let raw =
+         Machine.read_counted st.machine
+           ~count_addr:(Sancov.Layout.cmp_count_addr layout)
+           ~data_addr:(Sancov.Layout.cmp_ring_addr layout)
+           ~stride:8 ~max_count:Sancov.Layout.cmp_ring_entries
+       in
+       absorb_cmp st ~count:(String.length raw / 8) raw);
+    if st.pend_cmp_len > 0 then begin
+      let pairs =
+        List.init st.pend_cmp_len (fun i -> (st.pend_cmp_a.(i), st.pend_cmp_b.(i)))
+      in
+      st.pend_cmp_len <- 0;
+      st.last_cmp_pairs <- pairs;
+      List.iter
+        (fun (a, b) ->
+          Gen.add_int_hint st.gen a;
+          Gen.add_int_hint st.gen b)
+        pairs
+    end
   end
 
 let drain_coverage st =
-  match st.mode with
-  | Fused ->
-    let merged = Feedback.merge_array st.fb st.pend_rec ~len:st.pend_rec_len in
-    st.pend_rec_len <- 0;
-    merged
-  | Per_request ->
-    let layout = Osbuild.covbuf_layout st.build in
-    (match Machine.read_u32 st.machine ~addr:(Sancov.Layout.write_index_addr layout) with
-     | Error _ -> 0
-     | Ok widx ->
-       let widx = min (Int32.to_int widx) layout.Sancov.Layout.capacity_records in
-       if widx <= 0 then 0
-       else begin
-         match
-           Machine.read_mem st.machine
-             ~addr:(Sancov.Layout.records_addr layout)
-             ~len:(4 * widx)
-         with
-         | Error _ -> 0
-         | Ok raw ->
-           ignore
-             (Machine.write_u32 st.machine ~addr:(Sancov.Layout.write_index_addr layout) 0l
-               : (unit, Eof_error.t) result);
-           let edges = Sancov.decode_records ~endianness:st.endianness ~count:widx raw in
-           Feedback.merge st.fb edges
-       end)
+  (match st.mode with
+   | Fused -> ()
+   | Per_request ->
+     let layout = Osbuild.covbuf_layout st.build in
+     let raw =
+       Machine.read_counted st.machine
+         ~count_addr:(Sancov.Layout.write_index_addr layout)
+         ~data_addr:(Sancov.Layout.records_addr layout)
+         ~stride:4 ~max_count:layout.Sancov.Layout.capacity_records
+     in
+     absorb_records st ~count:(String.length raw / 4) raw);
+  let merged = Feedback.merge_array st.fb st.pend_rec ~len:st.pend_rec_len in
+  st.pend_rec_len <- 0;
+  merged
 
 let operation_of_progress st =
   match Machine.read_u32 st.machine ~addr:(Agent.progress_addr st.build) with
@@ -830,6 +807,22 @@ let filter_spec (spec : Eof_spec.Ast.t) allow =
   in
   { spec with Eof_spec.Ast.calls; resources = produced }
 
+let machine_of_config ?obs config build =
+  match config.backend with
+  | Machine.Native -> Machine.create_native ?obs build
+  | Machine.Link ->
+    let inject =
+      if config.fault_rate > 0. then
+        Some
+          {
+            Eof_debug.Inject.default_config with
+            Eof_debug.Inject.rate = config.fault_rate;
+            seed = config.fault_seed;
+          }
+      else None
+    in
+    Machine.create ?obs ?inject build
+
 let init ?machine ?obs config build =
   let table = Osbuild.api_signatures build in
   match Eof_spec.Synth.validated_of_api table with
@@ -841,28 +834,14 @@ let init ?machine ?obs config build =
     let machine_result =
       match machine with
       | Some m -> Ok m
-      | None ->
-        (match config.backend with
-         | Machine.Native -> Machine.create_native ?obs build
-         | Machine.Link ->
-           let inject =
-             if config.fault_rate > 0. then
-               Some
-                 {
-                   Eof_debug.Inject.default_config with
-                   Eof_debug.Inject.rate = config.fault_rate;
-                   seed = config.fault_seed;
-                 }
-             else None
-           in
-           Machine.create ?obs ?inject build)
+      | None -> machine_of_config ?obs config build
     in
     (match machine_result with
      | Error e -> Error e
      | Ok machine when
          Machine.backend machine = Machine.Native && config.fault_rate > 0. ->
        (* Checked against the resolved machine, not config.backend, so a
-          farm-supplied native machine is rejected identically. *)
+          supplied native machine is rejected identically. *)
        Error
          (Eof_error.config
             "fault injection is link-only: the native backend has no link to fault")

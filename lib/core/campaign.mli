@@ -160,13 +160,24 @@ type state
 (** All per-board campaign state: generator, corpus, coverage map,
     crash table, pending link data, failure counters. One board each. *)
 
+val machine_of_config :
+  ?obs:Eof_obs.Obs.t -> config -> Osbuild.t ->
+  (Eof_agent.Machine.t, Eof_util.Eof_error.t) result
+(** The machine {!init} builds when none is supplied: a native one for
+    [backend = Native], otherwise a link whose transport carries this
+    config's fault schedule ([fault_rate], [fault_seed]) when
+    [fault_rate > 0]. It does not reject a native backend with faults;
+    {!init} does. *)
+
 val init :
   ?machine:Eof_agent.Machine.t -> ?obs:Eof_obs.Obs.t -> config -> Osbuild.t ->
   (state, Eof_util.Eof_error.t) result
-(** Synthesize + validate the spec, wire the machine (creating one when
-    not supplied), arm the binding-point breakpoints, replay
-    [initial_seeds]. Fails only on spec or link-bringup errors. When
-    [obs] is given its clock is bound to this board's virtual time. *)
+(** Synthesize + validate the spec, wire the machine ({!machine_of_config}
+    when not supplied), arm the binding-point breakpoints, replay
+    [initial_seeds]. Fails on spec or link-bringup errors, and with a
+    [Config] error when [fault_rate > 0] on a native machine: faults are
+    link-only. When [obs] is given its clock is bound to this board's
+    virtual time. *)
 
 val step : state -> unit
 (** One campaign iteration: advance to [executor_main], pick/mutate a

@@ -47,8 +47,6 @@ let target_of ~os ~(table : Eof_rtos.Api.table) =
     table.Eof_rtos.Api.entries;
   Printf.sprintf "%s#%08lx" os (Eof_util.Crc32.digest_string (Buffer.contents b))
 
-let target_name t = t
-
 type seed = {
   prog : Prog.t;
   hash : int;

@@ -28,8 +28,6 @@ val target_of : os:string -> table:Eof_rtos.Api.table -> target
 (** Digest of the table's entry names and argument shapes, prefixed
     with the personality name: equal surfaces are equal targets. *)
 
-val target_name : target -> string
-
 type t
 
 val create :

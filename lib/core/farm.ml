@@ -3,7 +3,6 @@ module Rng = Eof_util.Rng
 module Bitset = Eof_util.Bitset
 module Machine = Eof_agent.Machine
 module Obs = Eof_obs.Obs
-module Inject = Eof_debug.Inject
 module Eof_error = Eof_util.Eof_error
 
 type config = {
@@ -244,61 +243,58 @@ let step t =
 let init ?obs ?inject_for (config : config) mk_build =
   if config.boards < 1 then Error (Eof_error.config "farm: boards must be >= 1")
   else if config.sync_every < 1 then Error (Eof_error.config "farm: sync_every must be >= 1")
-  else if config.base.Campaign.backend = Machine.Native && config.base.Campaign.fault_rate > 0.
-  then
-    (* Reject before any board is built; Campaign.init repeats the check
-       per board for machines supplied by other callers. *)
-    Error
-      (Eof_error.config
-         "fault injection is link-only: the native backend has no link to fault")
   else begin
     let t0 = Unix.gettimeofday () in
-    (* The fault schedule rides the fleet: each board gets its own
-       independently seeded injector (or none at rate 0). Tests override
-       [inject_for] to target specific boards. *)
-    let inject_for =
-      match inject_for with
-      | Some f -> f
-      | None ->
-        fun i ->
-          if config.base.fault_rate > 0. then
-            Some
-              {
-                Inject.default_config with
-                Inject.rate = config.base.fault_rate;
-                seed = board_fault_seed config.base.fault_seed i;
-              }
-          else None
+    let in_board i r = Result.map_error (Eof_error.with_context (Printf.sprintf "board %d" i)) r in
+    (* Each board is a full campaign of its own: its share of the budget,
+       its own seed stream and its own fault-injector seed (each physical
+       probe glitches independently). *)
+    let board_config i =
+      {
+        config.base with
+        seed = board_seed config.base.seed i;
+        iterations = shard_iterations ~total:config.base.iterations ~boards:config.boards i;
+        fault_seed = board_fault_seed config.base.fault_seed i;
+      }
     in
-    match
-      Machine.create_fleet ?obs ~inject_for ~backend:config.base.Campaign.backend
-        ~boards:config.boards mk_build
-    with
+    let board_obs i = Option.map (fun bus -> Obs.for_board bus i) obs in
+    (* Every board's machine is brought up before any campaign arms its
+       breakpoints, so the bring-up exchanges keep their place in the
+       trace. [inject_for] (tests) swaps a board's machine for a link
+       carrying the given fault schedule. *)
+    let rec bring_up i acc =
+      if i >= config.boards then Ok (Array.of_list (List.rev acc))
+      else begin
+        let build = mk_build i in
+        let machine =
+          match Option.bind inject_for (fun f -> f i) with
+          | Some inject -> Machine.create ?obs:(board_obs i) ~inject build
+          | None -> Campaign.machine_of_config ?obs:(board_obs i) (board_config i) build
+        in
+        match in_board i machine with
+        | Ok machine -> bring_up (i + 1) ((build, machine) :: acc)
+        | Error e -> Error e
+      end
+    in
+    match bring_up 0 [] with
     | Error e -> Error e
-    | Ok fleet ->
-      let edge_capacity = Osbuild.edge_capacity (fst fleet.(0)) in
-      if Array.exists (fun (b, _) -> Osbuild.edge_capacity b <> edge_capacity) fleet
+    | Ok boards ->
+      let edge_capacity = Osbuild.edge_capacity (fst boards.(0)) in
+      if Array.exists (fun (b, _) -> Osbuild.edge_capacity b <> edge_capacity) boards
       then
         Error
           (Eof_error.config
              "farm: boards disagree on coverage-map capacity (different targets?)")
       else begin
         let rec init_all i acc =
-          if i >= Array.length fleet then Ok (Array.of_list (List.rev acc))
+          if i >= Array.length boards then Ok (Array.of_list (List.rev acc))
           else begin
-            let build, machine = fleet.(i) in
-            let cfg =
-              {
-                config.base with
-                seed = board_seed config.base.seed i;
-                iterations =
-                  shard_iterations ~total:config.base.iterations ~boards:config.boards i;
-              }
-            in
-            let board_obs = Option.map (fun bus -> Obs.for_board bus i) obs in
-            match Campaign.init ~machine ?obs:board_obs cfg build with
+            let build, machine = boards.(i) in
+            match
+              in_board i (Campaign.init ~machine ?obs:(board_obs i) (board_config i) build)
+            with
             | Ok st -> init_all (i + 1) (st :: acc)
-            | Error e -> Error (Eof_error.with_context (Printf.sprintf "board %d" i) e)
+            | Error e -> Error e
           end
         in
         match init_all 0 [] with

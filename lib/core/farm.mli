@@ -3,10 +3,10 @@ open Eof_os
 (** Board-farm orchestration: one fuzzing campaign sharded across N
     independent boards.
 
-    Each shard owns a full single-board stack — board, flashed image,
-    OpenOCD-style server, probe transport, debug session, agent and
-    campaign state — exactly as N physical dev boards on N probes share
-    nothing. What the shards {e do} share is host-side: a global
+    Each shard is a full single-board campaign built through
+    {!Campaign.init} — board, flashed image, OpenOCD-style probe,
+    transport, debug session, agent and campaign state — exactly as N
+    physical dev boards on N probes share nothing. What the shards {e do} share is host-side: a global
     coverage map, one cross-board corpus, and a crash-deduplication
     table keyed by crash signature. Sharing is {e epoch-based}: every
     [sync_every] payloads the farm merges shard-local discoveries into
@@ -84,7 +84,10 @@ val init :
   (int -> Osbuild.t) ->
   (t, Eof_util.Eof_error.t) result
 (** Build and initialise every shard (see {!run} for the semantics of
-    the arguments) without executing anything. *)
+    the arguments) without executing anything. Board [i] runs
+    {!Campaign.init} on [base] with its own seed, budget share and
+    fault-injector seed; every board's machine is brought up (in board
+    order) before the first campaign arms its breakpoints. *)
 
 val step : t -> unit
 (** Advance the scheduler by one campaign step: pick the
@@ -151,16 +154,20 @@ val run :
 (** [run config mk_build] builds one target per board via [mk_build i]
     (factories are called sequentially and need not be thread-safe),
     shards the campaign and runs it to the total budget. Fails if any
-    board fails to build or bring up its link, or if the boards
-    disagree on coverage-map capacity (they must be builds of the same
-    target).
+    board fails to build, bring up its link or initialise its campaign
+    (the error names the board: a native backend with
+    [base.fault_rate > 0] is [Config] error "board 0: ..."), or if the
+    boards disagree on coverage-map capacity (they must be builds of
+    the same target).
 
-    [inject_for i] overrides board [i]'s link-fault schedule; by
-    default each board derives an independent injector seed from
-    [base.fault_seed] when [base.fault_rate > 0], and runs a clean
-    link otherwise. A board that dies mid-campaign (ladder exhausted)
-    is simply skipped by the scheduler; the farm finishes on the
-    survivors and reports it in [dead_boards].
+    Each board's campaign config carries its own fault-injector seed,
+    derived from [base.fault_seed] (board 0 keeps it), so with
+    [base.fault_rate > 0] every probe glitches independently. [inject_for]
+    is a test hook: when [inject_for i] is [Some cfg], board [i] gets a
+    link machine whose transport carries [cfg] instead of the machine
+    its config would build. A board that dies mid-campaign (ladder
+    exhausted) is simply skipped by the scheduler; the farm finishes on
+    the survivors and reports it in [dead_boards].
 
     With [obs], each board emits on a {!Eof_obs.Obs.for_board}-derived
     handle of the same bus (events carry the board index, timestamped by

@@ -2,14 +2,6 @@ type t = { bitmap : Eof_util.Bitset.t }
 
 let create ~edge_capacity = { bitmap = Eof_util.Bitset.create (max 1 edge_capacity) }
 
-let merge t edges =
-  List.fold_left
-    (fun acc e ->
-      if e >= 0 && e < Eof_util.Bitset.capacity t.bitmap then
-        if Eof_util.Bitset.add t.bitmap e then acc + 1 else acc
-      else acc)
-    0 edges
-
 let merge_array t edges ~len =
   if len > Array.length edges then invalid_arg "Feedback.merge_array: len too large";
   let acc = ref 0 in

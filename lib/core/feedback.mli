@@ -4,14 +4,10 @@ type t
 
 val create : edge_capacity:int -> t
 
-val merge : t -> int list -> int
-(** Fold a batch of edge indices in; returns how many were new. Edges
-    outside the capacity are ignored (defensive against a corrupted
-    coverage buffer). *)
-
 val merge_array : t -> int array -> len:int -> int
-(** Like {!merge} but over the first [len] entries of a scratch array —
-    the allocation-free path used by the batched coverage drain. *)
+(** Fold the first [len] edge indices of a scratch array in; returns
+    how many were new. Edges outside the capacity are ignored
+    (defensive against a corrupted coverage buffer). *)
 
 val union_into : dst:t -> src:t -> int
 (** Or [src]'s bitmap into [dst]'s; returns how many edges were new to

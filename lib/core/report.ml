@@ -96,19 +96,3 @@ let fleet_digest tenants =
     tenants;
   Printf.sprintf "digest fleet tenants=%d crc=%08lx" (List.length tenants)
     (Eof_util.Crc32.digest_string (Buffer.contents b))
-
-let outcome_summary (o : Campaign.outcome) =
-  String.concat "\n"
-    [
-      Printf.sprintf "target          : %s" o.Campaign.os;
-      Printf.sprintf "payloads run    : %d (%d iterations)" o.Campaign.executed_programs
-        o.Campaign.iterations_done;
-      Printf.sprintf "branch coverage : %d distinct edges" o.Campaign.coverage;
-      Printf.sprintf "corpus          : %d seeds" o.Campaign.corpus_size;
-      Printf.sprintf "crashes         : %d distinct (%d events)"
-        (List.length o.Campaign.crashes)
-        o.Campaign.crash_events;
-      Printf.sprintf "liveness        : %d resets, %d reflashes, %d stalls, %d link timeouts"
-        o.Campaign.resets o.Campaign.reflashes o.Campaign.stalls o.Campaign.timeouts;
-      Printf.sprintf "virtual time    : %.2f s" o.Campaign.virtual_s;
-    ]

@@ -8,9 +8,6 @@ val save_crashes : dir:string -> Crash.t list -> (string list, string) result
 (** Write one report per crash into [dir] (created if missing) as
     [crash-NN-<operation>.txt]; returns the paths written. *)
 
-val outcome_summary : Campaign.outcome -> string
-(** The multi-line summary the CLI prints after a campaign. *)
-
 val digest_line :
   label:string ->
   coverage:int ->

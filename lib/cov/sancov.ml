@@ -129,28 +129,6 @@ let records_written t = t.records_written
 
 let wraps t = t.wraps
 
-let decode_records ~endianness ~count raw =
-  if String.length raw < 4 * count then invalid_arg "Sancov.decode_records: short buffer";
-  let b = Bytes.unsafe_of_string raw in
-  List.init count (fun i ->
-      let v =
-        match endianness with
-        | Arch.Little -> Bytes.get_int32_le b (4 * i)
-        | Arch.Big -> Bytes.get_int32_be b (4 * i)
-      in
-      Int32.to_int v)
-
-
-let decode_cmp_ring ~endianness ~count raw =
-  let n = min count (String.length raw / 8) in
-  let b = Bytes.unsafe_of_string raw in
-  let word off =
-    match endianness with
-    | Arch.Little -> Bytes.get_int32_le b off
-    | Arch.Big -> Bytes.get_int32_be b off
-  in
-  List.init n (fun i -> (word (8 * i), word ((8 * i) + 4)))
-
 let decode_records_into ?(pos = 0) ~endianness ~count raw dst =
   if String.length raw < 4 * count then
     invalid_arg "Sancov.decode_records_into: short buffer";

@@ -79,27 +79,18 @@ val wraps : t -> int
     These are pure so the host can apply them to bytes read over the
     debug link. *)
 
-val decode_records :
-  endianness:Eof_hw.Arch.endianness -> count:int -> string -> int list
-(** Decode [count] 32-bit records from the raw records area. *)
-
-val decode_cmp_ring :
-  endianness:Eof_hw.Arch.endianness -> count:int -> string -> (int32 * int32) list
-(** Decode up to [count] operand pairs from the raw cmp-ring area. *)
-
 val decode_records_into :
   ?pos:int -> endianness:Eof_hw.Arch.endianness -> count:int -> string ->
   int array -> int
-(** Allocation-free variant of {!decode_records}: decode [count] records
-    into the caller's scratch array starting at [pos] (default 0); the
-    array must hold at least [pos + count] entries. Returns [count]. The
-    fuzzing hot path reuses one scratch array per campaign instead of
-    building a list per drain. *)
+(** Decode [count] 32-bit records from the raw records area into the
+    caller's scratch array starting at [pos] (default 0); the array must
+    hold at least [pos + count] entries. Returns [count]. Callers reuse
+    one scratch array per campaign, so a drain allocates nothing
+    proportional to its record count. *)
 
 val decode_cmp_ring_into :
   ?pos:int -> endianness:Eof_hw.Arch.endianness -> count:int -> string ->
   a:int64 array -> b:int64 array -> int
-(** Allocation-free variant of {!decode_cmp_ring}: decode up to [count]
-    operand pairs into the caller's [a]/[b] scratch arrays starting at
-    [pos] (sign-extended to [int64], matching what {!variant_of_cmp}
+(** Decode up to [count] operand pairs from the raw cmp-ring area into
+    the caller's [a]/[b] scratch arrays starting at [pos] (sign-extended to [int64], matching what {!variant_of_cmp}
     consumed on the target side); returns the number of pairs decoded. *)

@@ -29,7 +29,4 @@ let index_of_addr t addr =
     let idx = off / 4 in
     if idx < t.next_index then Some idx else None
 
-let block_of_addr t addr =
-  List.find_opt (fun b -> addr >= b.base && addr < b.base + (4 * b.count)) t.blocks_rev
-
 let blocks t = List.rev t.blocks_rev

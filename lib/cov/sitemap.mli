@@ -31,8 +31,5 @@ val index_of_addr : t -> int -> int option
 (** Dense site index of a site address ([None] if the address is not an
     allocated site). *)
 
-val block_of_addr : t -> int -> block option
-(** Which module owns this site (for crash-report symbolization). *)
-
 val blocks : t -> block list
 (** Allocation order. *)

@@ -29,13 +29,71 @@ let create ?(continue_quantum = 200_000) ~board ~engine () =
 
 let board t = t.board
 
-let stop_of_reason t (reason : Engine.stop_reason) : Rsp.reply =
+(* --- board-side operations ------------------------------------------------
+   What the probe does to the board and engine, typed. The RSP dispatcher
+   below renders their results as replies; the native backend calls them
+   directly. *)
+
+type stop =
+  | Stopped_breakpoint of int
+  | Stopped_quantum of int
+  | Stopped_fault of int
+  | Target_exited
+
+let classify t (reason : Engine.stop_reason) =
   match reason with
-  | Engine.Breakpoint_hit pc -> Rsp.Stop { signal = 5; pc; detail = "swbreak" }
-  | Engine.Fuel_exhausted ->
-    Rsp.Stop { signal = 2; pc = Engine.pc t.engine; detail = "quantum" }
-  | Engine.Faulted _ -> Rsp.Stop { signal = 11; pc = Engine.pc t.engine; detail = "fault" }
-  | Engine.Exited -> Rsp.Exited 0
+  | Engine.Breakpoint_hit pc -> Stopped_breakpoint pc
+  | Engine.Fuel_exhausted -> Stopped_quantum (Engine.pc t.engine)
+  | Engine.Faulted _ -> Stopped_fault (Engine.pc t.engine)
+  | Engine.Exited -> Target_exited
+
+let resume t = classify t (Engine.run t.engine ~fuel:t.continue_quantum)
+
+let reset t =
+  Board.reset t.board;
+  Engine.reset t.engine
+
+let drain_uart t = Uart.drain (Board.uart t.board)
+
+let fault_text t =
+  match Engine.last_fault t.engine with None -> "" | Some f -> Fault.to_string f
+
+let set_gpio t ~pin ~level = Gpio.set_level (Board.gpio t.board) ~pin ~level
+
+let flash_erase t ~addr ~len =
+  match Flash.erase_range (Board.flash t.board) ~addr ~len with
+  | () -> Ok ()
+  | exception Fault.Trap f -> Error f
+
+let flash_program t ~addr data =
+  match Flash.program (Board.flash t.board) ~addr data with
+  | () -> Ok ()
+  | exception Fault.Trap f -> Error f
+
+let snapshot_save t =
+  let snap = Board.snapshot t.board in
+  t.snapshot <- Some snap;
+  Snapshot.pages snap
+
+let snapshot_restore t =
+  match t.snapshot with
+  | None -> None
+  | Some snap -> Some (Board.restore_snapshot t.board snap)
+
+(* --- RSP dispatcher ------------------------------------------------------ *)
+
+let reply_of_stop = function
+  | Stopped_breakpoint pc -> Rsp.Stop { signal = 5; pc; detail = "swbreak" }
+  | Stopped_quantum pc -> Rsp.Stop { signal = 2; pc; detail = "quantum" }
+  | Stopped_fault pc -> Rsp.Stop { signal = 11; pc; detail = "fault" }
+  | Target_exited -> Rsp.Exited 0
+
+let initial_stop t = Rsp.Stop { signal = 5; pc = Engine.pc t.engine; detail = "initial" }
+
+let stopped t stop =
+  let reply = reply_of_stop stop in
+  t.last_stop <- reply;
+  reply
 
 let reg_dump t =
   (* All registers read as zero except the PC slot: we model a core whose
@@ -53,21 +111,16 @@ let reg_dump t =
   Bytes.unsafe_to_string buf
 
 let do_reset t =
-  Board.reset t.board;
-  Engine.reset t.engine;
-  t.last_stop <- Rsp.Stop { signal = 5; pc = Engine.pc t.engine; detail = "initial" }
+  reset t;
+  t.last_stop <- initial_stop t
 
 let monitor t cmd : Rsp.reply =
   match String.trim cmd with
   | "reset" | "reset halt" ->
     do_reset t;
     Rsp.Ok_reply
-  | "uart" -> Rsp.Hex_data (Uart.drain (Board.uart t.board))
-  | "fault" ->
-    let text =
-      match Engine.last_fault t.engine with None -> "" | Some f -> Fault.to_string f
-    in
-    Rsp.Hex_data text
+  | "uart" -> Rsp.Hex_data (drain_uart t)
+  | "fault" -> Rsp.Hex_data (fault_text t)
   | "bootok" -> Rsp.Hex_data (if Board.boot_ok t.board then "1" else "0")
   | "cycles" ->
     Rsp.Hex_data (Int64.to_string (Clock.cycles (Board.clock t.board)))
@@ -76,27 +129,16 @@ let monitor t cmd : Rsp.reply =
      | [ _; pin; level ] ->
        (match (int_of_string_opt pin, level) with
         | Some pin, ("0" | "1") ->
-          (match
-             Gpio.set_level (Board.gpio t.board) ~pin ~level:(level = "1")
-           with
+          (match set_gpio t ~pin ~level:(level = "1") with
            | Ok () -> Rsp.Ok_reply
            | Error _ -> Rsp.Error_reply 0x02)
         | _ -> Rsp.Error_reply 0x02)
      | _ -> Rsp.Error_reply 0x02)
   | _ -> Rsp.Error_reply 0x01
 
-let word_of_le_be t raw =
-  let b = Bytes.unsafe_of_string raw in
-  match (Board.profile t.board).Board.arch.Arch.endianness with
-  | Arch.Little -> Bytes.get_int32_le b 0
-  | Arch.Big -> Bytes.get_int32_be b 0
-
 let execute_batch_op t (op : Rsp.batch_op) : Rsp.batch_reply =
   match op with
-  | Rsp.B_continue ->
-    let reply = stop_of_reason t (Engine.run t.engine ~fuel:t.continue_quantum) in
-    t.last_stop <- reply;
-    Rsp.Br_stop (Rsp.render_reply ~pc_reg:t.pc_reg reply)
+  | Rsp.B_continue -> Rsp.Br_stop (Rsp.render_reply ~pc_reg:t.pc_reg (stopped t (resume t)))
   | Rsp.B_read { addr; len } ->
     (match Board.read_mem t.board ~addr ~len with
      | Ok data -> Rsp.Br_data data
@@ -108,25 +150,9 @@ let execute_batch_op t (op : Rsp.batch_op) : Rsp.batch_reply =
   | Rsp.B_read_counted { count_addr; data_addr; stride; max_count; reset } ->
     if stride <= 0 || max_count < 0 then Rsp.Br_error 0x16
     else
-      (match Board.read_mem t.board ~addr:count_addr ~len:4 with
-       | Error _ -> Rsp.Br_error 0x0E
-       | Ok raw ->
-         let count = Int32.to_int (word_of_le_be t raw) in
-         let n = max 0 (min count max_count) in
-         let data =
-           if n = 0 then Ok ""
-           else Board.read_mem t.board ~addr:data_addr ~len:(n * stride)
-         in
-         (match data with
-          | Error _ -> Rsp.Br_error 0x0E
-          | Ok data ->
-            let resetted =
-              if reset then Board.write_ram t.board ~addr:count_addr (String.make 4 '\x00')
-              else Ok ()
-            in
-            (match resetted with
-             | Ok () -> Rsp.Br_counted { count; data }
-             | Error _ -> Rsp.Br_error 0x0E)))
+      (match Board.read_counted t.board ~count_addr ~data_addr ~stride ~max_count ~reset with
+       | Ok (count, data) -> Rsp.Br_counted { count; data }
+       | Error _ -> Rsp.Br_error 0x0E)
   | Rsp.B_monitor cmd ->
     (match monitor t cmd with
      | Rsp.Ok_reply -> Rsp.Br_ok
@@ -152,26 +178,18 @@ let execute t (cmd : Rsp.command) : Rsp.reply =
   | Rsp.Remove_breakpoint addr ->
     Engine.remove_breakpoint t.engine addr;
     Rsp.Ok_reply
-  | Rsp.Continue ->
-    let reply = stop_of_reason t (Engine.run t.engine ~fuel:t.continue_quantum) in
-    t.last_stop <- reply;
-    reply
-  | Rsp.Step ->
-    let reply = stop_of_reason t (Engine.step_one t.engine) in
-    t.last_stop <- reply;
-    reply
+  | Rsp.Continue -> stopped t (resume t)
+  | Rsp.Step -> stopped t (classify t (Engine.step_one t.engine))
   | Rsp.Read_registers -> Rsp.Raw (Eof_util.Hex.encode (reg_dump t))
   | Rsp.Halt_reason -> t.last_stop
   | Rsp.Flash_erase { addr; len } ->
-    (try
-       Flash.erase_range (Board.flash t.board) ~addr ~len;
-       Rsp.Ok_reply
-     with Fault.Trap _ -> Rsp.Error_reply 0x0E)
+    (match flash_erase t ~addr ~len with
+     | Ok () -> Rsp.Ok_reply
+     | Error _ -> Rsp.Error_reply 0x0E)
   | Rsp.Flash_write { addr; data } ->
-    (try
-       Flash.program (Board.flash t.board) ~addr data;
-       Rsp.Ok_reply
-     with Fault.Trap _ -> Rsp.Error_reply 0x0E)
+    (match flash_program t ~addr data with
+     | Ok () -> Rsp.Ok_reply
+     | Error _ -> Rsp.Error_reply 0x0E)
   | Rsp.Flash_done -> Rsp.Ok_reply
   | Rsp.Monitor cmd -> monitor t cmd
   | Rsp.Batch ops ->
@@ -179,16 +197,11 @@ let execute t (cmd : Rsp.command) : Rsp.reply =
        and execution continues, so the client always gets positionally
        matched sub-replies. *)
     Rsp.Raw (Rsp.render_batch_replies ~prefix:"b" (List.map (execute_batch_op t) ops))
-  | Rsp.Snapshot_save ->
-    let snap = Board.snapshot t.board in
-    t.snapshot <- Some snap;
-    Rsp.Raw (Printf.sprintf "S%x" (Snapshot.pages snap))
+  | Rsp.Snapshot_save -> Rsp.Raw (Printf.sprintf "S%x" (snapshot_save t))
   | Rsp.Snapshot_restore ->
-    (match t.snapshot with
+    (match snapshot_restore t with
      | None -> Rsp.Error_reply 0x23 (* restore before save *)
-     | Some snap ->
-       let dirty = Board.restore_snapshot t.board snap in
-       Rsp.Raw (Printf.sprintf "S%x" dirty))
+     | Some dirty -> Rsp.Raw (Printf.sprintf "S%x" dirty))
   | Rsp.Kill ->
     do_reset t;
     Rsp.Ok_reply

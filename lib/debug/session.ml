@@ -3,7 +3,7 @@ module Eof_error = Eof_util.Eof_error
 
 type error = Eof_error.t
 
-type stop =
+type stop = Openocd.stop =
   | Stopped_breakpoint of int
   | Stopped_quantum of int
   | Stopped_fault of int

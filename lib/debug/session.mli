@@ -15,10 +15,11 @@
 
 type error = Eof_util.Eof_error.t
 
-type stop =
-  | Stopped_breakpoint of int  (** PC, parked at a breakpointed site *)
-  | Stopped_quantum of int  (** PC; continue quantum expired, target live *)
-  | Stopped_fault of int  (** PC at the fault vector *)
+(** The probe's stop classification, decoded from its stop reply. *)
+type stop = Openocd.stop =
+  | Stopped_breakpoint of int
+  | Stopped_quantum of int
+  | Stopped_fault of int
   | Target_exited
 
 type t

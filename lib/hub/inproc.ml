@@ -42,6 +42,12 @@ let run ?obs ?corpus_sync ?journal ?heartbeat_timeout ?kill ?halt_after ~farms
     ~(resolve : string -> (Worker.target, string) result) =
   if tenants = [] then Error "inproc: no tenants submitted"
   else if farms < 1 then Error "inproc: farms must be >= 1"
+  else if Option.fold ~none:false ~some:(fun (w, _) -> w < 0 || w >= farms) kill then
+    (* A drill naming no worker would never fire, and the run would pass
+       for one that survived it. *)
+    Error
+      (Printf.sprintf "inproc: cannot kill worker %d: the fleet has %d farm(s), workers 0..%d"
+         (fst (Option.get kill)) farms (farms - 1))
   else begin
     let t0 = Unix.gettimeofday () in
     let obs = match obs with Some o -> o | None -> Obs.create () in

@@ -67,7 +67,8 @@ val run :
 (** Register [farms] workers, submit every tenant not already known
     from a journal replay, then drive the fleet to completion (or to
     [halt_after] total payload steps). [kill (w, n)] silences worker
-    [w] after its [n]-th step. [Error] on a rejected submission or a
+    [w] after its [n]-th step. [Error] on a rejected submission, on a
+    [kill] naming no worker ([w] outside [0 .. farms - 1]), or on a
     genuine stall (every shard's owner dead with no survivor to take
     the lease). *)
 

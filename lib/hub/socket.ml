@@ -47,46 +47,46 @@ let write_frame fd msg =
   | () -> Ok ()
   | exception Unix.Unix_error (err, _, _) -> Error (Unix.error_message err)
 
-(* Extract every complete frame from an accumulation buffer, leaving
-   any partial tail in place for the next read. *)
+(* Decode every complete frame in an accumulation buffer, in order,
+   leaving any partial tail in place for the next read. The buffered
+   bytes are copied at most once per call, and not at all while the
+   first frame is still incomplete: a frame arriving in many chunks
+   costs one header peek per chunk. *)
 let take_frames buf =
-  let rec go acc =
+  let total = Buffer.length buf in
+  let header s pos = String.sub s pos (min Protocol.header_bytes (total - pos)) in
+  match Protocol.frame_size (Buffer.sub buf 0 (min Protocol.header_bytes total)) with
+  | Ok (Some size) when size <= total ->
     let buffered = Buffer.contents buf in
-    match Protocol.frame_size buffered with
-    | Error e -> Error (Protocol.error_to_string e)
-    | Ok None -> Ok (List.rev acc)
-    | Ok (Some size) when String.length buffered < size -> Ok (List.rev acc)
-    | Ok (Some size) ->
-      let frame = String.sub buffered 0 size in
-      Buffer.clear buf;
-      Buffer.add_substring buf buffered size (String.length buffered - size);
-      (match Protocol.decode frame with
-      | Ok msg -> go (msg :: acc)
-      | Error e -> Error (Protocol.error_to_string e))
-  in
-  go []
+    let rec go pos acc =
+      match Protocol.frame_size (header buffered pos) with
+      | Error e -> Error (Protocol.error_to_string e)
+      | Ok (Some size) when total - pos >= size ->
+        (match Protocol.decode (String.sub buffered pos size) with
+         | Ok msg -> go (pos + size) (msg :: acc)
+         | Error e -> Error (Protocol.error_to_string e))
+      | Ok _ ->
+        Buffer.clear buf;
+        Buffer.add_substring buf buffered pos (total - pos);
+        Ok (List.rev acc)
+    in
+    go 0 []
+  | Ok _ -> Ok []
+  | Error e -> Error (Protocol.error_to_string e)
 
-(* Read until at least one complete frame is buffered, then decode it. *)
-let read_frame fd buf =
-  let chunk = Bytes.create 65536 in
-  let rec go () =
-    let buffered = Buffer.contents buf in
-    match Protocol.frame_size buffered with
-    | Error e -> Error (Protocol.error_to_string e)
-    | Ok (Some size) when String.length buffered >= size ->
-      let frame = String.sub buffered 0 size in
-      Buffer.clear buf;
-      Buffer.add_substring buf buffered size (String.length buffered - size);
-      Result.map_error Protocol.error_to_string (Protocol.decode frame)
-    | Ok _ ->
-      (match read_chunk fd chunk with
-      | None -> Error "connection error"
-      | Some 0 -> Error "connection closed by hub"
-      | Some n ->
-        Buffer.add_subbytes buf chunk 0 n;
-        go ())
-  in
-  go ()
+(* Block until at least one complete frame is buffered; return every
+   complete frame. *)
+let rec read_frames fd buf chunk =
+  match take_frames buf with
+  | Error _ as e -> e
+  | Ok (_ :: _ as msgs) -> Ok msgs
+  | Ok [] ->
+    (match read_chunk fd chunk with
+     | None -> Error "connection error"
+     | Some 0 -> Error "connection closed by hub"
+     | Some n ->
+       Buffer.add_subbytes buf chunk 0 n;
+       read_frames fd buf chunk)
 
 (* --- hub server --------------------------------------------------------- *)
 
@@ -337,27 +337,26 @@ let submit ~socket config =
       match write_frame fd (Protocol.Submit config) with
       | Error e -> Error e
       | Ok () ->
-        let buf = Buffer.create 256 in
-        let rec wait () =
-          match read_frame fd buf with
-          | Error e -> Error e
-          | Ok (Protocol.Reject { reason; _ }) -> Error reason
-          | Ok (Protocol.Accept _) -> wait ()
-          | Ok (Protocol.Campaign_done { digest; _ }) -> Ok digest
-          | Ok other ->
+        let buf = Buffer.create 256 and chunk = Bytes.create 65536 in
+        let rec wait = function
+          | [] -> Result.bind (read_frames fd buf chunk) wait
+          | Protocol.Reject { reason; _ } :: _ -> Error reason
+          | Protocol.Accept _ :: rest -> wait rest
+          | Protocol.Campaign_done { digest; _ } :: _ -> Ok digest
+          | other :: _ ->
             Error
               (Printf.sprintf "unexpected reply %s" (Protocol.kind_name other))
         in
-        wait ())
+        wait [])
 
 let status ~socket =
   with_connection socket (fun fd ->
       match write_frame fd Protocol.Status_req with
       | Error e -> Error e
       | Ok () ->
-        let buf = Buffer.create 256 in
-        (match read_frame fd buf with
+        (match read_frames fd (Buffer.create 256) (Bytes.create 65536) with
         | Error e -> Error e
-        | Ok (Protocol.Status { rows; workers }) -> Ok (rows, workers)
-        | Ok other ->
-          Error (Printf.sprintf "unexpected reply %s" (Protocol.kind_name other))))
+        | Ok (Protocol.Status { rows; workers } :: _) -> Ok (rows, workers)
+        | Ok (other :: _) ->
+          Error (Printf.sprintf "unexpected reply %s" (Protocol.kind_name other))
+        | Ok [] -> Error "no reply"))

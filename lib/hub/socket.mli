@@ -12,6 +12,14 @@
     All framing IO here survives short reads, short writes, EINTR and
     EAGAIN — a frame boundary never assumes a syscall boundary. *)
 
+val take_frames : Buffer.t -> (Protocol.t list, string) result
+(** Decode every complete frame accumulated in the buffer, in order,
+    and leave any partial tail in it for the next read. Copies the
+    buffered bytes at most once per call (not at all while the first
+    frame is incomplete). The server loop, the worker loop and the
+    one-shot clients all frame their input through it. [Error] on a
+    bad header or an undecodable frame. *)
+
 val serve :
   ?obs:Eof_obs.Obs.t ->
   ?corpus_sync:bool ->

@@ -120,4 +120,24 @@ let write_ram t ~addr data =
         message = "debug write outside RAM (use flash programming for flash)";
       }
 
+let read_counted t ~count_addr ~data_addr ~stride ~max_count ~reset =
+  match read_mem t ~addr:count_addr ~len:4 with
+  | Error _ as e -> e
+  | Ok raw ->
+    let b = Bytes.unsafe_of_string raw in
+    let count =
+      Int32.to_int
+        (match t.profile.arch.Arch.endianness with
+         | Arch.Little -> Bytes.get_int32_le b 0
+         | Arch.Big -> Bytes.get_int32_be b 0)
+    in
+    let n = max 0 (min count max_count) in
+    let data = if n = 0 then Ok "" else read_mem t ~addr:data_addr ~len:(n * stride) in
+    (match data with
+     | Error _ as e -> e
+     | Ok data ->
+       (match if reset then write_ram t ~addr:count_addr "\000\000\000\000" else Ok () with
+        | Error _ as e -> e
+        | Ok () -> Ok (count, data)))
+
 let debug_port_name = function Jtag -> "JTAG" | Swd -> "SWD" | Emulated -> "emulated"

@@ -84,4 +84,16 @@ val read_mem : t -> addr:int -> len:int -> (string, Fault.t) result
 val write_ram : t -> addr:int -> string -> (unit, Fault.t) result
 (** Debugger-style write; fails with a bus fault outside RAM. *)
 
+val read_counted :
+  t -> count_addr:int -> data_addr:int -> stride:int -> max_count:int -> reset:bool ->
+  (int * string, Fault.t) result
+(** The counted read every coverage drain is built on: read the 32-bit
+    counter word at [count_addr], read the first
+    [max 0 (min count max_count)] entries of [stride] bytes from
+    [data_addr], then, when [reset], zero the counter. Returns the raw
+    counter value with the entries read. The probe's [vBatch] counted
+    op, the native fused drain and the emulation baselines all call
+    this; a fault at any step returns it and leaves the counter as it
+    was. *)
+
 val debug_port_name : debug_port -> string

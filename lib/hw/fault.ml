@@ -10,8 +10,6 @@ let bus ?address message = raise_fault Bus_fault address message
 
 let usage ?address message = raise_fault Usage_fault address message
 
-let hard message = raise_fault Hard_fault None message
-
 let mem_manage ?address message = raise_fault Mem_manage_fault address message
 
 let kind_name = function

@@ -26,8 +26,6 @@ val bus : ?address:int -> string -> 'a
 
 val usage : ?address:int -> string -> 'a
 
-val hard : string -> 'a
-
 val mem_manage : ?address:int -> string -> 'a
 
 val kind_name : kind -> string

@@ -181,9 +181,13 @@ let test_end_to_end_coverage_collected () =
          ~addr:(Eof_cov.Sancov.Layout.records_addr layout)
          ~len:(4 * Int32.to_int widx))
   in
-  let edges =
-    Eof_cov.Sancov.decode_records ~endianness:Arch.Little ~count:(Int32.to_int widx) raw
+  let edges = Array.make (Int32.to_int widx) 0 in
+  let n =
+    Eof_cov.Sancov.decode_records_into ~endianness:Arch.Little ~count:(Int32.to_int widx)
+      raw edges
   in
+  Alcotest.(check int) "every record decoded" (Int32.to_int widx) n;
+  let edges = Array.to_list edges in
   let cap = Osbuild.edge_capacity build in
   Alcotest.(check bool) "edges in range" true (List.for_all (fun e -> e >= 0 && e < cap) edges);
   Alcotest.(check bool) "distinct edges" true (List.length (List.sort_uniq compare edges) > 3)

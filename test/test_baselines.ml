@@ -107,6 +107,45 @@ let test_gustave_runs () =
     Alcotest.(check bool) "coverage" true (o.Campaign.coverage > 0);
     Alcotest.(check bool) "executed" true (o.Campaign.executed_programs > 0)
 
+(* Golden digests at small budgets: the baselines drain coverage
+   through the shared counted reads ([Board.read_counted] for the
+   emulation tools, [Machine.read_counted] for GDBFuzz and SHIFT), so
+   any change to what those reads return moves these lines. *)
+let digest_of = function
+  | Ok o -> Eof_core.Report.campaign_digest o
+  | Error e -> Alcotest.fail (Eof_util.Eof_error.to_string e)
+
+let freertos_with m =
+  Osbuild.make ~instrument:(Osbuild.Instrument_only [ m ])
+    ~board_profile:Eof_hw.Profiles.esp32_devkitc Freertos.spec
+
+let test_golden_digests () =
+  Alcotest.(check string) "tardis"
+    "digest campaign coverage=171 crashes=2 crash_events=5 executed=300 iterations=300 \
+     corpus=65 crc=2d731877"
+    (digest_of
+       (Eof_baselines.Tardis.run ~seed:3L ~iterations:300
+          (Eof_baselines.Tardis.build_for Zephyr.spec)));
+  Alcotest.(check string) "gustave"
+    "digest campaign coverage=47 crashes=0 crash_events=0 executed=200 iterations=200 \
+     corpus=0 crc=b3c879f0"
+    (digest_of
+       (Eof_baselines.Gustave.run ~seed:4L ~iterations:200
+          (Eof_baselines.Gustave.build_for Pokos.spec)));
+  Alcotest.(check string) "gdbfuzz"
+    "digest campaign coverage=13 crashes=0 crash_events=0 executed=150 iterations=150 \
+     corpus=0 crc=abe7c8aa"
+    (digest_of
+       (Eof_baselines.Gdbfuzz.run ~seed:2L ~iterations:150 ~entry_api:"http_request"
+          ~sample_modules:[ Freertos.http_module ]
+          (freertos_with Freertos.http_module)));
+  Alcotest.(check string) "shift"
+    "digest campaign coverage=29 crashes=0 crash_events=0 executed=75 iterations=75 \
+     corpus=0 crc=6088c271"
+    (digest_of
+       (Eof_baselines.Shift.run ~seed:1L ~iterations:150 ~entry_api:"json_parse"
+          (freertos_with Freertos.json_module)))
+
 let suite =
   [
     Alcotest.test_case "bufgen bounds" `Quick test_bufgen_bounds;
@@ -118,4 +157,6 @@ let suite =
     Alcotest.test_case "shift freertos-only" `Quick test_shift_freertos_only;
     Alcotest.test_case "gdbfuzz runs" `Quick test_gdbfuzz_runs;
     Alcotest.test_case "gustave runs" `Quick test_gustave_runs;
+    Alcotest.test_case "golden digests (tardis, gustave, gdbfuzz, shift)" `Quick
+      test_golden_digests;
   ]

@@ -203,11 +203,14 @@ let test_corpus_merge_eviction_order () =
 
 let test_feedback_merge () =
   let fb = Feedback.create ~edge_capacity:100 in
-  Alcotest.(check int) "first merge" 3 (Feedback.merge fb [ 1; 2; 3 ]);
-  Alcotest.(check int) "repeat merge" 0 (Feedback.merge fb [ 1; 2; 3 ]);
-  Alcotest.(check int) "partial" 1 (Feedback.merge fb [ 3; 4 ]);
-  Alcotest.(check int) "out of range ignored" 0 (Feedback.merge fb [ -1; 100; 40000 ]);
-  Alcotest.(check int) "covered" 4 (Feedback.covered fb)
+  let merge edges = Feedback.merge_array fb (Array.of_list edges) ~len:(List.length edges) in
+  Alcotest.(check int) "first merge" 3 (merge [ 1; 2; 3 ]);
+  Alcotest.(check int) "repeat merge" 0 (merge [ 1; 2; 3 ]);
+  Alcotest.(check int) "partial" 1 (merge [ 3; 4 ]);
+  Alcotest.(check int) "out of range ignored" 0 (merge [ -1; 100; 40000 ]);
+  Alcotest.(check int) "only the first len entries" 1
+    (Feedback.merge_array fb [| 5; 6; 7 |] ~len:1);
+  Alcotest.(check int) "covered" 5 (Feedback.covered fb)
 
 let test_monitor_patterns () =
   let log =

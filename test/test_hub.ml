@@ -239,6 +239,34 @@ let test_frame_size () =
   Alcotest.(check bool) "full header: size known" true
     (Protocol.frame_size frame = Ok (Some (String.length frame)))
 
+(* One read can carry many frames and the start of the next: all
+   complete ones decode in order, and the partial tail stays buffered
+   until the rest of it arrives. *)
+let test_take_frames () =
+  let frames = Array.to_list (Array.sub (Array.of_list every_kind) 0 6) in
+  let tail_frame = Protocol.encode (Protocol.Worker_ping { worker = 9 }) in
+  let cut = String.length tail_frame / 2 in
+  let buf = Buffer.create 16 in
+  List.iter (fun m -> Buffer.add_string buf (Protocol.encode m)) frames;
+  Buffer.add_string buf (String.sub tail_frame 0 cut);
+  (match Eof_hub.Socket.take_frames buf with
+   | Error e -> Alcotest.fail e
+   | Ok msgs ->
+     Alcotest.(check (list string)) "every complete frame, in order"
+       (List.map Protocol.encode frames) (List.map Protocol.encode msgs));
+  Alcotest.(check string) "partial tail kept" (String.sub tail_frame 0 cut)
+    (Buffer.contents buf);
+  (match Eof_hub.Socket.take_frames buf with
+   | Ok [] -> ()
+   | _ -> Alcotest.fail "an incomplete frame must not decode");
+  Buffer.add_string buf (String.sub tail_frame cut (String.length tail_frame - cut));
+  (match Eof_hub.Socket.take_frames buf with
+   | Ok [ m ] ->
+     Alcotest.(check string) "tail decodes once complete" tail_frame (Protocol.encode m)
+   | Ok _ -> Alcotest.fail "expected exactly the tail frame"
+   | Error e -> Alcotest.fail e);
+  Alcotest.(check int) "buffer drained" 0 (Buffer.length buf)
+
 (* --- tenant spec parsing ------------------------------------------------ *)
 
 let test_tenant_spec () =
@@ -520,6 +548,15 @@ let test_worker_death_deterministic () =
   Alcotest.(check int) "same recovery, same payloads lost" a.Inproc.payloads_lost
     b.Inproc.payloads_lost
 
+(* A kill drill naming a worker the fleet does not have must fail the
+   run, not finish it with the drill silently skipped. *)
+let test_kill_unknown_worker () =
+  match Inproc.run ~farms:2 ~kill:(2, 60) fleet_tenants ~resolve with
+  | Ok _ -> Alcotest.fail "kill drill on worker 2 of 2 ran without error"
+  | Error e ->
+    Alcotest.(check string) "error names the worker and the farm count"
+      "inproc: cannot kill worker 2: the fleet has 2 farm(s), workers 0..1" e
+
 let with_temp_journal f =
   let path = Filename.temp_file "eof-hub" ".journal" in
   Sys.remove path;
@@ -601,6 +638,8 @@ let suite =
     Alcotest.test_case "codec rejects corrupt frames" `Quick test_codec_rejections;
     Alcotest.test_case "codec survives random bytes" `Quick test_codec_random_sweep;
     Alcotest.test_case "frame size detection" `Quick test_frame_size;
+    Alcotest.test_case "socket framing: many frames and a partial tail" `Quick
+      test_take_frames;
     Alcotest.test_case "tenant spec parsing" `Quick test_tenant_spec;
     Alcotest.test_case "shard planning" `Quick test_shard_plan;
     Alcotest.test_case "global crash dedup with attribution" `Quick
@@ -616,6 +655,8 @@ let suite =
       test_worker_death_recovery;
     Alcotest.test_case "worker death: recovery is deterministic" `Quick
       test_worker_death_deterministic;
+    Alcotest.test_case "kill drill on an unknown worker is an error" `Quick
+      test_kill_unknown_worker;
     Alcotest.test_case "journal: halt and resume reaches the same digest" `Quick
       test_journal_resume;
     Alcotest.test_case "journal: survives a double restart" `Quick
