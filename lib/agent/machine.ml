@@ -60,17 +60,17 @@ type t = {
   mutable snapshot_armed : bool;
 }
 
-let make_probe ~continue_quantum build =
+let make_probe build =
   let board = Osbuild.board build in
   let syms = Osbuild.syms build in
   let engine =
     Eof_exec.Engine.create ~board ~fault_vector:syms.Osbuild.sym_handle_exception
       ~entry:(Agent.entry build)
   in
-  (board, engine, Openocd.create ~continue_quantum ~board ~engine ())
+  (board, engine, Openocd.create ~board ~engine ())
 
-let create ?obs ?(continue_quantum = 200_000) ?transport ?inject build =
-  let board, engine, probe = make_probe ~continue_quantum build in
+let create ?obs ?transport ?inject build =
+  let board, engine, probe = make_probe build in
   let transport =
     match transport with
     | Some t -> t
@@ -103,8 +103,8 @@ let create ?obs ?(continue_quantum = 200_000) ?transport ?inject build =
     Ok t
   | Error e -> Error (Eof_error.with_context "link bring-up" e)
 
-let create_native ?obs ?(continue_quantum = 200_000) build =
-  let board, engine, probe = make_probe ~continue_quantum build in
+let create_native ?obs build =
+  let board, engine, probe = make_probe build in
   (* The native clock is board CPU time alone: no transport exists to
      contribute latency, and binding anything else would break the
      backend's "pay only for execution" cost model. *)

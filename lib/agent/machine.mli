@@ -56,7 +56,6 @@ type t
 
 val create :
   ?obs:Eof_obs.Obs.t ->
-  ?continue_quantum:int ->
   ?transport:Eof_debug.Transport.t ->
   ?inject:Eof_debug.Inject.config ->
   Osbuild.t ->
@@ -76,13 +75,12 @@ val create :
 
 val create_native :
   ?obs:Eof_obs.Obs.t ->
-  ?continue_quantum:int ->
   Osbuild.t ->
   (t, Eof_util.Eof_error.t) result
 (** The native transplant backend: agent, personality and probe
-    in-process, no transport, no session. [continue_quantum] is the
-    probe's continue quantum, as on the link backend, so stop schedules
-    match. There is no fault injector to attach — link faults cannot
+    in-process, no transport, no session. Both backends build the probe
+    with its default continue quantum, so stop schedules match. There
+    is no fault injector to attach — link faults cannot
     exist off the link.
 
     With [obs], the bus clock is bound to board CPU time only (the

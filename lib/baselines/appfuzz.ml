@@ -36,8 +36,7 @@ type state = {
   fb : Feedback.t;  (* ground-truth coverage, for reporting *)
   records : int array;  (* drain scratch, one coverage buffer's worth *)
   corpus : Bufgen.Corpus.store;
-  crash_table : (string, Crash.t) Hashtbl.t;
-  mutable crash_order : Crash.t list;
+  crashes : Crash.Ledger.t;
   mutable crash_events : int;
   mutable executed : int;
   mutable resets : int;
@@ -78,11 +77,7 @@ let record_crash st ~kind ~message =
       iteration = st.iteration;
     }
   in
-  let key = Crash.dedup_key crash in
-  if not (Hashtbl.mem st.crash_table key) then begin
-    Hashtbl.replace st.crash_table key crash;
-    st.crash_order <- crash :: st.crash_order
-  end
+  ignore (Crash.Ledger.add st.crashes crash : bool)
 
 let reboot st =
   ignore (Session.reset_target st.session : (unit, Session.error) result);
@@ -264,8 +259,7 @@ let run config build =
            records =
              Array.make (Osbuild.covbuf_layout build).Sancov.Layout.capacity_records 0;
            corpus = Bufgen.Corpus.create ~rng:(Rng.split rng);
-           crash_table = Hashtbl.create 16;
-           crash_order = [];
+           crashes = Crash.Ledger.create ();
            crash_events = 0;
            executed = 0;
            resets = 0;
@@ -314,7 +308,7 @@ let run config build =
            Campaign.os = Osbuild.os_name build;
            coverage = Feedback.covered st.fb;
            series = List.rev st.series;
-           crashes = List.rev st.crash_order;
+           crashes = Crash.Ledger.to_list st.crashes;
            crash_events = st.crash_events;
            executed_programs = st.executed;
            resets = st.resets;

@@ -137,8 +137,7 @@ type state = {
       (* active energy grant: the scheduled seed and its remaining
          mutation budget before the next corpus draw (always [None]
          under the uniform schedule) *)
-  crash_table : (string, Crash.t) Hashtbl.t;
-  mutable crash_order : Crash.t list;  (* reverse discovery order *)
+  ledger : Crash.Ledger.t;
   mutable crash_events : int;
   mutable executed_programs : int;
   mutable resets : int;
@@ -341,14 +340,8 @@ let record_crash st ~kind ~operation ~scope ~message ~backtrace ~monitor =
       iteration = st.iteration;
     }
   in
-  let key = Crash.dedup_key crash in
-  if not (Hashtbl.mem st.crash_table key) then begin
-    Hashtbl.replace st.crash_table key crash;
-    st.crash_order <- crash :: st.crash_order;
-    if Obs.active st.obs then
-      Obs.emit st.obs
-        (Obs.Event.Crash_found { kind = Crash.kind_name kind; operation })
-  end
+  if Crash.Ledger.add st.ledger crash && Obs.active st.obs then
+    Obs.emit st.obs (Obs.Event.Crash_found { kind = Crash.kind_name kind; operation })
 
 (* Scan a log chunk for monitor-detectable events (assertions in
    particular survive without any hardware fault). *)
@@ -773,7 +766,7 @@ let outcome_of_state st =
     os = Osbuild.os_name st.build;
     coverage = Feedback.covered st.fb;
     series = List.rev st.series;
-    crashes = List.rev st.crash_order;
+    crashes = Crash.Ledger.to_list st.ledger;
     crash_events = st.crash_events;
     executed_programs = st.executed_programs;
     resets = st.resets;
@@ -894,8 +887,7 @@ let init ?machine ?obs config build =
              Corpus.create ~rng:(Rng.split rng) ~schedule:config.schedule ~target ();
            target;
            sched = None;
-           crash_table = Hashtbl.create 32;
-           crash_order = [];
+           ledger = Crash.Ledger.create ();
            crash_events = 0;
            executed_programs = 0;
            resets = 0;
@@ -1004,7 +996,7 @@ let step st =
      | Error e -> note_failure st e
      | Ok () ->
        let before = Feedback.covered st.fb in
-       let distinct_before = Hashtbl.length st.crash_table in
+       let distinct_before = Crash.Ledger.distinct st.ledger in
        let prog = choose_program st in
        st.current_prog <- prog;
        st.current_ops <-
@@ -1052,7 +1044,7 @@ let step st =
              (* Crashing inputs are interesting the first time a
                 bug is seen; re-triggers of a known bug are not. *)
              let fresh_crash =
-               crashed && Hashtbl.length st.crash_table > distinct_before
+               crashed && Crash.Ledger.distinct st.ledger > distinct_before
              in
              (* Exploitation (input-to-state children, focus
                 bursts) only pays once cheap exploration has
@@ -1091,7 +1083,7 @@ let feedback st = st.fb
 
 let corpus st = st.corpus
 
-let crashes_so_far st = List.rev st.crash_order
+let crashes_so_far st = Crash.Ledger.to_list st.ledger
 
 let crash_events_so_far st = st.crash_events
 

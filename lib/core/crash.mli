@@ -24,6 +24,32 @@ type t = {
 val dedup_key : t -> string
 (** Crashes with equal keys are the same bug: (kind, operation). *)
 
+(** The deduplicated crash set every campaign driver and merger keeps:
+    the first record per {!dedup_key}, in discovery order. *)
+module Ledger : sig
+  type crash := t
+
+  type t
+
+  val create : unit -> t
+
+  val add : t -> crash -> bool
+  (** Record one crash; [true] iff it is the first with its key (later
+      records of a known key are dropped, not merged). *)
+
+  val add_all : t -> crash list -> unit
+  (** {!add} each crash in list order. *)
+
+  val to_list : t -> crash list
+  (** The kept records in discovery order. *)
+
+  val distinct : t -> int
+  (** Number of kept records, O(1). *)
+
+  val clear : t -> unit
+  (** Forget every record. *)
+end
+
 val kind_name : kind -> string
 
 val monitor_name : monitor -> string

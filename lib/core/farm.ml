@@ -56,8 +56,7 @@ let board_fault_seed base i =
 type shared = {
   fb : Feedback.t;  (* global coverage: the union of every shard's map *)
   corpus : Corpus.t;  (* the cross-board corpus shards pollinate through *)
-  crash_keys : (string, unit) Hashtbl.t;
-  mutable crashes_rev : Crash.t list;  (* reverse global discovery order *)
+  crashes : Crash.Ledger.t;  (* cross-board, in global discovery order *)
   mutable executed_synced : int;  (* payloads covered by past merges *)
   mutable virtual_max : float;  (* farm clock high-water mark at merges *)
   mutable syncs : int;
@@ -73,8 +72,7 @@ let make_shared ?obs ~edge_capacity ~boards ~seed () =
       (* Big enough that no shard's survivors are evicted from the global
          view; its rng is never used (the farm never [pick]s from it). *)
       corpus = Corpus.create ~capacity:(512 * boards) ~rng:(Rng.create seed) ();
-      crash_keys = Hashtbl.create 64;
-      crashes_rev = [];
+      crashes = Crash.Ledger.create ();
       executed_synced = 0;
       virtual_max = 0.;
       syncs = 0;
@@ -127,14 +125,7 @@ let merge_board shared st cur =
   end;
   let events = Campaign.crash_events_so_far st in
   if events <> cur.crash_events then begin
-    List.iter
-      (fun c ->
-        let k = Crash.dedup_key c in
-        if not (Hashtbl.mem shared.crash_keys k) then begin
-          Hashtbl.replace shared.crash_keys k ();
-          shared.crashes_rev <- c :: shared.crashes_rev
-        end)
-      (Campaign.crashes_so_far st);
+    Crash.Ledger.add_all shared.crashes (Campaign.crashes_so_far st);
     cur.crash_events <- events
   end;
   let e = Campaign.executed_programs_so_far st in
@@ -326,7 +317,7 @@ let coverage_bitmap t = Feedback.snapshot t.shared.fb
 
 let exchange_corpus t = t.shared.corpus
 
-let crashes_so_far t = List.rev t.shared.crashes_rev
+let crashes_so_far t = Crash.Ledger.to_list t.shared.crashes
 
 let executed_so_far t = t.shared.executed_synced
 
@@ -377,7 +368,7 @@ let finish t =
         boards = t.config.boards;
         coverage = Feedback.covered t.shared.fb;
         coverage_bitmap = Feedback.snapshot t.shared.fb;
-        crashes = List.rev t.shared.crashes_rev;
+        crashes = Crash.Ledger.to_list t.shared.crashes;
         crash_events = sum (fun o -> o.Campaign.crash_events);
         executed_programs = sum (fun o -> o.Campaign.executed_programs);
         iterations_done = sum (fun o -> o.Campaign.iterations_done);

@@ -1,10 +1,6 @@
-type failure_mode = Up | Down | Flaky of float
-
 type t = {
-  rng : Eof_util.Rng.t;
   byte_latency_us : float;
   exchange_overhead_us : float;
-  mutable mode : failure_mode;
   mutable injector : Inject.t option;
   mutable elapsed_us : float;
   mutable exchanges : int;
@@ -17,10 +13,9 @@ type t = {
   c_faults : Eof_obs.Obs.Counter.t;
 }
 
-let create ?obs ?rng ?injector ?(byte_latency_us = 1.0) ?(exchange_overhead_us = 40.0) () =
-  let rng = match rng with Some r -> r | None -> Eof_util.Rng.create 0x7712AB34L in
+let create ?obs ?injector ?(byte_latency_us = 1.0) ?(exchange_overhead_us = 40.0) () =
   let obs = match obs with Some o -> o | None -> Eof_obs.Obs.create () in
-  { rng; byte_latency_us; exchange_overhead_us; mode = Up; injector;
+  { byte_latency_us; exchange_overhead_us; injector;
     elapsed_us = 0.; exchanges = 0; timeouts = 0;
     obs;
     c_exchanges = Eof_obs.Obs.Counter.make obs "transport.exchanges";
@@ -28,8 +23,6 @@ let create ?obs ?rng ?injector ?(byte_latency_us = 1.0) ?(exchange_overhead_us =
     c_bytes_tx = Eof_obs.Obs.Counter.make obs "transport.bytes_tx";
     c_bytes_rx = Eof_obs.Obs.Counter.make obs "transport.bytes_rx";
     c_faults = Eof_obs.Obs.Counter.make obs "transport.faults" }
-
-let set_failure_mode t mode = t.mode <- mode
 
 let set_injector t injector = t.injector <- injector
 
@@ -75,32 +68,24 @@ let exchange t ~server request =
   Eof_obs.Obs.Counter.incr t.c_exchanges;
   let tx = String.length request in
   Eof_obs.Obs.Counter.add t.c_bytes_tx tx;
-  let lost =
-    match t.mode with
-    | Up -> false
-    | Down -> true
-    | Flaky p -> Eof_util.Rng.chance t.rng p
-  in
-  if lost then time_out t ~tx
-  else
-    match t.injector with
-    | None -> deliver t ~tx (server request)
-    | Some inj ->
-      (match Inject.decide inj with
-       | Inject.Pass -> deliver t ~tx (server request)
-       | Inject.Fault Inject.Drop ->
-         (* The request never reached the probe: the server is NOT
-            called, which is what makes a drop always safe to retry. *)
-         observe_fault t Inject.Drop;
-         time_out t ~tx
-       | Inject.Fault Inject.Timeout ->
-         (* The server DID execute; only the response was lost. *)
-         observe_fault t Inject.Timeout;
-         ignore (server request : string);
-         time_out t ~tx
-       | Inject.Fault ((Inject.Truncate | Inject.Nak_storm | Inject.Garbage) as f) ->
-         observe_fault t f;
-         deliver t ~tx (Inject.mangle inj f (server request)))
+  match t.injector with
+  | None -> deliver t ~tx (server request)
+  | Some inj ->
+    (match Inject.decide inj with
+     | Inject.Pass -> deliver t ~tx (server request)
+     | Inject.Fault Inject.Drop ->
+       (* The request never reached the probe: the server is NOT
+          called, which is what makes a drop always safe to retry. *)
+       observe_fault t Inject.Drop;
+       time_out t ~tx
+     | Inject.Fault Inject.Timeout ->
+       (* The server DID execute; only the response was lost. *)
+       observe_fault t Inject.Timeout;
+       ignore (server request : string);
+       time_out t ~tx
+     | Inject.Fault ((Inject.Truncate | Inject.Nak_storm | Inject.Garbage) as f) ->
+       observe_fault t f;
+       deliver t ~tx (Inject.mangle inj f (server request)))
 
 let elapsed_us t = t.elapsed_us
 

@@ -1,26 +1,18 @@
 (** The simulated probe link (JTAG/SWD adapter + USB cable).
 
     Synchronous request/response byte shuttle between the host session
-    and the OpenOCD-like server, with injectable failure modes used to
-    exercise the connection-timeout watchdog:
-
-    - [Up]: requests go through, charged with per-byte latency.
-    - [Down]: the link is dead; every exchange times out.
-    - [Flaky p]: each exchange is independently lost with probability
-      [p] (then times out).
-
-    Orthogonally, an {!Inject.t} fault injector can ride the transport:
-    it mangles or drops individual exchanges on a seeded deterministic
-    schedule (see {!Inject}), which is how the recovery escalation
-    ladder is exercised without real flaky hardware. *)
-
-type failure_mode = Up | Down | Flaky of float
+    and the OpenOCD-like server; every exchange is charged per-byte
+    latency. Link failures come from one place: an optional {!Inject.t}
+    fault injector riding the transport drops or mangles individual
+    exchanges on a seeded deterministic schedule (see {!Inject}) — a
+    low-rate schedule is a lossy probe, [kill_after = Some n] a dead
+    one. That is how the connection-timeout watchdog and the recovery
+    escalation ladder are exercised without real flaky hardware. *)
 
 type t
 
 val create :
   ?obs:Eof_obs.Obs.t ->
-  ?rng:Eof_util.Rng.t ->
   ?injector:Inject.t ->
   ?byte_latency_us:float -> ?exchange_overhead_us:float ->
   unit -> t
@@ -33,8 +25,6 @@ val create :
     [transport.exchanges]/[transport.timeouts]/[transport.bytes_tx]/
     [transport.bytes_rx] counters; injected faults emit [Link_fault]
     and bump [transport.faults]. *)
-
-val set_failure_mode : t -> failure_mode -> unit
 
 val set_injector : t -> Inject.t option -> unit
 
@@ -52,9 +42,9 @@ val charge_us : t -> float -> unit
 
 val exchange : t -> server:(string -> string) -> string -> (string, Eof_util.Eof_error.t) result
 (** Push request bytes through the link to [server]; return its response
-    bytes. [Error] is always [Eof_error.Link_timeout] — a dead/flaky
-    link, a dropped request (server never called) or a lost response
-    (server {e did} execute). Response-mangling faults
+    bytes. [Error] is always [Eof_error.Link_timeout] — a dropped
+    request (server never called) or a lost response (server {e did}
+    execute). Response-mangling faults
     (truncate/NAK-storm/garbage) return [Ok] with the mangled bytes;
     the session's decoder surfaces those as [Link_desync]. *)
 

@@ -89,15 +89,9 @@ let outcomes_of cells ~tool ~os =
   match find_cell cells ~tool ~os with Some c -> c.outcomes | None -> []
 
 let union_crashes outcomes =
-  let seen = Hashtbl.create 32 in
-  List.concat_map (fun o -> o.Campaign.crashes) outcomes
-  |> List.filter (fun c ->
-         let key = Crash.dedup_key c in
-         if Hashtbl.mem seen key then false
-         else begin
-           Hashtbl.replace seen key ();
-           true
-         end)
+  let ledger = Crash.Ledger.create () in
+  List.iter (fun o -> Crash.Ledger.add_all ledger o.Campaign.crashes) outcomes;
+  Crash.Ledger.to_list ledger
 
 let hours_of_series ~iterations samples =
   List.map

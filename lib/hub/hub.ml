@@ -41,8 +41,7 @@ type campaign = {
   mutable shards_done : int;
   mutable iterations_done : int;
   mutable crash_events : int;
-  mutable crashes_rev : Crash.t list;  (** tenant-deduped, discovery order *)
-  crash_keys : (string, unit) Hashtbl.t;
+  crashes : Crash.Ledger.t;  (** tenant-deduped, discovery order *)
   mutable syncs : int;
   mutable cross_in : int;
       (** retyped seeds adopted from other personalities; capped, see
@@ -337,8 +336,7 @@ let submit t ~client (config : Tenant.config) =
             shards_done = 0;
             iterations_done = 0;
             crash_events = 0;
-            crashes_rev = [];
-            crash_keys = Hashtbl.create 8;
+            crashes = Crash.Ledger.create ();
             syncs = 0;
             cross_in = 0;
             digest = None;
@@ -379,8 +377,7 @@ let reset_campaign t c =
   c.shards_done <- 0;
   c.iterations_done <- 0;
   c.crash_events <- 0;
-  c.crashes_rev <- [];
-  Hashtbl.reset c.crash_keys;
+  Crash.Ledger.clear c.crashes;
   c.syncs <- 0;
   c.cross_in <- 0;
   c.digest <- None;
@@ -524,13 +521,10 @@ let crash_report t c crash =
     t.fleet_order <- key :: t.fleet_order);
   (* Tenant-local set: same bug from two farms of one campaign is still
      one crash in the tenant's report. *)
-  if not (Hashtbl.mem c.crash_keys key) then begin
-    Hashtbl.replace c.crash_keys key ();
-    c.crashes_rev <- crash :: c.crashes_rev;
+  if Crash.Ledger.add c.crashes crash then
     Obs.emit c.obs
       (Obs.Event.Crash_found
          { kind = Crash.kind_name crash.Crash.kind; operation = crash.Crash.operation })
-  end
 
 let heartbeat c ~shard ~executed ~coverage ~edge_capacity ~virtual_s ~bitmap =
   c.shard_exec.(shard) <- executed;
@@ -563,7 +557,7 @@ let tenant_digest c =
     ~bitmap:
       (match c.bitmap with Some b -> b | None -> Bitset.create 8)
     ~corpus:(Corpus.progs c.corpus)
-    ~crashes:(List.rev c.crashes_rev)
+    ~crashes:(Crash.Ledger.to_list c.crashes)
     ~crash_events:c.crash_events
     ~executed:(Array.fold_left ( + ) 0 c.shard_exec)
     ~iterations_done:c.iterations_done
@@ -599,7 +593,7 @@ let status t =
         shards_done = c.shards_done;
         executed = Array.fold_left ( + ) 0 c.shard_exec;
         coverage = campaign_coverage c;
-        crashes = List.length c.crashes_rev;
+        crashes = Crash.Ledger.distinct c.crashes;
       })
     t.order
 

@@ -139,8 +139,10 @@ let put_u16 b v =
   Buffer.add_char b (Char.chr (v land 0xFF));
   Buffer.add_char b (Char.chr ((v lsr 8) land 0xFF))
 
+(* Only what [u32] decodes back: a word that reads as a non-negative
+   OCaml int, so nothing wraps on the way through. *)
 let put_u32 b v =
-  if v < 0 then invalid_arg "Protocol: u32 out of range";
+  if v < 0 || v > 0x7FFF_FFFF then invalid_arg "Protocol: u32 out of range";
   Buffer.add_int32_le b (Int32.of_int v)
 
 let put_u64 b v = Buffer.add_int64_le b v

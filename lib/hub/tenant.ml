@@ -36,15 +36,28 @@ let name_ok name =
          || c = '-' || c = '_')
        name
 
+(* The widest values the hub protocol carries: iterations and
+   sync_every travel as u32 words that decode into non-negative ints,
+   boards and farms as u16, the os name as a u16-prefixed string. *)
+let max_u32 = 0x7FFF_FFFF
+
+let max_u16 = 0xFFFF
+
 let validate c =
+  let over name max = Error (Printf.sprintf "%s must be <= %d" name max) in
   if not (name_ok c.tenant) then
     Error
       (Printf.sprintf "tenant %S: must be 1-64 chars of [A-Za-z0-9_-]" c.tenant)
   else if c.os = "" then Error "os must not be empty"
+  else if String.length c.os > max_u16 then over "os length" max_u16
   else if c.iterations < 1 then Error "iterations must be >= 1"
+  else if c.iterations > max_u32 then over "iterations" max_u32
   else if c.boards < 1 then Error "boards must be >= 1"
+  else if c.boards > max_u16 then over "boards" max_u16
   else if c.farms < 1 then Error "farms must be >= 1"
+  else if c.farms > max_u16 then over "farms" max_u16
   else if c.sync_every < 1 then Error "sync_every must be >= 1"
+  else if c.sync_every > max_u32 then over "sync_every" max_u32
   else Ok ()
 
 let to_string c =

@@ -29,6 +29,10 @@ val name_ok : string -> bool
     names and worker names. *)
 
 val validate : config -> (unit, string) result
+(** Names well formed, every count [>= 1], and every field within what
+    {!Protocol} carries: [iterations] and [sync_every] at most
+    [0x7FFF_FFFF], [boards] and [farms] at most [0xFFFF], [os] at most
+    [0xFFFF] bytes. *)
 
 val to_string : config -> string
 

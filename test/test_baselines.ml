@@ -146,6 +146,68 @@ let test_golden_digests () =
        (Eof_baselines.Shift.run ~seed:1L ~iterations:150 ~entry_api:"json_parse"
           (freertos_with Freertos.json_module)))
 
+(* Full outcomes of the emulator baselines: the digest line plus every
+   field it leaves out (resets, stalls, timeouts, virtual time, the
+   sample series and each crash record's text), so a change anywhere in
+   the shared emulator harness moves one of these lines. The RT-Thread
+   run reaches Tardis's stall path and the Zephyr Gustave run its crash
+   path. *)
+let full_outcome = function
+  | Error e -> Alcotest.fail (Eof_util.Eof_error.to_string e)
+  | Ok (o : Campaign.outcome) ->
+    let b = Buffer.create 4096 in
+    List.iter
+      (fun (s : Campaign.sample) ->
+        Printf.bprintf b "%d:%h:%d;" s.Campaign.iteration s.Campaign.virtual_s
+          s.Campaign.coverage)
+      o.Campaign.series;
+    Buffer.add_char b '|';
+    List.iter
+      (fun (c : Eof_core.Crash.t) ->
+        Printf.bprintf b "%s/%s/%s/%s/%s/%s/%d;" (Eof_core.Crash.dedup_key c)
+          c.Eof_core.Crash.scope c.Eof_core.Crash.message
+          (String.concat "<" c.Eof_core.Crash.backtrace)
+          (Eof_core.Crash.monitor_name c.Eof_core.Crash.detected_by)
+          c.Eof_core.Crash.program c.Eof_core.Crash.iteration)
+      o.Campaign.crashes;
+    Printf.sprintf
+      "%s resets=%d reflashes=%d stalls=%d timeouts=%d corpus_size=%d virtual_s=%h \
+       series=%d aborted=%b full=%08lx"
+      (Eof_core.Report.campaign_digest o) o.Campaign.resets o.Campaign.reflashes
+      o.Campaign.stalls o.Campaign.timeouts o.Campaign.corpus_size o.Campaign.virtual_s
+      (List.length o.Campaign.series) (o.Campaign.abort_cause <> None)
+      (Eof_util.Crc32.digest_string (Buffer.contents b))
+
+let test_golden_full_outcomes () =
+  Alcotest.(check string) "tardis zephyr"
+    "digest campaign coverage=171 crashes=2 crash_events=5 executed=300 iterations=300 \
+     corpus=65 crc=2d731877 resets=5 reflashes=0 stalls=0 timeouts=0 corpus_size=65 \
+     virtual_s=0x1.b594ccd631fb5p-9 series=31 aborted=false full=9e32b60f"
+    (full_outcome
+       (Eof_baselines.Tardis.run ~seed:3L ~iterations:300
+          (Eof_baselines.Tardis.build_for Zephyr.spec)));
+  Alcotest.(check string) "tardis rt-thread"
+    "digest campaign coverage=119 crashes=2 crash_events=7 executed=397 iterations=400 \
+     corpus=55 crc=0d7d27c3 resets=7 reflashes=0 stalls=3 timeouts=3 corpus_size=55 \
+     virtual_s=0x1.108d08919ef95p-1 series=41 aborted=false full=c6b80f6f"
+    (full_outcome
+       (Eof_baselines.Tardis.run ~seed:3L ~iterations:400
+          (Eof_baselines.Tardis.build_for Rtthread.spec)));
+  Alcotest.(check string) "gustave pokos"
+    "digest campaign coverage=47 crashes=0 crash_events=0 executed=200 iterations=200 \
+     corpus=0 crc=b3c879f0 resets=0 reflashes=0 stalls=0 timeouts=0 corpus_size=27 \
+     virtual_s=0x1.38949c03d7252p-11 series=21 aborted=false full=830fefd4"
+    (full_outcome
+       (Eof_baselines.Gustave.run ~seed:4L ~iterations:200
+          (Eof_baselines.Gustave.build_for Pokos.spec)));
+  Alcotest.(check string) "gustave zephyr"
+    "digest campaign coverage=93 crashes=1 crash_events=22 executed=400 iterations=400 \
+     corpus=0 crc=8d1284c6 resets=22 reflashes=0 stalls=0 timeouts=0 corpus_size=45 \
+     virtual_s=0x1.0c7a36d2cff12p-10 series=41 aborted=false full=740823c4"
+    (full_outcome
+       (Eof_baselines.Gustave.run ~seed:4L ~iterations:400
+          (Eof_baselines.Gustave.build_for Zephyr.spec)))
+
 let suite =
   [
     Alcotest.test_case "bufgen bounds" `Quick test_bufgen_bounds;
@@ -159,4 +221,6 @@ let suite =
     Alcotest.test_case "gustave runs" `Quick test_gustave_runs;
     Alcotest.test_case "golden digests (tardis, gustave, gdbfuzz, shift)" `Quick
       test_golden_digests;
+    Alcotest.test_case "golden full outcomes (tardis, gustave)" `Quick
+      test_golden_full_outcomes;
   ]

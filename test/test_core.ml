@@ -259,6 +259,34 @@ let test_crash_dedup_key () =
     (Crash.dedup_key (mk "f" Crash.Kernel_panic)
     <> Crash.dedup_key (mk "f" Crash.Kernel_assertion))
 
+let test_crash_ledger () =
+  let mk op iteration =
+    {
+      Crash.os = "Zephyr";
+      kind = Crash.Kernel_panic;
+      operation = op;
+      scope = "kernel";
+      message = "m";
+      backtrace = [];
+      detected_by = Crash.Log_monitor;
+      program = "";
+      iteration;
+    }
+  in
+  let l = Crash.Ledger.create () in
+  Alcotest.(check bool) "first g is new" true (Crash.Ledger.add l (mk "g" 1));
+  Alcotest.(check bool) "first f is new" true (Crash.Ledger.add l (mk "f" 2));
+  Alcotest.(check bool) "second g is known" false (Crash.Ledger.add l (mk "g" 3));
+  Crash.Ledger.add_all l [ mk "f" 4; mk "h" 5; mk "h" 6 ];
+  Alcotest.(check int) "distinct" 3 (Crash.Ledger.distinct l);
+  Alcotest.(check (list (pair string int)))
+    "first record per key, in discovery order"
+    [ ("g", 1); ("f", 2); ("h", 5) ]
+    (List.map (fun c -> (c.Crash.operation, c.Crash.iteration)) (Crash.Ledger.to_list l));
+  Crash.Ledger.clear l;
+  Alcotest.(check int) "cleared" 0 (Crash.Ledger.distinct l);
+  Alcotest.(check bool) "new again after clear" true (Crash.Ledger.add l (mk "g" 7))
+
 let test_campaign_smoke () =
   let build, _, _ = Lazy.force zephyr_env in
   ignore build;
@@ -358,11 +386,15 @@ let test_liveness_watchdog_timeout () =
   (match Liveness.check wd machine with
    | Liveness.First_observation -> ()
    | _ -> Alcotest.fail "expected first observation");
-  Eof_debug.Transport.set_failure_mode transport Eof_debug.Transport.Down;
+  (* A dead link: every exchange from here on is dropped. *)
+  Eof_debug.Transport.set_injector transport
+    (Some
+       (Eof_debug.Inject.create
+          { Eof_debug.Inject.default_config with kill_after = Some 0 }));
   (match Liveness.check wd machine with
    | Liveness.Connection_lost -> ()
    | _ -> Alcotest.fail "expected connection-lost verdict");
-  Eof_debug.Transport.set_failure_mode transport Eof_debug.Transport.Up
+  Eof_debug.Transport.set_injector transport None
 
 let prop_mutation_grows_bounded =
   QCheck.Test.make ~name:"mutation keeps programs bounded and valid" ~count:50
@@ -394,6 +426,7 @@ let suite =
     Alcotest.test_case "feedback merge" `Quick test_feedback_merge;
     Alcotest.test_case "log monitor patterns" `Quick test_monitor_patterns;
     Alcotest.test_case "crash dedup key" `Quick test_crash_dedup_key;
+    Alcotest.test_case "crash ledger" `Quick test_crash_ledger;
     Alcotest.test_case "campaign smoke" `Quick test_campaign_smoke;
     Alcotest.test_case "campaign deterministic" `Quick test_campaign_deterministic;
     Alcotest.test_case "campaign finds zephyr bugs" `Slow test_campaign_finds_zephyr_bugs;
@@ -550,10 +583,13 @@ let suite =
 
 (* --- resilience over a lossy probe link -------------------------------- *)
 
+(* A lossy probe: the seeded fault schedule at a 1% burst rate. *)
+let lossy_link seed =
+  Eof_debug.Inject.create { Eof_debug.Inject.default_config with rate = 0.01; seed }
+
 let test_campaign_survives_flaky_link () =
   let build = Osbuild.make ~board_profile:Eof_hw.Profiles.stm32f4_disco Zephyr.spec in
-  let transport = Eof_debug.Transport.create ~rng:(Eof_util.Rng.create 77L) () in
-  Eof_debug.Transport.set_failure_mode transport (Eof_debug.Transport.Flaky 0.01);
+  let transport = Eof_debug.Transport.create ~injector:(lossy_link 77L) () in
   let machine =
     match Eof_agent.Machine.create ~transport build with
     | Ok m -> m
@@ -856,7 +892,7 @@ let test_batched_flaky_deterministic () =
      and must survive to the end of its budget. *)
   let run () =
     let build = Osbuild.make ~board_profile:Eof_hw.Profiles.stm32f4_disco Zephyr.spec in
-    let transport = Transport.create ~rng:(Eof_util.Rng.create 0xF1AA7L) () in
+    let transport = Transport.create ~injector:(lossy_link 0xF1AA7L) () in
     let machine =
       match Eof_agent.Machine.create ~transport build with
       | Ok m -> m
@@ -866,7 +902,6 @@ let test_batched_flaky_deterministic () =
        re-flash is dozens of exchanges, so loss rates much past 1%
        compound into unrecoverable restore failures in either link
        mode — that regime is out of scope here. *)
-    Transport.set_failure_mode transport (Transport.Flaky 0.01);
     let config =
       { Campaign.default_config with iterations = 100; seed = 5L; batch_link = true }
     in

@@ -167,11 +167,13 @@ let test_session_reset_and_flash () =
 let test_transport_failures () =
   let _, _, server, transport = make_machine () in
   let s = connect_exn (server, transport) in
-  Transport.set_failure_mode transport Transport.Down;
+  (* A dead link: every exchange from the first on is dropped. *)
+  Transport.set_injector transport
+    (Some (Inject.create { Inject.default_config with kill_after = Some 0 }));
   (match Session.read_pc s with
    | Error { Eof_util.Eof_error.kind = Link_timeout; _ } -> ()
    | _ -> Alcotest.fail "expected timeout on dead link");
-  Transport.set_failure_mode transport Transport.Up;
+  Transport.set_injector transport None;
   (match Session.read_pc s with
    | Ok _ -> ()
    | Error e -> Alcotest.fail (Session.error_to_string e));

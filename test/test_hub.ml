@@ -287,6 +287,33 @@ let test_tenant_spec () =
     Alcotest.(check string) "gen key rejected" "tenant spec: unknown key \"gen\"" e
   | Ok _ -> Alcotest.fail "gen= accepted"
 
+(* Every field the wire carries must either round-trip exactly or be
+   refused up front: a value past a field's width used to wrap on
+   encode (a 2^32+5 budget decoded as 5) or blow up in the decoder. *)
+let test_tenant_protocol_bounds () =
+  List.iter
+    (fun spec ->
+      match Tenant.of_spec ("name=a,os=Zephyr," ^ spec) with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail (spec ^ " accepted"))
+    [ "iterations=4294967301"; "sync=4294967297"; "iterations=3000000000";
+      "boards=70000"; "farms=65536" ];
+  (match
+     Tenant.of_spec
+       "name=a,os=Zephyr,iterations=2147483647,sync=2147483647,boards=65535,farms=65535"
+   with
+  | Error e -> Alcotest.fail e
+  | Ok c ->
+    (match Protocol.decode (Protocol.encode (Protocol.Submit c)) with
+    | Ok (Protocol.Submit d) ->
+      Alcotest.(check bool) "widest config round-trips" true (c = d)
+    | Ok _ -> Alcotest.fail "decoded another kind"
+    | Error e -> Alcotest.fail (Protocol.error_to_string e)));
+  let too_wide = { sample_tenant with iterations = 0x8000_0000 } in
+  match Protocol.encode (Protocol.Submit too_wide) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "encoded a u32 its decoder cannot return"
+
 (* --- sharding ----------------------------------------------------------- *)
 
 let test_shard_plan () =
@@ -641,6 +668,8 @@ let suite =
     Alcotest.test_case "socket framing: many frames and a partial tail" `Quick
       test_take_frames;
     Alcotest.test_case "tenant spec parsing" `Quick test_tenant_spec;
+    Alcotest.test_case "tenant fields fit the protocol" `Quick
+      test_tenant_protocol_bounds;
     Alcotest.test_case "shard planning" `Quick test_shard_plan;
     Alcotest.test_case "global crash dedup with attribution" `Quick
       test_global_crash_dedup;
