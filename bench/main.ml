@@ -759,19 +759,6 @@ let run_schedule () =
 
 (* --- machine-readable results ------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* Every section is optional: a failed stage becomes a JSON null, never
    a missing BENCH.json. *)
 let write_bench_json ~link ~scaling ~resilience ~native ~snapshot ~hub ~schedule
@@ -826,7 +813,7 @@ let write_bench_json ~link ~scaling ~resilience ~native ~snapshot ~hub ~schedule
     List.iteri
       (fun i (name, v) ->
         Buffer.add_string b
-          (Printf.sprintf "      \"%s\": %d%s\n" (json_escape name) v
+          (Printf.sprintf "      \"%s\": %d%s\n" (Eof_obs.Obs.json_escape name) v
              (if i < n - 1 then "," else "")))
       batched.counters;
     Buffer.add_string b "    }\n  }");
@@ -1006,7 +993,9 @@ let write_bench_json ~link ~scaling ~resilience ~native ~snapshot ~hub ~schedule
          "    \"iterations_per_os\": %d,\n    \"oses\": [%s],\n    \"catalog_bugs\": %d,\n"
          s.sched_iterations
          (String.concat ", "
-            (List.map (fun os -> Printf.sprintf "\"%s\"" (json_escape os)) s.sched_oses))
+            (List.map
+               (fun os -> Printf.sprintf "\"%s\"" (Eof_obs.Obs.json_escape os))
+               s.sched_oses))
          s.sched_catalog);
     Buffer.add_string b
       (Printf.sprintf "    \"uniform\": %s,\n"

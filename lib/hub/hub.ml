@@ -1,13 +1,9 @@
 module Obs = Eof_obs.Obs
 module Bitset = Eof_util.Bitset
-module Wire = Eof_agent.Wire
 module Corpus = Eof_core.Corpus
 module Crash = Eof_core.Crash
-module Prog = Eof_core.Prog
 module Report = Eof_core.Report
 module Transplant = Eof_core.Transplant
-
-type resolved = { spec : Eof_spec.Ast.t; table : Eof_rtos.Api.table }
 
 type action = To_client of int * Protocol.t | To_worker of int * Protocol.t
 
@@ -29,7 +25,7 @@ type campaign = {
   id : int;
   config : Tenant.config;
   client : int;
-  resolved : resolved;
+  target : Worker.target;
   mutable corpus : Corpus.t;  (** hub-side merged view of the tenant's corpus *)
   seen : (string, unit) Hashtbl.t;
       (** wire encodings already known, so a pushed program is
@@ -58,8 +54,6 @@ type campaign = {
    this many retyped seeds — a bootstrap set, not a firehose. *)
 let cross_cap = 32
 
-type fleet_entry = { crash : Crash.t; mutable tenants : string list }
-
 type worker_state = {
   wid : int;
   wname : string;
@@ -68,7 +62,7 @@ type worker_state = {
 }
 
 type t = {
-  resolve : string -> (resolved, string) result;
+  resolve : string -> (Worker.target, string) result;
   corpus_sync : bool;
   heartbeat_timeout : float;
   obs : Obs.t;
@@ -78,8 +72,9 @@ type t = {
   workers : (int, worker_state) Hashtbl.t;
   mutable worker_order : int list;  (** worker ids, join order (reversed) *)
   mutable next_wid : int;
-  fleet_crashes : (string, fleet_entry) Hashtbl.t;
-  mutable fleet_order : string list;  (** dedup keys, discovery order (reversed) *)
+  fleet : Crash.Ledger.t;  (** one entry per distinct bug across every tenant *)
+  fleet_tenants : (string, string list) Hashtbl.t;
+      (** dedup key -> tenants that hit it, attribution order *)
   mutable transplants : int;  (** programs relayed shard-to-shard *)
   mutable journal : Journal.t option;
   mutable replaying : bool;  (** journal replay in progress: no fencing, no re-journaling *)
@@ -132,13 +127,7 @@ let pick_worker t =
     None
     (List.rev t.worker_order)
 
-let encode_corpus c =
-  List.filter_map
-    (fun prog ->
-      match Wire.encode ~endianness:Eof_hw.Arch.Little (Prog.to_wire prog) with
-      | Ok w -> Some w
-      | Error _ -> None)
-    (Corpus.progs c.corpus)
+let encode_corpus c = List.filter_map Protocol.encode_prog (Corpus.progs c.corpus)
 
 (* Hand every unowned, uncompleted lease to a surviving worker. Walks
    campaigns in submission order and shards in shard order, so the
@@ -304,7 +293,7 @@ let submit t ~client (config : Tenant.config) =
       match t.resolve config.Tenant.os with
       | Error reason ->
         [ To_client (client, Protocol.Reject { tenant = config.Tenant.tenant; reason }) ]
-      | Ok resolved ->
+      | Ok target ->
         let id = t.next_id in
         t.next_id <- id + 1;
         let seed_rng = Eof_util.Rng.create config.Tenant.seed in
@@ -326,7 +315,7 @@ let submit t ~client (config : Tenant.config) =
             id;
             config;
             client;
-            resolved;
+            target;
             corpus = Corpus.create ~rng:seed_rng ();
             seen = Hashtbl.create 64;
             bitmap = None;
@@ -402,22 +391,19 @@ let corpus_push t c ~shard progs =
         if Hashtbl.mem c.seen p then None
         else begin
           Hashtbl.replace c.seen p ();
-          match Wire.decode ~endianness:Eof_hw.Arch.Little p with
-          | Error _ -> None
-          | Ok wire ->
-            (match Prog.of_wire ~spec:c.resolved.spec ~table:c.resolved.table wire with
-             | Error _ -> None
-             | Ok prog ->
-               let admitted =
-                 Corpus.add c.corpus ~prog ~new_edges:1 ~crashed:false
-               in
-               if admitted then begin
-                 Obs.emit c.obs
-                   (Obs.Event.Corpus_admit
-                      { new_edges = 1; size = Corpus.size c.corpus });
-                 Some (p, prog)
-               end
-               else None)
+          match
+            Protocol.decode_prog ~spec:c.target.Worker.spec
+              ~table:c.target.Worker.table p
+          with
+          | None -> None
+          | Some prog ->
+            let admitted = Corpus.add c.corpus ~prog ~new_edges:1 ~crashed:false in
+            if admitted then begin
+              Obs.emit c.obs
+                (Obs.Event.Corpus_admit { new_edges = 1; size = Corpus.size c.corpus });
+              Some (p, prog)
+            end
+            else None
         end)
       progs
   in
@@ -463,17 +449,14 @@ let corpus_push t c ~shard progs =
                   if d.cross_in >= cross_cap then None
                   else
                   match
-                    Transplant.retype ~dst_spec:d.resolved.spec
-                      ~dst_table:d.resolved.table prog
+                    Transplant.retype ~dst_spec:d.target.Worker.spec
+                      ~dst_table:d.target.Worker.table prog
                   with
                   | None -> None
                   | Some o ->
-                    (match
-                       Wire.encode ~endianness:Eof_hw.Arch.Little
-                         (Prog.to_wire o.Transplant.prog)
-                     with
-                     | Error _ -> None
-                     | Ok w ->
+                    (match Protocol.encode_prog o.Transplant.prog with
+                     | None -> None
+                     | Some w ->
                        if Hashtbl.mem d.seen w then None
                        else begin
                          Hashtbl.replace d.seen w ();
@@ -508,17 +491,13 @@ let corpus_push t c ~shard progs =
   end
 
 let crash_report t c crash =
-  let key = Crash.dedup_key crash in
   (* Fleet-wide set: one entry per distinct bug across every tenant and
-     farm; per-tenant attribution rides on the entry. *)
-  (match Hashtbl.find_opt t.fleet_crashes key with
-  | Some e ->
-    if not (List.mem c.config.Tenant.tenant e.tenants) then
-      e.tenants <- e.tenants @ [ c.config.Tenant.tenant ]
-  | None ->
-    Hashtbl.replace t.fleet_crashes key
-      { crash; tenants = [ c.config.Tenant.tenant ] };
-    t.fleet_order <- key :: t.fleet_order);
+     farm; per-tenant attribution rides next to it. *)
+  ignore (Crash.Ledger.add t.fleet crash : bool);
+  let key = Crash.dedup_key crash and tenant = c.config.Tenant.tenant in
+  let tenants = Option.value ~default:[] (Hashtbl.find_opt t.fleet_tenants key) in
+  if not (List.mem tenant tenants) then
+    Hashtbl.replace t.fleet_tenants key (tenants @ [ tenant ]);
   (* Tenant-local set: same bug from two farms of one campaign is still
      one crash in the tenant's report. *)
   if Crash.Ledger.add c.crashes crash then
@@ -526,7 +505,7 @@ let crash_report t c crash =
       (Obs.Event.Crash_found
          { kind = Crash.kind_name crash.Crash.kind; operation = crash.Crash.operation })
 
-let heartbeat c ~shard ~executed ~coverage ~edge_capacity ~virtual_s ~bitmap =
+let heartbeat c ~shard ~executed ~edge_capacity ~virtual_s ~bitmap =
   c.shard_exec.(shard) <- executed;
   c.shard_virtual.(shard) <- Float.max c.shard_virtual.(shard) virtual_s;
   let dst =
@@ -539,7 +518,6 @@ let heartbeat c ~shard ~executed ~coverage ~edge_capacity ~virtual_s ~bitmap =
   in
   ignore (Bitset.union_into ~dst ~src:(Bitset.of_bytes ~capacity:edge_capacity bitmap));
   c.syncs <- c.syncs + 1;
-  ignore coverage;
   Obs.emit c.obs
     (Obs.Event.Epoch_sync
        {
@@ -651,6 +629,29 @@ let fence t ~worker ~campaign ~shard ~epoch ~kind =
     Obs.emit bus (Obs.Event.Lease_fenced { campaign; shard; epoch; kind });
     None
 
+(* The one place a farm frame changes campaign state. Live traffic
+   reaches it after the fence, journal replay directly. [None] marks a
+   no-op — a [Shard_done] for a lease already completed — which the live
+   path does not journal. *)
+let apply t c ~shard msg =
+  match msg with
+  | Protocol.Corpus_push { progs; _ } -> Some (corpus_push t c ~shard progs)
+  | Protocol.Crash_report { crash; _ } ->
+    crash_report t c crash;
+    Some []
+  | Protocol.Heartbeat { executed; edge_capacity; virtual_s; bitmap; _ } ->
+    heartbeat c ~shard ~executed ~edge_capacity ~virtual_s ~bitmap;
+    Some []
+  | Protocol.Shard_done { executed; iterations; crash_events; virtual_s; _ } ->
+    let l = c.leases.(shard) in
+    if l.completed then None
+    else begin
+      l.completed <- true;
+      l.owner <- None;
+      Some (shard_done c ~shard ~executed ~iterations ~crash_events ~virtual_s)
+    end
+  | _ -> None
+
 let handle_worker t ~now ~worker msg =
   let alive =
     match Hashtbl.find_opt t.workers worker with
@@ -660,44 +661,18 @@ let handle_worker t ~now ~worker msg =
     | _ -> false
   in
   let ack = [ To_worker (worker, Protocol.Heartbeat_ack { worker }) ] in
-  match msg with
-  | Protocol.Worker_ping _ -> if alive then ack else []
-  | Protocol.Corpus_push { campaign; shard; epoch; progs } -> (
+  match (msg, Protocol.farm_header msg) with
+  | Protocol.Worker_ping _, _ -> if alive then ack else []
+  | _, Some (campaign, shard, epoch) -> (
     match fence t ~worker ~campaign ~shard ~epoch ~kind:(Protocol.kind_name msg) with
     | None -> []
-    | Some c ->
-      journal_append t msg;
-      corpus_push t c ~shard progs)
-  | Protocol.Crash_report { campaign; shard; epoch; crash } -> (
-    match fence t ~worker ~campaign ~shard ~epoch ~kind:(Protocol.kind_name msg) with
-    | None -> []
-    | Some c ->
-      journal_append t msg;
-      crash_report t c crash;
-      [])
-  | Protocol.Heartbeat
-      { campaign; shard; epoch; executed; coverage; edge_capacity; virtual_s; bitmap }
-    -> (
-    match fence t ~worker ~campaign ~shard ~epoch ~kind:(Protocol.kind_name msg) with
-    | None -> []
-    | Some c ->
-      journal_append t msg;
-      heartbeat c ~shard ~executed ~coverage ~edge_capacity ~virtual_s ~bitmap;
-      ack)
-  | Protocol.Shard_done { campaign; shard; epoch; executed; iterations; crash_events; virtual_s }
-    -> (
-    match fence t ~worker ~campaign ~shard ~epoch ~kind:(Protocol.kind_name msg) with
-    | None -> []
-    | Some c ->
-      let l = c.leases.(shard) in
-      if l.completed then []
-      else begin
+    | Some c -> (
+      match apply t c ~shard msg with
+      | None -> []
+      | Some out ->
         journal_append t msg;
-        l.completed <- true;
-        l.owner <- None;
-        shard_done c ~shard ~executed ~iterations ~crash_events ~virtual_s
-      end)
-  | other ->
+        (match msg with Protocol.Heartbeat _ -> ack | _ -> out)))
+  | other, None ->
     Obs.message t.obs Obs.Level.Warn
       (Printf.sprintf "hub: dropping unexpected worker message %s"
          (Protocol.kind_name other));
@@ -705,134 +680,98 @@ let handle_worker t ~now ~worker msg =
 
 (* --- journal replay ----------------------------------------------------- *)
 
-(* Re-apply one journaled farm frame. No fencing (the frame was fenced
-   when it was first accepted) and no owners exist yet; the lease epoch
-   is tracked as a high-water mark so post-replay epochs always exceed
+(* Re-apply one journaled frame. No fencing (the frame was fenced when
+   it was first accepted) and no owners exist yet; the lease epoch is
+   tracked as a high-water mark so post-replay epochs always exceed
    anything a pre-restart zombie could still name. *)
 let replay_frame t msg =
-  let lease_of campaign shard =
+  match (msg, Protocol.farm_header msg) with
+  | Protocol.Submit config, _ -> ignore (submit t ~client:0 config : action list)
+  | Protocol.Accept { campaign; _ }, _ ->
+    (* the restart marker: this campaign was reset by a previous
+       replay — wind it back exactly as the live hub did *)
+    Option.iter (reset_campaign t) (Hashtbl.find_opt t.campaigns campaign)
+  | _, Some (campaign, shard, epoch) -> (
     match Hashtbl.find_opt t.campaigns campaign with
     | Some c when shard >= 0 && shard < Array.length c.leases ->
       let l = c.leases.(shard) in
-      Some (c, l)
-    | _ -> None
+      l.epoch <- max l.epoch epoch;
+      ignore (apply t c ~shard msg : action list option)
+    | _ -> ())
+  | _, None -> ()
+
+(* Replay an existing journal, then keep appending to it. Campaigns the
+   replay left unfinished cannot be resumed mid-shard — the workers'
+   in-memory farm state died with the old process. Reset them for a
+   deterministic re-run, and append the restart marker so a *second*
+   replay winds them back at the same point in the frame stream. *)
+let resume t path =
+  let ( let* ) = Result.bind in
+  let* frames = if Sys.file_exists path then Journal.replay path else Ok [] in
+  let* j = Journal.open_ path in
+  t.replaying <- true;
+  List.iter (replay_frame t) frames;
+  t.replaying <- false;
+  t.replayed_frames <- List.length frames;
+  t.journal <- Some j;
+  let reset =
+    List.fold_left
+      (fun n id ->
+        let c = campaign_exn t id in
+        if c.digest = None then begin
+          reset_campaign t c;
+          journal_append t
+            (Protocol.Accept { campaign = c.id; tenant = c.config.Tenant.tenant });
+          n + 1
+        end
+        else n)
+      0 (List.rev t.order)
   in
-  match msg with
-  | Protocol.Submit config -> ignore (submit t ~client:0 config : action list)
-  | Protocol.Accept { campaign; _ } -> (
-    (* the restart marker: this campaign was reset by a previous
-       replay — wind it back exactly as the live hub did *)
-    match Hashtbl.find_opt t.campaigns campaign with
-    | Some c -> reset_campaign t c
-    | None -> ())
-  | Protocol.Corpus_push { campaign; shard; epoch; progs } -> (
-    match lease_of campaign shard with
-    | None -> ()
-    | Some (c, l) ->
-      if epoch > l.epoch then l.epoch <- epoch;
-      ignore (corpus_push t c ~shard progs : action list))
-  | Protocol.Crash_report { campaign; shard; epoch; crash } -> (
-    match lease_of campaign shard with
-    | None -> ()
-    | Some (c, l) ->
-      if epoch > l.epoch then l.epoch <- epoch;
-      crash_report t c crash)
-  | Protocol.Heartbeat
-      { campaign; shard; epoch; executed; coverage; edge_capacity; virtual_s; bitmap }
-    -> (
-    match lease_of campaign shard with
-    | None -> ()
-    | Some (c, l) ->
-      if epoch > l.epoch then l.epoch <- epoch;
-      heartbeat c ~shard ~executed ~coverage ~edge_capacity ~virtual_s ~bitmap)
-  | Protocol.Shard_done { campaign; shard; epoch; executed; iterations; crash_events; virtual_s }
-    -> (
-    match lease_of campaign shard with
-    | None -> ()
-    | Some (c, l) ->
-      if epoch > l.epoch then l.epoch <- epoch;
-      if not l.completed then begin
-        l.completed <- true;
-        ignore
-          (shard_done c ~shard ~executed ~iterations ~crash_events ~virtual_s
-            : action list)
-      end)
-  | _ -> ()
+  if t.replayed_frames > 0 then
+    Obs.emit t.obs
+      (Obs.Event.Journal_replay
+         { frames = t.replayed_frames; campaigns = List.length t.order; reset });
+  Ok ()
 
 let create ?obs ?(corpus_sync = true) ?journal ?(heartbeat_timeout = 30.) ~resolve ()
     =
-  if heartbeat_timeout <= 0. then
-    invalid_arg "Hub.create: heartbeat_timeout must be positive";
-  let obs = match obs with Some o -> o | None -> Obs.create () in
-  let t =
-    {
-      resolve;
-      corpus_sync;
-      heartbeat_timeout;
-      obs;
-      campaigns = Hashtbl.create 8;
-      order = [];
-      next_id = 1;
-      workers = Hashtbl.create 8;
-      worker_order = [];
-      next_wid = 0;
-      fleet_crashes = Hashtbl.create 16;
-      fleet_order = [];
-      transplants = 0;
-      journal = None;
-      replaying = false;
-      reassignments = 0;
-      fenced = 0;
-      payloads_lost = 0;
-      recovery_lag = 0.;
-      replayed_frames = 0;
-      cnt_reassigned = Obs.Counter.make obs "hub.reassignments";
-      cnt_fenced = Obs.Counter.make obs "hub.fenced";
-      cnt_lost = Obs.Counter.make obs "hub.payloads-lost";
-    }
-  in
-  (match journal with
-  | None -> ()
-  | Some path ->
-    if Sys.file_exists path then begin
-      match Journal.replay path with
-      | Error msg -> invalid_arg (Printf.sprintf "Hub.create: journal %s: %s" path msg)
-      | Ok frames ->
-        t.replaying <- true;
-        List.iter (replay_frame t) frames;
-        t.replaying <- false;
-        t.replayed_frames <- List.length frames
-    end;
-    (match Journal.open_ path with
-    | Error msg -> invalid_arg (Printf.sprintf "Hub.create: journal %s: %s" path msg)
-    | Ok j -> t.journal <- Some j);
-    (* Campaigns the replay left unfinished cannot be resumed mid-shard —
-       the workers' in-memory farm state died with the old process.
-       Reset them for a deterministic re-run, and append the restart
-       marker so a *second* replay winds them back at the same point in
-       the frame stream. *)
-    let reset =
-      List.fold_left
-        (fun n id ->
-          let c = campaign_exn t id in
-          if c.digest = None then begin
-            reset_campaign t c;
-            journal_append t
-              (Protocol.Accept { campaign = c.id; tenant = c.config.Tenant.tenant });
-            n + 1
-          end
-          else n)
-        0 (List.rev t.order)
+  if heartbeat_timeout <= 0. then Error "Hub.create: heartbeat_timeout must be positive"
+  else begin
+    let obs = match obs with Some o -> o | None -> Obs.create () in
+    let t =
+      {
+        resolve;
+        corpus_sync;
+        heartbeat_timeout;
+        obs;
+        campaigns = Hashtbl.create 8;
+        order = [];
+        next_id = 1;
+        workers = Hashtbl.create 8;
+        worker_order = [];
+        next_wid = 0;
+        fleet = Crash.Ledger.create ();
+        fleet_tenants = Hashtbl.create 16;
+        transplants = 0;
+        journal = None;
+        replaying = false;
+        reassignments = 0;
+        fenced = 0;
+        payloads_lost = 0;
+        recovery_lag = 0.;
+        replayed_frames = 0;
+        cnt_reassigned = Obs.Counter.make obs "hub.reassignments";
+        cnt_fenced = Obs.Counter.make obs "hub.fenced";
+        cnt_lost = Obs.Counter.make obs "hub.payloads-lost";
+      }
     in
-    if t.replayed_frames > 0 then
-      Obs.emit t.obs
-        (Obs.Event.Journal_replay
-           {
-             frames = t.replayed_frames;
-             campaigns = List.length t.order;
-             reset;
-           }));
-  t
+    match journal with
+    | None -> Ok t
+    | Some path ->
+      Result.map_error
+        (Printf.sprintf "Hub.create: journal %s: %s" path)
+        (Result.map (fun () -> t) (resume t path))
+  end
 
 let close t =
   (match t.journal with Some j -> Journal.close j | None -> ());
@@ -857,14 +796,12 @@ let tenant_digests t =
 
 let fleet_digest t = Report.fleet_digest (tenant_digests t)
 
-let crashes_deduped t = Hashtbl.length t.fleet_crashes
+let crashes_deduped t = Crash.Ledger.distinct t.fleet
 
 let fleet_crashes t =
-  List.rev_map
-    (fun key ->
-      let e = Hashtbl.find t.fleet_crashes key in
-      (e.crash, e.tenants))
-    t.fleet_order
+  List.map
+    (fun crash -> (crash, Hashtbl.find t.fleet_tenants (Crash.dedup_key crash)))
+    (Crash.Ledger.to_list t.fleet)
 
 let transplants t = t.transplants
 

@@ -26,7 +26,10 @@
       keeping per-tenant attribution and per-tenant crash lists;
     - journal every state-mutating message to an append-only file
       ({!Journal}), so a restarted hub replays itself back to
-      where it died and resumes;
+      where it died and resumes. Live and journaled farm frames go
+      through one apply path: replay skips only the fence (and tracks
+      lease epochs as a high-water mark), so it cannot rebuild a state
+      the live hub never held;
     - stream per-tenant telemetry: every hub event is emitted on an
       {!Eof_obs.Obs.for_tenant} handle clocked by that campaign's
       virtual time;
@@ -37,10 +40,6 @@
     whatever clock the transport lives on — virtual seconds under
     {!Inproc} (deterministic), wall seconds under {!Socket}. The hub
     only ever compares [now] against recorded [now]s. *)
-
-type resolved = { spec : Eof_spec.Ast.t; table : Eof_rtos.Api.table }
-(** What the hub needs to know about an OS personality: enough to
-    rebind wire-encoded programs ({!Eof_core.Prog.of_wire}). *)
 
 type action =
   | To_client of int * Protocol.t  (** send to client [id] *)
@@ -53,10 +52,12 @@ val create :
   ?corpus_sync:bool ->
   ?journal:string ->
   ?heartbeat_timeout:float ->
-  resolve:(string -> (resolved, string) result) ->
+  resolve:(string -> (Worker.target, string) result) ->
   unit ->
-  t
-(** [resolve] maps a submitted OS name to its personality.
+  (t, string) result
+(** [resolve] maps a submitted OS name to its personality (the hub
+    only reads its [spec] and [table], to rebind wire-encoded
+    programs).
     [corpus_sync] (default true) controls cross-shard seed
     transplanting — the off switch exists to measure its overhead.
     [heartbeat_timeout] (default 30 seconds) is the liveness deadline:
@@ -69,8 +70,9 @@ val create :
     process left unfinished are reset to a fresh start — their
     deterministic re-run reaches the digest the uninterrupted run would
     have, provided every campaign they exchanged seeds with was also
-    unfinished at the kill. Raises [Invalid_argument] if the journal
-    cannot be opened. *)
+    unfinished at the kill. [Error] if the journal cannot be read or
+    opened (including one written by another protocol version), or if
+    [heartbeat_timeout] is not positive. *)
 
 val close : t -> unit
 (** Close the journal (if any). The hub remains usable, un-journaled. *)

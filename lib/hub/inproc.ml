@@ -51,19 +51,9 @@ let run ?obs ?corpus_sync ?journal ?heartbeat_timeout ?kill ?halt_after ~farms
   else begin
     let t0 = Unix.gettimeofday () in
     let obs = match obs with Some o -> o | None -> Obs.create () in
-    let hub_resolve os =
-      Result.map
-        (fun (tg : Worker.target) ->
-          { Hub.spec = tg.Worker.spec; table = tg.Worker.table })
-        (resolve os)
-    in
-    (* An unreadable journal is the caller's error, not a crash. *)
-    match
-      Hub.create ~obs ?corpus_sync ?journal ?heartbeat_timeout
-        ~resolve:hub_resolve ()
-    with
-    | exception Invalid_argument msg -> Error msg
-    | hub ->
+    match Hub.create ~obs ?corpus_sync ?journal ?heartbeat_timeout ~resolve () with
+    | Error msg -> Error msg
+    | Ok hub ->
     let timeout = Hub.heartbeat_timeout hub in
     let workers =
       Array.init farms (fun i ->

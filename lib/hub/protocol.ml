@@ -96,6 +96,26 @@ let kind_code = function
   | Worker_ping _ -> 17
   | Heartbeat_ack _ -> 18
 
+let farm_header = function
+  | Corpus_push { campaign; shard; epoch; _ }
+  | Crash_report { campaign; shard; epoch; _ }
+  | Heartbeat { campaign; shard; epoch; _ }
+  | Shard_done { campaign; shard; epoch; _ } ->
+    Some (campaign, shard, epoch)
+  | _ -> None
+
+(* Programs cross the hub in canonical little-endian wire form
+   regardless of the target's byte order — the hub is a host, not a
+   board. *)
+let encode_prog prog =
+  Result.to_option
+    (Eof_agent.Wire.encode ~endianness:Eof_hw.Arch.Little (Eof_core.Prog.to_wire prog))
+
+let decode_prog ~spec ~table s =
+  match Eof_agent.Wire.decode ~endianness:Eof_hw.Arch.Little s with
+  | Error _ -> None
+  | Ok wire -> Result.to_option (Eof_core.Prog.of_wire ~spec ~table wire)
+
 let kind_name = function
   | Submit _ -> "submit"
   | Accept _ -> "accept"
@@ -135,14 +155,14 @@ let error_to_string = function
 let put_u8 b v = Buffer.add_char b (Char.chr (v land 0xFF))
 
 let put_u16 b v =
-  if v < 0 || v > 0xFFFF then invalid_arg "Protocol: u16 out of range";
+  if v < 0 || v > Tenant.max_u16 then invalid_arg "Protocol: u16 out of range";
   Buffer.add_char b (Char.chr (v land 0xFF));
   Buffer.add_char b (Char.chr ((v lsr 8) land 0xFF))
 
 (* Only what [u32] decodes back: a word that reads as a non-negative
    OCaml int, so nothing wraps on the way through. *)
 let put_u32 b v =
-  if v < 0 || v > 0x7FFF_FFFF then invalid_arg "Protocol: u32 out of range";
+  if v < 0 || v > Tenant.max_u32 then invalid_arg "Protocol: u32 out of range";
   Buffer.add_int32_le b (Int32.of_int v)
 
 let put_u64 b v = Buffer.add_int64_le b v
@@ -152,7 +172,7 @@ let put_f64 b v = Buffer.add_int64_le b (Int64.bits_of_float v)
 let put_bool b v = put_u8 b (if v then 1 else 0)
 
 let put_str b s =
-  if String.length s > 0xFFFF then invalid_arg "Protocol: string too long";
+  if String.length s > Tenant.max_u16 then invalid_arg "Protocol: string too long";
   put_u16 b (String.length s);
   Buffer.add_string b s
 

@@ -104,6 +104,21 @@ val error_to_string : error -> string
 val kind_name : t -> string
 (** Stable lowercase name for telemetry ("submit", "corpus-push", ...). *)
 
+val farm_header : t -> (int * int * int) option
+(** [(campaign, shard, epoch)] of a farm frame ([Corpus_push],
+    [Crash_report], [Heartbeat], [Shard_done]); [None] for every other
+    kind. *)
+
+val encode_prog : Eof_core.Prog.t -> string option
+(** A program as it travels in [Corpus_push]/[Corpus_pull]: the
+    little-endian {!Eof_agent.Wire} encoding. [None] if it does not
+    encode. *)
+
+val decode_prog :
+  spec:Eof_spec.Ast.t -> table:Eof_rtos.Api.table -> string -> Eof_core.Prog.t option
+(** Inverse of {!encode_prog}, rebound through a personality;
+    [None] on bytes that do not decode or do not bind. *)
+
 val encode : t -> string
 (** One complete frame. Raises [Invalid_argument] if a string field
     exceeds the u16 length limit. *)

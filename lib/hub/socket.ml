@@ -110,19 +110,9 @@ let send_frame cn msg =
 let serve ?obs ?corpus_sync ?max_campaigns ?journal ?heartbeat_timeout ~socket
     ~(resolve : string -> (Worker.target, string) result) () =
   let obs = match obs with Some o -> o | None -> Obs.create () in
-  let hub_resolve os =
-    Result.map
-      (fun (tg : Worker.target) ->
-        { Hub.spec = tg.Worker.spec; table = tg.Worker.table })
-      (resolve os)
-  in
-  (* An unreadable journal is the caller's error, not a crash. *)
-  match
-    Hub.create ~obs ?corpus_sync ?journal ?heartbeat_timeout
-      ~resolve:hub_resolve ()
-  with
-  | exception Invalid_argument msg -> Error msg
-  | hub ->
+  match Hub.create ~obs ?corpus_sync ?journal ?heartbeat_timeout ~resolve () with
+  | Error msg -> Error msg
+  | Ok hub ->
   (match Unix.lstat socket with
   | { Unix.st_kind = Unix.S_SOCK; _ } -> Unix.unlink socket
   | _ -> ()

@@ -28,6 +28,14 @@ val name_ok : string -> bool
 (** 1-64 chars of [A-Za-z0-9_-] — the identifier rule shared by tenant
     names and worker names. *)
 
+val max_u32 : int
+(** [0x7FFF_FFFF]: the widest value a {!Protocol} u32 field carries (a
+    word that decodes into a non-negative [int]). *)
+
+val max_u16 : int
+(** [0xFFFF]: the widest {!Protocol} u16 field, and the longest string
+    it carries. *)
+
 val validate : config -> (unit, string) result
 (** Names well formed, every count [>= 1], and every field within what
     {!Protocol} carries: [iterations] and [sync_every] at most

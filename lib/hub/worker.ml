@@ -1,10 +1,8 @@
 module Obs = Eof_obs.Obs
 module Bitset = Eof_util.Bitset
-module Wire = Eof_agent.Wire
 module Farm = Eof_core.Farm
 module Campaign = Eof_core.Campaign
 module Corpus = Eof_core.Corpus
-module Prog = Eof_core.Prog
 module Osbuild = Eof_os.Osbuild
 
 type target = {
@@ -51,22 +49,6 @@ let name t = t.name
 let heartbeat_timeout_s t = t.heartbeat_timeout_s
 
 let hello t = Protocol.Worker_hello { name = t.name }
-
-(* Programs cross the hub protocol in canonical little-endian wire form
-   regardless of the target's byte order — the hub is a host, not a
-   board. *)
-let wire_of_prog prog =
-  match Wire.encode ~endianness:Eof_hw.Arch.Little (Prog.to_wire prog) with
-  | Ok s -> Some s
-  | Error _ -> None
-
-let prog_of_wire target s =
-  match Wire.decode ~endianness:Eof_hw.Arch.Little s with
-  | Error _ -> None
-  | Ok wire ->
-    (match Prog.of_wire ~spec:target.spec ~table:target.table wire with
-     | Error _ -> None
-     | Ok prog -> Some prog)
 
 let assign t (a : Shard.assignment) =
   let target =
@@ -130,7 +112,7 @@ let flush st =
   let fresh_progs =
     List.filter_map
       (fun prog ->
-        match wire_of_prog prog with
+        match Protocol.encode_prog prog with
         | None -> None
         | Some s ->
           if Hashtbl.mem st.pushed s then None
@@ -227,7 +209,7 @@ let handle t msg =
               (* The hub now knows this encoding either way; never push
                  a transplant straight back. *)
               Hashtbl.replace st.pushed s ();
-              prog_of_wire st.target s)
+              Protocol.decode_prog ~spec:st.target.spec ~table:st.target.table s)
             progs
         in
         st.transplanted <- st.transplanted + Farm.adopt st.farm typed;

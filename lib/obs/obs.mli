@@ -213,3 +213,7 @@ val sink :
 
 val event_to_json : t:float -> board:int option -> tenant:string option -> Event.t -> string
 (** The exact line {!jsonl_sink} writes (without the newline). *)
+
+val json_escape : string -> string
+(** The body of a JSON string literal (no surrounding quotes): quote,
+    backslash and control characters escaped. *)

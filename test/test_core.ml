@@ -437,91 +437,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_mutation_grows_bounded;
   ]
 
-(* --- minimization ----------------------------------------------------- *)
-
-let mini_call name ret args : Prog.call =
-  {
-    Prog.spec = { Eof_spec.Ast.name; args = []; ret; weight = 1; doc = "" };
-    api_index = 0;
-    args;
-  }
-
-let test_remove_call_cascade () =
-  (* c0 produces q; c1 consumes it; c2 independent; c3 consumes c2. *)
-  let prog =
-    [
-      mini_call "mk_q" (Some "q") [];
-      mini_call "use_q" None [ Prog.Res 0 ];
-      mini_call "mk_s" (Some "s") [];
-      mini_call "use_s" None [ Prog.Res 2 ];
-    ]
-  in
-  (* Dropping c0 cascades to c1, and c3's reference renumbers to c2's
-     new position. *)
-  (match Eof_core.Minimize.remove_call prog 0 with
-   | [ a; b ] ->
-     Alcotest.(check string) "kept producer" "mk_s" a.Prog.spec.Eof_spec.Ast.name;
-     Alcotest.(check string) "kept consumer" "use_s" b.Prog.spec.Eof_spec.Ast.name;
-     Alcotest.(check bool) "renumbered" true (b.Prog.args = [ Prog.Res 0 ])
-   | p -> Alcotest.fail (Printf.sprintf "cascade wrong: %d calls" (List.length p)));
-  (* Dropping a leaf removes only itself. *)
-  Alcotest.(check int) "leaf removal" 3
-    (List.length (Eof_core.Minimize.remove_call prog 3))
-
-let test_minimize_synthetic () =
-  (* The "kernel" crashes iff the program contains use_q fed by mk_q with
-     argument >= 5. *)
-  let exec (prog : Prog.t) =
-    let arr = Array.of_list prog in
-    let crashes =
-      Array.exists
-        (fun (c : Prog.call) ->
-          c.Prog.spec.Eof_spec.Ast.name = "use_q"
-          && (match c.Prog.args with
-              | [ Prog.Res k; Prog.Int v ] ->
-                arr.(k).Prog.spec.Eof_spec.Ast.name = "mk_q" && Int64.compare v 5L >= 0
-              | _ -> false))
-        arr
-    in
-    if crashes then Eof_core.Minimize.Crash "boom" else Eof_core.Minimize.No_crash
-  in
-  let noise name = mini_call name None [ Prog.Int 1L ] in
-  let prog =
-    [
-      noise "a";
-      mini_call "mk_q" (Some "q") [];
-      noise "b";
-      mini_call "use_q" None [ Prog.Res 1; Prog.Int 9L ];
-      noise "c";
-    ]
-  in
-  let reduced, execs = Eof_core.Minimize.minimize ~exec ~signature:"boom" prog in
-  Alcotest.(check int) "two calls survive" 2 (List.length reduced);
-  Alcotest.(check bool) "still crashes" true (exec reduced = Eof_core.Minimize.Crash "boom");
-  Alcotest.(check bool) "bounded effort" true (execs <= 200);
-  (* The argument 9 cannot be simplified to 0 (crash needs >= 5), so it
-     must survive as-is. *)
-  match List.rev reduced with
-  | { Prog.args = [ Prog.Res 0; Prog.Int v ]; _ } :: _ ->
-    Alcotest.(check bool) "arg still triggering" true (Int64.compare v 5L >= 0)
-  | _ -> Alcotest.fail "unexpected reduced shape"
-
-let test_minimize_wrong_signature_keeps_original () =
-  let exec _ = Eof_core.Minimize.Crash "other" in
-  let prog = [ mini_call "a" None []; mini_call "b" None [] ] in
-  let reduced, _ = Eof_core.Minimize.minimize ~exec ~signature:"boom" prog in
-  Alcotest.(check int) "unchanged" 2 (List.length reduced)
-
-let minimize_suite =
-  [
-    Alcotest.test_case "remove_call cascade" `Quick test_remove_call_cascade;
-    Alcotest.test_case "minimize synthetic crash" `Quick test_minimize_synthetic;
-    Alcotest.test_case "minimize keeps original on mismatch" `Quick
-      test_minimize_wrong_signature_keeps_original;
-  ]
-
-let suite = suite @ minimize_suite
-
 (* --- interrupt-path extension ------------------------------------------ *)
 
 let test_irq_injection_covers_isr () =

@@ -20,11 +20,6 @@ let resolve os =
     | Ok spec ->
       Ok { Worker.mk_build = (fun _ -> Targets.build_hw target); spec; table })
 
-let hub_resolve os =
-  Result.map
-    (fun (t : Worker.target) -> { Hub.spec = t.Worker.spec; table = t.Worker.table })
-    (resolve os)
-
 let sample_crash ?(operation = "k_sem_take") ?(os = "Zephyr") () =
   {
     Crash.os;
@@ -353,7 +348,7 @@ let submit_ok hub ~client config =
   | None -> Alcotest.fail "no Accept for submission"
 
 let test_global_crash_dedup () =
-  let hub = Hub.create ~resolve:hub_resolve () in
+  let hub = Result.get_ok (Hub.create ~resolve ()) in
   let w0 = hello_ok hub "w0" in
   let w1 = hello_ok hub "w1" in
   let alice = submit_ok hub ~client:0 { sample_tenant with Tenant.farms = 2 } in
@@ -401,7 +396,7 @@ let test_global_crash_dedup () =
   Alcotest.(check (option int)) "bob sees his one" (Some 1) (crashes_of "bob")
 
 let test_lease_fencing () =
-  let hub = Hub.create ~resolve:hub_resolve () in
+  let hub = Result.get_ok (Hub.create ~resolve ()) in
   let w0 = hello_ok hub "w0" in
   let w1 = hello_ok hub "w1" in
   (* one shard, owned by w0 (both workers idle, lowest id wins) *)
@@ -636,6 +631,56 @@ let test_journal_double_restart () =
     Alcotest.(check string) "summary survives two restarts"
       (Inproc.summary base) (Inproc.summary resumed)
 
+(* Live traffic and journal replay go through one apply path, so a
+   fresh hub replaying a finished fleet's journal must hold exactly what
+   the live hub held: digests, the fleet crash set with its attribution
+   order, and the status rows. *)
+let test_journal_replay_rebuilds_live () =
+  with_temp_journal @@ fun path ->
+  let live =
+    match Inproc.run ~farms:2 ~journal:path fleet_tenants ~resolve with
+    | Ok o -> o
+    | Error e -> Alcotest.fail e
+  in
+  let hub =
+    match Hub.create ~journal:path ~resolve () with
+    | Ok hub -> hub
+    | Error e -> Alcotest.fail e
+  in
+  Hub.close hub;
+  Alcotest.(check bool) "the live fleet found crashes" true
+    (live.Inproc.crashes_deduped > 0);
+  Alcotest.(check (list (pair string string))) "tenant digests"
+    (List.map
+       (fun (r : Inproc.tenant_result) -> (r.Inproc.tenant, r.Inproc.digest))
+       live.Inproc.tenants)
+    (Hub.tenant_digests hub);
+  Alcotest.(check string) "fleet digest" live.Inproc.fleet_digest (Hub.fleet_digest hub);
+  Alcotest.(check int) "crashes deduped" live.Inproc.crashes_deduped
+    (Hub.crashes_deduped hub);
+  let keyed = List.map (fun (c, tenants) -> (Crash.dedup_key c, tenants)) in
+  Alcotest.(check (list (pair string (list string))))
+    "fleet crashes: discovery and attribution order"
+    (keyed live.Inproc.fleet_crashes)
+    (keyed (Hub.fleet_crashes hub));
+  Alcotest.(check bool) "fleet crash records" true
+    (List.map fst live.Inproc.fleet_crashes = List.map fst (Hub.fleet_crashes hub));
+  Alcotest.(check (list string)) "status rows"
+    (List.map
+       (fun (r : Inproc.tenant_result) ->
+         Printf.sprintf "%s #%d done 2/2 executed=%d coverage=%d crashes=%d"
+           r.Inproc.tenant r.Inproc.campaign r.Inproc.executed r.Inproc.coverage
+           r.Inproc.crashes)
+       live.Inproc.tenants)
+    (List.map
+       (fun (r : Protocol.status_row) ->
+         Printf.sprintf "%s #%d %s %d/%d executed=%d coverage=%d crashes=%d"
+           r.Protocol.tenant r.Protocol.campaign
+           (if r.Protocol.finished then "done" else "running")
+           r.Protocol.shards_done r.Protocol.shards r.Protocol.executed
+           r.Protocol.coverage r.Protocol.crashes)
+       (Hub.status hub))
+
 (* A complete frame of another protocol version is an unreadable
    journal, not a torn tail: replaying the prefix before it would
    silently restart every campaign. *)
@@ -655,9 +700,9 @@ let test_journal_old_version () =
          Protocol.version)
       e
   | Ok _ -> Alcotest.fail "v4 journal replayed");
-  match Hub.create ~journal:path ~resolve:hub_resolve () with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "hub started on a v4 journal"
+  match Hub.create ~journal:path ~resolve () with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "hub started on a v4 journal"
 
 let suite =
   [
@@ -690,6 +735,8 @@ let suite =
       test_journal_resume;
     Alcotest.test_case "journal: survives a double restart" `Quick
       test_journal_double_restart;
+    Alcotest.test_case "journal: replay rebuilds the live hub" `Quick
+      test_journal_replay_rebuilds_live;
     Alcotest.test_case "journal: older protocol version is refused" `Quick
       test_journal_old_version;
   ]

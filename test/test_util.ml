@@ -99,28 +99,6 @@ let test_ring_fifo () =
   Alcotest.(check (list int)) "drain order" [ 3; 4 ] (Ring.drain r);
   Alcotest.(check int) "dropped count" 1 (Ring.dropped r)
 
-let test_varint_roundtrip () =
-  List.iter
-    (fun v ->
-      let buf = Buffer.create 10 in
-      Varint.write buf v;
-      match Varint.read (Buffer.contents buf) ~pos:0 with
-      | Some (v', next) ->
-        Alcotest.(check int64) "value" v v';
-        Alcotest.(check int) "consumed all" (Buffer.length buf) next
-      | None -> Alcotest.fail "decode failed")
-    [ 0L; 1L; 127L; 128L; 300L; Int64.max_int; -1L ]
-
-let test_varint_signed () =
-  List.iter
-    (fun v ->
-      let buf = Buffer.create 10 in
-      Varint.write_int buf v;
-      match Varint.read_int (Buffer.contents buf) ~pos:0 with
-      | Some (v', _) -> Alcotest.(check int) "signed value" v v'
-      | None -> Alcotest.fail "decode failed")
-    [ 0; 1; -1; 63; -64; 1000000; -1000000; max_int; min_int ]
-
 let test_stats () =
   Alcotest.(check (float 1e-9)) "mean" 2.0 (Stats.mean [ 1.; 2.; 3. ]);
   let lo, hi = Stats.min_max [ 3.; 1.; 2. ] in
@@ -170,14 +148,6 @@ let prop_bitset_add_mem =
       List.iter (Bitset.set b) xs;
       List.for_all (Bitset.mem b) xs && Bitset.count b = List.length (List.sort_uniq compare xs))
 
-let prop_varint_roundtrip =
-  QCheck.Test.make ~name:"varint roundtrip" ~count:500 QCheck.int64 (fun v ->
-      let buf = Buffer.create 10 in
-      Varint.write buf v;
-      match Varint.read (Buffer.contents buf) ~pos:0 with
-      | Some (v', _) -> Int64.equal v v'
-      | None -> false)
-
 let prop_crc_differs =
   QCheck.Test.make ~name:"crc32 detects single-byte flip" ~count:200
     QCheck.(pair (string_of_size Gen.(1 -- 64)) small_nat)
@@ -201,14 +171,11 @@ let suite =
     Alcotest.test_case "hex roundtrip" `Quick test_hex_roundtrip;
     Alcotest.test_case "hex dump" `Quick test_hex_dump;
     Alcotest.test_case "ring fifo" `Quick test_ring_fifo;
-    Alcotest.test_case "varint roundtrip" `Quick test_varint_roundtrip;
-    Alcotest.test_case "varint signed" `Quick test_varint_signed;
     Alcotest.test_case "stats" `Quick test_stats;
     Alcotest.test_case "intervals" `Quick test_intervals;
     Alcotest.test_case "text table" `Quick test_text_table;
     QCheck_alcotest.to_alcotest prop_hex_roundtrip;
     QCheck_alcotest.to_alcotest prop_bitset_add_mem;
-    QCheck_alcotest.to_alcotest prop_varint_roundtrip;
     QCheck_alcotest.to_alcotest prop_crc_differs;
   ]
 
