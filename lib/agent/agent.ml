@@ -61,12 +61,7 @@ let entry build () =
     (* Image integrity check failed: a real bootloader refuses to jump
        to a corrupted kernel. The PC pins at the boot symbol. *)
     Target.uart_tx "bootloader: image checksum mismatch, refusing to boot\n";
-    let rec spin () =
-      Target.site syms.Osbuild.sym_boot;
-      Target.cycles 50;
-      spin ()
-    in
-    spin ()
+    Target.spin syms.Osbuild.sym_boot ~cycles_per:50
   end
   else begin
     let inst = Osbuild.fresh_instance build in

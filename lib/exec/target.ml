@@ -40,6 +40,25 @@ let site addr =
 let cycles n =
   match !live with Some q -> Clock.advance q.clock n | None -> Effect.perform (Cycles n)
 
+let spin addr ~cycles_per =
+  if cycles_per < 0 then invalid_arg "Target.spin: negative cycles_per";
+  let rec turn () =
+    (match !live with
+     | Some q when q.fuel > 1 && not (Hashtbl.mem q.breakpoints addr) ->
+       (* Every turn but the quantum's last would be crossed in place,
+          each leaving the PC at [addr]: do them all in one step. *)
+       let turns = q.fuel - 1 in
+       q.pc <- addr;
+       q.sites <- q.sites + turns;
+       Clock.advance q.clock (turns * (q.site_cost + cycles_per));
+       q.fuel <- 1
+     | _ -> ());
+    site addr;
+    cycles cycles_per;
+    turn ()
+  in
+  turn ()
+
 let uart_tx s = Effect.perform (Uart_tx s)
 
 let current_cycles () =

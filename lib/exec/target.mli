@@ -24,6 +24,19 @@ val cycles : int -> unit
     instrumentation cost). Acts on the board clock directly while a
     quantum is live, else performs [Cycles]. *)
 
+val spin : int -> cycles_per:int -> 'a
+(** [spin addr ~cycles_per] never returns: each turn crosses the site at
+    [addr] and then charges [cycles_per] cycles, exactly as the loop
+    [let rec go () = site addr; cycles cycles_per; go ()] does. While a
+    quantum is live with fuel left for more than one site and no
+    breakpoint on [addr], the turns before the quantum's last site are
+    done in one step — the PC ends at [addr], the sites are counted and
+    the clock is charged for all of them — since nothing outside can see
+    them. The last turn crosses its site as {!site} does, so the target
+    suspends exactly where the loop would. With no live quantum every
+    turn performs [Site].
+    @raise Invalid_argument if [cycles_per < 0]. *)
+
 val uart_tx : string -> unit
 (** Transmit bytes on the board's UART. *)
 

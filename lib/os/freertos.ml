@@ -182,10 +182,10 @@ let install (ctx : Osbuild.ctx) =
     let* auto_reload = Api.get_int args 1 in
     Instr.cmp i_timer 0 period 10L;
     let callback () =
-      match Kobj.of_kind reg "event" with
-      | obj :: _ ->
+      match Kobj.first_of_kind reg "event" with
+      | Some obj ->
         (match Event.of_obj obj with Some e -> Event.send e 0x01 | None -> ())
-      | [] -> ()
+      | None -> ()
     in
     let* obj =
       Swtimer.create ~reg ~wheel:ctx.wheel ~name:"frtimer"

@@ -361,12 +361,12 @@ let install (ctx : Osbuild.ctx) =
     else if clock_id <> 0 && clock_id <> 1 then Api.status Kerr.einval
     else begin
       let callback () =
-        match Kobj.of_kind reg "sem" with
-        | obj :: _ ->
+        match Kobj.first_of_kind reg "sem" with
+        | Some obj ->
           (match Sem.of_obj obj with
            | Some s -> ignore (Sem.give s : (unit, int64) result)
            | None -> ())
-        | [] -> ()
+        | None -> ()
       in
       let* obj =
         Swtimer.create ~reg ~wheel:ctx.wheel ~name:"nxtimer" ~kind:Swtimer.Periodic

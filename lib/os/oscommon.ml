@@ -9,43 +9,28 @@ let clamp_int v =
   else if Int64.compare v (Int64.of_int min_int) < 0 then min_int
   else Int64.to_int v
 
-(* Locate-and-cache: a real task body holds a pointer to the object it
-   drives; the registry walk happens once, not every quantum (which
-   would also be quadratic as the registry grows during fuzzing). *)
-let cached_of_kind (ctx : Osbuild.ctx) kind cache =
-  match !cache with
-  | Some obj when obj.Kobj.state = Kobj.Active -> Some obj
+let worker_body (ctx : Osbuild.ctx) ~flavor (tcb : Sched.tcb) =
+  match flavor mod 3 with
+  | 0 ->
+    (* Semaphore giver: feeds a semaphore, modelling a producer task
+       unblocking consumers. *)
+    (match Kobj.first_of_kind ctx.reg "sem" with
+     | Some obj ->
+       (match Sem.of_obj obj with
+        | Some s -> ignore (Sem.give s : (unit, int64) result)
+        | None -> ())
+     | None -> ())
+  | 1 ->
+    (* Event poster: sets a rotating flag bit. *)
+    (match Kobj.first_of_kind ctx.reg "event" with
+     | Some obj ->
+       (match Event.of_obj obj with
+        | Some e -> Event.send e (1 lsl (tcb.Sched.quanta_run mod 8))
+        | None -> ())
+     | None -> ())
   | _ ->
-    let found =
-      match Kobj.of_kind ctx.Osbuild.reg kind with obj :: _ -> Some obj | [] -> None
-    in
-    cache := found;
-    found
-
-let worker_body (ctx : Osbuild.ctx) ~flavor =
-  let cache = ref None in
-  fun (tcb : Sched.tcb) ->
-    match flavor mod 3 with
-    | 0 ->
-      (* Semaphore giver: feeds a semaphore, modelling a producer task
-         unblocking consumers. *)
-      (match cached_of_kind ctx "sem" cache with
-       | Some obj ->
-         (match Sem.of_obj obj with
-          | Some s -> ignore (Sem.give s : (unit, int64) result)
-          | None -> ())
-       | None -> ())
-    | 1 ->
-      (* Event poster: sets a rotating flag bit. *)
-      (match cached_of_kind ctx "event" cache with
-       | Some obj ->
-         (match Event.of_obj obj with
-          | Some e -> Event.send e (1 lsl (tcb.Sched.quanta_run mod 8))
-          | None -> ())
-       | None -> ())
-    | _ ->
-      if tcb.Sched.quanta_run mod 64 = 1 then
-        Klog.info ~os:ctx.os_name (Printf.sprintf "task %s alive" tcb.Sched.task_name)
+    if tcb.Sched.quanta_run mod 64 = 1 then
+      Klog.info ~os:ctx.os_name (Printf.sprintf "task %s alive" tcb.Sched.task_name)
 
 let spawn_worker (ctx : Osbuild.ctx) ~name ~priority ~stack_size ~flavor =
   Sched.spawn ctx.sched ~name ~priority ~stack_size ~body:(worker_body ctx ~flavor)
@@ -60,22 +45,22 @@ let install_irq (ctx : Osbuild.ctx) ~instr ~prefix =
     (* Interrupt context: acknowledge, then wake whoever is waiting. *)
     Instr.edge instr 0;
     Instr.cmp_i instr 1 pin 0;
-    match Kobj.of_kind ctx.reg "sem" with
-    | obj :: _ ->
+    match Kobj.first_of_kind ctx.reg "sem" with
+    | Some obj ->
       (match Sem.of_obj obj with
        | Some s ->
          Instr.edge instr 2;
          ignore (Sem.give s : (unit, int64) result)
        | None -> ())
-    | [] ->
-      (match Kobj.of_kind ctx.reg "event" with
-       | obj :: _ ->
+    | None ->
+      (match Kobj.first_of_kind ctx.reg "event" with
+       | Some obj ->
          (match Event.of_obj obj with
           | Some e ->
             Instr.edge instr 3;
             Event.send e (1 lsl (pin land 7))
           | None -> ())
-       | [] -> Instr.edge instr 4)
+       | None -> Instr.edge instr 4)
   in
   ctx.register_isr isr;
   ignore (Eof_hw.Gpio.configure_irq gpio ~pin:0 Eof_hw.Gpio.Rising : (unit, string) result);

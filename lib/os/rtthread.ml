@@ -180,12 +180,7 @@ let install (ctx : Osbuild.ctx) =
            watchdog must catch. *)
         Panic.kassert panic false
           (Printf.sprintf "rt_object_get_type: object %d in container list" h);
-        let rec spin () =
-          Eof_exec.Target.site hang_site;
-          Eof_exec.Target.cycles 20;
-          spin ()
-        in
-        spin ()
+        Eof_exec.Target.spin hang_site ~cycles_per:20
       end
       else begin
         Instr.edge i_object 2;
@@ -566,10 +561,10 @@ let install (ctx : Osbuild.ctx) =
     let callback () =
       if allocating then malloc_from_timer ()
       else
-        match Kobj.of_kind reg "event" with
-        | obj :: _ ->
+        match Kobj.first_of_kind reg "event" with
+        | Some obj ->
           (match Event.of_obj obj with Some e -> Event.send e 0x8000 | None -> ())
-        | [] -> ()
+        | None -> ()
     in
     let* obj =
       Swtimer.create ~reg ~wheel:ctx.wheel ~name:"rttimer"

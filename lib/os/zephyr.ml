@@ -380,10 +380,10 @@ let install (ctx : Osbuild.ctx) =
     let callback () =
       (* Timer context: feed the oldest event group, as a driver ISR
          bottom half would. *)
-      match Kobj.of_kind reg "event" with
-      | obj :: _ ->
+      match Kobj.first_of_kind reg "event" with
+      | Some obj ->
         (match Event.of_obj obj with Some e -> Event.send e 0x100 | None -> ())
-      | [] -> ()
+      | None -> ()
     in
     let* obj =
       Swtimer.create ~reg ~wheel:ctx.wheel ~name:"ztimer" ~kind ~period:(clamp_int period)
@@ -457,12 +457,12 @@ let install (ctx : Osbuild.ctx) =
     let item =
       Workq.make_item (fun () ->
           Instr.edge i_work 1;
-          match Kobj.of_kind reg "event" with
-          | obj :: _ ->
+          match Kobj.first_of_kind reg "event" with
+          | Some obj ->
             (match Event.of_obj obj with
              | Some e -> Event.send e (1 lsl (bit land 0xF))
              | None -> ())
-          | [] -> Instr.edge i_work 2)
+          | None -> Instr.edge i_work 2)
     in
     Hashtbl.replace work_items id item;
     let obj = Kobj.register reg ~kind:"work" ~name:"kwork" (Work_item id) in

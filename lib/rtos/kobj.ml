@@ -10,9 +10,14 @@ type obj = {
   mutable payload : payload;
 }
 
-type t = { objects : (int, obj) Hashtbl.t; mutable next_handle : int }
+type t = {
+  objects : (int, obj) Hashtbl.t;
+  mutable next_handle : int;
+  cursors : (string, int ref) Hashtbl.t;
+      (* per kind: no object of the kind below this handle is active *)
+}
 
-let create () = { objects = Hashtbl.create 64; next_handle = 1 }
+let create () = { objects = Hashtbl.create 64; next_handle = 1; cursors = Hashtbl.create 8 }
 
 let register t ~kind ~name payload =
   let handle = t.next_handle in
@@ -35,11 +40,30 @@ let detach obj = obj.state <- Detached
 
 let delete obj = obj.state <- Deleted
 
-let fold t f init =
-  Hashtbl.fold (fun _ obj acc -> f acc obj) t.objects init
+let active_count t =
+  Hashtbl.fold (fun _ obj n -> if obj.state = Active then n + 1 else n) t.objects 0
 
-let active_count t = fold t (fun acc obj -> if obj.state = Active then acc + 1 else acc) 0
-
-let of_kind t kind =
-  fold t (fun acc obj -> if obj.state = Active && obj.kind = kind then obj :: acc else acc) []
-  |> List.sort (fun a b -> compare a.handle b.handle)
+(* Handles only grow and no object becomes active again, so a handle
+   the cursor has passed never needs a second look. *)
+let first_of_kind t kind =
+  let cursor =
+    match Hashtbl.find_opt t.cursors kind with
+    | Some c -> c
+    | None ->
+      let c = ref 1 in
+      Hashtbl.replace t.cursors kind c;
+      c
+  in
+  let rec scan h =
+    if h >= t.next_handle then begin
+      cursor := h;
+      None
+    end
+    else
+      match Hashtbl.find_opt t.objects h with
+      | Some obj when obj.state = Active && obj.kind = kind ->
+        cursor := h;
+        Some obj
+      | _ -> scan (h + 1)
+  in
+  scan !cursor

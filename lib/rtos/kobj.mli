@@ -16,7 +16,7 @@ type obj = {
   handle : int;
   kind : string;
   mutable name : string;
-  mutable state : state;
+  mutable state : state;  (** written only by {!detach} and {!delete} *)
   mutable payload : payload;
 }
 
@@ -40,5 +40,10 @@ val delete : obj -> unit
 
 val active_count : t -> int
 
-val of_kind : t -> string -> obj list
-(** Active objects of a kind, oldest first. *)
+val first_of_kind : t -> string -> obj option
+(** The oldest active object of a kind (lowest handle), if any. A
+    per-kind cursor remembers the handle below which no object of the
+    kind is active, and each call scans forward from it, so the cost is
+    amortised O(1) per registered object. This relies on handles only
+    growing and on no object ever becoming [Active] again: {!detach} and
+    {!delete} are the only writes to [state]. *)

@@ -300,6 +300,109 @@ let test_escaping_exception_clears_quantum () =
    | exception Effect.Unhandled _ -> ());
   check_state e board ~pc:0x104 ~sites:2L ~cycles:4L
 
+(* [Target.spin] must be indistinguishable from the loop it replaces:
+   same stops, pc, site count and clock, however the quanta fall. *)
+
+let hand_spin addr ~cycles_per () =
+  let rec go () =
+    Target.site addr;
+    Target.cycles cycles_per;
+    go ()
+  in
+  go ()
+
+let spin_entry addr ~cycles_per () =
+  Target.site 0x100;
+  Target.spin addr ~cycles_per
+
+let test_spin_breakpoint () =
+  let board, e = make_engine (spin_entry 0x200 ~cycles_per:5) in
+  Engine.set_breakpoint e 0x200;
+  (* Every turn stops on the breakpoint: no turn is skipped. *)
+  check_stop "breakpoint 0x200" (Engine.run e ~fuel:100);
+  check_state e board ~pc:0x200 ~sites:2L ~cycles:4L;
+  check_stop "breakpoint 0x200" (Engine.run e ~fuel:100);
+  check_state e board ~pc:0x200 ~sites:3L ~cycles:11L;
+  Engine.remove_breakpoint e 0x200;
+  check_stop "fuel" (Engine.run e ~fuel:10);
+  check_state e board ~pc:0x200 ~sites:13L ~cycles:81L
+
+let test_spin_reset_while_parked () =
+  let boots = ref 0 and cleaned = ref 0 in
+  let board, e =
+    make_engine (fun () ->
+        incr boots;
+        Fun.protect ~finally:(fun () -> incr cleaned) (spin_entry 0x200 ~cycles_per:20))
+  in
+  check_stop "fuel" (Engine.run e ~fuel:1000);
+  (* 1 + 998 turns crossed in bulk + the parked one; 999 charged turns. *)
+  check_state e board ~pc:0x200 ~sites:1000L ~cycles:(Int64.of_int ((2 * 1000) + (20 * 998)));
+  Engine.reset e;
+  Alcotest.(check int) "spin unwound" 1 !cleaned;
+  Alcotest.(check int) "pc at reset vector" (Board.profile board).Board.flash_base (Engine.pc e);
+  check_stop "fuel" (Engine.run e ~fuel:3);
+  Alcotest.(check int) "rebooted" 2 !boots;
+  Alcotest.(check int) "pc back in spin" 0x200 (Engine.pc e);
+  Alcotest.(check int64) "sites" 1003L (Engine.sites_executed e)
+
+let test_spin_without_quantum () =
+  (* No live quantum: every turn performs [Site]. The handler counts the
+     turns and discontinues the spin at the fifth. *)
+  let sites = ref [] and cycles = ref [] in
+  let handler : (unit, unit) Effect.Deep.handler =
+    {
+      Effect.Deep.retc = (fun () -> Alcotest.fail "spin returned");
+      exnc = (function Exit -> () | e -> raise e);
+      effc =
+        (fun (type b) (eff : b Effect.t) ->
+          match eff with
+          | Target.Site addr ->
+            Some
+              (fun (k : (b, unit) Effect.Deep.continuation) ->
+                sites := addr :: !sites;
+                if List.length !sites = 5 then Effect.Deep.discontinue k Exit
+                else Effect.Deep.continue k ())
+          | Target.Cycles n ->
+            Some
+              (fun k ->
+                cycles := n :: !cycles;
+                Effect.Deep.continue k ())
+          | _ -> None);
+    }
+  in
+  Effect.Deep.match_with (fun () -> Target.spin 0x300 ~cycles_per:7) () handler;
+  Alcotest.(check (list int)) "one Site per turn" [ 0x300; 0x300; 0x300; 0x300; 0x300 ] !sites;
+  Alcotest.(check (list int)) "one Cycles per finished turn" [ 7; 7; 7; 7 ] !cycles
+
+let test_spin_fuel_one () =
+  let board, e = make_engine (fun () -> Target.spin 0x400 ~cycles_per:3) in
+  check_stop "fuel" (Engine.run e ~fuel:1);
+  check_state e board ~pc:0x400 ~sites:1L ~cycles:2L;
+  check_stop "fuel" (Engine.run e ~fuel:1);
+  check_state e board ~pc:0x400 ~sites:2L ~cycles:7L;
+  check_stop "fuel" (Engine.run e ~fuel:5);
+  check_state e board ~pc:0x400 ~sites:7L ~cycles:32L
+
+let spin_matches_loop =
+  QCheck.Test.make ~name:"spin matches the hand-written loop" ~count:200
+    QCheck.(pair (list_of_size Gen.(1 -- 6) (int_range 1 2000)) (int_range 0 100))
+    (fun (fuels, cycles_per) ->
+      let board_s, s = make_engine (spin_entry 0x200 ~cycles_per) in
+      let board_l, l =
+        make_engine (fun () ->
+            Target.site 0x100;
+            hand_spin 0x200 ~cycles_per ())
+      in
+      let observe board e stop =
+        (stop_name stop, Engine.pc e, Engine.sites_executed e, Clock.cycles (Board.clock board))
+      in
+      List.for_all
+        (fun fuel ->
+          let stop_s = Engine.run s ~fuel in
+          let stop_l = Engine.run l ~fuel in
+          observe board_s s stop_s = observe board_l l stop_l)
+        fuels)
+
 let suite =
   [
     Alcotest.test_case "run to exit" `Quick test_run_to_exit;
@@ -321,4 +424,9 @@ let suite =
     Alcotest.test_case "two engines alternate" `Quick test_two_engines_alternate;
     Alcotest.test_case "escaping exception clears quantum" `Quick
       test_escaping_exception_clears_quantum;
+    Alcotest.test_case "spin: breakpoint on the spin address" `Quick test_spin_breakpoint;
+    Alcotest.test_case "spin: reset while parked" `Quick test_spin_reset_while_parked;
+    Alcotest.test_case "spin: no live quantum" `Quick test_spin_without_quantum;
+    Alcotest.test_case "spin: starts with fuel 1" `Quick test_spin_fuel_one;
+    QCheck_alcotest.to_alcotest spin_matches_loop;
   ]

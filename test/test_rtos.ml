@@ -93,6 +93,63 @@ let test_kobj_lifecycle () =
   (* The carcass is still reachable through the unchecked lookup. *)
   Alcotest.(check bool) "carcass reachable" true (Kobj.lookup reg obj.Kobj.handle <> None)
 
+type Kobj.payload += Probe
+
+type kobj_op = Register of int | Detach of int | Delete of int | Query of int
+
+(* The registry walk [first_of_kind] replaced: every active object of
+   the kind, sorted by handle, head taken. *)
+let first_of_kind_by_sort objs kind =
+  List.fold_left
+    (fun acc (o : Kobj.obj) -> if o.state = Kobj.Active && o.kind = kind then o :: acc else acc)
+    [] objs
+  |> List.sort (fun (a : Kobj.obj) b -> compare a.handle b.handle)
+  |> function
+  | o :: _ -> Some o.Kobj.handle
+  | [] -> None
+
+let first_of_kind_matches_sort =
+  let kinds = [| "sem"; "event"; "timer" |] in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map (fun k -> Register k) (int_bound 2));
+          (2, map (fun i -> Detach i) (int_bound 63));
+          (2, map (fun i -> Delete i) (int_bound 63));
+          (3, map (fun k -> Query k) (int_bound 2));
+        ])
+  in
+  let show = function
+    | Register k -> "register " ^ kinds.(k)
+    | Detach i -> Printf.sprintf "detach #%d" i
+    | Delete i -> Printf.sprintf "delete #%d" i
+    | Query k -> "query " ^ kinds.(k)
+  in
+  QCheck.Test.make ~name:"kobj first_of_kind = head of sorted walk" ~count:300
+    (QCheck.make ~print:QCheck.Print.(list show) QCheck.Gen.(list_size (0 -- 120) op))
+    (fun ops ->
+      let reg = Kobj.create () in
+      let objs = ref [] in
+      let nth i f = match !objs with [] -> () | l -> f (List.nth l (i mod List.length l)) in
+      (* Queries land at random points, so a cursor is sometimes far
+         behind the registry and sometimes parked on a live object. *)
+      List.for_all
+        (function
+          | Register k ->
+            objs := Kobj.register reg ~kind:kinds.(k) ~name:"o" Probe :: !objs;
+            true
+          | Detach i ->
+            nth i Kobj.detach;
+            true
+          | Delete i ->
+            nth i Kobj.delete;
+            true
+          | Query k ->
+            Option.map (fun o -> o.Kobj.handle) (Kobj.first_of_kind reg kinds.(k))
+            = first_of_kind_by_sort !objs kinds.(k))
+        ops)
+
 let test_msgq_fifo () =
   let ram, h = make_heap () in
   ignore ram;
@@ -371,6 +428,7 @@ let suite =
     Alcotest.test_case "heap corruption detected" `Quick test_heap_corruption_detected;
     Alcotest.test_case "heap lock" `Quick test_heap_lock;
     Alcotest.test_case "kobj lifecycle" `Quick test_kobj_lifecycle;
+    QCheck_alcotest.to_alcotest first_of_kind_matches_sort;
     Alcotest.test_case "msgq fifo" `Quick test_msgq_fifo;
     Alcotest.test_case "msgq purge poisons" `Quick test_msgq_purge_poisons;
     Alcotest.test_case "sem bounds" `Quick test_sem_bounds;
