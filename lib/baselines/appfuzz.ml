@@ -20,7 +20,6 @@ type config = {
   max_buf : int;
   guidance : guidance;
   sample_modules : string list;
-  snapshot_every : int;
 }
 
 type state = {
@@ -210,6 +209,9 @@ let sample st =
     }
     :: st.series
 
+(* Iterations between coverage samples. *)
+let snapshot_every = 10
+
 let run config build =
   let table = Osbuild.api_signatures build in
   let entry_index =
@@ -300,7 +302,7 @@ let run config build =
              if interesting then ignore (Bufgen.Corpus.add st.corpus input : bool)
            end
          end;
-         if st.iteration mod config.snapshot_every = 0 then sample st
+         if st.iteration mod snapshot_every = 0 then sample st
        done;
        sample st;
        Ok

@@ -25,7 +25,6 @@ type config = {
   max_buf : int;
   guidance : guidance;
   sample_modules : string list;  (** site pools for [Bp_sampling] *)
-  snapshot_every : int;
 }
 
 val run : config -> Osbuild.t -> (Eof_core.Campaign.outcome, Eof_util.Eof_error.t) result

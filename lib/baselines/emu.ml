@@ -22,7 +22,10 @@ type 'input tool = {
   final_corpus : unit -> Prog.t list;
 }
 
-let run ~iterations ~snapshot_every build tool =
+(* Iterations between coverage samples. *)
+let snapshot_every = 10
+
+let run ~iterations build tool =
   let board = Osbuild.board build in
   let syms = Osbuild.syms build in
   let endianness = (Board.profile board).Board.arch.Arch.endianness in

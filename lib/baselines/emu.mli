@@ -11,7 +11,7 @@ open Eof_os
     exits or stops answering is a crash event and is reset
     ([Board.reset] + [Engine.reset]); crashes are deduplicated by
     {!Eof_core.Crash.Ledger}. Coverage is sampled every
-    [snapshot_every] iterations and once at the end.
+    10 iterations and once at the end.
 
     A tool supplies only what differs — its input model, how it names
     a dead VM, and its corpus — as a {!tool}. The harness draws no
@@ -44,7 +44,7 @@ type 'input tool = {
 }
 
 val run :
-  iterations:int -> snapshot_every:int -> Osbuild.t -> 'input tool ->
+  iterations:int -> Osbuild.t -> 'input tool ->
   Eof_core.Campaign.outcome
 (** [iterations] binding-point rounds. [stalls] and [timeouts] both
     count crashes the tool named [Hang]; [reflashes] is always 0. *)

@@ -1,4 +1,4 @@
-let run ~seed ~iterations ~entry_api ~sample_modules ?(snapshot_every = 10) build =
+let run ~seed ~iterations ~entry_api ~sample_modules build =
   Appfuzz.run
     {
       Appfuzz.seed;
@@ -7,6 +7,5 @@ let run ~seed ~iterations ~entry_api ~sample_modules ?(snapshot_every = 10) buil
       max_buf = 256;
       guidance = Appfuzz.Bp_sampling 6;
       sample_modules;
-      snapshot_every;
     }
     build

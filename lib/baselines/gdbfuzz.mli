@@ -8,5 +8,5 @@ open Eof_os
 
 val run :
   seed:int64 -> iterations:int -> entry_api:string -> sample_modules:string list ->
-  ?snapshot_every:int -> Osbuild.t -> (Eof_core.Campaign.outcome, Eof_util.Eof_error.t) result
+  Osbuild.t -> (Eof_core.Campaign.outcome, Eof_util.Eof_error.t) result
 (** Uses 6 hardware breakpoints, the budget of a Cortex-M FPB unit. *)

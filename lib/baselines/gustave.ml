@@ -60,13 +60,13 @@ let decode_genome ~table genome =
   done;
   List.rev !calls
 
-let run ~seed ~iterations ?(snapshot_every = 10) build =
+let run ~seed ~iterations build =
   let table = Osbuild.api_signatures build in
   let rng = Rng.create seed in
   let bufgen = Bufgen.create ~rng:(Rng.split rng) ~max_len:192 in
   let corpus = Bufgen.Corpus.create ~rng:(Rng.split rng) in
   Ok
-    (Emu.run ~iterations ~snapshot_every build
+    (Emu.run ~iterations build
        {
          Emu.next =
            (fun () ->

@@ -16,5 +16,5 @@ val decode_genome : table:Eof_rtos.Api.table -> string -> Eof_agent.Wire.program
     length-prefixed slice per string, a modulo-reference per resource. *)
 
 val run :
-  seed:int64 -> iterations:int -> ?snapshot_every:int -> Osbuild.t ->
+  seed:int64 -> iterations:int -> Osbuild.t ->
   (Eof_core.Campaign.outcome, Eof_util.Eof_error.t) result

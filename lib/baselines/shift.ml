@@ -1,6 +1,6 @@
 open Eof_os
 
-let run ~seed ~iterations ~entry_api ?(snapshot_every = 10) build =
+let run ~seed ~iterations ~entry_api build =
   if Osbuild.os_name build <> "FreeRTOS" then
     Error
       (Eof_util.Eof_error.config
@@ -19,6 +19,5 @@ let run ~seed ~iterations ~entry_api ?(snapshot_every = 10) build =
         max_buf = 256;
         guidance = Appfuzz.Edge_feedback;
         sample_modules = [];
-        snapshot_every;
       }
       build

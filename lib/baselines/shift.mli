@@ -6,7 +6,7 @@ open Eof_os
 
 val run :
   seed:int64 -> iterations:int -> entry_api:string ->
-  ?snapshot_every:int -> Osbuild.t -> (Eof_core.Campaign.outcome, Eof_util.Eof_error.t) result
+  Osbuild.t -> (Eof_core.Campaign.outcome, Eof_util.Eof_error.t) result
 (** Fails on targets other than FreeRTOS, mirroring the tool's support
     matrix. [iterations] is a wall-clock-equivalent budget: semihosting
     trap overhead halves the payload count actually executed. *)

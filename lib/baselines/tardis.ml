@@ -44,7 +44,7 @@ let unsupported_calls = function
 
 let build_for spec = Osbuild.make ~board_profile:Profiles.qemu_mps2 spec
 
-let run ~seed ~iterations ?(snapshot_every = 10) build =
+let run ~seed ~iterations build =
   let table = Osbuild.api_signatures build in
   match Eof_spec.Synth.validated_of_api table with
   | Error e -> Error (Eof_util.Eof_error.config e)
@@ -90,7 +90,7 @@ let run ~seed ~iterations ?(snapshot_every = 10) build =
       { Emu.kind; operation; message; program = Prog.to_string prog }
     in
     Ok
-      (Emu.run ~iterations ~snapshot_every build
+      (Emu.run ~iterations build
          {
            Emu.next;
            program = Prog.to_wire;

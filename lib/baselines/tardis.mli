@@ -25,5 +25,5 @@ val build_for : Osbuild.spec -> Osbuild.t
     equivalent requires). *)
 
 val run :
-  seed:int64 -> iterations:int -> ?snapshot_every:int -> Osbuild.t ->
+  seed:int64 -> iterations:int -> Osbuild.t ->
   (Eof_core.Campaign.outcome, Eof_util.Eof_error.t) result

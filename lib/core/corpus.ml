@@ -50,6 +50,7 @@ let target_of ~os ~(table : Eof_rtos.Api.table) =
 type seed = {
   prog : Prog.t;
   hash : int;
+  seq : int;  (** admission number: [total_added] when admitted or imported *)
   target : target;  (** personality the seed was admitted under *)
   new_edges : int;  (** edges credited at admission *)
   crashed : bool;
@@ -70,7 +71,8 @@ type t = {
   schedule : schedule;
   home : target;  (** default tag for locally admitted seeds *)
   mutable seeds : seed list;
-  hashes : (int, unit) Hashtbl.t;
+      (** admission order, newest first: [seq] strictly decreases *)
+  hashes : (int, unit) Hashtbl.t;  (** every hash ever admitted, evicted too *)
   frontiers : (target, frontier) Hashtbl.t;
   mutable total_added : int;
 }
@@ -131,7 +133,8 @@ let frontier_size t ~target =
 
 let evict_if_full t =
   if List.length t.seeds > t.capacity then begin
-    (* Drop the lowest-scoring seed. *)
+    (* Drop the lowest-scoring seed; its hash stays in [hashes] and the
+       survivors keep their admission order. *)
     let worst =
       List.fold_left
         (fun acc s -> match acc with Some w when w.score <= s.score -> acc | _ -> Some s)
@@ -149,7 +152,9 @@ let add ?target t ~prog ~new_edges ~crashed =
   else begin
     Hashtbl.replace t.hashes h ();
     let score = max 1 ((new_edges * 4) + (if crashed then 20 else 0)) in
-    t.seeds <- { prog; hash = h; target; new_edges; crashed; score; picks = 0 } :: t.seeds;
+    t.seeds <-
+      { prog; hash = h; seq = t.total_added; target; new_edges; crashed; score; picks = 0 }
+      :: t.seeds;
     t.total_added <- t.total_added + 1;
     note_frontier t ~target ~hash:h ~new_edges;
     evict_if_full t;
@@ -198,35 +203,38 @@ let next t ~target =
   | None -> None
   | Some seed -> Some (seed.prog, energy_of t ~target seed)
 
-let merge dst src =
+(* The live seeds admitted at or after [n], oldest first: the reversed
+   prefix of the admission-ordered seed list. *)
+let admitted_since t n =
+  let rec go acc = function
+    | s :: rest when s.seq >= n -> go (s :: acc) rest
+    | _ -> acc
+  in
+  go [] t.seeds
+
+let since t n = List.rev_map (fun s -> s.prog) (admitted_since t n)
+
+let merge dst src ~since =
   (* Import oldest-first so the relative addition order of [src]'s seeds
      is preserved in [dst] (both lists are newest-first): merging a
      corpus into an empty one of the same capacity reproduces it
      exactly. Eviction runs after each import, exactly as in {!add}.
      Every scheduling field rides along — score, picks, admission
      credit and target tag — so a merged seed resumes its schedule
-     position instead of starting over. *)
+     position instead of starting over. Seeds admitted before [since]
+     are skipped unseen: the caller merged them (or their hashes)
+     already. *)
   let imported = ref 0 in
   List.iter
     (fun s ->
       if not (Hashtbl.mem dst.hashes s.hash) then begin
         Hashtbl.replace dst.hashes s.hash ();
-        dst.seeds <-
-          {
-            prog = s.prog;
-            hash = s.hash;
-            target = s.target;
-            new_edges = s.new_edges;
-            crashed = s.crashed;
-            score = s.score;
-            picks = s.picks;
-          }
-          :: dst.seeds;
+        dst.seeds <- { s with seq = dst.total_added } :: dst.seeds;
         dst.total_added <- dst.total_added + 1;
         evict_if_full dst;
         incr imported
       end)
-    (List.rev src.seeds);
+    (admitted_since src since);
   (* Frontier state merges too: [src]'s rare finds land ahead of
      [dst]'s (they are the newer imports from [dst]'s point of view),
      deduplicated, within the cap. Targets are visited in sorted order

@@ -65,18 +65,33 @@ val on_frontier : t -> target:target -> Prog.t -> bool
 
 val frontier_size : t -> target:target -> int
 
-val merge : t -> t -> int
-(** [merge dst src] imports every seed of [src] that [dst] has not seen
-    (by content hash — a program already imported from another shard, or
-    previously evicted from [dst], is rejected), preserving each seed's
-    full schedule state (score, picks, admission credit, target tag) and
+val merge : t -> t -> since:int -> int
+(** [merge dst src ~since] imports every seed of [src] admitted at or
+    after [since] (see {!since}) that [dst] has not seen (by content
+    hash — a program already imported from another shard, or previously
+    evicted from [dst], is rejected), preserving each seed's full
+    schedule state (score, picks, admission credit, target tag) and
     [src]'s addition order; [dst]'s eviction policy applies as it fills.
-    Per-target frontiers merge as well, [src]'s rare finds ranking ahead
-    of [dst]'s. Returns how many seeds were imported. [src] is
-    untouched. This is the cross-shard corpus exchange primitive of the
-    board farm and the hub. *)
+    Passing [src]'s {!total_added} as of the caller's previous merge is
+    exact, not an approximation: a seed admitted before it was live at
+    that merge, so its hash is already in [dst]. [~since:0] considers
+    every live seed. Per-target frontiers always merge in full, [src]'s
+    rare finds ranking ahead of [dst]'s. Returns how many seeds were
+    imported. [src] is untouched. This is the cross-shard corpus
+    exchange primitive of the board farm and the hub. *)
+
+val since : t -> int -> Prog.t list
+(** [since t n]: the live seeds whose admission number is at least [n],
+    most recent first (the order of {!progs}). A seed's admission number
+    is the {!total_added} value at the moment {!add} admitted it or
+    {!merge} imported it, so [since t (total_added t)] as of some
+    earlier moment is exactly what a peer holding that cursor has not
+    received yet. Costs the number of seeds returned, not the corpus
+    size. *)
 
 val progs : t -> Prog.t list
 (** Current seeds, most recent first (for persistence). *)
 
 val total_added : t -> int
+(** Seeds ever admitted or imported, evicted ones included: the next
+    admission number. *)

@@ -33,23 +33,19 @@ type outcome = {
   dead_boards : int;
 }
 
-(* Board 0 keeps the campaign seed so a one-board farm is the campaign;
-   the other shards derive statistically independent streams. *)
-let board_seed base i =
-  if i = 0 then base
-  else Rng.next64 (Rng.create (Int64.add base (Int64.mul (Int64.of_int i) 0x9E3779B97F4A7C15L)))
+(* Stream [k] of a seed family derived from [base]: stream 0 keeps
+   [base] (so a one-board farm is the campaign), the others derive
+   statistically independent streams. Each family (board seeds, probe
+   fault seeds, hub shard seeds) mixes with its own multiplier, so no
+   two families collide. *)
+let derive_seed ~mix base k =
+  if k = 0 then base
+  else Rng.next64 (Rng.create (Int64.add base (Int64.mul (Int64.of_int k) mix)))
 
 (* The total payload budget split round-robin: the first (total mod
-   boards) shards carry the remainder. *)
-let shard_iterations ~total ~boards i =
-  (total / boards) + (if i < total mod boards then 1 else 0)
-
-(* Each board's probe glitches on its own schedule: derive an
-   independent fault-injector seed per board (board 0 keeps the base
-   seed, mirroring {!board_seed}). *)
-let board_fault_seed base i =
-  if i = 0 then base
-  else Rng.next64 (Rng.create (Int64.add base (Int64.mul (Int64.of_int i) 0xD1B54A32D192ED03L)))
+   shards) shards carry the remainder. *)
+let shard_iterations ~total ~shards k =
+  (total / shards) + (if k < total mod shards then 1 else 0)
 
 (* --- shared (host-side) campaign state --------------------------------- *)
 
@@ -91,11 +87,12 @@ let make_shared ?obs ~edge_capacity ~boards ~seed () =
    bitmap only gains bits, its corpus only counts additions up, its
    crash-event counter only increments, and the shared exchange corpus
    likewise. A cursor remembers each monotone counter at the shard's
-   last merge, so an unchanged counter proves the corresponding merge
-   would import nothing and the whole walk can be elided: a board with
-   nothing new since its last epoch costs three integer compares instead
-   of a bitmap union plus two full corpus walks. The elisions are pure
-   no-op removals, so results are bit-identical to merging every walk. *)
+   last merge. An unchanged counter proves the corresponding merge
+   would import nothing, so the merge (frontier included) is skipped;
+   a changed corpus counter is the admission number the next merge
+   starts from ({!Corpus.merge}'s [~since]), so it walks only the seeds
+   admitted since. Both are pure no-op removals: results are
+   bit-identical to merging every whole corpus every epoch. *)
 type cursor = {
   mutable cov : int;  (* shard coverage count at last push *)
   mutable added : int;  (* shard corpus total_added at last push/pull *)
@@ -108,7 +105,7 @@ let make_cursor () = { cov = 0; added = 0; crash_events = 0; pulled = 0; exec = 
 
 (* Merge one shard's discoveries into the global structures. Cheap by
    construction: the coverage merge is one bitmap union, the corpus
-   merge rejects already-seen hashes in O(1) each, crash dedup only
+   merge walks only the seeds admitted since the cursor, crash dedup only
    walks the shard's (short, already per-board-deduplicated) list — and
    the cursor elides each of those entirely when the shard found
    nothing new since its last epoch. *)
@@ -120,7 +117,7 @@ let merge_board shared st cur =
   end;
   let added = Corpus.total_added (Campaign.corpus st) in
   if added <> cur.added then begin
-    ignore (Corpus.merge shared.corpus (Campaign.corpus st) : int);
+    ignore (Corpus.merge shared.corpus (Campaign.corpus st) ~since:cur.added : int);
     cur.added <- added
   end;
   let events = Campaign.crash_events_so_far st in
@@ -140,7 +137,7 @@ let merge_board shared st cur =
 let pull_board shared st cur =
   let sa = Corpus.total_added shared.corpus in
   if sa <> cur.pulled then begin
-    ignore (Corpus.merge (Campaign.corpus st) shared.corpus : int);
+    ignore (Corpus.merge (Campaign.corpus st) shared.corpus ~since:cur.pulled : int);
     cur.pulled <- sa;
     cur.added <- Corpus.total_added (Campaign.corpus st)
   end
@@ -243,9 +240,9 @@ let init ?obs ?inject_for (config : config) mk_build =
     let board_config i =
       {
         config.base with
-        seed = board_seed config.base.seed i;
-        iterations = shard_iterations ~total:config.base.iterations ~boards:config.boards i;
-        fault_seed = board_fault_seed config.base.fault_seed i;
+        seed = derive_seed ~mix:0x9E3779B97F4A7C15L config.base.seed i;
+        iterations = shard_iterations ~total:config.base.iterations ~shards:config.boards i;
+        fault_seed = derive_seed ~mix:0xD1B54A32D192ED03L config.base.fault_seed i;
       }
     in
     let board_obs i = Option.map (fun bus -> Obs.for_board bus i) obs in
@@ -360,7 +357,7 @@ let finish t =
         ~rng:(Rng.create t.config.base.seed) ()
     in
     Array.iter
-      (fun st -> ignore (Corpus.merge final (Campaign.corpus st) : int))
+      (fun st -> ignore (Corpus.merge final (Campaign.corpus st) ~since:0 : int))
       t.states;
     let sum f = Array.fold_left (fun a o -> a + f o) 0 per_board in
     let outcome =

@@ -37,6 +37,17 @@ type config = {
 val default_config : config
 (** 1 board, sync every 25 payloads, on {!Campaign.default_config}. *)
 
+val derive_seed : mix:int64 -> int64 -> int -> int64
+(** [derive_seed ~mix base k]: [base] for [k = 0], an independent
+    derived stream for the rest. [mix] names the seed family (board
+    seeds, probe fault seeds, hub shard seeds): each family uses its own
+    multiplier, so streams of different families never collide. *)
+
+val shard_iterations : total:int -> shards:int -> int -> int
+(** Round-robin budget split: shard [k]'s share of [total], the first
+    [total mod shards] shards carrying the remainder. The same split
+    applies to boards in a farm and to farms in a hub campaign. *)
+
 type sync_sample = {
   executed : int;  (** payloads merged into the global map so far *)
   virtual_s : float;  (** farm clock: max synced board virtual time *)

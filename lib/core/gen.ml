@@ -355,34 +355,33 @@ let mutate_arg t (prog : Prog.t) =
     arr.(i) <- { call with Prog.args };
     Array.to_list arr
 
+(* [call] becomes position [pos]; references into the shifted suffix
+   move up one. *)
+let insert_at pos (call : Prog.call) prog =
+  let prefix = List.filteri (fun i _ -> i < pos) prog in
+  let suffix = List.filteri (fun i _ -> i >= pos) prog in
+  let shift (c : Prog.call) =
+    {
+      c with
+      Prog.args =
+        List.map
+          (function Prog.Res k when k >= pos -> Prog.Res (k + 1) | arg -> arg)
+          c.Prog.args;
+    }
+  in
+  prefix @ (call :: List.map shift suffix)
+
 let insert_call t (prog : Prog.t) ~max_len =
   if List.length prog >= max_len then prog
   else begin
     let pos = Rng.int t.rng (List.length prog + 1) in
     let prefix = List.filteri (fun i _ -> i < pos) prog in
-    let suffix = List.filteri (fun i _ -> i >= pos) prog in
     let produced kind = Prog.producers_of prefix kind in
     match pick_call t ~pos ~produced with
     | None -> prog
     | Some (call, idx) ->
       let args = gen_args t ~pos ~produced call in
-      let inserted = { Prog.spec = call; api_index = idx; args } in
-      (* Shift references in the suffix past the insertion point. *)
-      let suffix =
-        List.map
-          (fun (c : Prog.call) ->
-            {
-              c with
-              Prog.args =
-                List.map
-                  (function
-                    | Prog.Res k when k >= pos -> Prog.Res (k + 1)
-                    | arg -> arg)
-                  c.Prog.args;
-            })
-          suffix
-      in
-      prefix @ (inserted :: suffix)
+      insert_at pos { Prog.spec = call; api_index = idx; args } prog
   end
 
 let delete_call t (prog : Prog.t) =
@@ -392,29 +391,12 @@ let delete_call t (prog : Prog.t) =
     repair t (List.filteri (fun i _ -> i <> pos) prog)
   end
 
-let insert_after pos (call : Prog.call) prog =
-  let prefix = List.filteri (fun i _ -> i <= pos) prog in
-  let suffix = List.filteri (fun i _ -> i > pos) prog in
-  let suffix =
-    List.map
-      (fun (c : Prog.call) ->
-        {
-          c with
-          Prog.args =
-            List.map
-              (function Prog.Res k when k > pos -> Prog.Res (k + 1) | arg -> arg)
-              c.Prog.args;
-        })
-      suffix
-  in
-  prefix @ (call :: suffix)
-
 let duplicate_call t (prog : Prog.t) ~max_len =
   if prog = [] || List.length prog >= max_len then prog
   else begin
     let pos = Rng.int t.rng (List.length prog) in
     let call = List.nth prog pos in
-    insert_after pos call prog
+    insert_at (pos + 1) call prog
   end
 
 let swap_adjacent t (prog : Prog.t) =
@@ -497,95 +479,63 @@ let low32 v = Int64.logand v 0xFFFFFFFFL
    colorization, we simply ignore the noisy low values. *)
 let informative v = Int64.compare (low32 v) 8L >= 0
 
+(* Every (position, arg index, replacement) an informative comparison
+   pair suggests: an integer argument equal (low 32 bits) to one
+   operand of a pair takes the other operand. Latest candidate first. *)
+let i2s_candidates prog ~pairs =
+  let pairs =
+    List.filter
+      (fun (a, b) ->
+        informative a && informative b && not (Int64.equal (low32 a) (low32 b)))
+      pairs
+  in
+  let candidates = ref [] in
+  List.iteri
+    (fun pos (call : Prog.call) ->
+      List.iteri
+        (fun ai arg ->
+          match arg with
+          | Prog.Int v ->
+            List.iter
+              (fun (a, b) ->
+                if Int64.equal (low32 v) (low32 a) then
+                  candidates := (pos, ai, b) :: !candidates
+                else if Int64.equal (low32 v) (low32 b) then
+                  candidates := (pos, ai, a) :: !candidates)
+              pairs
+          | Prog.Str _ | Prog.Res _ -> ())
+        call.Prog.args)
+    prog;
+  !candidates
+
+let patch prog (pos, ai, replacement) =
+  List.mapi
+    (fun p (call : Prog.call) ->
+      if p <> pos then call
+      else
+        {
+          call with
+          Prog.args =
+            List.mapi (fun i arg -> if i = ai then Prog.Int replacement else arg) call.Prog.args;
+        })
+    prog
+
 let substitute t prog ~pairs =
-  let pairs = List.filter (fun (a, b) -> informative a && informative b) pairs in
-  if pairs = [] then None
-  else begin
-    (* Collect (position, arg index, replacement) candidates. *)
-    let candidates = ref [] in
-    List.iteri
-      (fun pos (call : Prog.call) ->
-        List.iteri
-          (fun ai arg ->
-            match arg with
-            | Prog.Int v ->
-              List.iter
-                (fun (a, b) ->
-                  if Int64.equal (low32 v) (low32 a) && not (Int64.equal (low32 a) (low32 b))
-                  then candidates := (pos, ai, b) :: !candidates
-                  else if
-                    Int64.equal (low32 v) (low32 b) && not (Int64.equal (low32 a) (low32 b))
-                  then candidates := (pos, ai, a) :: !candidates)
-                pairs
-            | Prog.Str _ | Prog.Res _ -> ())
-          call.Prog.args)
-      prog;
-    let patch (pos, ai, replacement) =
-      List.mapi
-        (fun p (call : Prog.call) ->
-          if p <> pos then call
-          else
-            {
-              call with
-              Prog.args =
-                List.mapi
-                  (fun i arg -> if i = ai then Prog.Int replacement else arg)
-                  call.Prog.args;
-            })
-        prog
+  match i2s_candidates prog ~pairs with
+  | [] -> None
+  | cs ->
+    let pos, ai, replacement = List.nth cs (Rng.int t.rng (List.length cs)) in
+    (* Strict-inequality guards want the constant plus or minus one as
+       often as the constant itself. *)
+    let replacement =
+      match Rng.int t.rng 3 with
+      | 0 -> replacement
+      | 1 -> Int64.add replacement 1L
+      | _ -> Int64.sub replacement 1L
     in
-    match !candidates with
-    | [] -> None
-    | cs ->
-      let pos, ai, replacement = List.nth cs (Rng.int t.rng (List.length cs)) in
-      (* Strict-inequality guards want the constant plus or minus one as
-         often as the constant itself. *)
-      let replacement =
-        match Rng.int t.rng 3 with
-        | 0 -> replacement
-        | 1 -> Int64.add replacement 1L
-        | _ -> Int64.sub replacement 1L
-      in
-      Some (patch (pos, ai, replacement))
-  end
+    Some (patch prog (pos, ai, replacement))
 
 let substitute_all _t prog ~pairs =
-  let pairs = List.filter (fun (a, b) -> informative a && informative b) pairs in
-  if pairs = [] then []
-  else begin
-    let candidates = ref [] in
-    List.iteri
-      (fun pos (call : Prog.call) ->
-        List.iteri
-          (fun ai arg ->
-            match arg with
-            | Prog.Int v ->
-              List.iter
-                (fun (a, b) ->
-                  if Int64.equal (low32 v) (low32 a) && not (Int64.equal (low32 a) (low32 b))
-                  then candidates := (pos, ai, b) :: !candidates
-                  else if
-                    Int64.equal (low32 v) (low32 b) && not (Int64.equal (low32 a) (low32 b))
-                  then candidates := (pos, ai, a) :: !candidates)
-                pairs
-            | Prog.Str _ | Prog.Res _ -> ())
-          call.Prog.args)
-      prog;
-    let distinct = List.sort_uniq compare !candidates in
-    List.concat_map
-      (fun (pos, ai, replacement) ->
-        let patch r =
-          List.mapi
-            (fun p (call : Prog.call) ->
-              if p <> pos then call
-              else
-                {
-                  call with
-                  Prog.args =
-                    List.mapi (fun i arg -> if i = ai then Prog.Int r else arg) call.Prog.args;
-                })
-            prog
-        in
-        [ patch replacement; patch (Int64.add replacement 1L) ])
-      distinct
-  end
+  List.concat_map
+    (fun (pos, ai, r) -> [ patch prog (pos, ai, r); patch prog (pos, ai, Int64.add r 1L) ])
+    (List.sort_uniq compare (i2s_candidates prog ~pairs))

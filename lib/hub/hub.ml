@@ -26,10 +26,9 @@ type campaign = {
   config : Tenant.config;
   client : int;
   target : Worker.target;
-  mutable corpus : Corpus.t;  (** hub-side merged view of the tenant's corpus *)
-  seen : (string, unit) Hashtbl.t;
-      (** wire encodings already known, so a pushed program is
-          broadcast at most once and pulls never echo back *)
+  mutable corpus : Corpus.t;
+      (** hub-side merged view of the tenant's corpus; its content-hash
+          dedup is what broadcasts a pushed program at most once *)
   mutable bitmap : Bitset.t option;  (** allocated at the first heartbeat *)
   leases : lease array;  (** one per shard *)
   shard_exec : int array;
@@ -317,7 +316,6 @@ let submit t ~client (config : Tenant.config) =
             client;
             target;
             corpus = Corpus.create ~rng:seed_rng ();
-            seen = Hashtbl.create 64;
             bitmap = None;
             leases;
             shard_exec = Array.make config.Tenant.farms 0;
@@ -346,7 +344,7 @@ let submit t ~client (config : Tenant.config) =
    unowned at a bumped epoch. Used when a journal replay finds the
    campaign unfinished — the deterministic re-run of the whole campaign
    reaches the same digest the uninterrupted run would have, because
-   hub-side accounting (seen-set dedup, bitmap union, absolute executed
+   hub-side accounting (corpus hash dedup, bitmap union, absolute executed
    counters, crash dedup keys) is idempotent under re-delivery. The
    fleet-wide crash set is deliberately *not* wound back: re-reported
    crashes dedup into it. *)
@@ -359,7 +357,6 @@ let reset_campaign t c =
       Array.fold_left Float.max t.recovery_lag c.shard_virtual
   end;
   c.corpus <- Corpus.create ~rng:(Eof_util.Rng.create c.config.Tenant.seed) ();
-  Hashtbl.reset c.seen;
   c.bitmap <- None;
   Array.fill c.shard_exec 0 (Array.length c.shard_exec) 0;
   Array.fill c.shard_virtual 0 (Array.length c.shard_virtual) 0.;
@@ -388,23 +385,19 @@ let corpus_push t c ~shard progs =
   let fresh =
     List.filter_map
       (fun p ->
-        if Hashtbl.mem c.seen p then None
-        else begin
-          Hashtbl.replace c.seen p ();
-          match
-            Protocol.decode_prog ~spec:c.target.Worker.spec
-              ~table:c.target.Worker.table p
-          with
-          | None -> None
-          | Some prog ->
-            let admitted = Corpus.add c.corpus ~prog ~new_edges:1 ~crashed:false in
-            if admitted then begin
-              Obs.emit c.obs
-                (Obs.Event.Corpus_admit { new_edges = 1; size = Corpus.size c.corpus });
-              Some (p, prog)
-            end
-            else None
-        end)
+        match
+          Protocol.decode_prog ~spec:c.target.Worker.spec
+            ~table:c.target.Worker.table p
+        with
+        | None -> None
+        | Some prog ->
+          let admitted = Corpus.add c.corpus ~prog ~new_edges:1 ~crashed:false in
+          if admitted then begin
+            Obs.emit c.obs
+              (Obs.Event.Corpus_admit { new_edges = 1; size = Corpus.size c.corpus });
+            Some (p, prog)
+          end
+          else None)
       progs
   in
   (* A pull is only routed to a shard whose lease has a live owner; a
@@ -429,10 +422,10 @@ let corpus_push t c ~shard progs =
     in
     (* Cross-personality: retype each fresh program against every other
        running campaign's API surface. Only validate-clean survivors are
-       admitted (into that campaign's hub corpus, deduped by their
-       destination encoding) and relayed to all of its shards — there is
-       no originating shard to exclude over there. Campaigns are visited
-       in submission order, so relaying is deterministic. *)
+       admitted (into that campaign's hub corpus, deduped by content
+       hash) and relayed to all of its shards — there is no originating
+       shard to exclude over there. Campaigns are visited in submission
+       order, so relaying is deterministic. *)
     let cross_personality =
       List.concat_map
         (fun id ->
@@ -457,26 +450,22 @@ let corpus_push t c ~shard progs =
                     (match Protocol.encode_prog o.Transplant.prog with
                      | None -> None
                      | Some w ->
-                       if Hashtbl.mem d.seen w then None
-                       else begin
-                         Hashtbl.replace d.seen w ();
-                         if
-                           Corpus.add d.corpus ~prog:o.Transplant.prog
-                             ~new_edges:1 ~crashed:false
-                         then begin
-                           d.cross_in <- d.cross_in + 1;
-                           Obs.emit d.obs
-                             (Obs.Event.Transplant_retyped
-                                {
-                                  from_os = c.config.Tenant.os;
-                                  to_os = d.config.Tenant.os;
-                                  kept = o.Transplant.kept;
-                                  dropped = o.Transplant.dropped;
-                                });
-                           Some w
-                         end
-                         else None
-                       end))
+                       if
+                         Corpus.add d.corpus ~prog:o.Transplant.prog
+                           ~new_edges:1 ~crashed:false
+                       then begin
+                         d.cross_in <- d.cross_in + 1;
+                         Obs.emit d.obs
+                           (Obs.Event.Transplant_retyped
+                              {
+                                from_os = c.config.Tenant.os;
+                                to_os = d.config.Tenant.os;
+                                kept = o.Transplant.kept;
+                                dropped = o.Transplant.dropped;
+                              });
+                         Some w
+                       end
+                       else None))
                 fresh
             in
             if retyped = [] then []

@@ -1,4 +1,4 @@
-module Rng = Eof_util.Rng
+module Farm = Eof_core.Farm
 
 type assignment = {
   campaign : int;
@@ -18,19 +18,10 @@ type assignment = {
 
 (* Shard 0 keeps the tenant's seed (a one-farm campaign is exactly the
    plain farm run), the others derive statistically independent streams
-   — the same golden-ratio mixing {!Eof_core.Farm} uses one level down
-   for its boards, with a distinct multiplier so a shard's boards never
-   collide with another shard's seed. *)
-let shard_seed base k =
-  if k = 0 then base
-  else
-    Rng.next64
-      (Rng.create (Int64.add base (Int64.mul (Int64.of_int k) 0xBF58476D1CE4E5B9L)))
-
-(* Round-robin budget split: the first (total mod shards) shards carry
-   the remainder, mirroring the farm's board split. *)
-let shard_iterations ~total ~shards k =
-  (total / shards) + (if k < total mod shards then 1 else 0)
+   — the same mixing {!Eof_core.Farm} uses one level down for its
+   boards, with a distinct multiplier so a shard's boards never collide
+   with another shard's seed. The budget splits as the farm's does. *)
+let shard_mix = 0xBF58476D1CE4E5B9L
 
 let plan ~campaign (c : Tenant.config) =
   List.init c.Tenant.farms (fun k ->
@@ -41,8 +32,8 @@ let plan ~campaign (c : Tenant.config) =
         shard = k;
         shards = c.Tenant.farms;
         epoch = 1;
-        seed = shard_seed c.Tenant.seed k;
-        iterations = shard_iterations ~total:c.Tenant.iterations ~shards:c.Tenant.farms k;
+        seed = Farm.derive_seed ~mix:shard_mix c.Tenant.seed k;
+        iterations = Farm.shard_iterations ~total:c.Tenant.iterations ~shards:c.Tenant.farms k;
         boards = c.Tenant.boards;
         sync_every = c.Tenant.sync_every;
         backend = c.Tenant.backend;

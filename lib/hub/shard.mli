@@ -27,11 +27,5 @@ type assignment = {
   schedule : Eof_core.Corpus.schedule;
 }
 
-val shard_seed : int64 -> int -> int64
-(** [shard_seed base k]: [base] for shard 0, an independent derived
-    stream for the rest. *)
-
-val shard_iterations : total:int -> shards:int -> int -> int
-
 val plan : campaign:int -> Tenant.config -> assignment list
 (** One assignment per farm, in shard order, every lease at epoch 1. *)

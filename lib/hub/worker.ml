@@ -15,9 +15,9 @@ type shard_state = {
   assign : Shard.assignment;
   target : target;
   farm : Farm.t;
-  pushed : (string, unit) Hashtbl.t;
-      (** wire encodings already sent (or received) — push each program
-          at most once, never echo a transplant back *)
+  mutable cursor : int;
+      (** exchange-corpus admission number up to which the hub has every
+          program: sent by a flush, or received by a pull *)
   mutable crashes_seen : int;
   mutable transplanted : int;
   mutable finished : bool;
@@ -95,7 +95,7 @@ let assign t (a : Shard.assignment) =
           assign = a;
           target;
           farm;
-          pushed = Hashtbl.create 64;
+          cursor = 0;
           crashes_seen = 0;
           transplanted = 0;
           finished = false;
@@ -103,25 +103,18 @@ let assign t (a : Shard.assignment) =
       ]
 
 (* Everything new since the last farm epoch, in a fixed order: corpus
-   programs, then crashes, then the heartbeat that timestamps them. *)
+   programs, then crashes, then the heartbeat that timestamps them. The
+   exchange corpus admits seeds only at a farm epoch, and every step
+   that ran one flushes, so the seeds admitted since the cursor are
+   exactly the ones the hub has not seen from this shard. *)
 let flush st =
   let a = st.assign in
   let campaign = a.Shard.campaign
   and shard = a.Shard.shard
   and epoch = a.Shard.epoch in
-  let fresh_progs =
-    List.filter_map
-      (fun prog ->
-        match Protocol.encode_prog prog with
-        | None -> None
-        | Some s ->
-          if Hashtbl.mem st.pushed s then None
-          else begin
-            Hashtbl.replace st.pushed s ();
-            Some s
-          end)
-      (Corpus.progs (Farm.exchange_corpus st.farm))
-  in
+  let xc = Farm.exchange_corpus st.farm in
+  let fresh_progs = List.filter_map Protocol.encode_prog (Corpus.since xc st.cursor) in
+  st.cursor <- Corpus.total_added xc;
   let pushes =
     if fresh_progs = [] then []
     else [ Protocol.Corpus_push { campaign; shard; epoch; progs = fresh_progs } ]
@@ -205,14 +198,12 @@ let handle t msg =
       else begin
         let typed =
           List.filter_map
-            (fun s ->
-              (* The hub now knows this encoding either way; never push
-                 a transplant straight back. *)
-              Hashtbl.replace st.pushed s ();
-              Protocol.decode_prog ~spec:st.target.spec ~table:st.target.table s)
+            (Protocol.decode_prog ~spec:st.target.spec ~table:st.target.table)
             progs
         in
         st.transplanted <- st.transplanted + Farm.adopt st.farm typed;
+        (* The hub sent these: never push a transplant straight back. *)
+        st.cursor <- Corpus.total_added (Farm.exchange_corpus st.farm);
         []
       end)
   | Protocol.Cancel { campaign } ->

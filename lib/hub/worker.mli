@@ -5,8 +5,9 @@
     consumes one decoded message, {!step} advances the earliest board of
     the earliest shard by one payload, and both return the messages the
     worker wants delivered to the hub. At every farm epoch boundary the
-    worker flushes what is new — freshly admitted exchange-corpus
-    programs ({!Protocol.t.Corpus_push}), newly deduplicated crashes
+    worker flushes what is new — the exchange-corpus programs admitted
+    since the shard's admission cursor ({!Protocol.t.Corpus_push}; see
+    {!Eof_core.Corpus.since}), newly deduplicated crashes
     ({!Protocol.t.Crash_report}), and a coverage-bitmap heartbeat — and
     on shard completion it finalises the farm and reports
     {!Protocol.t.Shard_done}. Everything sent for a shard echoes the
@@ -54,7 +55,8 @@ val handle : t -> Protocol.t -> Protocol.t list
     [Shard_assign], [Shard_revoke], [Corpus_pull], [Cancel]); other
     kinds raise [Invalid_argument]. Transplanted programs are rebound
     through the shard's own personality and admitted via
-    {!Eof_core.Farm.adopt}. *)
+    {!Eof_core.Farm.adopt}; the shard's admission cursor then moves past
+    them, so no transplant is ever pushed back to the hub. *)
 
 val step : t -> Protocol.t list
 (** Execute one payload on the shard whose next board is earliest on

@@ -162,11 +162,11 @@ let test_corpus_merge_dedup_across_shards () =
   let a = shard 1L [ p1; p2 ] in
   let b = shard 2L [ p2; p3 ] in
   let global = Corpus.create ~rng:(Eof_util.Rng.create 3L) () in
-  Alcotest.(check int) "all of shard A imported" 2 (Corpus.merge global a);
+  Alcotest.(check int) "all of shard A imported" 2 (Corpus.merge global a ~since:0);
   (* p2 is a cross-shard duplicate: only p3 is new. *)
-  Alcotest.(check int) "shard B deduplicated" 1 (Corpus.merge global b);
+  Alcotest.(check int) "shard B deduplicated" 1 (Corpus.merge global b ~since:0);
   Alcotest.(check int) "global size" 3 (Corpus.size global);
-  Alcotest.(check int) "re-merge is a no-op" 0 (Corpus.merge global a);
+  Alcotest.(check int) "re-merge is a no-op" 0 (Corpus.merge global a ~since:0);
   (* Addition order is preserved: oldest-first from A, then the novel
      tail of B. *)
   Alcotest.(check bool) "merge order" true
@@ -187,7 +187,7 @@ let test_corpus_merge_eviction_order () =
       ignore (Corpus.add src ~prog ~new_edges:(i + 1) ~crashed:false : bool))
     progs;
   let dst = Corpus.create ~capacity:4 ~rng:(Eof_util.Rng.create 5L) () in
-  let imported = Corpus.merge dst src in
+  let imported = Corpus.merge dst src ~since:0 in
   Alcotest.(check int) "all were imported (then evicted)" 6 imported;
   Alcotest.(check bool) "capacity respected" true (Corpus.size dst <= 5);
   let surviving = List.map Prog.hash (Corpus.progs dst) in
@@ -199,7 +199,72 @@ let test_corpus_merge_eviction_order () =
     (List.mem (Prog.hash (List.nth progs 5)) surviving);
   (* An evicted program stays known by hash: merging it again is a
      duplicate, not a re-import. *)
-  Alcotest.(check int) "evicted hash still rejected" 0 (Corpus.merge dst src)
+  Alcotest.(check int) "evicted hash still rejected" 0 (Corpus.merge dst src ~since:0)
+
+(* Cursor merges are exact. A farm-style exchange — a shard pushes into
+   a shared corpus from its push cursor, an epoch pushes then pulls back
+   from the pull cursor — leaves both corpora exactly as merging every
+   whole corpus does, across duplicates and evictions (both capacities
+   are tiny). [since] returns exactly the live seeds admitted after any
+   earlier checkpoint: those not live at that checkpoint. *)
+let prop_corpus_cursor_merge =
+  let pool =
+    lazy
+      (let gen = make_gen 41L in
+       Array.init 12 (fun _ -> Gen.generate gen ~max_len:4))
+  in
+  QCheck.Test.make ~name:"corpus cursor merge equals full merge" ~count:200
+    QCheck.(
+      list_of_size Gen.(1 -- 60) (triple (int_bound 3) (int_bound 11) (int_bound 9)))
+    (fun ops ->
+      let pool = Lazy.force pool in
+      let target = Corpus.default_target in
+      let mk seed capacity = Corpus.create ~capacity ~rng:(Eof_util.Rng.create seed) () in
+      let shard = mk 1L 4 and shared = mk 2L 6 in
+      let shard_full = mk 1L 4 and shared_full = mk 2L 6 in
+      let added = ref 0 and pulled = ref 0 in
+      let hashes progs = List.map Prog.hash progs in
+      let same a b =
+        hashes (Corpus.progs a) = hashes (Corpus.progs b)
+        && Corpus.total_added a = Corpus.total_added b
+        && Corpus.frontier_size a ~target = Corpus.frontier_size b ~target
+        && Array.for_all
+             (fun p -> Corpus.on_frontier a ~target p = Corpus.on_frontier b ~target p)
+             pool
+      in
+      let push () =
+        ignore (Corpus.merge shared shard ~since:!added : int);
+        added := Corpus.total_added shard;
+        ignore (Corpus.merge shared_full shard_full ~since:0 : int)
+      in
+      let pull () =
+        ignore (Corpus.merge shard shared ~since:!pulled : int);
+        pulled := Corpus.total_added shared;
+        added := Corpus.total_added shard;
+        ignore (Corpus.merge shard_full shared_full ~since:0 : int)
+      in
+      let checkpoint c = (Corpus.total_added c, hashes (Corpus.progs c)) in
+      let since_exact c checkpoints =
+        List.for_all
+          (fun (n, live) ->
+            hashes (Corpus.since c n)
+            = List.filter (fun h -> not (List.mem h live)) (hashes (Corpus.progs c)))
+          checkpoints
+      in
+      let shard_cps = ref [ checkpoint shard ] and shared_cps = ref [ checkpoint shared ] in
+      List.for_all
+        (fun (op, i, new_edges) ->
+          let add c = ignore (Corpus.add c ~prog:pool.(i) ~new_edges ~crashed:false : bool) in
+          (match op with
+           | 0 -> add shard; add shard_full
+           | 1 -> add shared; add shared_full
+           | 2 -> push ()
+           | _ -> push (); pull ());
+          shard_cps := checkpoint shard :: !shard_cps;
+          shared_cps := checkpoint shared :: !shared_cps;
+          same shard shard_full && same shared shared_full
+          && since_exact shard !shard_cps && since_exact shared !shared_cps)
+        ops)
 
 let test_feedback_merge () =
   let fb = Feedback.create ~edge_capacity:100 in
@@ -424,6 +489,7 @@ let suite =
     Alcotest.test_case "corpus merge eviction order" `Quick
       test_corpus_merge_eviction_order;
     Alcotest.test_case "feedback merge" `Quick test_feedback_merge;
+    QCheck_alcotest.to_alcotest prop_corpus_cursor_merge;
     Alcotest.test_case "log monitor patterns" `Quick test_monitor_patterns;
     Alcotest.test_case "crash dedup key" `Quick test_crash_dedup_key;
     Alcotest.test_case "crash ledger" `Quick test_crash_ledger;
@@ -1174,7 +1240,7 @@ let test_merge_preserves_schedule_state () =
     progs;
   (* Age one seed so its pick count is part of the transferred state. *)
   ignore (Corpus.next src ~target);
-  let imported = Corpus.merge dst src in
+  let imported = Corpus.merge dst src ~since:0 in
   Alcotest.(check int) "all seeds imported" 5 imported;
   Alcotest.(check int) "frontier travels with the seeds"
     (Corpus.frontier_size src ~target)
@@ -1187,7 +1253,7 @@ let test_merge_preserves_schedule_state () =
         (Corpus.on_frontier dst ~target p))
     progs;
   (* Re-merge is a no-op: content hashes dedup. *)
-  Alcotest.(check int) "re-merge imports nothing" 0 (Corpus.merge dst src)
+  Alcotest.(check int) "re-merge imports nothing" 0 (Corpus.merge dst src ~since:0)
 
 let retype_to_freertos prog =
   let _, ftable, fspec = Lazy.force freertos_env in

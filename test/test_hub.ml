@@ -440,6 +440,59 @@ let test_lease_fencing () =
     (List.length
        (Hub.handle_worker hub ~now:3. ~worker:w0 (Protocol.Worker_ping { worker = w0 })))
 
+(* --- worker corpus exchange --------------------------------------------- *)
+
+(* A worker pushes each exchange-corpus program at most once, and never
+   echoes a transplant back: after a [Corpus_pull] the next push from
+   that shard carries none of the pulled encodings. *)
+let test_worker_push_once () =
+  let w = Worker.create ~name:"w" ~resolve () in
+  ignore (Worker.handle w (Protocol.Worker_welcome { worker = 0; heartbeat_timeout_s = 10. }));
+  let a =
+    List.hd
+      (Shard.plan ~campaign:1
+         { sample_tenant with Tenant.iterations = 400; farms = 1; boards = 2 })
+  in
+  ignore (Worker.handle w (Protocol.Shard_assign a));
+  let pushes = ref [] in
+  (* Step until a flush carries a corpus push; [false] once idle. *)
+  let rec next_push () =
+    if Worker.idle w then false
+    else
+      match
+        List.concat_map
+          (function Protocol.Corpus_push { progs; _ } -> progs | _ -> [])
+          (Worker.step w)
+      with
+      | [] -> next_push ()
+      | progs ->
+        pushes := progs :: !pushes;
+        true
+  in
+  Alcotest.(check bool) "a first push" true (next_push ());
+  let pulled =
+    let target = Result.get_ok (resolve "Zephyr") in
+    let gen =
+      Eof_core.Gen.create ~rng:(Rng.create 99L) ~spec:target.Worker.spec
+        ~table:target.Worker.table ()
+    in
+    List.init 8 (fun _ -> Eof_core.Gen.generate gen ~max_len:6)
+    |> List.filter_map Protocol.encode_prog
+    |> List.filter (fun s -> not (List.mem s (List.concat !pushes)))
+  in
+  ignore
+    (Worker.handle w (Protocol.Corpus_pull { campaign = 1; shard = 0; progs = pulled }));
+  Alcotest.(check bool) "pulled programs admitted" true (Worker.transplanted w > 0);
+  Alcotest.(check bool) "a push after the pull" true (next_push ());
+  Alcotest.(check bool) "the next push echoes no transplant" true
+    (List.for_all (fun s -> not (List.mem s pulled)) (List.hd !pushes));
+  while next_push () do () done;
+  let all = List.concat !pushes in
+  Alcotest.(check int) "no encoding pushed twice" (List.length all)
+    (List.length (List.sort_uniq compare all));
+  Alcotest.(check bool) "no transplant ever pushed back" true
+    (List.for_all (fun s -> not (List.mem s pulled)) all)
+
 (* --- the deterministic fleet soak --------------------------------------- *)
 
 let fleet_tenants =
@@ -719,6 +772,8 @@ let suite =
     Alcotest.test_case "global crash dedup with attribution" `Quick
       test_global_crash_dedup;
     Alcotest.test_case "lease epochs fence stale traffic" `Quick test_lease_fencing;
+    Alcotest.test_case "worker pushes each program once, echoes no pull" `Quick
+      test_worker_push_once;
     Alcotest.test_case "inproc fleet is deterministic" `Quick
       test_inproc_deterministic;
     Alcotest.test_case "inproc fleet results" `Quick test_inproc_fleet_results;
