@@ -50,7 +50,14 @@ val is_empty : t -> bool
 
 val pick : t -> Prog.t option
 (** Weighted selection; [None] when empty. Each pick ages the seed.
-    Equivalent to {!next} with the energy discarded. *)
+    Equivalent to {!next} with the energy discarded.
+
+    The draw order: a seed's weight is its score (at least 1); with
+    [total] the live weights' sum and [r = Rng.int total], the winner is
+    the first seed, scanning from the most recently admitted to the
+    oldest, at which the running weight total exceeds [r]. Every fourth
+    pick of a seed decays its score to three quarters. A draw and a
+    decay cost O(log size). *)
 
 val next : t -> target:target -> (Prog.t * int) option
 (** The scheduler interface: one weighted selection plus the energy the
@@ -86,8 +93,8 @@ val since : t -> int -> Prog.t list
     is the {!total_added} value at the moment {!add} admitted it or
     {!merge} imported it, so [since t (total_added t)] as of some
     earlier moment is exactly what a peer holding that cursor has not
-    received yet. Costs the number of seeds returned, not the corpus
-    size. *)
+    received yet. Costs the number of seeds returned (plus evicted
+    slots among them not yet compacted away), not the corpus size. *)
 
 val progs : t -> Prog.t list
 (** Current seeds, most recent first (for persistence). *)

@@ -1,11 +1,46 @@
 open Eof_spec
 module Rng = Eof_util.Rng
 
+(* An integer argument's range with its boundary and power-of-two
+   candidates, built once per distinct range. *)
+type range = { min : int64; max : int64; bounds : int64 array; pows : int64 array }
+
+(* How one argument is generated, decided once per call. *)
+type slot =
+  | Range of range
+  | Kind of int  (** a resource argument: the kind id it consumes *)
+  | Flags of (string * int64) list
+  | Bytes of int  (** strings and buffers: the length bound *)
+  | Ptr of { base : int; size : int; null_ok : bool }
+
+(* One call as the picker sees it. Kinds are dense ids: the spec's
+   resources first, in declaration order. *)
+type info = {
+  call : Ast.call;
+  api_index : int;
+  slots : slot array;
+  needs : int array;  (** kind ids of the resource arguments *)
+  ret : int;  (** kind id produced, or -1 *)
+  boost : bool;  (** [ret] is a spec resource: x3 while nothing produces it *)
+}
+
 type t = {
   rng : Rng.t;
-  spec : Ast.t;
-  calls : (Ast.call * int) array;  (* spec call, api-table index *)
+  calls : info array;
+  by_api : int array;  (* api-table index -> index into [calls], or -1 *)
+  kinds : (string, int) Hashtbl.t;
+  resources : int;  (* kind ids below this are spec resources *)
+  ranges : (int64 * int64, range) Hashtbl.t;
   dep_aware : bool;
+  (* [pick]'s scratch: candidate call indices and running weight totals. *)
+  cand : int array;
+  cum : int array;
+  (* The producer table of the program prefix being extended or
+     repaired: per kind id, whether any call produces it and the
+     ascending positions of those that do ([count] of them). *)
+  mutable have : bool array;
+  mutable count : int array;
+  mutable at : int array array;
   (* Comparison operands harvested from the target's trace_cmp ring:
      the constants kernel code compares fuzz inputs against. *)
   int_hints : (int64, unit) Hashtbl.t;
@@ -46,6 +81,8 @@ let dictionary =
 
 let max_hints = 1024
 
+(* Descending: candidates are drawn by index, so their order is part of
+   the RNG stream. *)
 let powers_of_two_in min max =
   let rec go acc p =
     if Int64.compare p 0L <= 0 || Int64.compare p max > 0 then acc
@@ -58,18 +95,135 @@ let boundary_candidates ~min ~max =
     (fun v -> Int64.compare v min >= 0 && Int64.compare v max <= 0)
     [ min; max; 0L; 1L; Int64.add min 1L; Int64.sub max 1L ]
 
+let intern kinds kind =
+  match Hashtbl.find_opt kinds kind with
+  | Some k -> k
+  | None ->
+    let k = Hashtbl.length kinds in
+    Hashtbl.replace kinds kind k;
+    k
+
+let range_of ranges ~min ~max =
+  match Hashtbl.find_opt ranges (min, max) with
+  | Some r -> r
+  | None ->
+    let r =
+      {
+        min;
+        max;
+        bounds = Array.of_list (boundary_candidates ~min ~max);
+        pows = Array.of_list (powers_of_two_in min max);
+      }
+    in
+    Hashtbl.replace ranges (min, max) r;
+    r
+
+let slot_of ~kinds ~ranges = function
+  | Ast.Ty_int { min; max } -> Range (range_of ranges ~min ~max)
+  | Ast.Ty_res kind -> Kind (intern kinds kind)
+  | Ast.Ty_flags flags -> Flags flags
+  | Ast.Ty_str { max_len } | Ast.Ty_buf { max_len } -> Bytes max_len
+  | Ast.Ty_ptr { base; size; null_ok } -> Ptr { base; size; null_ok }
+
+let info_of_call ~kinds ~ranges ~resources (call : Ast.call) api_index =
+  let slots = Array.of_list (List.map (fun (_, ty) -> slot_of ~kinds ~ranges ty) call.Ast.args) in
+  let needs =
+    Array.of_list
+      (List.filter_map (function Kind k -> Some k | _ -> None) (Array.to_list slots))
+  in
+  let ret = match call.Ast.ret with Some kind -> intern kinds kind | None -> -1 in
+  { call; api_index; slots; needs; ret; boost = ret >= 0 && ret < resources }
+
+(* Grow the producer table to every interned kind. *)
+let fit_kinds t =
+  let n = Hashtbl.length t.kinds and old = Array.length t.have in
+  if n > old then begin
+    let extend a fill = Array.init n (fun k -> if k < old then a.(k) else fill ()) in
+    t.have <- extend t.have (fun () -> false);
+    t.count <- extend t.count (fun () -> 0);
+    t.at <- extend t.at (fun () -> Array.make 8 0)
+  end
+
 let create ?(dep_aware = true) ~rng ~spec ~table () =
-  let calls = Array.of_list (Synth.index_map spec table) in
-  if Array.length calls = 0 then invalid_arg "Gen.create: empty call set";
+  let pairs = Synth.index_map spec table in
+  if pairs = [] then invalid_arg "Gen.create: empty call set";
+  let kinds = Hashtbl.create 16 and ranges = Hashtbl.create 16 in
+  List.iter (fun kind -> ignore (intern kinds kind : int)) spec.Ast.resources;
+  let resources = Hashtbl.length kinds in
+  let calls =
+    Array.of_list
+      (List.map (fun (call, idx) -> info_of_call ~kinds ~ranges ~resources call idx) pairs)
+  in
+  let by_api =
+    Array.make (1 + Array.fold_left (fun m i -> max m i.api_index) 0 calls) (-1)
+  in
+  Array.iteri (fun c i -> if by_api.(i.api_index) < 0 then by_api.(i.api_index) <- c) calls;
+  let n = Array.length calls and nk = Hashtbl.length kinds in
   {
     rng;
-    spec;
     calls;
+    by_api;
+    kinds;
+    resources;
+    ranges;
     dep_aware;
+    cand = Array.make n 0;
+    cum = Array.make n 0;
+    have = Array.make nk false;
+    count = Array.make nk 0;
+    at = Array.init nk (fun _ -> Array.make 8 0);
     int_hints = Hashtbl.create 128;
     hint_list = [||];
     hints_dirty = false;
   }
+
+(* The picker's view of a program call: precomputed when the call is
+   this generator's own spec entry, built (interning any new kind) for
+   a call of some other spec. *)
+let info_of t (call : Prog.call) =
+  let a = call.Prog.api_index in
+  let c = if a >= 0 && a < Array.length t.by_api then t.by_api.(a) else -1 in
+  if c >= 0 && t.calls.(c).call == call.Prog.spec then t.calls.(c)
+  else begin
+    let i =
+      info_of_call ~kinds:t.kinds ~ranges:t.ranges ~resources:t.resources call.Prog.spec a
+    in
+    fit_kinds t;
+    i
+  end
+
+let kind_id t kind = Hashtbl.find_opt t.kinds kind
+
+(* --- the producer table --------------------------------------------- *)
+
+let clear_producers t =
+  Array.fill t.have 0 (Array.length t.have) false;
+  Array.fill t.count 0 (Array.length t.count) 0
+
+let add_producer t k pos =
+  let n = t.count.(k) in
+  if n = Array.length t.at.(k) then begin
+    let grown = Array.make (2 * n) 0 in
+    Array.blit t.at.(k) 0 grown 0 n;
+    t.at.(k) <- grown
+  end;
+  t.at.(k).(n) <- pos;
+  t.count.(k) <- n + 1;
+  t.have.(k) <- true
+
+(* The table of the first [n] calls of [prog]. *)
+let load_prefix t (prog : Prog.t) n =
+  clear_producers t;
+  let rec go pos = function
+    | call :: rest when pos < n ->
+      let k = (info_of t call).ret in
+      if k >= 0 then add_producer t k pos;
+      go (pos + 1) rest
+    | _ -> ()
+  in
+  go 0 prog
+
+(* --- values --------------------------------------------------------- *)
 
 let add_int_hint t v =
   if Hashtbl.length t.int_hints < max_hints && not (Hashtbl.mem t.int_hints v) then begin
@@ -86,44 +240,43 @@ let hints t =
   end;
   t.hint_list
 
-let dep_aware t = t.dep_aware
+let pick_boundary t r =
+  let n = Array.length r.bounds in
+  if n = 0 then r.min else r.bounds.(Rng.int t.rng n)
 
-let gen_int t ~min ~max =
-  let rng = t.rng in
-  let pick_boundary () =
-    match boundary_candidates ~min ~max with [] -> min | cs -> Rng.choose_list rng cs
-  in
-  let pick_hint () =
-    let hs = hints t in
-    if Array.length hs = 0 then pick_boundary ()
+let pick_hint t r =
+  let hs = hints t in
+  if Array.length hs = 0 then pick_boundary t r
+  else begin
+    let min = r.min and max = r.max in
+    let v = hs.(Rng.int t.rng (Array.length hs)) in
+    let in_range x = Int64.compare x min >= 0 && Int64.compare x max <= 0 in
+    if in_range v then v
     else begin
-      let v = hs.(Rng.int rng (Array.length hs)) in
-      let in_range x = Int64.compare x min >= 0 && Int64.compare x max <= 0 in
-      if in_range v then v
-      else begin
-        (* Fold the harvested constant into the argument's range. *)
-        let span = Int64.add (Int64.sub max min) 1L in
-        if Int64.compare span 0L <= 0 then pick_boundary ()
-        else
-          let folded = Int64.add min (Int64.rem (Int64.logand v Int64.max_int) span) in
-          if in_range folded then folded else pick_boundary ()
-      end
+      (* Fold the harvested constant into the argument's range. *)
+      let span = Int64.add (Int64.sub max min) 1L in
+      if Int64.compare span 0L <= 0 then pick_boundary t r
+      else
+        let folded = Int64.add min (Int64.rem (Int64.logand v Int64.max_int) span) in
+        if in_range folded then folded else pick_boundary t r
     end
-  in
+  end
+
+let gen_int t r =
+  let rng = t.rng in
   match Rng.int rng 100 with
-  | n when n < 30 -> Rng.int64_in rng min max
-  | n when n < 50 -> pick_boundary ()
+  | n when n < 30 -> Rng.int64_in rng r.min r.max
+  | n when n < 50 -> pick_boundary t r
   | n when n < 60 ->
     (* input-to-state: replay a constant the target compared against *)
-    pick_hint ()
+    pick_hint t r
   | n when n < 80 ->
-    (match powers_of_two_in min max with
-     | [] -> pick_boundary ()
-     | ps -> Rng.choose_list rng ps)
+    let n = Array.length r.pows in
+    if n = 0 then pick_boundary t r else r.pows.(Rng.int rng n)
   | n when n < 95 ->
     (* small values: most APIs branch near zero *)
-    let hi = Int64.min max (Int64.add min 16L) in
-    Rng.int64_in rng min hi
+    let hi = Int64.min r.max (Int64.add r.min 16L) in
+    Rng.int64_in rng r.min hi
   | _ ->
     (* wild: deliberately out of range, testing validation paths *)
     Rng.next64 rng
@@ -152,12 +305,24 @@ let gen_flags t flags =
   in
   if Rng.chance rng 0.1 then 0L else v
 
-let gen_value t ~produced ty =
-  match ty with
-  | Ast.Ty_int { min; max } -> Prog.Int (gen_int t ~min ~max)
-  | Ast.Ty_flags flags -> Prog.Int (gen_flags t flags)
-  | Ast.Ty_str { max_len } | Ast.Ty_buf { max_len } -> Prog.Str (gen_string t ~max_len)
-  | Ast.Ty_ptr { base; size; null_ok } ->
+(* A resource argument draws from the producer table. *)
+let gen_res t k =
+  let n = t.count.(k) in
+  if n = 0 then Prog.Int 0L (* no producer: degrade to a bogus handle *)
+  else begin
+    (* Bias toward the most recent instance, as handwritten test cases
+       do; otherwise uniform, counted from the newest. *)
+    let ps = t.at.(k) in
+    if Rng.chance t.rng 0.6 then Prog.Res ps.(n - 1)
+    else Prog.Res ps.(n - 1 - Rng.int t.rng n)
+  end
+
+let gen_slot t = function
+  | Range r -> Prog.Int (gen_int t r)
+  | Kind k -> gen_res t k
+  | Flags flags -> Prog.Int (gen_flags t flags)
+  | Bytes max_len -> Prog.Str (gen_string t ~max_len)
+  | Ptr { base; size; null_ok } ->
     (* Pointers: mostly valid RAM addresses (aligned and not), some
        NULLs, some garbage — what handwritten harnesses pass. *)
     let v =
@@ -169,137 +334,151 @@ let gen_value t ~produced ty =
       | _ -> Int64.logand (Rng.next64 t.rng) 0xFFFFFFFFL
     in
     Prog.Int v
-  | Ast.Ty_res kind ->
-    (match produced kind with
-     | [] -> Prog.Int 0L (* no producer: degrade to a bogus handle *)
-     | ps ->
-       (* Bias toward the most recent instance, as handwritten test
-          cases do. *)
-       let ps = List.rev ps in
-       let idx = if Rng.chance t.rng 0.6 then List.hd ps else Rng.choose_list t.rng ps in
-       Prog.Res idx)
 
-let satisfiable produced (call : Ast.call) =
-  List.for_all
-    (fun (_, ty) -> match ty with Ast.Ty_res kind -> produced kind <> [] | _ -> true)
-    call.Ast.args
+let gen_value t ty =
+  let slot = slot_of ~kinds:t.kinds ~ranges:t.ranges ty in
+  fit_kinds t;
+  clear_producers t;
+  gen_slot t slot
 
-let has_res_args (call : Ast.call) =
-  List.exists (fun (_, ty) -> match ty with Ast.Ty_res _ -> true | _ -> false) call.Ast.args
+(* --- call picks ----------------------------------------------------- *)
 
-let missing_kinds t produced =
-  List.filter (fun kind -> produced kind = []) t.spec.Ast.resources
+let rec satisfied have needs j =
+  j = Array.length needs || (have.(needs.(j)) && satisfied have needs (j + 1))
 
-let pick_call t ~pos ~produced =
-  let missing = missing_kinds t produced in
-  let candidates =
-    Array.to_list t.calls
-    |> List.filter_map (fun (call, idx) ->
-           if t.dep_aware then
-             if satisfiable produced call then
-               let boost =
-                 match call.Ast.ret with
-                 | Some kind when List.mem kind missing -> 3
-                 | _ -> 1
-               in
-               Some ((call, idx), call.Ast.weight * boost)
-             else None
-           else if pos = 0 && has_res_args call then None
-             (* even blind generation cannot emit a backward reference
-                from the first call; the wire format forbids it *)
-           else Some ((call, idx), call.Ast.weight))
+(* One weighted draw over the calls eligible at [pos], in spec order:
+   [cand]/[cum] hold each candidate and the running weight total, and
+   the first candidate whose total exceeds [Rng.int total] wins.
+   Returns an index into [calls], or -1 when nothing is eligible. *)
+let pick t ~pos ~have =
+  let n = ref 0 and total = ref 0 in
+  for c = 0 to Array.length t.calls - 1 do
+    let i = t.calls.(c) in
+    let eligible =
+      if t.dep_aware then satisfied have i.needs 0
+      else
+        (* even blind generation cannot emit a backward reference from
+           the first call; the wire format forbids it *)
+        pos > 0 || Array.length i.needs = 0
+    in
+    if eligible then begin
+      let w = i.call.Ast.weight in
+      let w = if t.dep_aware && i.boost && not have.(i.ret) then w * 3 else w in
+      total := !total + max 0 w;
+      t.cand.(!n) <- c;
+      t.cum.(!n) <- !total;
+      incr n
+    end
+  done;
+  if !n = 0 then -1
+  else begin
+    if !total <= 0 then invalid_arg "Gen.pick_call: total weight must be positive";
+    let target = Rng.int t.rng !total in
+    let j = ref 0 in
+    while target >= t.cum.(!j) do
+      incr j
+    done;
+    t.cand.(!j)
+  end
+
+let pick_call t ~pos ~have =
+  match pick t ~pos ~have with
+  | -1 -> None
+  | c -> Some (t.calls.(c).call, t.calls.(c).api_index)
+
+let gen_args t ~pos (i : info) =
+  let rec go j =
+    if j = Array.length i.slots then []
+    else begin
+      let v =
+        match i.slots.(j) with
+        | Kind _ when not t.dep_aware ->
+          (* Blind mode: reference an arbitrary earlier call, usually of
+             the wrong kind. *)
+          if pos = 0 then Prog.Int 0L else Prog.Res (Rng.int t.rng pos)
+        | slot -> gen_slot t slot
+      in
+      v :: go (j + 1)
+    end
   in
-  match candidates with
-  | [] -> None
-  | cs -> Some (Rng.weighted t.rng cs)
+  go 0
 
-let gen_args t ~pos ~produced (call : Ast.call) =
-  List.map
-    (fun (_, ty) ->
-      match ty with
-      | Ast.Ty_res kind when not t.dep_aware ->
-        (* Blind mode: reference an arbitrary earlier call, usually of
-           the wrong kind. *)
-        ignore kind;
-        if pos = 0 then Prog.Int 0L else Prog.Res (Rng.int t.rng pos)
-      | ty -> gen_value t ~produced ty)
-    call.Ast.args
+let new_call t ~pos c =
+  let i = t.calls.(c) in
+  { Prog.spec = i.call; api_index = i.api_index; args = gen_args t ~pos i }
 
 let generate t ~max_len =
   let target = 1 + Rng.int t.rng (max max_len 1) in
   let acc = ref [] in
   let n = ref 0 in
-  (* Producer positions per kind, appended as calls are emitted: the
-     same ascending lists [Prog.producers_of] would find by rescanning
-     the prefix, without the O(n^2) rescan on every resource argument. *)
-  let producers : (string, int list) Hashtbl.t = Hashtbl.create 8 in
-  let produced kind = Option.value (Hashtbl.find_opt producers kind) ~default:[] in
+  (* Producers are appended to the table as calls are emitted. *)
+  clear_producers t;
   for pos = 0 to target - 1 do
-    match pick_call t ~pos ~produced with
-    | None -> ()
-    | Some (call, idx) ->
-      let args = gen_args t ~pos ~produced call in
-      acc := { Prog.spec = call; api_index = idx; args } :: !acc;
-      Option.iter
-        (fun kind -> Hashtbl.replace producers kind (produced kind @ [ !n ]))
-        call.Ast.ret;
+    match pick t ~pos ~have:t.have with
+    | -1 -> ()
+    | c ->
+      acc := new_call t ~pos c :: !acc;
+      let k = t.calls.(c).ret in
+      if k >= 0 then add_producer t k !n;
       incr n
   done;
   List.rev !acc
 
 (* --- mutation ------------------------------------------------------- *)
 
-(* Rebuild a call list after structural edits: remap resource
-   references through [mapping] (old position -> new position), retarget
-   dangling/mismatched references to some surviving producer of the
-   right kind, and drop calls that cannot be satisfied (dep-aware
-   mode). *)
-let repair t (calls : Prog.call list) =
-  let kept = ref [] in
-  (* old position -> new position of kept calls *)
-  let mapping = Hashtbl.create 16 in
-  List.iteri
-    (fun old_pos (call : Prog.call) ->
-      let new_pos = List.length !kept in
-      let produced kind = Prog.producers_of (List.rev !kept) kind in
-      let ok = ref true in
-      let args =
-        List.map2
-          (fun arg (_, ty) ->
-            match (arg, ty) with
-            | Prog.Res old_ref, Ast.Ty_res kind ->
-              let retarget () =
-                match produced kind with
-                | [] ->
-                  if t.dep_aware then ok := false;
-                  Prog.Int 0L
-                | ps -> Prog.Res (List.nth ps (Rng.int t.rng (List.length ps)))
-              in
-              (match Hashtbl.find_opt mapping old_ref with
-               | Some new_ref ->
-                 let target = List.nth (List.rev !kept) new_ref in
-                 if target.Prog.spec.Ast.ret = Some kind then Prog.Res new_ref
-                 else retarget ()
-               | None -> retarget ())
-            | Prog.Res _, _ ->
-              (* a scalar slot holding a reference: regenerate *)
-              gen_value t ~produced ty
-            | arg, Ast.Ty_res kind ->
-              if t.dep_aware then
-                (match produced kind with
-                 | [] ->
-                   ok := false;
-                   arg
-                 | ps -> Prog.Res (List.nth ps (Rng.int t.rng (List.length ps))))
-              else arg
-            | arg, _ -> arg)
-          call.Prog.args call.Prog.spec.Ast.args
-      in
-      if !ok then begin
-        Hashtbl.replace mapping old_pos new_pos;
-        kept := { call with Prog.args } :: !kept
-      end)
-    calls;
+(* Rebuild a call sequence after structural edits: remap resource
+   references (old position -> new position), retarget dangling or
+   mismatched references to some surviving producer of the right kind,
+   and drop calls that cannot be satisfied (dep-aware mode). The
+   producer table grows with the kept calls. *)
+let repair t (calls : Prog.call array) =
+  let n = Array.length calls in
+  let mapping = Array.make n (-1) in
+  (* new position -> kind id produced *)
+  let rets = Array.make n (-1) in
+  let kept = ref [] and nkept = ref 0 in
+  clear_producers t;
+  let any_producer k = Prog.Res t.at.(k).(Rng.int t.rng t.count.(k)) in
+  for old_pos = 0 to n - 1 do
+    let call = calls.(old_pos) in
+    let i = info_of t call in
+    let ok = ref true in
+    let j = ref 0 in
+    let args =
+      List.map2
+        (fun arg _ ->
+          let slot = i.slots.(!j) in
+          incr j;
+          match (arg, slot) with
+          | Prog.Res old_ref, Kind k ->
+            let new_ref = if old_ref >= 0 && old_ref < n then mapping.(old_ref) else -1 in
+            if new_ref >= 0 && rets.(new_ref) = k then Prog.Res new_ref
+            else if t.count.(k) = 0 then begin
+              if t.dep_aware then ok := false;
+              Prog.Int 0L
+            end
+            else any_producer k
+          | Prog.Res _, slot ->
+            (* a scalar slot holding a reference: regenerate *)
+            gen_slot t slot
+          | arg, Kind k ->
+            if not t.dep_aware then arg
+            else if t.count.(k) = 0 then begin
+              ok := false;
+              arg
+            end
+            else any_producer k
+          | arg, _ -> arg)
+        call.Prog.args call.Prog.spec.Ast.args
+    in
+    if !ok then begin
+      mapping.(old_pos) <- !nkept;
+      rets.(!nkept) <- i.ret;
+      if i.ret >= 0 then add_producer t i.ret !nkept;
+      kept := { call with Prog.args } :: !kept;
+      incr nkept
+    end
+  done;
   List.rev !kept
 
 let tweak_int t v =
@@ -324,79 +503,90 @@ let tweak_str t s =
     Bytes.unsafe_to_string b
   | _ -> "x"
 
+(* Regenerate the value in [slot] of the call at [pos]: a resource
+   draws from the producers before [pos]. *)
+let regen t prog ~pos slot =
+  (match slot with Kind _ -> load_prefix t prog pos | _ -> ());
+  gen_slot t slot
+
 let mutate_arg t (prog : Prog.t) =
   let arr = Array.of_list prog in
   let with_args =
-    Array.to_list arr
-    |> List.mapi (fun i c -> (i, c))
-    |> List.filter (fun (_, (c : Prog.call)) -> c.Prog.args <> [])
+    Array.fold_left (fun n (c : Prog.call) -> if c.Prog.args <> [] then n + 1 else n) 0 arr
   in
-  match with_args with
-  | [] -> prog
-  | _ ->
-    let i, call = List.nth with_args (Rng.int t.rng (List.length with_args)) in
-    let j = Rng.int t.rng (List.length call.Prog.args) in
-    let produced kind =
-      Prog.producers_of (Array.to_list (Array.sub arr 0 i)) kind
+  if with_args = 0 then prog
+  else begin
+    (* the r-th call that has arguments *)
+    let rec find i r =
+      if arr.(i).Prog.args = [] then find (i + 1) r
+      else if r = 0 then i
+      else find (i + 1) (r - 1)
     in
-    let _, ty = List.nth call.Prog.spec.Ast.args j in
+    let i = find 0 (Rng.int t.rng with_args) in
+    let call = arr.(i) in
+    let j = Rng.int t.rng (List.length call.Prog.args) in
+    let slot = (info_of t call).slots.(j) in
     let args =
       List.mapi
         (fun k arg ->
           if k <> j then arg
-          else if Rng.chance t.rng 0.6 then gen_value t ~produced ty
+          else if Rng.chance t.rng 0.6 then regen t prog ~pos:i slot
           else
             match arg with
             | Prog.Int v -> Prog.Int (tweak_int t v)
             | Prog.Str s -> Prog.Str (tweak_str t s)
-            | Prog.Res _ -> gen_value t ~produced ty)
+            | Prog.Res _ -> regen t prog ~pos:i slot)
         call.Prog.args
     in
     arr.(i) <- { call with Prog.args };
     Array.to_list arr
+  end
 
 (* [call] becomes position [pos]; references into the shifted suffix
    move up one. *)
 let insert_at pos (call : Prog.call) prog =
-  let prefix = List.filteri (fun i _ -> i < pos) prog in
-  let suffix = List.filteri (fun i _ -> i >= pos) prog in
   let shift (c : Prog.call) =
-    {
-      c with
-      Prog.args =
-        List.map
-          (function Prog.Res k when k >= pos -> Prog.Res (k + 1) | arg -> arg)
-          c.Prog.args;
-    }
+    if List.exists (function Prog.Res k -> k >= pos | _ -> false) c.Prog.args then
+      {
+        c with
+        Prog.args =
+          List.map (function Prog.Res k when k >= pos -> Prog.Res (k + 1) | arg -> arg) c.Prog.args;
+      }
+    else c
   in
-  prefix @ (call :: List.map shift suffix)
+  let rec go i = function
+    | rest when i = pos -> call :: List.map shift rest
+    | c :: rest -> c :: go (i + 1) rest
+    | [] -> [ call ]
+  in
+  go 0 prog
 
 let insert_call t (prog : Prog.t) ~max_len =
-  if List.length prog >= max_len then prog
+  let len = List.length prog in
+  if len >= max_len then prog
   else begin
-    let pos = Rng.int t.rng (List.length prog + 1) in
-    let prefix = List.filteri (fun i _ -> i < pos) prog in
-    let produced kind = Prog.producers_of prefix kind in
-    match pick_call t ~pos ~produced with
-    | None -> prog
-    | Some (call, idx) ->
-      let args = gen_args t ~pos ~produced call in
-      insert_at pos { Prog.spec = call; api_index = idx; args } prog
+    let pos = Rng.int t.rng (len + 1) in
+    load_prefix t prog pos;
+    match pick t ~pos ~have:t.have with
+    | -1 -> prog
+    | c -> insert_at pos (new_call t ~pos c) prog
   end
 
 let delete_call t (prog : Prog.t) =
-  if List.length prog <= 1 then prog
+  let len = List.length prog in
+  if len <= 1 then prog
   else begin
-    let pos = Rng.int t.rng (List.length prog) in
-    repair t (List.filteri (fun i _ -> i <> pos) prog)
+    let pos = Rng.int t.rng len in
+    let arr = Array.of_list prog in
+    repair t (Array.init (len - 1) (fun i -> if i < pos then arr.(i) else arr.(i + 1)))
   end
 
 let duplicate_call t (prog : Prog.t) ~max_len =
-  if prog = [] || List.length prog >= max_len then prog
+  let len = List.length prog in
+  if len = 0 || len >= max_len then prog
   else begin
-    let pos = Rng.int t.rng (List.length prog) in
-    let call = List.nth prog pos in
-    insert_at (pos + 1) call prog
+    let pos = Rng.int t.rng len in
+    insert_at (pos + 1) (List.nth prog pos) prog
   end
 
 let swap_adjacent t (prog : Prog.t) =
@@ -407,7 +597,7 @@ let swap_adjacent t (prog : Prog.t) =
     let tmp = arr.(i) in
     arr.(i) <- arr.(i + 1);
     arr.(i + 1) <- tmp;
-    repair t (Array.to_list arr)
+    repair t arr
   end
 
 let mutate_once t prog ~max_len =
@@ -424,36 +614,34 @@ let mutate_once t prog ~max_len =
    exploration phase. *)
 let mutate_int_arg t (prog : Prog.t) =
   let arr = Array.of_list prog in
-  let int_args = ref [] in
-  Array.iteri
-    (fun i (c : Prog.call) ->
-      List.iteri
-        (fun j arg -> match arg with Prog.Int _ -> int_args := (i, j) :: !int_args | _ -> ())
-        c.Prog.args)
-    arr;
-  match !int_args with
-  | [] -> prog
-  | picks ->
-    let i, j = List.nth picks (Rng.int t.rng (List.length picks)) in
+  let ints (c : Prog.call) =
+    List.fold_left (fun n arg -> match arg with Prog.Int _ -> n + 1 | _ -> n) 0 c.Prog.args
+  in
+  let total = Array.fold_left (fun n c -> n + ints c) 0 arr in
+  if total = 0 then prog
+  else begin
+    (* Integer arguments are counted from the last one back. *)
+    let rec find i r = let n = ints arr.(i) in if r < n then (i, r) else find (i + 1) (r - n) in
+    let i, r = find 0 (total - 1 - Rng.int t.rng total) in
     let call = arr.(i) in
+    let slots = (info_of t call).slots in
+    let seen = ref (-1) in
     let args =
       List.mapi
         (fun k arg ->
-          if k <> j then arg
-          else
-            match arg with
-            | Prog.Int v ->
-              if Rng.chance t.rng 0.3 then
-                let produced kind = Prog.producers_of (Array.to_list (Array.sub arr 0 i)) kind in
-                (match List.nth_opt call.Prog.spec.Ast.args j with
-                 | Some (_, ty) -> gen_value t ~produced ty
-                 | None -> Prog.Int (tweak_int t v))
-              else Prog.Int (tweak_int t v)
-            | arg -> arg)
+          match arg with
+          | Prog.Int v ->
+            incr seen;
+            if !seen <> r then arg
+            else if Rng.chance t.rng 0.3 && k < Array.length slots then
+              regen t prog ~pos:i slots.(k)
+            else Prog.Int (tweak_int t v)
+          | arg -> arg)
         call.Prog.args
     in
     arr.(i) <- { call with Prog.args };
     Array.to_list arr
+  end
 
 let mutate_focus t prog ~max_len =
   let mutated =

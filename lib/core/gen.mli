@@ -23,8 +23,6 @@ val create :
   ?dep_aware:bool -> rng:Eof_util.Rng.t -> spec:Ast.t -> table:Eof_rtos.Api.table ->
   unit -> t
 
-val dep_aware : t -> bool
-
 val generate : t -> max_len:int -> Prog.t
 (** A fresh program of 1..[max_len] calls. Always {!Prog.validate}-clean
     when [dep_aware] (otherwise resource refs may be kind-mismatched,
@@ -57,6 +55,21 @@ val substitute_all : t -> Prog.t -> pairs:(int64 * int64) list -> Prog.t list
 (** Every distinct input-to-state patch (constant and constant+1 per
     matching argument/comparison pair), for systematic enumeration. *)
 
-val gen_value : t -> produced:(string -> int list) -> Ast.ty -> Prog.arg
-(** Exposed for tests: generate one argument value. [produced kind]
-    lists earlier positions producing [kind]. *)
+val gen_value : t -> Ast.ty -> Prog.arg
+(** Exposed for tests: generate one argument value with no producer in
+    scope (a resource argument degrades to [Int 0L]). *)
+
+val kind_id : t -> string -> int option
+(** Exposed for tests: the dense id of a resource kind. The spec's
+    resources are [0 .. n-1] in declaration order. *)
+
+val pick_call : t -> pos:int -> have:bool array -> (Ast.call * int) option
+(** Exposed for tests: one weighted call pick at position [pos], where
+    [have.(k)] says whether kind id [k] has a producer before [pos].
+    Candidates are taken in spec order; a dep-aware pick excludes calls
+    with an unproduced resource argument and triples the weight of
+    producers of a still-missing spec resource, and a blind pick
+    excludes only resource consumers at position 0. The winner is the
+    first candidate whose running weight total exceeds [Rng.int total].
+    [None] when nothing is eligible.
+    @raise Invalid_argument if the eligible weights sum to zero. *)

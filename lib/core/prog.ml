@@ -29,10 +29,6 @@ let hash t =
        (fun c -> (c.api_index, List.map (function Int v -> `I v | Str s -> `S s | Res k -> `R k) c.args))
        t)
 
-let producers_of t kind =
-  List.mapi (fun i c -> (i, c)) t
-  |> List.filter_map (fun (i, c) -> if c.spec.Ast.ret = Some kind then Some i else None)
-
 let validate t =
   let arr = Array.of_list t in
   let rec go i =

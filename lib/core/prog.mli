@@ -29,8 +29,5 @@ val validate : t -> (unit, string) result
     produce the kind the argument expects, and argument counts match the
     spec. Generation and mutation must only emit programs that pass. *)
 
-val producers_of : t -> string -> int list
-(** Positions of calls producing the kind, ascending. *)
-
 val to_string : t -> string
 (** Human-readable listing used in crash reports. *)

@@ -67,23 +67,6 @@ let choose t a =
   if Array.length a = 0 then invalid_arg "Rng.choose: empty array";
   a.(int t (Array.length a))
 
-let choose_list t l =
-  match l with
-  | [] -> invalid_arg "Rng.choose_list: empty list"
-  | _ -> List.nth l (int t (List.length l))
-
-let weighted t items =
-  let total = List.fold_left (fun acc (_, w) -> acc + max 0 w) 0 items in
-  if total <= 0 then invalid_arg "Rng.weighted: total weight must be positive";
-  let target = int t total in
-  let rec go acc = function
-    | [] -> invalid_arg "Rng.weighted: internal"
-    | (x, w) :: rest ->
-      let acc = acc + max 0 w in
-      if target < acc then x else go acc rest
-  in
-  go 0 items
-
 let shuffle_in_place t a =
   for i = Array.length a - 1 downto 1 do
     let j = int t (i + 1) in

@@ -47,13 +47,6 @@ val float : t -> float -> float
 val choose : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. @raise Invalid_argument on [||]. *)
 
-val choose_list : t -> 'a list -> 'a
-(** Uniform element of a non-empty list. *)
-
-val weighted : t -> ('a * int) list -> 'a
-(** [weighted t items] picks proportionally to the (positive) weights.
-    @raise Invalid_argument if the total weight is not positive. *)
-
 val shuffle_in_place : t -> 'a array -> unit
 (** Fisher-Yates shuffle. *)
 

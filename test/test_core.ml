@@ -113,7 +113,7 @@ let test_int_hints_used () =
      produce it. *)
   let seen = ref false in
   for _ = 1 to 500 do
-    match Gen.gen_value gen ~produced:(fun _ -> []) (Eof_spec.Ast.Ty_int { min = 0L; max = 100000L }) with
+    match Gen.gen_value gen (Eof_spec.Ast.Ty_int { min = 0L; max = 100000L }) with
     | Prog.Int 12345L -> seen := true
     | _ -> ()
   done;
@@ -1450,4 +1450,301 @@ let suite =
       Alcotest.test_case "golden generator stream" `Quick test_golden_generator_stream;
       Alcotest.test_case "energy campaign deterministic" `Quick
         test_energy_campaign_deterministic;
+    ]
+
+(* --- equivalence with the list-based picker and corpus --------------- *)
+
+(* The lottery the generator and the corpus used to draw through: the
+   first item whose running weight total exceeds [Rng.int total]. *)
+let ref_weighted rng items =
+  let total = List.fold_left (fun acc (_, w) -> acc + max 0 w) 0 items in
+  if total <= 0 then invalid_arg "ref_weighted: total weight must be positive";
+  let target = Eof_util.Rng.int rng total in
+  let rec go acc = function
+    | [] -> invalid_arg "ref_weighted: internal"
+    | (x, w) :: rest ->
+      let acc = acc + max 0 w in
+      if target < acc then x else go acc rest
+  in
+  go 0 items
+
+(* The list-building call pick: filter every spec call, boost producers
+   of missing resources, draw. *)
+let ref_pick_call ~(spec : Eof_spec.Ast.t) ~calls ~dep_aware rng ~pos ~produced =
+  let open Eof_spec.Ast in
+  let missing = List.filter (fun kind -> not (produced kind)) spec.resources in
+  let satisfiable call =
+    List.for_all (fun (_, ty) -> match ty with Ty_res kind -> produced kind | _ -> true) call.args
+  in
+  let has_res_args call =
+    List.exists (fun (_, ty) -> match ty with Ty_res _ -> true | _ -> false) call.args
+  in
+  let candidates =
+    List.filter_map
+      (fun (call, idx) ->
+        if dep_aware then
+          if satisfiable call then
+            let boost =
+              match call.ret with Some kind when List.mem kind missing -> 3 | _ -> 1
+            in
+            Some ((call, idx), call.weight * boost)
+          else None
+        else if pos = 0 && has_res_args call then None
+        else Some ((call, idx), call.weight))
+      calls
+  in
+  match candidates with [] -> None | cs -> Some (ref_weighted rng cs)
+
+(* Random produced-kind sets, positions, both modes and reweighted specs
+   (weight 0 included, so zero totals occur): the array picker returns
+   the list picker's call, raises where it raises, and leaves the RNG in
+   the same state. *)
+let prop_pick_call_matches_list_model =
+  QCheck.Test.make ~name:"pick_call equals the list-lottery model" ~count:300
+    QCheck.(
+      quad (int_bound 1) bool (int_bound 10_000)
+        (pair (list_of_size Gen.(1 -- 40) (int_bound 3))
+           (list_of_size Gen.(1 -- 12) (pair (int_bound 0xFFFF) (int_bound 3)))))
+    (fun (os, dep_aware, seed, (weights, picks)) ->
+      let _, table, spec = Lazy.force (if os = 0 then zephyr_env else freertos_env) in
+      let weights = Array.of_list weights in
+      let spec =
+        {
+          spec with
+          Eof_spec.Ast.calls =
+            List.mapi
+              (fun i (c : Eof_spec.Ast.call) ->
+                { c with Eof_spec.Ast.weight = weights.(i mod Array.length weights) })
+              spec.Eof_spec.Ast.calls;
+        }
+      in
+      let calls = Eof_spec.Synth.index_map spec table in
+      let rng = Eof_util.Rng.create (Int64.of_int seed) in
+      let model_rng = Eof_util.Rng.create (Int64.of_int seed) in
+      let gen = Gen.create ~dep_aware ~rng ~spec ~table () in
+      let kinds = Array.of_list spec.Eof_spec.Ast.resources in
+      let outcome f = try `Pick (Option.map snd (f ())) with Invalid_argument _ -> `Raised in
+      List.for_all
+        (fun (mask, pos) ->
+          let produced kind =
+            let rec bit i =
+              i < Array.length kinds
+              && ((kinds.(i) = kind && mask land (1 lsl i) <> 0) || bit (i + 1))
+            in
+            bit 0
+          in
+          let have = Array.make (Array.length kinds) false in
+          Array.iter
+            (fun kind ->
+              match Gen.kind_id gen kind with
+              | Some k -> have.(k) <- produced kind
+              | None -> ())
+            kinds;
+          let got = outcome (fun () -> Gen.pick_call gen ~pos ~have) in
+          let want =
+            outcome (fun () -> ref_pick_call ~spec ~calls ~dep_aware model_rng ~pos ~produced)
+          in
+          got = want && Eof_util.Rng.next64 rng = Eof_util.Rng.next64 model_rng)
+        picks)
+
+(* The corpus as it was: a newest-first seed list drawn by the list
+   lottery, evicting the lowest score (newest on a tie). *)
+module Ref_corpus = struct
+  type seed = {
+    prog : Prog.t;
+    hash : int;
+    seq : int;
+    new_edges : int;
+    crashed : bool;
+    mutable score : int;
+    mutable picks : int;
+  }
+
+  type t = {
+    rng : Eof_util.Rng.t;
+    capacity : int;
+    mutable seeds : seed list;
+    hashes : (int, unit) Hashtbl.t;
+    mutable total_added : int;
+  }
+
+  let create ~capacity ~rng = { rng; capacity; seeds = []; hashes = Hashtbl.create 64; total_added = 0 }
+
+  let evict_if_full t =
+    if List.length t.seeds > t.capacity then begin
+      let worst =
+        List.fold_left
+          (fun acc s -> match acc with Some w when w.score <= s.score -> acc | _ -> Some s)
+          None t.seeds
+      in
+      match worst with
+      | Some w -> t.seeds <- List.filter (fun s -> s != w) t.seeds
+      | None -> ()
+    end
+
+  let admit t s =
+    Hashtbl.replace t.hashes s.hash ();
+    t.seeds <- { s with seq = t.total_added } :: t.seeds;
+    t.total_added <- t.total_added + 1;
+    evict_if_full t
+
+  let add t ~prog ~new_edges ~crashed =
+    let hash = Prog.hash prog in
+    if Hashtbl.mem t.hashes hash then false
+    else begin
+      let score = max 1 ((new_edges * 4) + if crashed then 20 else 0) in
+      admit t { prog; hash; seq = 0; new_edges; crashed; score; picks = 0 };
+      true
+    end
+
+  let draw t =
+    match t.seeds with
+    | [] -> None
+    | seeds ->
+      let seed = ref_weighted t.rng (List.map (fun s -> (s, max 1 s.score)) seeds) in
+      seed.picks <- seed.picks + 1;
+      if seed.picks mod 4 = 0 then seed.score <- max 1 (seed.score * 3 / 4);
+      Some seed
+
+  let admitted_since t n =
+    let rec go acc = function s :: rest when s.seq >= n -> go (s :: acc) rest | _ -> acc in
+    go [] t.seeds
+
+  let since t n = List.rev_map (fun s -> s.prog) (admitted_since t n)
+
+  let merge dst src ~since =
+    List.fold_left
+      (fun n s ->
+        if Hashtbl.mem dst.hashes s.hash then n
+        else begin
+          admit dst s;
+          n + 1
+        end)
+      0 (admitted_since src since)
+
+  let progs t = List.map (fun s -> s.prog) t.seeds
+end
+
+(* Random add / next / cursor-merge sequences over two energy-scheduled
+   corpora and their list models: every pick and its energy, [progs],
+   [since] at several cursors, [size] and [total_added] agree. The
+   frontier is not modelled (its code did not change), so the model's
+   energy reads the real corpus's frontier. *)
+let corpus_pool =
+  lazy
+    (let gen = make_gen 77L in
+     Array.init 1000 (fun i -> Gen.generate gen ~max_len:(2 + (i mod 7))))
+
+let corpus_matches_list_model ?(shrink = true) ~capacity ~count ~ops:(min_ops, max_ops) () =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "corpus equals the list-lottery model (capacity %d)" capacity)
+    ~count
+    (let ops =
+       QCheck.(
+         pair (int_bound 1000)
+           (list_of_size Gen.(min_ops -- max_ops)
+              (quad (int_bound 9) (int_bound 999) (int_bound 9) bool)))
+     in
+     if shrink then ops else QCheck.set_shrink (fun _ _ -> ()) ops)
+    (fun (seed, ops) ->
+      let pool = Lazy.force corpus_pool in
+      let target = Corpus.default_target in
+      let mk s =
+        ( Corpus.create ~capacity ~schedule:Corpus.Energy ~rng:(Eof_util.Rng.create s) (),
+          Ref_corpus.create ~capacity ~rng:(Eof_util.Rng.create s) )
+      in
+      let a, ma = mk (Int64.of_int seed) and b, mb = mk (Int64.of_int (seed + 1)) in
+      (* Both sides store the pool's programs themselves. *)
+      let same = List.equal ( == ) in
+      let a_from_b = ref 0 and b_from_a = ref 0 in
+      let energy c (s : Ref_corpus.seed) =
+        let bonus =
+          (if Corpus.on_frontier c ~target s.Ref_corpus.prog then 2 else 0)
+          + (if s.Ref_corpus.picks <= 1 then 1 else 0)
+          + if s.Ref_corpus.crashed || s.Ref_corpus.new_edges >= 8 then 1 else 0
+        in
+        1 lsl min 4 bonus
+      in
+      let next c m =
+        match (Corpus.next c ~target, Ref_corpus.draw m) with
+        | None, None -> true
+        | Some (p, e), Some s -> Prog.hash p = s.Ref_corpus.hash && e = energy c s
+        | _ -> false
+      in
+      let agree c m =
+        let n = Corpus.total_added c in
+        Corpus.size c = List.length m.Ref_corpus.seeds
+        && n = m.Ref_corpus.total_added
+        && same (Corpus.progs c) (Ref_corpus.progs m)
+        && List.for_all
+             (fun k -> same (Corpus.since c k) (Ref_corpus.since m k))
+             [ 0; n / 2; n - capacity; n - 1; n ]
+      in
+      List.for_all
+        (fun (op, i, new_edges, crashed) ->
+          let ok =
+            match op with
+            | 0 | 1 | 2 ->
+              Corpus.add a ~prog:pool.(i) ~new_edges ~crashed
+              = Ref_corpus.add ma ~prog:pool.(i) ~new_edges ~crashed
+            | 3 ->
+              Corpus.add b ~prog:pool.(i) ~new_edges ~crashed
+              = Ref_corpus.add mb ~prog:pool.(i) ~new_edges ~crashed
+            | 4 | 5 | 6 -> next a ma
+            | 7 -> next b mb
+            | 8 ->
+              let got = Corpus.merge a b ~since:!a_from_b in
+              let want = Ref_corpus.merge ma mb ~since:!a_from_b in
+              a_from_b := Corpus.total_added b;
+              got = want
+            | _ ->
+              let got = Corpus.merge b a ~since:!b_from_a in
+              let want = Ref_corpus.merge mb ma ~since:!b_from_a in
+              b_from_a := Corpus.total_added a;
+              got = want
+          in
+          ok && agree a ma && agree b mb)
+        ops)
+
+(* A program whose calls are not the generator's own spec records (a
+   structurally equal copy of every call, as another spec value would
+   hold) mutates exactly as the original does. *)
+let prop_mutate_foreign_calls =
+  QCheck.Test.make ~name:"mutating copied spec calls equals mutating the originals" ~count:100
+    QCheck.(pair (int_bound 10_000) bool)
+    (fun (seed, dep_aware) ->
+      let mk () = make_gen ~dep_aware (Int64.of_int seed) in
+      let a = mk () and b = mk () in
+      let copy (c : Prog.call) =
+        { c with Prog.spec = { c.Prog.spec with Eof_spec.Ast.name = c.Prog.spec.Eof_spec.Ast.name } }
+      in
+      let wire p = Prog.to_wire p in
+      let pa = ref (Gen.generate a ~max_len:8) and pb = ref (Gen.generate b ~max_len:8) in
+      List.for_all
+        (fun round ->
+          pb := List.map copy !pb;
+          (if round mod 3 = 0 then begin
+             pa := Gen.mutate_focus a !pa ~max_len:12;
+             pb := Gen.mutate_focus b !pb ~max_len:12
+           end
+           else begin
+             pa := Gen.mutate a !pa ~max_len:12;
+             pb := Gen.mutate b !pb ~max_len:12
+           end);
+          wire !pa = wire !pb)
+        (List.init 30 Fun.id))
+
+let suite =
+  suite
+  @ [
+      QCheck_alcotest.to_alcotest prop_pick_call_matches_list_model;
+      QCheck_alcotest.to_alcotest prop_mutate_foreign_calls;
+      QCheck_alcotest.to_alcotest
+        (corpus_matches_list_model ~capacity:4 ~count:200 ~ops:(1, 80) ());
+      QCheck_alcotest.to_alcotest
+        (corpus_matches_list_model ~capacity:6 ~count:200 ~ops:(1, 80) ());
+      (* Thousands of operations, so past the cap and through several
+         compactions; shrinking lists this long would take minutes. *)
+      QCheck_alcotest.to_alcotest
+        (corpus_matches_list_model ~shrink:false ~capacity:512 ~count:4 ~ops:(2500, 3000) ());
     ]

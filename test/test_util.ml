@@ -22,18 +22,6 @@ let test_rng_split_independent () =
   let ys = List.init 10 (fun _ -> Rng.next64 b) in
   Alcotest.(check bool) "streams differ" true (xs <> ys)
 
-let test_rng_weighted () =
-  let rng = Rng.create 3L in
-  let seen_b = ref false in
-  for _ = 1 to 200 do
-    match Rng.weighted rng [ ("a", 1); ("b", 9) ] with
-    | "b" -> seen_b := true
-    | _ -> ()
-  done;
-  Alcotest.(check bool) "heavy item sampled" true !seen_b;
-  Alcotest.check_raises "zero total" (Invalid_argument "Rng.weighted: total weight must be positive")
-    (fun () -> ignore (Rng.weighted rng [ ("a", 0) ]))
-
 let test_bitset_basics () =
   let b = Bitset.create 100 in
   Alcotest.(check int) "empty" 0 (Bitset.count b);
@@ -163,7 +151,6 @@ let suite =
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
     Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
     Alcotest.test_case "rng split" `Quick test_rng_split_independent;
-    Alcotest.test_case "rng weighted" `Quick test_rng_weighted;
     Alcotest.test_case "bitset basics" `Quick test_bitset_basics;
     Alcotest.test_case "bitset union/diff" `Quick test_bitset_union_diff;
     Alcotest.test_case "crc32 vector" `Quick test_crc32_known;
