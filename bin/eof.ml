@@ -104,23 +104,32 @@ let fuzz os seed iterations boards sync_every exec_backend digest
          iterations seed
          (if boards = 1 then "" else Printf.sprintf ", %d boards" boards));
     let table = Eof_os.Osbuild.api_signatures build in
+    (* A resumed campaign that quietly restarted from an empty corpus
+       would report a digest for a run nobody asked for: a corpus that
+       cannot be loaded is a bad argument. *)
     let initial_seeds =
       match load_corpus with
-      | None -> []
+      | None -> Ok []
       | Some path ->
-        (match Eof_spec.Synth.validated_of_api table with
-         | Error _ -> []
-         | Ok spec ->
-           (match Eof_core.Corpus_io.load ~path ~spec ~table with
-            | Ok (progs, skipped) ->
-              Obs.message obs Obs.Level.Info
-                (Printf.sprintf "loaded %d corpus seeds from %s (%d stale entries skipped)"
-                   (List.length progs) path skipped);
-              progs
-            | Error e ->
-              prerr_endline ("could not load corpus: " ^ e);
-              []))
+        let ( let* ) = Result.bind in
+        let* spec =
+          Result.map_error
+            (fun e ->
+              Printf.sprintf "cannot synthesise the %s spec: %s"
+                (Eof_os.Osbuild.os_name build) e)
+            (Eof_spec.Synth.validated_of_api table)
+        in
+        let* progs, skipped = Eof_core.Corpus_io.load ~path ~spec ~table in
+        Obs.message obs Obs.Level.Info
+          (Printf.sprintf "loaded %d corpus seeds from %s (%d stale entries skipped)"
+             (List.length progs) path skipped);
+        Ok progs
     in
+    match initial_seeds with
+    | Error e ->
+      prerr_endline ("eof fuzz: could not load corpus: " ^ e);
+      1
+    | Ok initial_seeds ->
     let config =
       {
         Campaign.default_config with
@@ -325,11 +334,9 @@ let fuzz_cmd =
          & info [ "reset-policy" ] ~docv:"POLICY"
              ~doc:"How the target gets back to pristine state: $(b,ladder) reflashes \
                    every partition from the golden image (the original escalation \
-                   ladder), $(b,snapshot) arms a copy-on-write snapshot at install so \
-                   the reflash rung restores only dirty pages, \
-                   $(b,fresh-per-program) additionally rewinds to the pristine \
-                   snapshot before every payload. Campaign outcomes are identical \
-                   between $(b,ladder) and $(b,snapshot) on a fault-free link.")
+                   ladder); $(b,fresh-per-program) arms a copy-on-write snapshot at \
+                   install and rewinds to it before every payload, so the reflash \
+                   rung restores only dirty pages.")
   in
   let schedule =
     Arg.(value & opt string "uniform"

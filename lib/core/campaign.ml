@@ -12,29 +12,25 @@ module Eof_error = Eof_util.Eof_error
 (* How the campaign gets the target back to a known-good state.
    [Ladder]: the original escalation ladder only — no snapshot is ever
    armed, so the reflash rung rewrites every partition from the golden
-   image. [Snapshot]: arm a pristine copy-on-write snapshot right after
-   install; the ladder's reflash rung then restores O(dirty pages)
-   instead of O(image). [Fresh_per_program]: additionally rewind to the
-   pristine snapshot before {e every} payload, so no target-side state
-   leaks between programs (host-side feedback and corpus persist — that
-   is the point of the host keeping them). *)
-type reset_policy = Ladder | Snapshot | Fresh_per_program
+   image. [Fresh_per_program]: arm a pristine copy-on-write snapshot
+   right after install and rewind to it before {e every} payload, so no
+   target-side state leaks between programs (host-side feedback and
+   corpus persist — that is the point of the host keeping them); the
+   ladder's reflash rung then restores O(dirty pages) instead of
+   O(image). *)
+type reset_policy = Ladder | Fresh_per_program
 
 let reset_policy_name = function
   | Ladder -> "ladder"
-  | Snapshot -> "snapshot"
   | Fresh_per_program -> "fresh-per-program"
 
 let reset_policy_of_name s =
   match String.lowercase_ascii s with
   | "ladder" -> Ok Ladder
-  | "snapshot" -> Ok Snapshot
   | "fresh-per-program" | "fresh" -> Ok Fresh_per_program
   | other ->
     Error
-      (Printf.sprintf
-         "unknown reset policy %S (expected ladder|snapshot|fresh-per-program)"
-         other)
+      (Printf.sprintf "unknown reset policy %S (expected ladder|fresh-per-program)" other)
 
 (* Ceiling for P(mutate a corpus seed); the actual split tracks how
    often fresh generation still finds new coverage. *)
@@ -939,14 +935,14 @@ let init ?machine ?obs config build =
        let* () = arm st.syms.Osbuild.sym_loop_back in
        let* () = arm st.syms.Osbuild.sym_buf_full in
        let* () = arm st.syms.Osbuild.sym_handle_exception in
-       (* Snapshot policies capture the pristine state now — after
+       (* Fresh-per-program captures the pristine state now — after
           install and breakpoint arming, before the target ever runs —
-          so every later restore (ladder rung 3, or each payload under
-          fresh-per-program) rewinds to exactly this point. *)
+          so every later restore (each payload, or ladder rung 3)
+          rewinds to exactly this point. *)
        let* () =
          match config.reset_policy with
          | Ladder -> Ok ()
-         | Snapshot | Fresh_per_program ->
+         | Fresh_per_program ->
            Result.map_error
              (Eof_error.with_context "arm pristine snapshot")
              (Result.map ignore (Machine.snapshot_save machine))
@@ -989,7 +985,7 @@ let step st =
           ignore (reboot st : (unit, Eof_error.t) result)
         | Error e ->
           note_failure st (Eof_error.with_context "fresh-per-program restore" e))
-     | Ladder | Snapshot ->
+     | Ladder ->
        if st.iteration mod reboot_every = 0 then
          ignore (reboot st : (unit, Eof_error.t) result));
     (match goto_ready st ~budget:50 with

@@ -18,22 +18,19 @@ type reset_policy =
   | Ladder
       (** the original escalation ladder only; the reflash rung rewrites
           every partition from the golden image (no snapshot is armed) *)
-  | Snapshot
-      (** arm a pristine copy-on-write snapshot right after install; the
-          ladder's reflash rung then restores O(dirty pages) instead of
-          O(image size). Identical campaign outcomes to [Ladder] on a
-          fault-free link — only recovery cost changes. *)
   | Fresh_per_program
-      (** additionally rewind to the pristine snapshot before {e every}
-          payload: no target-side state (heap, kernel tables, leaked
-          objects) survives between programs. Host-side feedback and
-          corpus persist. *)
+      (** arm a pristine copy-on-write snapshot right after install and
+          rewind to it before {e every} payload: no target-side state
+          (heap, kernel tables, leaked objects) survives between
+          programs. Host-side feedback and corpus persist. The ladder's
+          reflash rung restores the same snapshot, O(dirty pages)
+          instead of O(image size). *)
 
 val reset_policy_name : reset_policy -> string
 
 val reset_policy_of_name : string -> (reset_policy, string) result
-(** ["ladder"], ["snapshot"], ["fresh-per-program"] (or ["fresh"]),
-    case-insensitive. *)
+(** ["ladder"], ["fresh-per-program"] (or ["fresh"]), case-insensitive;
+    anything else is an [Error] naming [ladder|fresh-per-program]. *)
 
 type config = {
   seed : int64;
@@ -90,7 +87,7 @@ type config = {
           wins. *)
   reset_policy : reset_policy;
       (** how the target gets back to pristine state (default
-          [Ladder]). The snapshot policies capture the pristine image
+          [Ladder]). [Fresh_per_program] captures the pristine image
           during {!init}, right after install — before the target ever
           runs. *)
   schedule : Corpus.schedule;

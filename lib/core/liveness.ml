@@ -131,9 +131,9 @@ let restore ?obs machine ~build =
   let restored =
     if Machine.has_snapshot machine then
       (* O(dirty pages) fast path: a pristine snapshot is armed (see
-         Campaign's snapshot reset policies), so one QSnapshot restore
-         replaces the whole partition rewrite. Reported partition count
-         stays the table length — the same state is made pristine. *)
+         Campaign's fresh-per-program reset policy), so one QSnapshot
+         restore replaces the whole partition rewrite. Reported partition
+         count stays the table length — the same state is made pristine. *)
       Result.map_error
         (Eof_error.with_context
            (Printf.sprintf "snapshot restore of %d partition(s)"

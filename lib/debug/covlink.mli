@@ -25,9 +25,9 @@ type drained = {
 }
 
 val create : session:Session.t -> layout:Eof_cov.Sancov.Layout.t -> t
-(** Every exchange needs a stub that advertised [vBatch+]
-    ({!Session.supports_batch}); against one that did not, each
-    {!continue_and_drain} returns {!Session.batch}'s typed error. *)
+(** Every exchange needs a stub that advertised [vBatch+]; against one
+    that did not, each {!continue_and_drain} returns {!Session.batch}'s
+    typed error. *)
 
 val continue_and_drain :
   ?write:int * string ->

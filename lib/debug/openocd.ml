@@ -121,7 +121,6 @@ let monitor t cmd : Rsp.reply =
     Rsp.Ok_reply
   | "uart" -> Rsp.Hex_data (drain_uart t)
   | "fault" -> Rsp.Hex_data (fault_text t)
-  | "bootok" -> Rsp.Hex_data (if Board.boot_ok t.board then "1" else "0")
   | "cycles" ->
     Rsp.Hex_data (Int64.to_string (Clock.cycles (Board.clock t.board)))
   | cmd when String.length cmd > 5 && String.sub cmd 0 5 = "gpio " ->
@@ -163,12 +162,12 @@ let execute_batch_op t (op : Rsp.batch_op) : Rsp.batch_reply =
 let execute t (cmd : Rsp.command) : Rsp.reply =
   match cmd with
   | Rsp.Q_supported _ ->
-    Rsp.Supported "PacketSize=4000;swbreak+;vFlashErase+;qRcmd+;vBatch+;X+;QSnapshot+"
+    Rsp.Supported "PacketSize=4000;swbreak+;vFlashErase+;qRcmd+;vBatch+;QSnapshot+"
   | Rsp.Read_mem { addr; len } ->
     (match Board.read_mem t.board ~addr ~len with
      | Ok data -> Rsp.Hex_data data
      | Error _ -> Rsp.Error_reply 0x0E)
-  | Rsp.Write_mem { addr; data } | Rsp.Write_mem_bin { addr; data } ->
+  | Rsp.Write_mem { addr; data } ->
     (match Board.write_ram t.board ~addr data with
      | Ok () -> Rsp.Ok_reply
      | Error _ -> Rsp.Error_reply 0x0E)

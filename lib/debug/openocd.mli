@@ -73,15 +73,13 @@ val feed : t -> string -> string
 (** Process raw bytes from the host; return the raw bytes to send back
     (acks plus reply frames). [vBatch] packets execute their
     sub-operations in order server-side and return one combined reply
-    frame; [X] packets are binary-escaped memory writes. Both are
-    advertised in the [qSupported] reply ([vBatch+;X+]). *)
+    frame; the [qSupported] reply advertises them ([vBatch+]). *)
 
 (** Monitor ([qRcmd]) commands understood, all returning hex-encoded
     text per OpenOCD convention:
     - ["reset"]: power-cycle the board and rearm the engine
     - ["uart"]: drain and return pending UART output
     - ["fault"]: the last hardware-fault diagnosis, or empty
-    - ["bootok"]: "1" if the bootloader integrity check passes
     - ["cycles"]: the board clock's cycle counter in decimal
     - ["gpio <pin> <0|1>"]: inject a pin-level change (peripheral event
       injection for interrupt-path fuzzing) *)

@@ -145,7 +145,6 @@ type command =
   | Q_supported of string
   | Read_mem of { addr : int; len : int }
   | Write_mem of { addr : int; data : string }
-  | Write_mem_bin of { addr : int; data : string }
   | Insert_breakpoint of int
   | Remove_breakpoint of int
   | Continue
@@ -484,16 +483,6 @@ let parse_command payload =
           | Ok data ->
             if String.length data <> len then Error "M: length mismatch"
             else Ok (Write_mem { addr; data })))
-    | 'X' ->
-      (match split2 ':' (rest ()) with
-       | None -> Error "X: missing data"
-       | Some (range, escaped) ->
-         let* addr, len = parse_addr_len range in
-         (match unescape_binary escaped with
-          | Error e -> Error ("X: " ^ e)
-          | Ok data ->
-            if String.length data <> len then Error "X: length mismatch"
-            else Ok (Write_mem_bin { addr; data })))
     | 'Z' ->
       let* addr = parse_breakpoint (rest ()) in
       Ok (Insert_breakpoint addr)
@@ -539,8 +528,6 @@ let render_command = function
   | Read_mem { addr; len } -> Printf.sprintf "m%x,%x" addr len
   | Write_mem { addr; data } ->
     Printf.sprintf "M%x,%x:%s" addr (String.length data) (Hex.encode data)
-  | Write_mem_bin { addr; data } ->
-    Printf.sprintf "X%x,%x:%s" addr (String.length data) (escape_binary data)
   | Insert_breakpoint addr -> Printf.sprintf "Z0,%x,2" addr
   | Remove_breakpoint addr -> Printf.sprintf "z0,%x,2" addr
   | Continue -> "c"

@@ -89,9 +89,6 @@ type command =
   | Q_supported of string
   | Read_mem of { addr : int; len : int }
   | Write_mem of { addr : int; data : string }
-  | Write_mem_bin of { addr : int; data : string }
-      (** [X]-packet: binary-escaped payload — half the bytes of the
-          hex [M] packet for the same write *)
   | Insert_breakpoint of int
   | Remove_breakpoint of int
   | Continue

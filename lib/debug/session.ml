@@ -103,7 +103,7 @@ let connect ?obs ~transport ~server () =
       c_retries = Obs.Counter.make obs "session.retries";
     }
   in
-  let* reply = request t (Rsp.render_command (Rsp.Q_supported "swbreak+;vBatch+;X+")) in
+  let* reply = request t (Rsp.render_command (Rsp.Q_supported "swbreak+;vBatch+")) in
   match reply with
   | Rsp.Raw features when features <> "" ->
     t.features <- features;
@@ -113,8 +113,6 @@ let connect ?obs ~transport ~server () =
 
 let has_feature t name =
   List.exists (fun f -> String.trim f = name) (String.split_on_char ';' t.features)
-
-let supports_batch t = has_feature t "vBatch+"
 
 (* Resynchronize a desynced link: throw away whatever partial frame the
    decoder is stuck on and confirm the stub still answers a halt-reason
@@ -131,9 +129,6 @@ let read_mem t ~addr ~len = expect_hex t (Rsp.render_command (Rsp.Read_mem { add
 
 let write_mem t ~addr data =
   expect_ok t (Rsp.render_command (Rsp.Write_mem { addr; data }))
-
-let write_mem_bin t ~addr data =
-  expect_ok t (Rsp.render_command (Rsp.Write_mem_bin { addr; data }))
 
 let batch t ops =
   Obs.Counter.incr t.c_batches;
@@ -303,10 +298,6 @@ let inject_gpio t ~pin ~level =
 let drain_uart t = monitor t "uart"
 
 let last_fault t = monitor t "fault"
-
-let boot_ok t =
-  let* text = monitor t "bootok" in
-  Ok (text = "1")
 
 let requests t = t.requests
 

@@ -49,20 +49,11 @@ val read_mem : t -> addr:int -> len:int -> (string, error) result
 val write_mem : t -> addr:int -> string -> (unit, error) result
 (** Hex [M] packet (2 payload bytes per data byte). *)
 
-val write_mem_bin : t -> addr:int -> string -> (unit, error) result
-(** Binary [X] packet (~1 payload byte per data byte): preferred for
-    bulk delivery (program mailbox writes) on stubs that advertise
-    [X+]. *)
-
 val batch : t -> Rsp.batch_op list -> (Rsp.batch_reply list, error) result
 (** One [vBatch] exchange: all sub-operations execute server-side in
     order, and the sub-replies come back positionally matched in a
     single framed response. Counts as one request and one transport
     exchange regardless of how many sub-operations it carries. *)
-
-val supports_batch : t -> bool
-(** Whether the connected stub advertised [vBatch+] — callers fall back
-    to per-request exchanges when false. *)
 
 val decode_stop : t -> string -> (stop, error) result
 (** Interpret a stop-reply payload (e.g. from [Rsp.Br_stop]) exactly as
@@ -114,8 +105,6 @@ val inject_gpio : t -> pin:int -> level:bool -> (unit, error) result
 val drain_uart : t -> (string, error) result
 
 val last_fault : t -> (string, error) result
-
-val boot_ok : t -> (bool, error) result
 
 val requests : t -> int
 

@@ -18,8 +18,12 @@ let magic = 0x454F4648l
    Status reports worker liveness next to the tenant rows.
    v5: the generator-mode byte is gone (there is one program
    generator); a journal written by an older version is refused, not
-   replayed. *)
-let version = 5
+   replayed.
+   v6: Shard_assign carries the campaign, shard and epoch followed by
+   the submitted tenant config (the worker derives the shard's seed and
+   budget itself, see {!Shard.farm_config}); reset-policy code 1 (the
+   retired snapshot policy) no longer decodes. *)
+let version = 6
 
 let header_bytes = 12 (* magic u32, version u16, kind u8, reserved u8, payload_len u32 *)
 
@@ -188,7 +192,6 @@ let put_backend b = function Machine.Link -> put_u8 b 0 | Machine.Native -> put_
 
 let put_reset_policy b = function
   | Campaign.Ladder -> put_u8 b 0
-  | Campaign.Snapshot -> put_u8 b 1
   | Campaign.Fresh_per_program -> put_u8 b 2
 
 let put_schedule b = function
@@ -268,7 +271,6 @@ let backend c =
 let reset_policy c =
   match u8 c with
   | 0 -> Campaign.Ladder
-  | 1 -> Campaign.Snapshot
   | 2 -> Campaign.Fresh_per_program
   | n -> raise (Fail (Printf.sprintf "bad reset policy code %d" n))
 
@@ -322,38 +324,6 @@ let tenant_config c =
   let schedule = schedule c in
   { Tenant.tenant; os; seed; iterations; boards; farms; sync_every; backend;
     reset_policy; schedule }
-
-let put_assignment b (a : Shard.assignment) =
-  put_u32 b a.Shard.campaign;
-  put_str b a.Shard.tenant;
-  put_str b a.Shard.os;
-  put_u16 b a.Shard.shard;
-  put_u16 b a.Shard.shards;
-  put_u32 b a.Shard.epoch;
-  put_u64 b a.Shard.seed;
-  put_u32 b a.Shard.iterations;
-  put_u16 b a.Shard.boards;
-  put_u32 b a.Shard.sync_every;
-  put_backend b a.Shard.backend;
-  put_reset_policy b a.Shard.reset_policy;
-  put_schedule b a.Shard.schedule
-
-let assignment c =
-  let campaign = u32 c in
-  let tenant = str c in
-  let os = str c in
-  let shard = u16 c in
-  let shards = u16 c in
-  let epoch = u32 c in
-  let seed = u64 c in
-  let iterations = u32 c in
-  let boards = u16 c in
-  let sync_every = u32 c in
-  let backend = backend c in
-  let reset_policy = reset_policy c in
-  let schedule = schedule c in
-  { Shard.campaign; tenant; os; shard; shards; epoch; seed; iterations; boards;
-    sync_every; backend; reset_policy; schedule }
 
 let put_crash b (cr : Crash.t) =
   put_str b cr.Crash.os;
@@ -423,7 +393,11 @@ let encode_payload b = function
   | Reject { tenant; reason } ->
     put_str b tenant;
     put_str b reason
-  | Shard_assign a -> put_assignment b a
+  | Shard_assign { Shard.campaign; shard; epoch; config } ->
+    put_u32 b campaign;
+    put_u16 b shard;
+    put_u32 b epoch;
+    put_tenant_config b config
   | Corpus_push { campaign; shard; epoch; progs } ->
     put_u32 b campaign;
     put_u16 b shard;
@@ -489,7 +463,12 @@ let decode_payload kind c =
     let tenant = str c in
     let reason = str c in
     Reject { tenant; reason }
-  | 4 -> Shard_assign (assignment c)
+  | 4 ->
+    let campaign = u32 c in
+    let shard = u16 c in
+    let epoch = u32 c in
+    let config = tenant_config c in
+    Shard_assign { Shard.campaign; shard; epoch; config }
   | 5 ->
     let campaign = u32 c in
     let shard = u16 c in

@@ -1,20 +1,7 @@
 module Farm = Eof_core.Farm
+module Campaign = Eof_core.Campaign
 
-type assignment = {
-  campaign : int;
-  tenant : string;
-  os : string;
-  shard : int;
-  shards : int;
-  epoch : int;
-  seed : int64;
-  iterations : int;
-  boards : int;
-  sync_every : int;
-  backend : Eof_agent.Machine.backend;
-  reset_policy : Eof_core.Campaign.reset_policy;
-  schedule : Eof_core.Corpus.schedule;
-}
+type assignment = { campaign : int; shard : int; epoch : int; config : Tenant.config }
 
 (* Shard 0 keeps the tenant's seed (a one-farm campaign is exactly the
    plain farm run), the others derive statistically independent streams
@@ -23,20 +10,21 @@ type assignment = {
    with another shard's seed. The budget splits as the farm's does. *)
 let shard_mix = 0xBF58476D1CE4E5B9L
 
-let plan ~campaign (c : Tenant.config) =
-  List.init c.Tenant.farms (fun k ->
+let plan ~campaign (config : Tenant.config) =
+  List.init config.Tenant.farms (fun shard -> { campaign; shard; epoch = 1; config })
+
+let farm_config { shard; config = c; _ } =
+  {
+    Farm.boards = c.Tenant.boards;
+    sync_every = c.Tenant.sync_every;
+    base =
       {
-        campaign;
-        tenant = c.Tenant.tenant;
-        os = c.Tenant.os;
-        shard = k;
-        shards = c.Tenant.farms;
-        epoch = 1;
-        seed = Farm.derive_seed ~mix:shard_mix c.Tenant.seed k;
-        iterations = Farm.shard_iterations ~total:c.Tenant.iterations ~shards:c.Tenant.farms k;
-        boards = c.Tenant.boards;
-        sync_every = c.Tenant.sync_every;
+        Campaign.default_config with
+        Campaign.seed = Farm.derive_seed ~mix:shard_mix c.Tenant.seed shard;
+        iterations =
+          Farm.shard_iterations ~total:c.Tenant.iterations ~shards:c.Tenant.farms shard;
         backend = c.Tenant.backend;
         reset_policy = c.Tenant.reset_policy;
         schedule = c.Tenant.schedule;
-      })
+      };
+  }

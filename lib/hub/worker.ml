@@ -1,7 +1,6 @@
 module Obs = Eof_obs.Obs
 module Bitset = Eof_util.Bitset
 module Farm = Eof_core.Farm
-module Campaign = Eof_core.Campaign
 module Corpus = Eof_core.Corpus
 module Osbuild = Eof_os.Osbuild
 
@@ -51,32 +50,19 @@ let heartbeat_timeout_s t = t.heartbeat_timeout_s
 let hello t = Protocol.Worker_hello { name = t.name }
 
 let assign t (a : Shard.assignment) =
+  let os = a.Shard.config.Tenant.os in
   let target =
-    match t.resolve a.Shard.os with
+    match t.resolve os with
     | Ok target -> target
     | Error e ->
-      invalid_arg
-        (Printf.sprintf "worker %d: cannot resolve os %s: %s" t.id a.Shard.os e)
-  in
-  let base =
-    {
-      Campaign.default_config with
-      Campaign.seed = a.Shard.seed;
-      iterations = a.Shard.iterations;
-      backend = a.Shard.backend;
-      reset_policy = a.Shard.reset_policy;
-      schedule = a.Shard.schedule;
-    }
-  in
-  let config =
-    {
-      Farm.boards = a.Shard.boards;
-      sync_every = a.Shard.sync_every;
-      base;
-    }
+      invalid_arg (Printf.sprintf "worker %d: cannot resolve os %s: %s" t.id os e)
   in
   let farm =
-    match Farm.init ~obs:(Obs.for_tenant t.obs a.Shard.tenant) config target.mk_build with
+    match
+      Farm.init
+        ~obs:(Obs.for_tenant t.obs a.Shard.config.Tenant.tenant)
+        (Shard.farm_config a) target.mk_build
+    with
     | Ok farm -> farm
     | Error e ->
       invalid_arg

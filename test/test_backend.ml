@@ -126,44 +126,26 @@ let test_diff_farm () =
 
 (* --- snapshot reset policies -------------------------------------------- *)
 
-let test_snapshot_policy_digest_equal () =
-  (* On a fault-free link the ladder never climbs, so arming a snapshot
-     must change nothing observable: same seed, same digest, policy by
-     policy. Only recovery cost may differ — and no recovery happens. *)
+let test_fresh_per_program_deterministic () =
   let run reset_policy =
     let bus = Eof_obs.Obs.create () in
     let config =
-      { Campaign.default_config with Campaign.seed = 21L; iterations = 150;
-        reset_policy }
-    in
-    match Campaign.run ~obs:bus config (zephyr ()) with
-    | Ok o -> (o, Eof_obs.Obs.counter_value bus "snapshot.saves")
-    | Error e -> Alcotest.fail (Eof_error.to_string e)
-  in
-  let ladder, ladder_saves = run Campaign.Ladder in
-  let snapshot, snapshot_saves = run Campaign.Snapshot in
-  Alcotest.(check int) "ladder never saves" 0 ladder_saves;
-  Alcotest.(check int) "snapshot policy saves once" 1 snapshot_saves;
-  Alcotest.(check string) "digest equal across policies"
-    (Report.campaign_digest ladder)
-    (Report.campaign_digest snapshot)
-
-let test_fresh_per_program_deterministic () =
-  let run () =
-    let bus = Eof_obs.Obs.create () in
-    let config =
       { Campaign.default_config with Campaign.seed = 33L; iterations = 120;
-        reset_policy = Campaign.Fresh_per_program }
+        reset_policy }
     in
     match Campaign.run ~obs:bus config (zephyr ()) with
     | Ok o ->
       (o,
+       Eof_obs.Obs.counter_value bus "snapshot.saves",
        Eof_obs.Obs.counter_value bus "snapshot.restores",
        Eof_obs.Obs.counter_value bus "snapshot.pages_copied")
     | Error e -> Alcotest.fail (Eof_error.to_string e)
   in
-  let o1, restores1, copied1 = run () in
-  let o2, restores2, copied2 = run () in
+  let o1, saves1, restores1, copied1 = run Campaign.Fresh_per_program in
+  let o2, _, restores2, copied2 = run Campaign.Fresh_per_program in
+  let _, ladder_saves, _, _ = run Campaign.Ladder in
+  Alcotest.(check int) "ladder never saves a snapshot" 0 ladder_saves;
+  Alcotest.(check int) "fresh-per-program saves once" 1 saves1;
   Alcotest.(check bool) "made progress" true (o1.Campaign.coverage > 0);
   Alcotest.(check int) "one restore per payload" o1.Campaign.iterations_done
     restores1;
@@ -174,23 +156,18 @@ let test_fresh_per_program_deterministic () =
   Alcotest.(check int) "same pages copied" copied1 copied2
 
 let test_diff_snapshot_policies () =
-  (* The differential oracle must hold under both snapshot policies: the
+  (* The differential oracle must hold under the snapshot policy: the
      native backend's in-process snapshot and the link's stub-side
      QSnapshot must copy the same pages at the same points. *)
-  List.iter
-    (fun reset_policy ->
-      let config =
-        { Campaign.default_config with Campaign.seed = 13L; iterations = 120;
-          reset_policy }
-      in
-      match Diff.run config zephyr with
-      | Error e -> Alcotest.fail (Eof_error.to_string e)
-      | Ok v ->
-        Alcotest.(check bool)
-          (Campaign.reset_policy_name reset_policy ^ " backends agree\n"
-           ^ Diff.report v)
-          true v.Diff.equal)
-    [ Campaign.Snapshot; Campaign.Fresh_per_program ]
+  let config =
+    { Campaign.default_config with Campaign.seed = 13L; iterations = 120;
+      reset_policy = Campaign.Fresh_per_program }
+  in
+  match Diff.run config zephyr with
+  | Error e -> Alcotest.fail (Eof_error.to_string e)
+  | Ok v ->
+    Alcotest.(check bool) ("fresh-per-program backends agree\n" ^ Diff.report v) true
+      v.Diff.equal
 
 let test_reset_policy_names () =
   List.iter
@@ -198,13 +175,20 @@ let test_reset_policy_names () =
       match Campaign.reset_policy_of_name (Campaign.reset_policy_name p) with
       | Ok p' when p' = p -> ()
       | _ -> Alcotest.fail ("name roundtrip: " ^ Campaign.reset_policy_name p))
-    [ Campaign.Ladder; Campaign.Snapshot; Campaign.Fresh_per_program ];
+    [ Campaign.Ladder; Campaign.Fresh_per_program ];
   (match Campaign.reset_policy_of_name "FRESH" with
    | Ok Campaign.Fresh_per_program -> ()
    | _ -> Alcotest.fail "fresh alias, case-insensitive");
-  match Campaign.reset_policy_of_name "warp" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unknown policy must be rejected"
+  (* The retired snapshot policy is an unknown name like any other. *)
+  List.iter
+    (fun name ->
+      match Campaign.reset_policy_of_name name with
+      | Error e ->
+        Alcotest.(check string) (name ^ ": error names the policies")
+          (Printf.sprintf "unknown reset policy %S (expected ladder|fresh-per-program)" name)
+          e
+      | Ok _ -> Alcotest.fail (name ^ ": unknown policy must be rejected"))
+    [ "warp"; "snapshot" ]
 
 (* --- native constraints ------------------------------------------------- *)
 
@@ -320,8 +304,6 @@ let suite =
       test_diff_with_stall_recovery;
     Alcotest.test_case "diff runner verdict" `Slow test_diff_runner_verdict;
     Alcotest.test_case "diff: multi-board farm backend-equal" `Slow test_diff_farm;
-    Alcotest.test_case "snapshot policy digest-equal to ladder" `Slow
-      test_snapshot_policy_digest_equal;
     Alcotest.test_case "fresh-per-program deterministic" `Slow
       test_fresh_per_program_deterministic;
     Alcotest.test_case "diff: snapshot policies backend-equal" `Slow

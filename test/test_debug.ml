@@ -65,7 +65,7 @@ let test_command_rejects () =
       match Rsp.parse_command payload with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail (Printf.sprintf "accepted %S" payload))
-    [ ""; "Mdeadbeef"; "Z9,100,2"; "m100"; "vFlashWrite:zz"; "qUnknown" ]
+    [ ""; "Mdeadbeef"; "Z9,100,2"; "m100"; "vFlashWrite:zz"; "qUnknown"; "X100,4:abcd" ]
 
 let test_reply_roundtrip () =
   let pc_reg = 15 in
@@ -316,33 +316,7 @@ let suite =
   @ [ Alcotest.test_case "read_pc across architectures" `Quick
         test_read_pc_across_architectures ]
 
-(* --- batched debug link: X packets, vBatch, Covlink ------------------ *)
-
-let test_x_packet_roundtrip () =
-  List.iter
-    (fun data ->
-      let cmd = Rsp.Write_mem_bin { addr = 0x20000100; data } in
-      match Rsp.parse_command (Rsp.render_command cmd) with
-      | Ok cmd' -> Alcotest.(check bool) "roundtrip" true (cmd = cmd')
-      | Error e -> Alcotest.fail (Eof_util.Eof_error.to_string e))
-    [ ""; "}$#*"; "\x00\x01\xFF}}x"; String.init 256 Char.chr ]
-
-let test_x_packet_writes_memory () =
-  let board, _, server, transport = make_machine () in
-  let s = connect_exn (server, transport) in
-  let ram_base = (Board.profile board).Board.ram_base in
-  let payload = "}$#*\x00\xFFbin" in
-  (match Session.write_mem_bin s ~addr:ram_base payload with
-   | Ok () -> ()
-   | Error e -> Alcotest.fail (Session.error_to_string e));
-  (match Session.read_mem s ~addr:ram_base ~len:(String.length payload) with
-   | Ok data -> Alcotest.(check string) "binary write landed" payload data
-   | Error e -> Alcotest.fail (Session.error_to_string e));
-  (* An X write never costs more wire bytes than the hex M write of the
-     same data: that is the point of the packet. *)
-  Alcotest.(check bool) "x shorter than m" true
-    (String.length (Rsp.render_command (Rsp.Write_mem_bin { addr = ram_base; data = payload }))
-     < String.length (Rsp.render_command (Rsp.Write_mem { addr = ram_base; data = payload })))
+(* --- batched debug link: vBatch, Covlink ----------------------------- *)
 
 let test_batch_codec_samples () =
   (* Binary data containing the wire separators ';' ':' ',' and the RSP
@@ -434,7 +408,6 @@ let prop_batch_replies_roundtrip =
 let test_vbatch_over_server () =
   let board, _, server, transport = make_machine () in
   let s = connect_exn (server, transport) in
-  Alcotest.(check bool) "stub advertises vBatch" true (Session.supports_batch s);
   let ram_base = (Board.profile board).Board.ram_base in
   let count_addr = ram_base + 0x100 in
   let data_addr = ram_base + 0x104 in
@@ -567,8 +540,6 @@ let test_covlink_continue_and_drain () =
 let suite =
   suite
   @ [
-      Alcotest.test_case "x packet roundtrip" `Quick test_x_packet_roundtrip;
-      Alcotest.test_case "x packet writes memory" `Quick test_x_packet_writes_memory;
       Alcotest.test_case "batch codec samples" `Quick test_batch_codec_samples;
       QCheck_alcotest.to_alcotest prop_batch_ops_roundtrip;
       QCheck_alcotest.to_alcotest prop_batch_replies_roundtrip;

@@ -50,21 +50,24 @@ let every_kind =
     Protocol.Submit sample_tenant;
     Protocol.Accept { campaign = 3; tenant = "alice" };
     Protocol.Reject { tenant = "bob"; reason = "tenant already has a campaign" };
+    (* every non-default code: native backend, fresh-per-program reset,
+       energy schedule *)
     Protocol.Shard_assign
       {
         Shard.campaign = 3;
-        tenant = "alice";
-        os = "Zephyr";
         shard = 1;
-        shards = 2;
         epoch = 4;
-        seed = 0x1234_5678_9ABC_DEF0L;
-        iterations = 21;
-        boards = 2;
-        sync_every = 25;
-        backend = Eof_agent.Machine.Native;
-        reset_policy = Eof_core.Campaign.Snapshot;
-        schedule = Eof_core.Corpus.Energy;
+        config =
+          {
+            sample_tenant with
+            Tenant.seed = 0x1234_5678_9ABC_DEF0L;
+            iterations = 21;
+            boards = 2;
+            sync_every = 25;
+            backend = Eof_agent.Machine.Native;
+            reset_policy = Eof_core.Campaign.Fresh_per_program;
+            schedule = Eof_core.Corpus.Energy;
+          };
       };
     Protocol.Corpus_push
       { campaign = 3; shard = 0; epoch = 1; progs = [ "\x00\x01\xffwire"; "" ] };
@@ -185,7 +188,17 @@ let test_codec_rejections () =
   | _ -> Alcotest.fail "trailing byte accepted");
   check_error "future version"
     (Protocol.Bad_version (Protocol.version + 1))
-    (Protocol.decode (with_version frame (Protocol.version + 1)))
+    (Protocol.decode (with_version frame (Protocol.version + 1)));
+  (* v5 carried shard assignments field by field: its frames are
+     refused by version, not misparsed *)
+  check_error "v5 frame" (Protocol.Bad_version 5) (Protocol.decode (with_version frame 5));
+  (* reset-policy code 1 (the retired snapshot policy) no longer decodes:
+     it is the byte before a tenant config's closing schedule byte *)
+  let submit = Bytes.of_string (Protocol.encode (Protocol.Submit sample_tenant)) in
+  Bytes.set_uint8 submit (Bytes.length submit - 6) 1;
+  (match Protocol.decode (with_version (Bytes.to_string submit) Protocol.version) with
+  | Error (Protocol.Malformed _) -> ()
+  | _ -> Alcotest.fail "reset-policy code 1 decoded")
 
 (* Adversarial input sweep: seeded random bytes through [frame_size] and
    [decode] — pure noise, noise behind a genuine magic, and re-signed
@@ -311,21 +324,66 @@ let test_tenant_protocol_bounds () =
 
 (* --- sharding ----------------------------------------------------------- *)
 
-let test_shard_plan () =
-  let plan =
-    Shard.plan ~campaign:5 { sample_tenant with Tenant.iterations = 41; farms = 3 }
+(* Over random valid tenant configs: the plan is one lease per farm,
+   born at epoch 1 and carrying the submitted config, and the farms
+   {!Shard.farm_config} derives from it split the budget exactly, keep
+   the tenant seed on shard 0 and seed every shard as
+   {!Shard.shard_mix} says — distinct streams, the tenant's knobs
+   passed through. *)
+let prop_shard_plan =
+  let module Farm = Eof_core.Farm in
+  let module Campaign = Eof_core.Campaign in
+  let gen =
+    QCheck.Gen.(
+      let+ seed = ui64
+      and+ iterations = 1 -- Tenant.max_u32
+      and+ farms = 1 -- 64
+      and+ boards = 1 -- 16
+      and+ sync_every = 1 -- 10_000
+      and+ native = bool
+      and+ fresh = bool
+      and+ energy = bool in
+      {
+        sample_tenant with
+        Tenant.seed;
+        iterations;
+        farms;
+        boards;
+        sync_every;
+        backend = (if native then Eof_agent.Machine.Native else Eof_agent.Machine.Link);
+        reset_policy = (if fresh then Campaign.Fresh_per_program else Campaign.Ladder);
+        schedule = (if energy then Eof_core.Corpus.Energy else Eof_core.Corpus.Uniform);
+      })
   in
-  Alcotest.(check int) "one assignment per farm" 3 (List.length plan);
-  Alcotest.(check int) "budget preserved" 41
-    (List.fold_left (fun acc (a : Shard.assignment) -> acc + a.Shard.iterations) 0 plan);
-  let a0 = List.nth plan 0 in
-  Alcotest.(check bool) "shard 0 keeps the tenant seed" true
-    (a0.Shard.seed = sample_tenant.Tenant.seed);
-  Alcotest.(check bool) "leases born at epoch 1" true
-    (List.for_all (fun (a : Shard.assignment) -> a.Shard.epoch = 1) plan);
-  let seeds = List.map (fun (a : Shard.assignment) -> a.Shard.seed) plan in
-  Alcotest.(check int) "derived seeds distinct" 3
-    (List.length (List.sort_uniq compare seeds))
+  QCheck.Test.make ~name:"shard planning" ~count:200
+    (QCheck.make ~print:Tenant.to_string gen)
+    (fun (c : Tenant.config) ->
+      let plan = Shard.plan ~campaign:9 c in
+      let farms = List.map Shard.farm_config plan in
+      let seeds = List.map (fun (f : Farm.config) -> f.Farm.base.Campaign.seed) farms in
+      Tenant.validate c = Ok ()
+      && List.length plan = c.Tenant.farms
+      && List.for_all2
+           (fun k (a : Shard.assignment) ->
+             a = { Shard.campaign = 9; shard = k; epoch = 1; config = c })
+           (List.init c.Tenant.farms Fun.id) plan
+      && List.for_all
+           (fun (f : Farm.config) ->
+             f.Farm.boards = c.Tenant.boards
+             && f.Farm.sync_every = c.Tenant.sync_every
+             && f.Farm.base.Campaign.backend = c.Tenant.backend
+             && f.Farm.base.Campaign.reset_policy = c.Tenant.reset_policy
+             && f.Farm.base.Campaign.schedule = c.Tenant.schedule)
+           farms
+      && List.fold_left
+           (fun acc (f : Farm.config) -> acc + f.Farm.base.Campaign.iterations)
+           0 farms
+         = c.Tenant.iterations
+      && List.hd seeds = c.Tenant.seed
+      && List.for_all2
+           (fun k seed -> seed = Farm.derive_seed ~mix:Shard.shard_mix c.Tenant.seed k)
+           (List.init c.Tenant.farms Fun.id) seeds
+      && List.length (List.sort_uniq compare seeds) = c.Tenant.farms)
 
 (* --- hub unit tests: registry, dedup, fencing --------------------------- *)
 
@@ -768,7 +826,7 @@ let suite =
     Alcotest.test_case "tenant spec parsing" `Quick test_tenant_spec;
     Alcotest.test_case "tenant fields fit the protocol" `Quick
       test_tenant_protocol_bounds;
-    Alcotest.test_case "shard planning" `Quick test_shard_plan;
+    QCheck_alcotest.to_alcotest prop_shard_plan;
     Alcotest.test_case "global crash dedup with attribution" `Quick
       test_global_crash_dedup;
     Alcotest.test_case "lease epochs fence stale traffic" `Quick test_lease_fencing;

@@ -71,9 +71,9 @@ let test_fault_kinds_cured_by_retry () =
       Inject.force_next inj fault;
       let faulted = ok_or_fail (Session.read_mem session ~addr:mailbox ~len:16) in
       Alcotest.(check string) (name ^ ": read survives, data intact") clean faulted;
-      (* binary X write *)
+      (* hex M write *)
       Inject.force_next inj fault;
-      ok_or_fail (Session.write_mem_bin session ~addr:mailbox "\x01\x02\x03\x04");
+      ok_or_fail (Session.write_mem session ~addr:mailbox "\x01\x02\x03\x04");
       (* continue (stop-reply exchange) *)
       let syms = Osbuild.syms build in
       ok_or_fail (Session.set_breakpoint session syms.Osbuild.sym_executor_main);
@@ -83,8 +83,6 @@ let test_fault_kinds_cured_by_retry () =
        | Error e ->
          Alcotest.fail (name ^ ": continue failed: " ^ Err.to_string e));
       (* fused vBatch continue+drain *)
-      Alcotest.(check bool) (name ^ ": stub advertises vBatch") true
-        (Session.supports_batch session);
       let cov =
         Covlink.create ~session ~layout:(Osbuild.covbuf_layout build)
       in
@@ -191,7 +189,7 @@ let test_snapshot_restore_mid_fault () =
   List.iter
     (fun fault ->
       let name = Inject.fault_name fault in
-      ok_or_fail (Session.write_mem_bin session ~addr:mailbox "\xAA\xBB\xCC\xDD");
+      ok_or_fail (Session.write_mem session ~addr:mailbox "\xAA\xBB\xCC\xDD");
       (* The fault lands on the QSnapshot restore exchange itself: the
          session's retry rung must carry the restore through. Restore is
          idempotent, so a retry after a lost {e reply} (the stub already
@@ -207,33 +205,40 @@ let test_snapshot_restore_mid_fault () =
     [ Inject.Drop; Inject.Timeout; Inject.Truncate; Inject.Nak_storm; Inject.Garbage ];
   Alcotest.(check bool) "retries recorded" true (Session.retries session > 0)
 
-(* The ladder still recovers a bursty link when its reflash rung is the
-   snapshot fast path, and stays deterministic. *)
+(* Fresh-per-program still recovers a bursty link: its reflash rung is
+   the snapshot fast path (no partition is ever rewritten), and the
+   faulted campaign stays deterministic. *)
 let test_snapshot_policy_under_faults () =
   let run () =
     let bus = Obs.create () in
+    (* A reflash rung that did not ride the snapshot restore rewrites
+       partitions, and each rewritten partition emits an event. *)
+    let rewrites = ref 0 in
+    Obs.add_sink bus
+      (Obs.sink (fun ~t:_ ~board:_ ~tenant:_ -> function
+         | Obs.Event.Reflash_partition _ -> incr rewrites
+         | _ -> ()));
     let config =
       { Campaign.default_config with
         iterations = 200;
         seed = 7L;
         fault_rate = 0.03;
-        fault_seed = 99L;
-        reset_policy = Campaign.Snapshot
+        fault_seed = 1L;
+        reset_policy = Campaign.Fresh_per_program
       }
     in
     match Campaign.run ~obs:bus config (mk_build 0) with
     | Error e -> Alcotest.fail (Err.to_string e)
-    | Ok o -> (o, Obs.counters bus)
+    | Ok o -> (o, Obs.counters bus, !rewrites)
   in
-  let o, counters = run () in
+  let o, counters, rewrites = run () in
   let v name = try List.assoc name counters with Not_found -> 0 in
   Alcotest.(check bool) "campaign made progress" true (o.Campaign.coverage > 0);
   Alcotest.(check bool) "ladder climbed" true
     (v "recover.resync" + v "recover.reset" + v "recover.reflash" > 0);
-  (* Any reflash rung that fired went through the armed snapshot. *)
-  Alcotest.(check int) "reflash rung = snapshot restores" (v "recover.reflash")
-    (v "snapshot.restores");
-  let o2, counters2 = run () in
+  Alcotest.(check bool) "reflash rung fired" true (v "recover.reflash" > 0);
+  Alcotest.(check int) "every reflash rung rode a snapshot restore" 0 rewrites;
+  let o2, counters2, _ = run () in
   Alcotest.(check bool) "faulted snapshot campaign deterministic" true
     (campaign_digest o = campaign_digest o2);
   Alcotest.(check bool) "counters deterministic" true (counters = counters2)
