@@ -144,8 +144,8 @@ val continue_and_drain :
 
 val read_counted :
   t -> count_addr:int -> data_addr:int -> stride:int -> max_count:int -> string
-(** The per-request counted read, built from {!read_u32}, {!read_mem}
-    and {!write_u32}: read the counter word, clamp it to [max_count],
+(** The per-request counted read, built from {!read_u32}, a memory
+    read and {!write_u32}: read the counter word, clamp it to [max_count],
     and only when the clamped count [n] is positive read [n] entries of
     [stride] bytes from [data_addr] and zero the counter. Returns the
     entries ([n = String.length result / stride]); any failed read
@@ -154,8 +154,6 @@ val read_counted :
 val read_u32 : t -> addr:int -> (int32, Eof_util.Eof_error.t) result
 
 val write_u32 : t -> addr:int -> int32 -> (unit, Eof_util.Eof_error.t) result
-
-val read_mem : t -> addr:int -> len:int -> (string, Eof_util.Eof_error.t) result
 
 val write_mem : t -> addr:int -> string -> (unit, Eof_util.Eof_error.t) result
 

@@ -25,12 +25,6 @@ val magic : int32
 val max_calls : int
 (** 64. *)
 
-val max_args : int
-(** 8 per call. *)
-
-val max_str : int
-(** 1024 bytes per string/buffer argument. *)
-
 val encode : endianness:Arch.endianness -> program -> (string, string) result
 (** Host side. Validates the limits. *)
 
@@ -53,8 +47,6 @@ val write_to_ram :
   (unit, string) result
 (** Host-side helper used by tests and the emulation-based baselines
     (which bypass the debug link): place [magic]+len+payload at [base]. *)
-
-val results_magic : int32
 
 (** Result summary the agent writes back after executing a program. *)
 module Results : sig

@@ -55,14 +55,6 @@ let s_query_param = 19
 
 let site_count = 24
 
-let meth_to_string = function
-  | GET -> "GET"
-  | POST -> "POST"
-  | PUT -> "PUT"
-  | DELETE -> "DELETE"
-  | HEAD -> "HEAD"
-  | OPTIONS -> "OPTIONS"
-
 let meth_of_string = function
   | "GET" -> Some GET
   | "POST" -> Some POST
@@ -269,6 +261,4 @@ module Server = struct
     match parse_request ~instr:t.instr raw with
     | Ok req -> route t req
     | Error e -> text_response 400 "Bad Request" (e ^ "\n")
-
-  let requests_served t = t.requests_served
 end

@@ -22,8 +22,6 @@ val site_count : int
 
 val parse_request : instr:Eof_rtos.Instr.t -> string -> (request, string) result
 
-val meth_to_string : meth -> string
-
 val header : request -> string -> string option
 
 (** The server: fixed routes over the parser, JSON-backed where the
@@ -36,6 +34,4 @@ module Server : sig
   val handle : t -> string -> response
   (** Parse raw request bytes and dispatch; malformed input yields 400,
       unknown routes 404. *)
-
-  val requests_served : t -> int
 end

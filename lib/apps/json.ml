@@ -398,11 +398,6 @@ let encode ~instr ?(max_depth = 16) v =
   Instr.edge instr s_enc_entry;
   match go 0 v with () -> Ok (Buffer.contents buf) | exception Too_deep -> Error `Too_deep
 
-let encode_exn v =
-  match encode ~instr:(Instr.null ~count:site_count) ~max_depth:max_int v with
-  | Ok s -> s
-  | Error `Too_deep -> assert false
-
 let rec equal a b =
   match (a, b) with
   | Null, Null -> true

@@ -23,9 +23,6 @@ val parse : instr:Eof_rtos.Instr.t -> string -> (t, string) result
 val encode : instr:Eof_rtos.Instr.t -> ?max_depth:int -> t -> (string, [ `Too_deep ]) result
 (** Default [max_depth] is 16. *)
 
-val encode_exn : t -> string
-(** Uninstrumented, unlimited-depth encoder for tests and host tools. *)
-
 val equal : t -> t -> bool
 (** Structural equality with float tolerance for round-trip tests. *)
 

@@ -53,10 +53,9 @@ type t = {
   reg : Kobj.t;
   instr : Instr.t;
   console : string -> unit;
-  mutable sockets_created : int;
 }
 
-let create ~reg ~instr ~console = { reg; instr; console; sockets_created = 0 }
+let create ~reg ~instr ~console = { reg; instr; console }
 
 let socket t ~domain ~sock_type ~protocol =
   Instr.edge t.instr s_socket_entry;
@@ -89,7 +88,6 @@ let socket t ~domain ~sock_type ~protocol =
           }
         in
         let obj = Kobj.register t.reg ~kind:"socket" ~name:"sock" (Socket sock) in
-        t.sockets_created <- t.sockets_created + 1;
         Ok obj
       end
     end
@@ -133,7 +131,5 @@ let close t sock =
     sock.closed <- true;
     Ok ()
   end
-
-let sockets_created t = t.sockets_created
 
 let of_obj (obj : Kobj.obj) = match obj.Kobj.payload with Socket s -> Some s | _ -> None

@@ -19,13 +19,6 @@ type sock = private {
 
 type Eof_rtos.Kobj.payload += Socket of sock
 
-val af_inet : int
-val af_inet6 : int
-val af_can : int
-val sock_stream : int
-val sock_dgram : int
-val sock_raw : int
-
 val site_count : int
 
 type t
@@ -48,7 +41,5 @@ val sendto : t -> sock -> string -> (int, int64) result
     empty payloads, [Kerr.enospc] over 1472 bytes (MTU). *)
 
 val close : t -> sock -> (unit, int64) result
-
-val sockets_created : t -> int
 
 val of_obj : Eof_rtos.Kobj.obj -> sock option

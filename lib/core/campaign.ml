@@ -538,26 +538,17 @@ let handle_fault st =
 
 let handle_stall st pc =
   st.stalls <- st.stalls + 1;
-  let log = take_log st in
-  let detections = Monitor.scan log in
-  (match Monitor.first_assertion detections with
-   | Some (_, message) ->
-     (* A hang preceded by an assertion report: the log monitor names
-        the bug, the watchdog merely unwedged the board. *)
-     let operation =
-       match Monitor.assert_operation message with
-       | Some op -> op
-       | None -> Option.value ~default:"unknown" (operation_of_progress st)
-     in
-     record_crash st ~kind:Crash.Kernel_assertion ~operation ~scope:"kernel" ~message
-       ~backtrace:[] ~monitor:Crash.Log_monitor
-   | None ->
-     let operation =
-       match operation_of_progress st with Some op -> op | None -> "unknown"
-     in
-     record_crash st ~kind:Crash.Hang ~operation ~scope:"kernel"
-       ~message:(Printf.sprintf "execution stalled at 0x%08x" pc)
-       ~backtrace:[] ~monitor:Crash.Liveness_watchdog);
+  let detections = scan_log_for_crashes st (take_log st) in
+  (* A hang preceded by an assertion report was recorded by the log
+     monitor, which names the bug; the watchdog merely unwedged the board. *)
+  if Monitor.first_assertion detections = None then begin
+    let operation =
+      match operation_of_progress st with Some op -> op | None -> "unknown"
+    in
+    record_crash st ~kind:Crash.Hang ~operation ~scope:"kernel"
+      ~message:(Printf.sprintf "execution stalled at 0x%08x" pc)
+      ~backtrace:[] ~monitor:Crash.Liveness_watchdog
+  end;
   reboot st
 
 (* The stop arms both drive loops share. [`Running]: keep driving.

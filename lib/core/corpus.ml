@@ -4,9 +4,8 @@
    AFLFast-style power schedule — a picked seed receives an energy
    budget (mutations before the next pick) that grows exponentially
    for seeds on the rare-edge frontier of their target. A target is a
-   personality x API-table shape; seeds carry the target they were
-   admitted under so hub-side merges across personalities keep each
-   seed's schedule position. *)
+   personality x API-table shape, and each target keeps its own
+   frontier. *)
 
 type schedule = Uniform | Energy
 
@@ -51,7 +50,6 @@ type seed = {
   prog : Prog.t;
   hash : int;
   seq : int;  (** admission number: [total_added] when admitted or imported *)
-  target : target;  (** personality the seed was admitted under *)
   new_edges : int;  (** edges credited at admission *)
   crashed : bool;
   mutable score : int;  (** selection weight, decays on reuse *)
@@ -89,7 +87,6 @@ let hole =
     prog = [];
     hash = 0;
     seq = -1;
-    target = default_target;
     new_edges = 0;
     crashed = false;
     score = 0;
@@ -115,8 +112,6 @@ let create ?(capacity = 512) ?(schedule = Uniform) ?(target = default_target)
     frontiers = Hashtbl.create 4;
     total_added = 0;
   }
-
-let schedule t = t.schedule
 
 let size t = t.live
 
@@ -242,7 +237,7 @@ let add ?target t ~prog ~new_edges ~crashed =
   else begin
     Hashtbl.replace t.hashes h ();
     let score = max 1 ((new_edges * 4) + (if crashed then 20 else 0)) in
-    append t { prog; hash = h; seq = t.total_added; target; new_edges; crashed; score; picks = 0 };
+    append t { prog; hash = h; seq = t.total_added; new_edges; crashed; score; picks = 0 };
     t.total_added <- t.total_added + 1;
     note_frontier t ~target ~hash:h ~new_edges;
     evict_if_full t;

@@ -38,8 +38,6 @@ val create :
     [schedule] defaults to [Uniform], which behaves exactly as the
     corpus always has. *)
 
-val schedule : t -> schedule
-
 val add : ?target:target -> t -> prog:Prog.t -> new_edges:int -> crashed:bool -> bool
 (** [false] if the program was a duplicate (by content hash). A narrow
     find (1-4 new edges) also joins its target's rare-edge frontier. *)

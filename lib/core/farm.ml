@@ -308,8 +308,6 @@ let init ?obs ?inject_for (config : config) mk_build =
 
 (* --- mid-run observers (for the hub worker) ----------------------------- *)
 
-let coverage t = Feedback.covered t.shared.fb
-
 let coverage_bitmap t = Feedback.snapshot t.shared.fb
 
 let exchange_corpus t = t.shared.corpus
@@ -333,8 +331,6 @@ let pause t =
     t.since <- 0;
     t.paused <- true
   end
-
-let paused t = t.paused
 
 let adopt t progs =
   List.fold_left

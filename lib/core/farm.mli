@@ -123,8 +123,6 @@ val finish : t -> outcome
     as of the last epoch merge. The hub worker uses these to ship
     discoveries to the fleet between epochs. *)
 
-val coverage : t -> int
-
 val coverage_bitmap : t -> Eof_util.Bitset.t
 (** A snapshot copy (the live map keeps growing). *)
 
@@ -153,8 +151,6 @@ val pause : t -> unit
     executed) and stop the scheduler — {!step} becomes a no-op and
     {!next_cpu_s} returns [None]. Terminal for this instance; the hub
     rebuilds the shard elsewhere. Idempotent. *)
-
-val paused : t -> bool
 
 val run :
   ?obs:Eof_obs.Obs.t ->

@@ -33,12 +33,6 @@ val error_to_string : error -> string
 
 type t
 
-val default_stall_threshold : int
-(** 3: a stall is declared only after this many {e consecutive} repeated
-    PC samples. One repeat is routine (breakpoint parking, polling
-    loops); demanding a streak keeps the watchdog from reflashing a
-    healthy target. *)
-
 val create : ?obs:Eof_obs.Obs.t -> ?stall_threshold:int -> unit -> t
 (** @raise Invalid_argument when [stall_threshold < 1]. With [obs],
     every {!check} emits a [Liveness_verdict] event. *)

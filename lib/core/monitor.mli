@@ -1,11 +1,12 @@
 (** The log monitor: scan redirected UART output for crash-indicating
-    patterns, per the paper's "output matching predefined patterns using
-    regular expressions". *)
+    patterns, per the paper's "output matching predefined patterns". The
+    patterns are the fixed-shape lines Klog emits (panic banner, assertion
+    report, backtrace frame), so each is matched by prefix rather than by
+    a regular expression. *)
 
 type detection =
   | Panic_banner of { os : string; message : string }
   | Assertion_failure of { os : string; message : string }
-  | Error_line of { os : string; message : string }
   | Backtrace_frame of string  (** "path : function : line" *)
 
 val scan : string -> detection list

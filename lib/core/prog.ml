@@ -21,8 +21,6 @@ let to_wire t =
       })
     t
 
-let length = List.length
-
 let hash t =
   Hashtbl.hash
     (List.map

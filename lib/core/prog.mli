@@ -19,8 +19,6 @@ val of_wire :
     through the table to its spec entry, then the whole program is
     {!validate}d. *)
 
-val length : t -> int
-
 val hash : t -> int
 (** Stable content hash for corpus deduplication. *)
 

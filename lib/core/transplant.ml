@@ -6,7 +6,7 @@ open Eof_spec
    mapping is deterministic — no RNG anywhere — so the hub relaying a
    transplant is as replayable as everything else:
 
-   - calls match by resource signature ({!Ast.call_shape}: argument
+   - calls match by resource signature ({!Ast.same_shape} per argument:
      shapes in order plus return-resource-ness), taking the first
      destination call, in destination table order, whose resource
      kinds are consistent with the kind mapping accumulated so far

@@ -5,7 +5,8 @@ open Eof_spec
     The hub's corpus exchange is lossless between shards of the same
     personality; between personalities the API tables differ, so a seed
     must be retyped before it can be adopted. {!retype} matches calls by
-    resource signature ({!Ast.call_shape}), drops the unmappable ones,
+    resource signature (argument shapes in order, by {!Ast.same_shape},
+    plus whether the call produces a resource), drops the unmappable ones,
     remaps surviving resource references and re-fits scalar arguments to
     the destination types, then revalidates. The whole mapping is
     deterministic — no randomness — so transplants replay exactly. *)

@@ -44,8 +44,6 @@ type t = {
   layout : Layout.t;
   mode : mode;
   buf_full_site : int;
-  mutable records_written : int64;
-  mutable wraps : int;
 }
 
 (* Cycle cost of one instrumented record: the callback body plus the
@@ -55,9 +53,7 @@ let record_cost_cycles = 6
 let create ~sitemap ~ram ~layout ~mode ~buf_full_site =
   if not (Memory.in_range ram ~addr:layout.Layout.base ~len:(Layout.size_bytes layout)) then
     invalid_arg "Sancov.create: coverage buffer does not fit in RAM";
-  { sitemap; ram; layout; mode; buf_full_site; records_written = 0L; wraps = 0 }
-
-let mode t = t.mode
+  { sitemap; ram; layout; mode; buf_full_site }
 
 let edge_capacity t = Sitemap.site_count t.sitemap * variants_per_site
 
@@ -75,7 +71,6 @@ let append_record t edge_index =
       Eof_exec.Target.site t.buf_full_site;
       let idx' = read_write_index t in
       if idx' >= t.layout.Layout.capacity_records then begin
-        t.wraps <- t.wraps + 1;
         set_write_index t 0;
         0
       end
@@ -86,8 +81,7 @@ let append_record t edge_index =
   Memory.write_u32 t.ram
     (Layout.records_addr t.layout + (4 * idx))
     (Int32.of_int edge_index);
-  set_write_index t (idx + 1);
-  t.records_written <- Int64.add t.records_written 1L
+  set_write_index t (idx + 1)
 
 let record t ~site variant =
   Eof_exec.Target.site site;
@@ -124,10 +118,6 @@ let cmp t ~site a b =
   record t ~site (variant_of_cmp a b)
 
 let edge t ~site = record t ~site 0
-
-let records_written t = t.records_written
-
-let wraps t = t.wraps
 
 let decode_records_into ?(pos = 0) ~endianness ~count raw dst =
   if String.length raw < 4 * count then

@@ -20,8 +20,6 @@ val variants_per_site : int
     bit-length of the operand difference (capped), so nearby-but-distinct
     comparison outcomes count as distinct branches. *)
 
-val variant_of_cmp : int64 -> int64 -> int
-
 module Layout : sig
   (** Placement of the coverage buffer in target RAM. Records are 32-bit
       edge indices in the board's endianness. A small ring of raw
@@ -43,8 +41,6 @@ module Layout : sig
 
   val cmp_ring_addr : t -> int
   (** 8 bytes per entry: the two operands' low 32 bits. *)
-
-  val size_bytes : t -> int
 end
 
 type mode = Uninstrumented | Instrumented
@@ -57,8 +53,6 @@ val create :
 (** [buf_full_site] is the flash address of the [_kcmp_buf_full] trap
     symbol (allocated from the same site map). *)
 
-val mode : t -> mode
-
 val edge_capacity : t -> int
 (** Size of the host bitmap needed for this build:
     [site_count * variants_per_site]. *)
@@ -68,12 +62,6 @@ val cmp : t -> site:int -> int64 -> int64 -> unit
 
 val edge : t -> site:int -> unit
 (** Plain basic-block edge hook (variant 0). *)
-
-val records_written : t -> int64
-(** Total records appended since creation (for overhead accounting). *)
-
-val wraps : t -> int
-(** Times the buffer self-wrapped because no host drained it. *)
 
 (** Host-side helpers: interpreting a raw dump of the coverage buffer.
     These are pure so the host can apply them to bytes read over the
@@ -92,5 +80,5 @@ val decode_cmp_ring_into :
   ?pos:int -> endianness:Eof_hw.Arch.endianness -> count:int -> string ->
   a:int64 array -> b:int64 array -> int
 (** Decode up to [count] operand pairs from the raw cmp-ring area into
-    the caller's [a]/[b] scratch arrays starting at [pos] (sign-extended to [int64], matching what {!variant_of_cmp}
-    consumed on the target side); returns the number of pairs decoded. *)
+    the caller's [a]/[b] scratch arrays starting at [pos] (sign-extended to [int64], matching what
+    {!cmp} consumed on the target side); returns the number of pairs decoded. *)

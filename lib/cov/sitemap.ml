@@ -28,5 +28,3 @@ let index_of_addr t addr =
   else
     let idx = off / 4 in
     if idx < t.next_index then Some idx else None
-
-let blocks t = List.rev t.blocks_rev

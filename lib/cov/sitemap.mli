@@ -30,6 +30,3 @@ val site_count : t -> int
 val index_of_addr : t -> int -> int option
 (** Dense site index of a site address ([None] if the address is not an
     allocated site). *)
-
-val blocks : t -> block list
-(** Allocation order. *)

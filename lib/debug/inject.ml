@@ -43,8 +43,6 @@ let create cfg =
     history_rev = [];
   }
 
-let config t = t.cfg
-
 type decision = Pass | Fault of fault
 
 (* The unforced fault mix. Garbage is reserved for the post-reset case. *)

@@ -42,8 +42,6 @@ type t
 
 val create : config -> t
 
-val config : t -> config
-
 (** What to do to one exchange. *)
 type decision =
   | Pass

@@ -36,8 +36,8 @@ val connect :
 
 val set_retry : t -> Eof_util.Eof_error.Retry.budget -> unit
 (** Replace the per-request retry budget (default
-    {!Eof_util.Eof_error.Retry.default}). [no_retry] restores
-    fail-on-first-loss behaviour. *)
+    {!Eof_util.Eof_error.Retry.default}). A budget of one attempt
+    restores fail-on-first-loss behaviour. *)
 
 val resync : t -> (unit, error) result
 (** Recover from a desynced link without touching the target: discard

@@ -23,7 +23,7 @@ type status =
 type t = {
   board : Board.t;
   fault_vector : int;
-  mutable entry : unit -> unit;
+  entry : unit -> unit;
   mutable status : status;
   mutable last_fault : Fault.t option;
   q : Target.quantum;  (** pc, site count, fuel: shared with in-place crossings *)
@@ -47,8 +47,6 @@ let create ~board ~fault_vector ~entry =
       };
   }
 
-let board t = t.board
-
 let pc t = t.q.pc
 
 let running t = match t.status with Terminal _ -> false | Ready | Parked _ -> true
@@ -58,8 +56,6 @@ let last_fault t = t.last_fault
 let set_breakpoint t addr = Hashtbl.replace t.q.breakpoints addr ()
 
 let remove_breakpoint t addr = Hashtbl.remove t.q.breakpoints addr
-
-let breakpoints t = Hashtbl.fold (fun k () acc -> k :: acc) t.q.breakpoints []
 
 let handler t : (unit, outcome) Effect.Deep.handler =
   {

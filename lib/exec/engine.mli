@@ -22,8 +22,6 @@ val create : board:Board.t -> fault_vector:int -> entry:(unit -> unit) -> t
     fault unwinds to the engine. [entry] is the target's reset handler;
     it is not started until the first {!run}. *)
 
-val board : t -> Board.t
-
 val pc : t -> int
 (** Synthetic program counter: the reset vector before the first run,
     then the address of the last crossed site, or the fault vector. *)
@@ -37,8 +35,6 @@ val last_fault : t -> Fault.t option
 val set_breakpoint : t -> int -> unit
 
 val remove_breakpoint : t -> int -> unit
-
-val breakpoints : t -> int list
 
 val run : t -> fuel:int -> stop_reason
 (** Execute up to [fuel] instrumentation sites. Resuming after a

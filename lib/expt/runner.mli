@@ -7,8 +7,6 @@
     curve shapes. [EOF_BENCH_SCALE] (a float, default 1.0) scales every
     budget for quicker smoke runs. *)
 
-val scale : unit -> float
-
 val scaled : int -> int
 (** [max 50 (int_of_float (n * scale))]. *)
 
@@ -39,8 +37,6 @@ val full_system_matrix : ?iterations:int -> ?reps:int -> unit -> cell list
 (** The Table-3 / Figure-7 data: EOF, EOF-nf and Tardis on the four
     hardware OSs; EOF, EOF-nf and Gustave on PoKOS. Results are computed
     once per process and memoized. *)
-
-val mean_coverage : cell -> float
 
 val coverage_of : cell list -> tool:tool -> os:string -> float option
 

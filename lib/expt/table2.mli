@@ -11,6 +11,4 @@ type row = {
   monitor : string;  (** how EOF detected it, when found *)
 }
 
-val compute : Runner.cell list -> row list
-
 val render : Runner.cell list -> string

@@ -54,7 +54,6 @@ type campaign = {
 let cross_cap = 32
 
 type worker_state = {
-  wid : int;
   wname : string;
   mutable last_seen : float;
   mutable alive : bool;
@@ -74,7 +73,6 @@ type t = {
   fleet : Crash.Ledger.t;  (** one entry per distinct bug across every tenant *)
   fleet_tenants : (string, string list) Hashtbl.t;
       (** dedup key -> tenants that hit it, attribution order *)
-  mutable transplants : int;  (** programs relayed shard-to-shard *)
   mutable journal : Journal.t option;
   mutable replaying : bool;  (** journal replay in progress: no fencing, no re-journaling *)
   mutable reassignments : int;
@@ -186,7 +184,7 @@ let hello t ~now ~name =
   else begin
     let wid = t.next_wid in
     t.next_wid <- wid + 1;
-    Hashtbl.replace t.workers wid { wid; wname = name; last_seen = now; alive = true };
+    Hashtbl.replace t.workers wid { wname = name; last_seen = now; alive = true };
     t.worker_order <- wid :: t.worker_order;
     Obs.emit t.obs (Obs.Event.Worker_joined { worker = wid; name });
     Ok
@@ -407,7 +405,6 @@ let corpus_push t c ~shard progs =
   let route (d : campaign) k progs =
     match d.leases.(k).owner with
     | Some w when not d.leases.(k).completed ->
-      t.transplants <- t.transplants + List.length progs;
       Some
         (To_worker (w, Protocol.Corpus_pull { campaign = d.id; shard = k; progs }))
     | _ -> None
@@ -741,7 +738,6 @@ let create ?obs ?(corpus_sync = true) ?journal ?(heartbeat_timeout = 30.) ~resol
         next_wid = 0;
         fleet = Crash.Ledger.create ();
         fleet_tenants = Hashtbl.create 16;
-        transplants = 0;
         journal = None;
         replaying = false;
         reassignments = 0;
@@ -791,8 +787,6 @@ let fleet_crashes t =
   List.map
     (fun crash -> (crash, Hashtbl.find t.fleet_tenants (Crash.dedup_key crash)))
     (Crash.Ledger.to_list t.fleet)
-
-let transplants t = t.transplants
 
 let heartbeat_timeout t = t.heartbeat_timeout
 

@@ -116,10 +116,6 @@ val all_done : t -> bool
 
 val status : t -> Protocol.status_row list
 
-val worker_rows : t -> Protocol.worker_row list
-(** Every worker ever registered, join order, with its active lease
-    count. *)
-
 val tenants : t -> string list
 (** Tenant names, submission order. *)
 
@@ -134,9 +130,6 @@ val crashes_deduped : t -> int
 val fleet_crashes : t -> (Eof_core.Crash.t * string list) list
 (** The fleet-wide deduplicated crashes in discovery order, each with
     the tenants that hit it (attribution order preserved). *)
-
-val transplants : t -> int
-(** Programs relayed shard-to-shard by corpus sync. *)
 
 val heartbeat_timeout : t -> float
 

@@ -64,16 +64,6 @@ let corrupted_partitions t = Image.corrupted ~table:t.table ~manifest:t.manifest
 
 let boot_ok t = t.manifest <> [] && corrupted_partitions t = []
 
-let reflash_partition t image name =
-  match Image.flash_one image t.flash name with
-  | Error _ as e -> e
-  | Ok () ->
-    (match List.assoc_opt name (Image.manifest image) with
-     | None -> Error (Printf.sprintf "image has no partition %s" name)
-     | Some crc ->
-       t.manifest <- (name, crc) :: List.remove_assoc name t.manifest;
-       Ok ())
-
 let snapshot t = Snapshot.capture ~ram:t.ram ~flash:t.flash ~clock:t.clock
 
 let restore_snapshot t s = Snapshot.restore s ~clock:t.clock

@@ -55,12 +55,6 @@ val boot_ok : t -> bool
     memoized in the flash and recomputed only after flash changed, so a
     boot that follows no flash write costs O(partitions), not O(image). *)
 
-val corrupted_partitions : t -> string list
-
-val reflash_partition : t -> Image.t -> string -> (unit, string) result
-(** Rewrite one partition from a (golden) image and refresh its manifest
-    entry. *)
-
 val snapshot : t -> Snapshot.t
 (** Capture a copy-on-write snapshot of RAM and flash, charging the
     board clock the save cost. Take it right after {!install} so the

@@ -4,8 +4,6 @@ let create ~mhz =
   if mhz <= 0 then invalid_arg "Clock.create: mhz";
   { mhz; cycles = 0 }
 
-let mhz t = t.mhz
-
 let cycles t = Int64.of_int t.cycles
 
 let advance t n =
@@ -15,5 +13,3 @@ let advance t n =
 let now_us t = float_of_int t.cycles /. float_of_int t.mhz
 
 let now_s t = now_us t /. 1_000_000.
-
-let reset t = t.cycles <- 0

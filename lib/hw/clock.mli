@@ -9,16 +9,9 @@ type t
 
 val create : mhz:int -> t
 
-val mhz : t -> int
-
 val cycles : t -> int64
 
 val advance : t -> int -> unit
 (** Charge a non-negative number of cycles. *)
 
-val now_us : t -> float
-(** Microseconds of virtual time elapsed since reset. *)
-
 val now_s : t -> float
-
-val reset : t -> unit

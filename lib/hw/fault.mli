@@ -28,6 +28,4 @@ val usage : ?address:int -> string -> 'a
 
 val mem_manage : ?address:int -> string -> 'a
 
-val kind_name : kind -> string
-
 val to_string : t -> string

@@ -24,10 +24,6 @@ let create ~base ~size ~sector_size ~endianness =
 
 let base t = Memory.base t.mem
 
-let size t = Memory.size t.mem
-
-let sector_size t = t.sector_size
-
 let mem t = t.mem
 
 let erase_sector t ~addr =

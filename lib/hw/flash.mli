@@ -13,17 +13,9 @@ val create : base:int -> size:int -> sector_size:int -> endianness:Arch.endianne
 
 val base : t -> int
 
-val size : t -> int
-
-val sector_size : t -> int
-
 val mem : t -> Memory.t
 (** The raw backing region (reads go through this; target code may read
     flash like memory, as on real MCUs). *)
-
-val erase_sector : t -> addr:int -> unit
-(** Erase the sector containing [addr]. @raise Fault.Trap if out of
-    range. *)
 
 val erase_range : t -> addr:int -> len:int -> unit
 (** Erase every sector intersecting [\[addr, addr+len)]. *)

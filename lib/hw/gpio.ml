@@ -4,7 +4,6 @@ type t = {
   levels : bool array;
   armed : edge option array;
   pending : bool array;
-  mutable injections : int;
 }
 
 let pin_count = 16
@@ -14,7 +13,6 @@ let create () =
     levels = Array.make pin_count false;
     armed = Array.make pin_count None;
     pending = Array.make pin_count false;
-    injections = 0;
   }
 
 let check_pin pin =
@@ -35,7 +33,6 @@ let set_level t ~pin ~level =
   | Ok () ->
     let prev = t.levels.(pin) in
     t.levels.(pin) <- level;
-    t.injections <- t.injections + 1;
     (match (t.armed.(pin), prev, level) with
      | Some (Rising | Both), false, true -> t.pending.(pin) <- true
      | Some (Falling | Both), true, false -> t.pending.(pin) <- true
@@ -53,10 +50,6 @@ let drain_pending t =
     end
   done;
   !pins
-
-let pending_count t = Array.fold_left (fun acc p -> if p then acc + 1 else acc) 0 t.pending
-
-let injections t = t.injections
 
 let reset t =
   Array.fill t.levels 0 pin_count false;

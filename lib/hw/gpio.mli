@@ -10,9 +10,6 @@ type edge = Rising | Falling | Both
 
 type t
 
-val pin_count : int
-(** 16. *)
-
 val create : unit -> t
 (** All pins low, no interrupts configured. *)
 
@@ -30,11 +27,6 @@ val level : t -> pin:int -> bool
 val drain_pending : t -> int list
 (** Pending interrupt pins (ascending), clearing them — what the ISR
     dispatch consumes once per kernel tick. *)
-
-val pending_count : t -> int
-
-val injections : t -> int
-(** Total host injections (statistics). *)
 
 val reset : t -> unit
 (** Power-on state. *)

@@ -1,28 +1,5 @@
 type t = { table : Partition.t; blobs : (string * string) list }
 
-let build ~table ~blobs =
-  let rec check = function
-    | [] -> Ok ()
-    | (e : Partition.entry) :: rest ->
-      (match List.assoc_opt e.name blobs with
-       | None -> Error (Printf.sprintf "no blob for partition %s" e.name)
-       | Some blob ->
-         if String.length blob > e.size then
-           Error
-             (Printf.sprintf "blob for %s is %d bytes but partition holds %d" e.name
-                (String.length blob) e.size)
-         else check rest)
-  in
-  let names = List.map fst blobs in
-  let table_names = List.map (fun (e : Partition.entry) -> e.name) table in
-  let extras = List.filter (fun n -> not (List.mem n table_names)) names in
-  match extras with
-  | n :: _ -> Error (Printf.sprintf "blob %s has no partition" n)
-  | [] -> (match check table with Ok () -> Ok { table; blobs } | Error e -> Error e)
-
-let build_exn ~table ~blobs =
-  match build ~table ~blobs with Ok t -> t | Error e -> invalid_arg ("Image.build_exn: " ^ e)
-
 let pseudo_blob rng len =
   Bytes.unsafe_to_string (Eof_util.Rng.bytes rng len)
 
@@ -85,14 +62,6 @@ let flash_all t flash =
       Flash.write_image flash ~addr:(Flash.base flash + e.offset) (padded_blob e blob))
     t.table
 
-let flash_one t flash name =
-  match Partition.find t.table name with
-  | None -> Error (Printf.sprintf "no partition %s" name)
-  | Some e ->
-    let blob = List.assoc e.name t.blobs in
-    Flash.write_image flash ~addr:(Flash.base flash + e.offset) (padded_blob e blob);
-    Ok ()
-
 let corrupted ~table ~manifest flash =
   List.filter_map
     (fun (name, expected) ->
@@ -102,5 +71,3 @@ let corrupted ~table ~manifest flash =
         let actual = Flash.crc_range flash ~addr:(Flash.base flash + e.offset) ~len:e.size in
         if Int32.equal actual expected then None else Some name)
     manifest
-
-let verify t flash = corrupted ~table:t.table ~manifest:(manifest t) flash

@@ -10,12 +10,6 @@ type t = private {
   blobs : (string * string) list;  (** partition name -> contents *)
 }
 
-val build : table:Partition.t -> blobs:(string * string) list -> (t, string) result
-(** Validates that every partition has exactly one blob and that each
-    blob fits its partition. *)
-
-val build_exn : table:Partition.t -> blobs:(string * string) list -> t
-
 val synthesize :
   table:Partition.t -> seed:int64 -> ?payloads:(string * string) list -> unit -> t
 (** Deterministic pseudo-random contents filling each partition, with
@@ -29,15 +23,8 @@ val manifest : t -> (string * int32) list
 val flash_all : t -> Flash.t -> unit
 (** Erase + program every partition (full reflash). *)
 
-val flash_one : t -> Flash.t -> string -> (unit, string) result
-(** Reflash a single partition by name. *)
-
 val corrupted :
   table:Partition.t -> manifest:(string * int32) list -> Flash.t -> string list
 (** The boot check: names in [manifest] whose partition is missing from
     [table] or whose flash CRC ({!Flash.crc_range}, memoized) differs
     from the recorded one, in manifest order. *)
-
-val verify : t -> Flash.t -> string list
-(** {!corrupted} against the image's own table and manifest (empty list
-    = image intact). *)

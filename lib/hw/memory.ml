@@ -41,21 +41,9 @@ let create ~base ~size ~endianness =
 
 let base t = t.base
 
-let size t = Bytes.length t.data
-
-let endianness t = t.endianness
-
 let page_count t = Array.length t.stamps
 
-let generation t = t.generation
-
 let mutations t = t.mutations
-
-let touch t off =
-  let p = off lsr page_shift in
-  t.mutations <- t.mutations + 1;
-  Array.unsafe_set t.stamps p t.generation;
-  Bytes.unsafe_set t.nz p '\001'
 
 let touch_range t off len =
   if len > 0 then begin
@@ -78,34 +66,6 @@ let check t addr len =
 let read_u8 t addr =
   check t addr 1;
   Char.code (Bytes.unsafe_get t.data (addr - t.base))
-
-let write_u8 t addr v =
-  check t addr 1;
-  let off = addr - t.base in
-  touch t off;
-  Bytes.unsafe_set t.data off (Char.unsafe_chr (v land 0xFF))
-
-let read_u16 t addr =
-  check t addr 2;
-  let off = addr - t.base in
-  let b0 = Char.code (Bytes.unsafe_get t.data off) in
-  let b1 = Char.code (Bytes.unsafe_get t.data (off + 1)) in
-  match t.endianness with
-  | Arch.Little -> b0 lor (b1 lsl 8)
-  | Arch.Big -> b1 lor (b0 lsl 8)
-
-let write_u16 t addr v =
-  check t addr 2;
-  let off = addr - t.base in
-  touch_range t off 2;
-  let lo = v land 0xFF and hi = (v lsr 8) land 0xFF in
-  match t.endianness with
-  | Arch.Little ->
-    Bytes.unsafe_set t.data off (Char.unsafe_chr lo);
-    Bytes.unsafe_set t.data (off + 1) (Char.unsafe_chr hi)
-  | Arch.Big ->
-    Bytes.unsafe_set t.data off (Char.unsafe_chr hi);
-    Bytes.unsafe_set t.data (off + 1) (Char.unsafe_chr lo)
 
 let read_u32 t addr =
   check t addr 4;
@@ -164,11 +124,6 @@ let mark_generation t =
   g
 
 let baseline t = Bytes.copy t.data
-
-let dirty_page_count t ~since =
-  let n = ref 0 in
-  Array.iter (fun s -> if s > since then incr n) t.stamps;
-  !n
 
 let restore_pages t ~baseline ~since =
   if Bytes.length baseline <> Bytes.length t.data then

@@ -20,20 +20,9 @@ val create : base:int -> size:int -> endianness:Arch.endianness -> t
 
 val base : t -> int
 
-val size : t -> int
-
-val endianness : t -> Arch.endianness
-
 val in_range : t -> addr:int -> len:int -> bool
 
 val read_u8 : t -> int -> int
-
-val write_u8 : t -> int -> int -> unit
-(** Value is masked to 8 bits. *)
-
-val read_u16 : t -> int -> int
-
-val write_u16 : t -> int -> int -> unit
 
 val read_u32 : t -> int -> int32
 
@@ -58,9 +47,6 @@ val page_count : t -> int
 (** Number of {!page_size} pages covering the region (last page may be
     partial). *)
 
-val generation : t -> int
-(** Current write generation. Monotonic; bumped by {!mark_generation}. *)
-
 val mutations : t -> int
 (** Monotone count of content mutations: every write, every page
     {!clear} zeroes and every page {!restore_pages} copies back bumps
@@ -76,9 +62,6 @@ val mark_generation : t -> int
 val baseline : t -> Bytes.t
 (** Full copy of the current contents, to pair with {!mark_generation}
     as a snapshot's saved state. *)
-
-val dirty_page_count : t -> since:int -> int
-(** Pages written strictly after generation [since]. *)
 
 val restore_pages : t -> baseline:Bytes.t -> since:int -> int
 (** Copy every page written after generation [since] back from

@@ -22,52 +22,4 @@ let validate ~flash_size entries =
   in
   go [] Eof_util.Intervals.empty entries
 
-let parse_int s =
-  match int_of_string_opt s with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "bad integer %S" s)
-
-let parse_field ~key s =
-  match String.index_opt s '=' with
-  | Some i when String.sub s 0 i = key -> parse_int (String.sub s (i + 1) (String.length s - i - 1))
-  | _ -> Error (Printf.sprintf "expected %s=<int>, got %S" key s)
-
-let parse_line lineno line =
-  let line =
-    match String.index_opt line '#' with
-    | Some i -> String.sub line 0 i
-    | None -> line
-  in
-  let line = String.trim line in
-  if line = "" then Ok None
-  else
-    match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
-    | [ "partition"; name; off; sz ] ->
-      (match (parse_field ~key:"offset" off, parse_field ~key:"size" sz) with
-       | Ok offset, Ok size -> Ok (Some { name; offset; size })
-       | Error e, _ | _, Error e -> Error (Printf.sprintf "line %d: %s" lineno e))
-    | _ -> Error (Printf.sprintf "line %d: expected 'partition <name> offset=<n> size=<n>'" lineno)
-
-let parse_config ~flash_size text =
-  let lines = String.split_on_char '\n' text in
-  let rec go lineno acc = function
-    | [] ->
-      let entries = List.rev acc in
-      (match validate ~flash_size entries with Ok () -> Ok entries | Error e -> Error e)
-    | line :: rest ->
-      (match parse_line lineno line with
-       | Ok None -> go (lineno + 1) acc rest
-       | Ok (Some e) -> go (lineno + 1) (e :: acc) rest
-       | Error e -> Error e)
-  in
-  go 1 [] lines
-
-let to_config t =
-  String.concat "\n"
-    (List.map
-       (fun e -> Printf.sprintf "partition %s offset=0x%x size=0x%x" e.name e.offset e.size)
-       t)
-
 let find t name = List.find_opt (fun e -> e.name = name) t
-
-let total_size t = List.fold_left (fun acc e -> acc + e.size) 0 t

@@ -20,15 +20,6 @@ type entry = { name : string; offset : int; size : int }
 
 type t = entry list
 
-val parse_config : flash_size:int -> string -> (t, string) result
-(** Parse and validate the config text. Rejects duplicate names,
-    overlapping entries, and entries outside [\[0, flash_size)]. *)
-
-val to_config : t -> string
-(** Inverse of {!parse_config} up to comments/whitespace. *)
-
 val validate : flash_size:int -> t -> (unit, string) result
 
 val find : t -> string -> entry option
-
-val total_size : t -> int

@@ -87,5 +87,3 @@ let qemu_pok =
   }
 
 let all = [ stm32f4_disco; stm32h745_nucleo; esp32_devkitc; hifive1; qemu_mps2; qemu_pok ]
-
-let find name = List.find_opt (fun p -> p.Board.name = name) all

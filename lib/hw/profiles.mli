@@ -24,5 +24,3 @@ val qemu_pok : Board.profile
 (** The customized QEMU board Gustave uses for POK. *)
 
 val all : Board.profile list
-
-val find : string -> Board.profile option

@@ -21,7 +21,6 @@ type region = {
 type t = {
   ram : region;
   flash : region;
-  flash_erase_count : int;
 }
 
 (* Cost model, in CPU cycles. At a typical 100 MHz profile a dirty page
@@ -43,7 +42,6 @@ let capture ~ram ~flash ~clock =
     {
       ram = capture_region ram;
       flash = capture_region (Flash.mem flash);
-      flash_erase_count = Flash.erase_count flash;
     }
   in
   Clock.advance clock (save_cycles_per_page * (Memory.page_count ram + Memory.page_count (Flash.mem flash)));

@@ -13,15 +13,6 @@
 
 type t
 
-val save_cycles_per_page : int
-(** Capture cost per device page (host-side bulk read). *)
-
-val restore_base_cycles : int
-(** Flat per-restore setup cost. *)
-
-val restore_cycles_per_page : int
-(** Copy-back cost per dirty page. *)
-
 val capture : ram:Memory.t -> flash:Flash.t -> clock:Clock.t -> t
 (** Snapshot both regions and charge the save cost to [clock]. *)
 

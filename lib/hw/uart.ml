@@ -1,15 +1,11 @@
 type t = {
   fifo : char Eof_util.Ring.t;
-  mutable partial : Buffer.t; (* host-side partial line between drains *)
-  mutable bytes_written : int;
 }
 
 let create ?(fifo_bytes = 8192) () =
-  { fifo = Eof_util.Ring.create fifo_bytes; partial = Buffer.create 128; bytes_written = 0 }
+  { fifo = Eof_util.Ring.create fifo_bytes }
 
-let write_char t c =
-  t.bytes_written <- t.bytes_written + 1;
-  ignore (Eof_util.Ring.push t.fifo c : bool)
+let write_char t c = Eof_util.Ring.push t.fifo c
 
 let write_string t s = String.iter (write_char t) s
 
@@ -19,26 +15,5 @@ let drain t =
   List.iter (Buffer.add_char buf) chars;
   Buffer.contents buf
 
-let drain_lines t =
-  Buffer.add_string t.partial (drain t);
-  let s = Buffer.contents t.partial in
-  let pieces = String.split_on_char '\n' s in
-  (* The last piece is an unfinished line (possibly empty); keep it. *)
-  let rec split_last acc = function
-    | [] -> (List.rev acc, "")
-    | [ last ] -> (List.rev acc, last)
-    | x :: rest -> split_last (x :: acc) rest
-  in
-  let complete, rest = split_last [] pieces in
-  Buffer.clear t.partial;
-  Buffer.add_string t.partial rest;
-  complete
-
-let overruns t = Eof_util.Ring.dropped t.fifo
-
 let reset t =
-  Eof_util.Ring.clear t.fifo;
-  Buffer.clear t.partial;
-  t.bytes_written <- 0
-
-let bytes_written t = t.bytes_written
+  Eof_util.Ring.clear t.fifo

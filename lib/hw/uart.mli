@@ -11,21 +11,9 @@ type t
 val create : ?fifo_bytes:int -> unit -> t
 (** Default FIFO is 8 KiB. *)
 
-val write_char : t -> char -> unit
-
 val write_string : t -> string -> unit
 
 val drain : t -> string
 (** All pending bytes, oldest first; empties the FIFO. *)
 
-val drain_lines : t -> string list
-(** Drain and split into completed lines; a trailing partial line stays
-    buffered for the next call. *)
-
-val overruns : t -> int
-(** Bytes lost to FIFO overruns since creation/reset. *)
-
 val reset : t -> unit
-
-val bytes_written : t -> int
-(** Total bytes the target has transmitted (for overhead accounting). *)

@@ -202,10 +202,6 @@ let for_board t board = { t with board = Some board }
 
 let for_tenant t tenant = { t with tenant = Some tenant }
 
-let board t = t.board
-
-let tenant t = t.tenant
-
 let set_clock t now = t.now <- now
 
 let now t = t.now ()

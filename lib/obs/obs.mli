@@ -25,14 +25,9 @@
 module Level : sig
   type t = Trace | Debug | Info | Warn | Error
 
-  val severity : t -> int
-
   val to_string : t -> string
 
   val of_string : string -> (t, string) result
-
-  val at_least : min:t -> t -> bool
-  (** [at_least ~min l] is true when [l] is at least as severe as [min]. *)
 end
 
 (** Flat field values: everything an event carries renders to one of
@@ -131,10 +126,6 @@ val for_tenant : t -> string -> t
     one per campaign so a shared fleet bus can be demultiplexed into
     per-tenant traces. Shares sinks and counters with the parent;
     composes with {!for_board} (tenant first, then board). *)
-
-val board : t -> int option
-
-val tenant : t -> string option
 
 val set_clock : t -> (unit -> float) -> unit
 (** Bind this handle's timestamp source (virtual seconds). The machine

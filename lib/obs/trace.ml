@@ -294,17 +294,14 @@ let summarize lines =
     growth = List.rev !growth;
   }
 
-let of_channel ic =
+let of_file path =
+  let ic = open_in path in
   let rec seq () =
     match input_line ic with
     | line -> Seq.Cons (line, seq)
     | exception End_of_file -> Seq.Nil
   in
-  summarize seq
-
-let of_file path =
-  let ic = open_in path in
-  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> of_channel ic)
+  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> summarize seq)
 
 (* --- rendering ----------------------------------------------------------- *)
 

@@ -44,8 +44,6 @@ val summarize : string Seq.t -> summary
 (** Summarize a sequence of raw JSONL lines; unparseable lines are
     counted in [bad_lines], not fatal. *)
 
-val of_channel : in_channel -> summary
-
 val of_file : string -> summary
 (** Raises [Sys_error] when the file cannot be opened. *)
 

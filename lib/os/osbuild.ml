@@ -54,7 +54,6 @@ type t = {
   covbuf : Sancov.Layout.t;
   mailbox_base : int;
   mailbox_size : int;
-  instrumented : bool;
   binary_bytes : int;  (* unpadded bootloader + kernel + fs contents *)
 }
 
@@ -214,7 +213,6 @@ let make ?(instrument = Instrument_full) ~board_profile spec =
     covbuf;
     mailbox_base = profile.Board.ram_base + mailbox_offset;
     mailbox_size = mailbox_bytes;
-    instrumented;
     binary_bytes = bootloader_bytes + kernel_bytes + 0x10000;
   }
 
@@ -227,8 +225,6 @@ let version t = t.spec.version
 let board t = t.board
 
 let sitemap t = t.sitemap
-
-let sancov t = t.sancov
 
 let syms t = t.syms
 
@@ -245,8 +241,6 @@ let mailbox_size t = t.mailbox_size
 let edge_capacity t = Sancov.edge_capacity t.sancov
 
 let module_block t name = List.assoc_opt name t.blocks
-
-let instrumented t = t.instrumented
 
 let fresh_instance t =
   let profile = Board.profile t.board in
@@ -306,7 +300,6 @@ let fresh_instance t =
     Sched.tick sched
   in
   { reg; table; tick }
-
 
 let api_signatures t =
   match t.signatures with

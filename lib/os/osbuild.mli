@@ -79,9 +79,6 @@ val board : t -> Board.t
 
 val sitemap : t -> Sitemap.t
 
-val sancov : t -> Sancov.t
-(** The recording runtime (the instrumented one). *)
-
 val syms : t -> syms
 
 val image : t -> Image.t
@@ -113,5 +110,3 @@ val api_signatures : t -> Api.table
 val fresh_instance : t -> instance
 (** Per-boot kernel construction: registry, heap, scheduler, personality
     API table. Called by the agent entry after the boot check. *)
-
-val instrumented : t -> bool

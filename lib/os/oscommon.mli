@@ -10,11 +10,6 @@ val to_status : (unit, int64) result -> Api.outcome
 val clamp_int : int64 -> int
 (** Truncate an API int64 argument to a host int, saturating. *)
 
-val worker_body : Osbuild.ctx -> flavor:int -> Sched.tcb -> unit
-(** One of a few built-in task behaviours (the "application code" that
-    spawned tasks run): give the oldest semaphore, post event bits, or
-    idle-log. [flavor] selects, modulo the number of behaviours. *)
-
 val spawn_worker :
   Osbuild.ctx -> name:string -> priority:int -> stack_size:int -> flavor:int ->
   (Kobj.obj, int64) result

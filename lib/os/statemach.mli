@@ -15,14 +15,8 @@ open Eof_rtos
     paper's comparison-tracing instrumentation, and precisely what a
     generation-only fuzzer (EOF-nf) cannot do. *)
 
-val stages : int
-(** 10. *)
-
 val site_count : int
 (** Sites an instrumentation block for one instance must provide. *)
-
-val expected_code : salt:int -> stage:int -> int
-(** The stage's magic word (deterministic per personality salt). *)
 
 val entries :
   Osbuild.ctx -> instr:Instr.t -> prefix:string -> resource:string -> salt:int ->

@@ -52,17 +52,8 @@ let make_table ~os entries =
     entries;
   { os; entries }
 
-let find t name = List.find_opt (fun e -> e.name = name) t.entries
-
 let resource_kinds t =
   List.filter_map produced_kind t.entries |> List.sort_uniq compare
-
-let producers t kind = List.filter (fun e -> produced_kind e = Some kind) t.entries
-
-let consumers t kind =
-  List.filter
-    (fun e -> List.exists (fun (_, ty) -> ty = A_res kind) e.args)
-    t.entries
 
 let nth args i = List.nth_opt args i
 

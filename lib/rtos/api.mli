@@ -45,16 +45,8 @@ val make_table : os:string -> entry list -> table
     consumed/produced resource kind consistent.
     @raise Invalid_argument on violations. *)
 
-val find : table -> string -> entry option
-
 val resource_kinds : table -> string list
 (** All kinds produced by some entry, sorted. *)
-
-val producers : table -> string -> entry list
-(** Entries whose [ret] produces the kind. *)
-
-val consumers : table -> string -> entry list
-(** Entries with at least one [A_res kind] argument. *)
 
 (** Handler-side argument accessors. Each checks position and variant
     and returns [Error Kerr.einval] on mismatch, so handlers degrade

@@ -133,8 +133,6 @@ let lock t = if t.locked then Error `Already_locked else (t.locked <- true; Ok (
 
 let unlock t = t.locked <- false
 
-let locked t = t.locked
-
 let fold_blocks t f init =
   let acc = ref init in
   iter_blocks t (fun ~addr ~payload ~used -> acc := f !acc ~addr ~payload ~used);

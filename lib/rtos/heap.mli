@@ -16,11 +16,6 @@
 
 type t
 
-val min_region_bytes : int
-(** Smallest region [init] accepts (header + one minimal block). *)
-
-val header_bytes : int
-
 val init : mem:Eof_hw.Memory.t -> base:int -> size:int -> (t, string) result
 (** Carve one free block covering the region. Fails on misaligned or
     undersized regions — callers that ignore this failure and use the
@@ -49,8 +44,6 @@ val lock : t -> (unit, [ `Already_locked ]) result
 
 val unlock : t -> unit
 
-val locked : t -> bool
-
 val used_bytes : t -> int
 
 val free_bytes : t -> int
@@ -60,6 +53,3 @@ val block_count : t -> int
 val check : t -> (unit, string) result
 (** Non-faulting integrity walk (a [Result] version of what alloc/free
     enforce), for tests and the heap-stress API. *)
-
-val iter_blocks : t -> (addr:int -> payload:int -> used:bool -> unit) -> unit
-(** @raise Fault.Trap on corrupted metadata. *)

@@ -13,8 +13,6 @@ val of_sancov : sancov:Eof_cov.Sancov.t -> block:Eof_cov.Sitemap.block -> t
 val null : count:int -> t
 (** No-op hooks with [count] virtual sites. *)
 
-val count : t -> int
-
 val site_addr : t -> int -> int
 (** Absolute flash address of local site [i].
     @raise Invalid_argument when out of range (including for [null]). *)

@@ -22,6 +22,3 @@ val eagain : int64
 val enospc : int64
 
 val eperm : int64
-
-val name : int64 -> string
-(** ["OK"], ["EINVAL"], ... or ["ERR<n>"] for unknown codes. *)

@@ -10,8 +10,6 @@ let tagged ~os tag msg =
 
 let info ~os msg = tagged ~os "" msg
 
-let warn ~os msg = tagged ~os "WARN" msg
-
 let err ~os msg = tagged ~os "ERROR" msg
 
 let assert_failed ~os msg = tagged ~os "ASSERTION FAILED" msg

@@ -3,18 +3,13 @@
     All kernel and app output goes through here and ends up in the
     board's UART FIFO, which the host redirects to its stdout channel and
     scans with the log monitor. Severity tags are stable strings the
-    monitor's regular expressions key on. *)
-
-val raw : string -> unit
-(** Transmit the string as-is. *)
+    monitor's prefix matchers key on. *)
 
 val line : string -> unit
 (** Transmit the string plus a newline. *)
 
 val info : os:string -> string -> unit
 (** ["[<os>] <msg>\n"]. *)
-
-val warn : os:string -> string -> unit
 
 val err : os:string -> string -> unit
 (** ["[<os>] ERROR: <msg>\n"]. *)

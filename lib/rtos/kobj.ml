@@ -40,9 +40,6 @@ let detach obj = obj.state <- Detached
 
 let delete obj = obj.state <- Deleted
 
-let active_count t =
-  Hashtbl.fold (fun _ obj n -> if obj.state = Active then n + 1 else n) t.objects 0
-
 (* Handles only grow and no object becomes active again, so a handle
    the cursor has passed never needs a second look. *)
 let first_of_kind t kind =

@@ -38,8 +38,6 @@ val detach : obj -> unit
 
 val delete : obj -> unit
 
-val active_count : t -> int
-
 val first_of_kind : t -> string -> obj option
 (** The oldest active object of a kind (lowest handle), if any. A
     per-kind cursor remembers the handle below which no object of the

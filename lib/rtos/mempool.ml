@@ -8,11 +8,6 @@ type pool = {
 
 type Kobj.payload += Pool of pool
 
-let validate_geometry ~block_size ~block_count =
-  if block_size <= 0 || block_count <= 0 || block_size > 4096 || block_count > 1024 then
-    Error Kerr.einval
-  else Ok ()
-
 let create_unchecked ~reg ~heap ~name ~block_size ~block_count =
   let storage = max 8 (block_size * block_count) in
   match Heap.alloc heap storage with

@@ -5,7 +5,7 @@
     zero block size is representable — the RT-Thread personality's
     [rt_mp_create] fails to reject it, and [rt_mp_alloc] then divides by
     the zero stride (bug #7) — so validation here is the caller's
-    responsibility, exposed via {!validate_geometry}. *)
+    responsibility. *)
 
 type pool = private {
   block_size : int;
@@ -16,9 +16,6 @@ type pool = private {
 }
 
 type Kobj.payload += Pool of pool
-
-val validate_geometry : block_size:int -> block_count:int -> (unit, int64) result
-(** [Kerr.einval] for non-positive or oversized geometry. *)
 
 val create_unchecked :
   reg:Kobj.t -> heap:Heap.t -> name:string -> block_size:int -> block_count:int ->

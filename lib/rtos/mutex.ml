@@ -26,6 +26,4 @@ let unlock m ~owner =
     Ok ()
   | _ -> Error Kerr.eperm
 
-let holder m = m.owner
-
 let of_obj (obj : Kobj.obj) = match obj.Kobj.payload with Mutex m -> Some m | _ -> None

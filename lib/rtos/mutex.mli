@@ -13,6 +13,4 @@ val lock : m -> owner:int -> (unit, int64) result
 val unlock : m -> owner:int -> (unit, int64) result
 (** [Kerr.eperm] when not the owner. *)
 
-val holder : m -> int option
-
 val of_obj : Kobj.obj -> m option

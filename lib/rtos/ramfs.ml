@@ -146,5 +146,3 @@ let unlink t ~path =
     file.capacity <- 0;
     t.files <- List.filter (fun f -> f != file) t.files;
     Ok ()
-
-let size_of t ~path = Option.map (fun f -> f.size) (find_file t path)

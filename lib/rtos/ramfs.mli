@@ -30,5 +30,3 @@ val close : t -> fd -> (unit, int64) result
 val unlink : t -> path:string -> (unit, int64) result
 (** Frees the file's storage. Open descriptors to it go stale and
     subsequent reads/writes fail with [Kerr.enoent]. *)
-
-val size_of : t -> path:string -> int option

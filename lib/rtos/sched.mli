@@ -27,9 +27,6 @@ val create : reg:Kobj.t -> wheel:Swtimer.wheel -> t
 val max_priority : int
 (** 31. *)
 
-val max_tasks : int
-(** Fixed TCB-table size (64). *)
-
 val spawn :
   t -> name:string -> priority:int -> stack_size:int -> body:(tcb -> unit) ->
   (Kobj.obj, int64) result

@@ -52,6 +52,4 @@ let tick wheel =
     wheel.timers;
   !fired
 
-let active_count wheel = List.length (List.filter (fun t -> t.active) wheel.timers)
-
 let of_obj (obj : Kobj.obj) = match obj.Kobj.payload with Timer t -> Some t | _ -> None

@@ -21,9 +21,6 @@ type wheel
 
 val create_wheel : unit -> wheel
 
-val max_timers : int
-(** Fixed timer-table size (64), as RTOS build configs declare. *)
-
 val create :
   reg:Kobj.t -> wheel:wheel -> name:string -> kind:kind -> period:int ->
   callback:(unit -> unit) -> (Kobj.obj, int64) result
@@ -36,7 +33,5 @@ val stop : timer -> unit
 
 val tick : wheel -> int
 (** Advance one tick; run expiring callbacks. Returns how many fired. *)
-
-val active_count : wheel -> int
 
 val of_obj : Kobj.obj -> timer option

@@ -23,9 +23,6 @@ let find_call t name = List.find_opt (fun c -> c.name = name) t.calls
 
 let producers t kind = List.filter (fun c -> c.ret = Some kind) t.calls
 
-let consumers t kind =
-  List.filter (fun c -> List.exists (fun (_, ty) -> ty = Ty_res kind) c.args) t.calls
-
 let pp_ty fmt = function
   | Ty_int { min; max } -> Format.fprintf fmt "int[%Ld:%Ld]" min max
   | Ty_flags flags ->
@@ -72,14 +69,6 @@ let shape_of_ty = function
   | Ty_res _ -> "res"
 
 let same_shape a b = String.equal (shape_of_ty a) (shape_of_ty b)
-
-(* The resource signature "match calls by" during transplantation:
-   argument shapes in order, plus whether the call produces a
-   resource. *)
-let call_shape c =
-  Printf.sprintf "(%s)%s"
-    (String.concat "," (List.map (fun (_, ty) -> shape_of_ty ty) c.args))
-    (match c.ret with Some _ -> "->res" | None -> "")
 
 let equal_ty a b =
   match (a, b) with

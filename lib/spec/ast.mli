@@ -31,23 +31,12 @@ val find_call : t -> string -> call option
 
 val producers : t -> string -> call list
 
-val consumers : t -> string -> call list
-
 val to_syzlang : t -> string
 (** Render as specification text (inverse of {!Parser.parse} up to
     comments and whitespace). *)
 
-val pp_ty : Format.formatter -> ty -> unit
-
 val same_shape : ty -> ty -> bool
 (** Structural shape equality with every parameter erased (ranges,
     lengths, pointer windows, resource kinds). *)
-
-val call_shape : call -> string
-(** The call's resource signature: argument shapes in order plus
-    whether it produces a resource — the matching key for
-    cross-personality transplantation. *)
-
-val equal_ty : ty -> ty -> bool
 
 val equal : t -> t -> bool

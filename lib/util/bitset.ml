@@ -22,25 +22,12 @@ let set t i =
     t.count <- t.count + 1
   end
 
-let clear t i =
-  check t i;
-  let byte = Char.code (Bytes.unsafe_get t.bits (i lsr 3)) in
-  let mask = 1 lsl (i land 7) in
-  if byte land mask <> 0 then begin
-    Bytes.unsafe_set t.bits (i lsr 3) (Char.unsafe_chr (byte land lnot mask));
-    t.count <- t.count - 1
-  end
-
 let add t i =
   let fresh = not (mem t i) in
   if fresh then set t i;
   fresh
 
 let count t = t.count
-
-let reset t =
-  Bytes.fill t.bits 0 (Bytes.length t.bits) '\000';
-  t.count <- 0
 
 let copy t = { bits = Bytes.copy t.bits; capacity = t.capacity; count = t.count }
 
@@ -77,12 +64,6 @@ let iter f t =
         end
       done
   done
-
-let diff_new ~base ~candidate =
-  if base.capacity <> candidate.capacity then invalid_arg "Bitset.diff_new: capacity mismatch";
-  let acc = ref [] in
-  iter (fun i -> if not (mem base i) then acc := i :: !acc) candidate;
-  List.rev !acc
 
 let to_bytes t = Bytes.to_string t.bits
 

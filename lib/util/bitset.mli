@@ -11,10 +11,6 @@ val create : int -> t
 
 val capacity : t -> int
 
-val set : t -> int -> unit
-
-val clear : t -> int -> unit
-
 val mem : t -> int -> bool
 
 val add : t -> int -> bool
@@ -24,20 +20,11 @@ val add : t -> int -> bool
 val count : t -> int
 (** Number of set bits. *)
 
-val reset : t -> unit
-(** Clear every bit. *)
-
 val copy : t -> t
 
 val union_into : dst:t -> src:t -> int
 (** [union_into ~dst ~src] ors [src] into [dst]; returns how many bits
     were newly set in [dst]. Capacities must match. *)
-
-val diff_new : base:t -> candidate:t -> int list
-(** Bits set in [candidate] but not in [base], ascending. *)
-
-val iter : (int -> unit) -> t -> unit
-(** Iterate set bits in ascending order. *)
 
 val to_bytes : t -> string
 (** The raw backing bytes ([(capacity + 7) / 8] of them), for wire

@@ -18,15 +18,6 @@ let table =
 
 let mask32 = 0xFFFFFFFF
 
-let start () = 0xFFFFFFFFl
-
-let update crc ch =
-  let crc = Int32.to_int crc land mask32 in
-  let crc = table.((crc lxor Char.code ch) land 0xFF) lxor (crc lsr 8) in
-  Int32.of_int crc
-
-let finish crc = Int32.logxor crc 0xFFFFFFFFl
-
 let digest_bytes b ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length b then
     invalid_arg "Crc32.digest_bytes: range";

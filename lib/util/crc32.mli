@@ -8,12 +8,3 @@ val digest_bytes : Bytes.t -> pos:int -> len:int -> int32
 (** CRC of a byte range. @raise Invalid_argument on an invalid range. *)
 
 val digest_string : string -> int32
-
-val update : int32 -> char -> int32
-(** Incremental update: feed one byte into a running CRC (state is the
-    complemented register, i.e. [digest] values compose via
-    [finish (List.fold_left update (start ()) chars)]). *)
-
-val start : unit -> int32
-
-val finish : int32 -> int32

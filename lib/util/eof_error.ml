@@ -33,10 +33,6 @@ let board_dead rung = make (Board_dead rung)
 
 let with_context crumb t = { t with ctx = crumb :: t.ctx }
 
-let kind t = t.kind
-
-let context t = t.ctx
-
 let retryable t =
   match t.kind with
   | Link_timeout | Link_desync _ -> true
@@ -70,9 +66,6 @@ module Retry = struct
 
   let default =
     { attempts = 3; base_backoff_us = 200.; multiplier = 2.; max_backoff_us = 5_000. }
-
-  let no_retry =
-    { attempts = 1; base_backoff_us = 0.; multiplier = 1.; max_backoff_us = 0. }
 
   let backoff_us budget ~attempt =
     let raw =

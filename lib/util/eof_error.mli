@@ -28,8 +28,6 @@ type t = {
   ctx : string list;  (** breadcrumbs, innermost (most recent) first *)
 }
 
-val make : kind -> t
-
 (** {2 Constructors} *)
 
 val timeout : t
@@ -53,18 +51,6 @@ val board_dead : string -> t
 val with_context : string -> t -> t
 (** Push a breadcrumb; outer layers annotate as the error bubbles up. *)
 
-val kind : t -> kind
-
-val context : t -> string list
-
-val retryable : t -> bool
-(** True for link-level failures ([Link_timeout], [Link_desync]) that a
-    re-sent exchange can plausibly cure. [Remote]/[Protocol] errors are
-    deterministic replies — retrying them only re-asks the same
-    question. *)
-
-val kind_to_string : kind -> string
-
 val to_string : t -> string
 (** The reporting boundary: breadcrumbs outermost-first, then the kind,
     e.g. ["board 1: reflash partition app: debug link timeout"]. *)
@@ -87,19 +73,14 @@ module Retry : sig
   (** 3 attempts, 200 us doubling to a 5 ms ceiling — cheap against a
       500 ms timeout, decisive against a transient glitch. *)
 
-  val no_retry : budget
-  (** A single attempt; [run] degenerates to calling the function. *)
-
-  val backoff_us : budget -> attempt:int -> float
-  (** Deterministic wait after failed [attempt] (1-based). *)
-
   val run :
     budget:budget ->
     sleep_us:(float -> unit) ->
     ?on_retry:(attempt:int -> t -> unit) ->
     (unit -> ('a, t) result) ->
     ('a, t) result
-  (** Run [f]; on a {!retryable} error with budget remaining, charge
+  (** Run [f]; on a retryable error ([Link_timeout], [Link_desync]: a
+      re-sent exchange can cure them) with budget remaining, charge
       the backoff to [sleep_us], report via [on_retry] and try again.
       The final error of an exhausted budget carries an
       ["after N attempts"] breadcrumb; non-retryable errors return

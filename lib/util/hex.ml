@@ -35,30 +35,3 @@ let decode s =
         | _ -> Error (Printf.sprintf "non-hex digit at offset %d" i)
     in
     go 0
-
-let decode_exn s =
-  match decode s with Ok v -> v | Error e -> invalid_arg ("Hex.decode_exn: " ^ e)
-
-let dump ?(width = 16) s =
-  if width <= 0 then invalid_arg "Hex.dump: width";
-  let buf = Buffer.create (String.length s * 4) in
-  let n = String.length s in
-  let rows = (n + width - 1) / width in
-  for row = 0 to rows - 1 do
-    let off = row * width in
-    Buffer.add_string buf (Printf.sprintf "%08x  " off);
-    for i = 0 to width - 1 do
-      if off + i < n then
-        Buffer.add_string buf (Printf.sprintf "%02x " (Char.code s.[off + i]))
-      else Buffer.add_string buf "   "
-    done;
-    Buffer.add_string buf " |";
-    for i = 0 to width - 1 do
-      if off + i < n then begin
-        let c = s.[off + i] in
-        Buffer.add_char buf (if c >= ' ' && c < '\127' then c else '.')
-      end
-    done;
-    Buffer.add_string buf "|\n"
-  done;
-  Buffer.contents buf

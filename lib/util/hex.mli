@@ -2,23 +2,12 @@
 
     The GDB remote serial protocol transmits memory contents and some
     command payloads as lowercase hex pairs; this module implements the
-    encoding plus a human-oriented hexdump used by logs and examples. *)
+    encoding. *)
 
 val encode : string -> string
 (** Lowercase hex pairs, e.g. [encode "OK" = "4f4b"]. *)
 
-val encode_bytes : Bytes.t -> pos:int -> len:int -> string
-
 val decode : string -> (string, string) result
 (** Inverse of {!encode}. [Error _] on odd length or non-hex digits. *)
 
-val decode_exn : string -> string
-(** @raise Invalid_argument on malformed input. *)
-
-val of_nibble : int -> char
-(** [of_nibble n] for [0 <= n < 16]. *)
-
 val to_nibble : char -> int option
-
-val dump : ?width:int -> string -> string
-(** Classic offset/hex/ASCII dump, [width] bytes per row (default 16). *)

@@ -11,15 +11,3 @@ let add t ~lo ~hi =
   else if overlaps t ~lo ~hi then
     Error (Printf.sprintf "interval [0x%x,0x%x) overlaps an existing region" lo hi)
   else Ok (List.sort compare ((lo, hi) :: t))
-
-let add_exn t ~lo ~hi =
-  match add t ~lo ~hi with Ok t -> t | Error e -> invalid_arg ("Intervals.add_exn: " ^ e)
-
-let find t p = List.find_opt (fun (a, b) -> p >= a && p < b) t
-
-let mem t p = Option.is_some (find t p)
-
-let covers t ~lo ~hi =
-  hi > lo && List.exists (fun (a, b) -> lo >= a && hi <= b) t
-
-let to_list t = t

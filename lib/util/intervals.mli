@@ -11,19 +11,3 @@ val empty : t
 val add : t -> lo:int -> hi:int -> (t, string) result
 (** Fails with a description if the interval is empty, negative, or
     overlaps an existing interval. *)
-
-val add_exn : t -> lo:int -> hi:int -> t
-
-val mem : t -> int -> bool
-(** Is the point inside any interval? *)
-
-val covers : t -> lo:int -> hi:int -> bool
-(** Is the whole half-open range inside a single interval? *)
-
-val overlaps : t -> lo:int -> hi:int -> bool
-
-val find : t -> int -> (int * int) option
-(** The interval containing the point, if any. *)
-
-val to_list : t -> (int * int) list
-(** Ascending by [lo]. *)

@@ -2,34 +2,24 @@ type 'a t = {
   slots : 'a option array;
   mutable head : int; (* next pop *)
   mutable len : int;
-  mutable dropped : int;
 }
 
 let create capacity =
   if capacity <= 0 then invalid_arg "Ring.create: capacity";
-  { slots = Array.make capacity None; head = 0; len = 0; dropped = 0 }
+  { slots = Array.make capacity None; head = 0; len = 0 }
 
 let capacity t = Array.length t.slots
-
-let length t = t.len
-
-let is_empty t = t.len = 0
-
-let is_full t = t.len = capacity t
 
 let push t x =
   let cap = capacity t in
   if t.len = cap then begin
     (* Overrun: drop the oldest element. *)
     t.slots.((t.head + t.len) mod cap) <- Some x;
-    t.head <- (t.head + 1) mod cap;
-    t.dropped <- t.dropped + 1;
-    true
+    t.head <- (t.head + 1) mod cap
   end
   else begin
     t.slots.((t.head + t.len) mod cap) <- Some x;
-    t.len <- t.len + 1;
-    false
+    t.len <- t.len + 1
   end
 
 let pop t =
@@ -42,16 +32,11 @@ let pop t =
     x
   end
 
-let peek t = if t.len = 0 then None else t.slots.(t.head)
-
 let clear t =
   Array.fill t.slots 0 (capacity t) None;
   t.head <- 0;
-  t.len <- 0;
-  t.dropped <- 0
+  t.len <- 0
 
 let drain t =
   let rec go acc = match pop t with None -> List.rev acc | Some x -> go (x :: acc) in
   go []
-
-let dropped t = t.dropped

