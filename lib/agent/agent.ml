@@ -24,7 +24,7 @@ let resolve_arg results = function
 let execute_program build (inst : Osbuild.instance) program =
   let syms = Osbuild.syms build in
   let ram = Board.ram (Osbuild.board build) in
-  let entries = Array.of_list inst.Osbuild.table.Api.entries in
+  let entries = inst.Osbuild.entries in
   let n = List.length program in
   let handles = Array.make n 0 in
   let statuses = Array.make n 0l in

@@ -8,7 +8,14 @@
     Every mutator records the touched pages against the region's current
     {e generation}, the bookkeeping behind copy-on-write snapshots
     ({!Snapshot}): capturing a snapshot bumps the generation, and
-    restoring copies back only pages written since the capture. *)
+    restoring copies back only pages written since the capture.
+
+    Two page lists make resets cost what was touched: the pages stamped
+    since the latest capture, and the pages that may hold a nonzero
+    byte. A page joins each list once, on its first stamp past the
+    capture or its first write since the last {!clear}; {!restore_pages}
+    and {!clear} walk their list and empty it, never scanning the
+    region. *)
 
 type t
 
@@ -16,7 +23,9 @@ val page_size : int
 (** Dirty-tracking granule in bytes (256). *)
 
 val create : base:int -> size:int -> endianness:Arch.endianness -> t
-(** Zero-filled region of [size] bytes mapped at [base]. *)
+(** Zero-filled region of [size] bytes mapped at [base].
+    @raise Invalid_argument if [size] is not positive or spans more than
+    65536 pages (16 MiB). *)
 
 val base : t -> int
 
@@ -39,9 +48,10 @@ val crc_range : t -> addr:int -> len:int -> int32
 val fill : t -> addr:int -> len:int -> char -> unit
 
 val clear : t -> unit
-(** Zero the whole region (power-on reset of RAM). Only pages written
-    since the previous clear are actually rewritten, so a reset costs
-    O(dirty pages) while observable contents stay all-zero. *)
+(** Zero the whole region (power-on reset of RAM). Walks the list of
+    pages written (or restored) since the previous clear, zeroes and
+    stamps each, and empties the list: a reset costs O(dirty pages)
+    while observable contents stay all-zero. *)
 
 val page_count : t -> int
 (** Number of {!page_size} pages covering the region (last page may be
@@ -57,7 +67,9 @@ val mutations : t -> int
 val mark_generation : t -> int
 (** Return the current generation and advance to the next one. Pages
     written afterwards stamp strictly greater than the returned value —
-    this is the capture point of a snapshot. *)
+    this is the capture point of a snapshot. Empties the stamped-page
+    list, which from now on collects the pages written after this
+    capture; earlier captures can no longer be restored. *)
 
 val baseline : t -> Bytes.t
 (** Full copy of the current contents, to pair with {!mark_generation}
@@ -66,7 +78,8 @@ val baseline : t -> Bytes.t
 val restore_pages : t -> baseline:Bytes.t -> since:int -> int
 (** Copy every page written after generation [since] back from
     [baseline] (a buffer from {!baseline}, same size) with one bulk blit
-    per page, and mark it clean with respect to [since]. Returns the
-    number of pages copied — the cost of the restore. Restoring an older
-    snapshot invalidates dirty accounting of snapshots captured later;
-    keep one live snapshot per region. *)
+    per page, and mark it clean with respect to [since]. Walks the
+    stamped-page list and empties it. Returns the number of pages
+    copied — the cost of the restore.
+    @raise Invalid_argument if [since] is not the latest
+    {!mark_generation}: only the latest capture is restorable. *)

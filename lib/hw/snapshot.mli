@@ -7,9 +7,9 @@
     per-dirty-page cost. A restore therefore costs O(dirty pages) where
     a full reflash costs O(partition size) in link traffic.
 
-    Keep at most one live snapshot per board: restoring rewinds the
-    regions' dirty accounting to this capture, which invalidates any
-    snapshot captured later. *)
+    Only a board's latest capture is restorable: a capture resets the
+    regions' dirty-page lists, so {!restore} of an earlier one raises
+    [Invalid_argument]. *)
 
 type t
 
@@ -22,4 +22,6 @@ val pages : t -> int
 val restore : t -> clock:Clock.t -> int
 (** Copy dirty pages back, charge [clock] proportionally, and return the
     number of pages copied. Flash contents are rewound host-side without
-    erase cycles, so {!Flash.erase_count} keeps counting real wear. *)
+    erase cycles, so {!Flash.erase_count} keeps counting real wear.
+    @raise Invalid_argument if a later capture of the same board
+    superseded this one. *)

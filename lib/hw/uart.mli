@@ -4,12 +4,15 @@
     fuzzer's log monitor) drains it. If nothing drains the FIFO — e.g.
     after a fault freezes the host connection — old bytes are overwritten,
     modelling the paper's observation that "UART logs may vanish after a
-    fault". *)
+    fault".
+
+    The FIFO is a byte ring: writes and drains are at most two blits,
+    and a reset is O(1). *)
 
 type t
 
 val create : ?fifo_bytes:int -> unit -> t
-(** Default FIFO is 8 KiB. *)
+(** Default FIFO is 8 KiB. @raise Invalid_argument if [fifo_bytes <= 0]. *)
 
 val write_string : t -> string -> unit
 
@@ -17,3 +20,4 @@ val drain : t -> string
 (** All pending bytes, oldest first; empties the FIFO. *)
 
 val reset : t -> unit
+(** Discard every pending byte. *)

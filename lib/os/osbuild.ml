@@ -14,7 +14,12 @@ type ctx = {
   os_name : string;
 }
 
-type instance = { reg : Kobj.t; table : Api.table; tick : unit -> unit }
+type instance = {
+  reg : Kobj.t;
+  table : Api.table;
+  entries : Api.entry array;
+  tick : unit -> unit;
+}
 
 type spec = {
   os_name : string;
@@ -42,13 +47,14 @@ type instrument_mode = Instrument_full | Instrument_none | Instrument_only of st
 
 type t = {
   spec : spec;
-  mutable signatures : Api.table option;
+  signatures : Api.table;
   board : Board.t;
   sitemap : Sitemap.t;
   sancov : Sancov.t;  (* recording runtime *)
-  sancov_silent : Sancov.t;  (* PC movement only, no records *)
-  blocks : (string * Sitemap.block) list;
-  record_in : string -> bool;
+  (* Module name -> its site block and instrumentation handle, which
+     records or only moves the PC per the build's instrument mode. *)
+  blocks : (string, Sitemap.block * Instr.t) Hashtbl.t;
+  boot_line : string;  (* the kernel's boot log line, the same every boot *)
   syms : syms;
   image : Image.t;
   covbuf : Sancov.Layout.t;
@@ -124,15 +130,71 @@ let synthesize_image spec ~table ~kernel_bytes =
         Hashtbl.replace image_memo key image;
         image)
 
+(* Per-boot kernel construction. Takes the build's parts rather than the
+   build, so [make] can run it before the build exists. Only the kernel
+   state is new on each boot: handlers close over it, and everything
+   else is the build's. *)
+let instantiate ~spec ~board ~syms ~blocks ~boot_line =
+  let profile = Board.profile board in
+  let reg = Kobj.create () in
+  let heap_base = profile.Board.ram_base + heap_offset in
+  let heap_size = min 0x20000 (profile.Board.ram_size - heap_offset - 0x1000) in
+  let heap =
+    match Heap.init ~mem:(Board.ram board) ~base:heap_base ~size:heap_size with
+    | Ok heap -> heap
+    | Error e -> invalid_arg ("Osbuild.fresh_instance: kernel heap: " ^ e)
+  in
+  let wheel = Swtimer.create_wheel () in
+  let sched = Sched.create ~reg ~wheel in
+  let panic =
+    {
+      Panic.os_name = spec.os_name;
+      panic_site = syms.sym_handle_exception;
+      assert_site = syms.sym_assert_report;
+    }
+  in
+  let instr name =
+    match Hashtbl.find_opt blocks name with
+    | None -> invalid_arg (Printf.sprintf "Osbuild: no instrumentation block %S" name)
+    | Some (_, instr) -> instr
+  in
+  let isr_handlers = ref [] in
+  let register_isr f = isr_handlers := f :: !isr_handlers in
+  let ctx =
+    {
+      board;
+      reg;
+      heap;
+      sched;
+      wheel;
+      panic;
+      instr;
+      register_isr;
+      os_name = spec.os_name;
+    }
+  in
+  let table = spec.install ctx in
+  Klog.line spec.banner;
+  Klog.line boot_line;
+  let gpio = Board.gpio board in
+  let tick () =
+    (* Interrupt dispatch precedes the scheduler, as a real tick ISR
+       chain would. *)
+    (match Gpio.drain_pending gpio with
+     | [] -> ()
+     | pins ->
+       List.iter (fun pin -> List.iter (fun isr -> isr pin) !isr_handlers) pins);
+    Sched.tick sched
+  in
+  { reg; table; entries = Array.of_list table.Api.entries; tick }
+
 let make ?(instrument = Instrument_full) ~board_profile spec =
   let board = Board.create board_profile in
   let profile = Board.profile board in
   let sitemap = Sitemap.create ~text_base:(profile.Board.flash_base + bootloader_bytes) in
   let agent_block = Sitemap.alloc sitemap ~name:"agent" ~count:16 in
-  let blocks =
-    List.map
-      (fun (name, count) -> (name, Sitemap.alloc sitemap ~name ~count))
-      spec.modules
+  let sites =
+    List.map (fun (name, count) -> (name, Sitemap.alloc sitemap ~name ~count)) spec.modules
   in
   let covbuf =
     { Sancov.Layout.base = profile.Board.ram_base + covbuf_offset;
@@ -155,6 +217,12 @@ let make ?(instrument = Instrument_full) ~board_profile spec =
     | Instrument_none -> fun _ -> false
     | Instrument_only names -> fun name -> List.mem name names
   in
+  let blocks = Hashtbl.create (List.length sites) in
+  List.iter
+    (fun (name, block) ->
+      let sancov = if record_in name then sancov else sancov_silent in
+      Hashtbl.replace blocks name (block, Instr.of_sancov ~sancov ~block))
+    sites;
   let syms =
     {
       sym_boot = Sitemap.site_addr agent_block 0;
@@ -199,15 +267,27 @@ let make ?(instrument = Instrument_full) ~board_profile spec =
           profile.Board.name e));
   let image = synthesize_image spec ~table ~kernel_bytes in
   Board.install board image;
+  let boot_line =
+    Printf.sprintf "[%s] %s %s booted on %s (%s)" spec.os_name spec.os_name spec.version
+      profile.Board.name
+      (Format.asprintf "%a" Arch.pp profile.Board.arch)
+  in
+  (* Every boot builds the same table shape around fresh handlers, so
+     one throwaway instance, under a silent handler, stands for all of
+     them: its shape is validated here, once per build, and its
+     signatures serve host-side consumers. *)
+  let signatures =
+    Eof_exec.Target.run_silent (fun () -> (instantiate ~spec ~board ~syms ~blocks ~boot_line).table)
+  in
+  Api.validate signatures;
   {
     spec;
-    signatures = None;
+    signatures;
     board;
     sitemap;
     sancov;
-    sancov_silent;
     blocks;
-    record_in;
+    boot_line;
     syms;
     image;
     covbuf;
@@ -217,8 +297,6 @@ let make ?(instrument = Instrument_full) ~board_profile spec =
   }
 
 let os_name t = t.spec.os_name
-
-(* forward-declared below, after fresh_instance *)
 
 let version t = t.spec.version
 
@@ -240,75 +318,9 @@ let mailbox_size t = t.mailbox_size
 
 let edge_capacity t = Sancov.edge_capacity t.sancov
 
-let module_block t name = List.assoc_opt name t.blocks
+let module_block t name = Option.map fst (Hashtbl.find_opt t.blocks name)
 
 let fresh_instance t =
-  let profile = Board.profile t.board in
-  let reg = Kobj.create () in
-  let heap_base = profile.Board.ram_base + heap_offset in
-  let heap_size = min 0x20000 (profile.Board.ram_size - heap_offset - 0x1000) in
-  let heap =
-    match Heap.init ~mem:(Board.ram t.board) ~base:heap_base ~size:heap_size with
-    | Ok heap -> heap
-    | Error e -> invalid_arg ("Osbuild.fresh_instance: kernel heap: " ^ e)
-  in
-  let wheel = Swtimer.create_wheel () in
-  let sched = Sched.create ~reg ~wheel in
-  let panic =
-    {
-      Panic.os_name = t.spec.os_name;
-      panic_site = t.syms.sym_handle_exception;
-      assert_site = t.syms.sym_assert_report;
-    }
-  in
-  let instr name =
-    match List.assoc_opt name t.blocks with
-    | None -> invalid_arg (Printf.sprintf "Osbuild: no instrumentation block %S" name)
-    | Some block ->
-      let sancov = if t.record_in name then t.sancov else t.sancov_silent in
-      Instr.of_sancov ~sancov ~block
-  in
-  let isr_handlers = ref [] in
-  let register_isr f = isr_handlers := f :: !isr_handlers in
-  let ctx =
-    {
-      board = t.board;
-      reg;
-      heap;
-      sched;
-      wheel;
-      panic;
-      instr;
-      register_isr;
-      os_name = t.spec.os_name;
-    }
-  in
-  let table = t.spec.install ctx in
-  Klog.line t.spec.banner;
-  Klog.info ~os:t.spec.os_name
-    (Printf.sprintf "%s %s booted on %s (%s)" t.spec.os_name t.spec.version
-       profile.Board.name
-       (Format.asprintf "%a" Arch.pp profile.Board.arch));
-  let gpio = Board.gpio t.board in
-  let tick () =
-    (* Interrupt dispatch precedes the scheduler, as a real tick ISR
-       chain would. *)
-    (match Gpio.drain_pending gpio with
-     | [] -> ()
-     | pins ->
-       List.iter (fun pin -> List.iter (fun isr -> isr pin) !isr_handlers) pins);
-    Sched.tick sched
-  in
-  { reg; table; tick }
+  instantiate ~spec:t.spec ~board:t.board ~syms:t.syms ~blocks:t.blocks ~boot_line:t.boot_line
 
-let api_signatures t =
-  match t.signatures with
-  | Some table -> table
-  | None ->
-    (* Build one throwaway instance under a silent handler; only the
-       table's signature side is retained. *)
-    let table =
-      Eof_exec.Target.run_silent (fun () -> (fresh_instance t).table)
-    in
-    t.signatures <- Some table;
-    table
+let api_signatures t = t.signatures

@@ -27,7 +27,12 @@ type ctx = {
   os_name : string;
 }
 
-type instance = { reg : Kobj.t; table : Api.table; tick : unit -> unit }
+type instance = {
+  reg : Kobj.t;
+  table : Api.table;
+  entries : Api.entry array;  (** [table]'s entries, indexed by API index *)
+  tick : unit -> unit;
+}
 
 type spec = {
   os_name : string;
@@ -69,7 +74,12 @@ val bootloader_bytes : int
     and site addresses start right after it). *)
 
 val make : ?instrument:instrument_mode -> board_profile:Board.profile -> spec -> t
-(** Build the image, flash the board, set up instrumentation. *)
+(** Build the image, flash the board, set up instrumentation, and
+    validate the personality's API table ({!Api.validate}) on one
+    throwaway instance. Every boot of the build rebuilds the same table
+    shape around fresh handlers, so this is its only check.
+    @raise Invalid_argument if the table is malformed, before any
+    payload can run. *)
 
 val os_name : t -> string
 
@@ -102,11 +112,12 @@ val module_block : t -> string -> Eof_cov.Sitemap.block option
     baselines that plant breakpoints on code sites). *)
 
 val api_signatures : t -> Api.table
-(** The personality's API table captured at build time for host-side
+(** The personality's API table captured by {!make} for host-side
     consumers (spec synthesis, generators, index lookup). Handlers in
     this table must not be invoked from the host — only the signatures
     (names, argument types, resources, weights) are meaningful there. *)
 
 val fresh_instance : t -> instance
 (** Per-boot kernel construction: registry, heap, scheduler, personality
-    API table. Called by the agent entry after the boot check. *)
+    API table, with no validation (see {!make}). Called by the agent
+    entry after the boot check. *)

@@ -23,7 +23,9 @@ type table = { os : string; entries : entry list }
 
 let produced_kind entry = match entry.ret with `Resource k -> Some k | `Status -> None
 
-let make_table ~os entries =
+let make_table ~os entries = { os; entries }
+
+let validate { entries; _ } =
   let names = List.map (fun e -> e.name) entries in
   let rec dup = function
     | [] -> None
@@ -49,8 +51,7 @@ let make_table ~os entries =
                  e.name arg_name kind)
           | _ -> ())
         e.args)
-    entries;
-  { os; entries }
+    entries
 
 let resource_kinds t =
   List.filter_map produced_kind t.entries |> List.sort_uniq compare

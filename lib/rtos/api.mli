@@ -41,9 +41,17 @@ type entry = {
 type table = { os : string; entries : entry list }
 
 val make_table : os:string -> entry list -> table
-(** Validates the table: unique entry names, positive weights, every
-    consumed/produced resource kind consistent.
-    @raise Invalid_argument on violations. *)
+(** Wrap a personality's entries. Checks nothing: a personality builds
+    its table on every boot, with fresh handlers but the same shape, so
+    [Osbuild.make] runs {!validate} on it once per build, before
+    any payload runs. *)
+
+val validate : table -> unit
+(** Check the table's shape: unique entry names, positive weights, and
+    every consumed resource kind produced by some entry. Messages name
+    [Api.make_table], the constructor of the table at fault.
+    @raise Invalid_argument on the first violation, checking names, then
+    weights, then resource kinds, each in entry order. *)
 
 val resource_kinds : table -> string list
 (** All kinds produced by some entry, sorted. *)

@@ -94,6 +94,30 @@ let test_uart_overrun () =
   Uart.write_string u "abcdef";
   Alcotest.(check string) "newest kept" "cdef" (Uart.drain u)
 
+(* The byte ring behind the FIFO: order, drop-oldest overrun, and
+   pending bytes that wrap past the end of the buffer. *)
+let test_uart_ring_fifo () =
+  let u = Uart.create ~fifo_bytes:4 () in
+  Uart.write_string u "ab";
+  Alcotest.(check string) "drain order" "ab" (Uart.drain u);
+  Uart.write_string u "ab";
+  Uart.write_string u "c";
+  Uart.write_string u "de";
+  Alcotest.(check string) "overrun evicts the oldest" "bcde" (Uart.drain u);
+  Alcotest.(check string) "drained" "" (Uart.drain u);
+  Uart.write_string u "xyz";
+  ignore (Uart.drain u : string);
+  Uart.write_string u "123";
+  Alcotest.(check string) "drain wraps across the buffer end" "123" (Uart.drain u);
+  Uart.write_string u "pq";
+  Uart.write_string u "rstuvw";
+  Alcotest.(check string) "overlong write keeps its tail" "tuvw" (Uart.drain u);
+  Uart.write_string u "k";
+  Uart.reset u;
+  Alcotest.(check string) "reset empties" "" (Uart.drain u);
+  Uart.write_string u "after";
+  Alcotest.(check string) "usable after reset" "fter" (Uart.drain u)
+
 let test_clock () =
   let c = Clock.create ~mhz:100 in
   Clock.advance c 1000;
@@ -173,6 +197,7 @@ let suite =
     Alcotest.test_case "partition validation" `Quick test_partition_validation;
     Alcotest.test_case "uart lines" `Quick test_uart_lines;
     Alcotest.test_case "uart overrun" `Quick test_uart_overrun;
+    Alcotest.test_case "uart ring fifo" `Quick test_uart_ring_fifo;
     Alcotest.test_case "clock" `Quick test_clock;
     Alcotest.test_case "image install/verify/reflash" `Quick test_image_and_board;
     Alcotest.test_case "board memory dispatch" `Quick test_board_mem_dispatch;
@@ -283,6 +308,158 @@ let suite =
       Alcotest.test_case "memory clear keeps dirty set small" `Quick
         test_memory_clear_dirty;
       Alcotest.test_case "board snapshot roundtrip" `Quick test_board_snapshot_roundtrip;
+    ]
+
+(* --- dirty-page lists vs a full scan ------------------------------------ *)
+
+(* The reference model: a region's bookkeeping with restore and clear as
+   full scans over every page stamp and flag, which Memory's dirty-page
+   lists must reproduce. *)
+module Scan = struct
+  type t = {
+    data : Bytes.t;
+    stamps : int array;
+    nz : Bytes.t;
+    mutable generation : int;
+    mutable mutations : int;
+  }
+
+  let create size =
+    let n = (size + Memory.page_size - 1) / Memory.page_size in
+    { data = Bytes.make size '\000'; stamps = Array.make n 0; nz = Bytes.make n '\000';
+      generation = 1; mutations = 0 }
+
+  let page_len t p = min Memory.page_size (Bytes.length t.data - (p * Memory.page_size))
+
+  let touch t off len =
+    if len > 0 then begin
+      t.mutations <- t.mutations + 1;
+      for p = off / Memory.page_size to (off + len - 1) / Memory.page_size do
+        t.stamps.(p) <- t.generation;
+        Bytes.set t.nz p '\001'
+      done
+    end
+
+  let write_bytes t off b =
+    touch t off (Bytes.length b);
+    Bytes.blit b 0 t.data off (Bytes.length b)
+
+  let fill t off len c =
+    touch t off len;
+    Bytes.fill t.data off len c
+
+  let clear t =
+    Array.iteri
+      (fun p _ ->
+        if Bytes.get t.nz p <> '\000' then begin
+          Bytes.fill t.data (p * Memory.page_size) (page_len t p) '\000';
+          t.mutations <- t.mutations + 1;
+          t.stamps.(p) <- t.generation;
+          Bytes.set t.nz p '\000'
+        end)
+      t.stamps
+
+  let mark_generation t =
+    let g = t.generation in
+    t.generation <- g + 1;
+    g
+
+  let restore_pages t ~baseline ~since =
+    let copied = ref 0 in
+    Array.iteri
+      (fun p stamp ->
+        if stamp > since then begin
+          let off = p * Memory.page_size in
+          Bytes.blit baseline off t.data off (page_len t p);
+          t.mutations <- t.mutations + 1;
+          t.stamps.(p) <- since;
+          Bytes.set t.nz p '\001';
+          incr copied
+        end)
+      t.stamps;
+    !copied
+end
+
+(* Random write/fill/clear/capture/restore sequences on [size] bytes:
+   after every step the mutation counts agree, every restore copies as
+   many pages as the full scan, and the contents agree (after every step
+   on [check_every_step] regions, at the end otherwise). *)
+let prop_page_lists_match_scan ~name ~size ~max_len ~count ~check_every_step =
+  QCheck.Test.make ~name ~count
+    QCheck.(list_of_size Gen.(1 -- 40)
+              (triple (int_bound 5) (int_bound (size - 1)) (int_bound max_len)))
+    (fun ops ->
+      let base = 0x2000_0000 in
+      let m = Memory.create ~base ~size ~endianness:Arch.Little in
+      let r = Scan.create size in
+      let capture () = (Memory.baseline m, Memory.mark_generation m, Scan.mark_generation r) in
+      let snap = ref (capture ()) in
+      let same_contents () =
+        Bytes.equal (Memory.read_bytes m ~addr:base ~len:size) r.Scan.data
+      in
+      let step (op, off, v) =
+        let len = min v (size - off) in
+        let c = Char.chr (v land 0xff) in
+        match op with
+        | 0 when off + 4 <= size ->
+          let w = Int32.of_int (v * 0x01010101) in
+          Memory.write_u32 m (base + off) w;
+          let b = Bytes.create 4 in
+          Bytes.set_int32_le b 0 w;
+          Scan.write_bytes r off b;
+          true
+        | 0 | 1 ->
+          let b = Bytes.make len c in
+          Memory.write_bytes m ~addr:(base + off) b;
+          Scan.write_bytes r off b;
+          true
+        | 2 ->
+          Memory.fill m ~addr:(base + off) ~len c;
+          Scan.fill r off len c;
+          true
+        | 3 ->
+          Memory.clear m;
+          Scan.clear r;
+          true
+        | 4 ->
+          snap := capture ();
+          true
+        | _ ->
+          let baseline, since, scan_since = !snap in
+          let copied = Memory.restore_pages m ~baseline ~since in
+          copied = Scan.restore_pages r ~baseline ~since:scan_since
+      in
+      List.for_all
+        (fun op ->
+          step op
+          && Memory.mutations m = r.Scan.mutations
+          && ((not check_every_step) || same_contents ()))
+        ops
+      && same_contents ())
+
+(* Only the latest capture is restorable: the stamp list forgets what
+   an older one would need. *)
+let test_superseded_capture_rejected () =
+  let m = mem_le () in
+  let baseline = Memory.baseline m in
+  let since = Memory.mark_generation m in
+  poke m 0x2000_0100 1;
+  ignore (Memory.mark_generation m : int);
+  Alcotest.check_raises "older capture"
+    (Invalid_argument "Memory.restore_pages: a later capture superseded this one")
+    (fun () -> ignore (Memory.restore_pages m ~baseline ~since : int))
+
+let suite =
+  suite
+  @ [
+      QCheck_alcotest.to_alcotest
+        (prop_page_lists_match_scan ~name:"page lists match a full scan (3000 B)" ~size:3000
+           ~max_len:700 ~count:300 ~check_every_step:true);
+      QCheck_alcotest.to_alcotest
+        (prop_page_lists_match_scan ~name:"page lists match a full scan (4 MiB)"
+           ~size:(4 * 1024 * 1024) ~max_len:4096 ~count:50 ~check_every_step:false);
+      Alcotest.test_case "restoring a superseded capture is an error" `Quick
+        test_superseded_capture_rejected;
     ]
 
 (* --- boot-CRC memo ------------------------------------------------------ *)

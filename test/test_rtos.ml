@@ -350,26 +350,90 @@ let test_sched_round_robin () =
   Alcotest.(check int) "fair a" 2 a_runs;
   Alcotest.(check int) "fair b" 2 b_runs
 
+(* A personality whose every instance installs [entries]; [installs]
+   counts the instances. *)
+let spec_of ?(installs = ref 0) entries =
+  {
+    Eof_os.Osbuild.os_name = "X";
+    version = "0";
+    base_kernel_bytes = 0x8000;
+    modules = [];
+    banner = "X";
+    kernel_patches = [];
+    install =
+      (fun _ ->
+        incr installs;
+        Api.make_table ~os:"X" entries);
+  }
+
+let api_entry ?(weight = 1) name args ret =
+  { Api.name; args; ret; doc = ""; weight; handler = (fun _ -> Api.ok_status) }
+
+let build_of spec = Eof_os.Osbuild.make ~board_profile:Profiles.stm32f4_disco spec
+
+(* Validation runs where a build is made: each fault is rejected with
+   its message. *)
 let test_api_table_validation () =
-  let entry name args ret =
-    { Api.name; args; ret; doc = ""; weight = 1; handler = (fun _ -> Api.ok_status) }
+  let rejects msg entries =
+    Alcotest.check_raises msg (Invalid_argument msg) (fun () ->
+        ignore (build_of (spec_of entries)))
   in
-  (* Consuming an unproduced kind must be rejected. *)
-  (try
-     ignore
-       (Api.make_table ~os:"X" [ entry "use" [ ("q", Api.A_res "queue") ] `Status ]);
-     Alcotest.fail "unproduced resource accepted"
-   with Invalid_argument _ -> ());
-  (* Duplicate names rejected. *)
-  (try
-     ignore (Api.make_table ~os:"X" [ entry "a" [] `Status; entry "a" [] `Status ]);
-     Alcotest.fail "duplicate accepted"
-   with Invalid_argument _ -> ());
-  let t =
-    Api.make_table ~os:"X"
-      [ entry "mk" [] (`Resource "queue"); entry "use" [ ("q", Api.A_res "queue") ] `Status ]
+  rejects "Api.make_table: use.q consumes kind queue nobody produces"
+    [ api_entry "use" [ ("q", Api.A_res "queue") ] `Status ];
+  rejects "Api.make_table: duplicate entry a"
+    [ api_entry "a" [] `Status; api_entry "b" [] `Status; api_entry "a" [] `Status ];
+  rejects "Api.make_table: z has weight 0" [ api_entry ~weight:0 "z" [] `Status ];
+  (* Several faults: names are checked before weights and kinds, each
+     in entry order. *)
+  rejects "Api.make_table: b has weight 0"
+    [ api_entry "use" [ ("q", Api.A_res "queue") ] `Status;
+      api_entry ~weight:0 "b" [] `Status; api_entry ~weight:0 "c" [] `Status ];
+  rejects "Api.make_table: duplicate entry b"
+    [ api_entry ~weight:0 "a" [] `Status; api_entry "b" [] `Status;
+      api_entry "c" [] `Status; api_entry "c" [] `Status; api_entry "b" [] `Status ];
+  let build =
+    build_of
+      (spec_of
+         [ api_entry "mk" [] (`Resource "queue");
+           api_entry "use" [ ("q", Api.A_res "queue") ] `Status ])
   in
-  Alcotest.(check (list string)) "kinds" [ "queue" ] (Api.resource_kinds t)
+  Alcotest.(check (list string)) "kinds" [ "queue" ]
+    (Api.resource_kinds (Eof_os.Osbuild.api_signatures build))
+
+(* A bad table stops the build on its one throwaway instance: no build
+   is handed out, so the board never boots and no payload runs. *)
+let test_api_table_fails_before_payloads () =
+  let installs = ref 0 in
+  (match build_of (spec_of ~installs [ api_entry "ok" [] `Status; api_entry "ok" [] `Status ]) with
+   | _ -> Alcotest.fail "bad table built"
+   | exception Invalid_argument _ -> ());
+  Alcotest.(check int) "installed once, never booted" 1 !installs
+
+(* The build validates one instance's table and trusts every later boot
+   to have the same shape; pin that premise for each personality. *)
+let test_every_boot_has_validated_shape () =
+  let shape (table : Api.table) =
+    List.map
+      (fun (e : Api.entry) ->
+        ( e.Api.name,
+          e.Api.weight,
+          List.map (fun (n, ty) -> (n, Api.arg_type_to_string ty)) e.Api.args,
+          e.Api.ret ))
+      table.Api.entries
+  in
+  List.iter
+    (fun (target : Eof_expt.Targets.hw_target) ->
+      let build = Eof_expt.Targets.build_hw target in
+      let boot () =
+        shape
+          (Eof_exec.Target.run_silent (fun () -> Eof_os.Osbuild.fresh_instance build))
+            .Eof_os.Osbuild.table
+      in
+      let validated = shape (Eof_os.Osbuild.api_signatures build) in
+      let os = target.Eof_expt.Targets.spec.Eof_os.Osbuild.os_name in
+      Alcotest.(check bool) (os ^ ": first boot has the validated shape") true (boot () = validated);
+      Alcotest.(check bool) (os ^ ": so does the next") true (boot () = validated))
+    Eof_expt.Targets.all
 
 let test_panic_and_assert_output () =
   let board = Board.create Profiles.stm32f4_disco in
@@ -437,6 +501,10 @@ let suite =
     Alcotest.test_case "sched priorities" `Quick test_sched_priorities;
     Alcotest.test_case "sched round robin" `Quick test_sched_round_robin;
     Alcotest.test_case "api table validation" `Quick test_api_table_validation;
+    Alcotest.test_case "bad api table fails before any payload" `Quick
+      test_api_table_fails_before_payloads;
+    Alcotest.test_case "every boot has the validated shape" `Quick
+      test_every_boot_has_validated_shape;
     Alcotest.test_case "panic/assert output" `Quick test_panic_and_assert_output;
     QCheck_alcotest.to_alcotest prop_heap_invariant;
   ]

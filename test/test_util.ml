@@ -61,14 +61,6 @@ let test_hex_roundtrip () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "bad digit accepted"
 
-let test_ring_fifo () =
-  let r = Ring.create 3 in
-  List.iter (Ring.push r) [ 1; 2 ];
-  Alcotest.(check (list int)) "drain order" [ 1; 2 ] (Ring.drain r);
-  List.iter (Ring.push r) [ 1; 2; 3; 4 ];
-  Alcotest.(check (list int)) "overrun evicts the oldest" [ 2; 3; 4 ] (Ring.drain r);
-  Alcotest.(check (list int)) "drained" [] (Ring.drain r)
-
 let test_stats () =
   Alcotest.(check (float 1e-9)) "mean" 2.0 (Stats.mean [ 1.; 2.; 3. ]);
   let lo, hi = Stats.min_max [ 3.; 1.; 2. ] in
@@ -137,7 +129,6 @@ let suite =
     Alcotest.test_case "bitset union/diff" `Quick test_bitset_union_diff;
     Alcotest.test_case "crc32 vector" `Quick test_crc32_known;
     Alcotest.test_case "hex roundtrip" `Quick test_hex_roundtrip;
-    Alcotest.test_case "ring fifo" `Quick test_ring_fifo;
     Alcotest.test_case "stats" `Quick test_stats;
     Alcotest.test_case "intervals" `Quick test_intervals;
     Alcotest.test_case "text table" `Quick test_text_table;
