@@ -53,7 +53,7 @@ let () =
    | Liveness.First_observation -> print_endline "4. watchdog armed (LastPC recorded)"
    | _ -> failwith "expected first observation");
   (* The watchdog only declares a stall after the PC repeats on
-     [stall_threshold] consecutive checks — a single repeat is routine
+     three consecutive checks — a single repeat is routine
      (polling loops, breakpoint parking) and must not trigger a
      reflash. *)
   let rec wait_for_stall repeats =

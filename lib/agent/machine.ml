@@ -133,16 +133,10 @@ let create_native ?obs build =
 
 let backend t = match t.impl with L _ -> Link | N _ -> Native
 
-let build t = t.build
-
-let link_only t name =
+let session t =
   match t.impl with
-  | L l -> l
-  | N _ -> invalid_arg (Printf.sprintf "Machine.%s: native machine has no link stack" name)
-
-let session t = (link_only t "session").session
-
-let transport t = (link_only t "transport").transport
+  | L l -> l.session
+  | N _ -> invalid_arg "Machine.session: native machine has no link stack"
 
 let obs t =
   match t.impl with L l -> Session.obs l.session | N n -> n.n_obs

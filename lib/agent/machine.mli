@@ -79,7 +79,7 @@ val create_native :
   (t, Eof_util.Eof_error.t) result
 (** The native transplant backend: agent, personality and probe
     in-process, no transport, no session. Both backends build the probe
-    with its default continue quantum, so stop schedules match. There
+    with the same continue quantum, so stop schedules match. There
     is no fault injector to attach — link faults cannot
     exist off the link.
 
@@ -89,8 +89,6 @@ val create_native :
 
 val backend : t -> backend
 
-val build : t -> Osbuild.t
-
 val obs : t -> Eof_obs.Obs.t
 (** The bus this machine emits on (an inert private bus when none was
     supplied at creation). *)
@@ -99,9 +97,6 @@ val session : t -> Eof_debug.Session.t
 (** Link backend only — the raw RSP session, for baselines and bench
     code that measure the link itself.
     @raise Invalid_argument on a native machine. *)
-
-val transport : t -> Eof_debug.Transport.t
-(** Link backend only. @raise Invalid_argument on a native machine. *)
 
 val virtual_elapsed_s : t -> float
 (** Virtual wall time — the clock campaign budgets are measured

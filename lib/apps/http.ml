@@ -176,7 +176,6 @@ let parse_request ~instr raw =
              end)
         | _ -> fail instr 7 "malformed request line"))
 
-let header (req : request) name = List.assoc_opt (String.lowercase_ascii name) req.headers
 
 let text_response status reason body =
   { status; reason; headers = [ ("Content-Type", "text/plain") ]; body }

@@ -22,8 +22,6 @@ val site_count : int
 
 val parse_request : instr:Eof_rtos.Instr.t -> string -> (request, string) result
 
-val header : request -> string -> string option
-
 (** The server: fixed routes over the parser, JSON-backed where the
     paper's demo app is ([/api/echo] parses its body as JSON). *)
 module Server : sig

@@ -398,18 +398,6 @@ let encode ~instr ?(max_depth = 16) v =
   Instr.edge instr s_enc_entry;
   match go 0 v with () -> Ok (Buffer.contents buf) | exception Too_deep -> Error `Too_deep
 
-let rec equal a b =
-  match (a, b) with
-  | Null, Null -> true
-  | Bool x, Bool y -> x = y
-  | Num x, Num y -> Float.abs (x -. y) <= 1e-9 *. Float.max 1.0 (Float.abs x)
-  | Str x, Str y -> String.equal x y
-  | Arr x, Arr y -> List.length x = List.length y && List.for_all2 equal x y
-  | Obj x, Obj y ->
-    List.length x = List.length y
-    && List.for_all2 (fun (k1, v1) (k2, v2) -> String.equal k1 k2 && equal v1 v2) x y
-  | (Null | Bool _ | Num _ | Str _ | Arr _ | Obj _), _ -> false
-
 let rec depth = function
   | Null | Bool _ | Num _ | Str _ -> 0
   | Arr items -> 1 + List.fold_left (fun acc v -> max acc (depth v)) 0 items

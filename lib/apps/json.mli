@@ -23,7 +23,4 @@ val parse : instr:Eof_rtos.Instr.t -> string -> (t, string) result
 val encode : instr:Eof_rtos.Instr.t -> ?max_depth:int -> t -> (string, [ `Too_deep ]) result
 (** Default [max_depth] is 16. *)
 
-val equal : t -> t -> bool
-(** Structural equality with float tolerance for round-trip tests. *)
-
 val depth : t -> int

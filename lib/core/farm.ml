@@ -11,8 +11,6 @@ type config = {
   base : Campaign.config;
 }
 
-let default_config = { boards = 1; sync_every = 25; base = Campaign.default_config }
-
 type sync_sample = { executed : int; virtual_s : float; coverage : int }
 
 type outcome = {

@@ -34,9 +34,6 @@ type config = {
           independent streams from it. *)
 }
 
-val default_config : config
-(** 1 board, sync every 25 payloads, on {!Campaign.default_config}. *)
-
 val derive_seed : mix:int64 -> int64 -> int -> int64
 (** [derive_seed ~mix base k]: [base] for [k = 0], an independent
     derived stream for the rest. [mix] names the seed family (board

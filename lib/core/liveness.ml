@@ -10,21 +10,18 @@ type error = Eof_error.t
 
 let error_to_string = Eof_error.to_string
 
+(* Consecutive repeats of one PC that make a stall (see [check]). *)
+let stall_threshold = 3
+
 type t = {
-  threshold : int;
   obs : Obs.t;
   mutable last_pc : int option;
   mutable streak : int;
 }
 
-let default_stall_threshold = 3
-
-let create ?obs ?(stall_threshold = default_stall_threshold) () =
-  if stall_threshold < 1 then invalid_arg "Liveness.create: stall_threshold must be >= 1";
+let create ?obs () =
   let obs = match obs with Some o -> o | None -> Obs.create () in
-  { threshold = stall_threshold; obs; last_pc = None; streak = 0 }
-
-let stall_threshold t = t.threshold
+  { obs; last_pc = None; streak = 0 }
 
 let stall_streak t = t.streak
 
@@ -56,9 +53,9 @@ let check t machine =
      | Some prev when prev = pc ->
        (* One repeated sample is routine — a target parked at a
           breakpoint or polling loop re-reads the same PC. Only a run of
-          [threshold] consecutive identical samples is declared a stall. *)
+          [stall_threshold] consecutive identical samples is declared a stall. *)
        t.streak <- t.streak + 1;
-       if t.streak >= t.threshold then observe t (Pc_stalled pc) ~pc
+       if t.streak >= stall_threshold then observe t (Pc_stalled pc) ~pc
        else observe t Alive ~pc
      | Some _ ->
        t.last_pc <- Some pc;

@@ -4,8 +4,9 @@ open Eof_os
 
     Two host-side checks with no target instrumentation: a
     connection-timeout watchdog (a dead link means a failed boot or
-    total unresponsiveness) and a PC-stall watchdog (a continue that
-    does not move the program counter means the core cannot execute).
+    total unresponsiveness) and a PC-stall watchdog (continues that
+    leave the program counter where it was on 3 consecutive checks mean
+    the core cannot execute; the threshold is a constant).
     Either verdict triggers {!restore}: reflash every partition from the
     golden image at the offsets recorded in the partition table, then
     reboot.
@@ -33,11 +34,8 @@ val error_to_string : error -> string
 
 type t
 
-val create : ?obs:Eof_obs.Obs.t -> ?stall_threshold:int -> unit -> t
-(** @raise Invalid_argument when [stall_threshold < 1]. With [obs],
-    every {!check} emits a [Liveness_verdict] event. *)
-
-val stall_threshold : t -> int
+val create : ?obs:Eof_obs.Obs.t -> unit -> t
+(** With [obs], every {!check} emits a [Liveness_verdict] event. *)
 
 val stall_streak : t -> int
 (** Current consecutive-repeat count (0 after progress or {!reset}). *)
@@ -48,8 +46,8 @@ val reset : t -> unit
 
 val check : t -> Eof_agent.Machine.t -> verdict
 (** One LivenessWatchDog() evaluation. [Pc_stalled] requires the PC to
-    repeat on [stall_threshold] consecutive checks; any new PC value
-    resets the streak and yields [Alive]. *)
+    repeat on 3 consecutive checks (the stall threshold, a constant);
+    any new PC value resets the streak and yields [Alive]. *)
 
 val restore_partitions :
   ?obs:Eof_obs.Obs.t ->

@@ -26,7 +26,6 @@ type t = {
   mutable burst_left : int;  (* further exchanges of the current burst *)
   mutable reset_armed : bool;  (* a reset happened; next fault is garbage *)
   mutable forced : fault option;
-  mutable history_rev : (int * fault) list;
 }
 
 let create cfg =
@@ -40,7 +39,6 @@ let create cfg =
     burst_left = 0;
     reset_armed = false;
     forced = None;
-    history_rev = [];
   }
 
 type decision = Pass | Fault of fault
@@ -58,30 +56,26 @@ let draw_kind t =
     | 2 -> Truncate
     | _ -> Nak_storm
 
-let record t fault =
-  t.history_rev <- (t.exchanges, fault) :: t.history_rev;
-  Fault fault
-
 let decide t =
   t.exchanges <- t.exchanges + 1;
   match t.forced with
   | Some fault ->
     t.forced <- None;
-    record t fault
+    Fault fault
   | None ->
     let dead =
       match t.cfg.kill_after with Some n -> t.exchanges > n | None -> false
     in
-    if dead then record t Drop
+    if dead then Fault Drop
     else if t.burst_left > 0 then begin
       t.burst_left <- t.burst_left - 1;
-      record t (draw_kind t)
+      Fault (draw_kind t)
     end
     else if t.cfg.rate > 0. && Rng.chance t.rng t.cfg.rate then begin
       (* A burst starts: this exchange faults, and up to [max_burst - 1]
          more follow it. *)
       t.burst_left <- Rng.int t.rng t.cfg.max_burst;
-      record t (draw_kind t)
+      Fault (draw_kind t)
     end
     else Pass
 
@@ -101,5 +95,3 @@ let mangle t fault response =
 let note_reset t = if t.cfg.rate > 0. then t.reset_armed <- true
 
 let force_next t fault = t.forced <- Some fault
-
-let history t = List.rev t.history_rev

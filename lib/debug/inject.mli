@@ -63,7 +63,3 @@ val note_reset : t -> unit
 val force_next : t -> fault -> unit
 (** Queue one forced fault for the next exchange (tests aim a specific
     fault at a specific exchange type with this). *)
-
-val history : t -> (int * fault) list
-(** Every injected fault as [(exchange index, kind)], chronological —
-    the determinism test compares two histories. *)

@@ -1,10 +1,12 @@
 open Eof_hw
 open Eof_exec
 
+(* The site budget of one [c] packet. *)
+let continue_quantum = 200_000
+
 type t = {
   board : Board.t;
   engine : Engine.t;
-  continue_quantum : int;
   decoder : Rsp.Decoder.t;
   pc_reg : int;
   reg_dump_words : int;
@@ -14,12 +16,11 @@ type t = {
   mutable snapshot : Snapshot.t option;
 }
 
-let create ?(continue_quantum = 200_000) ~board ~engine () =
+let create ~board ~engine () =
   let arch = (Board.profile board).Board.arch in
   {
     board;
     engine;
-    continue_quantum;
     decoder = Rsp.Decoder.create ();
     pc_reg = arch.Arch.pc_register;
     reg_dump_words = max arch.Arch.register_count (arch.Arch.pc_register + 1);
@@ -47,7 +48,7 @@ let classify t (reason : Engine.stop_reason) =
   | Engine.Faulted _ -> Stopped_fault (Engine.pc t.engine)
   | Engine.Exited -> Target_exited
 
-let resume t = classify t (Engine.run t.engine ~fuel:t.continue_quantum)
+let resume t = classify t (Engine.run t.engine ~fuel:continue_quantum)
 
 let reset t =
   Board.reset t.board;

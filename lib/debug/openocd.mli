@@ -6,16 +6,18 @@ open Eof_exec
     Owns the probe side of the link: it decodes RSP byte streams from the
     host session, executes commands against the board and execution
     engine, and encodes replies. Continue/step run the engine in bounded
-    quanta; a continue that exhausts its quantum reports SIGINT with the
+    quanta (200_000 sites per continue, a constant of every probe); a
+    continue that exhausts its quantum reports SIGINT with the
     current PC — exactly what a debugger sees when it interrupts a target
     that is still running, and the observation the PC-stall watchdog is
     built on. *)
 
 type t
 
-val create : ?continue_quantum:int -> board:Board.t -> engine:Engine.t -> unit -> t
-(** [continue_quantum] is the site budget of one [c] packet (default
-    200_000). *)
+val create : board:Board.t -> engine:Engine.t -> unit -> t
+(** A probe on [board]. One [c] packet runs the engine for a continue
+    quantum of 200_000 sites, the same on every probe and on both
+    backends. *)
 
 val board : t -> Board.t
 

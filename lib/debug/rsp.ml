@@ -160,12 +160,28 @@ type command =
   | Snapshot_save
   | Snapshot_restore
 
+let nibble = function
+  | '0' .. '9' as c -> Char.code c - Char.code '0'
+  | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+  | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+  | _ -> -1
+
+(* The one reader of RSP hex numbers: [acc] extended by the digits
+   s.[i .. stop - 1], or -1 when one of them is not a hex digit (no
+   sign, "0x" or '_') or the value exceeds max_int. Callers reject an
+   empty field first. *)
+let rec hex_digits s i stop acc =
+  if i = stop then acc
+  else
+    let d = nibble (String.unsafe_get s i) in
+    if d < 0 || acc > max_int lsr 4 then -1 else hex_digits s (i + 1) stop ((acc lsl 4) lor d)
+
 let parse_hex_int s =
   if s = "" then Error "empty hex number"
   else
-    match int_of_string_opt ("0x" ^ s) with
-    | Some v when v >= 0 -> Ok v
-    | _ -> Error (Printf.sprintf "bad hex number %S" s)
+    match hex_digits s 0 (String.length s) 0 with
+    | -1 -> Error (Printf.sprintf "bad hex number %S" s)
+    | v -> Ok v
 
 let split2 sep s =
   match String.index_opt s sep with
@@ -220,21 +236,15 @@ type cursor = { s : string; mutable i : int; base : int }
 
 exception Bad of string
 
-let nibble = function
-  | '0' .. '9' as c -> Char.code c - Char.code '0'
-  | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
-  | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
-  | _ -> -1
-
 let hex_at c =
   let n = String.length c.s and start = c.i in
-  let acc = ref 0 in
   while c.i < n && nibble c.s.[c.i] >= 0 do
-    acc := (!acc lsl 4) lor nibble c.s.[c.i];
     c.i <- c.i + 1
   done;
   if c.i = start then raise (Bad "expected hex number");
-  !acc
+  match hex_digits c.s start c.i 0 with
+  | -1 -> raise (Bad (Printf.sprintf "hex number past max_int at offset %d" (start - c.base)))
+  | v -> v
 
 let expect c ch =
   if c.i < String.length c.s && c.s.[c.i] = ch then c.i <- c.i + 1

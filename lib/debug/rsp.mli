@@ -7,11 +7,14 @@
     [}]-escaping, and malformed input is rejected the way a picky stub
     would reject it. *)
 
-val checksum : string -> int
-(** Sum of payload bytes mod 256. *)
+val parse_hex_int : string -> (int, string) result
+(** One hex number field, as every RSP packet and reply carries them:
+    hex digits only (no sign, ["0x"] or ['_']) and at most [max_int]. An
+    empty field, any other byte, or a larger value is an [Error]. *)
 
 val make_frame : string -> string
-(** [$payload#xx]. The payload must already be escaped. *)
+(** [$payload#xx], [xx] the sum of the payload bytes mod 256. The
+    payload must already be escaped. *)
 
 val escape_binary : string -> string
 (** Escape [$], [#], [}] and [*] as [}(c lxor 0x20)] for binary payload

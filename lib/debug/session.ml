@@ -207,10 +207,6 @@ let continue_ t =
   let* reply = request t (Rsp.render_command Rsp.Continue) in
   observe_stop t (stop_of_reply reply)
 
-let step t =
-  let* reply = request t (Rsp.render_command Rsp.Step) in
-  observe_stop t (stop_of_reply reply)
-
 let read_pc t =
   let* raw = expect_hex t (Rsp.render_command Rsp.Read_registers) in
   let need = (t.pc_reg + 1) * 4 in
@@ -247,9 +243,9 @@ let flash_done t =
 let parse_snapshot_reply reply =
   match reply with
   | Rsp.Raw s when String.length s >= 2 && s.[0] = 'S' ->
-    (match int_of_string_opt ("0x" ^ String.sub s 1 (String.length s - 1)) with
-     | Some n when n >= 0 -> Ok n
-     | _ -> Error (Eof_error.protocol (Printf.sprintf "bad QSnapshot reply %S" s)))
+    (match Rsp.parse_hex_int (String.sub s 1 (String.length s - 1)) with
+     | Ok n -> Ok n
+     | Error _ -> Error (Eof_error.protocol (Printf.sprintf "bad QSnapshot reply %S" s)))
   | Rsp.Raw "" -> Error (Eof_error.protocol "stub does not support QSnapshot")
   | Rsp.Error_reply n -> Error (Eof_error.remote n)
   | _ -> Error (Eof_error.protocol "unexpected QSnapshot reply")
@@ -302,5 +298,3 @@ let last_fault t = monitor t "fault"
 let requests t = t.requests
 
 let obs t = t.obs
-
-let retries t = Obs.Counter.value t.c_retries

@@ -70,8 +70,6 @@ val remove_breakpoint : t -> int -> (unit, error) result
 
 val continue_ : t -> (stop, error) result
 
-val step : t -> (stop, error) result
-
 val read_pc : t -> (int, error) result
 (** Extracted from a [g] register dump. *)
 
@@ -92,9 +90,6 @@ val snapshot_restore : t -> (int, error) result
     the O(dirty pages) alternative to a full partition reflash. Fails
     with [Remote 0x23] if no snapshot was saved. *)
 
-val monitor : t -> string -> (string, error) result
-(** [qRcmd]; returns the decoded text reply. *)
-
 val reset_target : t -> (unit, error) result
 (** Resets the target and arms the injector's post-reset-garbage fault
     (see {!Transport.note_reset}). *)
@@ -111,10 +106,6 @@ val requests : t -> int
 val obs : t -> Eof_obs.Obs.t
 (** The bus this session emits on (an inert private bus when none was
     supplied to {!connect}). *)
-
-val retries : t -> int
-(** Exchanges re-sent by the in-request retry rung so far (the
-    [session.retries] counter's value). *)
 
 val error_to_string : error -> string
 (** Alias of {!Eof_util.Eof_error.to_string}, kept at the session

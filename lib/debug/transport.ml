@@ -1,10 +1,12 @@
+(* The link's cost model: ~1 MBaud SWD, plus the probe/USB turnaround
+   every exchange pays whatever its size. *)
+let byte_latency_us = 1.0
+let exchange_overhead_us = 40.0
+
 type t = {
-  byte_latency_us : float;
-  exchange_overhead_us : float;
   mutable injector : Inject.t option;
   mutable elapsed_us : float;
   mutable exchanges : int;
-  mutable timeouts : int;
   obs : Eof_obs.Obs.t;
   c_exchanges : Eof_obs.Obs.Counter.t;
   c_timeouts : Eof_obs.Obs.Counter.t;
@@ -13,10 +15,10 @@ type t = {
   c_faults : Eof_obs.Obs.Counter.t;
 }
 
-let create ?obs ?injector ?(byte_latency_us = 1.0) ?(exchange_overhead_us = 40.0) () =
+let create ?obs () =
   let obs = match obs with Some o -> o | None -> Eof_obs.Obs.create () in
-  { byte_latency_us; exchange_overhead_us; injector;
-    elapsed_us = 0.; exchanges = 0; timeouts = 0;
+  { injector = None;
+    elapsed_us = 0.; exchanges = 0;
     obs;
     c_exchanges = Eof_obs.Obs.Counter.make obs "transport.exchanges";
     c_timeouts = Eof_obs.Obs.Counter.make obs "transport.timeouts";
@@ -25,8 +27,6 @@ let create ?obs ?injector ?(byte_latency_us = 1.0) ?(exchange_overhead_us = 40.0
     c_faults = Eof_obs.Obs.Counter.make obs "transport.faults" }
 
 let set_injector t injector = t.injector <- injector
-
-let injector t = t.injector
 
 let note_reset t = match t.injector with Some inj -> Inject.note_reset inj | None -> ()
 
@@ -44,7 +44,6 @@ let observe_fault t fault =
          { fault = Inject.fault_name fault; exchange = t.exchanges })
 
 let time_out t ~tx =
-  t.timeouts <- t.timeouts + 1;
   Eof_obs.Obs.Counter.incr t.c_timeouts;
   t.elapsed_us <- t.elapsed_us +. timeout_cost_us;
   if Eof_obs.Obs.active t.obs then
@@ -56,8 +55,8 @@ let deliver t ~tx response =
   let rx = String.length response in
   Eof_obs.Obs.Counter.add t.c_bytes_rx rx;
   t.elapsed_us <-
-    t.elapsed_us +. t.exchange_overhead_us
-    +. (float_of_int (tx + rx) *. t.byte_latency_us);
+    t.elapsed_us +. exchange_overhead_us
+    +. (float_of_int (tx + rx) *. byte_latency_us);
   if Eof_obs.Obs.active t.obs then
     Eof_obs.Obs.emit t.obs
       (Eof_obs.Obs.Event.Exchange { tx; rx; timeout = false });
@@ -90,5 +89,3 @@ let exchange t ~server request =
 let elapsed_us t = t.elapsed_us
 
 let exchanges t = t.exchanges
-
-let timeouts t = t.timeouts

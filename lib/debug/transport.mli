@@ -11,14 +11,12 @@
 
 type t
 
-val create :
-  ?obs:Eof_obs.Obs.t ->
-  ?injector:Inject.t ->
-  ?byte_latency_us:float -> ?exchange_overhead_us:float ->
-  unit -> t
-(** Default latency: 1 us/byte (~1 MBaud SWD) plus a fixed 40 us per
-    exchange (probe/USB turnaround) — the round-trip cost that makes
-    batched exchanges pay, charged identically to every client.
+val create : ?obs:Eof_obs.Obs.t -> unit -> t
+(** A link with no injector (see {!set_injector}). Its cost model is two
+    named constants of the implementation, the same for every link:
+    [byte_latency_us = 1.0] per byte either way (~1 MBaud SWD), plus
+    [exchange_overhead_us = 40.0] per exchange (probe/USB turnaround) —
+    the round-trip cost that makes batched exchanges pay.
 
     When [obs] is given, every round trip emits an
     [Exchange {tx; rx; timeout}] event and bumps the
@@ -27,8 +25,6 @@ val create :
     and bump [transport.faults]. *)
 
 val set_injector : t -> Inject.t option -> unit
-
-val injector : t -> Inject.t option
 
 val note_reset : t -> unit
 (** Tell the injector (if any) that the target was just reset, arming
@@ -52,5 +48,3 @@ val elapsed_us : t -> float
 (** Accumulated link latency (host-side wall model). *)
 
 val exchanges : t -> int
-
-val timeouts : t -> int

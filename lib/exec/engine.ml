@@ -49,8 +49,6 @@ let create ~board ~fault_vector ~entry =
 
 let pc t = t.q.pc
 
-let running t = match t.status with Terminal _ -> false | Ready | Parked _ -> true
-
 let last_fault t = t.last_fault
 
 let set_breakpoint t addr = Hashtbl.replace t.q.breakpoints addr ()

@@ -26,10 +26,6 @@ val pc : t -> int
 (** Synthetic program counter: the reset vector before the first run,
     then the address of the last crossed site, or the fault vector. *)
 
-val running : t -> bool
-(** [true] while the target can still make progress ([Exited]/[Faulted]
-    are terminal until {!reset}). *)
-
 val last_fault : t -> Fault.t option
 
 val set_breakpoint : t -> int -> unit

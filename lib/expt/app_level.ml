@@ -56,12 +56,11 @@ let run_one tool c ~seed ~iterations =
       ~sample_modules:c.instrument build
   | App_SHIFT -> Eof_baselines.Shift.run ~seed ~iterations ~entry_api:c.entry_api build
 
-let cache : (int * int, app_cell list) Hashtbl.t = Hashtbl.create 4
+let cache : (int, app_cell list) Hashtbl.t = Hashtbl.create 4
 
-let matrix ?iterations ?reps () =
+let matrix ?iterations () =
   let iterations = match iterations with Some i -> i | None -> Runner.scaled 2000 in
-  let reps = match reps with Some r -> r | None -> Runner.repetitions in
-  match Hashtbl.find_opt cache (iterations, reps) with
+  match Hashtbl.find_opt cache iterations with
   | Some cells -> cells
   | None ->
     let cells =
@@ -75,13 +74,13 @@ let matrix ?iterations ?reps () =
                     match run_one tool c ~seed ~iterations with
                     | Ok o -> Some o
                     | Error _ -> None)
-                  (Runner.seeds reps)
+                  (Runner.seeds Runner.repetitions)
               in
               { tool; component = c.name; outcomes })
             [ App_EOF; App_GDBFuzz; App_SHIFT ])
         components
     in
-    Hashtbl.replace cache (iterations, reps) cells;
+    Hashtbl.replace cache iterations cells;
     cells
 
 let outcomes_of cells ~tool ~component =

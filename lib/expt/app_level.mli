@@ -13,8 +13,9 @@ type app_cell = {
   outcomes : Eof_core.Campaign.outcome list;
 }
 
-val matrix : ?iterations:int -> ?reps:int -> unit -> app_cell list
-(** Computed once per process and memoized. *)
+val matrix : ?iterations:int -> unit -> app_cell list
+(** {!Runner.repetitions} campaigns per cell. Computed once per process
+    and memoized. *)
 
 val outcomes_of : app_cell list -> tool:app_tool -> component:string ->
   Eof_core.Campaign.outcome list

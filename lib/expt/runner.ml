@@ -39,12 +39,11 @@ let run_tool tool ~seed ~iterations (target : Targets.hw_target) =
 
 type cell = { tool : tool; os : string; outcomes : Campaign.outcome list }
 
-let matrix_cache : (int * int, cell list) Hashtbl.t = Hashtbl.create 4
+let matrix_cache : (int, cell list) Hashtbl.t = Hashtbl.create 4
 
-let full_system_matrix ?iterations ?reps () =
+let full_system_matrix ?iterations () =
   let iterations = match iterations with Some i -> i | None -> scaled 3000 in
-  let reps = match reps with Some r -> r | None -> repetitions in
-  match Hashtbl.find_opt matrix_cache (iterations, reps) with
+  match Hashtbl.find_opt matrix_cache iterations with
   | Some cells -> cells
   | None ->
     let hardware_oses = [ "NuttX"; "RT-Thread"; "Zephyr"; "FreeRTOS" ] in
@@ -59,7 +58,7 @@ let full_system_matrix ?iterations ?reps () =
               match run_tool tool ~seed ~iterations target with
               | Ok o -> Some o
               | Error _ -> None)
-            (seeds reps)
+            (seeds repetitions)
         in
         cells := { tool; os; outcomes } :: !cells
     in
@@ -73,7 +72,7 @@ let full_system_matrix ?iterations ?reps () =
     run_cell EOF_nf "PoKOS";
     run_cell Gustave "PoKOS";
     let cells = List.rev !cells in
-    Hashtbl.replace matrix_cache (iterations, reps) cells;
+    Hashtbl.replace matrix_cache iterations cells;
     cells
 
 let mean_coverage cell =

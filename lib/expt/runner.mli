@@ -33,10 +33,11 @@ type cell = {
   outcomes : Eof_core.Campaign.outcome list;  (** one per seed *)
 }
 
-val full_system_matrix : ?iterations:int -> ?reps:int -> unit -> cell list
+val full_system_matrix : ?iterations:int -> unit -> cell list
 (** The Table-3 / Figure-7 data: EOF, EOF-nf and Tardis on the four
-    hardware OSs; EOF, EOF-nf and Gustave on PoKOS. Results are computed
-    once per process and memoized. *)
+    hardware OSs; EOF, EOF-nf and Gustave on PoKOS, {!repetitions}
+    campaigns per cell. Results are computed once per process and
+    memoized. *)
 
 val coverage_of : cell list -> tool:tool -> os:string -> float option
 

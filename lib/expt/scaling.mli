@@ -1,5 +1,7 @@
 (** Board-farm scaling curves: the same campaign budget sharded across
     1/2/4/8 boards, measuring payload throughput and time-to-coverage.
+    The curve's shape (board counts, sync interval, seed) is fixed; only
+    the budget is a parameter.
 
     Throughput is measured against the {e farm clock} (the slowest
     board's virtual time): physical boards execute in real parallel
@@ -24,18 +26,12 @@ type point = {
   crashes : int;  (** distinct crash signatures, cross-board dedup *)
 }
 
-val run :
-  ?board_counts:int list ->
-  ?iterations:int ->
-  ?sync_every:int ->
-  ?seed:int64 ->
-  unit ->
-  point list
-(** Runs the Zephyr/STM32F4 campaign once per board count (default
-    [1;2;4;8], total budget [iterations] each, default
-    [Runner.scaled 1200], seed 11) and returns one point per count, in
-    the given order. The boards=1 point anchors [speedup] and the
-    coverage target. *)
+val run : ?iterations:int -> unit -> point list
+(** Runs the Zephyr/STM32F4 campaign once per board count — 1, 2, 4
+    and 8 boards, each with total budget [iterations] (default
+    [Runner.scaled 1200]), an epoch sync every 25 programs and seed 11
+    — and returns one point per count, in that order. The boards=1
+    point anchors [speedup] and the coverage target. *)
 
 val render : point list -> string
 (** An aligned text table of the scaling curve. *)

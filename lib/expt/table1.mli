@@ -4,7 +4,4 @@
     tool supports, from the tools' published support lists. Rendered to
     match the paper's layout. *)
 
-val rows : (string * string * bool * bool * bool * bool) list
-(** (target, arch, eof, gdbfuzz, tardis, shift). *)
-
 val render : unit -> string

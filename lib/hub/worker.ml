@@ -219,8 +219,6 @@ let earliest t =
 
 let next_cpu_s t = Option.map snd (earliest t)
 
-let idle t = List.for_all (fun st -> st.finished) t.shards
-
 let step t =
   match earliest t with
   | None -> []

@@ -67,7 +67,5 @@ val next_cpu_s : t -> float option
 (** Virtual time of this worker's earliest runnable board; [None] when
     idle — the in-process driver's scheduling key. *)
 
-val idle : t -> bool
-
 val transplanted : t -> int
 (** Programs received by pull and actually admitted into shard corpora. *)

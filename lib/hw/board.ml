@@ -122,7 +122,17 @@ let read_counted t ~count_addr ~data_addr ~stride ~max_count ~reset =
          | Arch.Big -> Bytes.get_int32_be b 0)
     in
     let n = max 0 (min count max_count) in
-    let data = if n = 0 then Ok "" else read_mem t ~addr:data_addr ~len:(n * stride) in
+    let data =
+      if n = 0 then Ok ""
+      else if stride > max_int / n then
+        Error
+          {
+            Fault.kind = Fault.Bus_fault;
+            address = Some data_addr;
+            message = "counted read larger than the address space";
+          }
+      else read_mem t ~addr:data_addr ~len:(n * stride)
+    in
     (match data with
      | Error _ as e -> e
      | Ok data ->

@@ -39,8 +39,6 @@ let set_level t ~pin ~level =
      | _ -> ());
     Ok ()
 
-let level t ~pin = pin >= 0 && pin < pin_count && t.levels.(pin)
-
 let drain_pending t =
   let pins = ref [] in
   for pin = pin_count - 1 downto 0 do

@@ -22,8 +22,6 @@ val set_level : t -> pin:int -> level:bool -> (unit, string) result
 (** Host-side injection. Latches a pending interrupt when the transition
     matches the pin's armed edge. *)
 
-val level : t -> pin:int -> bool
-
 val drain_pending : t -> int list
 (** Pending interrupt pins (ascending), clearing them — what the ISR
     dispatch consumes once per kernel tick. *)

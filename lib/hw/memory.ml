@@ -91,8 +91,10 @@ let touch_range t off len =
     done
   end
 
+(* Written without [addr + len], which can pass max_int and wrap: an
+   address and length from the debug link are any non-negative ints. *)
 let in_range t ~addr ~len =
-  len >= 0 && addr >= t.base && addr + len <= t.base + Bytes.length t.data
+  len >= 0 && addr >= t.base && addr - t.base <= Bytes.length t.data - len
 
 let check t addr len =
   if not (in_range t ~addr ~len) then

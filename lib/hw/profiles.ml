@@ -85,5 +85,3 @@ let qemu_pok =
     debug_port = Board.Emulated;
     peripheral_emulation = true;
   }
-
-let all = [ stm32f4_disco; stm32h745_nucleo; esp32_devkitc; hifive1; qemu_mps2; qemu_pok ]

@@ -22,5 +22,3 @@ val qemu_mps2 : Board.profile
 
 val qemu_pok : Board.profile
 (** The customized QEMU board Gustave uses for POK. *)
-
-val all : Board.profile list

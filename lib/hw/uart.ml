@@ -6,8 +6,9 @@ type t = {
   mutable len : int;
 }
 
-let create ?(fifo_bytes = 8192) () =
-  if fifo_bytes <= 0 then invalid_arg "Uart.create: fifo_bytes";
+let fifo_bytes = 8192
+
+let create () =
   { buf = Bytes.create fifo_bytes; head = 0; len = 0 }
 
 let write_string t s =

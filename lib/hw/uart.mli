@@ -6,13 +6,13 @@
     modelling the paper's observation that "UART logs may vanish after a
     fault".
 
-    The FIFO is a byte ring: writes and drains are at most two blits,
-    and a reset is O(1). *)
+    The FIFO is an 8 KiB byte ring: writes and drains are at most two
+    blits, and a reset is O(1). *)
 
 type t
 
-val create : ?fifo_bytes:int -> unit -> t
-(** Default FIFO is 8 KiB. @raise Invalid_argument if [fifo_bytes <= 0]. *)
+val create : unit -> t
+(** An empty 8192-byte FIFO. *)
 
 val write_string : t -> string -> unit
 

@@ -204,8 +204,6 @@ let for_tenant t tenant = { t with tenant = Some tenant }
 
 let set_clock t now = t.now <- now
 
-let now t = t.now ()
-
 let active t = t.core.active
 
 let add_sink t sink =
@@ -246,8 +244,6 @@ module Counter = struct
   let incr r = incr r
 
   let add r n = r := !r + n
-
-  let value r = !r
 end
 
 let counter_value t name =
@@ -349,14 +345,14 @@ let render_console ~t ~board ~tenant ev =
        (Event.fields ev));
   Buffer.contents b
 
-let console_sink ?(min_level = Level.Info) ?(oc = stderr) () =
+let console_sink ?(min_level = Level.Info) () =
   {
     min_level;
     write =
       (fun ~t ~board ~tenant ev ->
-        output_string oc (render_console ~t ~board ~tenant ev);
-        output_char oc '\n';
-        flush oc);
+        output_string stderr (render_console ~t ~board ~tenant ev);
+        output_char stderr '\n';
+        flush stderr);
   }
 
 let memory_sink ?(min_level = Level.Trace) () =

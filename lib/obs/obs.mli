@@ -25,8 +25,6 @@
 module Level : sig
   type t = Trace | Debug | Info | Warn | Error
 
-  val to_string : t -> string
-
   val of_string : string -> (t, string) result
 end
 
@@ -100,11 +98,6 @@ module Event : sig
 
   val name : t -> string
   (** Stable kebab-case tag, the JSONL ["ev"] field. *)
-
-  val level : t -> Level.t
-
-  val fields : t -> (string * value) list
-  (** Flat payload in a fixed, stable order. *)
 end
 
 type t
@@ -130,8 +123,6 @@ val for_tenant : t -> string -> t
 val set_clock : t -> (unit -> float) -> unit
 (** Bind this handle's timestamp source (virtual seconds). The machine
     layer calls this with the board's virtual-time function. *)
-
-val now : t -> float
 
 val active : t -> bool
 (** True once any sink is attached — emission sites use this to skip
@@ -160,8 +151,6 @@ module Counter : sig
   val incr : t -> unit
 
   val add : t -> int -> unit
-
-  val value : t -> int
 end
 
 val counter_value : t -> string -> int
@@ -184,9 +173,10 @@ val span_end : t -> span -> unit
 
 (** {2 Sinks} *)
 
-val console_sink : ?min_level:Level.t -> ?oc:out_channel -> unit -> sink
-(** Human-readable lines, default to [stderr] at [Info] — log output
-    never pollutes result stdout (digest lines stay [cmp]-clean). *)
+val console_sink : ?min_level:Level.t -> unit -> sink
+(** Human-readable lines on [stderr], at [Info] and above by default —
+    log output never pollutes result stdout (digest lines stay
+    [cmp]-clean). *)
 
 val jsonl_sink : ?min_level:Level.t -> out_channel -> sink
 (** One JSON object per event, every level by default. The flat schema

@@ -20,6 +20,5 @@ let recv e ~mask ~all ~clear =
       Ok matched
     end
 
-let flags e = e.flags
 
 let of_obj (obj : Kobj.obj) = match obj.Kobj.payload with Event e -> Some e | _ -> None

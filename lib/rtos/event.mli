@@ -15,6 +15,4 @@ val recv : e -> mask:int -> all:bool -> clear:bool -> (int, int64) result
     them if [clear]. [Kerr.eagain] when unsatisfied, [Kerr.einval] on an
     empty mask. *)
 
-val flags : e -> int
-
 val of_obj : Kobj.obj -> e option

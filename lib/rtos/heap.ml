@@ -144,8 +144,6 @@ let used_bytes t =
 let free_bytes t =
   fold_blocks t (fun acc ~addr:_ ~payload ~used -> if used then acc else acc + payload) 0
 
-let block_count t = fold_blocks t (fun acc ~addr:_ ~payload:_ ~used:_ -> acc + 1) 0
-
 let check t =
   match
     fold_blocks t (fun acc ~addr:_ ~payload ~used:_ -> acc + header_bytes + payload) 0

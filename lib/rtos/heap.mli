@@ -48,8 +48,7 @@ val used_bytes : t -> int
 
 val free_bytes : t -> int
 
-val block_count : t -> int
-
 val check : t -> (unit, string) result
 (** Non-faulting integrity walk (a [Result] version of what alloc/free
-    enforce), for tests and the heap-stress API. *)
+    enforce): the blocks must tile the region exactly. No kernel path
+    calls it; it is the invariant the random alloc/free property checks. *)

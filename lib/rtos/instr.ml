@@ -1,37 +1,22 @@
-type t =
-  | Live of { sancov : Eof_cov.Sancov.t; block : Eof_cov.Sitemap.block }
-  | Null of { count : int }
+type t = { sancov : Eof_cov.Sancov.t; block : Eof_cov.Sitemap.block }
 
-let of_sancov ~sancov ~block = Live { sancov; block }
-
-let null ~count = Null { count }
-
-let count = function
-  | Live { block; _ } -> block.Eof_cov.Sitemap.count
-  | Null { count } -> count
+let of_sancov ~sancov ~block = { sancov; block }
 
 let check t i =
-  if i < 0 || i >= count t then
-    invalid_arg (Printf.sprintf "Instr: site index %d out of range (count %d)" i (count t))
+  let count = t.block.Eof_cov.Sitemap.count in
+  if i < 0 || i >= count then
+    invalid_arg (Printf.sprintf "Instr: site index %d out of range (count %d)" i count)
 
 let site_addr t i =
   check t i;
-  match t with
-  | Live { block; _ } -> Eof_cov.Sitemap.site_addr block i
-  | Null _ -> i * 4
+  Eof_cov.Sitemap.site_addr t.block i
 
 let cmp t i a b =
   check t i;
-  match t with
-  | Live { sancov; block } ->
-    Eof_cov.Sancov.cmp sancov ~site:(Eof_cov.Sitemap.site_addr block i) a b
-  | Null _ -> ()
+  Eof_cov.Sancov.cmp t.sancov ~site:(Eof_cov.Sitemap.site_addr t.block i) a b
 
 let edge t i =
   check t i;
-  match t with
-  | Live { sancov; block } ->
-    Eof_cov.Sancov.edge sancov ~site:(Eof_cov.Sitemap.site_addr block i)
-  | Null _ -> ()
+  Eof_cov.Sancov.edge t.sancov ~site:(Eof_cov.Sitemap.site_addr t.block i)
 
 let cmp_i t i a b = cmp t i (Int64.of_int a) (Int64.of_int b)

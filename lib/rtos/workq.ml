@@ -3,12 +3,11 @@ type item = { run : unit -> unit; mutable pending : bool }
 type t = {
   drain_per_tick : int;
   queue : item Queue.t;
-  mutable executed : int;
 }
 
 let create ~drain_per_tick =
   if drain_per_tick <= 0 then invalid_arg "Workq.create: drain_per_tick";
-  { drain_per_tick; queue = Queue.create (); executed = 0 }
+  { drain_per_tick; queue = Queue.create () }
 
 let make_item run = { run; pending = false }
 
@@ -28,9 +27,6 @@ let drain_tick t =
     let item = Queue.pop t.queue in
     item.pending <- false;
     incr ran;
-    t.executed <- t.executed + 1;
     item.run ()
   done;
   !ran
-
-let executed t = t.executed

@@ -23,6 +23,3 @@ val pending : t -> int
 
 val drain_tick : t -> int
 (** Run up to [drain_per_tick] pending items; returns how many ran. *)
-
-val executed : t -> int
-(** Total items executed since creation. *)

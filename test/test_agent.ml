@@ -72,7 +72,7 @@ let test_results_roundtrip () =
 let make_zephyr () =
   let build = Osbuild.make ~board_profile:Profiles.stm32f4_disco Zephyr.spec in
   match Machine.create build with
-  | Ok m -> m
+  | Ok m -> (build, m)
   | Error e -> Alcotest.fail (Eof_util.Eof_error.to_string e)
 
 let ok_or_fail = function
@@ -96,8 +96,7 @@ let api_index table name =
   go 0 table.Eof_rtos.Api.entries
 
 
-let send_program machine program =
-  let build = Machine.build machine in
+let send_program build machine program =
   let session = Machine.session machine in
   let syms = Osbuild.syms build in
   let endianness = (Board.profile (Osbuild.board build)).Board.arch.Arch.endianness in
@@ -134,8 +133,7 @@ let contains ~needle haystack =
   nl = 0 || go 0
 
 let test_end_to_end_simple_program () =
-  let machine = make_zephyr () in
-  let build = Machine.build machine in
+  let build, machine = make_zephyr () in
   let table = Osbuild.api_signatures build in
   let prog =
     [
@@ -144,7 +142,7 @@ let test_end_to_end_simple_program () =
       { Wire.api_index = api_index table "k_sem_take"; args = [ Wire.W_res 0 ] };
     ]
   in
-  let results = send_program machine prog in
+  let results = send_program build machine prog in
   Alcotest.(check int) "executed" 3 results.Wire.Results.executed;
   (match results.Wire.Results.statuses with
    | [ a; b; c ] ->
@@ -156,8 +154,7 @@ let test_end_to_end_simple_program () =
   Alcotest.(check bool) "boot banner seen" true (contains ~needle:"Booting Zephyr" log)
 
 let test_end_to_end_coverage_collected () =
-  let machine = make_zephyr () in
-  let build = Machine.build machine in
+  let build, machine = make_zephyr () in
   let session = Machine.session machine in
   let table = Osbuild.api_signatures build in
   let prog =
@@ -169,7 +166,7 @@ let test_end_to_end_coverage_collected () =
       { Wire.api_index = api_index table "z_impl_k_msgq_get"; args = [ Wire.W_res 0 ] };
     ]
   in
-  let _ = send_program machine prog in
+  let _ = send_program build machine prog in
   let layout = Osbuild.covbuf_layout build in
   let widx =
     ok_or_fail (Session.read_u32 session ~addr:(Eof_cov.Sancov.Layout.write_index_addr layout))
@@ -193,8 +190,7 @@ let test_end_to_end_coverage_collected () =
   Alcotest.(check bool) "distinct edges" true (List.length (List.sort_uniq compare edges) > 3)
 
 let test_end_to_end_crash_flow () =
-  let machine = make_zephyr () in
-  let build = Machine.build machine in
+  let build, machine = make_zephyr () in
   let session = Machine.session machine in
   let syms = Osbuild.syms build in
   let table = Osbuild.api_signatures build in
@@ -232,8 +228,7 @@ let test_end_to_end_crash_flow () =
   continue_to session syms.Osbuild.sym_executor_main
 
 let test_end_to_end_boot_failure_and_reflash () =
-  let machine = make_zephyr () in
-  let build = Machine.build machine in
+  let build, machine = make_zephyr () in
   let session = Machine.session machine in
   let syms = Osbuild.syms build in
   let board = Osbuild.board build in
@@ -273,8 +268,7 @@ let test_end_to_end_boot_failure_and_reflash () =
   continue_to session syms.Osbuild.sym_executor_main
 
 let test_agent_ignores_garbage_mailbox () =
-  let machine = make_zephyr () in
-  let build = Machine.build machine in
+  let build, machine = make_zephyr () in
   let session = Machine.session machine in
   let syms = Osbuild.syms build in
   ok_or_fail (Session.set_breakpoint session syms.Osbuild.sym_executor_main);

@@ -1,10 +1,37 @@
 open Eof_apps
-module Instr = Eof_rtos.Instr
+module Osbuild = Eof_os.Osbuild
+module Target = Eof_exec.Target
 
-let ni () = Instr.null ~count:64
+(* The apps' instrumentation handles as their personalities get them:
+   the [ctx.instr] a real build hands to [install], from uninstrumented
+   builds. Every test runs under [Target.run_silent], which swallows the
+   sites the apps cross. *)
+let handles_of spec board_profile =
+  lazy
+    (let handles = ref (fun _ -> invalid_arg "no handles captured") in
+     let install ctx =
+       handles := ctx.Osbuild.instr;
+       spec.Osbuild.install ctx
+     in
+     ignore
+       (Osbuild.make ~instrument:Osbuild.Instrument_none ~board_profile
+          { spec with Osbuild.install }
+         : Osbuild.t);
+     !handles)
+
+let instr handles name () = (Lazy.force handles) name
+
+let freertos = handles_of Eof_os.Freertos.spec Eof_hw.Profiles.esp32_devkitc
+let rtthread = handles_of Eof_os.Rtthread.spec Eof_hw.Profiles.stm32f4_disco
+let json_instr = instr freertos "frt/json"
+let http_instr = instr freertos "frt/http"
+let serial_instr = instr rtthread "rtt/serial"
+let sal_instr = instr rtthread "rtt/sal"
+
+let silent f () = Target.run_silent f
 
 let parse_ok s =
-  match Json.parse ~instr:(ni ()) s with
+  match Json.parse ~instr:(json_instr ()) s with
   | Ok v -> v
   | Error e -> Alcotest.fail (Printf.sprintf "parse %S: %s" s e)
 
@@ -12,24 +39,23 @@ let test_json_values () =
   Alcotest.(check bool) "null" true (parse_ok "null" = Json.Null);
   Alcotest.(check bool) "true" true (parse_ok "true" = Json.Bool true);
   Alcotest.(check bool) "false" true (parse_ok " false " = Json.Bool false);
-  Alcotest.(check bool) "int" true (Json.equal (parse_ok "42") (Json.Num 42.));
+  Alcotest.(check bool) "int" true (parse_ok "42" = Json.Num 42.);
   Alcotest.(check bool) "neg frac exp" true
-    (Json.equal (parse_ok "-3.5e2") (Json.Num (-350.)));
+    (parse_ok "-3.5e2" = Json.Num (-350.));
   Alcotest.(check bool) "string" true (parse_ok "\"hi\"" = Json.Str "hi");
   Alcotest.(check bool) "escapes" true
     (parse_ok "\"a\\n\\t\\\"\\\\\"" = Json.Str "a\n\t\"\\");
   Alcotest.(check bool) "unicode" true (parse_ok "\"\\u0041\"" = Json.Str "A");
   Alcotest.(check bool) "array" true
-    (Json.equal (parse_ok "[1, 2, 3]") (Json.Arr [ Json.Num 1.; Json.Num 2.; Json.Num 3. ]));
+    (parse_ok "[1, 2, 3]" = Json.Arr [ Json.Num 1.; Json.Num 2.; Json.Num 3. ]);
   Alcotest.(check bool) "object" true
-    (Json.equal
-       (parse_ok "{\"a\": 1, \"b\": [true]}")
-       (Json.Obj [ ("a", Json.Num 1.); ("b", Json.Arr [ Json.Bool true ]) ]))
+    (parse_ok "{\"a\": 1, \"b\": [true]}"
+    = Json.Obj [ ("a", Json.Num 1.); ("b", Json.Arr [ Json.Bool true ]) ])
 
 let test_json_rejects () =
   List.iter
     (fun s ->
-      match Json.parse ~instr:(ni ()) s with
+      match Json.parse ~instr:(json_instr ()) s with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail (Printf.sprintf "accepted %S" s))
     [ ""; "{"; "[1,"; "tru"; "01x"; "\"unterminated"; "{\"a\" 1}"; "[1] trailing";
@@ -40,10 +66,10 @@ let test_json_depth_limit () =
              ^ String.concat "" (List.init 10 (fun _ -> "]")) in
   let doc = parse_ok deep in
   Alcotest.(check int) "depth" 10 (Json.depth doc);
-  (match Json.encode ~instr:(ni ()) ~max_depth:8 doc with
+  (match Json.encode ~instr:(json_instr ()) ~max_depth:8 doc with
    | Error `Too_deep -> ()
    | Ok _ -> Alcotest.fail "depth limit not enforced");
-  match Json.encode ~instr:(ni ()) ~max_depth:16 doc with
+  match Json.encode ~instr:(json_instr ()) ~max_depth:16 doc with
   | Ok _ -> ()
   | Error `Too_deep -> Alcotest.fail "within limit rejected"
 
@@ -58,12 +84,12 @@ let test_json_roundtrip () =
         ("a", Json.Arr [ Json.Num 1.; Json.Str "\"q\"" ]);
       ]
   in
-  match Json.encode ~instr:(ni ()) doc with
-  | Ok text -> Alcotest.(check bool) "roundtrip" true (Json.equal (parse_ok text) doc)
+  match Json.encode ~instr:(json_instr ()) doc with
+  | Ok text -> Alcotest.(check bool) "roundtrip" true (parse_ok text = doc)
   | Error `Too_deep -> Alcotest.fail "encode"
 
 let http_parse s =
-  match Http.parse_request ~instr:(ni ()) s with
+  match Http.parse_request ~instr:(http_instr ()) s with
   | Ok r -> r
   | Error e -> Alcotest.fail (Printf.sprintf "http parse: %s" e)
 
@@ -71,7 +97,7 @@ let test_http_request_line () =
   let r = http_parse "GET /status HTTP/1.1\r\nHost: dev\r\n\r\n" in
   Alcotest.(check bool) "method" true (r.Http.meth = Http.GET);
   Alcotest.(check string) "target" "/status" r.Http.target;
-  Alcotest.(check (option string)) "host header" (Some "dev") (Http.header r "HOST")
+  Alcotest.(check (option string)) "host header" (Some "dev") (List.assoc_opt "host" r.Http.headers)
 
 let test_http_body () =
   let r = http_parse "POST /x HTTP/1.1\r\nContent-Length: 4\r\n\r\nbodyEXTRA" in
@@ -82,14 +108,14 @@ let test_http_body () =
 let test_http_rejects () =
   List.iter
     (fun s ->
-      match Http.parse_request ~instr:(ni ()) s with
+      match Http.parse_request ~instr:(http_instr ()) s with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail (Printf.sprintf "accepted %S" s))
     [ ""; "GET /\r\n\r\n"; "FROB / HTTP/1.1\r\n\r\n"; "GET nopath HTTP/1.1\r\n\r\n";
       "GET / FTP/9.9\r\n\r\n"; "no separator at all" ]
 
 let make_server () =
-  Http.Server.create ~instr:(ni ()) ~json_instr:(Instr.null ~count:64)
+  Http.Server.create ~instr:(http_instr ()) ~json_instr:(json_instr ())
 
 let test_http_server_routes () =
   let server = make_server () in
@@ -126,7 +152,7 @@ let test_serial_stream_mode () =
   let panic = { Eof_rtos.Panic.os_name = "T"; panic_site = 1; assert_site = 2 } in
   let out = ref "" in
   Eof_exec.Target.run_silent (fun () ->
-      match Serial.write ~panic ~instr:(ni ()) dev "a\nb" with
+      match Serial.write ~panic ~instr:(serial_instr ()) dev "a\nb" with
       | Ok n -> out := string_of_int n
       | Error _ -> Alcotest.fail "write failed");
   (* run_silent discards UART; what matters is the return count (pre-
@@ -141,7 +167,7 @@ let test_serial_stale_faults () =
   let panic = { Eof_rtos.Panic.os_name = "T"; panic_site = 1; assert_site = 2 } in
   match
     Eof_exec.Target.run_silent (fun () ->
-        match Serial.write ~panic ~instr:(ni ()) dev "x" with
+        match Serial.write ~panic ~instr:(serial_instr ()) dev "x" with
         | Ok _ -> `No_fault
         | Error _ -> `Error)
   with
@@ -160,7 +186,7 @@ let test_sal_socket_validation () =
   let reg = Eof_rtos.Kobj.create () in
   let logged = ref [] in
   let sal =
-    Sal.create ~reg ~instr:(ni ()) ~console:(fun s -> logged := s :: !logged)
+    Sal.create ~reg ~instr:(sal_instr ()) ~console:(fun s -> logged := s :: !logged)
   in
   (match Sal.socket sal ~domain:af_inet ~sock_type:sock_dgram ~protocol:0 with
    | Ok _ -> ()
@@ -174,7 +200,7 @@ let test_sal_socket_validation () =
 
 let test_sal_lifecycle () =
   let reg = Eof_rtos.Kobj.create () in
-  let sal = Sal.create ~reg ~instr:(ni ()) ~console:(fun _ -> ()) in
+  let sal = Sal.create ~reg ~instr:(sal_instr ()) ~console:(fun _ -> ()) in
   let sock =
     match Sal.socket sal ~domain:af_inet ~sock_type:sock_stream ~protocol:0 with
     | Ok obj -> Option.get (Sal.of_obj obj)
@@ -221,38 +247,39 @@ let json_gen =
 
 let prop_json_roundtrip =
   QCheck.Test.make ~name:"json roundtrip" ~count:200 (QCheck.make json_gen) (fun doc ->
-      match Json.encode ~instr:(Instr.null ~count:64) ~max_depth:max_int doc with
-      | Error `Too_deep -> false
-      | Ok text ->
-        (match Json.parse ~instr:(Instr.null ~count:64) text with
-         | Ok doc' -> Json.equal doc doc'
-         | Error _ -> false))
+      Target.run_silent (fun () ->
+          match Json.encode ~instr:(json_instr ()) ~max_depth:max_int doc with
+          | Error `Too_deep -> false
+          | Ok text ->
+            (match Json.parse ~instr:(json_instr ()) text with
+             | Ok doc' -> doc = doc'
+             | Error _ -> false)))
 
 let prop_json_parser_total =
   QCheck.Test.make ~name:"json parser never raises" ~count:500 QCheck.string (fun s ->
-      match Json.parse ~instr:(Instr.null ~count:64) s with
-      | Ok _ | Error _ -> true)
+      Target.run_silent (fun () ->
+          match Json.parse ~instr:(json_instr ()) s with Ok _ | Error _ -> true))
 
 let prop_http_parser_total =
   QCheck.Test.make ~name:"http parser never raises" ~count:500 QCheck.string (fun s ->
-      match Http.parse_request ~instr:(Instr.null ~count:64) s with
-      | Ok _ | Error _ -> true)
+      Target.run_silent (fun () ->
+          match Http.parse_request ~instr:(http_instr ()) s with Ok _ | Error _ -> true))
 
 let suite =
   [
-    Alcotest.test_case "json values" `Quick test_json_values;
-    Alcotest.test_case "json rejects" `Quick test_json_rejects;
-    Alcotest.test_case "json depth limit" `Quick test_json_depth_limit;
-    Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
-    Alcotest.test_case "http request line" `Quick test_http_request_line;
-    Alcotest.test_case "http body" `Quick test_http_body;
-    Alcotest.test_case "http rejects" `Quick test_http_rejects;
-    Alcotest.test_case "http server routes" `Quick test_http_server_routes;
-    Alcotest.test_case "http echo json" `Quick test_http_echo_json;
-    Alcotest.test_case "serial stream mode" `Quick test_serial_stream_mode;
-    Alcotest.test_case "serial stale faults" `Quick test_serial_stale_faults;
-    Alcotest.test_case "sal socket validation" `Quick test_sal_socket_validation;
-    Alcotest.test_case "sal lifecycle" `Quick test_sal_lifecycle;
+    Alcotest.test_case "json values" `Quick (silent test_json_values);
+    Alcotest.test_case "json rejects" `Quick (silent test_json_rejects);
+    Alcotest.test_case "json depth limit" `Quick (silent test_json_depth_limit);
+    Alcotest.test_case "json roundtrip" `Quick (silent test_json_roundtrip);
+    Alcotest.test_case "http request line" `Quick (silent test_http_request_line);
+    Alcotest.test_case "http body" `Quick (silent test_http_body);
+    Alcotest.test_case "http rejects" `Quick (silent test_http_rejects);
+    Alcotest.test_case "http server routes" `Quick (silent test_http_server_routes);
+    Alcotest.test_case "http echo json" `Quick (silent test_http_echo_json);
+    Alcotest.test_case "serial stream mode" `Quick (silent test_serial_stream_mode);
+    Alcotest.test_case "serial stale faults" `Quick (silent test_serial_stale_faults);
+    Alcotest.test_case "sal socket validation" `Quick (silent test_sal_socket_validation);
+    Alcotest.test_case "sal lifecycle" `Quick (silent test_sal_lifecycle);
     QCheck_alcotest.to_alcotest prop_json_roundtrip;
     QCheck_alcotest.to_alcotest prop_json_parser_total;
     QCheck_alcotest.to_alcotest prop_http_parser_total;
@@ -275,7 +302,7 @@ let test_http_devices_query () =
 let test_json_num_formats () =
   List.iter
     (fun (text, expected) ->
-      match Json.parse ~instr:(ni ()) text with
+      match Json.parse ~instr:(json_instr ()) text with
       | Ok (Json.Num f) ->
         Alcotest.(check (float 1e-9)) text expected f
       | Ok _ -> Alcotest.fail (text ^ ": not a number")
@@ -286,6 +313,6 @@ let test_json_num_formats () =
 let suite =
   suite
   @ [
-      Alcotest.test_case "http devices query" `Quick test_http_devices_query;
-      Alcotest.test_case "json number formats" `Quick test_json_num_formats;
+      Alcotest.test_case "http devices query" `Quick (silent test_http_devices_query);
+      Alcotest.test_case "json number formats" `Quick (silent test_json_num_formats);
     ]

@@ -232,7 +232,7 @@ let test_native_rejects_fault_rate () =
    | Error e -> Alcotest.fail ("wrong error: " ^ Eof_error.to_string e)
    | Ok _ -> Alcotest.fail "native + fault_rate must be rejected");
   (* The farm applies the same gate before building any board. *)
-  let farm_config = { Farm.default_config with Farm.base = config } in
+  let farm_config = { Farm.boards = 1; sync_every = 25; base = config } in
   (match Farm.run farm_config (fun _ -> zephyr ()) with
    | Error { Eof_error.kind = Eof_error.Config _; _ } -> ()
    | Error e -> Alcotest.fail ("wrong farm error: " ^ Eof_error.to_string e)

@@ -634,14 +634,13 @@ let suite =
 (* --- resilience over a lossy probe link -------------------------------- *)
 
 (* A lossy probe: the seeded fault schedule at a 1% burst rate. *)
-let lossy_link seed =
-  Eof_debug.Inject.create { Eof_debug.Inject.default_config with rate = 0.01; seed }
+let lossy_link seed = { Eof_debug.Inject.default_config with rate = 0.01; seed }
 
 let test_campaign_survives_flaky_link () =
   let build = Osbuild.make ~board_profile:Eof_hw.Profiles.stm32f4_disco Zephyr.spec in
-  let transport = Eof_debug.Transport.create ~injector:(lossy_link 77L) () in
+  let bus = Eof_obs.Obs.create () in
   let machine =
-    match Eof_agent.Machine.create ~transport build with
+    match Eof_agent.Machine.create ~obs:bus ~inject:(lossy_link 77L) build with
     | Ok m -> m
     | Error e -> Alcotest.fail (Eof_util.Eof_error.to_string e)
   in
@@ -656,8 +655,8 @@ let test_campaign_survives_flaky_link () =
        escalation ladder, so campaign-level reflashes are no longer the
        evidence — transport timeouts plus a finished budget are. *)
     Alcotest.(check bool) "losses happened and were recovered" true
-      (Eof_debug.Transport.timeouts transport > 0
-      && Eof_debug.Session.retries (Eof_agent.Machine.session machine) > 0)
+      (Eof_obs.Obs.counter_value bus "transport.timeouts" > 0
+      && Eof_obs.Obs.counter_value bus "session.retries" > 0)
 
 let suite =
   suite
@@ -942,9 +941,9 @@ let test_batched_flaky_deterministic () =
      and must survive to the end of its budget. *)
   let run () =
     let build = Osbuild.make ~board_profile:Eof_hw.Profiles.stm32f4_disco Zephyr.spec in
-    let transport = Transport.create ~injector:(lossy_link 0xF1AA7L) () in
+    let bus = Eof_obs.Obs.create () in
     let machine =
-      match Eof_agent.Machine.create ~transport build with
+      match Eof_agent.Machine.create ~obs:bus ~inject:(lossy_link 0xF1AA7L) build with
       | Ok m -> m
       | Error e -> Alcotest.fail (Eof_util.Eof_error.to_string e)
     in
@@ -961,7 +960,7 @@ let test_batched_flaky_deterministic () =
       ( o.Campaign.coverage,
         o.Campaign.crash_events,
         o.Campaign.executed_programs,
-        Transport.timeouts transport,
+        Eof_obs.Obs.counter_value bus "transport.timeouts",
         o.Campaign.iterations_done,
         Eof_util.Bitset.to_list o.Campaign.coverage_bitmap )
   in
@@ -996,7 +995,6 @@ let test_stall_requires_streak () =
      so repeated checks walk the streak up deterministically. *)
   let _, machine = fresh_machine () in
   let wd = Liveness.create () in
-  Alcotest.(check int) "default threshold" 3 (Liveness.stall_threshold wd);
   (match Liveness.check wd machine with
    | Liveness.First_observation -> ()
    | _ -> Alcotest.fail "first check arms the watchdog");
@@ -1021,16 +1019,15 @@ let test_stall_requires_streak () =
 
 let test_stall_streak_resets_on_progress () =
   let _, machine = fresh_machine () in
-  let session = Eof_agent.Machine.session machine in
   let wd = Liveness.create () in
   ignore (Liveness.check wd machine);
   ignore (Liveness.check wd machine);
   ignore (Liveness.check wd machine);
   Alcotest.(check int) "two repeats banked" 2 (Liveness.stall_streak wd);
-  (* Any PC movement wipes the streak: step the target forward. *)
-  (match Eof_debug.Session.step session with
+  (* Any PC movement wipes the streak: run the target forward. *)
+  (match Eof_agent.Machine.continue_ machine with
    | Ok _ -> ()
-   | Error e -> Alcotest.fail (Eof_debug.Session.error_to_string e));
+   | Error e -> Alcotest.fail (Eof_util.Eof_error.to_string e));
   (match Liveness.check wd machine with
    | Liveness.Alive -> ()
    | _ -> Alcotest.fail "new PC must be alive");
@@ -1044,18 +1041,6 @@ let test_stall_streak_resets_on_progress () =
   (match Liveness.check wd machine with
    | Liveness.First_observation -> ()
    | _ -> Alcotest.fail "reset must disarm the watchdog")
-
-let test_stall_threshold_one_and_validation () =
-  (* threshold 1 reproduces the old single-repeat behaviour. *)
-  let _, machine = fresh_machine () in
-  let wd = Liveness.create ~stall_threshold:1 () in
-  ignore (Liveness.check wd machine);
-  (match Liveness.check wd machine with
-   | Liveness.Pc_stalled _ -> ()
-   | _ -> Alcotest.fail "threshold 1 must stall on the first repeat");
-  match Liveness.create ~stall_threshold:0 () with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "threshold 0 must be rejected"
 
 let flash_ops events =
   List.filter_map
@@ -1224,8 +1209,6 @@ let suite =
       Alcotest.test_case "stall requires a streak" `Quick test_stall_requires_streak;
       Alcotest.test_case "stall streak resets on progress" `Quick
         test_stall_streak_resets_on_progress;
-      Alcotest.test_case "stall threshold one (and validation)" `Quick
-        test_stall_threshold_one_and_validation;
       Alcotest.test_case "restore odd final chunk" `Quick
         test_restore_partitions_odd_final_chunk;
       Alcotest.test_case "restore missing blob" `Quick test_restore_partitions_missing_blob;

@@ -163,6 +163,99 @@ let test_forged_segment_length () =
   Alcotest.(check bool) "batch ops" true
     (Result.is_error (Rsp.parse_batch_ops "w20000040,7fffffffffff:}]"))
 
+(* RSP numbers are hex digits and nothing else, up to max_int: OCaml's
+   '_' separator and "0x" prefix are not hex, and a field past max_int is
+   an error instead of a wrapped address. *)
+let test_rsp_numbers_strict () =
+  let rejected what r = Alcotest.(check bool) what true (Result.is_error r) in
+  rejected "'_' in an address" (Rsp.parse_command "m1_0,4");
+  rejected "'_' in a reply code" (Rsp.parse_reply ~pc_reg "E1_");
+  rejected "batch address past max_int" (Rsp.parse_batch_ops "r10000000000000000,4");
+  rejected "batch length past max_int" (Rsp.parse_batch_ops "r0,4000000000000000");
+  List.iter
+    (fun s -> rejected (Printf.sprintf "hex field %S" s) (Rsp.parse_hex_int s))
+    [ ""; "1_0"; "0x10"; "+1"; "-1"; " 1"; "4000000000000000"; "10000000000000000" ];
+  Alcotest.(check (result int string)) "max_int" (Ok max_int)
+    (Rsp.parse_hex_int "3fffffffffffffff");
+  Alcotest.(check (result int string)) "mixed case" (Ok 0xdeadbeef) (Rsp.parse_hex_int "DeadBEEF");
+  Alcotest.(check bool) "batch read at max_int" true
+    (Rsp.parse_batch_ops "r3fffffffffffffff,4"
+    = Ok [ Rsp.B_read { addr = max_int; len = 4 } ])
+
+(* Every debug packet that names memory outside RAM and flash gets an
+   [E] reply and leaves both unchanged: addresses and lengths at 0, at
+   each region's end, at max_int, and pairs whose sum passes max_int. *)
+let test_probe_range_sweep () =
+  let board = Board.create Profiles.stm32f4_disco in
+  let p = Board.profile board in
+  let engine =
+    Eof_exec.Engine.create ~board ~fault_vector:p.Board.flash_base ~entry:(fun () -> ())
+  in
+  let probe = Openocd.create ~board ~engine () in
+  let ram = Board.ram board and flash = Flash.mem (Board.flash board) in
+  let ram_base = p.Board.ram_base and ram_end = p.Board.ram_base + p.Board.ram_size in
+  let flash_base = p.Board.flash_base in
+  let flash_end = p.Board.flash_base + p.Board.flash_size in
+  (* A nonzero counter for the counted reads to multiply out. *)
+  Memory.write_u32 ram ram_base 8l;
+  let contents () =
+    ( Memory.read_bytes ram ~addr:ram_base ~len:p.Board.ram_size,
+      Memory.read_bytes flash ~addr:flash_base ~len:p.Board.flash_size,
+      Memory.mutations ram,
+      Memory.mutations flash )
+  in
+  let before = contents () in
+  let ranges =
+    [ (0, 0); (0, 1); (0, max_int); (ram_end, 1); (ram_end - 1, 2); (ram_base, p.Board.ram_size + 1);
+      (flash_end, 1); (flash_end - 1, 2); (flash_base, p.Board.flash_size + 1); (max_int, 0);
+      (max_int, 1); (max_int - 1, 2); (max_int - 3, 4); (ram_base, max_int);
+      (ram_base + 4, max_int - ram_base); (flash_base, max_int - flash_base + 1) ]
+  in
+  let writes =
+    [ (0, "\x00"); (ram_end, "\x00"); (ram_end - 1, "\x00\x00"); (flash_end, "\x00");
+      (max_int, "\x00"); (max_int - 1, "\x00\x00"); (max_int - 3, "\x00\x00\x00\x00") ]
+  in
+  let counted =
+    List.map
+      (fun addr -> (addr, ram_base, 4))
+      [ 0; ram_end; ram_end - 2; flash_end; flash_end - 2; max_int; max_int - 3 ]
+    @ [ (ram_base, ram_end - 4, 4); (ram_base, max_int - 3, 4); (ram_base, ram_base, max_int);
+        (ram_base, ram_base, (max_int / 8) + 1) ]
+  in
+  let batch op = Rsp.Batch [ op ] in
+  let commands =
+    List.concat_map
+      (fun (addr, len) ->
+        [ Rsp.Read_mem { addr; len }; batch (Rsp.B_read { addr; len });
+          Rsp.Flash_erase { addr; len } ])
+      ranges
+    @ List.concat_map
+        (fun (addr, data) ->
+          [ Rsp.Write_mem { addr; data }; batch (Rsp.B_write { addr; data });
+            Rsp.Flash_write { addr; data } ])
+        writes
+    (* Debug writes reach RAM only; flash takes vFlashWrite. *)
+    @ [ Rsp.Write_mem { addr = flash_base; data = "\x00" };
+        batch (Rsp.B_write { addr = flash_base; data = "\x00" }) ]
+    @ List.map
+        (fun (count_addr, data_addr, stride) ->
+          batch
+            (Rsp.B_read_counted { count_addr; data_addr; stride; max_count = 8; reset = false }))
+        counted
+  in
+  List.iter
+    (fun cmd ->
+      let payload = Rsp.render_command cmd in
+      let expected =
+        match cmd with Rsp.Batch _ -> "bE0e" | _ -> "E0e"
+      in
+      match Openocd.feed probe (Rsp.make_frame payload) with
+      | reply when reply = "+" ^ Rsp.make_frame expected -> ()
+      | reply -> Alcotest.failf "%S: reply %S, expected %S" payload reply expected
+      | exception e -> Alcotest.failf "%S raised %s" payload (Printexc.to_string e))
+    commands;
+  Alcotest.(check bool) "RAM and flash unchanged" true (contents () = before)
+
 (* --- files: the hub journal and saved corpora -------------------------- *)
 
 module Protocol = Eof_hub.Protocol
@@ -254,6 +347,8 @@ let test_corpus_io_total () =
 let suite =
   [
     Alcotest.test_case "forged segment length" `Quick test_forged_segment_length;
+    Alcotest.test_case "rsp numbers are strict hex" `Quick test_rsp_numbers_strict;
+    Alcotest.test_case "probe range sweep" `Quick test_probe_range_sweep;
     Alcotest.test_case "Journal.replay at every offset" `Quick test_journal_replay_total;
     Alcotest.test_case "Corpus_io save, load and mutations" `Quick test_corpus_io_total;
     prop "Rsp.parse_command" rendered_commands (total Rsp.parse_command);

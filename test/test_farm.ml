@@ -39,7 +39,7 @@ let test_step_loop_equals_run () =
 let test_one_board_farm_equals_campaign () =
   let base = { Campaign.default_config with iterations = 150; seed = 21L } in
   let farm =
-    match Farm.run { Farm.default_config with boards = 1; base } mk_build with
+    match Farm.run { Farm.boards = 1; sync_every = 25; base } mk_build with
     | Ok o -> o
     | Error e -> Alcotest.fail (Eof_util.Eof_error.to_string e)
   in
@@ -187,10 +187,10 @@ let test_golden_farm_digests () =
     (String.ends_with ~suffix:" crc=b303af5e" freertos)
 
 let test_farm_rejects_bad_config () =
-  (match Farm.run { Farm.default_config with boards = 0 } mk_build with
+  (match Farm.run { Farm.boards = 0; sync_every = 25; base = Campaign.default_config } mk_build with
    | Error _ -> ()
    | Ok _ -> Alcotest.fail "boards=0 accepted");
-  match Farm.run { Farm.default_config with sync_every = 0 } mk_build with
+  match Farm.run { Farm.boards = 1; sync_every = 0; base = Campaign.default_config } mk_build with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "sync_every=0 accepted"
 

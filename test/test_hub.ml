@@ -515,7 +515,7 @@ let test_worker_push_once () =
   let pushes = ref [] in
   (* Step until a flush carries a corpus push; [false] once idle. *)
   let rec next_push () =
-    if Worker.idle w then false
+    if Worker.next_cpu_s w = None then false
     else
       match
         List.concat_map

@@ -89,34 +89,46 @@ let test_uart_lines () =
   Alcotest.(check string) "drain takes only new bytes" "ld\n" (Uart.drain u);
   Alcotest.(check string) "empty after drain" "" (Uart.drain u)
 
+(* The FIFO holds 8192 bytes; [pattern n k] is [n] bytes that differ
+   from their neighbours, so a misplaced blit shows. *)
+let uart_fifo_bytes = 8192
+
+let pattern n k = String.init n (fun i -> Char.chr (33 + ((i + k) mod 90)))
+
 let test_uart_overrun () =
-  let u = Uart.create ~fifo_bytes:4 () in
-  Uart.write_string u "abcdef";
-  Alcotest.(check string) "newest kept" "cdef" (Uart.drain u)
+  let u = Uart.create () in
+  let s = pattern (uart_fifo_bytes + 2) 0 in
+  Uart.write_string u s;
+  Alcotest.(check string) "newest kept" (String.sub s 2 uart_fifo_bytes) (Uart.drain u)
 
 (* The byte ring behind the FIFO: order, drop-oldest overrun, and
    pending bytes that wrap past the end of the buffer. *)
 let test_uart_ring_fifo () =
-  let u = Uart.create ~fifo_bytes:4 () in
+  let cap = uart_fifo_bytes in
+  let u = Uart.create () in
   Uart.write_string u "ab";
   Alcotest.(check string) "drain order" "ab" (Uart.drain u);
+  let fill = pattern (cap - 2) 1 in
   Uart.write_string u "ab";
-  Uart.write_string u "c";
-  Uart.write_string u "de";
-  Alcotest.(check string) "overrun evicts the oldest" "bcde" (Uart.drain u);
+  Uart.write_string u fill;
+  Uart.write_string u "cde";
+  Alcotest.(check string) "overrun evicts the oldest"
+    (String.sub fill 1 (cap - 3) ^ "cde") (Uart.drain u);
   Alcotest.(check string) "drained" "" (Uart.drain u);
-  Uart.write_string u "xyz";
-  ignore (Uart.drain u : string);
+  let full = pattern cap 2 in
+  Uart.write_string u full;
   Uart.write_string u "123";
-  Alcotest.(check string) "drain wraps across the buffer end" "123" (Uart.drain u);
+  Alcotest.(check string) "drain wraps across the buffer end"
+    (String.sub full 3 (cap - 3) ^ "123") (Uart.drain u);
+  let long = pattern (cap + 4) 3 in
   Uart.write_string u "pq";
-  Uart.write_string u "rstuvw";
-  Alcotest.(check string) "overlong write keeps its tail" "tuvw" (Uart.drain u);
+  Uart.write_string u long;
+  Alcotest.(check string) "overlong write keeps its tail" (String.sub long 4 cap) (Uart.drain u);
   Uart.write_string u "k";
   Uart.reset u;
   Alcotest.(check string) "reset empties" "" (Uart.drain u);
   Uart.write_string u "after";
-  Alcotest.(check string) "usable after reset" "fter" (Uart.drain u)
+  Alcotest.(check string) "usable after reset" "after" (Uart.drain u)
 
 let test_clock () =
   let c = Clock.create ~mhz:100 in
@@ -227,8 +239,12 @@ let test_gpio_edges () =
   (match Gpio.set_level g ~pin:99 ~level:true with
    | Error _ -> ()
    | Ok () -> Alcotest.fail "bad pin accepted");
+  (* Pin 7 is high; after a reset it is low again, so raising it is an
+     edge. *)
   Gpio.reset g;
-  Alcotest.(check bool) "reset clears level" false (Gpio.level g ~pin:3)
+  ignore (Gpio.configure_irq g ~pin:7 Gpio.Rising : (unit, string) result);
+  ignore (Gpio.set_level g ~pin:7 ~level:true : (unit, string) result);
+  Alcotest.(check (list int)) "reset clears level" [ 7 ] (Gpio.drain_pending g)
 
 let suite = suite @ [ Alcotest.test_case "gpio edges" `Quick test_gpio_edges ]
 

@@ -13,10 +13,21 @@ let test_levels () =
   (match Obs.Level.of_string "loud" with
    | Error _ -> ()
    | Ok _ -> Alcotest.fail "loud should not parse");
+  (* Every level's name, as a trace line carries it, parses back. *)
   List.iter
     (fun l ->
-      match Obs.Level.of_string (Obs.Level.to_string l) with
-      | Ok l' -> Alcotest.(check bool) "roundtrip" true (l = l')
+      let line =
+        Obs.event_to_json ~t:0. ~board:None ~tenant:None
+          (Obs.Event.Message { level = l; text = "x" })
+      in
+      match Trace.parse_line line with
+      | Ok { Trace.fields; _ } ->
+        (match List.assoc_opt "level" fields with
+         | Some (Obs.V_str name) ->
+           (match Obs.Level.of_string name with
+            | Ok l' -> Alcotest.(check bool) "roundtrip" true (l = l')
+            | Error e -> Alcotest.fail e)
+         | _ -> Alcotest.fail "message without a level")
       | Error e -> Alcotest.fail e)
     Obs.Level.[ Trace; Debug; Info; Warn; Error ]
 
@@ -69,8 +80,7 @@ let test_counters () =
   Obs.Counter.incr a;
   Obs.Counter.add a' 10;
   Obs.Counter.add b 2;
-  Alcotest.(check int) "aliased" 11 (Obs.Counter.value a);
-  Alcotest.(check int) "by name" 11 (Obs.counter_value bus "x.a");
+  Alcotest.(check int) "aliased, by name" 11 (Obs.counter_value bus "x.a");
   Alcotest.(check int) "missing is 0" 0 (Obs.counter_value bus "x.zzz");
   Alcotest.(check bool) "snapshot sorted" true
     (Obs.counters bus = [ ("x.a", 11); ("x.b", 2) ]);
@@ -122,8 +132,13 @@ let test_sinks_and_boards () =
   Alcotest.(check int) "level filter" 1 !warn_only;
   (* A for_board handle carries its own clock. *)
   Obs.set_clock b1 (fun () -> 9.0);
-  Alcotest.(check (float 1e-9)) "own clock" 9.0 (Obs.now b1);
-  Alcotest.(check (float 1e-9)) "parent clock untouched" 0.0 (Obs.now bus)
+  Obs.emit b1 Obs.Event.Reset_board;
+  Obs.emit bus Obs.Event.Reset_board;
+  (match List.rev (events ()) with
+   | (t_bus, None, _) :: (t_b1, Some 1, _) :: _ ->
+     Alcotest.(check (float 1e-9)) "own clock" 9.0 t_b1;
+     Alcotest.(check (float 1e-9)) "parent clock untouched" 0.0 t_bus
+   | _ -> Alcotest.fail "clock events missing")
 
 (* --- trace summarization -------------------------------------------------- *)
 

@@ -18,15 +18,29 @@ let ok_or_fail = function
   | Ok v -> v
   | Error e -> Alcotest.fail (Err.to_string e)
 
+(* A link machine whose transport carries an inert injector (rate 0) for
+   the test to aim with [Inject.force_next], and the bus that counts the
+   session's retries. *)
+let aimable_machine build =
+  let inj = Inject.create { Inject.default_config with rate = 0. } in
+  let transport = Transport.create () in
+  Transport.set_injector transport (Some inj);
+  let bus = Obs.create () in
+  let machine = ok_or_fail (Machine.create ~obs:bus ~transport build) in
+  (machine, inj, fun () -> Obs.counter_value bus "session.retries")
+
 (* --- the determinism contract: same seed, same fault schedule ----------- *)
 
 let test_schedule_deterministic () =
+  (* The schedule as (exchange index, fault) pairs, in order. *)
   let draw seed =
     let inj = Inject.create { Inject.default_config with rate = 0.05; seed } in
-    for _ = 1 to 2000 do
-      ignore (Inject.decide inj : Inject.decision)
-    done;
-    Inject.history inj
+    List.filter_map
+      (fun i ->
+        match Inject.decide inj with
+        | Inject.Fault f -> Some (i, f)
+        | Inject.Pass -> None)
+      (List.init 2000 Fun.id)
   in
   let h1 = draw 77L and h2 = draw 77L in
   Alcotest.(check bool) "faults were injected" true (h1 <> []);
@@ -50,21 +64,14 @@ let test_fault_kinds_cured_by_retry () =
     (fun fault ->
       let name = Inject.fault_name fault in
       let build = mk_build 0 in
-      (* rate 0: the injector is attached but inert; force_next aims one
-         fault of the kind under test at the next exchange. *)
-      let machine =
-        ok_or_fail (Machine.create ~inject:{ Inject.default_config with rate = 0. } build)
-      in
+      (* The injector is attached but inert; force_next aims one fault
+         of the kind under test at the next exchange. *)
+      let machine, inj, retries = aimable_machine build in
       let session = Machine.session machine in
       (* A truncated frame leaves the decoder mid-frame, so the retried
          reply completes a bad frame before attempt 3 succeeds — give the
          rung room beyond the default 3 attempts. *)
       Session.set_retry session { Err.Retry.default with attempts = 6 };
-      let inj =
-        match Transport.injector (Machine.transport machine) with
-        | Some i -> i
-        | None -> Alcotest.fail "injector not attached"
-      in
       let mailbox = Osbuild.mailbox_base build in
       let clean = ok_or_fail (Session.read_mem session ~addr:mailbox ~len:16) in
       (* counted read *)
@@ -91,8 +98,7 @@ let test_fault_kinds_cured_by_retry () =
        | Ok _ -> ()
        | Error e ->
          Alcotest.fail (name ^ ": continue+drain failed: " ^ Err.to_string e));
-      Alcotest.(check bool) (name ^ ": retries recorded") true
-        (Session.retries session > 0))
+      Alcotest.(check bool) (name ^ ": retries recorded") true (retries () > 0))
     [ Inject.Drop; Inject.Timeout; Inject.Truncate; Inject.Nak_storm; Inject.Garbage ]
 
 (* --- the escalation ladder under a bursty link -------------------------- *)
@@ -169,16 +175,9 @@ let test_farm_fault_soak () =
 
 let test_snapshot_restore_mid_fault () =
   let build = mk_build 0 in
-  let machine =
-    ok_or_fail (Machine.create ~inject:{ Inject.default_config with rate = 0. } build)
-  in
+  let machine, inj, retries = aimable_machine build in
   let session = Machine.session machine in
   Session.set_retry session { Err.Retry.default with attempts = 6 };
-  let inj =
-    match Transport.injector (Machine.transport machine) with
-    | Some i -> i
-    | None -> Alcotest.fail "injector not attached"
-  in
   (* Restore before any save is a typed remote error, not a crash. *)
   (match Machine.snapshot_restore machine with
    | Error _ -> ()
@@ -203,7 +202,7 @@ let test_snapshot_restore_mid_fault () =
       let back = ok_or_fail (Session.read_mem session ~addr:mailbox ~len:4) in
       Alcotest.(check string) (name ^ ": page rewound") "\x00\x00\x00\x00" back)
     [ Inject.Drop; Inject.Timeout; Inject.Truncate; Inject.Nak_storm; Inject.Garbage ];
-  Alcotest.(check bool) "retries recorded" true (Session.retries session > 0)
+  Alcotest.(check bool) "retries recorded" true (retries () > 0)
 
 (* Fresh-per-program still recovers a bursty link: its reflash rung is
    the snapshot fast path (no partition is ever rewritten), and the
