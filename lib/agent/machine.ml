@@ -58,7 +58,15 @@ type t = {
   (* Host-side knowledge that a pristine snapshot is in the probe's slot:
      gates the O(dirty pages) fast path in Liveness.restore. *)
   mutable snapshot_armed : bool;
+  (* Found on first use, so a machine that never snapshots adds no
+     counter to its bus. *)
+  c_saves : Obs.Counter.t Lazy.t;
+  c_restores : (Obs.Counter.t * Obs.Counter.t) Lazy.t;  (* restores, pages copied *)
 }
+
+let snapshot_counters bus =
+  ( lazy (Obs.Counter.make bus "snapshot.saves"),
+    lazy (Obs.Counter.make bus "snapshot.restores", Obs.Counter.make bus "snapshot.pages_copied") )
 
 let make_probe build =
   let board = Osbuild.board build in
@@ -87,9 +95,10 @@ let create ?obs ?transport ?inject build =
     let covlink =
       Eof_debug.Covlink.create ~session ~layout:(Osbuild.covbuf_layout build)
     in
+    let c_saves, c_restores = snapshot_counters (Session.obs session) in
     let t =
       { build; board; engine; probe; impl = L { transport; session; covlink };
-        snapshot_armed = false }
+        snapshot_armed = false; c_saves; c_restores }
     in
     (* Timestamps on this machine's bus handle come from its own virtual
        clock, never the host wall clock — the trace-determinism
@@ -112,6 +121,7 @@ let create_native ?obs build =
    | Some bus -> Obs.set_clock bus (fun () -> Clock.now_s (Board.clock board))
    | None -> ());
   let n_obs = match obs with Some o -> o | None -> Obs.create () in
+  let c_saves, c_restores = snapshot_counters n_obs in
   Ok
     {
       build;
@@ -119,6 +129,8 @@ let create_native ?obs build =
       engine;
       probe;
       snapshot_armed = false;
+      c_saves;
+      c_restores;
       impl =
         N
           {
@@ -383,7 +395,7 @@ let snapshot_save t =
   | Ok pages ->
     t.snapshot_armed <- true;
     let bus = obs t in
-    Obs.Counter.incr (Obs.Counter.make bus "snapshot.saves");
+    Obs.Counter.incr (Lazy.force t.c_saves);
     if Obs.active bus then Obs.emit bus (Obs.Event.Snapshot_save { pages });
     Ok pages
   | Error _ as e -> e
@@ -403,8 +415,9 @@ let snapshot_restore t =
   match result with
   | Ok dirty ->
     let bus = obs t in
-    Obs.Counter.incr (Obs.Counter.make bus "snapshot.restores");
-    Obs.Counter.add (Obs.Counter.make bus "snapshot.pages_copied") dirty;
+    let restores, pages_copied = Lazy.force t.c_restores in
+    Obs.Counter.incr restores;
+    Obs.Counter.add pages_copied dirty;
     if Obs.active bus then Obs.emit bus (Obs.Event.Snapshot_restore { dirty });
     Ok dirty
   | Error _ as e -> e

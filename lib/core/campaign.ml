@@ -184,6 +184,7 @@ type state = {
       (* the ladder was exhausted: this board is gone for good *)
   mutable abort_cause : Eof_error.t option;
   obs : Obs.t;
+  payload_span : Obs.span_kind;
   c_payloads : Obs.Counter.t;
   c_crash_events : Obs.Counter.t;
   c_corpus_admits : Obs.Counter.t;
@@ -906,6 +907,7 @@ let init ?machine ?obs config build =
            dead = false;
            abort_cause = None;
            obs;
+           payload_span = Obs.span_kind obs "campaign.payload";
            c_payloads = Obs.Counter.make obs "campaign.payloads";
            c_crash_events = Obs.Counter.make obs "campaign.crash_events";
            c_corpus_admits = Obs.Counter.make obs "campaign.corpus_admits";
@@ -998,7 +1000,7 @@ let step st =
        (match write_program st prog with
         | Error e -> note_failure st e
         | Ok () ->
-          let payload_span = Obs.span_begin st.obs "campaign.payload" in
+          let payload_span = Obs.span_begin st.obs st.payload_span in
           (match run_program st ~budget:200 ~crashed:false with
            | Error e ->
              Obs.span_end st.obs payload_span;

@@ -6,6 +6,11 @@ type t = {
   session : Session.t;
   layout : Sancov.Layout.t;
   obs : Obs.t;
+  (* The ops after the optional write: continue, the records, the cmp
+     ring (in [drain_cmp] only) and the UART. *)
+  drain : Rsp.batch_op list;
+  drain_cmp : Rsp.batch_op list;
+  span : Obs.span_kind;
   c_drains : Obs.Counter.t;
   c_records : Obs.Counter.t;
   c_cmp : Obs.Counter.t;
@@ -21,7 +26,31 @@ type drained = {
 
 let create ~session ~layout =
   let obs = Session.obs session in
+  let records =
+    Rsp.B_read_counted
+      {
+        count_addr = Sancov.Layout.write_index_addr layout;
+        data_addr = Sancov.Layout.records_addr layout;
+        stride = 4;
+        max_count = layout.Sancov.Layout.capacity_records;
+        reset = true;
+      }
+  in
+  let cmp =
+    Rsp.B_read_counted
+      {
+        count_addr = Sancov.Layout.cmp_count_addr layout;
+        data_addr = Sancov.Layout.cmp_ring_addr layout;
+        stride = 8;
+        max_count = Sancov.Layout.cmp_ring_entries;
+        reset = true;
+      }
+  in
+  let uart = Rsp.B_monitor "uart" in
   { session; layout; obs;
+    drain = [ Rsp.B_continue; records; uart ];
+    drain_cmp = [ Rsp.B_continue; records; cmp; uart ];
+    span = Obs.span_kind obs "covlink.exchange";
     c_drains = Obs.Counter.make obs "covlink.drains";
     c_records = Obs.Counter.make obs "covlink.records";
     c_cmp = Obs.Counter.make obs "covlink.cmp" }
@@ -36,88 +65,52 @@ let observe_drained t d =
          { records = d.n_records; cmp = d.n_cmp;
            log_bytes = String.length d.log; fused = true })
 
-let records_op t =
-  Rsp.B_read_counted
-    {
-      count_addr = Sancov.Layout.write_index_addr t.layout;
-      data_addr = Sancov.Layout.records_addr t.layout;
-      stride = 4;
-      max_count = t.layout.Sancov.Layout.capacity_records;
-      reset = true;
-    }
-
-let cmp_op t =
-  Rsp.B_read_counted
-    {
-      count_addr = Sancov.Layout.cmp_count_addr t.layout;
-      data_addr = Sancov.Layout.cmp_ring_addr t.layout;
-      stride = 8;
-      max_count = Sancov.Layout.cmp_ring_entries;
-      reset = true;
-    }
-
-let drain_ops t ~want_cmp =
-  if want_cmp then [ records_op t; cmp_op t; Rsp.B_monitor "uart" ]
-  else [ records_op t; Rsp.B_monitor "uart" ]
+module Replies = Rsp.Replies
 
 (* A failed drain sub-operation yields its zero result, mirroring the
    per-stage "ignore the error, retry at the next stop" behaviour of the
    per-request drain; the counter was not reset server-side, so nothing
    is lost. *)
-let counted ~max_count = function
-  | Rsp.Br_counted { count; data } -> (min count max_count, data)
+let counted r ~max_count =
+  match Replies.next r with
+  | Rsp.Sub_counted -> (Int.min (Replies.value r) max_count, Replies.data r)
   | _ -> (0, "")
 
-let text_of = function Rsp.Br_data s -> s | _ -> ""
-
-let interpret t ~want_cmp replies =
-  match (want_cmp, replies) with
-  | true, [ rec_r; cmp_r; uart_r ] ->
-    let n_records, records_raw =
-      counted ~max_count:t.layout.Sancov.Layout.capacity_records rec_r
-    in
-    let n_cmp, cmp_raw = counted ~max_count:Sancov.Layout.cmp_ring_entries cmp_r in
-    Ok { n_records; records_raw; n_cmp; cmp_raw; log = text_of uart_r }
-  | false, [ rec_r; uart_r ] ->
-    let n_records, records_raw =
-      counted ~max_count:t.layout.Sancov.Layout.capacity_records rec_r
-    in
-    Ok { n_records; records_raw; n_cmp = 0; cmp_raw = ""; log = text_of uart_r }
-  | _ -> Error (Eof_error.protocol "covlink: unexpected drain reply shape")
-
-let continue_replies t ~want_cmp = function
-  | stop_r :: rest ->
-    (match stop_r with
-     | Rsp.Br_stop payload ->
-       (match Session.decode_stop t.session payload with
-        | Error e -> Error e
-        | Ok stop ->
-          (match interpret t ~want_cmp rest with
-           | Error e -> Error e
-           | Ok d -> Ok (stop, d)))
-     | Rsp.Br_error n -> Error (Eof_error.remote n)
-     | _ -> Error (Eof_error.protocol "covlink: continue sub-reply is not a stop"))
-  | [] -> Error (Eof_error.protocol "covlink: empty batch reply")
+(* The sub-replies after the write's, read in place: the stop, the
+   records, the cmp ring when asked for, and the UART text. *)
+let continue_replies t r ~want_cmp =
+  match Replies.next r with
+  | Rsp.Sub_stop ->
+    (match Session.decode_stop t.session r with
+     | Error e -> Error e
+     | Ok stop ->
+       let n_records, records_raw =
+         counted r ~max_count:t.layout.Sancov.Layout.capacity_records
+       in
+       let n_cmp, cmp_raw =
+         if want_cmp then counted r ~max_count:Sancov.Layout.cmp_ring_entries else (0, "")
+       in
+       let log = match Replies.next r with Rsp.Sub_data -> Replies.data r | _ -> "" in
+       Ok (stop, { n_records; records_raw; n_cmp; cmp_raw; log }))
+  | Rsp.Sub_error -> Error (Eof_error.remote (Replies.value r))
+  | _ -> Error (Eof_error.protocol "covlink: continue sub-reply is not a stop")
 
 let continue_and_drain ?write t ~want_cmp =
-  let prefix =
-    match write with
-    | None -> []
-    | Some (addr, data) -> [ Rsp.B_write { addr; data } ]
-  in
-  let ops = prefix @ (Rsp.B_continue :: drain_ops t ~want_cmp) in
-  let span = Obs.span_begin t.obs "covlink.exchange" in
+  let drain = if want_cmp then t.drain_cmp else t.drain in
+  let span = Obs.span_begin t.obs t.span in
   let result =
-    match Session.batch t.session ops with
+    match Session.batch ?write t.session drain with
     | Error e -> Error e
-    | Ok replies ->
-      (* Peel the optional write acknowledgement off the front; a failed
-         write must not be silently continued past. *)
-      (match (write, replies) with
-       | Some _, Rsp.Br_error n :: _ -> Error (Eof_error.remote n)
-       | Some _, Rsp.Br_ok :: rest -> continue_replies t ~want_cmp rest
-       | Some _, _ -> Error (Eof_error.protocol "covlink: write sub-reply is not an ack")
-       | None, rest -> continue_replies t ~want_cmp rest)
+    | Ok r ->
+      (* The session checked one sub-reply per op. A failed write must
+         not be silently continued past. *)
+      (match write with
+       | None -> continue_replies t r ~want_cmp
+       | Some _ ->
+         (match Replies.next r with
+          | Rsp.Sub_ok -> continue_replies t r ~want_cmp
+          | Rsp.Sub_error -> Error (Eof_error.remote (Replies.value r))
+          | _ -> Error (Eof_error.protocol "covlink: write sub-reply is not an ack")))
   in
   Obs.span_end t.obs span;
   (match result with

@@ -8,6 +8,7 @@ type t = {
   board : Board.t;
   engine : Engine.t;
   decoder : Rsp.Decoder.t;
+  out : Rsp.Out.t;  (* every reply is rendered and framed in here *)
   pc_reg : int;
   reg_dump_words : int;
   mutable last_stop : Rsp.reply;
@@ -22,6 +23,7 @@ let create ~board ~engine () =
     board;
     engine;
     decoder = Rsp.Decoder.create ();
+    out = Rsp.Out.create ();
     pc_reg = arch.Arch.pc_register;
     reg_dump_words = max arch.Arch.register_count (arch.Arch.pc_register + 1);
     last_stop = Rsp.Stop { signal = 5; pc = Engine.pc engine; detail = "initial" };
@@ -115,6 +117,12 @@ let do_reset t =
   reset t;
   t.last_stop <- initial_stop t
 
+(* A pin number: plain decimal digits, nothing [int_of_string] would
+   also take (sign, "0x"/"0b" prefix, '_'). *)
+let decimal s =
+  if s <> "" && String.for_all (fun c -> c >= '0' && c <= '9') s then int_of_string_opt s
+  else None
+
 let monitor t cmd : Rsp.reply =
   match String.trim cmd with
   | "reset" | "reset halt" ->
@@ -127,7 +135,7 @@ let monitor t cmd : Rsp.reply =
   | cmd when String.length cmd > 5 && String.sub cmd 0 5 = "gpio " ->
     (match String.split_on_char ' ' cmd with
      | [ _; pin; level ] ->
-       (match (int_of_string_opt pin, level) with
+       (match (decimal pin, level) with
         | Some pin, ("0" | "1") ->
           (match set_gpio t ~pin ~level:(level = "1") with
            | Ok () -> Rsp.Ok_reply
@@ -136,92 +144,99 @@ let monitor t cmd : Rsp.reply =
      | _ -> Rsp.Error_reply 0x02)
   | _ -> Rsp.Error_reply 0x01
 
-let execute_batch_op t (op : Rsp.batch_op) : Rsp.batch_reply =
+(* One batch op, its sub-reply rendered straight into [t.out]. *)
+let execute_batch_op t i (op : Rsp.batch_op) =
+  let out = t.out in
+  Rsp.Out.add_char out (if i = 0 then 'b' else ';');
   match op with
-  | Rsp.B_continue -> Rsp.Br_stop (Rsp.render_reply ~pc_reg:t.pc_reg (stopped t (resume t)))
+  | Rsp.B_continue -> Rsp.add_sub_stop out ~pc_reg:t.pc_reg (stopped t (resume t))
   | Rsp.B_read { addr; len } ->
     (match Board.read_mem t.board ~addr ~len with
-     | Ok data -> Rsp.Br_data data
-     | Error _ -> Rsp.Br_error 0x0E)
+     | Ok data -> Rsp.add_sub_data out data
+     | Error _ -> Rsp.add_sub_error out 0x0E)
   | Rsp.B_write { addr; data } ->
     (match Board.write_ram t.board ~addr data with
-     | Ok () -> Rsp.Br_ok
-     | Error _ -> Rsp.Br_error 0x0E)
+     | Ok () -> Rsp.add_sub_ok out
+     | Error _ -> Rsp.add_sub_error out 0x0E)
   | Rsp.B_read_counted { count_addr; data_addr; stride; max_count; reset } ->
-    if stride <= 0 || max_count < 0 then Rsp.Br_error 0x16
+    if stride <= 0 || max_count < 0 then Rsp.add_sub_error out 0x16
     else
       (match Board.read_counted t.board ~count_addr ~data_addr ~stride ~max_count ~reset with
-       | Ok (count, data) -> Rsp.Br_counted { count; data }
-       | Error _ -> Rsp.Br_error 0x0E)
+       | Ok (count, data) -> Rsp.add_sub_counted out ~count data
+       | Error _ -> Rsp.add_sub_error out 0x0E)
   | Rsp.B_monitor cmd ->
     (match monitor t cmd with
-     | Rsp.Ok_reply -> Rsp.Br_ok
-     | Rsp.Hex_data text -> Rsp.Br_data text
-     | Rsp.Error_reply n -> Rsp.Br_error n
-     | _ -> Rsp.Br_error 0x01)
+     | Rsp.Ok_reply -> Rsp.add_sub_ok out
+     | Rsp.Hex_data text -> Rsp.add_sub_data out text
+     | Rsp.Error_reply n -> Rsp.add_sub_error out n
+     | _ -> Rsp.add_sub_error out 0x01)
 
-let execute t (cmd : Rsp.command) : Rsp.reply =
+(* Run one command and render its reply into [t.out]. A batch's ops run
+   in order; a failing one yields its error slot and execution
+   continues, so the client always gets positionally matched
+   sub-replies. *)
+let execute t (cmd : Rsp.command) =
+  let respond reply = Rsp.add_reply t.out ~pc_reg:t.pc_reg reply in
   match cmd with
+  | Rsp.Batch ops -> Rsp.iter_batch_ops ops (execute_batch_op t)
   | Rsp.Q_supported _ ->
-    Rsp.Supported "PacketSize=4000;swbreak+;vFlashErase+;qRcmd+;vBatch+;QSnapshot+"
+    respond (Rsp.Supported "PacketSize=4000;swbreak+;vFlashErase+;qRcmd+;vBatch+;QSnapshot+")
   | Rsp.Read_mem { addr; len } ->
-    (match Board.read_mem t.board ~addr ~len with
-     | Ok data -> Rsp.Hex_data data
-     | Error _ -> Rsp.Error_reply 0x0E)
+    respond
+      (match Board.read_mem t.board ~addr ~len with
+       | Ok data -> Rsp.Hex_data data
+       | Error _ -> Rsp.Error_reply 0x0E)
   | Rsp.Write_mem { addr; data } ->
-    (match Board.write_ram t.board ~addr data with
-     | Ok () -> Rsp.Ok_reply
-     | Error _ -> Rsp.Error_reply 0x0E)
+    respond
+      (match Board.write_ram t.board ~addr data with
+       | Ok () -> Rsp.Ok_reply
+       | Error _ -> Rsp.Error_reply 0x0E)
   | Rsp.Insert_breakpoint addr ->
     Engine.set_breakpoint t.engine addr;
-    Rsp.Ok_reply
+    respond Rsp.Ok_reply
   | Rsp.Remove_breakpoint addr ->
     Engine.remove_breakpoint t.engine addr;
-    Rsp.Ok_reply
-  | Rsp.Continue -> stopped t (resume t)
-  | Rsp.Step -> stopped t (classify t (Engine.step_one t.engine))
-  | Rsp.Read_registers -> Rsp.Raw (Eof_util.Hex.encode (reg_dump t))
-  | Rsp.Halt_reason -> t.last_stop
+    respond Rsp.Ok_reply
+  | Rsp.Continue -> respond (stopped t (resume t))
+  | Rsp.Step -> respond (stopped t (classify t (Engine.step_one t.engine)))
+  | Rsp.Read_registers -> respond (Rsp.Raw (Eof_util.Hex.encode (reg_dump t)))
+  | Rsp.Halt_reason -> respond t.last_stop
   | Rsp.Flash_erase { addr; len } ->
-    (match flash_erase t ~addr ~len with
-     | Ok () -> Rsp.Ok_reply
-     | Error _ -> Rsp.Error_reply 0x0E)
+    respond
+      (match flash_erase t ~addr ~len with
+       | Ok () -> Rsp.Ok_reply
+       | Error _ -> Rsp.Error_reply 0x0E)
   | Rsp.Flash_write { addr; data } ->
-    (match flash_program t ~addr data with
-     | Ok () -> Rsp.Ok_reply
-     | Error _ -> Rsp.Error_reply 0x0E)
-  | Rsp.Flash_done -> Rsp.Ok_reply
-  | Rsp.Monitor cmd -> monitor t cmd
-  | Rsp.Batch ops ->
-    (* Sub-operations run in order; a failing one yields its error slot
-       and execution continues, so the client always gets positionally
-       matched sub-replies. *)
-    Rsp.Raw (Rsp.render_batch_replies ~prefix:"b" (List.map (execute_batch_op t) ops))
-  | Rsp.Snapshot_save -> Rsp.Raw (Printf.sprintf "S%x" (snapshot_save t))
+    respond
+      (match flash_program t ~addr data with
+       | Ok () -> Rsp.Ok_reply
+       | Error _ -> Rsp.Error_reply 0x0E)
+  | Rsp.Flash_done -> respond Rsp.Ok_reply
+  | Rsp.Monitor cmd -> respond (monitor t cmd)
+  | Rsp.Snapshot_save -> respond (Rsp.Raw (Printf.sprintf "S%x" (snapshot_save t)))
   | Rsp.Snapshot_restore ->
-    (match snapshot_restore t with
-     | None -> Rsp.Error_reply 0x23 (* restore before save *)
-     | Some dirty -> Rsp.Raw (Printf.sprintf "S%x" dirty))
+    respond
+      (match snapshot_restore t with
+       | None -> Rsp.Error_reply 0x23 (* restore before save *)
+       | Some dirty -> Rsp.Raw (Printf.sprintf "S%x" dirty))
   | Rsp.Kill ->
     do_reset t;
-    Rsp.Ok_reply
+    respond Rsp.Ok_reply
 
 let feed t bytes =
-  let out = Buffer.create 64 in
-  let events = Rsp.Decoder.feed t.decoder bytes in
+  let out = t.out in
+  Rsp.Out.clear out;
   List.iter
     (fun event ->
       match event with
       | Rsp.Decoder.Packet payload ->
-        Buffer.add_char out '+';
-        let reply =
-          match Rsp.parse_command payload with
-          | Ok cmd -> execute t cmd
-          | Error _ -> Rsp.Raw ""
-          (* unsupported packet: empty reply per RSP convention *)
-        in
-        Buffer.add_string out (Rsp.make_frame (Rsp.render_reply ~pc_reg:t.pc_reg reply))
-      | Rsp.Decoder.Bad_checksum _ -> Buffer.add_char out '-'
+        Rsp.Out.add_char out '+';
+        Rsp.Out.open_frame out;
+        (match Rsp.parse_command payload with
+         | Ok cmd -> execute t cmd
+         | Error _ -> () (* unsupported packet: empty reply per RSP convention *));
+        Rsp.Out.close_frame out
+      | Rsp.Decoder.Bad_checksum _ -> Rsp.Out.add_char out '-'
       | Rsp.Decoder.Ack | Rsp.Decoder.Nak | Rsp.Decoder.Break -> ())
-    events;
-  Buffer.contents out
+    (Rsp.Decoder.feed t.decoder bytes);
+  Rsp.Out.contents out

@@ -1,34 +1,92 @@
 open Eof_util
 
-(* The codecs below sit on every debug-link exchange, so they write into
-   one buffer per packet and parse in place: no Printf, no per-field
-   substrings, no option per hex digit. The wire bytes are exactly what
-   the [Printf] formats "%x" / "%02x" / "%08x" would produce. *)
+(* The codecs below sit on every debug-link exchange, so each end of the
+   link renders its frames into one reused output buffer and parses in
+   place: no Printf, no per-field substrings, no option per hex digit.
+   The wire bytes are exactly what the [Printf] formats "%x" / "%02x" /
+   "%08x" would produce. *)
 
-let checksum s =
+let checksum_range s pos stop =
   let acc = ref 0 in
-  for i = 0 to String.length s - 1 do
-    acc := (!acc + Char.code (String.unsafe_get s i)) land 0xFF
+  for i = pos to stop - 1 do
+    acc := !acc + Char.code (String.unsafe_get s i)
   done;
-  !acc
+  !acc land 0xFF
+
+let checksum s = checksum_range s 0 (String.length s)
 
 let hex_digit n = String.unsafe_get "0123456789abcdef" (n land 0xF)
 
-(* [Printf "%0*x" width n]; negative values (a raw target counter can be
-   one) keep Printf's two's-complement rendering. *)
-let rec add_hex_digits buf n =
-  if n >= 16 then add_hex_digits buf (n lsr 4);
-  Buffer.add_char buf (hex_digit n)
+(* Hex digits in [n >= 0]. *)
+let rec hex_width n =
+  if n < 0x10000 then
+    if n < 0x100 then if n < 0x10 then 1 else 2 else if n < 0x1000 then 3 else 4
+  else if n < 0x1_0000_0000 then
+    if n < 0x100_0000 then if n < 0x10_0000 then 5 else 6
+    else if n < 0x1000_0000 then 7
+    else 8
+  else 8 + hex_width (n lsr 32)
 
-let rec hex_width n = if n >= 16 then 1 + hex_width (n lsr 4) else 1
+let must_escape c = c = '$' || c = '#' || c = '}' || c = '*'
 
-let add_hex ?(width = 0) buf n =
-  if n < 0 then Buffer.add_string buf (Printf.sprintf "%0*x" width n)
+module Out = struct
+  type t = {
+    mutable b : Bytes.t;
+    mutable len : int;
+    mutable frame : int;  (* where the open frame's payload starts *)
+  }
+
+  let create () = { b = Bytes.create 256; len = 0; frame = 0 }
+
+  let clear t = t.len <- 0
+
+  let grow t need =
+    let b = Bytes.create (Int.max need (2 * Bytes.length t.b)) in
+    Bytes.blit t.b 0 b 0 t.len;
+    t.b <- b
+
+  let[@inline] reserve t k = if t.len + k > Bytes.length t.b then grow t (t.len + k)
+
+  let[@inline] add_char t c =
+    reserve t 1;
+    Bytes.unsafe_set t.b t.len c;
+    t.len <- t.len + 1
+
+  let add_substring t s pos len =
+    reserve t len;
+    Bytes.unsafe_blit_string s pos t.b t.len len;
+    t.len <- t.len + len
+
+  let add_string t s = add_substring t s 0 (String.length s)
+
+  let open_frame t =
+    add_char t '$';
+    t.frame <- t.len
+
+  let close_frame t =
+    let c = checksum_range (Bytes.unsafe_to_string t.b) t.frame t.len in
+    add_char t '#';
+    add_char t (hex_digit (c lsr 4));
+    add_char t (hex_digit c)
+
+  let contents t = Bytes.sub_string t.b 0 t.len
+end
+
+(* [Printf "%0*x" width n], digits written last to first; negative
+   values (a raw target counter can be one) keep Printf's two's-complement
+   rendering. *)
+let add_hex ?(width = 0) out n =
+  if n < 0 then Out.add_string out (Printf.sprintf "%0*x" width n)
   else begin
-    for _ = hex_width n + 1 to width do
-      Buffer.add_char buf '0'
+    let w = Int.max width (hex_width n) in
+    Out.reserve out w;
+    let b = out.Out.b and p = out.Out.len in
+    let v = ref n in
+    for i = p + w - 1 downto p do
+      Bytes.unsafe_set b i (hex_digit !v);
+      v := !v lsr 4
     done;
-    add_hex_digits buf n
+    out.Out.len <- p + w
   end
 
 let make_frame payload =
@@ -42,22 +100,25 @@ let make_frame payload =
   Bytes.unsafe_set b (n + 3) (hex_digit c);
   Bytes.unsafe_to_string b
 
-let must_escape c = c = '$' || c = '#' || c = '}' || c = '*'
-
-let add_escaped buf s =
-  for i = 0 to String.length s - 1 do
+(* Each run of bytes between escapes is one blit. *)
+let add_escaped out s =
+  let n = String.length s in
+  let start = ref 0 in
+  for i = 0 to n - 1 do
     let c = String.unsafe_get s i in
     if must_escape c then begin
-      Buffer.add_char buf '}';
-      Buffer.add_char buf (Char.unsafe_chr (Char.code c lxor 0x20))
+      Out.add_substring out s !start (i - !start);
+      Out.add_char out '}';
+      Out.add_char out (Char.unsafe_chr (Char.code c lxor 0x20));
+      start := i + 1
     end
-    else Buffer.add_char buf c
-  done
+  done;
+  Out.add_substring out s !start (n - !start)
 
 let escape_binary s =
-  let buf = Buffer.create (String.length s) in
-  add_escaped buf s;
-  Buffer.contents buf
+  let out = Out.create () in
+  add_escaped out s;
+  Out.contents out
 
 let unescape_binary s =
   let buf = Buffer.create (String.length s) in
@@ -77,6 +138,18 @@ let unescape_binary s =
   in
   go 0
 
+(* The value of each hex digit byte, either case; 0xFF for any other
+   byte. *)
+let nibbles =
+  String.init 256 (fun i ->
+      match Char.chr i with
+      | '0' .. '9' -> Char.chr (i - Char.code '0')
+      | 'a' .. 'f' -> Char.chr (i - Char.code 'a' + 10)
+      | 'A' .. 'F' -> Char.chr (i - Char.code 'A' + 10)
+      | _ -> '\xff')
+
+let nibble c = Char.code (String.unsafe_get nibbles (Char.code c))
+
 module Decoder = struct
   type state = Idle | In_payload | In_check of int option (* first nibble *)
 
@@ -86,38 +159,76 @@ module Decoder = struct
 
   let create () = { state = Idle; payload = Buffer.create 64 }
 
+  let checked payload declared =
+    if checksum payload = declared then Packet payload else Bad_checksum payload
+
+  (* A frame whose '#' and both check bytes are in the chunk is decoded
+     from the chunk: one loop finds the '#' and sums the payload. Only a
+     frame cut by the chunk's end goes through [payload] and the byte
+     states, and both paths give the same events for any chunking. *)
   let feed t bytes =
-    let events = ref [] in
-    let emit e = events := e :: !events in
-    String.iter
-      (fun c ->
-        match t.state with
-        | Idle ->
-          (match c with
-           | '$' ->
+    let n = String.length bytes in
+    let events = ref [] and i = ref 0 in
+    while !i < n do
+      match t.state with
+      | Idle ->
+        let c = String.unsafe_get bytes !i in
+        incr i;
+        (match c with
+         | '$' ->
+           let start = !i and j = ref !i and sum = ref 0 in
+           while !j < n && String.unsafe_get bytes !j <> '#' do
+             sum := !sum + Char.code (String.unsafe_get bytes !j);
+             incr j
+           done;
+           let h = !j in
+           if h + 2 < n then begin
+             let payload = String.sub bytes start (h - start) in
+             let hi = nibble (String.unsafe_get bytes (h + 1)) in
+             let lo = nibble (String.unsafe_get bytes (h + 2)) in
+             if hi > 15 then begin
+               events := Bad_checksum payload :: !events;
+               i := h + 2
+             end
+             else begin
+               events :=
+                 (if lo <= 15 && !sum land 0xFF = (hi lsl 4) lor lo then Packet payload
+                  else Bad_checksum payload)
+                 :: !events;
+               i := h + 3
+             end
+           end
+           else begin
              Buffer.clear t.payload;
              t.state <- In_payload
-           | '+' -> emit Ack
-           | '-' -> emit Nak
-           | '\003' -> emit Break
-           | _ -> (* line noise between frames: ignored like a real stub *) ())
-        | In_payload ->
-          if c = '#' then t.state <- In_check None else Buffer.add_char t.payload c
-        | In_check first ->
-          (match Hex.to_nibble c with
-           | None ->
-             emit (Bad_checksum (Buffer.contents t.payload));
-             t.state <- Idle
-           | Some nib ->
-             (match first with
-              | None -> t.state <- In_check (Some nib)
-              | Some hi ->
-                let declared = (hi lsl 4) lor nib in
-                let payload = Buffer.contents t.payload in
-                if checksum payload = declared then emit (Packet payload)
-                else emit (Bad_checksum payload);
-                t.state <- Idle)))
-      bytes;
+           end
+         | '+' -> events := Ack :: !events
+         | '-' -> events := Nak :: !events
+         | '\003' -> events := Break :: !events
+         | _ -> (* line noise between frames: ignored like a real stub *) ())
+      | In_payload ->
+        (match String.index_from_opt bytes !i '#' with
+         | None ->
+           Buffer.add_substring t.payload bytes !i (n - !i);
+           i := n
+         | Some h ->
+           Buffer.add_substring t.payload bytes !i (h - !i);
+           t.state <- In_check None;
+           i := h + 1)
+      | In_check first ->
+        let nib = nibble (String.unsafe_get bytes !i) in
+        incr i;
+        if nib > 15 then begin
+          t.state <- Idle;
+          events := Bad_checksum (Buffer.contents t.payload) :: !events
+        end
+        else
+          (match first with
+           | None -> t.state <- In_check (Some nib)
+           | Some hi ->
+             t.state <- Idle;
+             events := checked (Buffer.contents t.payload) ((hi lsl 4) lor nib) :: !events)
+    done;
     List.rev !events
 end
 
@@ -134,12 +245,24 @@ type batch_op =
     }
   | B_monitor of string
 
-type batch_reply =
-  | Br_ok
-  | Br_data of string
-  | Br_counted of { count : int; data : string }
-  | Br_stop of string
-  | Br_error of int
+(* A parse position over one packet payload. Section parsers raise
+   [Bad] internally and return it as [Error] at their boundary, so the
+   hot path allocates no result per field. [base] is where the parsed
+   section starts: error offsets are reported relative to it. *)
+type cursor = {
+  s : string;
+  mutable i : int;
+  base : int;
+  mutable checked : bool;  (* the check pass is done *)
+  mutable escapes : bool;  (* it found an escape in some binary segment *)
+}
+
+let cursor s base = { s; i = base; base; checked = false; escapes = false }
+
+exception Bad of string
+
+(* The ops of a [vBatch:] payload, all parsed before any runs. *)
+type batch_ops = { mutable ops : batch_op array; mutable count : int }
 
 type command =
   | Q_supported of string
@@ -156,15 +279,9 @@ type command =
   | Flash_done
   | Monitor of string
   | Kill
-  | Batch of batch_op list
+  | Batch of batch_ops
   | Snapshot_save
   | Snapshot_restore
-
-let nibble = function
-  | '0' .. '9' as c -> Char.code c - Char.code '0'
-  | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
-  | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
-  | _ -> -1
 
 (* The one reader of RSP hex numbers: [acc] extended by the digits
    s.[i .. stop - 1], or -1 when one of them is not a hex digit (no
@@ -174,14 +291,18 @@ let rec hex_digits s i stop acc =
   if i = stop then acc
   else
     let d = nibble (String.unsafe_get s i) in
-    if d < 0 || acc > max_int lsr 4 then -1 else hex_digits s (i + 1) stop ((acc lsl 4) lor d)
+    if d > 15 || acc > max_int lsr 4 then -1 else hex_digits s (i + 1) stop ((acc lsl 4) lor d)
+
+(* The hex number s.[i .. stop - 1], or -1 when it is empty or bad. *)
+let hex_value s i stop = if i = stop then -1 else hex_digits s i stop 0
+
+let hex_error s i stop =
+  if i = stop then "empty hex number"
+  else Printf.sprintf "bad hex number %S" (String.sub s i (stop - i))
 
 let parse_hex_int s =
-  if s = "" then Error "empty hex number"
-  else
-    match hex_digits s 0 (String.length s) 0 with
-    | -1 -> Error (Printf.sprintf "bad hex number %S" s)
-    | v -> Ok v
+  let n = String.length s in
+  match hex_value s 0 n with -1 -> Error (hex_error s 0 n) | v -> Ok v
 
 let split2 sep s =
   match String.index_opt s sep with
@@ -226,130 +347,151 @@ let parse_breakpoint s =
 
    Binary segments are length-prefixed with their *raw* length and use
    standard }-escaping, so one framed exchange can carry arbitrary
-   binary both ways. *)
+   binary both ways.
 
-(* A parse position over one packet payload. Section parsers raise
-   [Bad] internally and return it as [Error] at their boundary, so the
-   hot path allocates no result per field. [base] is where the parsed
-   section starts: error offsets are reported relative to it. *)
-type cursor = { s : string; mutable i : int; base : int }
+   Both ends read a whole payload before acting on any of it: the probe
+   parses every op before it runs one, so it runs no op of a malformed
+   batch, and the host checks every sub-reply and their count before it
+   reads them again in place. *)
 
-exception Bad of string
-
+(* The hex number at the cursor, read in one pass. *)
 let hex_at c =
-  let n = String.length c.s and start = c.i in
-  while c.i < n && nibble c.s.[c.i] >= 0 do
-    c.i <- c.i + 1
+  let s = c.s and start = c.i in
+  let n = String.length s in
+  let i = ref start and acc = ref 0 in
+  while !i < n && nibble (String.unsafe_get s !i) <= 15 do
+    if !acc > max_int lsr 4 then
+      raise (Bad (Printf.sprintf "hex number past max_int at offset %d" (start - c.base)));
+    acc := (!acc lsl 4) lor nibble (String.unsafe_get s !i);
+    incr i
   done;
-  if c.i = start then raise (Bad "expected hex number");
-  match hex_digits c.s start c.i 0 with
-  | -1 -> raise (Bad (Printf.sprintf "hex number past max_int at offset %d" (start - c.base)))
-  | v -> v
+  if !i = start then raise (Bad "expected hex number");
+  c.i <- !i;
+  !acc
 
 let expect c ch =
   if c.i < String.length c.s && c.s.[c.i] = ch then c.i <- c.i + 1
   else raise (Bad (Printf.sprintf "expected '%c' at offset %d" ch (c.i - c.base)))
 
-let rec no_escape_in s i stop = i >= stop || (s.[i] <> '}' && no_escape_in s (i + 1) stop)
-
-(* [rawlen] logical (unescaped) bytes of }-escaped data at the cursor.
-   Length-prefixed segments are what make the batch wire format
-   self-delimiting: raw separator bytes inside binary data are harmless
-   because the parser consumes by count, not by delimiter. *)
-let escaped_at c rawlen =
+(* Where the [rawlen] logical (unescaped) bytes of }-escaped data that
+   start at the cursor end. Length-prefixed segments are what make the
+   batch wire format self-delimiting: raw separator bytes inside binary
+   data are harmless because the parser consumes by count, not by
+   delimiter. *)
+let segment_end c rawlen =
   let s = c.s and n = String.length c.s in
-  if rawlen >= 0 && c.i + rawlen <= n && no_escape_in s c.i (c.i + rawlen) then begin
-    (* No escape in the segment: it is a plain substring. *)
-    let data = String.sub s c.i rawlen in
-    c.i <- c.i + rawlen;
-    data
-  end
+  if c.checked && not c.escapes then
+    (* Every segment of this payload is its own bytes. *)
+    c.i + rawlen
   else begin
-    (* Each logical byte takes at least one input byte, so the input
-       left bounds the capacity: a forged length must not allocate. *)
-    let buf = Buffer.create (min (max 0 rawlen) (n - c.i)) in
-    let k = ref rawlen in
-    while !k <> 0 do
-      if c.i >= n then raise (Bad "truncated binary segment");
-      if s.[c.i] = '}' then begin
-        if c.i + 1 >= n then raise (Bad "dangling escape in binary segment");
-        Buffer.add_char buf (Char.chr (Char.code s.[c.i + 1] lxor 0x20));
-        c.i <- c.i + 2
+    let i = ref c.i in
+    for _ = 1 to rawlen do
+      if !i >= n then raise (Bad "truncated binary segment");
+      if String.unsafe_get s !i = '}' then begin
+        if !i + 1 >= n then raise (Bad "dangling escape in binary segment");
+        i := !i + 2
       end
-      else begin
-        Buffer.add_char buf s.[c.i];
-        c.i <- c.i + 1
-      end;
-      decr k
+      else incr i
     done;
-    Buffer.contents buf
+    if !i - c.i <> rawlen then c.escapes <- true;
+    !i
   end
 
-(* [;]-separated items from [base] to the end of [s]. *)
-let parse_items ~empty ~empty_item item s base =
-  let n = String.length s in
-  if base >= n then Error empty
+(* The [rawlen] bytes of a checked segment s.[i .. stop - 1]: the
+   substring when it holds no escape (each escape takes two input bytes
+   for one logical byte). *)
+let segment_string s i stop rawlen =
+  if stop - i = rawlen then String.sub s i rawlen
   else begin
-    let c = { s; i = base; base } in
-    let rec items acc =
-      if c.i >= n then raise (Bad empty_item);
-      let x = item c in
-      if c.i = n then List.rev (x :: acc)
-      else begin
-        expect c ';';
-        items (x :: acc)
+    let b = Bytes.create rawlen and i = ref i in
+    for k = 0 to rawlen - 1 do
+      if String.unsafe_get s !i = '}' then begin
+        Bytes.unsafe_set b k (Char.unsafe_chr (Char.code (String.unsafe_get s (!i + 1)) lxor 0x20));
+        i := !i + 2
       end
-    in
-    match items [] with xs -> Ok xs | exception Bad e -> Error e
+      else begin
+        Bytes.unsafe_set b k (String.unsafe_get s !i);
+        incr i
+      end
+    done;
+    Bytes.unsafe_to_string b
   end
 
-let add_batch_op buf = function
-  | B_continue -> Buffer.add_char buf 'c'
+(* The segment at the cursor, consumed. *)
+let escaped_at c rawlen =
+  let stop = segment_end c rawlen in
+  let data = segment_string c.s c.i stop rawlen in
+  c.i <- stop;
+  data
+
+(* Check the [;]-separated items from the cursor to the end of its
+   payload, the [k]th read by [item x k], and count them. *)
+let check_items ~empty ~empty_item item x c =
+  let n = String.length c.s in
+  if c.i >= n then Error empty
+  else
+    match
+      ignore (item x 0);
+      let k = ref 1 in
+      while c.i < n do
+        expect c ';';
+        if c.i >= n then raise (Bad empty_item);
+        ignore (item x !k);
+        incr k
+      done;
+      !k
+    with
+    | k ->
+      c.checked <- true;
+      Ok k
+    | exception Bad e -> Error e
+
+let add_segment out data =
+  add_hex out (String.length data);
+  Out.add_char out ':';
+  add_escaped out data
+
+let add_batch_op out = function
+  | B_continue -> Out.add_char out 'c'
   | B_read { addr; len } ->
-    Buffer.add_char buf 'r';
-    add_hex buf addr;
-    Buffer.add_char buf ',';
-    add_hex buf len
+    Out.add_char out 'r';
+    add_hex out addr;
+    Out.add_char out ',';
+    add_hex out len
   | B_write { addr; data } ->
-    Buffer.add_char buf 'w';
-    add_hex buf addr;
-    Buffer.add_char buf ',';
-    add_hex buf (String.length data);
-    Buffer.add_char buf ':';
-    add_escaped buf data
+    Out.add_char out 'w';
+    add_hex out addr;
+    Out.add_char out ',';
+    add_segment out data
   | B_read_counted { count_addr; data_addr; stride; max_count; reset } ->
-    Buffer.add_char buf 'k';
-    add_hex buf count_addr;
-    Buffer.add_char buf ',';
-    add_hex buf data_addr;
-    Buffer.add_char buf ',';
-    add_hex buf stride;
-    Buffer.add_char buf ',';
-    add_hex buf max_count;
-    Buffer.add_char buf ',';
-    Buffer.add_char buf (if reset then 'r' else 'n')
+    Out.add_char out 'k';
+    add_hex out count_addr;
+    Out.add_char out ',';
+    add_hex out data_addr;
+    Out.add_char out ',';
+    add_hex out stride;
+    Out.add_char out ',';
+    add_hex out max_count;
+    Out.add_char out ',';
+    Out.add_char out (if reset then 'r' else 'n')
   | B_monitor cmd ->
-    Buffer.add_char buf 'm';
-    add_hex buf (String.length cmd);
-    Buffer.add_char buf ':';
-    add_escaped buf cmd
+    Out.add_char out 'm';
+    add_segment out cmd
 
-let rec add_separated add buf = function
+let rec add_batch_ops out = function
   | [] -> ()
-  | [ x ] -> add buf x
-  | x :: rest ->
-    add buf x;
-    Buffer.add_char buf ';';
-    add_separated add buf rest
+  | [ op ] -> add_batch_op out op
+  | op :: ops ->
+    add_batch_op out op;
+    Out.add_char out ';';
+    add_batch_ops out ops
 
-let render_ops ~prefix ops =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf prefix;
-  add_separated add_batch_op buf ops;
-  Buffer.contents buf
+let render_batch_ops ops =
+  let out = Out.create () in
+  add_batch_ops out ops;
+  Out.contents out
 
-let render_batch_ops ops = render_ops ~prefix:"" ops
-
+(* One op at the cursor. *)
 let batch_op_at c =
   let ch = c.s.[c.i] in
   c.i <- c.i + 1;
@@ -387,83 +529,40 @@ let batch_op_at c =
   | 'm' ->
     let len = hex_at c in
     expect c ':';
-    let cmd = escaped_at c len in
-    B_monitor cmd
+    B_monitor (escaped_at c len)
   | ch -> raise (Bad (Printf.sprintf "unknown batch op '%c'" ch))
 
-let parse_batch_ops_at s base =
-  parse_items ~empty:"empty batch" ~empty_item:"empty batch item" batch_op_at s base
+(* The [k]th op at the cursor, stored in [b]. *)
+let store_op (c, b) k =
+  if k = Array.length b.ops then begin
+    let ops = Array.make (2 * k) B_continue in
+    Array.blit b.ops 0 ops 0 k;
+    b.ops <- ops
+  end;
+  b.ops.(k) <- batch_op_at c
 
-let parse_batch_ops s = parse_batch_ops_at s 0
+let parse_ops s pos =
+  let c = cursor s pos and b = { ops = Array.make 8 B_continue; count = 0 } in
+  match check_items ~empty:"empty batch" ~empty_item:"empty batch item" store_op (c, b) c with
+  | Ok k ->
+    b.count <- k;
+    Ok b
+  | Error e -> Error e
 
-let add_batch_reply buf = function
-  | Br_ok -> Buffer.add_char buf 'K'
-  | Br_error n ->
-    Buffer.add_char buf 'E';
-    add_hex ~width:2 buf (n land 0xFF)
-  | Br_data data ->
-    Buffer.add_char buf 'd';
-    add_hex buf (String.length data);
-    Buffer.add_char buf ':';
-    add_escaped buf data
-  | Br_counted { count; data } ->
-    Buffer.add_char buf 'k';
-    add_hex buf count;
-    Buffer.add_char buf ',';
-    add_hex buf (String.length data);
-    Buffer.add_char buf ':';
-    add_escaped buf data
-  | Br_stop payload ->
-    Buffer.add_char buf 's';
-    add_hex buf (String.length payload);
-    Buffer.add_char buf ':';
-    add_escaped buf payload
+let iter_batch_ops b f =
+  for k = 0 to b.count - 1 do
+    f k b.ops.(k)
+  done
 
-let render_batch_replies ?(prefix = "") replies =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf prefix;
-  add_separated add_batch_reply buf replies;
-  Buffer.contents buf
+let batch_op_list b = List.init b.count (Array.get b.ops)
 
-let batch_reply_at c =
-  let ch = c.s.[c.i] in
-  c.i <- c.i + 1;
-  match ch with
-  | 'K' -> Br_ok
-  | 'E' ->
-    if c.i + 2 > String.length c.s then raise (Bad "truncated error reply");
-    (match parse_hex_int (String.sub c.s c.i 2) with
-     | Ok code ->
-       c.i <- c.i + 2;
-       Br_error code
-     | Error e -> raise (Bad e))
-  | 'd' ->
-    let len = hex_at c in
-    expect c ':';
-    Br_data (escaped_at c len)
-  | 'k' ->
-    let count = hex_at c in
-    expect c ',';
-    let len = hex_at c in
-    expect c ':';
-    let data = escaped_at c len in
-    Br_counted { count; data }
-  | 's' ->
-    let len = hex_at c in
-    expect c ':';
-    Br_stop (escaped_at c len)
-  | ch -> raise (Bad (Printf.sprintf "unknown batch reply '%c'" ch))
-
-let parse_batch_replies ?(pos = 0) s =
-  parse_items ~empty:"empty batch reply" ~empty_item:"empty batch reply item" batch_reply_at s pos
+let parse_batch_ops s = Result.map batch_op_list (parse_ops s 0)
 
 (* [String.sub payload 0 (String.length p) = p], without the copy. *)
-let has_prefix payload p =
-  let k = String.length p in
-  String.length payload >= k
-  &&
-  let rec go i = i >= k || (payload.[i] = p.[i] && go (i + 1)) in
-  go 0
+let rec prefix_from payload p i =
+  i >= String.length p || (payload.[i] = p.[i] && prefix_from payload p (i + 1))
+
+let has_prefix payload p = String.length payload >= String.length p && prefix_from payload p 0
 
 let parse_command payload =
   if payload = "" then Error "empty packet"
@@ -527,7 +626,7 @@ let parse_command payload =
             | Ok data -> Ok (Flash_write { addr; data })))
       else if payload = "vFlashDone" then Ok Flash_done
       else if has_prefix payload "vBatch:" then
-        let* ops = parse_batch_ops_at payload 7 in
+        let* ops = parse_ops payload 7 in
         Ok (Batch ops)
       else Error (Printf.sprintf "unsupported v-packet %S" payload)
     | _ -> Error (Printf.sprintf "unsupported packet %S" payload)
@@ -550,7 +649,7 @@ let render_command = function
     Printf.sprintf "vFlashWrite:%x:%s" addr (escape_binary data)
   | Flash_done -> "vFlashDone"
   | Monitor cmd -> "qRcmd," ^ Hex.encode cmd
-  | Batch ops -> render_ops ~prefix:"vBatch:" ops
+  | Batch b -> "vBatch:" ^ render_batch_ops (batch_op_list b)
   | Snapshot_save -> "QSnapshot:save"
   | Snapshot_restore -> "QSnapshot:restore"
 
@@ -565,55 +664,209 @@ type reply =
   | Supported of string
   | Raw of string
 
-let render_reply ~pc_reg = function
-  | Ok_reply -> "OK"
-  | Error_reply n -> Printf.sprintf "E%02x" (n land 0xFF)
-  | Hex_data raw -> Hex.encode raw
+let add_reply out ~pc_reg = function
+  | Ok_reply -> Out.add_string out "OK"
+  | Error_reply n ->
+    Out.add_char out 'E';
+    add_hex ~width:2 out (n land 0xFF)
+  | Hex_data raw ->
+    String.iter
+      (fun c ->
+        Out.add_char out (hex_digit (Char.code c lsr 4));
+        Out.add_char out (hex_digit (Char.code c)))
+      raw
   | Stop { signal; pc; detail } ->
-    let buf = Buffer.create (16 + String.length detail) in
-    Buffer.add_char buf 'T';
-    add_hex ~width:2 buf (signal land 0xFF);
-    add_hex ~width:2 buf pc_reg;
-    Buffer.add_char buf ':';
-    add_hex ~width:8 buf pc;
-    Buffer.add_char buf ';';
-    Buffer.add_string buf detail;
-    Buffer.add_char buf ';';
-    Buffer.contents buf
-  | Exited code -> Printf.sprintf "W%02x" (code land 0xFF)
-  | Supported s -> s
-  | Raw s -> s
+    Out.add_char out 'T';
+    add_hex ~width:2 out (signal land 0xFF);
+    add_hex ~width:2 out pc_reg;
+    Out.add_char out ':';
+    add_hex ~width:8 out pc;
+    Out.add_char out ';';
+    Out.add_string out detail;
+    Out.add_char out ';'
+  | Exited code ->
+    Out.add_char out 'W';
+    add_hex ~width:2 out (code land 0xFF)
+  | Supported s | Raw s -> Out.add_string out s
 
-let parse_stop ~pc_reg s =
-  (* "Txx<reg>:<pc8>;<detail>;" *)
-  let* signal = parse_hex_int (String.sub s 1 2) in
-  let rest = String.sub s 3 (String.length s - 3) in
-  match split2 ':' rest with
-  | None -> Error (Printf.sprintf "stop reply missing register: %S" s)
-  | Some (reg, tail) ->
-    let* reg = parse_hex_int reg in
-    if reg <> pc_reg then Error (Printf.sprintf "stop reply for unexpected register %d" reg)
-    else if String.length tail < 9 then Error "stop reply too short"
-    else
-      let* pc = parse_hex_int (String.sub tail 0 8) in
-      let detail = String.sub tail 9 (String.length tail - 9) in
-      let detail =
-        if String.length detail > 0 && detail.[String.length detail - 1] = ';' then
-          String.sub detail 0 (String.length detail - 1)
-        else detail
-      in
-      Ok (Stop { signal; pc; detail })
+(* --- batch sub-replies -------------------------------------------------- *)
 
-let parse_reply ~pc_reg payload =
-  if payload = "OK" then Ok Ok_reply
-  else if String.length payload = 3 && payload.[0] = 'E' then
-    let* n = parse_hex_int (String.sub payload 1 2) in
-    Ok (Error_reply n)
-  else if String.length payload >= 3 && payload.[0] = 'W' then
-    let* code = parse_hex_int (String.sub payload 1 2) in
-    Ok (Exited code)
-  else if String.length payload >= 3 && payload.[0] = 'T' then parse_stop ~pc_reg payload
-  else Ok (Raw payload)
+type sub_reply = Sub_ok | Sub_error | Sub_data | Sub_counted | Sub_stop | Sub_end
+
+let add_sub_ok out = Out.add_char out 'K'
+
+let add_sub_error out n =
+  Out.add_char out 'E';
+  add_hex ~width:2 out (n land 0xFF)
+
+let add_sub_data out data =
+  Out.add_char out 'd';
+  add_segment out data
+
+let add_sub_counted out ~count data =
+  Out.add_char out 'k';
+  add_hex out count;
+  Out.add_char out ',';
+  add_segment out data
+
+let rec plain s i = i >= String.length s || ((not (must_escape s.[i])) && plain s (i + 1))
+
+let add_sub_stop out ~pc_reg reply =
+  Out.add_char out 's';
+  match reply with
+  | Stop { pc; detail; _ } when pc >= 0 && plain detail 0 ->
+    (* Nothing in it needs escaping, so the payload's length is known
+       before it is written: 'T', the signal, ':', ';' twice and the
+       fields. *)
+    add_hex out
+      (6 + Int.max 2 (hex_width pc_reg) + Int.max 8 (hex_width pc) + String.length detail);
+    Out.add_char out ':';
+    add_reply out ~pc_reg reply
+  | _ ->
+    let payload = Out.create () in
+    add_reply payload ~pc_reg reply;
+    add_segment out (Out.contents payload)
+
+(* s.[i .. stop - 1] itself when it is all of [s]. *)
+let slice s i stop = if i = 0 && stop = String.length s then s else String.sub s i (stop - i)
+
+let rec index_in s i stop ch =
+  if i >= stop then -1 else if String.unsafe_get s i = ch then i else index_in s (i + 1) stop ch
+
+(* "Txx<reg>:<pc8>;<detail>;" in s.[pos .. stop - 1], which starts with
+   'T' and holds at least three bytes. *)
+let stop_at ~pc_reg s pos stop =
+  let signal = hex_value s (pos + 1) (pos + 3) in
+  if signal < 0 then Error (hex_error s (pos + 1) (pos + 3))
+  else
+    match index_in s (pos + 3) stop ':' with
+    | -1 -> Error (Printf.sprintf "stop reply missing register: %S" (slice s pos stop))
+    | colon ->
+      let reg = hex_value s (pos + 3) colon in
+      if reg < 0 then Error (hex_error s (pos + 3) colon)
+      else if reg <> pc_reg then
+        Error (Printf.sprintf "stop reply for unexpected register %d" reg)
+      else if stop - (colon + 1) < 9 then Error "stop reply too short"
+      else
+        let pc = hex_value s (colon + 1) (colon + 9) in
+        if pc < 0 then Error (hex_error s (colon + 1) (colon + 9))
+        else
+          let d = colon + 10 in
+          let d_end = if stop > d && s.[stop - 1] = ';' then stop - 1 else stop in
+          Ok (Stop { signal; pc; detail = String.sub s d (d_end - d) })
+
+(* The reply in s.[pos .. stop - 1]. *)
+let reply_at ~pc_reg s pos stop =
+  let len = stop - pos in
+  if len = 2 && s.[pos] = 'O' && s.[pos + 1] = 'K' then Ok Ok_reply
+  else if len = 3 && s.[pos] = 'E' then
+    match hex_value s (pos + 1) (pos + 3) with
+    | -1 -> Error (hex_error s (pos + 1) (pos + 3))
+    | n -> Ok (Error_reply n)
+  else if len >= 3 && s.[pos] = 'W' then
+    match hex_value s (pos + 1) (pos + 3) with
+    | -1 -> Error (hex_error s (pos + 1) (pos + 3))
+    | n -> Ok (Exited n)
+  else if len >= 3 && s.[pos] = 'T' then stop_at ~pc_reg s pos stop
+  else Ok (Raw (slice s pos stop))
+
+let parse_reply ~pc_reg payload = reply_at ~pc_reg payload 0 (String.length payload)
+
+module Replies = struct
+  type t = {
+    c : cursor;
+    mutable length : int;
+    mutable left : int;  (* items not yet read *)
+    mutable value : int;
+    mutable seg : int;  (* the current item's binary segment *)
+    mutable seg_end : int;
+    mutable seg_len : int;  (* its logical length *)
+  }
+
+  let no_segment r =
+    r.seg <- 0;
+    r.seg_end <- 0;
+    r.seg_len <- 0
+
+  let segment r rawlen =
+    r.seg <- r.c.i;
+    r.seg_end <- segment_end r.c rawlen;
+    r.seg_len <- rawlen;
+    r.c.i <- r.seg_end
+
+  (* One item at the cursor, into [r]'s fields. *)
+  let item r =
+    let c = r.c in
+    let ch = c.s.[c.i] in
+    c.i <- c.i + 1;
+    match ch with
+    | 'K' ->
+      no_segment r;
+      Sub_ok
+    | 'E' ->
+      if c.i + 2 > String.length c.s then raise (Bad "truncated error reply");
+      (match hex_value c.s c.i (c.i + 2) with
+       | -1 -> raise (Bad (hex_error c.s c.i (c.i + 2)))
+       | code ->
+         c.i <- c.i + 2;
+         r.value <- code;
+         no_segment r;
+         Sub_error)
+    | 'd' ->
+      let len = hex_at c in
+      expect c ':';
+      segment r len;
+      Sub_data
+    | 'k' ->
+      r.value <- hex_at c;
+      expect c ',';
+      let len = hex_at c in
+      expect c ':';
+      segment r len;
+      Sub_counted
+    | 's' ->
+      let len = hex_at c in
+      expect c ':';
+      segment r len;
+      Sub_stop
+    | ch -> raise (Bad (Printf.sprintf "unknown batch reply '%c'" ch))
+
+  let read s ~pos =
+    let r =
+      { c = cursor s pos; length = 0; left = 0; value = 0; seg = 0; seg_end = 0;
+        seg_len = 0 }
+    in
+    match
+      check_items ~empty:"empty batch reply" ~empty_item:"empty batch reply item"
+        (fun r _ -> item r)
+        r r.c
+    with
+    | Error e -> Error (Eof_error.protocol e)
+    | Ok k ->
+      r.c.i <- pos;
+      r.length <- k;
+      r.left <- k;
+      Ok r
+
+  let length r = r.length
+
+  let next r =
+    if r.left = 0 then Sub_end
+    else begin
+      if r.left < r.length then r.c.i <- r.c.i + 1 (* the ';' before it *);
+      r.left <- r.left - 1;
+      item r
+    end
+
+  let value r = r.value
+
+  let data r = if r.seg_len = 0 then "" else segment_string r.c.s r.seg r.seg_end r.seg_len
+
+  let stop r ~pc_reg =
+    Result.map_error Eof_error.protocol
+      (if r.seg_end - r.seg = r.seg_len then reply_at ~pc_reg r.c.s r.seg r.seg_end
+       else parse_reply ~pc_reg (data r))
+end
 
 (* --- typed boundary ----------------------------------------------------
 
@@ -627,8 +880,6 @@ let typed r = Result.map_error Eof_error.protocol r
 let unescape_binary s = typed (unescape_binary s)
 
 let parse_batch_ops s = typed (parse_batch_ops s)
-
-let parse_batch_replies ?pos s = typed (parse_batch_replies ?pos s)
 
 let parse_command payload = typed (parse_command payload)
 

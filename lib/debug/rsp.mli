@@ -16,6 +16,30 @@ val make_frame : string -> string
 (** [$payload#xx], [xx] the sum of the payload bytes mod 256. The
     payload must already be escaped. *)
 
+(** A reusable output buffer. Each end of the link owns one and renders
+    every frame it sends into it, so sending a packet costs one
+    allocation, the bytes {!contents} returns. *)
+module Out : sig
+  type t
+
+  val create : unit -> t
+
+  val clear : t -> unit
+
+  val add_char : t -> char -> unit
+
+  val add_string : t -> string -> unit
+
+  val open_frame : t -> unit
+  (** Start a frame: the ['$']. *)
+
+  val close_frame : t -> unit
+  (** End the open frame: ['#'] and the checksum of what was added
+      since {!open_frame}. *)
+
+  val contents : t -> string
+end
+
 val escape_binary : string -> string
 (** Escape [$], [#], [}] and [*] as [}(c lxor 0x20)] for binary payload
     sections (as used by [vFlashWrite]). *)
@@ -39,8 +63,10 @@ module Decoder : sig
   val create : unit -> t
 
   val feed : t -> string -> event list
-  (** Events completed by these bytes, in order. Partial frames are
-      buffered. *)
+  (** Events completed by these bytes, in order. A frame whose end is in
+      the chunk is decoded from it in one pass; a partial frame is
+      buffered. Any cut of a byte stream into chunks gives the same
+      events. *)
 end
 
 (** One sub-operation of a [vBatch] exchange. A batch carries several
@@ -64,28 +90,22 @@ type batch_op =
           one sub-operation. *)
   | B_monitor of string  (** qRcmd text, raw *)
 
-(** One sub-reply, positionally matching the batch's sub-operations. *)
-type batch_reply =
-  | Br_ok
-  | Br_data of string  (** raw bytes (read result or monitor text) *)
-  | Br_counted of { count : int; data : string }
-      (** raw (unclamped) counter value plus the clamped data span *)
-  | Br_stop of string  (** an unparsed stop-reply payload *)
-  | Br_error of int
+val add_batch_ops : Out.t -> batch_op list -> unit
+(** The [vBatch:] payload body (escaped, self-delimiting): the ops,
+    [;]-separated. *)
 
 val render_batch_ops : batch_op list -> string
-(** The [vBatch:] payload body (escaped, self-delimiting). *)
+(** {!add_batch_ops} as a string. *)
 
 val parse_batch_ops : string -> (batch_op list, Eof_util.Eof_error.t) result
 
-val render_batch_replies : ?prefix:string -> batch_reply list -> string
-(** The sub-replies, [;]-separated, after [prefix] (default empty; the
-    stub passes the reply packet's leading ["b"]). *)
+(** The ops of a [vBatch:] packet. {!parse_command} parses every one
+    before the probe runs any, so a malformed op anywhere leaves none to
+    run. *)
+type batch_ops
 
-val parse_batch_replies :
-  ?pos:int -> string -> (batch_reply list, Eof_util.Eof_error.t) result
-(** Parse the sub-replies starting at offset [pos] (default 0), so a
-    caller can skip a packet prefix without copying the payload. *)
+val iter_batch_ops : batch_ops -> (int -> batch_op -> unit) -> unit
+(** [f i op] for each op in order, [i] from 0. *)
 
 (** Host-to-target commands, parsed from packet payloads. *)
 type command =
@@ -103,7 +123,9 @@ type command =
   | Flash_done
   | Monitor of string  (** qRcmd, decoded from hex *)
   | Kill
-  | Batch of batch_op list  (** [vBatch:] multi-operation exchange *)
+  | Batch of batch_ops
+      (** [vBatch:] multi-operation exchange. A malformed op anywhere
+          makes the whole packet a parse error, so no op runs. *)
   | Snapshot_save
       (** [QSnapshot:save] — capture a board-side copy-on-write
           snapshot; reply is [S<hex pages covered>] *)
@@ -133,10 +155,64 @@ type reply =
   | Supported of string
   | Raw of string  (** uninterpreted payload (qRcmd output, [g] dump) *)
 
-val render_reply : pc_reg:int -> reply -> string
-(** [pc_reg] is the architecture's PC register number for [T] stop
-    replies. *)
+val add_reply : Out.t -> pc_reg:int -> reply -> unit
+(** Render a reply payload. [pc_reg] is the architecture's PC register
+    number for [T] stop replies. *)
 
 val parse_reply : pc_reg:int -> string -> (reply, Eof_util.Eof_error.t) result
 (** Client side. [Raw] is returned for payloads that match no structured
     form; callers with context (e.g. after [m]) interpret it. *)
+
+(** {2 Batch sub-replies}
+
+    A [vBatch] reply is ['b'] and one sub-reply per op, positionally
+    matched and [;]-separated. The probe renders each straight into its
+    {!Out.t}; the host reads them in place with {!Replies}. *)
+
+type sub_reply =
+  | Sub_ok
+  | Sub_error  (** {!Replies.value} is the error code *)
+  | Sub_data  (** raw bytes (read result or monitor text) *)
+  | Sub_counted
+      (** {!Replies.value} is the raw (unclamped) counter value,
+          {!Replies.data} the clamped data span *)
+  | Sub_stop  (** a stop-reply payload, read with {!Replies.stop} *)
+  | Sub_end  (** past the last sub-reply *)
+
+val add_sub_ok : Out.t -> unit
+
+val add_sub_error : Out.t -> int -> unit
+
+val add_sub_data : Out.t -> string -> unit
+
+val add_sub_counted : Out.t -> count:int -> string -> unit
+
+val add_sub_stop : Out.t -> pc_reg:int -> reply -> unit
+(** The stop reply ({!add_reply}) as a sub-reply. *)
+
+(** A reader over the sub-replies of one batch reply. *)
+module Replies : sig
+  type t
+
+  val read : string -> pos:int -> (t, Eof_util.Eof_error.t) result
+  (** Check every sub-reply from offset [pos] to the end of the payload
+      (so a caller can skip the leading ['b'] without a copy). The
+      reader then yields them in order. *)
+
+  val length : t -> int
+  (** How many sub-replies the payload holds. *)
+
+  val next : t -> sub_reply
+  (** Move to the next sub-reply and say what it is. The accessors
+      below read the sub-reply {!next} last moved to. *)
+
+  val value : t -> int
+
+  val data : t -> string
+  (** The unescaped data of a [Sub_data], [Sub_counted] or [Sub_stop];
+      [""] for the others. *)
+
+  val stop : t -> pc_reg:int -> (reply, Eof_util.Eof_error.t) result
+  (** A [Sub_stop]'s payload, parsed in place as {!parse_reply} would
+      parse {!data}. *)
+end

@@ -15,6 +15,12 @@ type t = {
   transport : Transport.t;
   server : Openocd.t;
   mutable decoder : Rsp.Decoder.t;
+  tx : Rsp.Out.t;  (* vBatch frames are rendered in here *)
+  (* The text of the last op list [batch] rendered. Ops are immutable,
+     so a caller that sends the same list value at every stop has it
+     rendered once. *)
+  mutable ops : Rsp.batch_op list;
+  mutable ops_text : string;
   pc_reg : int;
   endianness : Arch.endianness;
   mutable requests : int;
@@ -39,9 +45,8 @@ let set_retry t budget = t.retry <- budget
    retried; [Remote]/[Protocol] replies are deterministic answers.
    Backoff waits are charged to the transport's virtual clock, so
    recovery is deterministic and visible in virtual time. *)
-let request t payload =
+let request_frame t tx =
   t.requests <- t.requests + 1;
-  let tx = Rsp.make_frame payload in
   let attempt () =
     match Transport.exchange t.transport ~server:(Openocd.feed t.server) tx with
     | Error _ as err -> err
@@ -63,6 +68,8 @@ let request t payload =
       if Obs.active t.obs then
         Obs.emit t.obs (Obs.Event.Recovery { rung = "retry"; attempt }))
     attempt
+
+let request t payload = request_frame t (Rsp.make_frame payload)
 
 let expect_ok t payload =
   let* reply = request t payload in
@@ -90,6 +97,9 @@ let connect ?obs ~transport ~server () =
       transport;
       server;
       decoder = Rsp.Decoder.create ();
+      tx = Rsp.Out.create ();
+      ops = [];
+      ops_text = "";
       pc_reg = arch.Arch.pc_register;
       endianness = arch.Arch.endianness;
       requests = 0;
@@ -130,18 +140,33 @@ let read_mem t ~addr ~len = expect_hex t (Rsp.render_command (Rsp.Read_mem { add
 let write_mem t ~addr data =
   expect_ok t (Rsp.render_command (Rsp.Write_mem { addr; data }))
 
-let batch t ops =
+let batch ?write t ops =
+  let n_ops = List.length ops + match write with None -> 0 | Some _ -> 1 in
   Obs.Counter.incr t.c_batches;
-  Obs.Counter.add t.c_batch_ops (List.length ops);
-  if Obs.active t.obs then
-    Obs.emit t.obs (Obs.Event.Batch { ops = List.length ops });
-  let* reply = request t (Rsp.render_command (Rsp.Batch ops)) in
+  Obs.Counter.add t.c_batch_ops n_ops;
+  if Obs.active t.obs then Obs.emit t.obs (Obs.Event.Batch { ops = n_ops });
+  if ops != t.ops then begin
+    t.ops <- ops;
+    t.ops_text <- Rsp.render_batch_ops ops
+  end;
+  let tx = t.tx in
+  Rsp.Out.clear tx;
+  Rsp.Out.open_frame tx;
+  Rsp.Out.add_string tx "vBatch:";
+  (match write with
+   | None -> ()
+   | Some (addr, data) ->
+     Rsp.add_batch_ops tx [ Rsp.B_write { addr; data } ];
+     (match ops with [] -> () | _ -> Rsp.Out.add_char tx ';'));
+  Rsp.Out.add_string tx t.ops_text;
+  Rsp.Out.close_frame tx;
+  let* reply = request_frame t (Rsp.Out.contents tx) in
   match reply with
   | Rsp.Raw s when String.length s >= 1 && s.[0] = 'b' ->
-    (match Rsp.parse_batch_replies ~pos:1 s with
+    (match Rsp.Replies.read s ~pos:1 with
      | Error e -> Error (Eof_error.with_context "batch" e)
      | Ok replies ->
-       if List.length replies <> List.length ops then
+       if Rsp.Replies.length replies <> n_ops then
          Error (Eof_error.protocol "batch reply count mismatch")
        else Ok replies)
   | Rsp.Error_reply n -> Error (Eof_error.remote n)
@@ -198,8 +223,8 @@ let observe_stop t result =
    | Error _ -> ());
   result
 
-let decode_stop t payload =
-  match Rsp.parse_reply ~pc_reg:t.pc_reg payload with
+let decode_stop t replies =
+  match Rsp.Replies.stop replies ~pc_reg:t.pc_reg with
   | Error e -> Error e
   | Ok reply -> observe_stop t (stop_of_reply reply)
 

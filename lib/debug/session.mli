@@ -49,15 +49,20 @@ val read_mem : t -> addr:int -> len:int -> (string, error) result
 val write_mem : t -> addr:int -> string -> (unit, error) result
 (** Hex [M] packet (2 payload bytes per data byte). *)
 
-val batch : t -> Rsp.batch_op list -> (Rsp.batch_reply list, error) result
-(** One [vBatch] exchange: all sub-operations execute server-side in
-    order, and the sub-replies come back positionally matched in a
-    single framed response. Counts as one request and one transport
-    exchange regardless of how many sub-operations it carries. *)
+val batch :
+  ?write:int * string -> t -> Rsp.batch_op list -> (Rsp.Replies.t, error) result
+(** One [vBatch] exchange: a write of [data] at [addr] when [write] is
+    given, then [ops]. All sub-operations execute server-side in order,
+    and the sub-replies come back positionally matched in a single
+    framed response. The session renders the frame in a buffer it keeps,
+    and renders [ops] again only when it is not the list value the last
+    call passed. The reader holds exactly one sub-reply per op. Counts
+    as one request and one transport exchange regardless of how many
+    sub-operations it carries. *)
 
-val decode_stop : t -> string -> (stop, error) result
-(** Interpret a stop-reply payload (e.g. from [Rsp.Br_stop]) exactly as
-    [continue_] would. *)
+val decode_stop : t -> Rsp.Replies.t -> (stop, error) result
+(** Interpret the reader's current [Sub_stop] exactly as [continue_]
+    would interpret the same reply. *)
 
 val read_u32 : t -> addr:int -> (int32, error) result
 (** Convenience word read honouring the target's endianness. *)

@@ -255,16 +255,30 @@ let counters t =
 
 (* --- spans -------------------------------------------------------------- *)
 
-type span = { span_name : string; t0 : float }
+(* A kind's two counters are found on its first end, not when it is
+   made, so a kind that never ends adds no counter to the bus. *)
+type span_kind = {
+  kind_name : string;
+  count : Counter.t Lazy.t;
+  us : Counter.t Lazy.t;
+}
 
-let span_begin t name = { span_name = name; t0 = t.now () }
+let span_kind t name =
+  {
+    kind_name = name;
+    count = lazy (Counter.make t ("span." ^ name ^ ".count"));
+    us = lazy (Counter.make t ("span." ^ name ^ ".us"));
+  }
 
-let span_end t span =
-  let dur_us = (t.now () -. span.t0) *. 1e6 in
-  Counter.incr (Counter.make t ("span." ^ span.span_name ^ ".count"));
-  Counter.add (Counter.make t ("span." ^ span.span_name ^ ".us"))
-    (int_of_float dur_us);
-  emit t (Event.Span { name = span.span_name; dur_us })
+type span = { kind : span_kind; t0 : float }
+
+let span_begin t kind = { kind; t0 = t.now () }
+
+let span_end t { kind; t0 } =
+  let dur_us = (t.now () -. t0) *. 1e6 in
+  Counter.incr (Lazy.force kind.count);
+  Counter.add (Lazy.force kind.us) (int_of_float dur_us);
+  if active t then emit t (Event.Span { name = kind.kind_name; dur_us })
 
 (* --- built-in sinks ----------------------------------------------------- *)
 

@@ -165,9 +165,15 @@ val counters : t -> (string * int) list
     {!span_end}; ending it emits a {!Event.Span} and accumulates
     [span.<name>.count] / [span.<name>.us] counters. *)
 
+type span_kind
+(** A span name with its two counters, resolved once on the bus it was
+    made on rather than looked up at every end. *)
+
+val span_kind : t -> string -> span_kind
+
 type span
 
-val span_begin : t -> string -> span
+val span_begin : t -> span_kind -> span
 
 val span_end : t -> span -> unit
 

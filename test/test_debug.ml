@@ -66,11 +66,16 @@ let test_command_rejects () =
       | Ok _ -> Alcotest.fail (Printf.sprintf "accepted %S" payload))
     [ ""; "Mdeadbeef"; "Z9,100,2"; "m100"; "vFlashWrite:zz"; "qUnknown"; "X100,4:abcd" ]
 
+let render_reply ~pc_reg reply =
+  let out = Rsp.Out.create () in
+  Rsp.add_reply out ~pc_reg reply;
+  Rsp.Out.contents out
+
 let test_reply_roundtrip () =
   let pc_reg = 15 in
   List.iter
     (fun reply ->
-      match Rsp.parse_reply ~pc_reg (Rsp.render_reply ~pc_reg reply) with
+      match Rsp.parse_reply ~pc_reg (render_reply ~pc_reg reply) with
       | Ok reply' -> Alcotest.(check bool) "roundtrip" true (reply = reply')
       | Error e -> Alcotest.fail (Eof_util.Eof_error.to_string e))
     [
@@ -322,6 +327,57 @@ let suite =
 
 (* --- batched debug link: vBatch, Covlink ----------------------------- *)
 
+(* Sub-replies as a test writes them down; the probe renders each one
+   straight into its buffer with the matching [Rsp.add_sub_*]. *)
+type sub =
+  | Ok_
+  | Err of int
+  | Data of string
+  | Counted of int * string
+  | Stop_ of string  (* a stop-reply payload, rendered from [Rsp.Raw] *)
+
+let render_subs subs =
+  let out = Rsp.Out.create () in
+  Rsp.Out.add_char out 'b';
+  List.iteri
+    (fun i sub ->
+      if i > 0 then Rsp.Out.add_char out ';';
+      match sub with
+      | Ok_ -> Rsp.add_sub_ok out
+      | Err n -> Rsp.add_sub_error out n
+      | Data d -> Rsp.add_sub_data out d
+      | Counted (count, d) -> Rsp.add_sub_counted out ~count d
+      | Stop_ p -> Rsp.add_sub_stop out ~pc_reg:15 (Rsp.Raw p))
+    subs;
+  Rsp.Out.contents out
+
+(* Every sub-reply of a reader, in order, as a [sub]. *)
+let read_subs r =
+  let rec go acc =
+    match Rsp.Replies.next r with
+    | Rsp.Sub_end -> List.rev acc
+    | Rsp.Sub_ok -> go (Ok_ :: acc)
+    | Rsp.Sub_error -> go (Err (Rsp.Replies.value r) :: acc)
+    | Rsp.Sub_data -> go (Data (Rsp.Replies.data r) :: acc)
+    | Rsp.Sub_counted -> go (Counted (Rsp.Replies.value r, Rsp.Replies.data r) :: acc)
+    | Rsp.Sub_stop -> go (Stop_ (Rsp.Replies.data r) :: acc)
+  in
+  go []
+
+let parse_subs payload =
+  Result.map
+    (fun r -> (Rsp.Replies.length r, read_subs r))
+    (Rsp.Replies.read payload ~pos:1)
+
+let batch_ops_of_packet payload =
+  match Rsp.parse_command payload with
+  | Ok (Rsp.Batch ops) ->
+    let acc = ref [] in
+    Rsp.iter_batch_ops ops (fun _ op -> acc := op :: !acc);
+    Ok (List.rev !acc)
+  | Ok _ -> Error "parsed as another command"
+  | Error e -> Error (Eof_util.Eof_error.to_string e)
+
 let test_batch_codec_samples () =
   (* Binary data containing the wire separators ';' ':' ',' and the RSP
      specials must survive: segments are length-prefixed, not delimited. *)
@@ -342,23 +398,41 @@ let test_batch_codec_samples () =
   (match Rsp.parse_batch_ops (Rsp.render_batch_ops ops) with
    | Ok ops' -> Alcotest.(check bool) "ops roundtrip" true (ops = ops')
    | Error e -> Alcotest.fail (Eof_util.Eof_error.to_string e));
-  let replies =
-    [
-      Rsp.Br_ok;
-      Rsp.Br_error 0x0E;
-      Rsp.Br_data ";:}$#*\x01";
-      Rsp.Br_counted { count = 4096; data = String.make 16 ';' };
-      Rsp.Br_stop "T05f:00400608;swbreak:;";
-    ]
+  let subs =
+    [ Ok_; Err 0x0E; Data ";:}$#*\x01"; Counted (4096, String.make 16 ';');
+      Stop_ "T05f:00400608;swbreak:;"; Stop_ "T05f:0040}608;$wbreak#;" ]
   in
-  (match Rsp.parse_batch_replies (Rsp.render_batch_replies replies) with
-   | Ok r' -> Alcotest.(check bool) "replies roundtrip" true (replies = r')
+  (match parse_subs (render_subs subs) with
+   | Ok (n, subs') ->
+     Alcotest.(check int) "reply length" (List.length subs) n;
+     Alcotest.(check bool) "replies roundtrip" true (subs = subs')
    | Error e -> Alcotest.fail (Eof_util.Eof_error.to_string e));
+  (* A stop sub-reply is the stop reply's payload as a binary segment,
+     whether its length is worked out before it is written or not. *)
+  List.iter
+    (fun (reply, read_back) ->
+      let payload = render_reply ~pc_reg:15 reply in
+      let out = Rsp.Out.create () in
+      Rsp.add_sub_stop out ~pc_reg:15 reply;
+      Alcotest.(check string) "stop sub-reply"
+        (Printf.sprintf "s%x:%s" (String.length payload) (Rsp.escape_binary payload))
+        (Rsp.Out.contents out);
+      match Rsp.Replies.read ("b" ^ Rsp.Out.contents out) ~pos:1 with
+      | Ok r ->
+        ignore (Rsp.Replies.next r : Rsp.sub_reply);
+        Alcotest.(check bool) "stop read in place" true
+          ((Rsp.Replies.stop r ~pc_reg:15 = Ok reply) = read_back)
+      | Error e -> Alcotest.fail (Eof_util.Eof_error.to_string e))
+    [ (Rsp.Stop { signal = 5; pc = 0x08001234; detail = "swbreak" }, true);
+      (Rsp.Stop { signal = 11; pc = 0; detail = "fault:$#}*" }, true);
+      (Rsp.Exited 0, true);
+      (* A stop reply's PC field is eight digits: a wider PC renders, but
+         does not read back. *)
+      (Rsp.Stop { signal = 2; pc = 0x1_0000_0000; detail = "quantum" }, false) ];
   (* The whole command survives the command layer too. *)
-  match Rsp.parse_command (Rsp.render_command (Rsp.Batch ops)) with
-  | Ok (Rsp.Batch ops') -> Alcotest.(check bool) "command roundtrip" true (ops = ops')
-  | Ok _ -> Alcotest.fail "parsed as wrong command"
-  | Error e -> Alcotest.fail (Eof_util.Eof_error.to_string e)
+  match batch_ops_of_packet ("vBatch:" ^ Rsp.render_batch_ops ops) with
+  | Ok ops' -> Alcotest.(check bool) "command roundtrip" true (ops = ops')
+  | Error e -> Alcotest.fail e
 
 let prop_batch_ops_roundtrip =
   let op_gen =
@@ -384,30 +458,25 @@ let prop_batch_ops_roundtrip =
   QCheck.Test.make ~name:"vBatch ops roundtrip (generated)" ~count:300
     (QCheck.make QCheck.Gen.(list_size (1 -- 6) op_gen))
     (fun ops ->
-      match Rsp.parse_batch_ops (Rsp.render_batch_ops ops) with
-      | Ok ops' -> ops = ops'
-      | Error _ -> false)
+      let payload = Rsp.render_batch_ops ops in
+      Rsp.parse_batch_ops payload = Ok ops
+      && batch_ops_of_packet ("vBatch:" ^ payload) = Ok ops)
 
 let prop_batch_replies_roundtrip =
-  let reply_gen =
+  let sub_gen =
     QCheck.Gen.(
       oneof
         [
-          return Rsp.Br_ok;
-          map (fun n -> Rsp.Br_error (n land 0xFF)) nat;
-          map (fun s -> Rsp.Br_data s) (string_size (0 -- 24));
-          map2
-            (fun c (d : string) -> Rsp.Br_counted { count = c land 0xFFFFF; data = d })
-            nat (string_size (0 -- 24));
-          map (fun s -> Rsp.Br_stop s) (string_size (0 -- 24));
+          return Ok_;
+          map (fun n -> Err (n land 0xFF)) nat;
+          map (fun s -> Data s) (string_size (0 -- 24));
+          map2 (fun c (d : string) -> Counted (c land 0xFFFFF, d)) nat (string_size (0 -- 24));
+          map (fun s -> Stop_ s) (string_size (0 -- 24));
         ])
   in
   QCheck.Test.make ~name:"vBatch replies roundtrip (generated)" ~count:300
-    (QCheck.make QCheck.Gen.(list_size (1 -- 6) reply_gen))
-    (fun replies ->
-      match Rsp.parse_batch_replies (Rsp.render_batch_replies replies) with
-      | Ok r' -> replies = r'
-      | Error _ -> false)
+    (QCheck.make QCheck.Gen.(list_size (1 -- 6) sub_gen))
+    (fun subs -> parse_subs (render_subs subs) = Ok (List.length subs, subs))
 
 let test_vbatch_over_server () =
   let board, _, server, transport = make_machine () in
@@ -436,27 +505,88 @@ let test_vbatch_over_server () =
   in
   (match Session.batch s ops with
    | Error e -> Alcotest.fail (Session.error_to_string e)
-   | Ok [ w; r; k; m; bad ] ->
-     Alcotest.(check bool) "write ok" true (w = Rsp.Br_ok);
-     Alcotest.(check bool) "read echoes" true (r = Rsp.Br_data ";bin}$#");
-     (match k with
-      | Rsp.Br_counted { count; data } ->
-        Alcotest.(check int) "raw counter" 3 count;
-        Alcotest.(check string) "clamped data" "AAAABBBBCCCC" data
-      | _ -> Alcotest.fail "expected counted reply");
-     (match m with
-      | Rsp.Br_data text ->
-        Alcotest.(check bool) "cycles decimal" true (int_of_string_opt text <> None)
-      | _ -> Alcotest.fail "expected monitor text");
-     (match bad with
-      | Rsp.Br_error _ -> ()
-      | _ -> Alcotest.fail "unmapped read must yield an error slot")
-   | Ok _ -> Alcotest.fail "wrong reply arity");
+   | Ok r ->
+     Alcotest.(check int) "one sub-reply per op" 5 (Rsp.Replies.length r);
+     (match read_subs r with
+      | [ w; rd; k; m; bad ] ->
+        Alcotest.(check bool) "write ok" true (w = Ok_);
+        Alcotest.(check bool) "read echoes" true (rd = Data ";bin}$#");
+        (match k with
+         | Counted (count, data) ->
+           Alcotest.(check int) "raw counter" 3 count;
+           Alcotest.(check string) "clamped data" "AAAABBBBCCCC" data
+         | _ -> Alcotest.fail "expected counted reply");
+        (match m with
+         | Data text ->
+           Alcotest.(check bool) "cycles decimal" true (int_of_string_opt text <> None)
+         | _ -> Alcotest.fail "expected monitor text");
+        (match bad with
+         | Err _ -> ()
+         | _ -> Alcotest.fail "unmapped read must yield an error slot")
+      | _ -> Alcotest.fail "wrong reply arity"));
   Alcotest.(check int) "five ops, one exchange" 1 (Transport.exchanges transport - before);
   (* reset=true must have zeroed the counter server-side. *)
   match Session.read_u32 s ~addr:count_addr with
   | Ok v -> Alcotest.(check int32) "counter reset" 0l v
   | Error e -> Alcotest.fail (Session.error_to_string e)
+
+(* The session renders an op list again whenever it is handed a
+   different list value, with or without a leading write. *)
+let test_batch_op_lists () =
+  let board, _, server, transport = make_machine () in
+  let s = connect_exn (server, transport) in
+  let ram_base = (Board.profile board).Board.ram_base in
+  let read_a = [ Rsp.B_read { addr = ram_base; len = 2 } ] in
+  let read_b = [ Rsp.B_read { addr = ram_base + 2; len = 2 } ] in
+  let subs ?write ops =
+    match Session.batch ?write s ops with
+    | Ok r -> read_subs r
+    | Error e -> Alcotest.fail (Session.error_to_string e)
+  in
+  let check what want got = Alcotest.(check bool) what true (want = got) in
+  check "write, then list a" [ Ok_; Data "AB" ] (subs ~write:(ram_base, "ABCD") read_a);
+  check "list b" [ Data "CD" ] (subs read_b);
+  check "list a again" [ Data "AB" ] (subs read_a);
+  check "another write, list a" [ Ok_; Data "WX" ] (subs ~write:(ram_base, "WXYZ") read_a);
+  check "a write alone" [ Ok_ ] (subs ~write:(ram_base + 2, "12") []);
+  check "list b sees it" [ Data "12" ] (subs read_b)
+
+(* A vBatch is checked whole before any op runs: one malformed op after
+   a continue and a read gets the empty reply, and the board's cycles, PC
+   and RAM are as they were. Ops that parse but fail at run time fail in
+   their own slot: an out-of-range read in the middle answers E0e there
+   and its neighbours still answer. *)
+let test_vbatch_all_or_nothing () =
+  let board, engine, server, _ = make_machine () in
+  let ram = Board.ram board in
+  let ram_base = (Board.profile board).Board.ram_base in
+  let ram_size = (Board.profile board).Board.ram_size in
+  (match Board.write_ram board ~addr:ram_base "ABCDEFGH" with
+   | Ok () -> ()
+   | Error _ -> Alcotest.fail "seed write");
+  let state () =
+    ( Clock.cycles (Board.clock board),
+      Engine.pc engine,
+      Memory.read_bytes ram ~addr:ram_base ~len:ram_size )
+  in
+  let before = state () in
+  List.iter
+    (fun malformed ->
+      let payload = Printf.sprintf "vBatch:c;r%x,4;%s" ram_base malformed in
+      Alcotest.(check string) (malformed ^ ": empty reply") ("+" ^ Rsp.make_frame "")
+        (Openocd.feed server (Rsp.make_frame payload));
+      Alcotest.(check bool) (malformed ^ ": nothing ran") true (state () = before))
+    [ "x"; "r1"; "k1,2,3"; "w0,4:ab"; "m9:uart"; "r1_0,4"; "" ];
+  let payload =
+    "vBatch:"
+    ^ Rsp.render_batch_ops
+        [ Rsp.B_read { addr = ram_base; len = 4 };
+          Rsp.B_read { addr = 0x1; len = 4 };
+          Rsp.B_read { addr = ram_base + 4; len = 4 } ]
+  in
+  let reply = Openocd.feed server (Rsp.make_frame payload) in
+  Alcotest.(check string) "error in its own slot"
+    ("+" ^ Rsp.make_frame "bd4:ABCD;E0e;d4:EFGH") reply
 
 let test_counted_read_big_endian () =
   (* All stock profiles are little-endian; a counted read must decode the
@@ -482,10 +612,12 @@ let test_counted_read_big_endian () =
     Session.batch s
       [ Rsp.B_read_counted { count_addr; data_addr; stride = 4; max_count = 8; reset = false } ]
   with
-  | Ok [ Rsp.Br_counted { count; data } ] ->
-    Alcotest.(check int) "be counter" 2 count;
-    Alcotest.(check string) "be data" "12345678" data
-  | Ok _ -> Alcotest.fail "expected one counted reply"
+  | Ok r ->
+    (match read_subs r with
+     | [ Counted (count, data) ] ->
+       Alcotest.(check int) "be counter" 2 count;
+       Alcotest.(check string) "be data" "12345678" data
+     | _ -> Alcotest.fail "expected one counted reply")
   | Error e -> Alcotest.fail (Session.error_to_string e)
 
 let test_covlink_continue_and_drain () =
@@ -548,6 +680,8 @@ let suite =
       QCheck_alcotest.to_alcotest prop_batch_ops_roundtrip;
       QCheck_alcotest.to_alcotest prop_batch_replies_roundtrip;
       Alcotest.test_case "vbatch over server" `Quick test_vbatch_over_server;
+      Alcotest.test_case "vbatch all or nothing" `Quick test_vbatch_all_or_nothing;
+      Alcotest.test_case "batch op lists" `Quick test_batch_op_lists;
       Alcotest.test_case "counted read big-endian" `Quick test_counted_read_big_endian;
       Alcotest.test_case "covlink continue+drain" `Quick test_covlink_continue_and_drain;
     ]

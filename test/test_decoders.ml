@@ -43,15 +43,38 @@ let batch_ops =
       B_monitor "uart drain";
     ]
 
-let batch_replies =
-  Rsp.
-    [
-      Br_ok;
-      Br_data "raw;bytes}";
-      Br_counted { count = 70; data = "0123456789abcdef" };
-      Br_stop "T05thread:01;";
-      Br_error 14;
-    ]
+(* A batch reply with one sub-reply of each kind, as the probe renders
+   it. *)
+let batch_reply =
+  let out = Rsp.Out.create () in
+  Rsp.Out.add_char out 'b';
+  Rsp.add_sub_ok out;
+  Rsp.Out.add_char out ';';
+  Rsp.add_sub_data out "raw;bytes}";
+  Rsp.Out.add_char out ';';
+  Rsp.add_sub_counted out ~count:70 "0123456789abcdef";
+  Rsp.Out.add_char out ';';
+  Rsp.add_sub_stop out ~pc_reg:15 (Rsp.Stop { signal = 5; pc = 0x0800_0104; detail = "swbreak" });
+  Rsp.Out.add_char out ';';
+  Rsp.add_sub_error out 14;
+  Rsp.Out.contents out
+
+(* Read a batch reply to its end, through every accessor that applies
+   to each sub-reply. *)
+let read_all_replies s =
+  match Rsp.Replies.read s ~pos:1 with
+  | Error _ -> true
+  | Ok r ->
+    let rec go () =
+      match Rsp.Replies.next r with
+      | Rsp.Sub_end -> true
+      | Rsp.Sub_ok | Rsp.Sub_error -> ignore (Rsp.Replies.value r : int); go ()
+      | Rsp.Sub_data | Rsp.Sub_counted -> ignore (Rsp.Replies.data r : string); go ()
+      | Rsp.Sub_stop ->
+        ignore (Rsp.Replies.stop r ~pc_reg:15 : (Rsp.reply, _) result);
+        go ()
+    in
+    go ()
 
 let replies =
   Rsp.
@@ -131,12 +154,18 @@ let prop name seeds check =
    typed error, never raise. *)
 let rendered_commands =
   ("X20000020,6:" ^ Rsp.escape_binary "}$#*\x00\xff")
-  :: Rsp.render_command (Rsp.Batch batch_ops)
+  :: ("vBatch:" ^ Rsp.render_batch_ops batch_ops)
   :: List.map Rsp.render_command commands
 
 let pc_reg = 15
 
-let rendered_replies = List.map (Rsp.render_reply ~pc_reg) replies
+let rendered_replies =
+  List.map
+    (fun reply ->
+      let out = Rsp.Out.create () in
+      Rsp.add_reply out ~pc_reg reply;
+      Rsp.Out.contents out)
+    replies
 
 let encoded_programs endianness =
   List.map
@@ -159,7 +188,7 @@ let feed_decoder s =
    Out_of_memory. *)
 let test_forged_segment_length () =
   let forged = "K;da:raw;bytes}];k46,100123456789aa:raw;bytes}];k46,100123456789a" in
-  Alcotest.(check bool) "batch replies" true (Result.is_error (Rsp.parse_batch_replies forged));
+  Alcotest.(check bool) "batch replies" true (Result.is_error (Rsp.Replies.read forged ~pos:0));
   Alcotest.(check bool) "batch ops" true
     (Result.is_error (Rsp.parse_batch_ops "w20000040,7fffffffffff:}]"))
 
@@ -222,20 +251,21 @@ let test_probe_range_sweep () =
     @ [ (ram_base, ram_end - 4, 4); (ram_base, max_int - 3, 4); (ram_base, ram_base, max_int);
         (ram_base, ram_base, (max_int / 8) + 1) ]
   in
-  let batch op = Rsp.Batch [ op ] in
+  let batch op = `Batch op in
+  let command c = `Command c in
   let commands =
     List.concat_map
       (fun (addr, len) ->
-        [ Rsp.Read_mem { addr; len }; batch (Rsp.B_read { addr; len });
-          Rsp.Flash_erase { addr; len } ])
+        [ command (Rsp.Read_mem { addr; len }); batch (Rsp.B_read { addr; len });
+          command (Rsp.Flash_erase { addr; len }) ])
       ranges
     @ List.concat_map
         (fun (addr, data) ->
-          [ Rsp.Write_mem { addr; data }; batch (Rsp.B_write { addr; data });
-            Rsp.Flash_write { addr; data } ])
+          [ command (Rsp.Write_mem { addr; data }); batch (Rsp.B_write { addr; data });
+            command (Rsp.Flash_write { addr; data }) ])
         writes
     (* Debug writes reach RAM only; flash takes vFlashWrite. *)
-    @ [ Rsp.Write_mem { addr = flash_base; data = "\x00" };
+    @ [ command (Rsp.Write_mem { addr = flash_base; data = "\x00" });
         batch (Rsp.B_write { addr = flash_base; data = "\x00" }) ]
     @ List.map
         (fun (count_addr, data_addr, stride) ->
@@ -245,9 +275,10 @@ let test_probe_range_sweep () =
   in
   List.iter
     (fun cmd ->
-      let payload = Rsp.render_command cmd in
-      let expected =
-        match cmd with Rsp.Batch _ -> "bE0e" | _ -> "E0e"
+      let payload, expected =
+        match cmd with
+        | `Batch op -> ("vBatch:" ^ Rsp.render_batch_ops [ op ], "bE0e")
+        | `Command c -> (Rsp.render_command c, "E0e")
       in
       match Openocd.feed probe (Rsp.make_frame payload) with
       | reply when reply = "+" ^ Rsp.make_frame expected -> ()
@@ -255,6 +286,179 @@ let test_probe_range_sweep () =
       | exception e -> Alcotest.failf "%S raised %s" payload (Printexc.to_string e))
     commands;
   Alcotest.(check bool) "RAM and flash unchanged" true (contents () = before)
+
+(* The probe's [gpio] monitor command takes the pin in plain decimal
+   digits. Each spelling below is one that [int_of_string] would read as
+   a pin number; each must be refused with E02, over qRcmd and as a
+   vBatch monitor op, and move no pin. *)
+let test_gpio_pin_is_decimal () =
+  let board = Board.create Profiles.stm32f4_disco in
+  let p = Board.profile board in
+  let engine =
+    Eof_exec.Engine.create ~board ~fault_vector:p.Board.flash_base ~entry:(fun () -> ())
+  in
+  let probe = Openocd.create ~board ~engine () in
+  let gpio = Board.gpio board in
+  (* Every pin latches an interrupt on any level change. *)
+  for pin = 0 to 15 do
+    match Gpio.configure_irq gpio ~pin Gpio.Both with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail e
+  done;
+  let send payload = Openocd.feed probe (Rsp.make_frame payload) in
+  let expect what payload reply =
+    Alcotest.(check string) what ("+" ^ Rsp.make_frame reply) (send payload)
+  in
+  List.iter
+    (fun cmd ->
+      expect (cmd ^ " over qRcmd") (Rsp.render_command (Rsp.Monitor cmd)) "E02";
+      expect (cmd ^ " in a vBatch")
+        ("vBatch:" ^ Rsp.render_batch_ops [ Rsp.B_monitor cmd ])
+        "bE02";
+      Alcotest.(check (list int)) (cmd ^ " moves no pin") [] (Gpio.drain_pending gpio))
+    [ "gpio 0x2 1"; "gpio 0b10 1"; "gpio +2 1"; "gpio 1_0 1"; "gpio 0o2 1"; "gpio -0 1" ];
+  expect "gpio 2 1 over qRcmd" (Rsp.render_command (Rsp.Monitor "gpio 2 1")) "OK";
+  Alcotest.(check (list int)) "pin 2 latched" [ 2 ] (Gpio.drain_pending gpio);
+  expect "gpio 2 0 in a vBatch" ("vBatch:" ^ Rsp.render_batch_ops [ Rsp.B_monitor "gpio 2 0" ]) "bK";
+  Alcotest.(check (list int)) "pin 2 latched again" [ 2 ] (Gpio.drain_pending gpio)
+
+(* --- the frame decoder under any chunking ------------------------------ *)
+
+(* The byte-at-a-time state machine that [Rsp.Decoder] replaced, kept as
+   the reference model: it consumes one byte per step, so how a stream
+   is cut into chunks cannot change what it emits. *)
+module Model = struct
+  type state = Idle | In_payload | In_check of int option
+
+  type t = { mutable state : state; payload : Buffer.t }
+
+  let create () = { state = Idle; payload = Buffer.create 64 }
+
+  let checksum s = String.fold_left (fun acc c -> (acc + Char.code c) land 0xFF) 0 s
+
+  let feed t bytes =
+    let events = ref [] in
+    let emit e = events := e :: !events in
+    String.iter
+      (fun c ->
+        match t.state with
+        | Idle ->
+          (match c with
+           | '$' ->
+             Buffer.clear t.payload;
+             t.state <- In_payload
+           | '+' -> emit Rsp.Decoder.Ack
+           | '-' -> emit Rsp.Decoder.Nak
+           | '\003' -> emit Rsp.Decoder.Break
+           | _ -> ())
+        | In_payload ->
+          if c = '#' then t.state <- In_check None else Buffer.add_char t.payload c
+        | In_check first ->
+          (match Eof_util.Hex.to_nibble c with
+           | None ->
+             emit (Rsp.Decoder.Bad_checksum (Buffer.contents t.payload));
+             t.state <- Idle
+           | Some nib ->
+             (match first with
+              | None -> t.state <- In_check (Some nib)
+              | Some hi ->
+                let payload = Buffer.contents t.payload in
+                emit
+                  (if checksum payload = (hi lsl 4) lor nib then Rsp.Decoder.Packet payload
+                   else Rsp.Decoder.Bad_checksum payload);
+                t.state <- Idle)))
+      bytes;
+    List.rev !events
+end
+
+(* The events of [chunks] fed in order to one decoder, and to one model. *)
+let decoded chunks =
+  let d = Rsp.Decoder.create () in
+  List.concat_map (Rsp.Decoder.feed d) chunks
+
+let modelled chunks =
+  let m = Model.create () in
+  List.concat_map (Model.feed m) chunks
+
+(* Pieces of a link byte stream: good frames, frames with a wrong
+   checksum or a non-hex check byte in either place, a frame cut off
+   before its check bytes, line noise and the single-byte packets. *)
+let stream_piece =
+  let open QCheck.Gen in
+  let payload = map Rsp.escape_binary (string_size (0 -- 24)) in
+  oneof
+    [
+      map Rsp.make_frame payload;
+      map Rsp.make_frame payload;
+      map2
+        (fun p k ->
+          let f = Rsp.make_frame p in
+          let sum = int_of_string ("0x" ^ String.sub f (String.length f - 2) 2) in
+          Printf.sprintf "$%s#%02x" p ((sum + 1 + k) land 0xFF))
+        payload (int_bound 254);
+      map2 (fun p c -> Printf.sprintf "$%s#%cz" p c) payload (oneofl [ '0'; 'a'; 'F'; 'g' ]);
+      map (fun p -> Printf.sprintf "$%s#" p) payload;
+      map (fun p -> "$" ^ p) payload;
+      string_size ~gen:(oneofl [ 'x'; ' '; '0'; '#'; '}'; '\n' ]) (1 -- 6);
+      oneofl [ "+"; "-"; "\003"; "$"; "#"; "##" ];
+    ]
+
+(* A stream and the cut points that split it into chunks. *)
+let chunked_stream =
+  let open QCheck.Gen in
+  list_size (1 -- 8) stream_piece >>= fun pieces ->
+  let s = String.concat "" pieces in
+  list_size (0 -- 6) (int_bound (String.length s)) >|= fun cuts -> (s, cuts)
+
+let chunks_of s cuts =
+  let cuts = List.sort_uniq compare (0 :: String.length s :: cuts) in
+  let rec go = function
+    | a :: (b :: _ as rest) -> String.sub s a (b - a) :: go rest
+    | _ -> []
+  in
+  go cuts
+
+let prop_decoder_any_chunking =
+  QCheck.Test.make ~name:"decoder events under any chunking equal the byte model" ~count:2_000
+    (QCheck.make ~print:(fun (s, cuts) ->
+         Printf.sprintf "%S cut at %s" s (String.concat "," (List.map string_of_int cuts)))
+       chunked_stream)
+    (fun (s, cuts) ->
+      let chunks = chunks_of s cuts in
+      decoded chunks = modelled chunks && decoded [ s ] = modelled [ s ])
+
+(* The cuts a one-pass decoder is most likely to get wrong: a chunk that
+   ends right after a '$', and a '#' as a chunk's last or second-to-last
+   byte, at every such place in a stream of every piece kind. *)
+let test_decoder_forced_cuts () =
+  let frame = Rsp.make_frame "m20000000,4" in
+  let s =
+    String.concat ""
+      [ "+"; frame; "$OK#00"; "$OK#zz"; "$OK#z+"; "$OK#9z"; "-"; "noise#"; Rsp.make_frame (Rsp.escape_binary "#$}*");
+        "-"; "\003"; "$OK#9a"; "$trailing" ]
+  in
+  let places = ref [] in
+  String.iteri
+    (fun i c ->
+      if c = '$' then places := (i + 1) :: !places;
+      if c = '#' then places := (i + 1) :: (i + 2) :: !places)
+    s;
+  List.iter
+    (fun cut ->
+      if cut <= String.length s then
+        let chunks = chunks_of s [ cut ] in
+        if decoded chunks <> modelled chunks then Alcotest.failf "cut at %d of %S" cut s)
+    !places;
+  Alcotest.(check bool) "whole stream" true (decoded [ s ] = modelled [ s ]);
+  (* Every pair of forced cuts, too. *)
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          let chunks = chunks_of s [ a; b ] in
+          if decoded chunks <> modelled chunks then Alcotest.failf "cuts at %d,%d of %S" a b s)
+        !places)
+    !places
 
 (* --- files: the hub journal and saved corpora -------------------------- *)
 
@@ -349,14 +553,15 @@ let suite =
     Alcotest.test_case "forged segment length" `Quick test_forged_segment_length;
     Alcotest.test_case "rsp numbers are strict hex" `Quick test_rsp_numbers_strict;
     Alcotest.test_case "probe range sweep" `Quick test_probe_range_sweep;
+    Alcotest.test_case "gpio pin is plain decimal" `Quick test_gpio_pin_is_decimal;
+    Alcotest.test_case "decoder forced cuts equal the byte model" `Quick test_decoder_forced_cuts;
+    QCheck_alcotest.to_alcotest prop_decoder_any_chunking;
     Alcotest.test_case "Journal.replay at every offset" `Quick test_journal_replay_total;
     Alcotest.test_case "Corpus_io save, load and mutations" `Quick test_corpus_io_total;
     prop "Rsp.parse_command" rendered_commands (total Rsp.parse_command);
     prop "Rsp.parse_reply" rendered_replies (total (Rsp.parse_reply ~pc_reg));
     prop "Rsp.parse_batch_ops" [ Rsp.render_batch_ops batch_ops ] (total Rsp.parse_batch_ops);
-    prop "Rsp.parse_batch_replies"
-      [ Rsp.render_batch_replies batch_replies ]
-      (total (Rsp.parse_batch_replies ?pos:None));
+    prop "Rsp.Replies" [ batch_reply ] read_all_replies;
     prop "Rsp.unescape_binary"
       (List.map Rsp.escape_binary [ "plain"; "$#}*"; "\x00\xff}}" ])
       (total Rsp.unescape_binary);

@@ -97,7 +97,7 @@ let test_spans () =
   Obs.add_sink bus sink;
   let now = ref 1.0 in
   Obs.set_clock bus (fun () -> !now);
-  let span = Obs.span_begin bus "phase" in
+  let span = Obs.span_begin bus (Obs.span_kind bus "phase") in
   now := 1.5;
   Obs.span_end bus span;
   Alcotest.(check int) "span count" 1 (Obs.counter_value bus "span.phase.count");
