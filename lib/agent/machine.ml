@@ -38,6 +38,8 @@ type link_state = {
 
 type native_state = {
   n_obs : Obs.t;
+  records : Sancov.Layout.counted;  (* the drain's two buffers *)
+  cmp_ring : Sancov.Layout.counted;
   c_stops : Obs.Counter.t;
   c_drains : Obs.Counter.t;
   c_records : Obs.Counter.t;
@@ -122,6 +124,7 @@ let create_native ?obs build =
    | None -> ());
   let n_obs = match obs with Some o -> o | None -> Obs.create () in
   let c_saves, c_restores = snapshot_counters n_obs in
+  let layout = Osbuild.covbuf_layout build in
   Ok
     {
       build;
@@ -135,6 +138,8 @@ let create_native ?obs build =
         N
           {
             n_obs;
+            records = Sancov.Layout.records layout;
+            cmp_ring = Sancov.Layout.cmp_ring layout;
             c_stops = Obs.Counter.make n_obs "native.stops";
             c_drains = Obs.Counter.make n_obs "native.drains";
             c_records = Obs.Counter.make n_obs "native.records";
@@ -170,20 +175,10 @@ let fault_error f = Eof_error.agent ("native memory access faulted: " ^ Fault.to
 
 let endianness t = (Board.profile t.board).Board.arch.Arch.endianness
 
-let stop_kind = function
-  | Stopped_breakpoint _ -> "breakpoint"
-  | Stopped_quantum _ -> "quantum"
-  | Stopped_fault _ -> "fault"
-  | Target_exited -> "exited"
-
-let stop_pc = function
-  | Stopped_breakpoint pc | Stopped_quantum pc | Stopped_fault pc -> pc
-  | Target_exited -> 0
-
 let observe_stop n stop =
   Obs.Counter.incr n.c_stops;
   if Obs.active n.n_obs then
-    Obs.emit n.n_obs (Obs.Event.Stop { kind = stop_kind stop; pc = stop_pc stop })
+    Obs.emit n.n_obs (Obs.Event.Stop { kind = Openocd.stop_kind stop; pc = Openocd.stop_pc stop })
 
 let native_resume t n =
   let stop = Openocd.resume t.probe in
@@ -280,43 +275,30 @@ let inject_gpio t ~pin ~level =
    entries and zero the counter. A failed read yields nothing and leaves
    the counter alone, so nothing is lost; a failed zeroing write is
    ignored, as the next read simply sees the entries again. *)
-let read_counted t ~count_addr ~data_addr ~stride ~max_count =
-  match read_u32 t ~addr:count_addr with
+let read_counted t (g : Sancov.Layout.counted) =
+  match read_u32 t ~addr:g.count_addr with
   | Error _ -> ""
   | Ok count ->
-    let n = min (Int32.to_int count) max_count in
+    let n = min (Int32.to_int count) g.max_count in
     if n <= 0 then ""
     else
-      (match read_mem t ~addr:data_addr ~len:(n * stride) with
+      (match read_mem t ~addr:g.data_addr ~len:(n * g.stride) with
        | Error _ -> ""
        | Ok data ->
-         ignore (write_u32 t ~addr:count_addr 0l : (unit, Eof_error.t) result);
+         ignore (write_u32 t ~addr:g.count_addr 0l : (unit, Eof_error.t) result);
          data)
 
 (* The probe's own counted read, as its vBatch op runs it. A failed read
    yields the zero result, exactly as the link drain treats a failed
    sub-op. *)
-let board_counted t ~count_addr ~data_addr ~stride ~max_count =
+let board_counted t ({ count_addr; data_addr; stride; max_count } : Sancov.Layout.counted) =
   match Board.read_counted t.board ~count_addr ~data_addr ~stride ~max_count ~reset:true with
   | Ok (_, data) -> data
   | Error _ -> ""
 
 let native_drain t n ~want_cmp =
-  let layout = Osbuild.covbuf_layout t.build in
-  let records_raw =
-    board_counted t
-      ~count_addr:(Sancov.Layout.write_index_addr layout)
-      ~data_addr:(Sancov.Layout.records_addr layout)
-      ~stride:4 ~max_count:layout.Sancov.Layout.capacity_records
-  in
-  let cmp_raw =
-    if want_cmp then
-      board_counted t
-        ~count_addr:(Sancov.Layout.cmp_count_addr layout)
-        ~data_addr:(Sancov.Layout.cmp_ring_addr layout)
-        ~stride:8 ~max_count:Sancov.Layout.cmp_ring_entries
-    else ""
-  in
+  let records_raw = board_counted t n.records in
+  let cmp_raw = if want_cmp then board_counted t n.cmp_ring else "" in
   let d =
     { n_records = String.length records_raw / 4; records_raw;
       n_cmp = String.length cmp_raw / 8; cmp_raw;

@@ -137,8 +137,7 @@ val continue_and_drain :
     counters. The byte stream entering the campaign's decoders is
     identical either way. *)
 
-val read_counted :
-  t -> count_addr:int -> data_addr:int -> stride:int -> max_count:int -> string
+val read_counted : t -> Eof_cov.Sancov.Layout.counted -> string
 (** The per-request counted read, built from {!read_u32}, a memory
     read and {!write_u32}: read the counter word, clamp it to [max_count],
     and only when the clamped count [n] is positive read [n] entries of

@@ -49,12 +49,7 @@ type state = {
 
 let drain_coverage st =
   let layout = Osbuild.covbuf_layout st.build in
-  let raw =
-    Machine.read_counted st.machine
-      ~count_addr:(Sancov.Layout.write_index_addr layout)
-      ~data_addr:(Sancov.Layout.records_addr layout)
-      ~stride:4 ~max_count:layout.Sancov.Layout.capacity_records
-  in
+  let raw = Machine.read_counted st.machine (Sancov.Layout.records layout) in
   let len =
     Sancov.decode_records_into ~endianness:st.endianness ~count:(String.length raw / 4)
       raw st.records

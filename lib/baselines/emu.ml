@@ -49,13 +49,9 @@ let run ~iterations build tool =
   let current = ref None in
   (* Shared-memory coverage drain: the board's own counted read of the
      KCOV-style buffer, straight out of guest RAM. *)
+  let { Sancov.Layout.count_addr; data_addr; stride; max_count } = Sancov.Layout.records layout in
   let drain () =
-    match
-      Board.read_counted board
-        ~count_addr:(Sancov.Layout.write_index_addr layout)
-        ~data_addr:(Sancov.Layout.records_addr layout)
-        ~stride:4 ~max_count:layout.Sancov.Layout.capacity_records ~reset:true
-    with
+    match Board.read_counted board ~count_addr ~data_addr ~stride ~max_count ~reset:true with
     | Error _ -> ()
     | Ok (_, raw) ->
       let len =

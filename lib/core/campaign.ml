@@ -265,12 +265,7 @@ let drain_cmp_hints st =
      | Fused -> ()
      | Per_request ->
        let layout = Osbuild.covbuf_layout st.build in
-       let raw =
-         Machine.read_counted st.machine
-           ~count_addr:(Sancov.Layout.cmp_count_addr layout)
-           ~data_addr:(Sancov.Layout.cmp_ring_addr layout)
-           ~stride:8 ~max_count:Sancov.Layout.cmp_ring_entries
-       in
+       let raw = Machine.read_counted st.machine (Sancov.Layout.cmp_ring layout) in
        absorb_cmp st ~count:(String.length raw / 8) raw);
     if st.pend_cmp_len > 0 then begin
       let pairs =
@@ -291,12 +286,7 @@ let drain_coverage st =
    | Fused -> ()
    | Per_request ->
      let layout = Osbuild.covbuf_layout st.build in
-     let raw =
-       Machine.read_counted st.machine
-         ~count_addr:(Sancov.Layout.write_index_addr layout)
-         ~data_addr:(Sancov.Layout.records_addr layout)
-         ~stride:4 ~max_count:layout.Sancov.Layout.capacity_records
-     in
+     let raw = Machine.read_counted st.machine (Sancov.Layout.records layout) in
      absorb_records st ~count:(String.length raw / 4) raw);
   let merged = Feedback.merge_array st.fb st.pend_rec ~len:st.pend_rec_len in
   st.pend_rec_len <- 0;

@@ -33,6 +33,16 @@ module Layout = struct
 
   let cmp_ring_addr t = cmp_count_addr t + 4
 
+  type counted = { count_addr : int; data_addr : int; stride : int; max_count : int }
+
+  let records t =
+    { count_addr = write_index_addr t; data_addr = records_addr t; stride = 4;
+      max_count = t.capacity_records }
+
+  let cmp_ring t =
+    { count_addr = cmp_count_addr t; data_addr = cmp_ring_addr t; stride = 8;
+      max_count = cmp_ring_entries }
+
   let size_bytes t = 4 + (4 * t.capacity_records) + 4 + (8 * cmp_ring_entries)
 end
 

@@ -29,18 +29,21 @@ module Layout : sig
 
   type t = { base : int; capacity_records : int }
 
-  val cmp_ring_entries : int
-  (** 1024 operand pairs; trivial comparisons are not recorded. *)
+  (** A buffer as a counted read drains it: a u32 element counter at
+      [count_addr], elements of [stride] bytes from [data_addr], the
+      counter clamped to [max_count]. Every drain, on either backend
+      and in every baseline, reads a buffer through this one value. *)
+  type counted = { count_addr : int; data_addr : int; stride : int; max_count : int }
 
-  val write_index_addr : t -> int
+  val records : t -> counted
+  (** The edge records at [base]: the write index, then up to
+      [capacity_records] 4-byte records. *)
 
-  val records_addr : t -> int
-
-  val cmp_count_addr : t -> int
-  (** Total comparisons recorded (monotonic until host reset). *)
-
-  val cmp_ring_addr : t -> int
-  (** 8 bytes per entry: the two operands' low 32 bits. *)
+  val cmp_ring : t -> counted
+  (** The cmp ring after the records: the count of comparisons recorded
+      (monotonic until host reset), then a ring of 1024 8-byte entries,
+      the two operands' low 32 bits; trivial comparisons are not
+      recorded. *)
 end
 
 type mode = Uninstrumented | Instrumented

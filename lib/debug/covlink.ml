@@ -4,12 +4,13 @@ module Eof_error = Eof_util.Eof_error
 
 type t = {
   session : Session.t;
-  layout : Sancov.Layout.t;
+  records : Sancov.Layout.counted;
+  cmp : Sancov.Layout.counted;
   obs : Obs.t;
   (* The ops after the optional write: continue, the records, the cmp
      ring (in [drain_cmp] only) and the UART. *)
-  drain : Rsp.batch_op list;
-  drain_cmp : Rsp.batch_op list;
+  drain : Rsp.batch_op array;
+  drain_cmp : Rsp.batch_op array;
   span : Obs.span_kind;
   c_drains : Obs.Counter.t;
   c_records : Obs.Counter.t;
@@ -24,32 +25,15 @@ type drained = {
   log : string;
 }
 
+let counted_op ({ count_addr; data_addr; stride; max_count } : Sancov.Layout.counted) =
+  Rsp.B_read_counted { count_addr; data_addr; stride; max_count; reset = true }
+
 let create ~session ~layout =
   let obs = Session.obs session in
-  let records =
-    Rsp.B_read_counted
-      {
-        count_addr = Sancov.Layout.write_index_addr layout;
-        data_addr = Sancov.Layout.records_addr layout;
-        stride = 4;
-        max_count = layout.Sancov.Layout.capacity_records;
-        reset = true;
-      }
-  in
-  let cmp =
-    Rsp.B_read_counted
-      {
-        count_addr = Sancov.Layout.cmp_count_addr layout;
-        data_addr = Sancov.Layout.cmp_ring_addr layout;
-        stride = 8;
-        max_count = Sancov.Layout.cmp_ring_entries;
-        reset = true;
-      }
-  in
-  let uart = Rsp.B_monitor "uart" in
-  { session; layout; obs;
-    drain = [ Rsp.B_continue; records; uart ];
-    drain_cmp = [ Rsp.B_continue; records; cmp; uart ];
+  let records = Sancov.Layout.records layout and cmp = Sancov.Layout.cmp_ring layout in
+  { session; records; cmp; obs;
+    drain = [| Rsp.B_continue; counted_op records; Rsp.B_monitor "uart" |];
+    drain_cmp = [| Rsp.B_continue; counted_op records; counted_op cmp; Rsp.B_monitor "uart" |];
     span = Obs.span_kind obs "covlink.exchange";
     c_drains = Obs.Counter.make obs "covlink.drains";
     c_records = Obs.Counter.make obs "covlink.records";
@@ -71,9 +55,9 @@ module Replies = Rsp.Replies
    per-stage "ignore the error, retry at the next stop" behaviour of the
    per-request drain; the counter was not reset server-side, so nothing
    is lost. *)
-let counted r ~max_count =
+let counted r (g : Sancov.Layout.counted) =
   match Replies.next r with
-  | Rsp.Sub_counted -> (Int.min (Replies.value r) max_count, Replies.data r)
+  | Rsp.Sub_counted -> (Int.min (Replies.value r) g.max_count, Replies.data r)
   | _ -> (0, "")
 
 (* The sub-replies after the write's, read in place: the stop, the
@@ -84,12 +68,8 @@ let continue_replies t r ~want_cmp =
     (match Session.decode_stop t.session r with
      | Error e -> Error e
      | Ok stop ->
-       let n_records, records_raw =
-         counted r ~max_count:t.layout.Sancov.Layout.capacity_records
-       in
-       let n_cmp, cmp_raw =
-         if want_cmp then counted r ~max_count:Sancov.Layout.cmp_ring_entries else (0, "")
-       in
+       let n_records, records_raw = counted r t.records in
+       let n_cmp, cmp_raw = if want_cmp then counted r t.cmp else (0, "") in
        let log = match Replies.next r with Rsp.Sub_data -> Replies.data r | _ -> "" in
        Ok (stop, { n_records; records_raw; n_cmp; cmp_raw; log }))
   | Rsp.Sub_error -> Error (Eof_error.remote (Replies.value r))
@@ -97,9 +77,14 @@ let continue_replies t r ~want_cmp =
 
 let continue_and_drain ?write t ~want_cmp =
   let drain = if want_cmp then t.drain_cmp else t.drain in
+  let ops =
+    match write with
+    | None -> drain
+    | Some (addr, data) -> Array.append [| Rsp.B_write { addr; data } |] drain
+  in
   let span = Obs.span_begin t.obs t.span in
   let result =
-    match Session.batch ?write t.session drain with
+    match Session.batch t.session ops with
     | Error e -> Error e
     | Ok r ->
       (* The session checked one sub-reply per op. A failed write must

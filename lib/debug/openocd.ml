@@ -43,6 +43,16 @@ type stop =
   | Stopped_fault of int
   | Target_exited
 
+let stop_kind = function
+  | Stopped_breakpoint _ -> "breakpoint"
+  | Stopped_quantum _ -> "quantum"
+  | Stopped_fault _ -> "fault"
+  | Target_exited -> "exited"
+
+let stop_pc = function
+  | Stopped_breakpoint pc | Stopped_quantum pc | Stopped_fault pc -> pc
+  | Target_exited -> -1
+
 let classify t (reason : Engine.stop_reason) =
   match reason with
   | Engine.Breakpoint_hit pc -> Stopped_breakpoint pc
@@ -178,7 +188,7 @@ let execute_batch_op t i (op : Rsp.batch_op) =
 let execute t (cmd : Rsp.command) =
   let respond reply = Rsp.add_reply t.out ~pc_reg:t.pc_reg reply in
   match cmd with
-  | Rsp.Batch ops -> Rsp.iter_batch_ops ops (execute_batch_op t)
+  | Rsp.Batch ops -> Array.iteri (execute_batch_op t) ops
   | Rsp.Q_supported _ ->
     respond (Rsp.Supported "PacketSize=4000;swbreak+;vFlashErase+;qRcmd+;vBatch+;QSnapshot+")
   | Rsp.Read_mem { addr; len } ->

@@ -37,6 +37,13 @@ type stop =
   | Stopped_fault of int  (** PC at the fault vector *)
   | Target_exited
 
+val stop_kind : stop -> string
+(** ["breakpoint"], ["quantum"], ["fault"] or ["exited"]: the [kind] of
+    a [Stop] event on either backend. *)
+
+val stop_pc : stop -> int
+(** The stop's PC; -1 for an exited target. *)
+
 val resume : t -> stop
 (** Run the engine for one continue quantum and classify where it
     stopped (the [c] packet, and the [vBatch] continue op). *)

@@ -2,9 +2,9 @@ open Eof_util
 
 (* The codecs below sit on every debug-link exchange, so each end of the
    link renders its frames into one reused output buffer and parses in
-   place: no Printf, no per-field substrings, no option per hex digit.
-   The wire bytes are exactly what the [Printf] formats "%x" / "%02x" /
-   "%08x" would produce. *)
+   place through one cursor: no Printf, no per-field substrings, no
+   option per hex digit. The wire bytes are exactly what the [Printf]
+   formats "%x" / "%02x" / "%08x" would produce. *)
 
 let checksum_range s pos stop =
   let acc = ref 0 in
@@ -12,8 +12,6 @@ let checksum_range s pos stop =
     acc := !acc + Char.code (String.unsafe_get s i)
   done;
   !acc land 0xFF
-
-let checksum s = checksum_range s 0 (String.length s)
 
 let hex_digit n = String.unsafe_get "0123456789abcdef" (n land 0xF)
 
@@ -89,16 +87,13 @@ let add_hex ?(width = 0) out n =
     out.Out.len <- p + w
   end
 
-let make_frame payload =
-  let n = String.length payload in
-  let b = Bytes.create (n + 4) in
-  let c = checksum payload in
-  Bytes.unsafe_set b 0 '$';
-  Bytes.unsafe_blit_string payload 0 b 1 n;
-  Bytes.unsafe_set b (n + 1) '#';
-  Bytes.unsafe_set b (n + 2) (hex_digit (c lsr 4));
-  Bytes.unsafe_set b (n + 3) (hex_digit c);
-  Bytes.unsafe_to_string b
+(* Two lowercase hex digits per byte. *)
+let add_hex_bytes out s =
+  String.iter
+    (fun c ->
+      Out.add_char out (hex_digit (Char.code c lsr 4));
+      Out.add_char out (hex_digit (Char.code c)))
+    s
 
 (* Each run of bytes between escapes is one blit. *)
 let add_escaped out s =
@@ -114,29 +109,6 @@ let add_escaped out s =
     end
   done;
   Out.add_substring out s !start (n - !start)
-
-let escape_binary s =
-  let out = Out.create () in
-  add_escaped out s;
-  Out.contents out
-
-let unescape_binary s =
-  let buf = Buffer.create (String.length s) in
-  let n = String.length s in
-  let rec go i =
-    if i >= n then Ok (Buffer.contents buf)
-    else if s.[i] = '}' then
-      if i + 1 >= n then Error "dangling escape at end of payload"
-      else begin
-        Buffer.add_char buf (Char.chr (Char.code s.[i + 1] lxor 0x20));
-        go (i + 2)
-      end
-    else begin
-      Buffer.add_char buf s.[i];
-      go (i + 1)
-    end
-  in
-  go 0
 
 (* The value of each hex digit byte, either case; 0xFF for any other
    byte. *)
@@ -160,7 +132,8 @@ module Decoder = struct
   let create () = { state = Idle; payload = Buffer.create 64 }
 
   let checked payload declared =
-    if checksum payload = declared then Packet payload else Bad_checksum payload
+    if checksum_range payload 0 (String.length payload) = declared then Packet payload
+    else Bad_checksum payload
 
   (* A frame whose '#' and both check bytes are in the chunk is decoded
      from the chunk: one loop finds the '#' and sums the payload. Only a
@@ -245,25 +218,6 @@ type batch_op =
     }
   | B_monitor of string
 
-(* A parse position over one packet payload. Section parsers raise
-   [Bad] internally and return it as [Error] at their boundary, so the
-   hot path allocates no result per field. [base] is where the parsed
-   section starts: error offsets are reported relative to it. *)
-type cursor = {
-  s : string;
-  mutable i : int;
-  base : int;
-  mutable checked : bool;  (* the check pass is done *)
-  mutable escapes : bool;  (* it found an escape in some binary segment *)
-}
-
-let cursor s base = { s; i = base; base; checked = false; escapes = false }
-
-exception Bad of string
-
-(* The ops of a [vBatch:] payload, all parsed before any runs. *)
-type batch_ops = { mutable ops : batch_op array; mutable count : int }
-
 type command =
   | Q_supported of string
   | Read_mem of { addr : int; len : int }
@@ -279,51 +233,9 @@ type command =
   | Flash_done
   | Monitor of string
   | Kill
-  | Batch of batch_ops
+  | Batch of batch_op array
   | Snapshot_save
   | Snapshot_restore
-
-(* The one reader of RSP hex numbers: [acc] extended by the digits
-   s.[i .. stop - 1], or -1 when one of them is not a hex digit (no
-   sign, "0x" or '_') or the value exceeds max_int. Callers reject an
-   empty field first. *)
-let rec hex_digits s i stop acc =
-  if i = stop then acc
-  else
-    let d = nibble (String.unsafe_get s i) in
-    if d > 15 || acc > max_int lsr 4 then -1 else hex_digits s (i + 1) stop ((acc lsl 4) lor d)
-
-(* The hex number s.[i .. stop - 1], or -1 when it is empty or bad. *)
-let hex_value s i stop = if i = stop then -1 else hex_digits s i stop 0
-
-let hex_error s i stop =
-  if i = stop then "empty hex number"
-  else Printf.sprintf "bad hex number %S" (String.sub s i (stop - i))
-
-let parse_hex_int s =
-  let n = String.length s in
-  match hex_value s 0 n with -1 -> Error (hex_error s 0 n) | v -> Ok v
-
-let split2 sep s =
-  match String.index_opt s sep with
-  | Some i -> Some (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
-  | None -> None
-
-let ( let* ) = Result.bind
-
-let parse_addr_len s =
-  match split2 ',' s with
-  | None -> Error (Printf.sprintf "expected addr,len in %S" s)
-  | Some (a, l) ->
-    let* addr = parse_hex_int a in
-    let* len = parse_hex_int l in
-    Ok (addr, len)
-
-let parse_breakpoint s =
-  (* payload after Z/z: "0,<addr>,<kind>" *)
-  match String.split_on_char ',' s with
-  | [ "0"; addr; _kind ] -> parse_hex_int addr
-  | _ -> Error (Printf.sprintf "unsupported breakpoint spec %S" s)
 
 (* --- batch (vBatch) wire format ---------------------------------------
 
@@ -354,110 +266,21 @@ let parse_breakpoint s =
    batch, and the host checks every sub-reply and their count before it
    reads them again in place. *)
 
-(* The hex number at the cursor, read in one pass. *)
-let hex_at c =
-  let s = c.s and start = c.i in
-  let n = String.length s in
-  let i = ref start and acc = ref 0 in
-  while !i < n && nibble (String.unsafe_get s !i) <= 15 do
-    if !acc > max_int lsr 4 then
-      raise (Bad (Printf.sprintf "hex number past max_int at offset %d" (start - c.base)));
-    acc := (!acc lsl 4) lor nibble (String.unsafe_get s !i);
-    incr i
-  done;
-  if !i = start then raise (Bad "expected hex number");
-  c.i <- !i;
-  !acc
-
-let expect c ch =
-  if c.i < String.length c.s && c.s.[c.i] = ch then c.i <- c.i + 1
-  else raise (Bad (Printf.sprintf "expected '%c' at offset %d" ch (c.i - c.base)))
-
-(* Where the [rawlen] logical (unescaped) bytes of }-escaped data that
-   start at the cursor end. Length-prefixed segments are what make the
-   batch wire format self-delimiting: raw separator bytes inside binary
-   data are harmless because the parser consumes by count, not by
-   delimiter. *)
-let segment_end c rawlen =
-  let s = c.s and n = String.length c.s in
-  if c.checked && not c.escapes then
-    (* Every segment of this payload is its own bytes. *)
-    c.i + rawlen
-  else begin
-    let i = ref c.i in
-    for _ = 1 to rawlen do
-      if !i >= n then raise (Bad "truncated binary segment");
-      if String.unsafe_get s !i = '}' then begin
-        if !i + 1 >= n then raise (Bad "dangling escape in binary segment");
-        i := !i + 2
-      end
-      else incr i
-    done;
-    if !i - c.i <> rawlen then c.escapes <- true;
-    !i
-  end
-
-(* The [rawlen] bytes of a checked segment s.[i .. stop - 1]: the
-   substring when it holds no escape (each escape takes two input bytes
-   for one logical byte). *)
-let segment_string s i stop rawlen =
-  if stop - i = rawlen then String.sub s i rawlen
-  else begin
-    let b = Bytes.create rawlen and i = ref i in
-    for k = 0 to rawlen - 1 do
-      if String.unsafe_get s !i = '}' then begin
-        Bytes.unsafe_set b k (Char.unsafe_chr (Char.code (String.unsafe_get s (!i + 1)) lxor 0x20));
-        i := !i + 2
-      end
-      else begin
-        Bytes.unsafe_set b k (String.unsafe_get s !i);
-        incr i
-      end
-    done;
-    Bytes.unsafe_to_string b
-  end
-
-(* The segment at the cursor, consumed. *)
-let escaped_at c rawlen =
-  let stop = segment_end c rawlen in
-  let data = segment_string c.s c.i stop rawlen in
-  c.i <- stop;
-  data
-
-(* Check the [;]-separated items from the cursor to the end of its
-   payload, the [k]th read by [item x k], and count them. *)
-let check_items ~empty ~empty_item item x c =
-  let n = String.length c.s in
-  if c.i >= n then Error empty
-  else
-    match
-      ignore (item x 0);
-      let k = ref 1 in
-      while c.i < n do
-        expect c ';';
-        if c.i >= n then raise (Bad empty_item);
-        ignore (item x !k);
-        incr k
-      done;
-      !k
-    with
-    | k ->
-      c.checked <- true;
-      Ok k
-    | exception Bad e -> Error e
-
 let add_segment out data =
   add_hex out (String.length data);
   Out.add_char out ':';
   add_escaped out data
 
+let add_addr_len out addr len =
+  add_hex out addr;
+  Out.add_char out ',';
+  add_hex out len
+
 let add_batch_op out = function
   | B_continue -> Out.add_char out 'c'
   | B_read { addr; len } ->
     Out.add_char out 'r';
-    add_hex out addr;
-    Out.add_char out ',';
-    add_hex out len
+    add_addr_len out addr len
   | B_write { addr; data } ->
     Out.add_char out 'w';
     add_hex out addr;
@@ -465,193 +288,61 @@ let add_batch_op out = function
     add_segment out data
   | B_read_counted { count_addr; data_addr; stride; max_count; reset } ->
     Out.add_char out 'k';
-    add_hex out count_addr;
+    add_addr_len out count_addr data_addr;
     Out.add_char out ',';
-    add_hex out data_addr;
-    Out.add_char out ',';
-    add_hex out stride;
-    Out.add_char out ',';
-    add_hex out max_count;
+    add_addr_len out stride max_count;
     Out.add_char out ',';
     Out.add_char out (if reset then 'r' else 'n')
   | B_monitor cmd ->
     Out.add_char out 'm';
     add_segment out cmd
 
-let rec add_batch_ops out = function
-  | [] -> ()
-  | [ op ] -> add_batch_op out op
-  | op :: ops ->
-    add_batch_op out op;
-    Out.add_char out ';';
-    add_batch_ops out ops
-
-let render_batch_ops ops =
-  let out = Out.create () in
-  add_batch_ops out ops;
-  Out.contents out
-
-(* One op at the cursor. *)
-let batch_op_at c =
-  let ch = c.s.[c.i] in
-  c.i <- c.i + 1;
-  match ch with
-  | 'c' -> B_continue
-  | 'r' ->
-    let addr = hex_at c in
-    expect c ',';
-    let len = hex_at c in
-    B_read { addr; len }
-  | 'w' ->
-    let addr = hex_at c in
-    expect c ',';
-    let len = hex_at c in
-    expect c ':';
-    let data = escaped_at c len in
-    B_write { addr; data }
-  | 'k' ->
-    let count_addr = hex_at c in
-    expect c ',';
-    let data_addr = hex_at c in
-    expect c ',';
-    let stride = hex_at c in
-    expect c ',';
-    let max_count = hex_at c in
-    expect c ',';
-    let reset =
-      match if c.i < String.length c.s then c.s.[c.i] else ' ' with
-      | 'r' -> true
-      | 'n' -> false
-      | _ -> raise (Bad "counted read: expected 'r' or 'n'")
-    in
-    c.i <- c.i + 1;
-    B_read_counted { count_addr; data_addr; stride; max_count; reset }
-  | 'm' ->
-    let len = hex_at c in
-    expect c ':';
-    B_monitor (escaped_at c len)
-  | ch -> raise (Bad (Printf.sprintf "unknown batch op '%c'" ch))
-
-(* The [k]th op at the cursor, stored in [b]. *)
-let store_op (c, b) k =
-  if k = Array.length b.ops then begin
-    let ops = Array.make (2 * k) B_continue in
-    Array.blit b.ops 0 ops 0 k;
-    b.ops <- ops
-  end;
-  b.ops.(k) <- batch_op_at c
-
-let parse_ops s pos =
-  let c = cursor s pos and b = { ops = Array.make 8 B_continue; count = 0 } in
-  match check_items ~empty:"empty batch" ~empty_item:"empty batch item" store_op (c, b) c with
-  | Ok k ->
-    b.count <- k;
-    Ok b
-  | Error e -> Error e
-
-let iter_batch_ops b f =
-  for k = 0 to b.count - 1 do
-    f k b.ops.(k)
-  done
-
-let batch_op_list b = List.init b.count (Array.get b.ops)
-
-let parse_batch_ops s = Result.map batch_op_list (parse_ops s 0)
-
-(* [String.sub payload 0 (String.length p) = p], without the copy. *)
-let rec prefix_from payload p i =
-  i >= String.length p || (payload.[i] = p.[i] && prefix_from payload p (i + 1))
-
-let has_prefix payload p = String.length payload >= String.length p && prefix_from payload p 0
-
-let parse_command payload =
-  if payload = "" then Error "empty packet"
-  else
-    let rest () = String.sub payload 1 (String.length payload - 1) in
-    match payload.[0] with
-    | 'q' ->
-      if payload = "qSupported" then Ok (Q_supported "")
-      else if has_prefix payload "qSupported:" then
-        Ok (Q_supported (String.sub payload 11 (String.length payload - 11)))
-      else if has_prefix payload "qRcmd," then
-        let hex = String.sub payload 6 (String.length payload - 6) in
-        (match Hex.decode hex with
-         | Ok cmd -> Ok (Monitor cmd)
-         | Error e -> Error ("qRcmd: " ^ e))
-      else Error (Printf.sprintf "unsupported query %S" payload)
-    | 'm' ->
-      let* addr, len = parse_addr_len (rest ()) in
-      Ok (Read_mem { addr; len })
-    | 'M' ->
-      (match split2 ':' (rest ()) with
-       | None -> Error "M: missing data"
-       | Some (range, hexdata) ->
-         let* addr, len = parse_addr_len range in
-         (match Hex.decode hexdata with
-          | Error e -> Error ("M: " ^ e)
-          | Ok data ->
-            if String.length data <> len then Error "M: length mismatch"
-            else Ok (Write_mem { addr; data })))
-    | 'Z' ->
-      let* addr = parse_breakpoint (rest ()) in
-      Ok (Insert_breakpoint addr)
-    | 'z' ->
-      let* addr = parse_breakpoint (rest ()) in
-      Ok (Remove_breakpoint addr)
-    | 'Q' ->
-      (* QSnapshot extension: the stub holds one board-side snapshot.
-         "save" captures it; "restore" copies dirty pages back. Replies
-         are "S<hex>" — pages covered for save, pages copied for
-         restore — so the host can account restore cost. *)
-      if payload = "QSnapshot:save" then Ok Snapshot_save
-      else if payload = "QSnapshot:restore" then Ok Snapshot_restore
-      else Error (Printf.sprintf "unsupported set packet %S" payload)
-    | 'c' when payload = "c" -> Ok Continue
-    | 's' when payload = "s" -> Ok Step
-    | 'g' when payload = "g" -> Ok Read_registers
-    | '?' when payload = "?" -> Ok Halt_reason
-    | 'k' when payload = "k" -> Ok Kill
-    | 'v' ->
-      if has_prefix payload "vFlashErase:" then
-        let* addr, len = parse_addr_len (String.sub payload 12 (String.length payload - 12)) in
-        Ok (Flash_erase { addr; len })
-      else if has_prefix payload "vFlashWrite:" then
-        let body = String.sub payload 12 (String.length payload - 12) in
-        (match split2 ':' body with
-         | None -> Error "vFlashWrite: missing data"
-         | Some (a, escaped) ->
-           let* addr = parse_hex_int a in
-           (match unescape_binary escaped with
-            | Error e -> Error ("vFlashWrite: " ^ e)
-            | Ok data -> Ok (Flash_write { addr; data })))
-      else if payload = "vFlashDone" then Ok Flash_done
-      else if has_prefix payload "vBatch:" then
-        let* ops = parse_ops payload 7 in
-        Ok (Batch ops)
-      else Error (Printf.sprintf "unsupported v-packet %S" payload)
-    | _ -> Error (Printf.sprintf "unsupported packet %S" payload)
-
-let render_command = function
-  | Q_supported "" -> "qSupported"
-  | Q_supported features -> "qSupported:" ^ features
-  | Read_mem { addr; len } -> Printf.sprintf "m%x,%x" addr len
+let add_command out = function
+  | Q_supported "" -> Out.add_string out "qSupported"
+  | Q_supported features ->
+    Out.add_string out "qSupported:";
+    Out.add_string out features
+  | Read_mem { addr; len } ->
+    Out.add_char out 'm';
+    add_addr_len out addr len
   | Write_mem { addr; data } ->
-    Printf.sprintf "M%x,%x:%s" addr (String.length data) (Hex.encode data)
-  | Insert_breakpoint addr -> Printf.sprintf "Z0,%x,2" addr
-  | Remove_breakpoint addr -> Printf.sprintf "z0,%x,2" addr
-  | Continue -> "c"
-  | Step -> "s"
-  | Read_registers -> "g"
-  | Halt_reason -> "?"
-  | Kill -> "k"
-  | Flash_erase { addr; len } -> Printf.sprintf "vFlashErase:%x,%x" addr len
+    Out.add_char out 'M';
+    add_addr_len out addr (String.length data);
+    Out.add_char out ':';
+    add_hex_bytes out data
+  | Insert_breakpoint addr ->
+    Out.add_string out "Z0,";
+    add_hex out addr;
+    Out.add_string out ",2"
+  | Remove_breakpoint addr ->
+    Out.add_string out "z0,";
+    add_hex out addr;
+    Out.add_string out ",2"
+  | Continue -> Out.add_char out 'c'
+  | Step -> Out.add_char out 's'
+  | Read_registers -> Out.add_char out 'g'
+  | Halt_reason -> Out.add_char out '?'
+  | Kill -> Out.add_char out 'k'
+  | Flash_erase { addr; len } ->
+    Out.add_string out "vFlashErase:";
+    add_addr_len out addr len
   | Flash_write { addr; data } ->
-    Printf.sprintf "vFlashWrite:%x:%s" addr (escape_binary data)
-  | Flash_done -> "vFlashDone"
-  | Monitor cmd -> "qRcmd," ^ Hex.encode cmd
-  | Batch b -> "vBatch:" ^ render_batch_ops (batch_op_list b)
-  | Snapshot_save -> "QSnapshot:save"
-  | Snapshot_restore -> "QSnapshot:restore"
+    Out.add_string out "vFlashWrite:";
+    add_hex out addr;
+    Out.add_char out ':';
+    add_escaped out data
+  | Flash_done -> Out.add_string out "vFlashDone"
+  | Monitor cmd ->
+    Out.add_string out "qRcmd,";
+    add_hex_bytes out cmd
+  | Batch ops ->
+    Out.add_string out "vBatch:";
+    for k = 0 to Array.length ops - 1 do
+      if k > 0 then Out.add_char out ';';
+      add_batch_op out ops.(k)
+    done
+  | Snapshot_save -> Out.add_string out "QSnapshot:save"
+  | Snapshot_restore -> Out.add_string out "QSnapshot:restore"
 
 type stop_info = { signal : int; pc : int; detail : string }
 
@@ -669,12 +360,7 @@ let add_reply out ~pc_reg = function
   | Error_reply n ->
     Out.add_char out 'E';
     add_hex ~width:2 out (n land 0xFF)
-  | Hex_data raw ->
-    String.iter
-      (fun c ->
-        Out.add_char out (hex_digit (Char.code c lsr 4));
-        Out.add_char out (hex_digit (Char.code c)))
-      raw
+  | Hex_data raw -> add_hex_bytes out raw
   | Stop { signal; pc; detail } ->
     Out.add_char out 'T';
     add_hex ~width:2 out (signal land 0xFF);
@@ -727,50 +413,326 @@ let add_sub_stop out ~pc_reg reply =
     add_reply payload ~pc_reg reply;
     add_segment out (Out.contents payload)
 
-(* s.[i .. stop - 1] itself when it is all of [s]. *)
-let slice s i stop = if i = 0 && stop = String.length s then s else String.sub s i (stop - i)
+(* --- the reader ---------------------------------------------------------
 
-let rec index_in s i stop ch =
-  if i >= stop then -1 else if String.unsafe_get s i = ch then i else index_in s (i + 1) stop ch
+   Every packet field, on both ends, is read through one cursor over the
+   section s.[base .. stop - 1]. Readers raise [Bad] and the entry points
+   return it as [Error], so the hot path allocates no result per field;
+   error offsets are relative to [base]. *)
 
-(* "Txx<reg>:<pc8>;<detail>;" in s.[pos .. stop - 1], which starts with
-   'T' and holds at least three bytes. *)
-let stop_at ~pc_reg s pos stop =
-  let signal = hex_value s (pos + 1) (pos + 3) in
-  if signal < 0 then Error (hex_error s (pos + 1) (pos + 3))
-  else
-    match index_in s (pos + 3) stop ':' with
-    | -1 -> Error (Printf.sprintf "stop reply missing register: %S" (slice s pos stop))
-    | colon ->
-      let reg = hex_value s (pos + 3) colon in
-      if reg < 0 then Error (hex_error s (pos + 3) colon)
-      else if reg <> pc_reg then
-        Error (Printf.sprintf "stop reply for unexpected register %d" reg)
-      else if stop - (colon + 1) < 9 then Error "stop reply too short"
-      else
-        let pc = hex_value s (colon + 1) (colon + 9) in
-        if pc < 0 then Error (hex_error s (colon + 1) (colon + 9))
-        else
-          let d = colon + 10 in
-          let d_end = if stop > d && s.[stop - 1] = ';' then stop - 1 else stop in
-          Ok (Stop { signal; pc; detail = String.sub s d (d_end - d) })
+type cursor = {
+  s : string;
+  mutable i : int;
+  base : int;
+  stop : int;
+  mutable checked : bool;  (* the check pass is done *)
+  mutable escapes : bool;  (* it found an escape in some binary segment *)
+}
 
-(* The reply in s.[pos .. stop - 1]. *)
-let reply_at ~pc_reg s pos stop =
-  let len = stop - pos in
-  if len = 2 && s.[pos] = 'O' && s.[pos + 1] = 'K' then Ok Ok_reply
-  else if len = 3 && s.[pos] = 'E' then
-    match hex_value s (pos + 1) (pos + 3) with
-    | -1 -> Error (hex_error s (pos + 1) (pos + 3))
-    | n -> Ok (Error_reply n)
-  else if len >= 3 && s.[pos] = 'W' then
-    match hex_value s (pos + 1) (pos + 3) with
-    | -1 -> Error (hex_error s (pos + 1) (pos + 3))
-    | n -> Ok (Exited n)
-  else if len >= 3 && s.[pos] = 'T' then stop_at ~pc_reg s pos stop
-  else Ok (Raw (slice s pos stop))
+let cursor s base stop = { s; i = base; base; stop; checked = false; escapes = false }
 
-let parse_reply ~pc_reg payload = reply_at ~pc_reg payload 0 (String.length payload)
+exception Bad of string
+
+let bad fmt = Printf.ksprintf (fun e -> raise (Bad e)) fmt
+
+(* The hex number at the cursor, its digits up to [limit]: hex digits
+   only (no sign, "0x" or '_') and at most max_int. *)
+let hex_upto c limit =
+  let s = c.s and start = c.i in
+  let i = ref start and acc = ref 0 in
+  while !i < limit && nibble (String.unsafe_get s !i) <= 15 do
+    if !acc > max_int lsr 4 then bad "hex number past max_int at offset %d" (start - c.base);
+    acc := (!acc lsl 4) lor nibble (String.unsafe_get s !i);
+    incr i
+  done;
+  if !i = start then bad "expected hex number at offset %d" (start - c.base);
+  c.i <- !i;
+  !acc
+
+let hex_at c = hex_upto c c.stop
+
+(* Exactly [width] hex digits. *)
+let hex_fixed c width =
+  let start = c.i in
+  let v = hex_upto c (Int.min c.stop (start + width)) in
+  if c.i <> start + width then bad "expected %d hex digits at offset %d" width (start - c.base);
+  v
+
+let expect c ch =
+  if c.i < c.stop && String.unsafe_get c.s c.i = ch then c.i <- c.i + 1
+  else bad "expected '%c' at offset %d" ch (c.i - c.base)
+
+let rec matches s i p k =
+  k = String.length p || (String.unsafe_get s (i + k) = p.[k] && matches s i p (k + 1))
+
+(* [p] at the cursor, consumed. *)
+let skip_prefix c p =
+  c.i + String.length p <= c.stop
+  && matches c.s c.i p 0
+  && (c.i <- c.i + String.length p;
+      true)
+
+(* The rest of the section, as text. *)
+let rest c =
+  let v = String.sub c.s c.i (c.stop - c.i) in
+  c.i <- c.stop;
+  v
+
+(* The rest of the section, two hex digits per byte. *)
+let hex_bytes_rest c =
+  let n = c.stop - c.i in
+  if n land 1 = 1 then bad "odd-length hex data at offset %d" (c.i - c.base);
+  let b = Bytes.create (n / 2) in
+  for k = 0 to (n / 2) - 1 do
+    let hi = nibble c.s.[c.i + (2 * k)] and lo = nibble c.s.[c.i + (2 * k) + 1] in
+    if hi > 15 || lo > 15 then bad "non-hex digit at offset %d" (c.i + (2 * k) - c.base);
+    Bytes.unsafe_set b k (Char.unsafe_chr ((hi lsl 4) lor lo))
+  done;
+  c.i <- c.stop;
+  Bytes.unsafe_to_string b
+
+(* Where the [rawlen] logical (unescaped) bytes of }-escaped data that
+   start at the cursor end. Length-prefixed segments are what make the
+   batch wire format self-delimiting: raw separator bytes inside binary
+   data are harmless because the parser consumes by count, not by
+   delimiter. *)
+let segment_end c rawlen =
+  let s = c.s and n = c.stop in
+  if c.checked && not c.escapes then
+    (* Every segment of this payload is its own bytes. *)
+    c.i + rawlen
+  else begin
+    let i = ref c.i in
+    for _ = 1 to rawlen do
+      if !i >= n then raise (Bad "truncated binary segment");
+      if String.unsafe_get s !i = '}' then begin
+        if !i + 1 >= n then raise (Bad "dangling escape in binary segment");
+        i := !i + 2
+      end
+      else incr i
+    done;
+    if !i - c.i <> rawlen then c.escapes <- true;
+    !i
+  end
+
+(* The [rawlen] bytes of a checked segment s.[i .. stop - 1]: the
+   substring when it holds no escape (each escape takes two input bytes
+   for one logical byte). *)
+let segment_string s i stop rawlen =
+  if stop - i = rawlen then String.sub s i rawlen
+  else begin
+    let b = Bytes.create rawlen and i = ref i in
+    for k = 0 to rawlen - 1 do
+      if String.unsafe_get s !i = '}' then begin
+        Bytes.unsafe_set b k (Char.unsafe_chr (Char.code (String.unsafe_get s (!i + 1)) lxor 0x20));
+        i := !i + 2
+      end
+      else begin
+        Bytes.unsafe_set b k (String.unsafe_get s !i);
+        incr i
+      end
+    done;
+    Bytes.unsafe_to_string b
+  end
+
+(* The segment of [rawlen] logical bytes at the cursor, consumed. *)
+let escaped_at c rawlen =
+  let stop = segment_end c rawlen in
+  let data = segment_string c.s c.i stop rawlen in
+  c.i <- stop;
+  data
+
+(* The escaped bytes from the cursor to the section's end. *)
+let escaped_rest c =
+  let rawlen = ref 0 and i = ref c.i in
+  while !i < c.stop do
+    i := !i + if String.unsafe_get c.s !i = '}' then 2 else 1;
+    incr rawlen
+  done;
+  escaped_at c !rawlen
+
+(* Check the [;]-separated items from the cursor to the end of its
+   section, each read by [item x], and count them. *)
+let items ~what item x c =
+  if c.i >= c.stop then bad "empty %s" what;
+  item x;
+  let k = ref 1 in
+  while c.i < c.stop do
+    expect c ';';
+    if c.i >= c.stop then bad "empty %s item" what;
+    item x;
+    incr k
+  done;
+  c.checked <- true;
+  !k
+
+(* One op at the cursor. *)
+let batch_op_at c =
+  let ch = c.s.[c.i] in
+  c.i <- c.i + 1;
+  match ch with
+  | 'c' -> B_continue
+  | 'r' ->
+    let addr = hex_at c in
+    expect c ',';
+    let len = hex_at c in
+    B_read { addr; len }
+  | 'w' ->
+    let addr = hex_at c in
+    expect c ',';
+    let len = hex_at c in
+    expect c ':';
+    let data = escaped_at c len in
+    B_write { addr; data }
+  | 'k' ->
+    let count_addr = hex_at c in
+    expect c ',';
+    let data_addr = hex_at c in
+    expect c ',';
+    let stride = hex_at c in
+    expect c ',';
+    let max_count = hex_at c in
+    expect c ',';
+    let reset =
+      match if c.i < c.stop then c.s.[c.i] else ' ' with
+      | 'r' -> true
+      | 'n' -> false
+      | _ -> raise (Bad "counted read: expected 'r' or 'n'")
+    in
+    c.i <- c.i + 1;
+    B_read_counted { count_addr; data_addr; stride; max_count; reset }
+  | 'm' ->
+    let len = hex_at c in
+    expect c ':';
+    B_monitor (escaped_at c len)
+  | ch -> bad "unknown batch op '%c'" ch
+
+let batch_ops_at c =
+  let ops = ref [] in
+  ignore (items ~what:"batch" (fun c -> ops := batch_op_at c :: !ops) c c : int);
+  Array.of_list (List.rev !ops)
+
+(* The breakpoint kind after "Z0,<addr>,": any bytes but ','. *)
+let skip_kind c =
+  while c.i < c.stop do
+    if c.s.[c.i] = ',' then bad "unsupported breakpoint spec %S" c.s;
+    c.i <- c.i + 1
+  done
+
+let addr_len c =
+  let addr = hex_at c in
+  expect c ',';
+  (addr, hex_at c)
+
+let command_at c =
+  let s = c.s in
+  if c.i >= c.stop then raise (Bad "empty packet");
+  match s.[c.i] with
+  | 'm' ->
+    c.i <- c.i + 1;
+    let addr, len = addr_len c in
+    Read_mem { addr; len }
+  | 'M' ->
+    c.i <- c.i + 1;
+    let addr, len = addr_len c in
+    expect c ':';
+    let data = hex_bytes_rest c in
+    if String.length data <> len then raise (Bad "M: length mismatch");
+    Write_mem { addr; data }
+  | ('Z' | 'z') as z ->
+    c.i <- c.i + 1;
+    expect c '0';
+    expect c ',';
+    let addr = hex_at c in
+    expect c ',';
+    skip_kind c;
+    if z = 'Z' then Insert_breakpoint addr else Remove_breakpoint addr
+  | _ when skip_prefix c "qSupported" ->
+    if c.i = c.stop then Q_supported ""
+    else begin
+      expect c ':';
+      Q_supported (rest c)
+    end
+  | _ when skip_prefix c "qRcmd," -> Monitor (hex_bytes_rest c)
+  | _ when skip_prefix c "vFlashErase:" ->
+    let addr, len = addr_len c in
+    Flash_erase { addr; len }
+  | _ when skip_prefix c "vFlashWrite:" ->
+    let addr = hex_at c in
+    expect c ':';
+    Flash_write { addr; data = escaped_rest c }
+  | _ when skip_prefix c "vBatch:" -> Batch (batch_ops_at c)
+  | _ ->
+    let cmd =
+      match s with
+      | "c" -> Continue
+      | "s" -> Step
+      | "g" -> Read_registers
+      | "?" -> Halt_reason
+      | "k" -> Kill
+      | "vFlashDone" -> Flash_done
+      (* QSnapshot extension: the stub holds one board-side snapshot.
+         "save" captures it; "restore" copies dirty pages back. Replies
+         are "S<hex>" — pages covered for save, pages copied for
+         restore — so the host can account restore cost. *)
+      | "QSnapshot:save" -> Snapshot_save
+      | "QSnapshot:restore" -> Snapshot_restore
+      | _ -> bad "unsupported packet %S" s
+    in
+    c.i <- c.stop;
+    cmd
+
+(* "Txx<reg>:<pc>;<detail>;" at the cursor. *)
+let stop_at ~pc_reg c =
+  c.i <- c.i + 1;
+  let signal = hex_fixed c 2 in
+  let reg = hex_at c in
+  expect c ':';
+  if reg <> pc_reg then bad "stop reply for unexpected register %d" reg;
+  let pc = hex_at c in
+  expect c ';';
+  let d_end = if c.stop > c.i && c.s.[c.stop - 1] = ';' then c.stop - 1 else c.stop in
+  Stop { signal; pc; detail = String.sub c.s c.i (d_end - c.i) }
+
+(* The reply in the cursor's section. *)
+let reply_at ~pc_reg c =
+  let s = c.s and pos = c.i in
+  let len = c.stop - pos in
+  if len = 2 && s.[pos] = 'O' && s.[pos + 1] = 'K' then Ok_reply
+  else if (len = 3 && s.[pos] = 'E') || (len >= 3 && s.[pos] = 'W') then begin
+    c.i <- pos + 1;
+    let n = hex_fixed c 2 in
+    if s.[pos] = 'E' then Error_reply n else Exited n
+  end
+  else if len >= 3 && s.[pos] = 'T' then stop_at ~pc_reg c
+  else if pos = 0 && c.stop = String.length s then Raw s
+  else Raw (String.sub s pos len)
+
+let whole s = cursor s 0 (String.length s)
+
+let parse_hex_int s =
+  let c = whole s in
+  match hex_at c with
+  | v when c.i = c.stop -> Ok v
+  | _ -> Error (Printf.sprintf "bad hex number %S" s)
+  | exception Bad e -> Error e
+
+let parse_command payload =
+  let c = whole payload in
+  match command_at c with
+  | _ when c.i <> c.stop -> Error (Eof_error.protocol (Printf.sprintf "trailing bytes in %S" payload))
+  | cmd -> Ok cmd
+  | exception Bad e -> Error (Eof_error.protocol e)
+
+let parse_reply ~pc_reg payload =
+  match reply_at ~pc_reg (whole payload) with
+  | reply -> Ok reply
+  | exception Bad e -> Error (Eof_error.protocol e)
+
+let hex_data s =
+  match hex_bytes_rest (whole s) with
+  | data -> Ok data
+  | exception Bad e -> Error (Eof_error.protocol e)
 
 module Replies = struct
   type t = {
@@ -788,11 +750,14 @@ module Replies = struct
     r.seg_end <- 0;
     r.seg_len <- 0
 
-  let segment r rawlen =
-    r.seg <- r.c.i;
-    r.seg_end <- segment_end r.c rawlen;
+  let segment r =
+    let c = r.c in
+    let rawlen = hex_at c in
+    expect c ':';
+    r.seg <- c.i;
+    r.seg_end <- segment_end c rawlen;
     r.seg_len <- rawlen;
-    r.c.i <- r.seg_end
+    c.i <- r.seg_end
 
   (* One item at the cursor, into [r]'s fields. *)
   let item r =
@@ -804,45 +769,30 @@ module Replies = struct
       no_segment r;
       Sub_ok
     | 'E' ->
-      if c.i + 2 > String.length c.s then raise (Bad "truncated error reply");
-      (match hex_value c.s c.i (c.i + 2) with
-       | -1 -> raise (Bad (hex_error c.s c.i (c.i + 2)))
-       | code ->
-         c.i <- c.i + 2;
-         r.value <- code;
-         no_segment r;
-         Sub_error)
+      r.value <- hex_fixed c 2;
+      no_segment r;
+      Sub_error
     | 'd' ->
-      let len = hex_at c in
-      expect c ':';
-      segment r len;
+      segment r;
       Sub_data
     | 'k' ->
       r.value <- hex_at c;
       expect c ',';
-      let len = hex_at c in
-      expect c ':';
-      segment r len;
+      segment r;
       Sub_counted
     | 's' ->
-      let len = hex_at c in
-      expect c ':';
-      segment r len;
+      segment r;
       Sub_stop
-    | ch -> raise (Bad (Printf.sprintf "unknown batch reply '%c'" ch))
+    | ch -> bad "unknown batch reply '%c'" ch
 
   let read s ~pos =
     let r =
-      { c = cursor s pos; length = 0; left = 0; value = 0; seg = 0; seg_end = 0;
-        seg_len = 0 }
+      { c = cursor s pos (String.length s); length = 0; left = 0; value = 0; seg = 0;
+        seg_end = 0; seg_len = 0 }
     in
-    match
-      check_items ~empty:"empty batch reply" ~empty_item:"empty batch reply item"
-        (fun r _ -> item r)
-        r r.c
-    with
-    | Error e -> Error (Eof_error.protocol e)
-    | Ok k ->
+    match items ~what:"batch reply" (fun r -> ignore (item r : sub_reply)) r r.c with
+    | exception Bad e -> Error (Eof_error.protocol e)
+    | k ->
       r.c.i <- pos;
       r.length <- k;
       r.left <- k;
@@ -863,24 +813,9 @@ module Replies = struct
   let data r = if r.seg_len = 0 then "" else segment_string r.c.s r.seg r.seg_end r.seg_len
 
   let stop r ~pc_reg =
-    Result.map_error Eof_error.protocol
-      (if r.seg_end - r.seg = r.seg_len then reply_at ~pc_reg r.c.s r.seg r.seg_end
-       else parse_reply ~pc_reg (data r))
+    if r.seg_end - r.seg = r.seg_len then
+      match reply_at ~pc_reg (cursor r.c.s r.seg r.seg_end) with
+      | reply -> Ok reply
+      | exception Bad e -> Error (Eof_error.protocol e)
+    else parse_reply ~pc_reg (data r)
 end
-
-(* --- typed boundary ----------------------------------------------------
-
-   The parsers above compose over plain strings; the public entry points
-   re-type their errors as [Eof_error.Protocol] so every consumer up the
-   stack speaks one error language. (Shadowing below the internal uses
-   keeps the string combinators composable in here.) *)
-
-let typed r = Result.map_error Eof_error.protocol r
-
-let unescape_binary s = typed (unescape_binary s)
-
-let parse_batch_ops s = typed (parse_batch_ops s)
-
-let parse_command payload = typed (parse_command payload)
-
-let parse_reply ~pc_reg payload = typed (parse_reply ~pc_reg payload)

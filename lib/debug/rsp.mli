@@ -5,16 +5,18 @@
     simulated probe link, so the protocol layer is real: packets are
     framed as [$payload#xx] with a mod-256 checksum, binary payloads use
     [}]-escaping, and malformed input is rejected the way a picky stub
-    would reject it. *)
+    would reject it.
+
+    Each end renders what it sends into one {!Out.t}. Every parse entry
+    point reads its fields through one cursor and fails with
+    [Eof_error.Protocol] — malformed wire data is a protocol error by
+    definition. Binary sections ([vFlashWrite] data, [vBatch] segments)
+    escape [$], [#], [}] and [*] as [}(c lxor 0x20)]. *)
 
 val parse_hex_int : string -> (int, string) result
 (** One hex number field, as every RSP packet and reply carries them:
     hex digits only (no sign, ["0x"] or ['_']) and at most [max_int]. An
     empty field, any other byte, or a larger value is an [Error]. *)
-
-val make_frame : string -> string
-(** [$payload#xx], [xx] the sum of the payload bytes mod 256. The
-    payload must already be escaped. *)
 
 (** A reusable output buffer. Each end of the link owns one and renders
     every frame it sends into it, so sending a packet costs one
@@ -28,8 +30,6 @@ module Out : sig
 
   val add_char : t -> char -> unit
 
-  val add_string : t -> string -> unit
-
   val open_frame : t -> unit
   (** Start a frame: the ['$']. *)
 
@@ -39,15 +39,6 @@ module Out : sig
 
   val contents : t -> string
 end
-
-val escape_binary : string -> string
-(** Escape [$], [#], [}] and [*] as [}(c lxor 0x20)] for binary payload
-    sections (as used by [vFlashWrite]). *)
-
-val unescape_binary : string -> (string, Eof_util.Eof_error.t) result
-(** All parse entry points in this module fail with
-    [Eof_error.Protocol] — malformed wire data is a protocol error by
-    definition. *)
 
 (** Incremental frame decoder. Feed raw bytes; collect events. *)
 module Decoder : sig
@@ -90,23 +81,6 @@ type batch_op =
           one sub-operation. *)
   | B_monitor of string  (** qRcmd text, raw *)
 
-val add_batch_ops : Out.t -> batch_op list -> unit
-(** The [vBatch:] payload body (escaped, self-delimiting): the ops,
-    [;]-separated. *)
-
-val render_batch_ops : batch_op list -> string
-(** {!add_batch_ops} as a string. *)
-
-val parse_batch_ops : string -> (batch_op list, Eof_util.Eof_error.t) result
-
-(** The ops of a [vBatch:] packet. {!parse_command} parses every one
-    before the probe runs any, so a malformed op anywhere leaves none to
-    run. *)
-type batch_ops
-
-val iter_batch_ops : batch_ops -> (int -> batch_op -> unit) -> unit
-(** [f i op] for each op in order, [i] from 0. *)
-
 (** Host-to-target commands, parsed from packet payloads. *)
 type command =
   | Q_supported of string
@@ -123,9 +97,11 @@ type command =
   | Flash_done
   | Monitor of string  (** qRcmd, decoded from hex *)
   | Kill
-  | Batch of batch_ops
-      (** [vBatch:] multi-operation exchange. A malformed op anywhere
-          makes the whole packet a parse error, so no op runs. *)
+  | Batch of batch_op array
+      (** [vBatch:] multi-operation exchange, ops [;]-separated. The
+          probe parses every op before it runs any, so a malformed op
+          anywhere makes the whole packet a parse error and no op
+          runs. *)
   | Snapshot_save
       (** [QSnapshot:save] — capture a board-side copy-on-write
           snapshot; reply is [S<hex pages covered>] *)
@@ -133,11 +109,12 @@ type command =
       (** [QSnapshot:restore] — copy dirty pages back from the saved
           snapshot; reply is [S<hex pages copied>] *)
 
-val parse_command : string -> (command, Eof_util.Eof_error.t) result
-(** Parse an unescaped packet payload. *)
+val add_command : Out.t -> command -> unit
+(** Client side: the command's packet payload (escaped where needed). *)
 
-val render_command : command -> string
-(** Client side: payload text for a command (escaped where needed). *)
+val parse_command : string -> (command, Eof_util.Eof_error.t) result
+(** Parse a packet payload: the whole of it, so trailing bytes are an
+    error. *)
 
 (** Target-to-host replies. *)
 type stop_info = {
@@ -162,6 +139,10 @@ val add_reply : Out.t -> pc_reg:int -> reply -> unit
 val parse_reply : pc_reg:int -> string -> (reply, Eof_util.Eof_error.t) result
 (** Client side. [Raw] is returned for payloads that match no structured
     form; callers with context (e.g. after [m]) interpret it. *)
+
+val hex_data : string -> (string, Eof_util.Eof_error.t) result
+(** A [Raw] payload read as hex data, two digits per byte: the reply to
+    [m] or [g], or [qRcmd] output. *)
 
 (** {2 Batch sub-replies}
 

@@ -13,19 +13,14 @@ module Obs = Eof_obs.Obs
 
 type t = {
   transport : Transport.t;
-  server : Openocd.t;
+  feed : string -> string;  (* the probe's [Openocd.feed], bound at connect *)
   mutable decoder : Rsp.Decoder.t;
-  tx : Rsp.Out.t;  (* vBatch frames are rendered in here *)
-  (* The text of the last op list [batch] rendered. Ops are immutable,
-     so a caller that sends the same list value at every stop has it
-     rendered once. *)
-  mutable ops : Rsp.batch_op list;
-  mutable ops_text : string;
+  tx : Rsp.Out.t;  (* every command is rendered and framed in here *)
   pc_reg : int;
   endianness : Arch.endianness;
   mutable requests : int;
   mutable features : string;  (* the stub's qSupported reply *)
-  mutable retry : Eof_error.Retry.budget;
+  mutable attempts : int;  (* per request, including the first *)
   obs : Obs.t;
   c_batches : Obs.Counter.t;
   c_batch_ops : Obs.Counter.t;
@@ -38,53 +33,66 @@ let ( let* ) = Result.bind
 
 let error_to_string = Eof_error.to_string
 
-let set_retry t budget = t.retry <- budget
+let set_retry t attempts =
+  if attempts < 1 then invalid_arg "Session.set_retry: attempts must be >= 1";
+  t.attempts <- attempts
 
-(* One logical request: frame, exchange, decode, parse — retried under
-   the session's budget. Only link-level failures (timeout, desync) are
-   retried; [Remote]/[Protocol] replies are deterministic answers.
-   Backoff waits are charged to the transport's virtual clock, so
-   recovery is deterministic and visible in virtual time. *)
-let request_frame t tx =
+(* The wait before retry [n + 1]: 200 us doubling to a 5 ms ceiling —
+   cheap against a 500 ms timeout, decisive against a transient
+   glitch. *)
+let backoff_us n = Float.min (Float.ldexp 200. (n - 1)) 5_000.
+
+(* One exchange of the framed request: decode, parse. *)
+let exchange t tx =
+  match Transport.exchange t.transport ~server:t.feed tx with
+  | Error _ as err -> err
+  | Ok rx ->
+    (match
+       List.find_map
+         (function Rsp.Decoder.Packet p -> Some p | _ -> None)
+         (Rsp.Decoder.feed t.decoder rx)
+     with
+     | None -> Error (Eof_error.desync "no reply frame")
+     | Some p -> Rsp.parse_reply ~pc_reg:t.pc_reg p)
+
+(* Attempt [n] of one logical request, the framed [tx]. Only link-level
+   failures (timeout, desync) are retried; [Remote]/[Protocol] replies
+   are deterministic answers. Backoff waits are charged to the
+   transport's virtual clock, so recovery is deterministic and visible
+   in virtual time; on a clean link the loop is inert. *)
+let rec request_frame t tx n =
+  match exchange t tx with
+  | Ok _ as ok -> ok
+  | Error e when Eof_error.retryable e && n < t.attempts ->
+    Transport.charge_us t.transport (backoff_us n);
+    Obs.Counter.incr t.c_retries;
+    if Obs.active t.obs then
+      Obs.emit t.obs (Obs.Event.Recovery { rung = "retry"; attempt = n });
+    request_frame t tx (n + 1)
+  | Error e when n > 1 -> Error (Eof_error.with_context (Printf.sprintf "after %d attempts" n) e)
+  | Error _ as err -> err
+
+(* Render and frame [cmd] in the session's buffer, then request it. *)
+let request t cmd =
   t.requests <- t.requests + 1;
-  let attempt () =
-    match Transport.exchange t.transport ~server:(Openocd.feed t.server) tx with
-    | Error _ as err -> err
-    | Ok rx ->
-      let events = Rsp.Decoder.feed t.decoder rx in
-      let packet =
-        List.find_map
-          (function Rsp.Decoder.Packet p -> Some p | _ -> None)
-          events
-      in
-      (match packet with
-       | None -> Error (Eof_error.desync "no reply frame")
-       | Some p -> Rsp.parse_reply ~pc_reg:t.pc_reg p)
-  in
-  Eof_error.Retry.run ~budget:t.retry
-    ~sleep_us:(Transport.charge_us t.transport)
-    ~on_retry:(fun ~attempt _ ->
-      Obs.Counter.incr t.c_retries;
-      if Obs.active t.obs then
-        Obs.emit t.obs (Obs.Event.Recovery { rung = "retry"; attempt }))
-    attempt
+  let tx = t.tx in
+  Rsp.Out.clear tx;
+  Rsp.Out.open_frame tx;
+  Rsp.add_command tx cmd;
+  Rsp.Out.close_frame tx;
+  request_frame t (Rsp.Out.contents tx) 1
 
-let request t payload = request_frame t (Rsp.make_frame payload)
-
-let expect_ok t payload =
-  let* reply = request t payload in
+let expect_ok t cmd =
+  let* reply = request t cmd in
   match reply with
   | Rsp.Ok_reply -> Ok ()
   | Rsp.Error_reply n -> Error (Eof_error.remote n)
   | _ -> Error (Eof_error.protocol "expected OK")
 
-let expect_hex t payload =
-  let* reply = request t payload in
+let expect_hex t cmd =
+  let* reply = request t cmd in
   match reply with
-  | Rsp.Raw s ->
-    (match Eof_util.Hex.decode s with
-     | Ok data -> Ok data
-     | Error e -> Error (Eof_error.protocol e))
+  | Rsp.Raw s -> Rsp.hex_data s
   | Rsp.Error_reply n -> Error (Eof_error.remote n)
   | _ -> Error (Eof_error.protocol "expected hex data")
 
@@ -95,16 +103,14 @@ let connect ?obs ~transport ~server () =
   let t =
     {
       transport;
-      server;
+      feed = Openocd.feed server;
       decoder = Rsp.Decoder.create ();
       tx = Rsp.Out.create ();
-      ops = [];
-      ops_text = "";
       pc_reg = arch.Arch.pc_register;
       endianness = arch.Arch.endianness;
       requests = 0;
       features = "";
-      retry = Eof_error.Retry.default;
+      attempts = 3;
       obs;
       c_batches = Obs.Counter.make obs "session.batches";
       c_batch_ops = Obs.Counter.make obs "session.batch_ops";
@@ -113,7 +119,7 @@ let connect ?obs ~transport ~server () =
       c_retries = Obs.Counter.make obs "session.retries";
     }
   in
-  let* reply = request t (Rsp.render_command (Rsp.Q_supported "swbreak+;vBatch+")) in
+  let* reply = request t (Rsp.Q_supported "swbreak+;vBatch+") in
   match reply with
   | Rsp.Raw features when features <> "" ->
     t.features <- features;
@@ -130,37 +136,21 @@ let has_feature t name =
    reset, and sufficient when the damage was host-side decode state. *)
 let resync t =
   t.decoder <- Rsp.Decoder.create ();
-  let* reply = request t (Rsp.render_command Rsp.Halt_reason) in
+  let* reply = request t Rsp.Halt_reason in
   match reply with
   | Rsp.Error_reply n -> Error (Eof_error.remote n)
   | _ -> Ok ()
 
-let read_mem t ~addr ~len = expect_hex t (Rsp.render_command (Rsp.Read_mem { addr; len }))
+let read_mem t ~addr ~len = expect_hex t (Rsp.Read_mem { addr; len })
 
-let write_mem t ~addr data =
-  expect_ok t (Rsp.render_command (Rsp.Write_mem { addr; data }))
+let write_mem t ~addr data = expect_ok t (Rsp.Write_mem { addr; data })
 
-let batch ?write t ops =
-  let n_ops = List.length ops + match write with None -> 0 | Some _ -> 1 in
+let batch t ops =
+  let n_ops = Array.length ops in
   Obs.Counter.incr t.c_batches;
   Obs.Counter.add t.c_batch_ops n_ops;
   if Obs.active t.obs then Obs.emit t.obs (Obs.Event.Batch { ops = n_ops });
-  if ops != t.ops then begin
-    t.ops <- ops;
-    t.ops_text <- Rsp.render_batch_ops ops
-  end;
-  let tx = t.tx in
-  Rsp.Out.clear tx;
-  Rsp.Out.open_frame tx;
-  Rsp.Out.add_string tx "vBatch:";
-  (match write with
-   | None -> ()
-   | Some (addr, data) ->
-     Rsp.add_batch_ops tx [ Rsp.B_write { addr; data } ];
-     (match ops with [] -> () | _ -> Rsp.Out.add_char tx ';'));
-  Rsp.Out.add_string tx t.ops_text;
-  Rsp.Out.close_frame tx;
-  let* reply = request_frame t (Rsp.Out.contents tx) in
+  let* reply = request t (Rsp.Batch ops) in
   match reply with
   | Rsp.Raw s when String.length s >= 1 && s.[0] = 'b' ->
     (match Rsp.Replies.read s ~pos:1 with
@@ -188,19 +178,9 @@ let write_u32 t ~addr v =
    | Arch.Big -> Bytes.set_int32_be b 0 v);
   write_mem t ~addr (Bytes.unsafe_to_string b)
 
-let set_breakpoint t addr = expect_ok t (Rsp.render_command (Rsp.Insert_breakpoint addr))
+let set_breakpoint t addr = expect_ok t (Rsp.Insert_breakpoint addr)
 
-let remove_breakpoint t addr = expect_ok t (Rsp.render_command (Rsp.Remove_breakpoint addr))
-
-let stop_kind = function
-  | Stopped_breakpoint _ -> "breakpoint"
-  | Stopped_quantum _ -> "quantum"
-  | Stopped_fault _ -> "fault"
-  | Target_exited -> "exited"
-
-let stop_pc = function
-  | Stopped_breakpoint pc | Stopped_quantum pc | Stopped_fault pc -> pc
-  | Target_exited -> -1
+let remove_breakpoint t addr = expect_ok t (Rsp.Remove_breakpoint addr)
 
 let stop_of_reply = function
   | Rsp.Stop { signal = _; pc; detail = "swbreak" } -> Ok (Stopped_breakpoint pc)
@@ -219,7 +199,7 @@ let observe_stop t result =
      Obs.Counter.incr t.c_stops;
      if Obs.active t.obs then
        Obs.emit t.obs
-         (Obs.Event.Stop { kind = stop_kind stop; pc = stop_pc stop })
+         (Obs.Event.Stop { kind = Openocd.stop_kind stop; pc = Openocd.stop_pc stop })
    | Error _ -> ());
   result
 
@@ -229,11 +209,11 @@ let decode_stop t replies =
   | Ok reply -> observe_stop t (stop_of_reply reply)
 
 let continue_ t =
-  let* reply = request t (Rsp.render_command Rsp.Continue) in
+  let* reply = request t Rsp.Continue in
   observe_stop t (stop_of_reply reply)
 
 let read_pc t =
-  let* raw = expect_hex t (Rsp.render_command Rsp.Read_registers) in
+  let* raw = expect_hex t Rsp.Read_registers in
   let need = (t.pc_reg + 1) * 4 in
   if String.length raw < need then Error (Eof_error.protocol "register dump too short")
   else
@@ -252,15 +232,15 @@ let observe_flash t ~op ~addr ~len =
 
 let flash_erase t ~addr ~len =
   observe_flash t ~op:"erase" ~addr ~len;
-  expect_ok t (Rsp.render_command (Rsp.Flash_erase { addr; len }))
+  expect_ok t (Rsp.Flash_erase { addr; len })
 
 let flash_write t ~addr data =
   observe_flash t ~op:"write" ~addr ~len:(String.length data);
-  expect_ok t (Rsp.render_command (Rsp.Flash_write { addr; data }))
+  expect_ok t (Rsp.Flash_write { addr; data })
 
 let flash_done t =
   observe_flash t ~op:"done" ~addr:0 ~len:0;
-  expect_ok t (Rsp.render_command Rsp.Flash_done)
+  expect_ok t Rsp.Flash_done
 
 (* QSnapshot replies are "S<hex>" — the page count the stub acted on.
    Distinct from plain hex data so a desynced reply can't be mistaken
@@ -281,7 +261,7 @@ let snapshot_save t =
   if not (supports_snapshot t) then
     Error (Eof_error.with_context "snapshot save" (Eof_error.protocol "QSnapshot not negotiated"))
   else
-    let* reply = request t (Rsp.render_command Rsp.Snapshot_save) in
+    let* reply = request t Rsp.Snapshot_save in
     Result.map_error (Eof_error.with_context "snapshot save") (parse_snapshot_reply reply)
 
 let snapshot_restore t =
@@ -289,17 +269,14 @@ let snapshot_restore t =
     Error
       (Eof_error.with_context "snapshot restore" (Eof_error.protocol "QSnapshot not negotiated"))
   else
-    let* reply = request t (Rsp.render_command Rsp.Snapshot_restore) in
+    let* reply = request t Rsp.Snapshot_restore in
     Result.map_error (Eof_error.with_context "snapshot restore") (parse_snapshot_reply reply)
 
 let monitor t cmd =
-  let* reply = request t (Rsp.render_command (Rsp.Monitor cmd)) in
+  let* reply = request t (Rsp.Monitor cmd) in
   match reply with
   | Rsp.Ok_reply -> Ok ""
-  | Rsp.Raw s ->
-    (match Eof_util.Hex.decode s with
-     | Ok text -> Ok text
-     | Error e -> Error (Eof_error.protocol e))
+  | Rsp.Raw s -> Rsp.hex_data s
   | Rsp.Error_reply n -> Error (Eof_error.remote n)
   | _ -> Error (Eof_error.protocol "unexpected qRcmd reply")
 

@@ -7,11 +7,14 @@
     watchdog consumes, [Link_desync] means bytes arrived but no frame
     decoded, [Remote]/[Protocol] are the stub's own answers.
 
-    Link-level failures are retried {e inside} each request under the
-    session's {!Eof_util.Eof_error.Retry.budget} (rung 1 of the
-    recovery escalation ladder), with backoff charged to the
-    transport's virtual clock — on a clean link the budget is inert and
-    behaviour is bit-identical to a retry-free session. *)
+    Every command is rendered and framed in one buffer the session
+    keeps. Link-level failures ({!Eof_util.Eof_error.retryable}) are
+    retried {e inside} each request (rung 1 of the recovery escalation
+    ladder): 3 attempts, with a backoff of 200 us doubling to a 5 ms
+    ceiling charged to the transport's virtual clock. An error after a
+    retry carries an ["after N attempts"] breadcrumb. On a clean link
+    the loop is inert and behaviour is bit-identical to a retry-free
+    session. *)
 
 type error = Eof_util.Eof_error.t
 
@@ -34,10 +37,10 @@ val connect :
     [session.batches]/[session.batch_ops]/[session.flash_ops]/
     [session.stops]/[session.retries] counters. *)
 
-val set_retry : t -> Eof_util.Eof_error.Retry.budget -> unit
-(** Replace the per-request retry budget (default
-    {!Eof_util.Eof_error.Retry.default}). A budget of one attempt
-    restores fail-on-first-loss behaviour. *)
+val set_retry : t -> int -> unit
+(** Set the attempts per request, the first included (default 3; the
+    backoff schedule is unchanged). One attempt restores
+    fail-on-first-loss behaviour; fewer is [Invalid_argument]. *)
 
 val resync : t -> (unit, error) result
 (** Recover from a desynced link without touching the target: discard
@@ -49,16 +52,12 @@ val read_mem : t -> addr:int -> len:int -> (string, error) result
 val write_mem : t -> addr:int -> string -> (unit, error) result
 (** Hex [M] packet (2 payload bytes per data byte). *)
 
-val batch :
-  ?write:int * string -> t -> Rsp.batch_op list -> (Rsp.Replies.t, error) result
-(** One [vBatch] exchange: a write of [data] at [addr] when [write] is
-    given, then [ops]. All sub-operations execute server-side in order,
-    and the sub-replies come back positionally matched in a single
-    framed response. The session renders the frame in a buffer it keeps,
-    and renders [ops] again only when it is not the list value the last
-    call passed. The reader holds exactly one sub-reply per op. Counts
-    as one request and one transport exchange regardless of how many
-    sub-operations it carries. *)
+val batch : t -> Rsp.batch_op array -> (Rsp.Replies.t, error) result
+(** One [vBatch] exchange of [ops]. All sub-operations execute
+    server-side in order, and the sub-replies come back positionally
+    matched in a single framed response. The reader holds exactly one
+    sub-reply per op. Counts as one request and one transport exchange
+    regardless of how many sub-operations it carries. *)
 
 val decode_stop : t -> Rsp.Replies.t -> (stop, error) result
 (** Interpret the reader's current [Sub_stop] exactly as [continue_]

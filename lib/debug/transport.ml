@@ -3,9 +3,13 @@
 let byte_latency_us = 1.0
 let exchange_overhead_us = 40.0
 
+(* A record of one float field holds it unboxed, so charging the clock
+   allocates nothing. *)
+type clock = { mutable us : float }
+
 type t = {
   mutable injector : Inject.t option;
-  mutable elapsed_us : float;
+  elapsed : clock;
   mutable exchanges : int;
   obs : Eof_obs.Obs.t;
   c_exchanges : Eof_obs.Obs.Counter.t;
@@ -18,7 +22,7 @@ type t = {
 let create ?obs () =
   let obs = match obs with Some o -> o | None -> Eof_obs.Obs.create () in
   { injector = None;
-    elapsed_us = 0.; exchanges = 0;
+    elapsed = { us = 0. }; exchanges = 0;
     obs;
     c_exchanges = Eof_obs.Obs.Counter.make obs "transport.exchanges";
     c_timeouts = Eof_obs.Obs.Counter.make obs "transport.timeouts";
@@ -30,7 +34,7 @@ let set_injector t injector = t.injector <- injector
 
 let note_reset t = match t.injector with Some inj -> Inject.note_reset inj | None -> ()
 
-let charge_us t us = t.elapsed_us <- t.elapsed_us +. us
+let charge_us t us = t.elapsed.us <- t.elapsed.us +. us
 
 (* A timeout costs the host its full wait budget; generous so that
    timeouts are visibly expensive, as on real probes. *)
@@ -45,7 +49,7 @@ let observe_fault t fault =
 
 let time_out t ~tx =
   Eof_obs.Obs.Counter.incr t.c_timeouts;
-  t.elapsed_us <- t.elapsed_us +. timeout_cost_us;
+  charge_us t timeout_cost_us;
   if Eof_obs.Obs.active t.obs then
     Eof_obs.Obs.emit t.obs
       (Eof_obs.Obs.Event.Exchange { tx; rx = 0; timeout = true });
@@ -54,9 +58,8 @@ let time_out t ~tx =
 let deliver t ~tx response =
   let rx = String.length response in
   Eof_obs.Obs.Counter.add t.c_bytes_rx rx;
-  t.elapsed_us <-
-    t.elapsed_us +. exchange_overhead_us
-    +. (float_of_int (tx + rx) *. byte_latency_us);
+  t.elapsed.us <-
+    t.elapsed.us +. exchange_overhead_us +. (float_of_int (tx + rx) *. byte_latency_us);
   if Eof_obs.Obs.active t.obs then
     Eof_obs.Obs.emit t.obs
       (Eof_obs.Obs.Event.Exchange { tx; rx; timeout = false });
@@ -86,6 +89,6 @@ let exchange t ~server request =
        observe_fault t f;
        deliver t ~tx (Inject.mangle inj f (server request)))
 
-let elapsed_us t = t.elapsed_us
+let elapsed_us t = t.elapsed.us
 
 let exchanges t = t.exchanges

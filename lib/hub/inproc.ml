@@ -74,6 +74,8 @@ let run ?obs ?corpus_sync ?journal ?heartbeat_timeout ?kill ?halt_after ~farms
        zero without winding the fleet back. *)
     let vnow = ref 0. in
     let rejects = ref [] in
+    (* The first message a worker could not act on ends the run. *)
+    let failure = ref None in
     (* Worker ids are assigned by the hub in hello order, so with the
        hellos below wid = array index — but route through the map
        anyway rather than assume it. *)
@@ -104,9 +106,11 @@ let run ?obs ?corpus_sync ?journal ?heartbeat_timeout ?kill ?halt_after ~farms
       let progressed = ref false in
       Array.iteri
         (fun i q ->
-          while alive.(i) && not (Queue.is_empty q) do
+          while alive.(i) && !failure = None && not (Queue.is_empty q) do
             progressed := true;
-            feed i (Worker.handle workers.(i) (Queue.take q))
+            match Worker.handle workers.(i) (Queue.take q) with
+            | Ok replies -> feed i replies
+            | Error e -> failure := Some e
           done)
         worker_q;
       if !progressed then drain ()
@@ -129,12 +133,13 @@ let run ?obs ?corpus_sync ?journal ?heartbeat_timeout ?kill ?halt_after ~farms
           dispatch (Hub.handle_client hub ~client (Protocol.Submit config)))
       tenants;
     drain ();
-    match !rejects with
-    | r :: _ -> Error r
-    | [] ->
+    match (!rejects, !failure) with
+    | r :: _, _ -> Error r
+    | [], Some e -> Error e
+    | [], None ->
       let total_steps = ref 0 in
       let halted = ref false and stalled = ref false in
-      while (not (Hub.all_done hub)) && (not !stalled) && not !halted do
+      while (not (Hub.all_done hub)) && (not !stalled) && (not !halted) && !failure = None do
         (* Cooperative fleet schedule: the worker whose earliest board
            is earliest on its virtual clock runs one payload; ties go to
            the lowest worker id. The same min-CPU rule the farm applies
@@ -195,6 +200,9 @@ let run ?obs ?corpus_sync ?journal ?heartbeat_timeout ?kill ?halt_after ~farms
           if not runnable then stalled := true
       done;
       Hub.close hub;
+      match !failure with
+      | Some e -> Error e
+      | None ->
       if !stalled then Error "inproc: fleet stalled before completion"
       else begin
         let digests = Hub.tenant_digests hub in

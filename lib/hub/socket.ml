@@ -294,7 +294,14 @@ let worker ?obs ~socket ~name
                     match take_frames buf with
                     | Error e ->
                       result := Some (Error (Printf.sprintf "bad frame: %s" e))
-                    | Ok msgs -> List.iter (fun m -> send (Worker.handle w m)) msgs));
+                    | Ok msgs ->
+                      List.iter
+                        (fun m ->
+                          if !result = None then
+                            match Worker.handle w m with
+                            | Ok replies -> send replies
+                            | Error e -> result := Some (Error e))
+                        msgs));
                if !result = None then begin
                  if busy then send (Worker.step w);
                  (match Worker.heartbeat_timeout_s w with

@@ -51,24 +51,18 @@ let hello t = Protocol.Worker_hello { name = t.name }
 
 let assign t (a : Shard.assignment) =
   let os = a.Shard.config.Tenant.os in
-  let target =
-    match t.resolve os with
-    | Ok target -> target
-    | Error e ->
-      invalid_arg (Printf.sprintf "worker %d: cannot resolve os %s: %s" t.id os e)
-  in
-  let farm =
-    match
-      Farm.init
-        ~obs:(Obs.for_tenant t.obs a.Shard.config.Tenant.tenant)
-        (Shard.farm_config a) target.mk_build
-    with
-    | Ok farm -> farm
-    | Error e ->
-      invalid_arg
-        (Printf.sprintf "worker %d: farm init failed: %s" t.id
-           (Eof_util.Eof_error.to_string e))
-  in
+  match t.resolve os with
+  | Error e -> Error (Printf.sprintf "worker %d: cannot resolve os %s: %s" t.id os e)
+  | Ok target ->
+  match
+    Farm.init
+      ~obs:(Obs.for_tenant t.obs a.Shard.config.Tenant.tenant)
+      (Shard.farm_config a) target.mk_build
+  with
+  | Error e ->
+    Error
+      (Printf.sprintf "worker %d: farm init failed: %s" t.id (Eof_util.Eof_error.to_string e))
+  | Ok farm ->
   (* A re-lease of a shard this worker held at a lower epoch replaces
      the dead entry — the fresh farm restarts the shard from scratch. *)
   t.shards <-
@@ -86,7 +80,8 @@ let assign t (a : Shard.assignment) =
           transplanted = 0;
           finished = false;
         };
-      ]
+      ];
+  Ok []
 
 (* Everything new since the last farm epoch, in a fixed order: corpus
    programs, then crashes, then the heartbeat that timestamps them. The
@@ -144,16 +139,14 @@ let shard_done st =
         };
     ]
 
-let handle t msg =
+(* Every hub message but an assignment: none of them can fail. *)
+let react t msg =
   match msg with
   | Protocol.Worker_welcome { worker; heartbeat_timeout_s } ->
     t.id <- worker;
     t.heartbeat_timeout_s <- Some heartbeat_timeout_s;
     []
   | Protocol.Heartbeat_ack _ -> []
-  | Protocol.Shard_assign a ->
-    assign t a;
-    []
   | Protocol.Shard_revoke { campaign; shard; epoch } ->
     (* The lease is gone: freeze the farm (one off-cycle merge so its
        observers settle, nothing sent — the hub has already fenced this
@@ -199,9 +192,13 @@ let handle t msg =
         else shard_done st)
       t.shards
   | other ->
-    invalid_arg
-      (Printf.sprintf "worker %d: unexpected message %s" t.id
-         (Protocol.kind_name other))
+    Obs.message t.obs Obs.Level.Warn
+      (Printf.sprintf "worker %d: dropping unexpected message %s" t.id
+         (Protocol.kind_name other));
+    []
+
+let handle t msg =
+  match msg with Protocol.Shard_assign a -> assign t a | msg -> Ok (react t msg)
 
 (* The unfinished shard whose next board is earliest on its own clock
    (ties to the first shard) — the same min-CPU pick the farm applies

@@ -50,10 +50,13 @@ val heartbeat_timeout_s : t -> float option
 val hello : t -> Protocol.t
 (** The registration frame the transport must send first. *)
 
-val handle : t -> Protocol.t -> Protocol.t list
+val handle : t -> Protocol.t -> (Protocol.t list, string) result
 (** Feed one hub → worker message ([Worker_welcome], [Heartbeat_ack],
-    [Shard_assign], [Shard_revoke], [Corpus_pull], [Cancel]); other
-    kinds raise [Invalid_argument]. Transplanted programs are rebound
+    [Shard_assign], [Shard_revoke], [Corpus_pull], [Cancel]); any other
+    kind is dropped with a warning on the bus. A [Shard_assign] the
+    worker cannot build (an OS it cannot resolve, a config
+    {!Eof_core.Farm.init} rejects) is an [Error] naming the cause; no
+    other message fails. Transplanted programs are rebound
     through the shard's own personality and admitted via
     {!Eof_core.Farm.adopt}; the shard's admission cursor then moves past
     them, so no transplant is ever pushed back to the hub. *)

@@ -55,36 +55,3 @@ let to_string t =
   match t.ctx with
   | [] -> kind_to_string t.kind
   | ctx -> String.concat ": " (List.rev ctx) ^ ": " ^ kind_to_string t.kind
-
-module Retry = struct
-  type budget = {
-    attempts : int;
-    base_backoff_us : float;
-    multiplier : float;
-    max_backoff_us : float;
-  }
-
-  let default =
-    { attempts = 3; base_backoff_us = 200.; multiplier = 2.; max_backoff_us = 5_000. }
-
-  let backoff_us budget ~attempt =
-    let raw =
-      budget.base_backoff_us *. (budget.multiplier ** float_of_int (attempt - 1))
-    in
-    Float.min raw budget.max_backoff_us
-
-  let run ~budget ~sleep_us ?on_retry f =
-    if budget.attempts < 1 then invalid_arg "Retry.run: attempts must be >= 1";
-    let rec go attempt =
-      match f () with
-      | Ok _ as ok -> ok
-      | Error e when retryable e && attempt < budget.attempts ->
-        sleep_us (backoff_us budget ~attempt);
-        (match on_retry with Some h -> h ~attempt e | None -> ());
-        go (attempt + 1)
-      | Error e when attempt > 1 ->
-        Error (with_context (Printf.sprintf "after %d attempts" attempt) e)
-      | Error _ as err -> err
-    in
-    go 1
-end

@@ -55,34 +55,6 @@ val to_string : t -> string
 (** The reporting boundary: breadcrumbs outermost-first, then the kind,
     e.g. ["board 1: reflash partition app: debug link timeout"]. *)
 
-(** Budgeted, deterministic retry with virtual-clock backoff.
-
-    Backoff waits are charged to whatever clock the caller supplies
-    (the transport's virtual clock in practice), never the host wall
-    clock, so a retried campaign replays bit-identically: same seed,
-    same faults, same waits, same trace. *)
-module Retry : sig
-  type budget = {
-    attempts : int;  (** total tries including the first; >= 1 *)
-    base_backoff_us : float;  (** wait before the second try *)
-    multiplier : float;  (** exponential growth per further try *)
-    max_backoff_us : float;  (** backoff ceiling *)
-  }
-
-  val default : budget
-  (** 3 attempts, 200 us doubling to a 5 ms ceiling — cheap against a
-      500 ms timeout, decisive against a transient glitch. *)
-
-  val run :
-    budget:budget ->
-    sleep_us:(float -> unit) ->
-    ?on_retry:(attempt:int -> t -> unit) ->
-    (unit -> ('a, t) result) ->
-    ('a, t) result
-  (** Run [f]; on a retryable error ([Link_timeout], [Link_desync]: a
-      re-sent exchange can cure them) with budget remaining, charge
-      the backoff to [sleep_us], report via [on_retry] and try again.
-      The final error of an exhausted budget carries an
-      ["after N attempts"] breadcrumb; non-retryable errors return
-      immediately and unannotated. *)
-end
+val retryable : t -> bool
+(** [Link_timeout] and [Link_desync]: a re-sent exchange can cure
+    them. Every other kind is a deterministic answer. *)

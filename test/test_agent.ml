@@ -169,13 +169,13 @@ let test_end_to_end_coverage_collected () =
   let _ = send_program build machine prog in
   let layout = Osbuild.covbuf_layout build in
   let widx =
-    ok_or_fail (Session.read_u32 session ~addr:(Eof_cov.Sancov.Layout.write_index_addr layout))
+    ok_or_fail (Session.read_u32 session ~addr:(Eof_cov.Sancov.Layout.records layout).count_addr)
   in
   Alcotest.(check bool) "coverage records written" true (Int32.to_int widx > 0);
   let raw =
     ok_or_fail
       (Session.read_mem session
-         ~addr:(Eof_cov.Sancov.Layout.records_addr layout)
+         ~addr:(Eof_cov.Sancov.Layout.records layout).data_addr
          ~len:(4 * Int32.to_int widx))
   in
   let edges = Array.make (Int32.to_int widx) 0 in

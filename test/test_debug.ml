@@ -2,23 +2,37 @@ open Eof_hw
 open Eof_exec
 open Eof_debug
 
-let test_checksum_frame () =
-  Alcotest.(check string) "frame" "$OK#9a" (Rsp.make_frame "OK")
+(* [payload] framed as the probe frames a raw reply. *)
+let frame payload =
+  let out = Rsp.Out.create () in
+  Rsp.Out.open_frame out;
+  Rsp.add_reply out ~pc_reg:15 (Rsp.Raw payload);
+  Rsp.Out.close_frame out;
+  Rsp.Out.contents out
 
+let render = Test_decoders.render
+
+let escape = Test_decoders.Ref.escape_binary
+
+let test_checksum_frame () = Alcotest.(check string) "frame" "$OK#9a" (frame "OK")
+
+(* Binary data rides vFlashWrite escaped, and parses back raw. *)
 let test_escape_roundtrip () =
   let raw = "a$b#c}d*e" in
-  let escaped = Rsp.escape_binary raw in
+  let payload = render (Rsp.Flash_write { addr = 0; data = raw }) in
+  Alcotest.(check string) "escaped" ("vFlashWrite:0:" ^ escape raw) payload;
   Alcotest.(check bool) "no raw specials" true
-    (not (String.contains escaped '$') && not (String.contains escaped '#'));
-  match Rsp.unescape_binary escaped with
-  | Ok s -> Alcotest.(check string) "roundtrip" raw s
+    (not (String.contains payload '$') && not (String.contains payload '#'));
+  match Rsp.parse_command payload with
+  | Ok (Rsp.Flash_write { data; _ }) -> Alcotest.(check string) "roundtrip" raw data
+  | Ok _ -> Alcotest.fail "parsed as another command"
   | Error e -> Alcotest.fail (Eof_util.Eof_error.to_string e)
 
 let test_decoder_stream () =
   let d = Rsp.Decoder.create () in
   (* Two frames split across feeds plus noise and an ack. *)
   let ev1 = Rsp.Decoder.feed d "+$O" in
-  let ev2 = Rsp.Decoder.feed d ("K#9a" ^ "noise" ^ Rsp.make_frame "m0,4") in
+  let ev2 = Rsp.Decoder.feed d ("K#9a" ^ "noise" ^ frame "m0,4") in
   (match ev1 with
    | [ Rsp.Decoder.Ack ] -> ()
    | _ -> Alcotest.fail "expected ack");
@@ -53,7 +67,7 @@ let test_command_roundtrip () =
   in
   List.iter
     (fun cmd ->
-      match Rsp.parse_command (Rsp.render_command cmd) with
+      match Rsp.parse_command (render cmd) with
       | Ok cmd' -> Alcotest.(check bool) "roundtrip" true (cmd = cmd')
       | Error e -> Alcotest.fail (Eof_util.Eof_error.to_string e))
     cases
@@ -64,7 +78,8 @@ let test_command_rejects () =
       match Rsp.parse_command payload with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail (Printf.sprintf "accepted %S" payload))
-    [ ""; "Mdeadbeef"; "Z9,100,2"; "m100"; "vFlashWrite:zz"; "qUnknown"; "X100,4:abcd" ]
+    [ ""; "Mdeadbeef"; "Z9,100,2"; "m100"; "vFlashWrite:zz"; "qUnknown"; "X100,4:abcd";
+      "m100,4;"; "c;"; "vBatch:c;" ]
 
 let render_reply ~pc_reg reply =
   let out = Rsp.Out.create () in
@@ -209,9 +224,9 @@ let test_quantum_stop_reports_pc () =
 let prop_decoder_frame_any_payload =
   QCheck.Test.make ~name:"decoder accepts any escaped framed payload" ~count:200
     QCheck.string (fun raw ->
-      let payload = Rsp.escape_binary raw in
+      let payload = escape raw in
       let d = Rsp.Decoder.create () in
-      match Rsp.Decoder.feed d (Rsp.make_frame payload) with
+      match Rsp.Decoder.feed d (frame payload) with
       | [ Rsp.Decoder.Packet p ] -> p = payload
       | _ -> false)
 
@@ -248,9 +263,9 @@ let test_gpio_injection_over_monitor () =
 
 let test_monitor_unknown_command () =
   let _, _, server, _ = make_machine () in
-  let packet = Rsp.make_frame (Rsp.render_command (Rsp.Monitor "frobnicate")) in
+  let packet = frame (render (Rsp.Monitor "frobnicate")) in
   Alcotest.(check string) "unknown monitor command rejected"
-    ("+" ^ Rsp.make_frame "E01") (Openocd.feed server packet)
+    ("+" ^ frame "E01") (Openocd.feed server packet)
 
 let suite =
   suite
@@ -287,7 +302,7 @@ let prop_command_roundtrip =
   in
   QCheck.Test.make ~name:"rsp command roundtrip (generated)" ~count:300 (QCheck.make cmd_gen)
     (fun cmd ->
-      match Rsp.parse_command (Rsp.render_command cmd) with
+      match Rsp.parse_command (render cmd) with
       | Ok cmd' -> cmd = cmd'
       | Error _ -> false)
 
@@ -371,10 +386,7 @@ let parse_subs payload =
 
 let batch_ops_of_packet payload =
   match Rsp.parse_command payload with
-  | Ok (Rsp.Batch ops) ->
-    let acc = ref [] in
-    Rsp.iter_batch_ops ops (fun _ op -> acc := op :: !acc);
-    Ok (List.rev !acc)
+  | Ok (Rsp.Batch ops) -> Ok ops
   | Ok _ -> Error "parsed as another command"
   | Error e -> Error (Eof_util.Eof_error.to_string e)
 
@@ -382,7 +394,7 @@ let test_batch_codec_samples () =
   (* Binary data containing the wire separators ';' ':' ',' and the RSP
      specials must survive: segments are length-prefixed, not delimited. *)
   let ops =
-    [
+    [|
       Rsp.B_continue;
       Rsp.B_read { addr = 0x20000000; len = 0x40 };
       Rsp.B_write { addr = 0x20000100; data = ";:,}$#*\x00\xFF" };
@@ -393,11 +405,11 @@ let test_batch_codec_samples () =
         { count_addr = 0x20002204; data_addr = 0x20002208; stride = 8;
           max_count = 1024; reset = false };
       Rsp.B_monitor "uart";
-    ]
+    |]
   in
-  (match Rsp.parse_batch_ops (Rsp.render_batch_ops ops) with
+  (match batch_ops_of_packet (render (Rsp.Batch ops)) with
    | Ok ops' -> Alcotest.(check bool) "ops roundtrip" true (ops = ops')
-   | Error e -> Alcotest.fail (Eof_util.Eof_error.to_string e));
+   | Error e -> Alcotest.fail e);
   let subs =
     [ Ok_; Err 0x0E; Data ";:}$#*\x01"; Counted (4096, String.make 16 ';');
       Stop_ "T05f:00400608;swbreak:;"; Stop_ "T05f:0040}608;$wbreak#;" ]
@@ -415,7 +427,7 @@ let test_batch_codec_samples () =
       let out = Rsp.Out.create () in
       Rsp.add_sub_stop out ~pc_reg:15 reply;
       Alcotest.(check string) "stop sub-reply"
-        (Printf.sprintf "s%x:%s" (String.length payload) (Rsp.escape_binary payload))
+        (Printf.sprintf "s%x:%s" (String.length payload) (escape payload))
         (Rsp.Out.contents out);
       match Rsp.Replies.read ("b" ^ Rsp.Out.contents out) ~pos:1 with
       | Ok r ->
@@ -426,13 +438,8 @@ let test_batch_codec_samples () =
     [ (Rsp.Stop { signal = 5; pc = 0x08001234; detail = "swbreak" }, true);
       (Rsp.Stop { signal = 11; pc = 0; detail = "fault:$#}*" }, true);
       (Rsp.Exited 0, true);
-      (* A stop reply's PC field is eight digits: a wider PC renders, but
-         does not read back. *)
-      (Rsp.Stop { signal = 2; pc = 0x1_0000_0000; detail = "quantum" }, false) ];
-  (* The whole command survives the command layer too. *)
-  match batch_ops_of_packet ("vBatch:" ^ Rsp.render_batch_ops ops) with
-  | Ok ops' -> Alcotest.(check bool) "command roundtrip" true (ops = ops')
-  | Error e -> Alcotest.fail e
+      (* The PC field is at least eight digits, and read to its ';'. *)
+      (Rsp.Stop { signal = 2; pc = 0x1_0000_0000; detail = "quantum" }, true) ]
 
 let prop_batch_ops_roundtrip =
   let op_gen =
@@ -456,11 +463,8 @@ let prop_batch_ops_roundtrip =
         ])
   in
   QCheck.Test.make ~name:"vBatch ops roundtrip (generated)" ~count:300
-    (QCheck.make QCheck.Gen.(list_size (1 -- 6) op_gen))
-    (fun ops ->
-      let payload = Rsp.render_batch_ops ops in
-      Rsp.parse_batch_ops payload = Ok ops
-      && batch_ops_of_packet ("vBatch:" ^ payload) = Ok ops)
+    (QCheck.make QCheck.Gen.(array_size (1 -- 6) op_gen))
+    (fun ops -> batch_ops_of_packet (render (Rsp.Batch ops)) = Ok ops)
 
 let prop_batch_replies_roundtrip =
   let sub_gen =
@@ -494,14 +498,14 @@ let test_vbatch_over_server () =
    | Error e -> Alcotest.fail (Session.error_to_string e));
   let before = Transport.exchanges transport in
   let ops =
-    [
+    [|
       Rsp.B_write { addr = ram_base; data = ";bin}$#" };
       Rsp.B_read { addr = ram_base; len = 7 };
       Rsp.B_read_counted
         { count_addr; data_addr; stride = 4; max_count = 16; reset = true };
       Rsp.B_monitor "cycles";
       Rsp.B_read { addr = 0x1; len = 4 };  (* unmapped: an error slot *)
-    ]
+    |]
   in
   (match Session.batch s ops with
    | Error e -> Alcotest.fail (Session.error_to_string e)
@@ -530,26 +534,27 @@ let test_vbatch_over_server () =
   | Ok v -> Alcotest.(check int32) "counter reset" 0l v
   | Error e -> Alcotest.fail (Session.error_to_string e)
 
-(* The session renders an op list again whenever it is handed a
-   different list value, with or without a leading write. *)
+(* The session renders the ops it is handed at every call: each batch
+   answers its own ops, with or without a leading write. *)
 let test_batch_op_lists () =
   let board, _, server, transport = make_machine () in
   let s = connect_exn (server, transport) in
   let ram_base = (Board.profile board).Board.ram_base in
-  let read_a = [ Rsp.B_read { addr = ram_base; len = 2 } ] in
-  let read_b = [ Rsp.B_read { addr = ram_base + 2; len = 2 } ] in
-  let subs ?write ops =
-    match Session.batch ?write s ops with
+  let read_a = Rsp.B_read { addr = ram_base; len = 2 } in
+  let read_b = Rsp.B_read { addr = ram_base + 2; len = 2 } in
+  let write addr data = Rsp.B_write { addr; data } in
+  let subs ops =
+    match Session.batch s ops with
     | Ok r -> read_subs r
     | Error e -> Alcotest.fail (Session.error_to_string e)
   in
   let check what want got = Alcotest.(check bool) what true (want = got) in
-  check "write, then list a" [ Ok_; Data "AB" ] (subs ~write:(ram_base, "ABCD") read_a);
-  check "list b" [ Data "CD" ] (subs read_b);
-  check "list a again" [ Data "AB" ] (subs read_a);
-  check "another write, list a" [ Ok_; Data "WX" ] (subs ~write:(ram_base, "WXYZ") read_a);
-  check "a write alone" [ Ok_ ] (subs ~write:(ram_base + 2, "12") []);
-  check "list b sees it" [ Data "12" ] (subs read_b)
+  check "write, then read a" [ Ok_; Data "AB" ] (subs [| write ram_base "ABCD"; read_a |]);
+  check "read b" [ Data "CD" ] (subs [| read_b |]);
+  check "read a again" [ Data "AB" ] (subs [| read_a |]);
+  check "another write, read a" [ Ok_; Data "WX" ] (subs [| write ram_base "WXYZ"; read_a |]);
+  check "a write alone" [ Ok_ ] (subs [| write (ram_base + 2) "12" |]);
+  check "read b sees it" [ Data "12" ] (subs [| read_b |])
 
 (* A vBatch is checked whole before any op runs: one malformed op after
    a continue and a read gets the empty reply, and the board's cycles, PC
@@ -573,20 +578,19 @@ let test_vbatch_all_or_nothing () =
   List.iter
     (fun malformed ->
       let payload = Printf.sprintf "vBatch:c;r%x,4;%s" ram_base malformed in
-      Alcotest.(check string) (malformed ^ ": empty reply") ("+" ^ Rsp.make_frame "")
-        (Openocd.feed server (Rsp.make_frame payload));
+      Alcotest.(check string) (malformed ^ ": empty reply") ("+" ^ frame "")
+        (Openocd.feed server (frame payload));
       Alcotest.(check bool) (malformed ^ ": nothing ran") true (state () = before))
     [ "x"; "r1"; "k1,2,3"; "w0,4:ab"; "m9:uart"; "r1_0,4"; "" ];
   let payload =
-    "vBatch:"
-    ^ Rsp.render_batch_ops
-        [ Rsp.B_read { addr = ram_base; len = 4 };
-          Rsp.B_read { addr = 0x1; len = 4 };
-          Rsp.B_read { addr = ram_base + 4; len = 4 } ]
+    render
+      (Rsp.Batch
+         [| Rsp.B_read { addr = ram_base; len = 4 };
+            Rsp.B_read { addr = 0x1; len = 4 };
+            Rsp.B_read { addr = ram_base + 4; len = 4 } |])
   in
-  let reply = Openocd.feed server (Rsp.make_frame payload) in
-  Alcotest.(check string) "error in its own slot"
-    ("+" ^ Rsp.make_frame "bd4:ABCD;E0e;d4:EFGH") reply
+  let reply = Openocd.feed server (frame payload) in
+  Alcotest.(check string) "error in its own slot" ("+" ^ frame "bd4:ABCD;E0e;d4:EFGH") reply
 
 let test_counted_read_big_endian () =
   (* All stock profiles are little-endian; a counted read must decode the
@@ -610,7 +614,7 @@ let test_counted_read_big_endian () =
    | Error e -> Alcotest.fail (Session.error_to_string e));
   match
     Session.batch s
-      [ Rsp.B_read_counted { count_addr; data_addr; stride = 4; max_count = 8; reset = false } ]
+      [| Rsp.B_read_counted { count_addr; data_addr; stride = 4; max_count = 8; reset = false } |]
   with
   | Ok r ->
     (match read_subs r with
@@ -634,10 +638,11 @@ let test_covlink_continue_and_drain () =
     Bytes.to_string b
   in
   let ok = function Ok x -> x | Error e -> Alcotest.fail (Session.error_to_string e) in
-  ok (Session.write_mem s ~addr:(L.write_index_addr layout) (le32 3));
-  ok (Session.write_mem s ~addr:(L.records_addr layout) (le32 10 ^ le32 20 ^ le32 30));
-  ok (Session.write_mem s ~addr:(L.cmp_count_addr layout) (le32 2));
-  ok (Session.write_mem s ~addr:(L.cmp_ring_addr layout)
+  let records = L.records layout and cmp = L.cmp_ring layout in
+  ok (Session.write_mem s ~addr:records.count_addr (le32 3));
+  ok (Session.write_mem s ~addr:records.data_addr (le32 10 ^ le32 20 ^ le32 30));
+  ok (Session.write_mem s ~addr:cmp.count_addr (le32 2));
+  ok (Session.write_mem s ~addr:cmp.data_addr
         (le32 5 ^ le32 9 ^ le32 700 ^ le32 7));
   let cl = Covlink.create ~session:s ~layout in
   ok (Session.set_breakpoint s (profile.Board.flash_base + 0x104));
@@ -668,9 +673,9 @@ let test_covlink_continue_and_drain () =
     (Transport.exchanges transport - before);
   (* Both target-side counters were reset and the UART emptied. *)
   Alcotest.(check int32) "write index reset" 0l
-    (ok (Session.read_u32 s ~addr:(L.write_index_addr layout)));
+    (ok (Session.read_u32 s ~addr:records.count_addr));
   Alcotest.(check int32) "cmp count reset" 0l
-    (ok (Session.read_u32 s ~addr:(L.cmp_count_addr layout)));
+    (ok (Session.read_u32 s ~addr:cmp.count_addr));
   Alcotest.(check string) "no log left" "" (ok (Session.drain_uart s))
 
 let suite =

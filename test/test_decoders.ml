@@ -11,6 +11,271 @@ open Eof_obs
 
 let total f s = match f s with Ok _ | Error _ -> true
 
+(* The RSP command codec as it was before every field went through the
+   cursor: Printf rendering, [make_frame], and the split-based parser.
+   Kept as the reference model the codec property compares against. The
+   [vBatch] op parser follows the wire grammar byte by byte. *)
+module Ref = struct
+  let hex_nibble c = Option.value (Eof_util.Hex.to_nibble c) ~default:16
+
+  let checksum s = String.fold_left (fun acc c -> (acc + Char.code c) land 0xFF) 0 s
+
+  let make_frame payload = Printf.sprintf "$%s#%02x" payload (checksum payload)
+
+  let escape_binary s =
+    let buf = Buffer.create (String.length s) in
+    String.iter
+      (fun c ->
+        match c with
+        | '$' | '#' | '}' | '*' ->
+          Buffer.add_char buf '}';
+          Buffer.add_char buf (Char.chr (Char.code c lxor 0x20))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.contents buf
+
+  let unescape_binary s =
+    let buf = Buffer.create (String.length s) in
+    let n = String.length s in
+    let rec go i =
+      if i >= n then Ok (Buffer.contents buf)
+      else if s.[i] = '}' then
+        if i + 1 >= n then Error "dangling escape at end of payload"
+        else begin
+          Buffer.add_char buf (Char.chr (Char.code s.[i + 1] lxor 0x20));
+          go (i + 2)
+        end
+      else begin
+        Buffer.add_char buf s.[i];
+        go (i + 1)
+      end
+    in
+    go 0
+
+  let rec hex_digits s i stop acc =
+    if i = stop then acc
+    else
+      let d = hex_nibble s.[i] in
+      if d > 15 || acc > max_int lsr 4 then -1 else hex_digits s (i + 1) stop ((acc lsl 4) lor d)
+
+  let parse_hex_int s =
+    let n = String.length s in
+    match if n = 0 then -1 else hex_digits s 0 n 0 with
+    | -1 -> Error (if n = 0 then "empty hex number" else Printf.sprintf "bad hex number %S" s)
+    | v -> Ok v
+
+  let split2 sep s =
+    match String.index_opt s sep with
+    | Some i -> Some (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
+    | None -> None
+
+  let ( let* ) = Result.bind
+
+  let parse_addr_len s =
+    match split2 ',' s with
+    | None -> Error (Printf.sprintf "expected addr,len in %S" s)
+    | Some (a, l) ->
+      let* addr = parse_hex_int a in
+      let* len = parse_hex_int l in
+      Ok (addr, len)
+
+  let parse_breakpoint s =
+    match String.split_on_char ',' s with
+    | [ "0"; addr; _kind ] -> parse_hex_int addr
+    | _ -> Error (Printf.sprintf "unsupported breakpoint spec %S" s)
+
+  exception Bad
+
+  (* The ops of a [vBatch:] payload body, every one read before any is
+     returned. *)
+  let batch_ops s =
+    let n = String.length s and pos = ref 0 in
+    let hex () =
+      let start = !pos in
+      while !pos < n && hex_nibble s.[!pos] <= 15 do
+        incr pos
+      done;
+      match parse_hex_int (String.sub s start (!pos - start)) with Ok v -> v | Error _ -> raise Bad
+    in
+    let expect ch = if !pos < n && s.[!pos] = ch then incr pos else raise Bad in
+    let segment len =
+      let buf = Buffer.create 16 in
+      for _ = 1 to len do
+        if !pos >= n then raise Bad;
+        if s.[!pos] = '}' then begin
+          if !pos + 1 >= n then raise Bad;
+          Buffer.add_char buf (Char.chr (Char.code s.[!pos + 1] lxor 0x20));
+          pos := !pos + 2
+        end
+        else begin
+          Buffer.add_char buf s.[!pos];
+          incr pos
+        end
+      done;
+      Buffer.contents buf
+    in
+    let op () =
+      let ch = s.[!pos] in
+      incr pos;
+      match ch with
+      | 'c' -> Rsp.B_continue
+      | 'r' ->
+        let addr = hex () in
+        expect ',';
+        let len = hex () in
+        Rsp.B_read { addr; len }
+      | 'w' ->
+        let addr = hex () in
+        expect ',';
+        let len = hex () in
+        expect ':';
+        let data = segment len in
+        Rsp.B_write { addr; data }
+      | 'k' ->
+        let count_addr = hex () in
+        expect ',';
+        let data_addr = hex () in
+        expect ',';
+        let stride = hex () in
+        expect ',';
+        let max_count = hex () in
+        expect ',';
+        let reset = !pos < n && s.[!pos] = 'r' in
+        if not (reset || (!pos < n && s.[!pos] = 'n')) then raise Bad;
+        incr pos;
+        Rsp.B_read_counted { count_addr; data_addr; stride; max_count; reset }
+      | 'm' ->
+        let len = hex () in
+        expect ':';
+        Rsp.B_monitor (segment len)
+      | _ -> raise Bad
+    in
+    match
+      if n = 0 then raise Bad;
+      let first = op () in
+      let ops = ref [ first ] in
+      while !pos < n do
+        expect ';';
+        if !pos >= n then raise Bad;
+        let next = op () in
+        ops := next :: !ops
+      done;
+      Array.of_list (List.rev !ops)
+    with
+    | ops -> Ok ops
+    | exception Bad -> Error "bad batch"
+
+  let parse_command payload : (Rsp.command, string) result =
+    if payload = "" then Error "empty packet"
+    else
+      let rest () = String.sub payload 1 (String.length payload - 1) in
+      let has_prefix p =
+        String.length payload >= String.length p
+        && String.sub payload 0 (String.length p) = p
+      in
+      let after p = String.sub payload (String.length p) (String.length payload - String.length p) in
+      match payload.[0] with
+      | 'q' ->
+        if payload = "qSupported" then Ok (Rsp.Q_supported "")
+        else if has_prefix "qSupported:" then Ok (Rsp.Q_supported (after "qSupported:"))
+        else if has_prefix "qRcmd," then
+          (match Eof_util.Hex.decode (after "qRcmd,") with
+           | Ok cmd -> Ok (Rsp.Monitor cmd)
+           | Error e -> Error ("qRcmd: " ^ e))
+        else Error (Printf.sprintf "unsupported query %S" payload)
+      | 'm' ->
+        let* addr, len = parse_addr_len (rest ()) in
+        Ok (Rsp.Read_mem { addr; len })
+      | 'M' ->
+        (match split2 ':' (rest ()) with
+         | None -> Error "M: missing data"
+         | Some (range, hexdata) ->
+           let* addr, len = parse_addr_len range in
+           (match Eof_util.Hex.decode hexdata with
+            | Error e -> Error ("M: " ^ e)
+            | Ok data ->
+              if String.length data <> len then Error "M: length mismatch"
+              else Ok (Rsp.Write_mem { addr; data })))
+      | 'Z' ->
+        let* addr = parse_breakpoint (rest ()) in
+        Ok (Rsp.Insert_breakpoint addr)
+      | 'z' ->
+        let* addr = parse_breakpoint (rest ()) in
+        Ok (Rsp.Remove_breakpoint addr)
+      | 'Q' ->
+        if payload = "QSnapshot:save" then Ok Rsp.Snapshot_save
+        else if payload = "QSnapshot:restore" then Ok Rsp.Snapshot_restore
+        else Error (Printf.sprintf "unsupported set packet %S" payload)
+      | 'c' when payload = "c" -> Ok Rsp.Continue
+      | 's' when payload = "s" -> Ok Rsp.Step
+      | 'g' when payload = "g" -> Ok Rsp.Read_registers
+      | '?' when payload = "?" -> Ok Rsp.Halt_reason
+      | 'k' when payload = "k" -> Ok Rsp.Kill
+      | 'v' ->
+        if has_prefix "vFlashErase:" then
+          let* addr, len = parse_addr_len (after "vFlashErase:") in
+          Ok (Rsp.Flash_erase { addr; len })
+        else if has_prefix "vFlashWrite:" then
+          (match split2 ':' (after "vFlashWrite:") with
+           | None -> Error "vFlashWrite: missing data"
+           | Some (a, escaped) ->
+             let* addr = parse_hex_int a in
+             (match unescape_binary escaped with
+              | Error e -> Error ("vFlashWrite: " ^ e)
+              | Ok data -> Ok (Rsp.Flash_write { addr; data })))
+        else if payload = "vFlashDone" then Ok Rsp.Flash_done
+        else if has_prefix "vBatch:" then
+          Result.map (fun ops -> Rsp.Batch ops) (batch_ops (after "vBatch:"))
+        else Error (Printf.sprintf "unsupported v-packet %S" payload)
+      | _ -> Error (Printf.sprintf "unsupported packet %S" payload)
+
+  let render_batch_op = function
+    | Rsp.B_continue -> "c"
+    | Rsp.B_read { addr; len } -> Printf.sprintf "r%x,%x" addr len
+    | Rsp.B_write { addr; data } ->
+      Printf.sprintf "w%x,%x:%s" addr (String.length data) (escape_binary data)
+    | Rsp.B_read_counted { count_addr; data_addr; stride; max_count; reset } ->
+      Printf.sprintf "k%x,%x,%x,%x,%c" count_addr data_addr stride max_count
+        (if reset then 'r' else 'n')
+    | Rsp.B_monitor cmd -> Printf.sprintf "m%x:%s" (String.length cmd) (escape_binary cmd)
+
+  let render_command = function
+    | Rsp.Q_supported "" -> "qSupported"
+    | Rsp.Q_supported features -> "qSupported:" ^ features
+    | Rsp.Read_mem { addr; len } -> Printf.sprintf "m%x,%x" addr len
+    | Rsp.Write_mem { addr; data } ->
+      Printf.sprintf "M%x,%x:%s" addr (String.length data) (Eof_util.Hex.encode data)
+    | Rsp.Insert_breakpoint addr -> Printf.sprintf "Z0,%x,2" addr
+    | Rsp.Remove_breakpoint addr -> Printf.sprintf "z0,%x,2" addr
+    | Rsp.Continue -> "c"
+    | Rsp.Step -> "s"
+    | Rsp.Read_registers -> "g"
+    | Rsp.Halt_reason -> "?"
+    | Rsp.Kill -> "k"
+    | Rsp.Flash_erase { addr; len } -> Printf.sprintf "vFlashErase:%x,%x" addr len
+    | Rsp.Flash_write { addr; data } ->
+      Printf.sprintf "vFlashWrite:%x:%s" addr (escape_binary data)
+    | Rsp.Flash_done -> "vFlashDone"
+    | Rsp.Monitor cmd -> "qRcmd," ^ Eof_util.Hex.encode cmd
+    | Rsp.Batch ops ->
+      "vBatch:" ^ String.concat ";" (List.map render_batch_op (Array.to_list ops))
+    | Rsp.Snapshot_save -> "QSnapshot:save"
+    | Rsp.Snapshot_restore -> "QSnapshot:restore"
+end
+
+(* A command's payload, and its frame, as the session renders them. *)
+let render cmd =
+  let out = Rsp.Out.create () in
+  Rsp.add_command out cmd;
+  Rsp.Out.contents out
+
+let frame_command cmd =
+  let out = Rsp.Out.create () in
+  Rsp.Out.open_frame out;
+  Rsp.add_command out cmd;
+  Rsp.Out.close_frame out;
+  Rsp.Out.contents out
+
 let commands =
   Rsp.
     [
@@ -34,14 +299,14 @@ let commands =
 
 let batch_ops =
   Rsp.
-    [
+    [|
       B_continue;
       B_read { addr = 0x2000_0000; len = 16 };
       B_write { addr = 0x2000_0040; data = "\x00;}$" };
       B_read_counted
         { count_addr = 0x2000_0800; data_addr = 0x2000_0804; stride = 4; max_count = 64; reset = true };
       B_monitor "uart drain";
-    ]
+    |]
 
 (* A batch reply with one sub-reply of each kind, as the probe renders
    it. *)
@@ -150,12 +415,80 @@ let prop name seeds check =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name:("total: " ^ name) ~count:10_000 (input_arb seeds) check)
 
+(* --- the command codec against its reference model --------------------- *)
+
+(* Small, 32-bit and any int, negative ones too (rendered as Printf's
+   "%x" renders them). *)
+let int_gen = QCheck.Gen.(oneof [ int_bound 0xFF; map (fun n -> n land 0xFFFF_FFFF) nat; int ])
+
+(* Binary data rich in the bytes that must be escaped. *)
+let data_gen =
+  QCheck.Gen.(
+    string_size ~gen:(frequency [ (3, char); (1, oneofl [ '$'; '#'; '}'; '*' ]) ]) (0 -- 24))
+
+let batch_op_gen =
+  let open QCheck.Gen in
+  oneof
+    [
+      return Rsp.B_continue;
+      map2 (fun addr len -> Rsp.B_read { addr; len }) int_gen int_gen;
+      map2 (fun addr data -> Rsp.B_write { addr; data }) int_gen data_gen;
+      map
+        (fun ((count_addr, data_addr), (stride, max_count), reset) ->
+          Rsp.B_read_counted { count_addr; data_addr; stride; max_count; reset })
+        (triple (pair int_gen int_gen) (pair int_gen int_gen) bool);
+      map (fun cmd -> Rsp.B_monitor cmd) data_gen;
+    ]
+
+let command_gen =
+  let open QCheck.Gen in
+  oneof
+    [
+      map (fun f -> Rsp.Q_supported f) (oneof [ return ""; data_gen ]);
+      map2 (fun addr len -> Rsp.Read_mem { addr; len }) int_gen int_gen;
+      map2 (fun addr data -> Rsp.Write_mem { addr; data }) int_gen data_gen;
+      map (fun addr -> Rsp.Insert_breakpoint addr) int_gen;
+      map (fun addr -> Rsp.Remove_breakpoint addr) int_gen;
+      oneofl Rsp.[ Continue; Step; Read_registers; Halt_reason; Flash_done; Kill ];
+      map2 (fun addr len -> Rsp.Flash_erase { addr; len }) int_gen int_gen;
+      map2 (fun addr data -> Rsp.Flash_write { addr; data }) int_gen data_gen;
+      map (fun cmd -> Rsp.Monitor cmd) data_gen;
+      map (fun ops -> Rsp.Batch ops) (array_size (1 -- 5) batch_op_gen);
+      oneofl Rsp.[ Snapshot_save; Snapshot_restore ];
+    ]
+
+let parses_alike payload =
+  match (Rsp.parse_command payload, Ref.parse_command payload) with
+  | Ok cmd, Ok cmd' -> cmd = cmd'
+  | Error _, Error _ -> true
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+(* Two halves. A random command renders and frames to the bytes the
+   reference renders. A payload (random, that rendering, or a byte-level
+   mutation of it) parses to the command the reference parses, or both
+   parsers reject it. *)
+let prop_codec_matches_reference =
+  let gen =
+    let open QCheck.Gen in
+    command_gen >>= fun cmd ->
+    let rendered = Ref.render_command cmd in
+    frequency [ (1, string_size (0 -- 32)); (1, return rendered); (4, mutate_gen rendered) ]
+    >|= fun payload -> (cmd, payload)
+  in
+  QCheck.Test.make ~name:"rsp codec equals the reference model" ~count:5_000
+    (QCheck.make ~print:(fun (cmd, payload) -> Printf.sprintf "%S / %S" (Ref.render_command cmd) payload) gen)
+    (fun (cmd, payload) ->
+      frame_command cmd = Ref.make_frame (Ref.render_command cmd) && parses_alike payload)
+
 (* A retired binary [X] write stays in the sweep: it must decode to a
    typed error, never raise. *)
 let rendered_commands =
-  ("X20000020,6:" ^ Rsp.escape_binary "}$#*\x00\xff")
-  :: ("vBatch:" ^ Rsp.render_batch_ops batch_ops)
-  :: List.map Rsp.render_command commands
+  ("X20000020,6:" ^ Ref.escape_binary "}$#*\x00\xff")
+  :: render (Rsp.Batch batch_ops)
+  :: List.map render commands
+  @ List.map
+      (fun data -> render (Rsp.Flash_write { addr = 0; data }))
+      [ "plain"; "$#}*"; "\x00\xff}}" ]
 
 let pc_reg = 15
 
@@ -190,7 +523,7 @@ let test_forged_segment_length () =
   let forged = "K;da:raw;bytes}];k46,100123456789aa:raw;bytes}];k46,100123456789a" in
   Alcotest.(check bool) "batch replies" true (Result.is_error (Rsp.Replies.read forged ~pos:0));
   Alcotest.(check bool) "batch ops" true
-    (Result.is_error (Rsp.parse_batch_ops "w20000040,7fffffffffff:}]"))
+    (Result.is_error (Rsp.parse_command "vBatch:w20000040,7fffffffffff:}]"))
 
 (* RSP numbers are hex digits and nothing else, up to max_int: OCaml's
    '_' separator and "0x" prefix are not hex, and a field past max_int is
@@ -199,8 +532,8 @@ let test_rsp_numbers_strict () =
   let rejected what r = Alcotest.(check bool) what true (Result.is_error r) in
   rejected "'_' in an address" (Rsp.parse_command "m1_0,4");
   rejected "'_' in a reply code" (Rsp.parse_reply ~pc_reg "E1_");
-  rejected "batch address past max_int" (Rsp.parse_batch_ops "r10000000000000000,4");
-  rejected "batch length past max_int" (Rsp.parse_batch_ops "r0,4000000000000000");
+  rejected "batch address past max_int" (Rsp.parse_command "vBatch:r10000000000000000,4");
+  rejected "batch length past max_int" (Rsp.parse_command "vBatch:r0,4000000000000000");
   List.iter
     (fun s -> rejected (Printf.sprintf "hex field %S" s) (Rsp.parse_hex_int s))
     [ ""; "1_0"; "0x10"; "+1"; "-1"; " 1"; "4000000000000000"; "10000000000000000" ];
@@ -208,8 +541,8 @@ let test_rsp_numbers_strict () =
     (Rsp.parse_hex_int "3fffffffffffffff");
   Alcotest.(check (result int string)) "mixed case" (Ok 0xdeadbeef) (Rsp.parse_hex_int "DeadBEEF");
   Alcotest.(check bool) "batch read at max_int" true
-    (Rsp.parse_batch_ops "r3fffffffffffffff,4"
-    = Ok [ Rsp.B_read { addr = max_int; len = 4 } ])
+    (Rsp.parse_command "vBatch:r3fffffffffffffff,4"
+    = Ok (Rsp.Batch [| Rsp.B_read { addr = max_int; len = 4 } |]))
 
 (* Every debug packet that names memory outside RAM and flash gets an
    [E] reply and leaves both unchanged: addresses and lengths at 0, at
@@ -277,11 +610,12 @@ let test_probe_range_sweep () =
     (fun cmd ->
       let payload, expected =
         match cmd with
-        | `Batch op -> ("vBatch:" ^ Rsp.render_batch_ops [ op ], "bE0e")
-        | `Command c -> (Rsp.render_command c, "E0e")
+        | `Batch op -> (Rsp.Batch [| op |], "bE0e")
+        | `Command c -> (c, "E0e")
       in
-      match Openocd.feed probe (Rsp.make_frame payload) with
-      | reply when reply = "+" ^ Rsp.make_frame expected -> ()
+      let payload = render payload in
+      match Openocd.feed probe (Ref.make_frame payload) with
+      | reply when reply = "+" ^ Ref.make_frame expected -> ()
       | reply -> Alcotest.failf "%S: reply %S, expected %S" payload reply expected
       | exception e -> Alcotest.failf "%S raised %s" payload (Printexc.to_string e))
     commands;
@@ -305,21 +639,18 @@ let test_gpio_pin_is_decimal () =
     | Ok () -> ()
     | Error e -> Alcotest.fail e
   done;
-  let send payload = Openocd.feed probe (Rsp.make_frame payload) in
-  let expect what payload reply =
-    Alcotest.(check string) what ("+" ^ Rsp.make_frame reply) (send payload)
+  let expect what cmd reply =
+    Alcotest.(check string) what ("+" ^ Ref.make_frame reply) (Openocd.feed probe (frame_command cmd))
   in
   List.iter
     (fun cmd ->
-      expect (cmd ^ " over qRcmd") (Rsp.render_command (Rsp.Monitor cmd)) "E02";
-      expect (cmd ^ " in a vBatch")
-        ("vBatch:" ^ Rsp.render_batch_ops [ Rsp.B_monitor cmd ])
-        "bE02";
+      expect (cmd ^ " over qRcmd") (Rsp.Monitor cmd) "E02";
+      expect (cmd ^ " in a vBatch") (Rsp.Batch [| Rsp.B_monitor cmd |]) "bE02";
       Alcotest.(check (list int)) (cmd ^ " moves no pin") [] (Gpio.drain_pending gpio))
     [ "gpio 0x2 1"; "gpio 0b10 1"; "gpio +2 1"; "gpio 1_0 1"; "gpio 0o2 1"; "gpio -0 1" ];
-  expect "gpio 2 1 over qRcmd" (Rsp.render_command (Rsp.Monitor "gpio 2 1")) "OK";
+  expect "gpio 2 1 over qRcmd" (Rsp.Monitor "gpio 2 1") "OK";
   Alcotest.(check (list int)) "pin 2 latched" [ 2 ] (Gpio.drain_pending gpio);
-  expect "gpio 2 0 in a vBatch" ("vBatch:" ^ Rsp.render_batch_ops [ Rsp.B_monitor "gpio 2 0" ]) "bK";
+  expect "gpio 2 0 in a vBatch" (Rsp.Batch [| Rsp.B_monitor "gpio 2 0" |]) "bK";
   Alcotest.(check (list int)) "pin 2 latched again" [ 2 ] (Gpio.drain_pending gpio)
 
 (* --- the frame decoder under any chunking ------------------------------ *)
@@ -333,8 +664,6 @@ module Model = struct
   type t = { mutable state : state; payload : Buffer.t }
 
   let create () = { state = Idle; payload = Buffer.create 64 }
-
-  let checksum s = String.fold_left (fun acc c -> (acc + Char.code c) land 0xFF) 0 s
 
   let feed t bytes =
     let events = ref [] in
@@ -364,7 +693,7 @@ module Model = struct
               | Some hi ->
                 let payload = Buffer.contents t.payload in
                 emit
-                  (if checksum payload = (hi lsl 4) lor nib then Rsp.Decoder.Packet payload
+                  (if Ref.checksum payload = (hi lsl 4) lor nib then Rsp.Decoder.Packet payload
                    else Rsp.Decoder.Bad_checksum payload);
                 t.state <- Idle)))
       bytes;
@@ -385,14 +714,14 @@ let modelled chunks =
    before its check bytes, line noise and the single-byte packets. *)
 let stream_piece =
   let open QCheck.Gen in
-  let payload = map Rsp.escape_binary (string_size (0 -- 24)) in
+  let payload = map Ref.escape_binary (string_size (0 -- 24)) in
   oneof
     [
-      map Rsp.make_frame payload;
-      map Rsp.make_frame payload;
+      map Ref.make_frame payload;
+      map Ref.make_frame payload;
       map2
         (fun p k ->
-          let f = Rsp.make_frame p in
+          let f = Ref.make_frame p in
           let sum = int_of_string ("0x" ^ String.sub f (String.length f - 2) 2) in
           Printf.sprintf "$%s#%02x" p ((sum + 1 + k) land 0xFF))
         payload (int_bound 254);
@@ -431,10 +760,10 @@ let prop_decoder_any_chunking =
    ends right after a '$', and a '#' as a chunk's last or second-to-last
    byte, at every such place in a stream of every piece kind. *)
 let test_decoder_forced_cuts () =
-  let frame = Rsp.make_frame "m20000000,4" in
+  let frame = frame_command (Rsp.Read_mem { addr = 0x2000_0000; len = 4 }) in
   let s =
     String.concat ""
-      [ "+"; frame; "$OK#00"; "$OK#zz"; "$OK#z+"; "$OK#9z"; "-"; "noise#"; Rsp.make_frame (Rsp.escape_binary "#$}*");
+      [ "+"; frame; "$OK#00"; "$OK#zz"; "$OK#z+"; "$OK#9z"; "-"; "noise#"; Ref.make_frame (Ref.escape_binary "#$}*");
         "-"; "\003"; "$OK#9a"; "$trailing" ]
   in
   let places = ref [] in
@@ -556,17 +885,15 @@ let suite =
     Alcotest.test_case "gpio pin is plain decimal" `Quick test_gpio_pin_is_decimal;
     Alcotest.test_case "decoder forced cuts equal the byte model" `Quick test_decoder_forced_cuts;
     QCheck_alcotest.to_alcotest prop_decoder_any_chunking;
+    QCheck_alcotest.to_alcotest prop_codec_matches_reference;
     Alcotest.test_case "Journal.replay at every offset" `Quick test_journal_replay_total;
     Alcotest.test_case "Corpus_io save, load and mutations" `Quick test_corpus_io_total;
     prop "Rsp.parse_command" rendered_commands (total Rsp.parse_command);
     prop "Rsp.parse_reply" rendered_replies (total (Rsp.parse_reply ~pc_reg));
-    prop "Rsp.parse_batch_ops" [ Rsp.render_batch_ops batch_ops ] (total Rsp.parse_batch_ops);
     prop "Rsp.Replies" [ batch_reply ] read_all_replies;
-    prop "Rsp.unescape_binary"
-      (List.map Rsp.escape_binary [ "plain"; "$#}*"; "\x00\xff}}" ])
-      (total Rsp.unescape_binary);
+    prop "Rsp.hex_data" [ "00ff7f"; "DeadBEEF"; "" ] (total Rsp.hex_data);
     prop "Rsp.Decoder.feed"
-      ("+" :: "-" :: "\x03" :: List.map Rsp.make_frame rendered_commands)
+      ("+" :: "-" :: "\x03" :: List.map Ref.make_frame rendered_commands)
       feed_decoder;
     prop "Wire.decode (little-endian)" (encoded_programs Arch.Little)
       (total (Wire.decode ~endianness:Arch.Little));

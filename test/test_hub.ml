@@ -551,6 +551,36 @@ let test_worker_push_once () =
   Alcotest.(check bool) "no transplant ever pushed back" true
     (List.for_all (fun s -> not (List.mem s pulled)) all)
 
+(* Hub input a worker cannot act on never raises. An assignment it
+   cannot build is an [Error] naming the cause; a kind no worker
+   receives is dropped. Each frame crosses the codec first, as it does
+   on a socket. *)
+let test_worker_bad_hub_input () =
+  let w = Worker.create ~name:"w" ~resolve () in
+  let handle msg =
+    match Protocol.decode (Protocol.encode msg) with
+    | Error e -> Alcotest.fail (Protocol.error_to_string e)
+    | Ok msg -> (
+      match Worker.handle w msg with
+      | result -> result
+      | exception e -> Alcotest.failf "%s raised %s" (Protocol.kind_name msg) (Printexc.to_string e))
+  in
+  let assign config = Protocol.Shard_assign (List.hd (Shard.plan ~campaign:1 config)) in
+  let names what e part =
+    Alcotest.(check bool) (what ^ ": " ^ e) true (Re.execp (Re.compile (Re.str part)) e)
+  in
+  (match handle (assign { sample_tenant with Tenant.os = "Plan9" }) with
+   | Error e -> names "unknown os" e "Plan9"
+   | Ok _ -> Alcotest.fail "an unknown os was assigned");
+  (match handle (assign { sample_tenant with Tenant.boards = 0 }) with
+   | Error e -> names "zero boards" e "farm init failed"
+   | Ok _ -> Alcotest.fail "a zero-board farm was assigned");
+  (match handle (Protocol.Status { rows = []; workers = [] }) with
+   | Ok [] -> ()
+   | Ok _ -> Alcotest.fail "a status frame was answered"
+   | Error e -> Alcotest.fail e);
+  Alcotest.(check bool) "nothing leased" true (Worker.next_cpu_s w = None)
+
 (* --- the deterministic fleet soak --------------------------------------- *)
 
 let fleet_tenants =
@@ -832,6 +862,7 @@ let suite =
     Alcotest.test_case "lease epochs fence stale traffic" `Quick test_lease_fencing;
     Alcotest.test_case "worker pushes each program once, echoes no pull" `Quick
       test_worker_push_once;
+    Alcotest.test_case "worker never raises on hub input" `Quick test_worker_bad_hub_input;
     Alcotest.test_case "inproc fleet is deterministic" `Quick
       test_inproc_deterministic;
     Alcotest.test_case "inproc fleet results" `Quick test_inproc_fleet_results;

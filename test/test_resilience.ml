@@ -71,7 +71,7 @@ let test_fault_kinds_cured_by_retry () =
       (* A truncated frame leaves the decoder mid-frame, so the retried
          reply completes a bad frame before attempt 3 succeeds — give the
          rung room beyond the default 3 attempts. *)
-      Session.set_retry session { Err.Retry.default with attempts = 6 };
+      Session.set_retry session 6;
       let mailbox = Osbuild.mailbox_base build in
       let clean = ok_or_fail (Session.read_mem session ~addr:mailbox ~len:16) in
       (* counted read *)
@@ -177,7 +177,7 @@ let test_snapshot_restore_mid_fault () =
   let build = mk_build 0 in
   let machine, inj, retries = aimable_machine build in
   let session = Machine.session machine in
-  Session.set_retry session { Err.Retry.default with attempts = 6 };
+  Session.set_retry session 6;
   (* Restore before any save is a typed remote error, not a crash. *)
   (match Machine.snapshot_restore machine with
    | Error _ -> ()
