@@ -150,6 +150,7 @@ type state = {
       (* operand pairs recorded during the most recent execution *)
   mutable pending : Prog.t list;
       (* deterministic input-to-state children queued to run next *)
+  mutable pending_len : int;  (* List.length pending *)
   pending_hashes : (int, unit) Hashtbl.t;
   mutable last_was_child : bool;
       (* the program that just ran was an input-to-state child: such
@@ -348,19 +349,21 @@ let scan_log_for_crashes st log =
 
 (* Deterministic Redqueen step: if the program that just ran compared one
    of its own arguments against a different constant, queue the patched
-   program to run next. *)
+   program to run next. The queue holds at most 32 children; patching
+   stops once it is full. *)
 let queue_i2s_children st =
-  if st.config.feedback && st.current_prog <> [] && not st.last_was_child then
-    List.iter
-      (fun child ->
-        if List.length st.pending < 32 then begin
-          let h = Prog.hash child in
-          if not (Hashtbl.mem st.pending_hashes h) then begin
-            Hashtbl.replace st.pending_hashes h ();
-            st.pending <- child :: st.pending
-          end
-        end)
-      (Gen.substitute_all st.gen st.current_prog ~pairs:st.last_cmp_pairs)
+  if
+    st.config.feedback && st.current_prog <> [] && (not st.last_was_child)
+    && st.pending_len < 32
+  then
+    Gen.substitute_all st.gen st.current_prog ~pairs:st.last_cmp_pairs (fun child ->
+        let h = Prog.hash child in
+        if not (Hashtbl.mem st.pending_hashes h) then begin
+          Hashtbl.replace st.pending_hashes h ();
+          st.pending <- child :: st.pending;
+          st.pending_len <- st.pending_len + 1
+        end;
+        st.pending_len < 32)
 
 
 (* --- liveness & recovery --------------------------------------------- *)
@@ -667,6 +670,7 @@ let choose_program st =
     match st.pending with
     | child :: rest ->
       st.pending <- rest;
+      st.pending_len <- st.pending_len - 1;
       st.last_was_fresh <- false;
       st.last_was_child <- true;
       child
@@ -878,6 +882,7 @@ let init ?machine ?obs config build =
            focus = None;
            last_cmp_pairs = [];
            pending = [];
+           pending_len = 0;
            pending_hashes = Hashtbl.create 256;
            last_was_child = false;
            fresh_yield = 1.0;

@@ -723,7 +723,10 @@ let substitute t prog ~pairs =
     in
     Some (patch prog (pos, ai, replacement))
 
-let substitute_all _t prog ~pairs =
-  List.concat_map
-    (fun (pos, ai, r) -> [ patch prog (pos, ai, r); patch prog (pos, ai, Int64.add r 1L) ])
-    (List.sort_uniq compare (i2s_candidates prog ~pairs))
+let substitute_all _t prog ~pairs f =
+  let rec go = function
+    | [] -> ()
+    | (pos, ai, r) :: rest ->
+      if f (patch prog (pos, ai, r)) && f (patch prog (pos, ai, Int64.add r 1L)) then go rest
+  in
+  go (List.sort_uniq compare (i2s_candidates prog ~pairs))

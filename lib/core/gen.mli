@@ -51,9 +51,12 @@ val substitute : t -> Prog.t -> pairs:(int64 * int64) list -> Prog.t option
     the other side (folded into 32 bits, as the ring stores them).
     [None] when no argument matches any pair. *)
 
-val substitute_all : t -> Prog.t -> pairs:(int64 * int64) list -> Prog.t list
-(** Every distinct input-to-state patch (constant and constant+1 per
-    matching argument/comparison pair), for systematic enumeration. *)
+val substitute_all : t -> Prog.t -> pairs:(int64 * int64) list -> (Prog.t -> bool) -> unit
+(** [substitute_all t prog ~pairs f] calls [f] on every distinct
+    input-to-state patch (constant and constant+1 per matching
+    argument/comparison pair), in order, for systematic enumeration.
+    It stops as soon as [f] returns [false], and builds no patch past
+    that point. Draws no randomness. *)
 
 val gen_value : t -> Ast.ty -> Prog.arg
 (** Exposed for tests: generate one argument value with no producer in

@@ -33,6 +33,11 @@ type t = {
      page's stamp. Content caches (the flash boot-CRC memo) key on it:
      an unchanged count proves no byte changed. *)
   mutable mutations : int;
+  (* Per page, the [mutations] value at its latest content change, so a
+     reader that remembers a count can tell which pages changed since.
+     Empty until the first {!written_since} query: regions nobody asks
+     about (flash) never pay for it. *)
+  mutable written : int array;
 }
 
 let pages_of_size size = (size + page_size - 1) / page_size
@@ -60,6 +65,7 @@ let create ~base ~size ~endianness =
     nonzero = page_list n_pages;
     generation = 1;
     mutations = 0;
+    written = [||];
   }
 
 let base t = t.base
@@ -82,10 +88,14 @@ let flag_nonzero t p =
     push t.nonzero p
   end
 
+(* Record the current mutation count as page [p]'s latest change. *)
+let record t p = if Array.length t.written > 0 then Array.unsafe_set t.written p t.mutations
+
 let touch_range t off len =
   if len > 0 then begin
     t.mutations <- t.mutations + 1;
     for p = off lsr page_shift to (off + len - 1) lsr page_shift do
+      record t p;
       stamp_page t p;
       flag_nonzero t p
     done
@@ -102,6 +112,14 @@ let check t addr len =
       (Printf.sprintf "access of %d byte(s) outside region [0x%08x,0x%08x)" len t.base
          (t.base + Bytes.length t.data))
 
+let written_since t addr ~since =
+  check t addr 1;
+  if Array.length t.written = 0 then
+    (* First query: nothing recorded yet, so every page counts as
+       written at the current count. *)
+    t.written <- Array.make (Array.length t.stamps) t.mutations;
+  Array.unsafe_get t.written ((addr - t.base) lsr page_shift) > since
+
 let read_u8 t addr =
   check t addr 1;
   Char.code (Bytes.unsafe_get t.data (addr - t.base))
@@ -112,6 +130,13 @@ let read_u32 t addr =
   match t.endianness with
   | Arch.Little -> Bytes.get_int32_le t.data off
   | Arch.Big -> Bytes.get_int32_be t.data off
+
+let read_i32 t addr =
+  check t addr 4;
+  let off = addr - t.base in
+  match t.endianness with
+  | Arch.Little -> Int32.to_int (Bytes.get_int32_le t.data off)
+  | Arch.Big -> Int32.to_int (Bytes.get_int32_be t.data off)
 
 let write_u32 t addr v =
   check t addr 4;
@@ -152,6 +177,7 @@ let clear t =
     Bytes.fill t.data (p lsl page_shift) (page_len t p) '\000';
     (* Content changed, so the page is dirty relative to any snapshot. *)
     t.mutations <- t.mutations + 1;
+    record t p;
     stamp_page t p;
     Bytes.unsafe_set t.nz p '\000'
   done;
@@ -182,6 +208,7 @@ let restore_pages t ~baseline ~since =
        bytes may differ from what a content cache last saw, so the
        mutation count still moves forward. *)
     t.mutations <- t.mutations + 1;
+    record t p;
     Array.unsafe_set t.stamps p since;
     flag_nonzero t p
   done;

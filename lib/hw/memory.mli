@@ -15,7 +15,12 @@
     byte. A page joins each list once, on its first stamp past the
     capture or its first write since the last {!clear}; {!restore_pages}
     and {!clear} walk their list and empty it, never scanning the
-    region. *)
+    region.
+
+    A third record lets a reader of the region's own metadata (the
+    target heap) re-read only what changed: per page, the {!mutations}
+    count at its latest content change ({!written_since}). It exists
+    only for regions someone queries. *)
 
 type t
 
@@ -34,6 +39,10 @@ val in_range : t -> addr:int -> len:int -> bool
 val read_u8 : t -> int -> int
 
 val read_u32 : t -> int -> int32
+
+val read_i32 : t -> int -> int
+(** [read_u32] as a sign-extended [int], with nothing boxed: for hot
+    metadata reads such as heap headers. *)
 
 val write_u32 : t -> int -> int32 -> unit
 
@@ -63,6 +72,17 @@ val mutations : t -> int
     it. If it is unchanged between two points, no byte of the region
     changed in between — unlike page stamps, which {!restore_pages}
     rewinds, so a stamp cannot vouch for a page's bytes. *)
+
+val written_since : t -> int -> since:int -> bool
+(** Whether the page holding [addr] changed after the {!mutations} count
+    was [since]. Each region keeps, per page, the count at the page's
+    latest content change (set by every write, by {!clear} and by
+    {!restore_pages}), so a reader that remembers the count after its own
+    last look can re-read only what changed since. The record is
+    allocated on the first query, with every page set to the current
+    count: until then nothing is known, so every page counts as written.
+    Regions that are never queried (flash) never allocate it.
+    @raise Fault.Trap if [addr] is outside the region. *)
 
 val mark_generation : t -> int
 (** Return the current generation and advance to the next one. Pages

@@ -8,11 +8,25 @@
     +8  payload...
     v}
 
-    Blocks tile the region exactly. The allocator validates metadata on
-    every walk; corrupted headers (from overflowing kernel code — e.g.
-    the [rt_smem_setname] bug scribbles the next block's magic) raise a
-    memory-management fault, which is precisely how such corruption shows
-    up on hardware. *)
+    Blocks tile the region exactly. Every {!alloc}, {!free},
+    {!used_bytes} and {!free_bytes} validates the chain of headers from
+    the base, as a kernel's metadata walk does; a corrupted header (from
+    overflowing kernel code — e.g. the [rt_smem_setname] bug scribbles
+    the next block's magic) raises a memory-management fault, which is
+    precisely how such corruption shows up on hardware.
+
+    The validation costs what changed. The heap keeps a shadow index of
+    the chain (header addresses, sizes, used flags, in address order)
+    and the region's {!Eof_hw.Memory.mutations} count after its own last
+    write. An operation re-reads, in chain order, only the indexed
+    headers on pages {!Eof_hw.Memory.written_since} that count. Until
+    the first re-read header that differs from the index, the chain in
+    memory is the indexed chain, so the walk would reach that header
+    first too: an invalid one faults with the walk's message at the
+    walk's address, and a valid but different one re-walks the chain
+    from there. A fault during that re-walk leaves the index's tail
+    unknown, so the next operation walks the whole chain. Results, the
+    bytes written and every fault are those of a full walk per call. *)
 
 type t
 
@@ -49,6 +63,7 @@ val used_bytes : t -> int
 val free_bytes : t -> int
 
 val check : t -> (unit, string) result
-(** Non-faulting integrity walk (a [Result] version of what alloc/free
-    enforce): the blocks must tile the region exactly. No kernel path
-    calls it; it is the invariant the random alloc/free property checks. *)
+(** Non-faulting integrity check (a [Result] version of what alloc/free
+    enforce): the chain must validate, and the index must tile the
+    region exactly. No kernel path calls it; it is the invariant the
+    random alloc/free property checks. *)

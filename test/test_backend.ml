@@ -317,6 +317,31 @@ let test_synth_memoized () =
     Alcotest.(check bool) "shared parse result" true (a == b)
   | _ -> Alcotest.fail "spec synthesis failed"
 
+(* --- golden native digests --------------------------------------------- *)
+
+(* What [eof fuzz --os OS -n 2000 --seed 7 --backend native --digest]
+   prints, for every personality: a kernel-side change (the heap, the
+   scheduler) that moved any one campaign shows here. *)
+let test_golden_native_digests () =
+  List.iter
+    (fun (os, crc) ->
+      let target = Option.get (Eof_expt.Targets.find os) in
+      let config =
+        { Campaign.default_config with seed = 7L; iterations = 2000; backend = Machine.Native }
+      in
+      match Campaign.run config (Eof_expt.Targets.build_hw target) with
+      | Ok o ->
+        let digest = Report.campaign_digest o in
+        Alcotest.(check string) os crc (List.hd (List.rev (String.split_on_char ' ' digest)))
+      | Error e -> Alcotest.fail (Eof_error.to_string e))
+    [
+      ("Zephyr", "crc=0a324d6a");
+      ("RT-Thread", "crc=57151790");
+      ("FreeRTOS", "crc=6a063282");
+      ("NuttX", "crc=85cd4a85");
+      ("PoKOS", "crc=7077443b");
+    ]
+
 let suite =
   [
     Alcotest.test_case "diff: crashing campaign backend-equal" `Slow test_diff_with_crashes;
@@ -330,6 +355,7 @@ let suite =
       test_fresh_per_program_deterministic;
     Alcotest.test_case "diff: snapshot policies backend-equal" `Slow
       test_diff_snapshot_policies;
+    Alcotest.test_case "golden native digests, every OS" `Slow test_golden_native_digests;
     Alcotest.test_case "reset policy names" `Quick test_reset_policy_names;
     Alcotest.test_case "native rejects fault injection" `Quick
       test_native_rejects_fault_rate;

@@ -91,10 +91,20 @@ let test_substitute () =
    | Some p -> Alcotest.fail ("unexpected substitution\n" ^ Prog.to_string p)
    | None -> Alcotest.fail "no substitution found");
   (* substitute_all enumerates the exact constant and constant+1. *)
-  (match Gen.substitute_all gen prog ~pairs:[ (40L, 200L) ] with
+  let children = ref [] in
+  Gen.substitute_all gen prog ~pairs:[ (40L, 200L) ] (fun child ->
+      children := child :: !children;
+      true);
+  (match List.rev !children with
    | [ [ { Prog.args = [ Prog.Int 200L ]; _ } ]; [ { Prog.args = [ Prog.Int 201L ]; _ } ] ] -> ()
    | children ->
      Alcotest.fail (Printf.sprintf "substitute_all: %d children" (List.length children)));
+  (* A consumer that is full stops the enumeration. *)
+  let seen = ref 0 in
+  Gen.substitute_all gen prog ~pairs:[ (40L, 200L) ] (fun _ ->
+      incr seen;
+      false);
+  Alcotest.(check int) "stops at the first false" 1 !seen;
   (* Trivial pairs are ignored. *)
   (match Gen.substitute gen prog ~pairs:[ (40L, 1L) ] with
    | None -> ()

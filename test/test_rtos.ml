@@ -67,6 +67,24 @@ let test_heap_corruption_detected () =
   with Fault.Trap f ->
     Alcotest.(check bool) "mem fault" true (f.Fault.kind = Fault.Mem_manage_fault)
 
+(* A heap 4 bytes off the region's page grid has headers that span two
+   pages; a write to the second page alone must still be seen. *)
+let test_heap_header_across_pages () =
+  let ram = Memory.create ~base:0x2000_0004 ~size:4096 ~endianness:Arch.Little in
+  let h = Result.get_ok (Heap.init ~mem:ram ~base:0x2000_0008 ~size:2048) in
+  (* The block after a 240-byte one has its header at region offset 252,
+     its status word on the next page. *)
+  ignore (Option.get (Heap.alloc h 240) : int);
+  (* A write elsewhere makes the heap start tracking pages. *)
+  Memory.write_u32 ram 0x2000_0f00 1l;
+  ignore (Heap.free_bytes h : int);
+  let next = 0x2000_0008 + 248 in
+  Memory.write_u32 ram (next + 4) 0xBADC0DEl;
+  match Heap.free_bytes h with
+  | _ -> Alcotest.fail "a corrupt status word on the next page went unseen"
+  | exception Fault.Trap f ->
+    Alcotest.(check (option int)) "faults at that header" (Some next) f.Fault.address
+
 let test_heap_lock () =
   let _, h = make_heap () in
   (match Heap.lock h with Ok () -> () | Error _ -> Alcotest.fail "first lock");
@@ -484,6 +502,259 @@ let prop_heap_invariant =
         ops;
       Heap.check h = Ok ())
 
+(* --- the heap against its reference walk -------------------------------- *)
+
+(* The allocator before its shadow index: every operation walks the whole
+   chain from the base with boxed header reads, and coalescing restarts
+   the walk after every merge. Same layout, same faults. *)
+module Ref_heap = struct
+  type t = { mem : Memory.t; base : int; size : int }
+
+  let status_free = 0xFEED0000l
+
+  let status_used = 0xFEED0001l
+
+  let write_header t addr ~payload ~used =
+    Memory.write_u32 t.mem addr (Int32.of_int payload);
+    Memory.write_u32 t.mem (addr + 4) (if used then status_used else status_free)
+
+  let init ~mem ~base ~size =
+    let t = { mem; base; size } in
+    write_header t base ~payload:(size - 8) ~used:false;
+    t
+
+  let read_header t addr =
+    let payload = Int32.to_int (Memory.read_u32 t.mem addr) in
+    let status = Memory.read_u32 t.mem (addr + 4) in
+    let valid_status = Int32.equal status status_free || Int32.equal status status_used in
+    if
+      (not valid_status) || payload <= 0 || payload mod 8 <> 0
+      || addr + 8 + payload > t.base + t.size
+    then
+      Fault.mem_manage ~address:addr
+        (Printf.sprintf "heap metadata corrupted (size=%d status=0x%08lx)" payload status);
+    (payload, Int32.equal status status_used)
+
+  let fold t f init =
+    let rec go acc addr =
+      if addr < t.base + t.size then begin
+        let payload, used = read_header t addr in
+        go (f acc ~addr ~payload ~used) (addr + 8 + payload)
+      end
+      else acc
+    in
+    go init t.base
+
+  let alloc t n =
+    let need = if n <= 0 then 8 else (n + 7) / 8 * 8 in
+    let found =
+      fold t
+        (fun found ~addr ~payload ~used ->
+          if found = None && (not used) && payload >= need then Some (addr, payload)
+          else found)
+        None
+    in
+    match found with
+    | None -> None
+    | Some (addr, payload) ->
+      let remainder = payload - need in
+      if remainder >= 16 then begin
+        write_header t addr ~payload:need ~used:true;
+        write_header t (addr + 8 + need) ~payload:(remainder - 8) ~used:false
+      end
+      else write_header t addr ~payload ~used:true;
+      Some (addr + 8)
+
+  let coalesce t =
+    let merged = ref true in
+    while !merged do
+      merged := false;
+      let rec go prev_free addr =
+        if addr < t.base + t.size then begin
+          let payload, used = read_header t addr in
+          match (prev_free, used) with
+          | Some (paddr, ppayload), false ->
+            write_header t paddr ~payload:(ppayload + 8 + payload) ~used:false;
+            merged := true
+          | _, false -> go (Some (addr, payload)) (addr + 8 + payload)
+          | _, true -> go None (addr + 8 + payload)
+        end
+      in
+      go None t.base
+    done
+
+  let free t payload_addr =
+    let header_addr = payload_addr - 8 in
+    if header_addr < t.base || header_addr >= t.base + t.size then
+      Error (Printf.sprintf "0x%08x is not inside the heap" payload_addr)
+    else
+      match
+        fold t
+          (fun found ~addr ~payload ~used ->
+            if addr = header_addr then Some (payload, used) else found)
+          None
+      with
+      | None -> Error (Printf.sprintf "0x%08x is not a block payload" payload_addr)
+      | Some (_, false) -> Error (Printf.sprintf "double free of 0x%08x" payload_addr)
+      | Some (payload, true) ->
+        write_header t header_addr ~payload ~used:false;
+        coalesce t;
+        Ok ()
+
+  let used_bytes t = fold t (fun acc ~addr:_ ~payload ~used -> if used then acc + payload else acc) 0
+
+  let free_bytes t = fold t (fun acc ~addr:_ ~payload ~used -> if used then acc else acc + payload) 0
+end
+
+(* One step of the model check. Heap operations, and foreign writes
+   through every [Memory] mutator. [Free], [Poke] and [Smear] pick their
+   address from the pool of every header the test has seen handed out,
+   so they usually hit a block of the chain. *)
+type heap_step =
+  | Alloc of int
+  | Free of int
+  | Free_raw of int  (* an arbitrary offset from the heap base *)
+  | Used
+  | Free_total
+  | Poke of int * int * int32  (* header pick, word offset 0 or 4, value *)
+  | Smear of int * int * string  (* header pick, shift, bytes written across it *)
+  | Fill of int * int * char  (* offset from the heap base, length, byte *)
+  | Clear
+  | Capture
+  | Restore
+
+let show_step = function
+  | Alloc n -> Printf.sprintf "alloc %d" n
+  | Free k -> Printf.sprintf "free #%d" k
+  | Free_raw o -> Printf.sprintf "free base+%d" o
+  | Used -> "used_bytes"
+  | Free_total -> "free_bytes"
+  | Poke (k, w, v) -> Printf.sprintf "write_u32 #%d+%d 0x%08lx" k w v
+  | Smear (k, d, b) -> Printf.sprintf "write_bytes #%d%+d %S" k d b
+  | Fill (o, n, c) -> Printf.sprintf "fill base+%d len %d %C" o n c
+  | Clear -> "clear"
+  | Capture -> "capture"
+  | Restore -> "restore"
+
+let gen_step =
+  QCheck.Gen.(
+    frequency
+      [
+        (8, map (fun n -> Alloc n) (int_range (-4) 400));
+        (6, map (fun k -> Free k) (int_bound 63));
+        (1, map (fun o -> Free_raw o) (int_range (-16) 5000));
+        (2, return Used);
+        (2, return Free_total);
+        ( 2,
+          map3
+            (fun k w v -> Poke (k, w, v))
+            (int_bound 63) (oneofl [ 0; 4 ])
+            (oneof
+               [
+                 oneofl [ 0xFEED0000l; 0xFEED0001l; 0l; 0xDEADBEEFl ];
+                 map (fun n -> Int32.of_int (8 * n)) (int_range 1 64);
+                 map Int32.of_int (int_range (-100) 100);
+               ]) );
+        ( 1,
+          map3
+            (fun k d b -> Smear (k, d, b))
+            (int_bound 63) (int_range (-6) 6)
+            (string_size ~gen:(oneofl [ '\000'; '\001'; '\x08'; '\xED'; '\xFE'; 'A' ]) (1 -- 12)) );
+        (1, map3 (fun o n c -> Fill (o, n, c)) (int_range 0 4000) (int_range 1 300)
+              (oneofl [ '\000'; '\xAA' ]));
+        (1, return Clear);
+        (1, return Capture);
+        (2, return Restore);
+      ])
+
+type heap_case = { mem_base : int; big_endian : bool; heap_size : int; steps : heap_step list }
+
+let gen_case =
+  QCheck.Gen.(
+    map3
+      (fun (mem_base, big_endian) heap_size steps -> { mem_base; big_endian; heap_size; steps })
+      (pair (oneofl [ 0x2000_0000; 0x2000_0004 ]) bool)
+      (map (fun n -> 8 * n) (int_range 2 512))
+      (list_size (0 -- 80) gen_step))
+
+let show_case c =
+  Printf.sprintf "ram at 0x%08x (%s-endian), heap of %d bytes:\n  %s" c.mem_base
+    (if c.big_endian then "big" else "little") c.heap_size
+    (String.concat "\n  " (List.map show_step c.steps))
+
+(* An operation's result, or the fault it raised (kind, address, message). *)
+let outcome f =
+  match f () with
+  | v -> Ok v
+  | exception Fault.Trap { Fault.kind; address; message } -> Error (kind, address, message)
+
+let prop_heap_matches_reference =
+  QCheck.Test.make ~name:"heap = reference walk under foreign writes" ~count:300
+    (QCheck.make ~print:show_case gen_case)
+    (fun c ->
+      let endianness = if c.big_endian then Arch.Big else Arch.Little in
+      let heap_base = 0x2000_0008 in
+      let side () =
+        let mem = Memory.create ~base:c.mem_base ~size:(c.heap_size + 64) ~endianness in
+        (mem, ref None)
+      in
+      let ((mem, _) as real) = side () and ((rmem, _) as model) = side () in
+      let heap = Result.get_ok (Heap.init ~mem ~base:heap_base ~size:c.heap_size) in
+      let rheap = Ref_heap.init ~mem:rmem ~base:heap_base ~size:c.heap_size in
+      let headers = ref [| heap_base |] in
+      let pick k = !headers.(k mod Array.length !headers) in
+      let clamp off len = max 0 (min len (c.heap_size + 64 - (heap_base - c.mem_base) - off)) in
+      (* Apply a foreign write to both memories. *)
+      let both f = f real; f model in
+      let step s =
+        let diverged () = QCheck.Test.fail_reportf "%s diverged" (show_step s) in
+        let same f g = if outcome f <> outcome g then diverged () in
+        let free_msg = function Ok () -> "ok" | Error e -> e in
+        match s with
+        | Alloc n -> (
+          let got = outcome (fun () -> Heap.alloc heap n) in
+          if got <> outcome (fun () -> Ref_heap.alloc rheap n) then diverged ();
+          match got with
+          | Ok (Some p) -> headers := Array.append !headers [| p - 8 |]
+          | Ok None | Error _ -> ())
+        | Free k ->
+          same
+            (fun () -> free_msg (Heap.free heap (pick k + 8)))
+            (fun () -> free_msg (Ref_heap.free rheap (pick k + 8)))
+        | Free_raw o ->
+          same
+            (fun () -> free_msg (Heap.free heap (heap_base + o)))
+            (fun () -> free_msg (Ref_heap.free rheap (heap_base + o)))
+        | Used -> same (fun () -> Heap.used_bytes heap) (fun () -> Ref_heap.used_bytes rheap)
+        | Free_total -> same (fun () -> Heap.free_bytes heap) (fun () -> Ref_heap.free_bytes rheap)
+        | Poke (k, w, v) -> both (fun (m, _) -> Memory.write_u32 m (pick k + w) v)
+        | Smear (k, d, b) ->
+          let addr = max heap_base (pick k + d) in
+          let len = clamp (addr - heap_base) (String.length b) in
+          both (fun (m, _) -> Memory.write_bytes m ~addr (Bytes.of_string (String.sub b 0 len)))
+        | Fill (o, n, ch) ->
+          let len = clamp o n in
+          if len > 0 then both (fun (m, _) -> Memory.fill m ~addr:(heap_base + o) ~len ch)
+        | Clear -> both (fun (m, _) -> Memory.clear m)
+        | Capture ->
+          both (fun (m, snap) ->
+              let since = Memory.mark_generation m in
+              snap := Some (since, Memory.baseline m))
+        | Restore ->
+          both (fun (m, snap) ->
+              match !snap with
+              | Some (since, baseline) -> ignore (Memory.restore_pages m ~baseline ~since : int)
+              | None -> ())
+      in
+      List.iter
+        (fun s ->
+          step s;
+          let dump m = Memory.read_bytes m ~addr:c.mem_base ~len:(c.heap_size + 64) in
+          if not (Bytes.equal (dump mem) (dump rmem)) then
+            QCheck.Test.fail_reportf "memory differs after %s" (show_step s))
+        c.steps;
+      true)
+
 let suite =
   [
     Alcotest.test_case "heap init validation" `Quick test_heap_init_validation;
@@ -491,6 +762,7 @@ let suite =
     Alcotest.test_case "heap double free" `Quick test_heap_double_free;
     Alcotest.test_case "heap exhaustion" `Quick test_heap_exhaustion;
     Alcotest.test_case "heap corruption detected" `Quick test_heap_corruption_detected;
+    Alcotest.test_case "heap header across pages" `Quick test_heap_header_across_pages;
     Alcotest.test_case "heap lock" `Quick test_heap_lock;
     Alcotest.test_case "kobj lifecycle" `Quick test_kobj_lifecycle;
     QCheck_alcotest.to_alcotest first_of_kind_matches_sort;
@@ -510,6 +782,7 @@ let suite =
       test_every_boot_has_validated_shape;
     Alcotest.test_case "panic/assert output" `Quick test_panic_and_assert_output;
     QCheck_alcotest.to_alcotest prop_heap_invariant;
+    QCheck_alcotest.to_alcotest prop_heap_matches_reference;
   ]
 
 let test_ramfs_roundtrip () =
